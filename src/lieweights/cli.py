@@ -229,6 +229,8 @@ def load_problem(
     )
     if count < 0:
         raise ProblemError(f"{path}: samples must be non-negative")
+    if bound is not None and bound < 0:
+        raise ProblemError(f"{path}: degree bound must be non-negative, got {bound}")
     return ProblemSpec(
         chart=chart,
         filtration=filtration,

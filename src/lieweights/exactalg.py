@@ -14,9 +14,11 @@ Representation notes:
     gcd is cancelled only while both total degrees are at most
     ``GCD_DEGREE_CAP``; larger pairs stay unreduced (values unaffected,
     only size).
-  * Gauss-Jordan elimination uses a fixed pivot rule (first column holding
-    a nonzero entry, smallest row index) so solutions and nullspace bases
-    are deterministic.
+  * All exact linear algebra goes through one kernel, ``RowEchelon``:
+    sparse rows, pivot on the first column holding a nonzero entry.  Its
+    outputs are fixed because the reduced row echelon form of a matrix is
+    unique: ranks, solutions (free variables 0) and nullspace bases do not
+    depend on how the elimination is ordered.
 """
 
 from __future__ import annotations
@@ -636,43 +638,120 @@ class LinearSolution:
     nullspace: tuple[tuple[Fraction, ...], ...]
 
 
-def _row_reduce(rows: list[list], ncols: int) -> list[int]:
-    """In-place reduced row echelon form over any exact field.
+class RowEchelon:
+    """Reduced row echelon form over an exact field, built one row at a time.
 
-    Entries need +, -, *, / and truthiness for the zero test.  The pivot
-    rule is fixed: scan columns left to right, take the topmost unused row
-    with a nonzero entry.  Returns the pivot column indices in order.
+    Rows are sparse ``{column: entry}`` dicts; dense sequences are accepted
+    and converted, and int entries become Fractions.  Entries need +, -, *,
+    / and truthiness for the zero test, so Fraction and RatFunc both work.
+    An inserted row is cleared of the existing pivot columns, takes its
+    first nonzero column as pivot, is scaled to a leading 1 and cleared
+    from the other rows, so the held rows are in reduced form after every
+    insertion.  RREF is unique, so the rank, the reduced rows and every
+    solution read off them do not depend on the strategy or the row order.
+    pivot_rows maps each pivot column to its row, which has a 1 there.
     """
-    pivots: list[int] = []
-    pivot_row = 0
-    for col in range(ncols):
-        sel = None
-        for r in range(pivot_row, len(rows)):
-            if rows[r][col]:
-                sel = r
-                break
-        if sel is None:
-            continue
-        rows[pivot_row], rows[sel] = rows[sel], rows[pivot_row]
-        inv = rows[pivot_row][col]
-        rows[pivot_row] = [x / inv for x in rows[pivot_row]]
-        for r in range(len(rows)):
-            if r != pivot_row and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[pivot_row])]
-        pivots.append(col)
-        pivot_row += 1
-        if pivot_row == len(rows):
-            break
-    return pivots
+
+    def __init__(self, rows: Iterable = ()):
+        self.pivot_rows: dict[int, dict] = {}
+        for row in rows:
+            self.add(row)
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivot_rows)
+
+    def _reduce(self, row) -> dict:
+        """The row with every pivot column cleared; empty when in the span."""
+        items = row.items() if isinstance(row, Mapping) else enumerate(row)
+        out = {c: Fraction(x) if isinstance(x, int) else x for c, x in items if x}
+        for p in [c for c in out if c in self.pivot_rows]:
+            # pivot rows vanish on the other pivot columns: no new ones appear
+            _subtract_multiple(out, out[p], self.pivot_rows[p])
+        return out
+
+    def contains(self, row) -> bool:
+        return not self._reduce(row)
+
+    def add(self, row) -> bool:
+        """Insert a row; returns whether it extended the span."""
+        rest = self._reduce(row)
+        if not rest:
+            return False
+        pivot = min(rest)
+        lead = rest[pivot]
+        rest = {c: x / lead for c, x in rest.items()}
+        for other in self.pivot_rows.values():
+            if pivot in other:
+                _subtract_multiple(other, other[pivot], rest)
+        self.pivot_rows[pivot] = rest
+        return True
+
+    def reduced_rows(self, width: int) -> tuple[tuple[Fraction, ...], ...]:
+        """The reduced rows in pivot order, as dense rational vectors."""
+        return tuple(
+            tuple(row.get(c, Fraction(0)) for c in range(width))
+            for _, row in sorted(self.pivot_rows.items())
+        )
+
+    def solve(self, ncols: int) -> LinearSolution | None:
+        """Solve A x = b for held rows [A | b], b in column ncols.
+
+        The particular solution sets the free variables to 0; nullspace
+        vector number k has a 1 at the k-th free column.  None when the
+        reduced form has a pivot in the b column (a row 0 = 1).
+        """
+        if ncols in self.pivot_rows:
+            return None
+        zero = Fraction(0)
+        particular = [zero] * ncols
+        basis = {c: [zero] * ncols for c in range(ncols) if c not in self.pivot_rows}
+        for c, vec in basis.items():
+            vec[c] = Fraction(1)
+        for p, row in self.pivot_rows.items():
+            for c, x in row.items():
+                if c == ncols:
+                    particular[p] = x
+                elif c != p:
+                    basis[c][p] = -x
+        return LinearSolution(
+            particular=tuple(particular),
+            nullspace=tuple(tuple(vec) for vec in basis.values()),
+        )
+
+
+def _subtract_multiple(target: dict, factor, row: Mapping) -> None:
+    """target -= factor * row in place, dropping entries that cancel."""
+    for c, x in row.items():
+        if c in target:
+            y = target[c] - factor * x
+            if y:
+                target[c] = y
+            else:
+                del target[c]
+        else:
+            target[c] = -(factor * x)
 
 
 def matrix_rank(rows: Sequence[Sequence]) -> int:
     """Rank of a matrix over an exact field (Fraction or RatFunc entries)."""
-    work = [list(r) for r in rows]
-    if not work or not work[0]:
-        return 0
-    return len(_row_reduce(work, len(work[0])))
+    return RowEchelon(rows).rank
+
+
+def matrix_inverse(rows: Sequence[Sequence]) -> list[list] | None:
+    """Inverse of a square matrix over an exact field, or None when singular.
+
+    [A | I] reduces to [I | A^-1] exactly when A is invertible.
+    """
+    k = len(rows)
+    if not k:
+        return []
+    one = rows[0][0] ** 0
+    span = RowEchelon({**dict(enumerate(row)), k + i: one} for i, row in enumerate(rows))
+    if any(p >= k for p in span.pivot_rows):
+        return None
+    zero = one * 0
+    return [[span.pivot_rows[i].get(k + j, zero) for j in range(k)] for i in range(k)]
 
 
 def linear_solve_exact(
@@ -688,27 +767,13 @@ def linear_solve_exact(
     if len(rhs) != m:
         raise ValueError("right-hand side length does not match row count")
     n = len(rows[0]) if m else 0
-    work: list[list[Fraction]] = []
+    augmented = RowEchelon()
     for row, b in zip(rows, rhs):
         if len(row) != n:
             raise ValueError("ragged matrix")
-        work.append([_as_fraction(x) for x in row] + [_as_fraction(b)])
-    if m == 0:
-        return LinearSolution(particular=(), nullspace=())
-    pivots = _row_reduce(work, n)
-    pivot_rows = len(pivots)
-    for r in range(pivot_rows, m):
-        if work[r][n]:
-            return None
-    particular = [Fraction(0)] * n
-    for i, col in enumerate(pivots):
-        particular[col] = work[i][n]
-    free_cols = [c for c in range(n) if c not in set(pivots)]
-    basis: list[tuple[Fraction, ...]] = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for i, col in enumerate(pivots):
-            vec[col] = -work[i][fc]
-        basis.append(tuple(vec))
-    return LinearSolution(particular=tuple(particular), nullspace=tuple(basis))
+        entries = {c: x for c, x in enumerate(map(_as_fraction, row)) if x}
+        b = _as_fraction(b)
+        if b:
+            entries[n] = b
+        augmented.add(entries)
+    return augmented.solve(n)

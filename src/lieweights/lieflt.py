@@ -20,11 +20,12 @@ from typing import Iterable, Sequence
 from .exactalg import (
     Poly,
     RatFunc,
+    RowEchelon,
     grlex_key,
     linear_solve_exact,
     matrix_rank,
 )
-from .vfield import Chart, VectorField, coordinate_field, lie_bracket, restrict_zero
+from .vfield import Chart, VectorField, lie_bracket, restrict_zero
 
 PASS = "pass"
 FAIL = "fail"
@@ -198,27 +199,66 @@ def sample_points(nvars: int, budget: int = 60):
             return
 
 
-def _membership_columns(
-    gens: Sequence[VectorField], monos: Sequence[tuple[int, ...]]
-) -> tuple[list[tuple[int, tuple[int, ...]]], dict]:
-    """Column index (generator, monomial) plus coefficient data per column.
+RowKey = tuple[int, tuple[int, ...]]
 
-    Each column maps a row key (component, result monomial) to a Fraction:
-    the coefficient of x^beta in x^alpha * g_j^a.
-    """
-    keys = []
-    data = {}
-    for j, g in enumerate(gens):
-        coeffs = g.poly_coeffs()
+
+def field_entries(field: VectorField) -> dict[RowKey, Fraction]:
+    """Nonzero coefficients of a polynomial field keyed (component, monomial)."""
+    return {
+        (a, mono): value
+        for a, c in enumerate(field.poly_coeffs())
+        for mono, value in c.terms.items()
+    }
+
+
+def module_columns(
+    gens: Sequence[VectorField], monos: Sequence[tuple[int, ...]]
+) -> list[dict[RowKey, Fraction]]:
+    """Entries of x^alpha * g for every generator g (outer loop) and
+    monomial alpha (inner loop), the layout unpack_coefficients reads."""
+    cols = []
+    for g in gens:
+        entries = field_entries(g).items()
         for alpha in monos:
-            col = {}
-            for a, c in enumerate(coeffs):
-                for beta, value in c.terms.items():
-                    shifted = tuple(x + y for x, y in zip(alpha, beta))
-                    col[(a, shifted)] = col.get((a, shifted), Fraction(0)) + value
-            keys.append((j, alpha))
-            data[(j, alpha)] = col
-    return keys, data
+            cols.append(
+                {
+                    (a, tuple(x + y for x, y in zip(alpha, mono))): value
+                    for (a, mono), value in entries
+                }
+            )
+    return cols
+
+
+def module_system(
+    columns: Sequence[dict[RowKey, Fraction]],
+    target: dict[RowKey, Fraction] | None = None,
+) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """Dense rows and right-hand side of sum_k x_k columns[k] = target.
+
+    One row per (component, monomial) key, ordered by component, then
+    graded lex.  A system without keys gets one zero row, so the column
+    count survives and every column is free.  target None means 0.
+    """
+    target = target or {}
+    keys = set(target)
+    for col in columns:
+        keys.update(col)
+    row_keys = sorted(keys, key=lambda rk: (rk[0], grlex_key(rk[1])))
+    zero = Fraction(0)
+    rows = [[col.get(rk, zero) for col in columns] for rk in row_keys]
+    rhs = [target.get(rk, zero) for rk in row_keys]
+    return rows or [[zero] * len(columns)], rhs or [zero]
+
+
+def unpack_coefficients(
+    vec: Sequence[Fraction], count: int, monos: Sequence[tuple[int, ...]], nvars: int
+) -> tuple[Poly, ...]:
+    """Per-generator polynomials from a vector laid out like module_columns."""
+    size = len(monos)
+    chunks = (vec[j * size : (j + 1) * size] for j in range(count))
+    return tuple(
+        Poly(nvars, {alpha: x for alpha, x in zip(monos, chunk) if x}) for chunk in chunks
+    )
 
 
 def module_membership(
@@ -231,10 +271,6 @@ def module_membership(
     generators.  When neither a bounded solution nor a witness exists the
     verdict is inconclusive.
     """
-    if not gens:
-        if v.is_zero():
-            return TriState.passed(())
-        gens = ()
     chart = v.chart
     for g in gens:
         if g.chart != chart:
@@ -243,35 +279,15 @@ def module_membership(
         raise ValueError("module membership needs polynomial coefficients")
     n = chart.dim
     monos = monomials_up_to(n, degree_bound)
-    keys, data = _membership_columns(gens, monos)
-    target = {}
-    for a, c in enumerate(v.poly_coeffs()):
-        for beta, value in c.terms.items():
-            target[(a, beta)] = value
-    row_keys = set(target)
-    for col in data.values():
-        row_keys.update(col)
-    row_list = sorted(row_keys, key=lambda rk: (rk[0], grlex_key(rk[1])))
-    rows = [
-        [data[k].get(rk, Fraction(0)) for k in keys] for rk in row_list
-    ]
-    rhs = [target.get(rk, Fraction(0)) for rk in row_list]
-    solution = linear_solve_exact(rows, rhs) if row_list else linear_solve_exact([[Fraction(0)] * len(keys)], [Fraction(0)])
+    rows, rhs = module_system(module_columns(gens, monos), field_entries(v))
+    solution = linear_solve_exact(rows, rhs)
     if solution is not None:
-        coeff_polys = []
-        for j in range(len(gens)):
-            terms = {}
-            for idx, (jj, alpha) in enumerate(keys):
-                if jj == j and solution.particular[idx]:
-                    terms[alpha] = solution.particular[idx]
-            coeff_polys.append(Poly(n, terms))
-        return TriState.passed(tuple(coeff_polys))
+        return TriState.passed(
+            unpack_coefficients(solution.particular, len(gens), monos, n)
+        )
     for point in sample_points(n):
-        gen_cols = [g.value_at(point) for g in gens]
-        base_rows = [[col[a] for col in gen_cols] for a in range(n)]
-        v_val = v.value_at(point)
-        extended = [row + [v_val[a]] for a, row in enumerate(base_rows)]
-        if matrix_rank(extended) > matrix_rank(base_rows):
+        span = RowEchelon(g.value_at(point) for g in gens)
+        if not span.contains(v.value_at(point)):
             return TriState.failed(point)
     return TriState.undecided("degree_bound")
 
@@ -334,7 +350,6 @@ def check_bracket_compat(
                         targets = filtration.generators(i + j)
                         result = module_membership(bracket, targets, degree_bound)
                     else:
-                        frame = [coordinate_field(chart, a) for a in range(chart.dim)]
                         cert = tuple(bracket.poly_coeffs()) + tuple(
                             Poly.zero(chart.dim) for _ in filtration.generators(r)
                         )
@@ -382,11 +397,11 @@ def check_clean(filtration: Filtration, submanifold: Submanifold) -> CleanResult
                     [RatFunc(restrict_zero(c, fiber)) for c in g.poly_coeffs()]
                 )
         rows = [[col[a] for col in columns] for a in range(n)]
-        generic = matrix_rank(rows) if columns else 0
+        generic = matrix_rank(rows)
         point_rows = [
             [entry.eval(submanifold.base_point) for entry in row] for row in rows
         ]
-        at_point = matrix_rank(point_rows) if columns else 0
+        at_point = matrix_rank(point_rows)
         ranks.append(at_point)
         generic_ranks.append(generic)
         if at_point != generic and first_bad is None:
@@ -451,51 +466,31 @@ def tangency_solve(
     chart = submanifold.chart
     n = chart.dim
     fiber = submanifold.fiber_indices
-    monos = monomials_up_to(n, degree_bound)
-    keys = []
-    cols = []
-    for j, g in enumerate(gens):
+    for g in gens:
         if g.chart != chart:
             raise ValueError("generator lives on a different chart")
-        coeffs = g.poly_coeffs()
-        for alpha in monos:
-            col = {}
-            for a in fiber:
-                restricted = restrict_zero(
-                    Poly.term(n, alpha, 1) * coeffs[a], fiber
-                )
-                for beta, value in restricted.terms.items():
-                    col[(a, beta)] = value
-            keys.append((j, alpha))
-            cols.append(col)
-    row_keys = sorted(
-        {rk for col in cols for rk in col}, key=lambda rk: (rk[0], grlex_key(rk[1]))
-    )
-    if not row_keys:
+    monos = monomials_up_to(n, degree_bound)
+    # fiber components restricted to N: drop monomials using a fiber variable
+    cols = [
+        {
+            (a, mono): value
+            for (a, mono), value in col.items()
+            if a in fiber and not any(mono[f] for f in fiber)
+        }
+        for col in module_columns(gens, monos)
+    ]
+    if not any(cols):
         # every combination is tangent; the generators themselves form a basis
-        out = []
-        for j in range(len(gens)):
-            out.append(
-                tuple(
-                    Poly.one(n) if jj == j else Poly.zero(n)
-                    for jj in range(len(gens))
-                )
-            )
-        return out
-    rows = [[col.get(rk, Fraction(0)) for col in cols] for rk in row_keys]
-    solution = linear_solve_exact(rows, [Fraction(0)] * len(rows))
+        return [
+            tuple(Poly.one(n) if jj == j else Poly.zero(n) for jj in range(len(gens)))
+            for j in range(len(gens))
+        ]
+    rows, rhs = module_system(cols)
+    solution = linear_solve_exact(rows, rhs)
     assert solution is not None
-    combos = []
-    for vec in solution.nullspace:
-        coeff_polys = []
-        for j in range(len(gens)):
-            terms = {}
-            for idx, (jj, alpha) in enumerate(keys):
-                if jj == j and vec[idx]:
-                    terms[alpha] = vec[idx]
-            coeff_polys.append(Poly(n, terms))
-        combos.append(tuple(coeff_polys))
-    return combos
+    return [
+        unpack_coefficients(vec, len(gens), monos, n) for vec in solution.nullspace
+    ]
 
 
 def restrict_distribution(

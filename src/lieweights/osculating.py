@@ -20,16 +20,24 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .exactalg import Poly, RatFunc, grlex_key, linear_solve_exact, _row_reduce
-from .lieflt import Filtration, Submanifold, monomials_up_to, tangency_solve
+from .exactalg import Poly, RatFunc, RowEchelon, grlex_key, linear_solve_exact
+from .lieflt import (
+    Filtration,
+    Submanifold,
+    field_entries,
+    module_columns,
+    module_system,
+    monomials_up_to,
+    tangency_solve,
+)
 from .vfield import VectorField, lie_bracket
 from .weightcoord import (
-    INFINITE,
     WeightedChart,
     WeightingResult,
+    poly_weight_part,
     push_to_weighted,
+    vf_degree_in_chart,
     weighted_coordinates,
-    weighted_degree_in_chart,
 )
 
 Vector = tuple[Fraction, ...]
@@ -47,32 +55,6 @@ def _add_scaled(acc: list[Fraction], vec: Sequence[Fraction], c: Fraction) -> No
     for i, v in enumerate(vec):
         if v:
             acc[i] += c * v
-
-
-def _reduce_vectors(vectors: Sequence[Sequence[Fraction]]) -> tuple[Vector, ...]:
-    """Canonical reduced basis of the span (row echelon, fixed pivot rule)."""
-    rows = [list(v) for v in vectors if any(v)]
-    if not rows:
-        return ()
-    _row_reduce(rows, len(rows[0]))
-    return tuple(tuple(r) for r in rows if any(r))
-
-def _in_span(vec: Sequence[Fraction], reduced: Sequence[Sequence[Fraction]]) -> bool:
-    v = list(vec)
-    for row in reduced:
-        p = next(i for i, x in enumerate(row) if x)
-        if v[p]:
-            c = v[p] / row[p]
-            v = [a - c * b for a, b in zip(v, row)]
-    return not any(v)
-
-
-def _field_entries(field: VectorField) -> dict[tuple[int, tuple[int, ...]], Fraction]:
-    out: dict[tuple[int, tuple[int, ...]], Fraction] = {}
-    for a, coeff in enumerate(field.poly_coeffs()):
-        for mono, value in coeff.terms.items():
-            out[(a, mono)] = value
-    return out
 
 
 def _point_power(point: Sequence[Fraction], mono: Sequence[int]) -> Fraction:
@@ -101,52 +83,25 @@ def _membership_solve(
     """
     n = len(point)
     monos = monomials_up_to(n, degree_bound)
-    cols: list[dict[tuple[int, tuple[int, ...]], Fraction]] = []
-    for g in leading:
-        cols.append(_field_entries(g))
-    for h in lower:
-        for beta in monos:
-            cols.append(_field_entries(h.scale(Poly.term(n, beta, 1))))
+    cols = [field_entries(g) for g in leading]
+    cols.extend(module_columns(lower, monos))
     for g in ideal_gens:
         for beta in monos:
             if sum(beta) == 0:
                 continue
             factor = Poly.term(n, beta, 1) - Poly.const(n, _point_power(point, beta))
-            cols.append(_field_entries(g.scale(factor)))
-    keys = set()
-    for col in cols:
-        keys.update(col)
-    rhs_entries = _field_entries(target) if target is not None else {}
-    keys.update(rhs_entries)
-    row_keys = sorted(keys, key=lambda rk: (rk[0], grlex_key(rk[1])))
-    k = len(leading)
-    if not row_keys:
-        if target is None:
-            return _reduce_vectors([_unit_vector(k, j) for j in range(k)])
-        return _zero_vector(k)
-    rows = [[col.get(rk, Fraction(0)) for col in cols] for rk in row_keys]
-    rhs = [rhs_entries.get(rk, Fraction(0)) for rk in row_keys]
+            cols.append(field_entries(g.scale(factor)))
+    rhs_entries = field_entries(target) if target is not None else None
+    rows, rhs = module_system(cols, rhs_entries)
     solution = linear_solve_exact(rows, rhs)
     if solution is None:
         return None
+    k = len(leading)
     if target is None:
-        return _reduce_vectors([vec[:k] for vec in solution.nullspace])
+        return RowEchelon(vec[:k] for vec in solution.nullspace).reduced_rows(k)
     for vec in solution.nullspace:
         assert not any(vec[:k]), "chosen basis is dependent at this degree bound"
     return tuple(solution.particular[:k])
-
-
-def _greedy_basis(count: int, relations: Sequence[Vector]) -> tuple[int, ...]:
-    chosen: list[int] = []
-    span = [list(r) for r in relations]
-    reduced = _reduce_vectors(span)
-    for j in range(count):
-        unit = _unit_vector(count, j)
-        if not _in_span(unit, reduced):
-            chosen.append(j)
-            span.append(list(unit))
-            reduced = _reduce_vectors(span)
-    return tuple(chosen)
 
 
 def _class_coords(
@@ -300,7 +255,10 @@ def osculating_at(
         relations = _membership_solve(cands, lower, cands, point, degree_bound, None)
         level_candidates.append(cands)
         level_relations.append(relations)
-        level_basis.append(_greedy_basis(len(cands), relations))
+        span = RowEchelon(relations)
+        level_basis.append(
+            tuple(j for j in range(len(cands)) if span.add({j: Fraction(1)}))
+        )
 
     offsets: list[int] = []
     total = 0
@@ -387,11 +345,11 @@ class GradedSubalg:
         return tuple(len(s) for s in self.spans)
 
     def contains(self, vec: Sequence[Fraction]) -> bool:
-        rows = [row for span in self.spans for row in span]
-        return _in_span(vec, rows)
+        return RowEchelon(row for span in self.spans for row in span).contains(vec)
 
     def closed_under_bracket(self) -> bool:
         order = self.parent.order
+        spans = [RowEchelon(span) for span in self.spans]
         for i in range(1, order + 1):
             for j in range(i, order + 1):
                 for va in self.spans[i - 1]:
@@ -401,7 +359,7 @@ class GradedSubalg:
                             continue
                         if i + j > order:
                             return False
-                        if not _in_span(got, self.spans[i + j - 1]):
+                        if not spans[i + j - 1].contains(got):
                             return False
         return True
 
@@ -434,7 +392,7 @@ def tangent_subalg(
                 if lam:
                     _add_scaled(acc, parent.candidate_classes[depth - 1][j], lam)
             vecs.append(tuple(acc))
-        spans.append(_reduce_vectors(vecs))
+        spans.append(RowEchelon(vecs).reduced_rows(parent.dim))
     return GradedSubalg(parent=parent, spans=tuple(spans))
 
 
@@ -585,7 +543,7 @@ def _frozen_fiber_part(coeff, weighting: WeightedChart, degree: int) -> Poly:
     if isinstance(frozen, RatFunc) and frozen.is_polynomial():
         frozen = frozen.as_poly()
     if isinstance(frozen, Poly):
-        return _weight_part(frozen, weighting.weights, degree)
+        return poly_weight_part(frozen, weighting.weights, degree)
     num, den = frozen.num, frozen.den
     c0 = den.terms.get((0,) * n, Fraction(0))
     if c0 == 0:
@@ -599,19 +557,8 @@ def _frozen_fiber_part(coeff, weighting: WeightedChart, degree: int) -> Poly:
             break
         sign = Fraction((-1) ** k) / c0 ** (k + 1)
         inv = inv + power * Poly.const(n, sign)
-    return _weight_part(
+    return poly_weight_part(
         _weight_chop(num * inv, weighting.weights, degree), weighting.weights, degree
-    )
-
-
-def _weight_part(p: Poly, weights: Sequence[int], degree: int) -> Poly:
-    return Poly(
-        p.nvars,
-        {
-            mono: c
-            for mono, c in p.terms.items()
-            if sum(e * w for e, w in zip(mono, weights)) == degree
-        },
     )
 
 
@@ -639,13 +586,7 @@ def weighted_fiber_class(
     base point.
     """
     pushed = push_to_weighted(field, weighting)
-    degree: int | float = INFINITE
-    for p, coeff in enumerate(pushed.coeffs):
-        if coeff.is_zero():
-            continue
-        d = weighted_degree_in_chart(coeff, weighting).degree - weighting.weights[p]
-        degree = min(degree, d)
-    if degree < -depth:
+    if vf_degree_in_chart(pushed, weighting) < -depth:
         return None
     parts: dict[int, Poly] = {}
     comps: list[Fraction] = []

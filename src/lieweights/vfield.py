@@ -297,11 +297,17 @@ class _Value:
         self.vector = vector
 
 
+# parentheses and unary minus recurse; past this depth the parser refuses
+# the input instead of exhausting the interpreter stack
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, src: str, chart: Chart):
         self.chart = chart
         self.tokens = _tokenize(src)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -391,6 +397,13 @@ class _Parser:
 
     def atom(self) -> _Value:
         tok = self.peek()
+        if tok.kind == "op" and tok.text in "(-":
+            if self.depth == MAX_NESTING:
+                self.error(f"nesting deeper than {MAX_NESTING} levels", tok)
+            self.depth += 1
+            val = self.nested(tok)
+            self.depth -= 1
+            return val
         if tok.kind == "nat":
             self.next()
             return self._scalar(Fraction(int(tok.text)))
@@ -406,22 +419,21 @@ class _Parser:
                 vec = tuple(one if i == idx else zero for i in range(self.chart.dim))
                 return _Value(as_ratfunc(0, self.chart.dim), vec)
             self.error(f"unknown identifier {name!r}", tok)
-        if tok.kind == "op" and tok.text == "(":
-            self.next()
+        self.error(f"unexpected {tok.text!r}" if tok.text else "unexpected end of input", tok)
+
+    def nested(self, tok: _Token) -> _Value:
+        """A parenthesized expression or a negated atom."""
+        self.next()
+        if tok.text == "(":
             val = self.expr()
             close = self.peek()
             if not (close.kind == "op" and close.text == ")"):
                 self.error("expected ')'", close)
             self.next()
             return val
-        if tok.kind == "op" and tok.text == "-":
-            self.next()
-            val = self.atom()
-            vector = (
-                None if val.vector is None else tuple(-c for c in val.vector)
-            )
-            return _Value(-val.scalar, vector)
-        self.error(f"unexpected {tok.text!r}" if tok.text else "unexpected end of input", tok)
+        val = self.atom()
+        vector = None if val.vector is None else tuple(-c for c in val.vector)
+        return _Value(-val.scalar, vector)
 
 
 def parse_scalar(src: str, chart: Chart) -> RatFunc:

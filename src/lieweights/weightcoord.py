@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactalg import Poly, RatFunc, _row_reduce, grlex_key, matrix_rank
+from .exactalg import Poly, RatFunc, RowEchelon, grlex_key, matrix_inverse, matrix_rank
 from .lieflt import (
     CleanResult,
     Filtration,
@@ -61,20 +61,9 @@ def select_frame(
 ) -> Frame:
     """Greedy frame choice: scan each level's generators in list order and
     adopt those whose value at the base point extends the running span."""
-    chart = filtration.chart
-    n = chart.dim
     m = submanifold.base_point
     ranks = weight_assignment.ranks
-    span_cols: list[tuple[Fraction, ...]] = [
-        tuple(Fraction(1) if a == b else Fraction(0) for a in range(n))
-        for b in submanifold.tangent_indices
-    ]
-
-    def extends(col: tuple[Fraction, ...]) -> bool:
-        rows = [[c[a] for c in span_cols] for a in range(n)]
-        ext = [row + [col[a]] for a, row in enumerate(rows)]
-        return matrix_rank(ext) > len(span_cols)
-
+    span = RowEchelon({b: Fraction(1)} for b in submanifold.tangent_indices)
     fields: list[VectorField] = []
     levels: list[int] = []
     for depth in range(1, filtration.order + 1):
@@ -83,9 +72,7 @@ def select_frame(
         for g in filtration.generators(depth):
             if adopted == needed:
                 break
-            value = g.value_at(m)
-            if extends(value):
-                span_cols.append(value)
+            if span.add(g.value_at(m)):
                 fields.append(g)
                 levels.append(depth)
                 adopted += 1
@@ -94,21 +81,6 @@ def select_frame(
                 f"frame incomplete at level {depth}: needed {needed}, found {adopted}"
             )
     return Frame(submanifold=submanifold, fields=tuple(fields), levels=tuple(levels))
-
-
-def _invert_ratfunc_matrix(rows: list[list[RatFunc]]) -> list[list[RatFunc]] | None:
-    k = len(rows)
-    if k == 0:
-        return []
-    n = rows[0][0].nvars
-    aug = [
-        list(row) + [RatFunc.const(n, 1 if i == j else 0) for j in range(k)]
-        for i, row in enumerate(rows)
-    ]
-    pivots = _row_reduce(aug, k)
-    if len(pivots) < k:
-        return None
-    return [row[k:] for row in aug]
 
 
 def normalize_chart(
@@ -138,7 +110,7 @@ def normalize_chart(
     ]
     if k and matrix_rank(point_matrix) < k:
         raise ValueError("frame-coordinate pairing is singular at the base point")
-    inverse = _invert_ratfunc_matrix(pairing)
+    inverse = matrix_inverse(pairing)
     assert inverse is not None
     coords = []
     for b in range(k):
@@ -467,7 +439,7 @@ def _invert_weighting(
             for c in fiber:
                 row.append(_coefficient_of_variable(lin, c))
             linear_rows.append(row)
-        mat = _invert_ratfunc_matrix(linear_rows)
+        mat = matrix_inverse(linear_rows)
         assert mat is not None, "weighting linear stage is singular"
         for ci, c in enumerate(fiber):
             acc = RatFunc.const(n, 0)
@@ -539,14 +511,19 @@ def push_to_weighted(field: VectorField, weighting: WeightedChart) -> VectorFiel
 def vf_filtration_degree(field: VectorField, weighting: WeightedChart) -> int | float:
     """Largest j with: each weighted coefficient has weighted degree at
     least (weight of its direction) + j.  The zero field gives +inf."""
-    pushed = push_to_weighted(field, weighting)
-    degree: int | float = INFINITE
-    for p, coeff in enumerate(pushed.coeffs):
-        if coeff.is_zero():
-            continue
-        d = weighted_degree_in_chart(coeff, weighting).degree - weighting.weights[p]
-        degree = min(degree, d)
-    return degree
+    return vf_degree_in_chart(push_to_weighted(field, weighting), weighting)
+
+
+def vf_degree_in_chart(field: VectorField, weighting: WeightedChart) -> int | float:
+    """vf_filtration_degree of a field already written in the weighted chart."""
+    return min(
+        (
+            weighted_degree_in_chart(coeff, weighting).degree - weighting.weights[p]
+            for p, coeff in enumerate(field.coeffs)
+            if not coeff.is_zero()
+        ),
+        default=INFINITE,
+    )
 
 
 def weighted_degree_in_chart(g: Scalar, weighting: WeightedChart) -> WeightedDegreeResult:
@@ -560,7 +537,8 @@ def weighted_degree_in_chart(g: Scalar, weighting: WeightedChart) -> WeightedDeg
     return WeightedDegreeResult(num.degree - den.degree, num.witness)
 
 
-def _poly_weight_part(p: Poly, weights: Sequence[int], degree: int) -> Poly:
+def poly_weight_part(p: Poly, weights: Sequence[int], degree: int) -> Poly:
+    """The terms of p whose weighted degree is exactly degree."""
     return Poly(
         p.nvars,
         {
@@ -573,12 +551,12 @@ def _poly_weight_part(p: Poly, weights: Sequence[int], degree: int) -> Poly:
 
 def _scalar_weight_part(g: Scalar, weights: Sequence[int], degree: int) -> Scalar:
     if isinstance(g, Poly):
-        return _poly_weight_part(g, weights, degree)
+        return poly_weight_part(g, weights, degree)
     if g.is_zero():
         return g
     den_res = _poly_weighted_degree(g.den, weights)
-    num_part = _poly_weight_part(g.num, weights, degree + den_res.degree)
-    den_part = _poly_weight_part(g.den, weights, den_res.degree)
+    num_part = poly_weight_part(g.num, weights, degree + den_res.degree)
+    den_part = poly_weight_part(g.den, weights, den_res.degree)
     return RatFunc(num_part, den_part)
 
 
@@ -599,7 +577,7 @@ def homogeneous_approx_vf(field: VectorField, weighting: WeightedChart) -> Vecto
     homogeneous of the field's degree.
     """
     pushed = push_to_weighted(field, weighting)
-    degree = vf_filtration_degree(field, weighting)
+    degree = vf_degree_in_chart(pushed, weighting)
     if degree == INFINITE:
         return pushed
     coeffs = []

@@ -336,6 +336,28 @@ class TestInputErrors:
         assert main(["check", write_problem(tmp_path, doc)]) == EXIT_INPUT
         assert "order" in capsys.readouterr().err
 
+    def test_negative_degree_bound_flag(self, capsys):
+        code = main(["report", HEISENBERG, "--degree-bound", "-3", "--quiet"])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "degree bound must be non-negative" in err
+        assert err.count("\n") == 1
+
+    def test_negative_degree_bound_in_file(self, tmp_path, capsys):
+        doc = basic_doc()
+        doc["degree_bound"] = -1
+        assert main(["report", write_problem(tmp_path, doc)]) == EXIT_INPUT
+        assert "degree bound must be non-negative" in capsys.readouterr().err
+
+    def test_deep_nesting_is_an_input_error(self, tmp_path, capsys):
+        doc = basic_doc()
+        doc["filtration"]["-1"] = ["(" * 3000 + "dx" + ")" * 3000]
+        assert main(["check", write_problem(tmp_path, doc)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "nesting deeper than" in err
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_rationals_accept_plain_integers(self, tmp_path):
         doc = basic_doc()
         doc["submanifold"]["tangent"] = ["x"]

@@ -11,9 +11,11 @@ from lieweights.exactalg import (
     LinearSolution,
     Poly,
     RatFunc,
+    RowEchelon,
     divide_exact,
     grlex_key,
     linear_solve_exact,
+    matrix_inverse,
     matrix_rank,
     poly_gcd,
 )
@@ -290,3 +292,94 @@ def test_matrix_rank_over_ratfunc_field():
         [RatFunc(y), RatFunc(y * y)],
     ]
     assert matrix_rank(rows) == 1
+
+
+# -- the elimination kernel against sympy's rref ------------------------------
+
+
+def to_sympy_matrix(rows, ncols):
+    entries = [sympy.Rational(x.numerator, x.denominator) for r in rows for x in r]
+    return sympy.Matrix(len(rows), ncols, entries)
+
+
+def from_sympy(x) -> Fraction:
+    return Fraction(int(x.p), int(x.q))
+
+
+@st.composite
+def sparse_systems(draw):
+    """Mostly-zero rational matrices with some forced zero rows and columns,
+    plus an arbitrary right-hand side (often infeasible)."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 6))
+    entry = st.one_of(
+        st.just(Fraction(0)),
+        st.just(Fraction(0)),
+        st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)),
+    )
+    zero_rows = draw(st.sets(st.integers(0, m - 1), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, n - 1), max_size=2))
+    rows = [
+        [
+            Fraction(0) if i in zero_rows or j in zero_cols else draw(entry)
+            for j in range(n)
+        ]
+        for i in range(m)
+    ]
+    rhs = [draw(entry) for _ in range(m)]
+    probe = [draw(entry) for _ in range(n)]
+    return rows, rhs, probe
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_systems())
+def test_kernel_matches_sympy_rref(system):
+    rows, rhs, probe = system
+    n = len(rows[0])
+    A = to_sympy_matrix(rows, n)
+    reduced, pivots = A.rref()
+    echelon = RowEchelon(rows)
+    assert echelon.rank == len(pivots) == matrix_rank(rows)
+    assert sorted(echelon.pivot_rows) == list(pivots)
+    assert echelon.reduced_rows(n) == tuple(
+        tuple(from_sympy(reduced[i, j]) for j in range(n))
+        for i in range(len(pivots))
+    )
+    assert all(echelon.contains(r) for r in rows)
+    extends = A.col_join(to_sympy_matrix([probe], n)).rank() > len(pivots)
+    assert echelon.contains(probe) is not extends
+    assert echelon.add(probe) is extends
+    assert echelon.rank == len(pivots) + extends
+
+    aug_reduced, aug_pivots = A.row_join(to_sympy_matrix([[b] for b in rhs], 1)).rref()
+    sol = linear_solve_exact(rows, rhs)
+    if n in aug_pivots:
+        assert sol is None
+        return
+    particular = [Fraction(0)] * n
+    for i, c in enumerate(aug_pivots):
+        particular[c] = from_sympy(aug_reduced[i, n])
+    assert sol.particular == tuple(particular)
+    assert sol.nullspace == tuple(
+        tuple(from_sympy(x) for x in vec) for vec in A.nullspace()
+    )
+
+
+def test_ratfunc_inverse_multiplies_back_to_identity():
+    x, y = Poly.variable(2, 0), Poly.variable(2, 1)
+    one = Poly.one(2)
+    rows = [
+        [RatFunc(one), RatFunc(y), RatFunc(Poly.zero(2))],
+        [RatFunc(x), RatFunc(one + x * y, one + x), RatFunc(y * y)],
+        [RatFunc(Poly.zero(2)), RatFunc(x), RatFunc(one - y)],
+    ]
+    inverse = matrix_inverse(rows)
+    assert inverse is not None
+    for i in range(3):
+        for j in range(3):
+            entry = sum(
+                (rows[i][k] * inverse[k][j] for k in range(3)), RatFunc.const(2, 0)
+            )
+            assert entry == RatFunc.const(2, 1 if i == j else 0)
+    singular = [[RatFunc(one), RatFunc(y)], [RatFunc(x), RatFunc(x * y)]]
+    assert matrix_inverse(singular) is None

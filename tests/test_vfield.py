@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from lieweights.exactalg import Poly, RatFunc
 from lieweights.vfield import (
+    MAX_NESTING,
     Chart,
     DiffOpWord,
     ParseError,
@@ -189,6 +190,19 @@ def test_parse_errors_carry_position():
     with pytest.raises(ParseError) as err:
         parse_polynomial("x +\n  qq", CHART)
     assert err.value.line == 2 and err.value.column == 3
+
+
+def test_parse_nesting_depth_is_capped():
+    deepest = "(" * MAX_NESTING + "dx" + ")" * MAX_NESTING
+    assert parse_vector_field(deepest, CHART) == coordinate_field(CHART, 0)
+    assert parse_polynomial("-" * MAX_NESTING + "x", CHART) == X_
+    with pytest.raises(ParseError) as err:
+        parse_vector_field("(" + deepest + ")", CHART)
+    assert err.value.column == MAX_NESTING + 1
+    with pytest.raises(ParseError):
+        parse_polynomial("-" * (MAX_NESTING + 1) + "x", CHART)
+    with pytest.raises(ParseError):
+        parse_polynomial("(-" * 3000 + "x" + ")" * 3000, CHART)
 
 
 def test_parse_rejects_mixed_and_scalar_only():
