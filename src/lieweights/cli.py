@@ -272,6 +272,11 @@ class _Pipeline:
             }
         elif report.verdict == INCONCLUSIVE:
             data["reason"] = "degree_bound"
+            data["unresolved"] = [
+                [c.i, c.j, c.gi, c.gj]
+                for c in report.checks
+                if c.result.verdict == INCONCLUSIVE
+            ]
         return report.verdict, data
 
     def stage_clean(self):

@@ -6,7 +6,12 @@ Representation notes:
     denominator by construction).
   * A polynomial is a mapping {exponent tuple -> Fraction} with no zero
     coefficients stored; two polynomials are equal iff the mappings are
-    equal.
+    equal.  The public ``Poly(nvars, terms)`` checks and canonicalizes its
+    input.  ``Poly``'s own arithmetic (``+``, unary ``-``, scalar and
+    polynomial ``*``, ``diff``) builds its results through the private
+    ``Poly._canonical``, which skips the checks: every key there is already
+    a tuple of ``nvars`` non-negative ints and every value a nonzero
+    ``Fraction``, by construction.
   * The fixed monomial order is graded lexicographic: total degree first,
     then the exponent tuple compared left to right.
   * A rational function is normalized so its denominator has integer
@@ -75,6 +80,16 @@ class Poly:
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
+    @classmethod
+    def _canonical(cls, nvars: int, terms: dict[Monomial, Fraction]) -> "Poly":
+        """Wrap a dict that is canonical already: tuple keys of length
+        nvars with non-negative entries, nonzero Fraction values.  Nothing
+        is checked; only Poly's own arithmetic calls this."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "nvars", nvars)
+        object.__setattr__(p, "terms", terms)
+        return p
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -106,7 +121,10 @@ class Poly:
         return not self.terms
 
     def is_one(self) -> bool:
-        return self.terms == {(0,) * self.nvars: Fraction(1)}
+        if len(self.terms) != 1:
+            return False
+        ((mono, c),) = self.terms.items()
+        return c == 1 and not any(mono)
 
     def is_constant(self) -> bool:
         return all(sum(m) == 0 for m in self.terms)
@@ -164,19 +182,27 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not o.terms:
+            return self
+        if not self.terms:
+            return o
         out = dict(self.terms)
         for mono, c in o.terms.items():
-            s = out.get(mono, Fraction(0)) + c
-            if s:
-                out[mono] = s
+            s = out.get(mono)
+            if s is None:
+                out[mono] = c
             else:
-                out.pop(mono, None)
-        return Poly(self.nvars, out)
+                s += c
+                if s:
+                    out[mono] = s
+                else:
+                    del out[mono]
+        return Poly._canonical(self.nvars, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(self.nvars, {m: -c for m, c in self.terms.items()})
+        return Poly._canonical(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
         o = self._coerce(other)
@@ -195,7 +221,7 @@ class Poly:
             c = _as_fraction(other)
             if not c:
                 return Poly.zero(self.nvars)
-            return Poly(self.nvars, {m: k * c for m, k in self.terms.items()})
+            return Poly._canonical(self.nvars, {m: k * c for m, k in self.terms.items()})
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -203,12 +229,9 @@ class Poly:
         for m1, c1 in self.terms.items():
             for m2, c2 in o.terms.items():
                 mono = tuple(a + b for a, b in zip(m1, m2))
-                s = out.get(mono, Fraction(0)) + c1 * c2
-                if s:
-                    out[mono] = s
-                else:
-                    out.pop(mono, None)
-        return Poly(self.nvars, out)
+                s = out.get(mono)
+                out[mono] = c1 * c2 if s is None else s + c1 * c2
+        return Poly._canonical(self.nvars, {m: c for m, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -244,13 +267,13 @@ class Poly:
         """Partial derivative with respect to one variable."""
         if not 0 <= index < self.nvars:
             raise ValueError(f"variable index {index} out of range")
+        # lowering one exponent is injective on the monomials that carry it
         out: dict[Monomial, Fraction] = {}
         for mono, c in self.terms.items():
             e = mono[index]
             if e:
-                lowered = tuple(x - 1 if i == index else x for i, x in enumerate(mono))
-                out[lowered] = out.get(lowered, Fraction(0)) + c * e
-        return Poly(self.nvars, out)
+                out[mono[:index] + (e - 1,) + mono[index + 1 :]] = c * e
+        return Poly._canonical(self.nvars, out)
 
     def subst(self, images: Sequence["Poly | RatFunc"]):
         """Substitute one expression per variable.

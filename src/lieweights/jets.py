@@ -83,11 +83,6 @@ class TruncSeries:
         if len(self.coefficients) != self.order + 1:
             raise ValueError("series needs exactly order + 1 coefficients")
 
-    @classmethod
-    def constant(cls, order: int, value) -> "TruncSeries":
-        zero = _zero_like(value)
-        return cls(order, (value,) + (zero,) * order)
-
     def is_zero(self) -> bool:
         return not any(self.coefficients)
 
@@ -121,9 +116,6 @@ class TruncSeries:
         zero = _zero_like(self.coefficients[0])
         return TruncSeries(self.order, tuple(zero if c is None else c for c in out))
 
-    def scale(self, factor) -> "TruncSeries":
-        return TruncSeries(self.order, tuple(c * factor for c in self.coefficients))
-
     def shift(self, j: int) -> "TruncSeries":
         """Multiply by epsilon^j."""
         if j < 0:
@@ -146,22 +138,6 @@ class TruncSeries:
                     acc += ci * inv[k - i]
             inv[k] = -acc / c0
         return TruncSeries(self.order, tuple(inv))
-
-    def __pow__(self, exponent: int) -> "TruncSeries":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("series exponent must be a non-negative integer")
-        result = TruncSeries.constant(self.order, _one_like(self.coefficients[0]))
-        for _ in range(exponent):
-            result = result * self
-        return result
-
-
-def _one_like(sample):
-    if isinstance(sample, Poly):
-        return Poly.one(sample.nvars)
-    if isinstance(sample, RatFunc):
-        return RatFunc.const(sample.nvars, 1)
-    return Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -203,20 +179,58 @@ def eval_jet(u: JetPoint, f: Scalar) -> TruncSeries:
     truncated series and expand.  The result is a unital algebra morphism
     in f.  Rational functions require the denominator to be a unit at the
     jet's base point."""
-    if isinstance(f, RatFunc):
-        return eval_jet(u, f.num) * eval_jet(u, f.den).inverse()
-    if f.nvars != u.chart.dim:
-        raise ValueError("function does not live on the jet's base chart")
-    r = u.order
-    var_series = [TruncSeries(r, row) for row in u.comps]
-    total = TruncSeries.constant(r, Fraction(0))
-    for mono, c in f.terms.items():
-        term = TruncSeries.constant(r, Fraction(c))
-        for a, e in enumerate(mono):
-            if e:
-                term = term * var_series[a] ** e
-        total = total + term
-    return total
+    return _JetEvaluator(u)(f)
+
+
+class _JetEvaluator:
+    """eval_jet for any number of functions on one jet.
+
+    powers[a][e - 1] is the coefficient list of (row a)^e; the table of a
+    row grows on demand and is shared by every function evaluated.
+    """
+
+    def __init__(self, u: JetPoint):
+        self.u = u
+        self.powers = [[list(row)] for row in u.comps]
+
+    def power(self, a: int, e: int) -> list[Fraction]:
+        table = self.powers[a]
+        while len(table) < e:
+            table.append(_trunc_mul(table[-1], table[0], self.u.order))
+        return table[e - 1]
+
+    def __call__(self, f: Scalar) -> TruncSeries:
+        if isinstance(f, RatFunc):
+            return self(f.num) * self(f.den).inverse()
+        if f.nvars != self.u.chart.dim:
+            raise ValueError("function does not live on the jet's base chart")
+        r = self.u.order
+        total = [Fraction(0)] * (r + 1)
+        for mono, c in f.terms.items():
+            term = None
+            for a, e in enumerate(mono):
+                if e:
+                    p = self.power(a, e)
+                    term = [c * v for v in p] if term is None else _trunc_mul(term, p, r)
+            if term is None:
+                total[0] += c
+                continue
+            for i, v in enumerate(term):
+                if v:
+                    total[i] += v
+        return TruncSeries(r, tuple(total))
+
+
+def _trunc_mul(p: Sequence[Fraction], q: Sequence[Fraction], r: int) -> list[Fraction]:
+    """Product of two coefficient lists, truncated after epsilon^r."""
+    out = [Fraction(0)] * (r + 1)
+    for i, a in enumerate(p):
+        if a:
+            for j in range(r + 1 - i):
+                b = q[j]
+                if b:
+                    out[i + j] += a * b
+    return out
 
 
 def lift_all(jc: JetChart, f: Poly) -> tuple[Poly, ...]:
@@ -371,40 +385,60 @@ class URElem:
         return URElem(self.chart, self.order, self.terms, -self.t)
 
 
-def _ur_generator_apply(elem: URElem, series: TruncSeries) -> TruncSeries:
+# t * sum_j X_j eps^j as (depth j, [(a, t * coefficient of d/dx_a in X_j)]),
+# zero coefficients left out
+PolyTerms = list[tuple[int, list[tuple[int, Poly]]]]
+
+
+def _poly_terms(elem: URElem) -> PolyTerms:
+    return [
+        (j, [(a, c * elem.t) for a, c in enumerate(x.poly_coeffs()) if c])
+        for j, x in elem.terms
+    ]
+
+
+def _ur_generator_apply(terms: PolyTerms, coeffs: Sequence[Poly]) -> list[Poly]:
     """One application of t * sum_j X_j eps^j to a function-coefficient series."""
-    r = elem.order
-    out: list = [Poly.zero(elem.chart.dim) for _ in range(r + 1)]
-    for j, x in elem.terms:
-        for i, coeff in enumerate(series.coefficients):
-            if i + j > r:
-                break
+    r = len(coeffs) - 1
+    out = [Poly.zero(coeffs[0].nvars)] * (r + 1)
+    for j, field in terms:
+        for i in range(r + 1 - j):
+            coeff = coeffs[i]
             if not coeff:
                 continue
-            moved = x.apply(coeff)
-            if isinstance(moved, RatFunc):
-                moved = moved.as_poly()
-            out[i + j] = out[i + j] + moved * elem.t
-    return TruncSeries(r, tuple(out))
+            moved = out[i + j]
+            for a, c in field:
+                moved = moved + c * coeff.diff(a)
+            out[i + j] = moved
+    return out
 
 
-def u_exp_apply(elem: URElem, f: Poly) -> TruncSeries:
-    """The exponential as a finite operator sum applied to a function.
+def _exp_series(terms: PolyTerms, order: int, f: Poly) -> list[Poly]:
+    """Coefficients of the exponential applied to f.
 
     Each application of the generator raises the epsilon-degree, so the
     series terminates; the step count is asserted against the order.
     """
-    if f.nvars != elem.chart.dim:
-        raise ValueError("function does not live on the element's chart")
-    current = TruncSeries.constant(elem.order, f)
+    current = [f] + [Poly.zero(f.nvars)] * order
     total = current
     k = 0
-    while not current.is_zero():
+    while any(current):
         k += 1
-        assert k <= elem.order + 1, "unipotent exponential failed to terminate"
-        current = _ur_generator_apply(elem, current).scale(Fraction(1, k))
-        total = total + current
+        assert k <= order + 1, "unipotent exponential failed to terminate"
+        # term k is the generator applied to term k - 1, divided by k
+        current = _ur_generator_apply(terms, current)
+        if k > 1:
+            step = Fraction(1, k)
+            current = [c * step for c in current]
+        total = [a + b for a, b in zip(total, current)]
     return total
+
+
+def u_exp_apply(elem: URElem, f: Poly) -> TruncSeries:
+    """The exponential as a finite operator sum applied to a function."""
+    if f.nvars != elem.chart.dim:
+        raise ValueError("function does not live on the element's chart")
+    return TruncSeries(elem.order, tuple(_exp_series(_poly_terms(elem), elem.order, f)))
 
 
 def u_exp_act(elem: URElem, u: JetPoint) -> JetPoint:
@@ -412,17 +446,18 @@ def u_exp_act(elem: URElem, u: JetPoint) -> JetPoint:
     the inverse exponential."""
     if u.chart != elem.chart or u.order != elem.order:
         raise ValueError("jet and group element are incompatible")
-    inv = elem.inverse()
+    terms = _poly_terms(elem.inverse())
+    values_at = _JetEvaluator(u)
     n = u.chart.dim
     r = u.order
     rows = []
     for a in range(n):
-        image = u_exp_apply(inv, Poly.variable(n, a))
+        image = _exp_series(terms, r, Poly.variable(n, a))
         acc = [Fraction(0)] * (r + 1)
-        for k, coeff in enumerate(image.coefficients):
+        for k, coeff in enumerate(image):
             if not coeff:
                 continue
-            values = eval_jet(u, coeff)
+            values = values_at(coeff)
             for i, c in enumerate(values.coefficients):
                 if i + k <= r and c:
                     acc[i + k] += c
@@ -435,11 +470,12 @@ def q_membership(u: JetPoint, weighting: WeightedChart) -> bool:
     coordinate of weight w must have vanishing components below index w."""
     if u.chart != weighting.source_chart:
         raise ValueError("jet does not live on the weighting's source chart")
+    values_at = _JetEvaluator(u)
     for p in range(weighting.dim):
         w = weighting.weights[p]
         if w == 0:
             continue
-        series = eval_jet(u, weighting.forward[p])
+        series = values_at(weighting.forward[p])
         for i in range(min(w, u.order + 1)):
             if series.coefficients[i]:
                 return False
@@ -498,14 +534,14 @@ def _random_ur_element(rng: random.Random, filtration: Filtration) -> URElem | N
     chart = filtration.chart
     terms = []
     for j in range(1, filtration.order + 1):
-        combo = VectorField(chart, [Fraction(0)] * chart.dim)
-        used = False
+        combo: list[Poly] | None = None
         for g in filtration.levels[j - 1]:
             if rng.random() < 0.5:
-                combo = combo + g.scale(rng.choice(_COEFF_POOL))
-                used = True
-        if used and not combo.is_zero():
-            terms.append((j, combo))
+                c = rng.choice(_COEFF_POOL)
+                scaled = [p * c for p in g.poly_coeffs()]
+                combo = scaled if combo is None else [a + b for a, b in zip(combo, scaled)]
+        if combo is not None and any(combo):
+            terms.append((j, VectorField(chart, combo)))
     if not terms:
         return None
     return URElem(chart, filtration.order, tuple(terms), rng.choice(_COEFF_POOL))

@@ -301,6 +301,20 @@ class _Value:
 # the input instead of exhausting the interpreter stack
 MAX_NESTING = 100
 
+# largest total degree (of a numerator or a denominator) and largest
+# exponent the parser builds; it refuses a power or product that would go
+# past it before computing it, so input text cannot blow up expansion time
+# or the default degree bounds derived from generator degrees
+MAX_DEGREE = 12
+
+
+def _degree(value: RatFunc) -> int:
+    return max(value.num.total_degree(), value.den.total_degree(), 0)
+
+
+def _value_degree(val: "_Value") -> int:
+    return max([_degree(val.scalar)] + [_degree(c) for c in val.vector or ()])
+
 
 class _Parser:
     def __init__(self, src: str, chart: Chart):
@@ -322,6 +336,10 @@ class _Parser:
 
     def _scalar(self, value) -> _Value:
         return _Value(as_ratfunc(value, self.chart.dim), None)
+
+    def check_degree(self, degree: int, tok: _Token):
+        if degree > MAX_DEGREE:
+            self.error(f"total degree {degree} exceeds the limit of {MAX_DEGREE}", tok)
 
     def parse(self) -> _Value:
         val = self.expr()
@@ -349,6 +367,8 @@ class _Parser:
                 else:
                     vector = tuple(a - b for a, b in zip(left, right))
             val = _Value(scalar, vector)
+            # common denominators add degrees, so sums are checked too
+            self.check_degree(_value_degree(val), op)
         return val
 
     def term(self) -> _Value:
@@ -356,6 +376,7 @@ class _Parser:
         while self.peek().kind == "op" and self.peek().text in "*/":
             op = self.next()
             rhs = self.factor()
+            self.check_degree(_value_degree(val) + _value_degree(rhs), op)
             if op.text == "*":
                 if val.vector is not None and rhs.vector is not None:
                     self.error("cannot multiply two vector fields", op)
@@ -392,7 +413,12 @@ class _Parser:
             self.next()
             if val.vector is not None:
                 self.error("cannot raise a vector field to a power", op)
-            val = self._scalar(val.scalar ** int(exp_tok.text))
+            digits = exp_tok.text.lstrip("0") or "0"
+            if len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
+                self.error(f"exponent exceeds the limit of {MAX_DEGREE}", exp_tok)
+            exponent = int(digits)
+            self.check_degree(_degree(val.scalar) * exponent, op)
+            val = self._scalar(val.scalar ** exponent)
         return val
 
     def atom(self) -> _Value:
@@ -406,7 +432,11 @@ class _Parser:
             return val
         if tok.kind == "nat":
             self.next()
-            return self._scalar(Fraction(int(tok.text)))
+            try:
+                value = int(tok.text)
+            except ValueError:  # past the interpreter's digit limit
+                self.error("number has too many digits", tok)
+            return self._scalar(Fraction(value))
         if tok.kind == "ident":
             self.next()
             name = tok.text

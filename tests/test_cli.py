@@ -130,6 +130,9 @@ class TestCheck:
         entry = stage(report, "bracket-compat")
         assert entry["verdict"] == "inconclusive"
         assert entry["data"]["reason"] == "degree_bound"
+        # [dx, x^3*dy] = 3x^2*dy would need the coefficient 3/x on x^3*dy;
+        # pairs with i + j past the order are tautological
+        assert entry["data"]["unresolved"] == [[1, 1, 0, 1]]
         # the pipeline keeps going after an inconclusive stage
         assert stage(report, "clean")["verdict"] == "pass"
 
@@ -355,6 +358,16 @@ class TestInputErrors:
         assert main(["check", write_problem(tmp_path, doc)]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert "nesting deeper than" in err
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("expr", ["(1+x+y+z)^40*dx", "x^1000000*dy"])
+    def test_degree_blowup_is_an_input_error(self, tmp_path, capsys, expr):
+        doc = basic_doc()
+        doc["filtration"]["-1"] = [expr]
+        assert main(["check", write_problem(tmp_path, doc)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "exceeds the limit of" in err
         assert err.count("\n") == 1
         assert "Traceback" not in err
 

@@ -71,6 +71,47 @@ def test_dimension_mismatch_raises():
         X + Poly.variable(2, 0)
 
 
+def test_public_constructor_validates():
+    with pytest.raises(ValueError, match="negative exponent"):
+        Poly(2, {(1, -1): 1})
+    with pytest.raises(ValueError, match="does not match nvars"):
+        Poly(2, {(1, 0, 0): 1})
+    with pytest.raises(TypeError, match="rational"):
+        Poly(2, {(1, 0): 0.5})
+    with pytest.raises(ValueError):
+        Poly(-1)
+    # int coefficients become Fractions, zero ones are dropped
+    p = Poly(2, {(1, 0): 3, (0, 1): 0})
+    assert p.terms == {(1, 0): Fraction(3)} and type(p.terms[(1, 0)]) is Fraction
+
+
+def assert_canonical(r: Poly) -> None:
+    """The invariant the arithmetic's unchecked constructor relies on."""
+    for mono, c in r.terms.items():
+        assert type(c) is Fraction and c != 0
+        assert type(mono) is tuple and len(mono) == r.nvars
+        assert all(type(e) is int and e >= 0 for e in mono)
+    assert r == Poly(r.nvars, r.terms)
+
+
+@settings(max_examples=80)
+@given(
+    polys(max_terms=5, max_exp=3),
+    polys(max_terms=5, max_exp=3),
+    st.one_of(
+        st.integers(-3, 3),
+        st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
+    ),
+    st.integers(0, 2),
+)
+def test_arithmetic_results_are_canonical(p, q, c, i):
+    # q - q, p + (-p), c = 0 and the cross terms of (p + q) * (p - q)
+    # exercise exact cancellation
+    products = (p * q, (p + q) * (p - q), p * (q - q), c * p, p * c)
+    for r in (p + q, p - q, q - q, p + (-p), -p, p.diff(i)) + products:
+        assert_canonical(r)
+
+
 def test_grlex_total_order_and_compatibility():
     monos = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (2, 0, 0), (1, 1, 0), (0, 0, 2)]
     ordered = sorted(monos, key=grlex_key)

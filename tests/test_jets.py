@@ -96,6 +96,35 @@ def test_eval_jet_is_algebra_morphism(data):
     assert eval_jet(u, f + g).coefficients == (eval_jet(u, f) + eval_jet(u, g)).coefficients
 
 
+@st.composite
+def jets_and_high_powers(draw):
+    order = draw(st.integers(1, 4))
+    coeff = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2))
+    rows = draw(
+        st.lists(
+            st.lists(coeff, min_size=order + 1, max_size=order + 1),
+            min_size=2,
+            max_size=2,
+        )
+    )
+    monos = st.tuples(st.integers(0, 4), st.integers(0, 4))
+    terms = draw(st.dictionaries(monos, coeff, max_size=3))
+    return JetPoint.from_rows(CHART2, order, rows), Poly(2, terms)
+
+
+@given(jets_and_high_powers())
+@settings(max_examples=40, deadline=None)
+def test_eval_jet_matches_lifted_components(data):
+    # lift_all expands by substitution in the jet chart, independently of
+    # eval_jet's power tables
+    u, f = data
+    jc = JetChart(CHART2, u.order)
+    series = eval_jet(u, f)
+    flat = u.flat()
+    for i, piece in enumerate(lift_all(jc, f)):
+        assert series.coefficients[i] == piece.eval(flat)
+
+
 class TestLiftFunction:
     def test_product_rule(self):
         jc = JetChart(CHART2, 1)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from lieweights.exactalg import Poly, RatFunc
 from lieweights.vfield import (
+    MAX_DEGREE,
     MAX_NESTING,
     Chart,
     DiffOpWord,
@@ -203,6 +204,36 @@ def test_parse_nesting_depth_is_capped():
         parse_polynomial("-" * (MAX_NESTING + 1) + "x", CHART)
     with pytest.raises(ParseError):
         parse_polynomial("(-" * 3000 + "x" + ")" * 3000, CHART)
+
+
+def test_parse_degree_is_capped():
+    half = MAX_DEGREE // 2
+    assert parse_polynomial(f"x^{MAX_DEGREE}", CHART).total_degree() == MAX_DEGREE
+    assert parse_polynomial(f"x^{half}*y^{MAX_DEGREE - half}", CHART).total_degree() == MAX_DEGREE
+    too_big = [
+        f"x^{MAX_DEGREE + 1}",
+        "x^1000000",
+        "x^" + "9" * 5000,
+        "(1+x+y+z)^40",
+        f"(x^{half}*y)*x^{MAX_DEGREE - half}",
+        f"1/x^{MAX_DEGREE}/y",
+        # common denominators add degrees
+        " + ".join(f"1/(x+{k})" for k in range(1, MAX_DEGREE + 2)),
+    ]
+    for text in too_big:
+        with pytest.raises(ParseError, match="limit of"):
+            parse_scalar(text, CHART)
+    with pytest.raises(ParseError, match="limit of"):
+        parse_vector_field(f"(x*dx)*y^{MAX_DEGREE}", CHART)
+    # refused at the "^", before the power is expanded
+    with pytest.raises(ParseError) as err:
+        parse_polynomial(f"(x^2+y)^{half + 1}", CHART)
+    assert "total degree" in str(err.value) and err.value.column == 8
+
+
+def test_parse_rejects_overlong_number():
+    with pytest.raises(ParseError, match="too many digits"):
+        parse_scalar("9" * 5000 + "*x", CHART)
 
 
 def test_parse_rejects_mixed_and_scalar_only():
