@@ -461,6 +461,11 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     return _normalize_primitive(result)
 
 
+def _unit_poly(nvars: int) -> Poly:
+    """The constant 1 in nvars variables, for an nvars taken from a Poly."""
+    return Poly._canonical(nvars, {(0,) * nvars: Fraction(1)})
+
+
 class RatFunc:
     """Quotient of two polynomials in normalized form.
 
@@ -473,13 +478,13 @@ class RatFunc:
 
     def __init__(self, num: Poly, den: Poly | None = None):
         if den is None:
-            den = Poly.one(num.nvars)
+            den = _unit_poly(num.nvars)
         if num.nvars != den.nvars:
             raise ValueError("numerator/denominator dimension mismatch")
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
-            num, den = Poly.zero(num.nvars), Poly.one(num.nvars)
+            den = _unit_poly(num.nvars)
         elif not den.is_one():
             if (
                 num.total_degree() <= GCD_DEGREE_CAP

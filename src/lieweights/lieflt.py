@@ -18,11 +18,11 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .exactalg import (
+    LinearSolution,
     Poly,
     RatFunc,
     RowEchelon,
     grlex_key,
-    linear_solve_exact,
     matrix_rank,
 )
 from .vfield import Chart, VectorField, lie_bracket, restrict_zero
@@ -229,25 +229,25 @@ def module_columns(
     return cols
 
 
-def module_system(
+def module_solve(
     columns: Sequence[dict[RowKey, Fraction]],
     target: dict[RowKey, Fraction] | None = None,
-) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """Dense rows and right-hand side of sum_k x_k columns[k] = target.
+) -> LinearSolution | None:
+    """Solve sum_k x_k columns[k] = target, or None when infeasible.
 
-    One row per (component, monomial) key, ordered by component, then
-    graded lex.  A system without keys gets one zero row, so the column
-    count survives and every column is free.  target None means 0.
+    The columns are transposed into one sparse row per (component,
+    monomial) key, with the target in column len(columns); target None
+    means 0.  The reduced echelon form is unique, so the row order does
+    not matter.
     """
-    target = target or {}
-    keys = set(target)
-    for col in columns:
-        keys.update(col)
-    row_keys = sorted(keys, key=lambda rk: (rk[0], grlex_key(rk[1])))
-    zero = Fraction(0)
-    rows = [[col.get(rk, zero) for col in columns] for rk in row_keys]
-    rhs = [target.get(rk, zero) for rk in row_keys]
-    return rows or [[zero] * len(columns)], rhs or [zero]
+    ncols = len(columns)
+    rows: dict[RowKey, dict[int, Fraction]] = {}
+    for k, col in enumerate(columns):
+        for rk, value in col.items():
+            rows.setdefault(rk, {})[k] = value
+    for rk, value in (target or {}).items():
+        rows.setdefault(rk, {})[ncols] = value
+    return RowEchelon(rows.values()).solve(ncols)
 
 
 def unpack_coefficients(
@@ -279,8 +279,7 @@ def module_membership(
         raise ValueError("module membership needs polynomial coefficients")
     n = chart.dim
     monos = monomials_up_to(n, degree_bound)
-    rows, rhs = module_system(module_columns(gens, monos), field_entries(v))
-    solution = linear_solve_exact(rows, rhs)
+    solution = module_solve(module_columns(gens, monos), field_entries(v))
     if solution is not None:
         return TriState.passed(
             unpack_coefficients(solution.particular, len(gens), monos, n)
@@ -485,8 +484,7 @@ def tangency_solve(
             tuple(Poly.one(n) if jj == j else Poly.zero(n) for jj in range(len(gens)))
             for j in range(len(gens))
         ]
-    rows, rhs = module_system(cols)
-    solution = linear_solve_exact(rows, rhs)
+    solution = module_solve(cols)
     assert solution is not None
     return [
         unpack_coefficients(vec, len(gens), monos, n) for vec in solution.nullspace

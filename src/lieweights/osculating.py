@@ -20,13 +20,13 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .exactalg import Poly, RatFunc, RowEchelon, grlex_key, linear_solve_exact
+from .exactalg import Poly, RatFunc, RowEchelon, grlex_key, matrix_inverse
 from .lieflt import (
     Filtration,
     Submanifold,
     field_entries,
     module_columns,
-    module_system,
+    module_solve,
     monomials_up_to,
     tangency_solve,
 )
@@ -91,9 +91,7 @@ def _membership_solve(
                 continue
             factor = Poly.term(n, beta, 1) - Poly.const(n, _point_power(point, beta))
             cols.append(field_entries(g.scale(factor)))
-    rhs_entries = field_entries(target) if target is not None else None
-    rows, rhs = module_system(cols, rhs_entries)
-    solution = linear_solve_exact(rows, rhs)
+    solution = module_solve(cols, field_entries(target) if target is not None else None)
     if solution is None:
         return None
     k = len(leading)
@@ -102,21 +100,6 @@ def _membership_solve(
     for vec in solution.nullspace:
         assert not any(vec[:k]), "chosen basis is dependent at this degree bound"
     return tuple(solution.particular[:k])
-
-
-def _class_coords(
-    lam: Sequence[Fraction],
-    basis_local: Sequence[int],
-    relations: Sequence[Vector],
-    count: int,
-) -> Vector:
-    """Coordinates of a candidate-space vector in the chosen quotient basis."""
-    cols: list[Vector] = [_unit_vector(count, b) for b in basis_local]
-    cols.extend(relations)
-    rows = [[col[i] for col in cols] for i in range(count)]
-    solution = linear_solve_exact(rows, list(lam))
-    assert solution is not None, "basis and relations do not span the candidates"
-    return tuple(solution.particular[: len(basis_local)])
 
 
 @dataclass(frozen=True)
@@ -274,17 +257,19 @@ def osculating_at(
     candidate_classes: list[tuple[Vector, ...]] = []
     for depth in range(1, order + 1):
         cands = level_candidates[depth - 1]
+        basis = level_basis[depth - 1]
+        # C = [basis unit vectors | relations] is square and invertible, as
+        # the greedy basis extends the relations' span to every candidate;
+        # the class of candidate j is the basis part of column j of C^-1
+        cols = [_unit_vector(len(cands), b) for b in basis]
+        cols.extend(level_relations[depth - 1])
+        inverse = matrix_inverse(list(zip(*cols)))
+        assert inverse is not None, "basis and relations do not span the candidates"
         rows: list[Vector] = []
         for j in range(len(cands)):
-            local = _class_coords(
-                _unit_vector(len(cands), j),
-                level_basis[depth - 1],
-                level_relations[depth - 1],
-                len(cands),
-            )
             vec = [Fraction(0)] * total
-            for pos, value in enumerate(local):
-                vec[offsets[depth - 1] + pos] = value
+            for pos in range(len(basis)):
+                vec[offsets[depth - 1] + pos] = inverse[pos][j]
             rows.append(tuple(vec))
         candidate_classes.append(tuple(rows))
 

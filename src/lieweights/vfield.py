@@ -19,6 +19,7 @@ over the "d"-prefixed reading.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -307,6 +308,11 @@ MAX_NESTING = 100
 # or the default degree bounds derived from generator degrees
 MAX_DEGREE = 12
 
+# largest number of terms (of a numerator or a denominator) the parser
+# builds; a degree cap alone still lets (1+x+y+z+u+v)^12 expand to 6188
+# terms, so products and powers are bounded before they are computed
+MAX_TERMS = 500
+
 
 def _degree(value: RatFunc) -> int:
     return max(value.num.total_degree(), value.den.total_degree(), 0)
@@ -314,6 +320,12 @@ def _degree(value: RatFunc) -> int:
 
 def _value_degree(val: "_Value") -> int:
     return max([_degree(val.scalar)] + [_degree(c) for c in val.vector or ()])
+
+
+def _value_terms(val: "_Value") -> int:
+    """Largest term count of any numerator or denominator, at least 1."""
+    parts = (val.scalar, *(val.vector or ()))
+    return max(1, *(len(q.terms) for p in parts for q in (p.num, p.den)))
 
 
 class _Parser:
@@ -341,6 +353,12 @@ class _Parser:
         if degree > MAX_DEGREE:
             self.error(f"total degree {degree} exceeds the limit of {MAX_DEGREE}", tok)
 
+    def check_terms(self, terms: int, tok: _Token):
+        if terms > MAX_TERMS:
+            self.error(
+                f"expansion to up to {terms} terms exceeds the limit of {MAX_TERMS}", tok
+            )
+
     def parse(self) -> _Value:
         val = self.expr()
         tok = self.peek()
@@ -367,8 +385,10 @@ class _Parser:
                 else:
                     vector = tuple(a - b for a, b in zip(left, right))
             val = _Value(scalar, vector)
-            # common denominators add degrees, so sums are checked too
+            # common denominators add degrees and multiply term counts, so
+            # sums are checked too; their operands are already bounded
             self.check_degree(_value_degree(val), op)
+            self.check_terms(_value_terms(val), op)
         return val
 
     def term(self) -> _Value:
@@ -377,6 +397,7 @@ class _Parser:
             op = self.next()
             rhs = self.factor()
             self.check_degree(_value_degree(val) + _value_degree(rhs), op)
+            self.check_terms(_value_terms(val) * _value_terms(rhs), op)
             if op.text == "*":
                 if val.vector is not None and rhs.vector is not None:
                     self.error("cannot multiply two vector fields", op)
@@ -418,6 +439,8 @@ class _Parser:
                 self.error(f"exponent exceeds the limit of {MAX_DEGREE}", exp_tok)
             exponent = int(digits)
             self.check_degree(_degree(val.scalar) * exponent, op)
+            # (a_1 + ... + a_t)^e has at most comb(t + e - 1, e) terms
+            self.check_terms(math.comb(_value_terms(val) + exponent - 1, exponent), op)
             val = self._scalar(val.scalar ** exponent)
         return val
 

@@ -361,7 +361,11 @@ class TestInputErrors:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("expr", ["(1+x+y+z)^40*dx", "x^1000000*dy"])
+    @pytest.mark.parametrize(
+        "expr",
+        # the last one has degree 12 but up to 84 * 84 terms
+        ["(1+x+y+z)^40*dx", "x^1000000*dy", "(1+x+y+z)^6*(1+x+y+z)^6*dx"],
+    )
     def test_degree_blowup_is_an_input_error(self, tmp_path, capsys, expr):
         doc = basic_doc()
         doc["filtration"]["-1"] = [expr]

@@ -23,6 +23,9 @@ CASES = {
     "example2": EXIT_PASS,
     "heisenberg": EXIT_PASS,
     "broken": EXIT_FAIL,
+    "cartan235": EXIT_PASS,
+    "engel4": EXIT_PASS,
+    "engel4_broken": EXIT_FAIL,
 }
 
 

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lieweights.exactalg import Poly, matrix_rank
+from lieweights.exactalg import (
+    LinearSolution,
+    Poly,
+    grlex_key,
+    linear_solve_exact,
+    matrix_rank,
+)
 from lieweights.lieflt import (
     FAIL,
     INCONCLUSIVE,
@@ -17,6 +23,7 @@ from lieweights.lieflt import (
     check_bracket_compat,
     check_clean,
     module_membership,
+    module_solve,
     monomials_up_to,
     product_distribution,
     restrict_distribution,
@@ -50,6 +57,62 @@ def martinet_filtration() -> Filtration:
     b = vf("2*x*dz")
     frame = [coordinate_field(CHART, a) for a in range(3)]
     return Filtration(CHART, 4, [[x], [x, y], [x, y, b], [x, y, b] + frame])
+
+
+# -- bounded-module systems ---------------------------------------------------
+
+
+def dense_module_solve(columns, target):
+    """Reference: dense rows sorted by (component, grlex monomial), one zero
+    row when there are no keys, solved by linear_solve_exact."""
+    target = target or {}
+    keys = set(target).union(*columns)
+    row_keys = sorted(keys, key=lambda rk: (rk[0], grlex_key(rk[1])))
+    rows = [[col.get(rk, 0) for col in columns] for rk in row_keys]
+    rhs = [target.get(rk, 0) for rk in row_keys]
+    return linear_solve_exact(rows or [[0] * len(columns)], rhs or [0])
+
+
+ROW_KEYS = st.tuples(st.integers(0, 2), st.tuples(st.integers(0, 2), st.integers(0, 2)))
+NONZERO = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3))
+
+
+@st.composite
+def module_systems(draw):
+    columns = draw(
+        st.lists(st.dictionaries(ROW_KEYS, NONZERO, max_size=4), max_size=7)
+    )
+    kind = draw(st.sampled_from(["none", "random", "in_span"]))
+    if kind == "none":
+        return columns, None
+    if kind == "random":
+        return columns, draw(st.dictionaries(ROW_KEYS, NONZERO, max_size=4))
+    target: dict = {}
+    for col in columns:
+        c = draw(st.integers(-2, 2))
+        for rk, value in col.items():
+            target[rk] = target.get(rk, 0) + c * value
+    return columns, {rk: value for rk, value in target.items() if value}
+
+
+@settings(max_examples=150, deadline=None)
+@given(module_systems())
+def test_module_solve_matches_dense_reference(system):
+    columns, target = system
+    assert module_solve(columns, target) == dense_module_solve(columns, target)
+
+
+def test_module_solve_edge_cases():
+    key = (0, (0, 0))
+    # no columns: only the zero target is reachable
+    assert module_solve([]) == LinearSolution((), ())
+    assert module_solve([], {key: Fraction(1)}) is None
+    # all columns empty, homogeneous: every column is free
+    sol = module_solve([{}, {}, {}])
+    assert sol.particular == (0, 0, 0)
+    assert sol.nullspace == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    # infeasible target
+    assert module_solve([{key: Fraction(2)}], {(1, (0, 0)): Fraction(1)}) is None
 
 
 # -- membership ---------------------------------------------------------------

@@ -107,6 +107,23 @@ class TestHeisenberg:
         assert alg.bracket_basis(0, 1) == (0, 0, 1)
 
 
+@pytest.mark.parametrize(
+    "third, point, cls",
+    [
+        # constant relation dx + 2*dy - third = 0
+        ("dx + 2*dy", (0, 0), (1, 2)),
+        # dx + x*dy = dx + dy + (x - 1)*dy, the last term in the ideal at (1, 0)
+        ("dx + x*dy", (1, 0), (1, 1)),
+    ],
+)
+def test_candidate_classes_through_relations(third, point, cls):
+    chart = Chart(("x", "y"))
+    gens = tuple(parse_vector_field(t, chart) for t in ("dx", "dy", third))
+    alg = osculating_at(Filtration(chart, 1, (gens,)), point)
+    assert alg.graded_dims() == (2,)
+    assert alg.candidate_classes[0] == ((1, 0), (0, 1), cls)
+
+
 class TestStepFourFlag:
     def test_dims(self, step4_alg):
         assert step4_alg.graded_dims() == (1, 1, 1, 1)

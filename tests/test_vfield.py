@@ -11,6 +11,7 @@ from lieweights.exactalg import Poly, RatFunc
 from lieweights.vfield import (
     MAX_DEGREE,
     MAX_NESTING,
+    MAX_TERMS,
     Chart,
     DiffOpWord,
     ParseError,
@@ -229,6 +230,26 @@ def test_parse_degree_is_capped():
     with pytest.raises(ParseError) as err:
         parse_polynomial(f"(x^2+y)^{half + 1}", CHART)
     assert "total degree" in str(err.value) and err.value.column == 8
+
+
+def test_parse_terms_are_capped():
+    # 455 terms, the most a degree-12 power of four terms can have
+    assert len(parse_polynomial("(1+x+y+z)^12", CHART).terms) == 455
+    chart5 = Chart(("x", "y", "z", "u", "v"))
+    too_many = [
+        # the bound multiplies the operands' term counts
+        "(1+x+y+z)^6*(1+x+y+z)^6*dx",
+        "dx/(1+x+y+z)^6/(1+x+y+z+u+v)^3",
+        # sums are checked once formed: 4 * 126 terms with disjoint supports
+        "(" + " + ".join(f"{m}(1+x+y+z+u+v)^4" for m in ("", "x^5*", "y^5*", "z^5*")) + ")*dx",
+    ]
+    for text in too_many:
+        with pytest.raises(ParseError, match=f"limit of {MAX_TERMS}"):
+            parse_vector_field(text, chart5)
+    # 6188 terms, refused at the "^" before expansion
+    with pytest.raises(ParseError) as err:
+        parse_scalar("(1+x+y+z+u+v)^12", chart5)
+    assert "6188 terms" in str(err.value) and err.value.column == 14
 
 
 def test_parse_rejects_overlong_number():
