@@ -8,6 +8,27 @@ by shifting which component slots it differentiates into.  Exponentials of
 depth-graded families act on jets unipotently; the flow-out of the jets of
 a submanifold under such exponentials built from a filtration is cut out
 by weighted-coordinate equations, which is what flowout_sample verifies.
+
+The exponentials are expanded in words.  With Y = sum_L c_L eps^(j_L) X_L,
+one letter L per listed generator X_L of level -j_L, the power Y^k x_a is
+multilinear in the coefficients: the sum over words L1..Lk of
+c_L1...c_Lk eps^(j_L1 + ... + j_Lk) X_L1(...X_Lk(x_a)).  Only words of
+depth sum at most r survive the truncation, so _ExpTable computes their
+polynomials once per filtration, one per field sequence.  A sampled group
+element is then a coefficient vector and a time t, and moving a jet by it
+is rational arithmetic on the table: no Poly, RatFunc or VectorField is
+built per sample.  u_exp_act and u_exp_apply use the same table, with one
+letter of coefficient 1 per term of the URElem.
+
+flowout_sample draws from one random.Random(seed) in a fixed order, so a
+report depends only on (count, seed).  Per sample: each component of each
+tangent row (random() < 0.7, then choice() when kept), then
+randrange(1, 4) group elements.  Per element, level by
+level and generator by generator, random() < 0.5 decides whether the
+generator is kept and a kept one draws its coefficient with choice(); a
+level whose kept combination sum_g c_g g is zero adds no term.  The time
+t is drawn with choice() last, and only when some level added a term;
+otherwise the element is skipped.
 """
 
 from __future__ import annotations
@@ -185,13 +206,15 @@ def eval_jet(u: JetPoint, f: Scalar) -> TruncSeries:
 class _JetEvaluator:
     """eval_jet for any number of functions on one jet.
 
-    powers[a][e - 1] is the coefficient list of (row a)^e; the table of a
-    row grows on demand and is shared by every function evaluated.
+    powers[a][e - 1] is the coefficient list of (row a)^e and monomials
+    maps an exponent tuple to its coefficient list; both grow on demand
+    and are shared by every function evaluated.
     """
 
     def __init__(self, u: JetPoint):
         self.u = u
         self.powers = [[list(row)] for row in u.comps]
+        self.monomials: dict[tuple[int, ...], list[Fraction]] = {}
 
     def power(self, a: int, e: int) -> list[Fraction]:
         table = self.powers[a]
@@ -199,26 +222,33 @@ class _JetEvaluator:
             table.append(_trunc_mul(table[-1], table[0], self.u.order))
         return table[e - 1]
 
-    def __call__(self, f: Scalar) -> TruncSeries:
-        if isinstance(f, RatFunc):
-            return self(f.num) * self(f.den).inverse()
-        if f.nvars != self.u.chart.dim:
-            raise ValueError("function does not live on the jet's base chart")
-        r = self.u.order
-        total = [Fraction(0)] * (r + 1)
-        for mono, c in f.terms.items():
-            term = None
+    def monomial(self, mono: tuple[int, ...]) -> list[Fraction]:
+        """Coefficient list of the monomial on the jet; do not mutate it."""
+        series = self.monomials.get(mono)
+        if series is None:
+            r = self.u.order
             for a, e in enumerate(mono):
                 if e:
                     p = self.power(a, e)
-                    term = [c * v for v in p] if term is None else _trunc_mul(term, p, r)
-            if term is None:
-                total[0] += c
-                continue
-            for i, v in enumerate(term):
+                    series = p if series is None else _trunc_mul(series, p, r)
+            if series is None:
+                series = [Fraction(1)] + [Fraction(0)] * r
+            self.monomials[mono] = series
+        return series
+
+    def __call__(self, f: Scalar) -> TruncSeries:
+        if isinstance(f, RatFunc):
+            if f.is_polynomial():
+                return self(f.num)
+            return self(f.num) * self(f.den).inverse()
+        if f.nvars != self.u.chart.dim:
+            raise ValueError("function does not live on the jet's base chart")
+        total = [Fraction(0)] * (self.u.order + 1)
+        for mono, c in f.terms.items():
+            for i, v in enumerate(self.monomial(mono)):
                 if v:
-                    total[i] += v
-        return TruncSeries(r, tuple(total))
+                    total[i] += c * v
+        return TruncSeries(self.u.order, tuple(total))
 
 
 def _trunc_mul(p: Sequence[Fraction], q: Sequence[Fraction], r: int) -> list[Fraction]:
@@ -385,60 +415,152 @@ class URElem:
         return URElem(self.chart, self.order, self.terms, -self.t)
 
 
-# t * sum_j X_j eps^j as (depth j, [(a, t * coefficient of d/dx_a in X_j)]),
-# zero coefficients left out
-PolyTerms = list[tuple[int, list[tuple[int, Poly]]]]
+def _coordinates(n: int) -> tuple[Poly, ...]:
+    return tuple(Poly.variable(n, a) for a in range(n))
 
 
-def _poly_terms(elem: URElem) -> PolyTerms:
-    return [
-        (j, [(a, c * elem.t) for a, c in enumerate(x.poly_coeffs()) if c])
-        for j, x in elem.terms
-    ]
+class _ExpTable:
+    """Word expansion of exp(s * Y), Y = sum_L c_L * eps^(depth L) * X_L,
+    on fixed target functions, with the letter coefficients c_L and the
+    time s left free.
 
-
-def _ur_generator_apply(terms: PolyTerms, coeffs: Sequence[Poly]) -> list[Poly]:
-    """One application of t * sum_j X_j eps^j to a function-coefficient series."""
-    r = len(coeffs) - 1
-    out = [Poly.zero(coeffs[0].nvars)] * (r + 1)
-    for j, field in terms:
-        for i in range(r + 1 - j):
-            coeff = coeffs[i]
-            if not coeff:
-                continue
-            moved = out[i + j]
-            for a, c in field:
-                moved = moved + c * coeff.diff(a)
-            out[i + j] = moved
-    return out
-
-
-def _exp_series(terms: PolyTerms, order: int, f: Poly) -> list[Poly]:
-    """Coefficients of the exponential applied to f.
-
-    Each application of the generator raises the epsilon-degree, so the
-    series terminates; the step count is asserted against the order.
+    Y^k f is the sum, over words L1..Lk of depth sum at most the order,
+    of c_L1...c_Lk eps^(depth sum) X_L1(...X_Lk(f)).  `entries` lists
+    (polys, words) per field sequence: polys holds X_L1(...X_Lk(f)) for
+    each target f, shared by every word with that field sequence (levels
+    repeat generators), and words the (letter indices, depth sum) of
+    those words.  The empty word, which leaves the targets as they are,
+    has no entry.  A field sequence whose polynomials are all zero is
+    dropped together with every extension of it.  `levels` groups the
+    letter indices by depth 1..order, and `flat[L]` is letter L's field
+    as a {(a, monomial): coefficient} dict, for exact zero tests of
+    combinations.
     """
-    current = [f] + [Poly.zero(f.nvars)] * order
-    total = current
-    k = 0
-    while any(current):
-        k += 1
-        assert k <= order + 1, "unipotent exponential failed to terminate"
-        # term k is the generator applied to term k - 1, divided by k
-        current = _ur_generator_apply(terms, current)
-        if k > 1:
-            step = Fraction(1, k)
-            current = [c * step for c in current]
-        total = [a + b for a, b in zip(total, current)]
-    return total
+
+    def __init__(
+        self,
+        order: int,
+        letters: Sequence[tuple[int, VectorField]],
+        targets: Sequence[Poly],
+    ):
+        self.order = order
+        self.targets = tuple(targets)
+        self.levels = tuple(
+            tuple(i for i, (j, _) in enumerate(letters) if j == depth)
+            for depth in range(1, order + 1)
+        )
+        field_ids: dict[frozenset, int] = {}
+        fields: list[VectorField] = []
+        by_field: list[list[int]] = []
+        flat = []
+        for i, (_, x) in enumerate(letters):
+            coeffs = x.poly_coeffs()
+            terms = {(a, m): c for a, p in enumerate(coeffs) for m, c in p.terms.items()}
+            key = frozenset(terms.items())
+            if key not in field_ids:
+                field_ids[key] = len(fields)
+                fields.append(x)
+                by_field.append([])
+            by_field[field_ids[key]].append(i)
+            flat.append(terms)
+        self.flat = tuple(flat)
+        self.entries: list[tuple[tuple[Poly, ...], list]] = []
+        current = [(self.targets, [((), 0)])]
+        while current:
+            extended = []
+            for polys, words in current:
+                for field, ids in zip(fields, by_field):
+                    longer = [
+                        ((i,) + word, depth + letters[i][0])
+                        for word, depth in words
+                        for i in ids
+                        if depth + letters[i][0] <= order
+                    ]
+                    if not longer:
+                        continue
+                    moved = tuple(field.apply(p) for p in polys)
+                    if any(moved):
+                        extended.append((moved, longer))
+            self.entries.extend(extended)
+            current = extended
+
+    @classmethod
+    def of_filtration(cls, filtration: Filtration) -> "_ExpTable":
+        """One letter per listed generator, level by level, acting on the
+        coordinate functions."""
+        letters = [
+            (j, g) for j, gens in enumerate(filtration.levels, 1) for g in gens
+        ]
+        return cls(filtration.order, letters, _coordinates(filtration.chart.dim))
+
+    def _weights(self, coeffs: Sequence[Fraction], s: Fraction):
+        """(polys, {depth: weight}) per entry with a nonzero weight, where
+        a word of length k weighs c_L1...c_Lk * s^k / k!."""
+        scale = [Fraction(1)]
+        for k in range(1, self.order + 1):
+            scale.append(scale[-1] * s / k)
+        for polys, words in self.entries:
+            by_depth: dict[int, Fraction] = {}
+            for word, depth in words:
+                w = scale[len(word)]
+                for i in word:
+                    if not coeffs[i]:
+                        break
+                    w *= coeffs[i]
+                else:
+                    if w:
+                        by_depth[depth] = by_depth.get(depth, 0) + w
+            if by_depth:
+                yield polys, by_depth
+
+    def expand(self, coeffs: Sequence[Fraction], t: Fraction) -> list[list[Poly]]:
+        """The eps-coefficients of exp(t * Y) f for every target f."""
+        out = [[f] + [Poly.zero(f.nvars)] * self.order for f in self.targets]
+        for polys, by_depth in self._weights(coeffs, t):
+            for series, p in zip(out, polys):
+                if p:
+                    for depth, w in by_depth.items():
+                        series[depth] = series[depth] + p * w
+        return out
+
+    def act(self, u: JetPoint, coeffs: Sequence[Fraction], t: Fraction) -> JetPoint:
+        """The group element (coeffs, t) moves the jet: row a of the result
+        is exp(-t * Y) x_a evaluated on u.  The targets must be the
+        coordinate functions."""
+        r = self.order
+        # per target: the weight of each (depth, monomial) over all words
+        combined: list[dict] = [{} for _ in self.targets]
+        for polys, by_depth in self._weights(coeffs, -t):
+            for acc, p in zip(combined, polys):
+                for mono, c in p.terms.items():
+                    for depth, w in by_depth.items():
+                        key = (depth, mono)
+                        acc[key] = acc.get(key, 0) + w * c
+        values_at = _JetEvaluator(u)
+        rows = []
+        for acc, row in zip(combined, u.comps):
+            row = list(row)
+            for (depth, mono), w in acc.items():
+                if w:
+                    series = values_at.monomial(mono)
+                    for i in range(r + 1 - depth):
+                        if series[i]:
+                            row[i + depth] += w * series[i]
+            rows.append(tuple(row))
+        return JetPoint(u.chart, r, tuple(rows))
+
+
+def _elem_table(elem: URElem, targets: Sequence[Poly]) -> tuple[_ExpTable, list[Fraction]]:
+    """A URElem is a table with one letter per term, each with coefficient 1."""
+    return _ExpTable(elem.order, elem.terms, targets), [Fraction(1)] * len(elem.terms)
 
 
 def u_exp_apply(elem: URElem, f: Poly) -> TruncSeries:
     """The exponential as a finite operator sum applied to a function."""
     if f.nvars != elem.chart.dim:
         raise ValueError("function does not live on the element's chart")
-    return TruncSeries(elem.order, tuple(_exp_series(_poly_terms(elem), elem.order, f)))
+    table, coeffs = _elem_table(elem, (f,))
+    return TruncSeries(elem.order, tuple(table.expand(coeffs, elem.t)[0]))
 
 
 def u_exp_act(elem: URElem, u: JetPoint) -> JetPoint:
@@ -446,23 +568,8 @@ def u_exp_act(elem: URElem, u: JetPoint) -> JetPoint:
     the inverse exponential."""
     if u.chart != elem.chart or u.order != elem.order:
         raise ValueError("jet and group element are incompatible")
-    terms = _poly_terms(elem.inverse())
-    values_at = _JetEvaluator(u)
-    n = u.chart.dim
-    r = u.order
-    rows = []
-    for a in range(n):
-        image = _exp_series(terms, r, Poly.variable(n, a))
-        acc = [Fraction(0)] * (r + 1)
-        for k, coeff in enumerate(image):
-            if not coeff:
-                continue
-            values = values_at(coeff)
-            for i, c in enumerate(values.coefficients):
-                if i + k <= r and c:
-                    acc[i + k] += c
-        rows.append(tuple(acc))
-    return JetPoint(u.chart, r, tuple(rows))
+    table, coeffs = _elem_table(elem, _coordinates(u.chart.dim))
+    return table.act(u, coeffs, elem.t)
 
 
 def q_membership(u: JetPoint, weighting: WeightedChart) -> bool:
@@ -530,21 +637,30 @@ def _random_tangent_jet(
     return JetPoint(chart, order, tuple(rows))
 
 
-def _random_ur_element(rng: random.Random, filtration: Filtration) -> URElem | None:
-    chart = filtration.chart
-    terms = []
-    for j in range(1, filtration.order + 1):
-        combo: list[Poly] | None = None
-        for g in filtration.levels[j - 1]:
-            if rng.random() < 0.5:
-                c = rng.choice(_COEFF_POOL)
-                scaled = [p * c for p in g.poly_coeffs()]
-                combo = scaled if combo is None else [a + b for a, b in zip(combo, scaled)]
-        if combo is not None and any(combo):
-            terms.append((j, VectorField(chart, combo)))
-    if not terms:
+def _random_element(
+    rng: random.Random, table: _ExpTable
+) -> tuple[list[Fraction], Fraction] | None:
+    """Draw a group element as letter coefficients and a time t.
+
+    Each generator is kept with probability 1/2 and a coefficient from the
+    pool.  A level whose combination is zero adds no term, and with no
+    term at all no t is drawn and nothing is returned.
+    """
+    coeffs: list[Fraction] = []
+    for level in table.levels:
+        drawn = [
+            rng.choice(_COEFF_POOL) if rng.random() < 0.5 else Fraction(0)
+            for _ in level
+        ]
+        combo: dict = {}
+        for i, c in zip(level, drawn):
+            if c:
+                for key, v in table.flat[i].items():
+                    combo[key] = combo.get(key, 0) + c * v
+        coeffs.extend(drawn if any(combo.values()) else [Fraction(0)] * len(level))
+    if not any(coeffs):
         return None
-    return URElem(chart, filtration.order, tuple(terms), rng.choice(_COEFF_POOL))
+    return coeffs, rng.choice(_COEFF_POOL)
 
 
 def flowout_sample(
@@ -558,15 +674,16 @@ def flowout_sample(
     from the filtration levels, applied to jets of the submanifold, must
     all satisfy the weighted membership equations.  Deterministic for a
     fixed (count, seed)."""
+    table = _ExpTable.of_filtration(filtration)
     rng = random.Random(seed)
     failed = 0
     first = None
     for k in range(count):
         u = _random_tangent_jet(rng, submanifold, filtration.order)
         for _ in range(rng.randrange(1, 4)):
-            elem = _random_ur_element(rng, filtration)
+            elem = _random_element(rng, table)
             if elem is not None:
-                u = u_exp_act(elem, u)
+                u = table.act(u, *elem)
         if not q_membership(u, weighting):
             failed += 1
             if first is None:

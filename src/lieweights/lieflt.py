@@ -106,6 +106,10 @@ class Filtration:
     order: int
     levels: tuple[tuple[VectorField, ...], ...]
     nested: bool = field(init=False)
+    # generators(depth) for depth 1..order, built once
+    _generators: tuple[tuple[VectorField, ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __init__(self, chart: Chart, order: int, levels: Sequence[Sequence[VectorField]]):
         if order < 1:
@@ -128,17 +132,20 @@ class Filtration:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "levels", tuple(frozen))
         object.__setattr__(self, "nested", nested)
+        cumulative: list[VectorField] = []
+        generators = []
+        for gens in frozen:
+            for g in gens:
+                if g not in cumulative:
+                    cumulative.append(g)
+            generators.append(tuple(cumulative))
+        object.__setattr__(self, "_generators", tuple(generators))
 
     def generators(self, depth: int) -> tuple[VectorField, ...]:
         """Generators of H_{-depth}: every listed generator of levels 1..depth."""
         if not 1 <= depth <= self.order:
             raise ValueError(f"level depth {depth} out of range")
-        out: list[VectorField] = []
-        for lvl in range(depth):
-            for g in self.levels[lvl]:
-                if g not in out:
-                    out.append(g)
-        return tuple(out)
+        return self._generators[depth - 1]
 
     def max_generator_degree(self) -> int:
         deg = 0

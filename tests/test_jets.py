@@ -1,12 +1,14 @@
 """Jet bundle layer: evaluation, lifts, epsilon-action, group action, flow-out."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import lift_identity_cases, random_field
+from lieweights.cli import load_problem
 from lieweights.exactalg import Poly, RatFunc
 from lieweights.lieflt import Filtration, Submanifold
 from lieweights.vfield import Chart, VectorField, coordinate_field, lie_bracket, parse_vector_field
@@ -29,11 +31,14 @@ from lieweights.jets import (
     tm_action,
     u_exp_act,
     u_exp_apply,
+    _ExpTable,
+    _random_element,
 )
 
 CHART1 = Chart(("x",))
 CHART2 = Chart(("x", "z"))
 CHART3 = Chart(("x", "y", "z"))
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def jet(chart, rows):
@@ -123,6 +128,65 @@ def test_eval_jet_matches_lifted_components(data):
     flat = u.flat()
     for i, piece in enumerate(lift_all(jc, f)):
         assert series.coefficients[i] == piece.eval(flat)
+
+
+def _reference_exp(elem, f):
+    """The eps-coefficients of sum_k (t Y)^k / k! f, with Y applied
+    through VectorField.apply."""
+    r = elem.order
+    current = [f] + [Poly.zero(f.nvars)] * r
+    total = list(current)
+    k = 0
+    while any(current):
+        k += 1
+        assert k <= r + 1
+        moved = [Poly.zero(f.nvars)] * (r + 1)
+        for j, x in elem.terms:
+            for i in range(r + 1 - j):
+                moved[i + j] = moved[i + j] + x.apply(current[i]) * (elem.t / k)
+        current = moved
+        total = [a + b for a, b in zip(total, current)]
+    return total
+
+
+@st.composite
+def unipotent_elements(draw):
+    order = draw(st.integers(1, 4))
+    small = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))
+    monos = [(a, b) for a in range(3) for b in range(3) if a + b <= 2]
+
+    def poly():
+        terms = draw(st.dictionaries(st.sampled_from(monos), small, max_size=3))
+        return Poly(2, terms)
+
+    terms = tuple(
+        (draw(st.integers(1, order)), VectorField(CHART2, [poly(), poly()]))
+        for _ in range(draw(st.integers(1, 3)))
+    )
+    elem = URElem(CHART2, order, terms, draw(small))
+    rows = draw(
+        st.lists(st.lists(small, min_size=order + 1, max_size=order + 1), min_size=2, max_size=2)
+    )
+    return elem, JetPoint.from_rows(CHART2, order, rows), poly()
+
+
+@given(unipotent_elements())
+@settings(max_examples=40, deadline=None)
+def test_exponentials_match_reference_series(data):
+    elem, u, f = data
+    assert u_exp_apply(elem, f).coefficients == tuple(_reference_exp(elem, f))
+    # the moved jet evaluates each coordinate through exp(-t Y); values of
+    # the image come from lift_all, independently of the jet evaluator
+    moved = u_exp_act(elem, u)
+    jc = JetChart(CHART2, u.order)
+    for a in range(2):
+        image = _reference_exp(elem.inverse(), Poly.variable(2, a))
+        row = [Fraction(0)] * (u.order + 1)
+        for k, coeff in enumerate(image):
+            for i, piece in enumerate(lift_all(jc, coeff)):
+                if i + k <= u.order:
+                    row[i + k] += piece.eval(u.flat())
+        assert moved.comps[a] == tuple(row)
 
 
 class TestLiftFunction:
@@ -397,6 +461,40 @@ class TestFlowOut:
         b = flowout_sample(filt, sub, result.weighted, count=10, seed=7)
         assert a == b
 
+    def test_failing_report_is_pinned(self):
+        # no golden report has a failing flow-out; this pins the sampled
+        # jets and the random stream behind them
+        spec = load_problem(str(PROBLEMS / "broken.json"))
+        w = weighted_coordinates(spec.filtration, spec.submanifold).weighted
+        report = flowout_sample(spec.filtration, spec.submanifold, w, count=50, seed=101)
+        assert report.failed == 20
+        assert report.first_failure == {
+            "sample": 0,
+            "components": [
+                ["0", "1/3", "-7/6", "-3/2"],
+                ["0", "1/3", "-4/3", "-26/9"],
+                ["0", "0", "2/9", "61/36"],
+            ],
+        }
+
+    def test_cancelling_levels_draw_no_time(self):
+        # level -1 lists dx and -dx: a combination can cancel, and when no
+        # level adds a term no t is drawn.  The weighting belongs to another
+        # filtration, so the failures pin the random stream.
+        chart = Chart(("x", "y"))
+        dx, minus_dx, dy = (parse_vector_field(f, chart) for f in ("dx", "-dx", "dy"))
+        filt = Filtration(
+            chart, 2, ((dx, minus_dx), (dx, minus_dx, parse_vector_field("dy + x*dx", chart)))
+        )
+        sub = Submanifold(chart, (), (0, 0))
+        w = weighted_coordinates(Filtration(chart, 2, ((dy,), (dy, dx))), sub).weighted
+        report = flowout_sample(filt, sub, w, count=50, seed=7)
+        assert report.failed == 43
+        assert report.first_failure == {
+            "sample": 1,
+            "components": [["0", "-5/6", "-7/18"], ["0", "0", "7/18"]],
+        }
+
     def test_lift_tangency_at_sampled_points(self):
         # fields from level -j stay tangent to the flow-out locus
         import random as _random
@@ -413,15 +511,14 @@ class TestFlowOut:
             for i in range(wt):
                 defining.append(lift_function(jc, poly, i))
         rng = _random.Random(5)
+        table = _ExpTable.of_filtration(filt)
         points = []
         for _ in range(4):
             u = JetPoint.zero(CHART3, 3)
-            from lieweights.jets import _random_ur_element
-
             for _ in range(2):
-                elem = _random_ur_element(rng, filt)
+                elem = _random_element(rng, table)
                 if elem is not None:
-                    u = u_exp_act(elem, u)
+                    u = table.act(u, *elem)
             assert q_membership(u, w)
             points.append(u)
         for j in range(1, 4):
