@@ -369,28 +369,6 @@ def koszul_shift(comb: LiftCombination) -> LiftCombination:
     return LiftCombination(comb.jet_chart, kept)
 
 
-def scalar_action(t: Fraction | int, u: JetPoint) -> JetPoint:
-    """Component i scales by t^i; t = 0 collapses to the base point."""
-    t = Fraction(t)
-    return JetPoint(
-        u.chart,
-        u.order,
-        tuple(tuple(c * t**i for i, c in enumerate(row)) for row in u.comps),
-    )
-
-
-def tm_action(v: Sequence[Fraction | int], u: JetPoint) -> JetPoint:
-    """Translation by an ambient tangent vector in the top component slot."""
-    if len(v) != u.chart.dim:
-        raise ValueError("tangent vector has wrong dimension")
-    rows = []
-    for a, row in enumerate(u.comps):
-        moved = list(row)
-        moved[u.order] = moved[u.order] - Fraction(v[a])
-        rows.append(tuple(moved))
-    return JetPoint(u.chart, u.order, tuple(rows))
-
-
 @dataclass(frozen=True)
 class URElem:
     """exp(t * sum_j X_j eps^j) with every depth j >= 1: a unipotent

@@ -465,9 +465,13 @@ def tangency_solve(
 ) -> list[tuple[Poly, ...]]:
     """Coefficient tuples u with sum u_j g_j tangent to the submanifold.
 
-    Solves the bounded-degree homogeneous system "fiber components vanish
-    on N" and returns a deterministic basis of coefficient tuples.  May
-    miss higher-degree combinations (degree-bound caveat).
+    Tangency and the values u_j(m) depend only on u restricted to N, so
+    the unknowns are polynomials on N: monomials of degree <= degree_bound
+    in the tangent variables.  Solves the homogeneous system "fiber
+    components vanish on N" and returns a deterministic basis of
+    coefficient tuples.  May miss higher-degree combinations
+    (degree-bound caveat).  When N is a point the system is the constant
+    nullspace of the generators' values there, whatever the bound.
     """
     chart = submanifold.chart
     n = chart.dim
@@ -475,7 +479,11 @@ def tangency_solve(
     for g in gens:
         if g.chart != chart:
             raise ValueError("generator lives on a different chart")
-    monos = monomials_up_to(n, degree_bound)
+    monos = [
+        mono
+        for mono in monomials_up_to(n, degree_bound)
+        if not any(mono[f] for f in fiber)
+    ]
     # fiber components restricted to N: drop monomials using a fiber variable
     cols = [
         {
@@ -485,75 +493,8 @@ def tangency_solve(
         }
         for col in module_columns(gens, monos)
     ]
-    if not any(cols):
-        # every combination is tangent; the generators themselves form a basis
-        return [
-            tuple(Poly.one(n) if jj == j else Poly.zero(n) for jj in range(len(gens)))
-            for j in range(len(gens))
-        ]
     solution = module_solve(cols)
     assert solution is not None
     return [
         unpack_coefficients(vec, len(gens), monos, n) for vec in solution.nullspace
     ]
-
-
-def restrict_distribution(
-    gens: Sequence[VectorField], submanifold: Submanifold, degree_bound: int
-) -> tuple[Chart, list[VectorField]]:
-    """Generators of the distribution induced on the submanifold.
-
-    Finds bounded-degree combinations tangent to N and restricts them to
-    N's chart.  The output list may undershoot the ideal module when the
-    degree bound is too small; it never contains wrong fields.
-    """
-    chart = submanifold.chart
-    fiber = submanifold.fiber_indices
-    tangent = submanifold.tangent_indices
-    chart_n = Chart(tuple(chart.names[b] for b in tangent))
-    combos = tangency_solve(gens, submanifold, degree_bound)
-    fields: list[VectorField] = []
-    for combo in combos:
-        total = [Poly.zero(chart.dim) for _ in range(chart.dim)]
-        for u, g in zip(combo, gens):
-            for a, c in enumerate(g.poly_coeffs()):
-                total[a] = total[a] + u * c
-        projected = []
-        for b in tangent:
-            restricted = restrict_zero(total[b], fiber)
-            terms = {}
-            for mono, value in restricted.terms.items():
-                terms[tuple(mono[t] for t in tangent)] = value
-            projected.append(Poly(len(tangent), terms))
-        fld = VectorField(chart_n, projected)
-        if not fld.is_zero() and fld not in fields:
-            fields.append(fld)
-    return chart_n, fields
-
-
-def product_distribution(
-    chart_a: Chart,
-    gens_a: Sequence[VectorField],
-    chart_b: Chart,
-    gens_b: Sequence[VectorField],
-) -> tuple[Chart, list[VectorField]]:
-    """Embed two generator families on the product chart, side by side."""
-    names = chart_a.names + chart_b.names
-    chart = Chart(names)
-    na, nb = chart_a.dim, chart_b.dim
-
-    def embed(p: Poly, left: bool) -> Poly:
-        terms = {}
-        for mono, c in p.terms.items():
-            full = mono + (0,) * nb if left else (0,) * na + mono
-            terms[full] = c
-        return Poly(na + nb, terms)
-
-    out: list[VectorField] = []
-    for g in gens_a:
-        coeffs = [embed(c, True) for c in g.poly_coeffs()]
-        out.append(VectorField(chart, coeffs + [Poly.zero(na + nb)] * nb))
-    for g in gens_b:
-        coeffs = [embed(c, False) for c in g.poly_coeffs()]
-        out.append(VectorField(chart, [Poly.zero(na + nb)] * na + coeffs))
-    return chart, out

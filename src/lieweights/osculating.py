@@ -1,12 +1,16 @@
 """Graded nilpotent Lie algebras osculating a filtration at a point.
 
-The graded piece at depth i is the span of the level's generators divided
-by the next-shallower level together with combinations whose coefficients
-vanish at the point.  Quotients are computed through bounded-degree exact
-linear solves, so a relation whose certificate needs coefficient degree
-above the bound is missed: reported dimensions are upper bounds that
-settle once the bound is raised far enough.  Structure constants that
-cannot be certified at the bound are flagged as unverified, never guessed.
+The graded piece at depth i is gr_i = H_{-i} / (H_{-(i-1)} + m H_{-i}),
+where m is the ideal of functions vanishing at the point.  Each call
+translates the chart once so that the point becomes the origin; there m
+is spanned by the monomials x^beta with beta != 0, and every column of
+the quotient systems is a generator times a monomial.  Quotients are
+computed through bounded-degree exact linear solves, so a relation whose
+certificate needs coefficient degree above the bound is missed: reported
+dimensions are upper bounds that settle once the bound is raised far
+enough.  Structure constants that cannot be certified at the bound are
+flagged as unverified, never guessed.  Representatives stay in the
+original chart.
 
 Basis elements are picked greedily in generator-list order, which makes
 every output deterministic for a given input ordering.
@@ -57,9 +61,16 @@ def _add_scaled(acc: list[Fraction], vec: Sequence[Fraction], c: Fraction) -> No
             acc[i] += c * v
 
 
-def _point_power(point: Sequence[Fraction], mono: Sequence[int]) -> Fraction:
-    return math.prod(
-        (p ** e for p, e in zip(point, mono) if e), start=Fraction(1)
+def _centred(
+    fields: Sequence[VectorField], point: Sequence[Fraction]
+) -> tuple[VectorField, ...]:
+    """The fields rewritten under x -> x + point, so that the point sits at
+    the origin.  A translation has identity Jacobian: only the
+    coefficients move, and brackets commute with it."""
+    n = len(point)
+    shift = [Poly.variable(n, i) + Poly.const(n, v) for i, v in enumerate(point)]
+    return tuple(
+        VectorField(g.chart, [c.subst(shift) for c in g.poly_coeffs()]) for g in fields
     )
 
 
@@ -67,30 +78,26 @@ def _membership_solve(
     leading: Sequence[VectorField],
     lower: Sequence[VectorField],
     ideal_gens: Sequence[VectorField],
-    point: Sequence[Fraction],
-    degree_bound: int,
+    ideal_monos: Sequence[tuple[int, ...]],
     target: VectorField | None,
 ):
-    """Bounded-degree membership in span(leading) + <lower> + I_point<ideal_gens>.
+    """Bounded-degree membership in span(leading) + span(lower) + I<ideal_gens>,
+    with every field in the chart centred at the base point.
 
-    Columns are constant multiples of the leading fields, polynomial
-    multiples of the lower-level fields (coefficient degree <= bound) and
-    multiples of the ideal generators by monomials recentered to vanish at
-    the point.  With target None, returns the reduced projections of the
-    homogeneous nullspace onto the leading block (the certified relations
-    among the leading fields).  With a target field, returns its leading
-    coefficients or None when no bounded certificate exists.
+    Columns are constant multiples of the leading and of the lower-level
+    fields, and the multiples x^beta * g of the ideal generators for the
+    nonconstant monomials beta of ideal_monos: in the centred chart these
+    span the multiples of degree <= bound by functions vanishing at the
+    point.  The ideal generators contain the lower-level fields, so their
+    nonconstant multiples need no columns of their own.  With target None,
+    returns the reduced projections of the homogeneous nullspace onto the
+    leading block (the certified relations among the leading fields).  With
+    a target field, returns its leading coefficients or None when no
+    bounded certificate exists.
     """
-    n = len(point)
-    monos = monomials_up_to(n, degree_bound)
     cols = [field_entries(g) for g in leading]
-    cols.extend(module_columns(lower, monos))
-    for g in ideal_gens:
-        for beta in monos:
-            if sum(beta) == 0:
-                continue
-            factor = Poly.term(n, beta, 1) - Poly.const(n, _point_power(point, beta))
-            cols.append(field_entries(g.scale(factor)))
+    cols.extend(field_entries(g) for g in lower)
+    cols.extend(module_columns(ideal_gens, ideal_monos))
     solution = module_solve(cols, field_entries(target) if target is not None else None)
     if solution is None:
         return None
@@ -229,14 +236,21 @@ def osculating_at(
         raise ValueError("point has wrong dimension")
     order = filtration.order
 
+    # generator lists are cumulative: each level's list extends the last
+    centred = _centred(filtration.generators(order), point)
+    centred_levels = [
+        centred[: len(filtration.generators(depth))] for depth in range(1, order + 1)
+    ]
+    ideal_monos = monomials_up_to(n, degree_bound)[1:]
+
     level_candidates: list[tuple[VectorField, ...]] = []
     level_relations: list[tuple[Vector, ...]] = []
     level_basis: list[tuple[int, ...]] = []
     for depth in range(1, order + 1):
-        cands = filtration.generators(depth)
-        lower = filtration.generators(depth - 1) if depth > 1 else ()
-        relations = _membership_solve(cands, lower, cands, point, degree_bound, None)
-        level_candidates.append(cands)
+        cands = centred_levels[depth - 1]
+        lower = centred_levels[depth - 2] if depth > 1 else ()
+        relations = _membership_solve(cands, lower, cands, ideal_monos, None)
+        level_candidates.append(filtration.generators(depth))
         level_relations.append(relations)
         span = RowEchelon(relations)
         level_basis.append(
@@ -247,11 +261,13 @@ def osculating_at(
     total = 0
     degrees: list[int] = []
     representatives: list[VectorField] = []
+    centred_reps: list[VectorField] = []
     for depth in range(1, order + 1):
         offsets.append(total)
         for j in level_basis[depth - 1]:
             degrees.append(-depth)
             representatives.append(level_candidates[depth - 1][j])
+            centred_reps.append(centred_levels[depth - 1][j])
         total += len(level_basis[depth - 1])
 
     candidate_classes: list[tuple[Vector, ...]] = []
@@ -280,18 +296,13 @@ def osculating_at(
             q = -(degrees[u] + degrees[v])
             if q > order:
                 continue
-            target = lie_bracket(representatives[u], representatives[v])
-            leading = [
-                representatives[w]
-                for w, d in enumerate(degrees)
-                if d == -q
-            ]
+            target = lie_bracket(centred_reps[u], centred_reps[v])
+            leading = [centred_reps[w] for w, d in enumerate(degrees) if d == -q]
             coords = _membership_solve(
                 leading,
-                filtration.generators(q - 1) if q > 1 else (),
-                level_candidates[q - 1],
-                point,
-                degree_bound,
+                centred_levels[q - 2] if q > 1 else (),
+                centred_levels[q - 1],
+                ideal_monos,
                 target,
             )
             if coords is None:
@@ -358,9 +369,11 @@ def tangent_subalg(
     """Classes at the base point of the combinations tangent to the
     submanifold, one graded span per depth.
 
-    The tangency certificates come from a bounded-degree solve, so the
-    spans are lower bounds for the true tangent subalgebra.  A combination
-    sum u_j g_j contributes the class sum u_j(m) [g_j].
+    The tangency certificates come from a bounded-degree solve whose
+    unknowns are polynomials on N, so the spans are lower bounds for the
+    true tangent subalgebra; when N is a point the tangency system does not
+    depend on the bound.  A combination sum u_j g_j contributes the class
+    sum u_j(m) [g_j].
     """
     if parent is None:
         parent = osculating_at(filtration, submanifold.base_point, degree_bound)
@@ -435,31 +448,6 @@ def bch(
         if any(val):
             _add_scaled(acc, val, coeff)
     return tuple(acc)
-
-
-def kmodule_generators(
-    weighting: WeightedChart, depth: int, length_cap: int
-) -> list[VectorField]:
-    """Monomial generators of the ambient module at the given depth.
-
-    Fields x^s d/dx_a on the weighted chart whose weighted degree is at
-    least -depth, i.e. the weighted degree of x^s is at least the weight
-    of the direction minus depth.  Exponents at weight-0 positions add
-    nothing to the weighted degree, so they enter only through the length
-    cap.  The enumeration is plain (direction major, then graded lex) and
-    intentionally redundant as a module generating set.
-    """
-    chart = weighting.chart
-    n = chart.dim
-    out: list[VectorField] = []
-    for a in range(n):
-        for s in monomials_up_to(n, length_cap):
-            if weighting.fiber_weight(s) >= weighting.weights[a] - depth:
-                coeffs = [
-                    Poly.term(n, s, 1) if b == a else Poly.zero(n) for b in range(n)
-                ]
-                out.append(VectorField(chart, coeffs))
-    return out
 
 
 def _fiber_monos_of_weight(

@@ -491,8 +491,10 @@ def _poly_weighted_degree(p: Poly, weights: Sequence[int]) -> WeightedDegreeResu
 def weighted_degree(f: Scalar, weighting: WeightedChart) -> WeightedDegreeResult:
     """Minimal weighted order of f, computed in the weighted chart.
 
-    Base (weight-0) variables contribute nothing.  The zero function has
-    degree +inf and no witness monomial.
+    This is the weighting itself, read as the filtration of functions that
+    defines it: f lies in C^inf(M)_(i) exactly when its weighted order is
+    at least i.  Base (weight-0) variables contribute nothing.  The zero
+    function has degree +inf and no witness monomial.
     """
     return weighted_degree_in_chart(weighting.to_weighted(f), weighting)
 
@@ -547,42 +549,3 @@ def poly_weight_part(p: Poly, weights: Sequence[int], degree: int) -> Poly:
             if sum(e * w for e, w in zip(mono, weights)) == degree
         },
     )
-
-
-def _scalar_weight_part(g: Scalar, weights: Sequence[int], degree: int) -> Scalar:
-    if isinstance(g, Poly):
-        return poly_weight_part(g, weights, degree)
-    if g.is_zero():
-        return g
-    den_res = _poly_weighted_degree(g.den, weights)
-    num_part = poly_weight_part(g.num, weights, degree + den_res.degree)
-    den_part = poly_weight_part(g.den, weights, den_res.degree)
-    return RatFunc(num_part, den_part)
-
-
-def homogeneous_approx(f: Scalar, weighting: WeightedChart) -> Scalar:
-    """Lowest weighted-degree part of f, expressed in the weighted chart."""
-    g = weighting.to_weighted(f)
-    res = weighted_degree_in_chart(g, weighting)
-    if res.degree == INFINITE:
-        return g
-    return _scalar_weight_part(g, weighting.weights, res.degree)
-
-
-def homogeneous_approx_vf(field: VectorField, weighting: WeightedChart) -> VectorField:
-    """Homogeneous part of a vector field at its filtration degree.
-
-    Coefficient of direction p is cut at weighted degree (weight of p) +
-    (field degree); the result is a field on the weighted chart, weighted
-    homogeneous of the field's degree.
-    """
-    pushed = push_to_weighted(field, weighting)
-    degree = vf_degree_in_chart(pushed, weighting)
-    if degree == INFINITE:
-        return pushed
-    coeffs = []
-    for p, coeff in enumerate(pushed.coeffs):
-        coeffs.append(
-            _scalar_weight_part(coeff, weighting.weights, weighting.weights[p] + degree)
-        )
-    return VectorField(weighting.chart, coeffs)

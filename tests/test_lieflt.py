@@ -25,8 +25,6 @@ from lieweights.lieflt import (
     module_membership,
     module_solve,
     monomials_up_to,
-    product_distribution,
-    restrict_distribution,
     sample_points,
     tangency_solve,
     weight_sequence,
@@ -285,47 +283,34 @@ def test_weight_sequence_rejects_short_span():
         weight_sequence(res)
 
 
-# -- induced and product distributions --------------------------------------------
+# -- tangency -----------------------------------------------------------------
 
 
 def test_tangency_forces_vanishing_restriction():
-    # tangency of u*(dx + y*dz) to {z=0} forces u into the ideal (z),
-    # so every combination restricts to zero on N
+    # tangency of u*(dx + y*dz) to {z=0} forces u*y = 0 on N, so u vanishes
+    # on N; the unknowns are polynomials on N, so no combination is left
     sub = Submanifold(CHART, (0, 1), (0, 0, 0))
-    chart_n, fields = restrict_distribution([vf("dx + y*dz")], sub, 2)
-    assert chart_n.names == ("x", "y")
-    assert fields == []
-    for combo in tangency_solve([vf("dx + y*dz")], sub, 2):
-        # each coefficient vanishes on N
-        for mono, _ in combo[0].terms.items():
-            assert mono[2] > 0
+    assert tangency_solve([vf("dx + y*dz")], sub, 2) == []
+    # with dz adjoined, u*(dx + y*dz) - u*y*dz is tangent for every u on N;
+    # at bound 2 that leaves u in {1, x, y}
+    combos = tangency_solve([vf("dx + y*dz"), vf("dz")], sub, 2)
+    assert len(combos) == 3
+    y = Poly.variable(3, 1)
+    for u, w in combos:
+        assert w == -(u * y)
+        assert all(mono[2] == 0 for c in (u, w) for mono in c.terms)
 
 
-def test_restriction_keeps_tangent_generator():
-    sub = Submanifold(CHART, (0,), (0, 0, 0))
-    chart_n, fields = restrict_distribution([vf("dx"), vf("dy")], sub, 2)
-    assert chart_n.names == ("x",)
-    assert parse_vector_field("dx", chart_n) in fields
-
-
-def test_restriction_of_heisenberg_pair():
-    sub = Submanifold(CHART, (1,), (0, 0, 0))
-    chart_n, fields = restrict_distribution([vf("dx"), vf("dy + x*dz")], sub, 2)
-    assert chart_n.names == ("y",)
-    assert parse_vector_field("dy", chart_n) in fields
-
-
-def test_product_distribution_embeds_side_by_side():
-    ca = Chart(("x",))
-    cb = Chart(("u",))
-    chart, gens = product_distribution(
-        ca, [coordinate_field(ca, 0)], cb, [coordinate_field(cb, 0)]
-    )
-    assert chart.names == ("x", "u")
-    assert gens == [
-        parse_vector_field("dx", chart),
-        parse_vector_field("du", chart),
-    ]
+def test_tangency_at_a_point_ignores_the_bound():
+    # N a point: sum u_j g_j is tangent exactly when it vanishes at m, which
+    # only the values u_j(m) decide, so the system is the constant nullspace
+    # of the generators' values at m whatever the bound
+    point = Submanifold(CHART, (), (0, 0, 0))
+    gens = [vf("dx + y*dz"), vf("2*dx + x*dy"), vf("dz + x^2*dy"), vf("z*dx")]
+    one, zero = Poly.one(3), Poly.zero(3)
+    expected = [(one * -2, one, zero, zero), (zero, zero, zero, one)]
+    for bound in (0, 2, 5):
+        assert tangency_solve(gens, point, bound) == expected
 
 
 def test_monomial_enumeration_is_graded():

@@ -1,16 +1,29 @@
 """Osculating algebra construction: frozen examples and algebra axioms."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lieweights.exactalg import RatFunc
-from lieweights.lieflt import Filtration, Submanifold
+from corpus import CHARTS, COEFFS
+from lieweights.exactalg import Poly, RatFunc, RowEchelon
+from lieweights.lieflt import (
+    Filtration,
+    Submanifold,
+    field_entries,
+    module_columns,
+    module_solve,
+    monomials_up_to,
+    unpack_coefficients,
+)
 from lieweights.vfield import (
     Chart,
     VectorField,
     coordinate_field,
+    lie_bracket,
     parse_polynomial,
     parse_vector_field,
 )
@@ -20,7 +33,6 @@ from lieweights.osculating import (
     bch,
     class_in_tangent_part,
     fiber_class_pairs,
-    kmodule_generators,
     osculating_at,
     tangent_subalg,
     verify_hh,
@@ -307,26 +319,6 @@ def step4_weighting():
 
 
 class TestAmbientModule:
-    def test_generator_count(self, step3_weighting):
-        gens = kmodule_generators(step3_weighting, 0, 2)
-        assert len(gens) == 23
-
-    def test_membership_examples(self, step3_weighting):
-        gens = kmodule_generators(step3_weighting, 0, 2)
-        chart = step3_weighting.chart
-        x_dx = parse_vector_field("x*dx", chart)
-        y_dy = parse_vector_field("y*dy", chart)
-        xx_dy = parse_vector_field("x^2*dy", chart)
-        bare_dy = parse_vector_field("dy", chart)
-        assert x_dx in gens and y_dy in gens and xx_dy in gens
-        assert bare_dy not in gens
-
-    def test_full_depth_has_all_directions(self, step3_weighting):
-        gens = kmodule_generators(step3_weighting, 3, 1)
-        chart = step3_weighting.chart
-        for name in chart.names:
-            assert parse_vector_field(f"d{name}", chart) in gens
-
     def test_class_pairs_step3(self, step3_weighting):
         assert fiber_class_pairs(step3_weighting, 1) == (
             (0, (0, 0, 0)),
@@ -376,3 +368,139 @@ class TestAmbientModule:
         cls = weighted_fiber_class(x_fld, weighting, 1)
         assert cls == (0, -1)
         assert class_in_tangent_part(pairs, cls)
+
+
+# -- centred chart against recentred columns ------------------------------------
+
+
+def _recentred_membership_solve(leading, lower, ideal_gens, point, degree_bound, target):
+    """Oracle: the quotient solve in the original chart, with polynomial
+    multiples of the lower fields and ideal columns (x^beta - m^beta) * g."""
+    n = len(point)
+    monos = monomials_up_to(n, degree_bound)
+    cols = [field_entries(g) for g in leading]
+    cols.extend(module_columns(lower, monos))
+    for g in ideal_gens:
+        for beta in monos:
+            if sum(beta) == 0:
+                continue
+            m_beta = math.prod((p**e for p, e in zip(point, beta)), start=Fraction(1))
+            factor = Poly.term(n, beta, 1) - Poly.const(n, m_beta)
+            cols.append(field_entries(g.scale(factor)))
+    solution = module_solve(cols, field_entries(target) if target is not None else None)
+    if solution is None:
+        return None
+    k = len(leading)
+    if target is None:
+        return RowEchelon(vec[:k] for vec in solution.nullspace).reduced_rows(k)
+    for vec in solution.nullspace:
+        assert not any(vec[:k]), "chosen basis is dependent at this degree bound"
+    return tuple(solution.particular[:k])
+
+
+def _all_variable_tangency(gens, submanifold, degree_bound):
+    """Oracle: tangent combinations with unknowns on monomials in every
+    variable, not only in N's."""
+    n = submanifold.chart.dim
+    fiber = submanifold.fiber_indices
+    monos = monomials_up_to(n, degree_bound)
+    cols = [
+        {
+            (a, mono): value
+            for (a, mono), value in col.items()
+            if a in fiber and not any(mono[f] for f in fiber)
+        }
+        for col in module_columns(gens, monos)
+    ]
+    return [
+        unpack_coefficients(vec, len(gens), monos, n)
+        for vec in module_solve(cols).nullspace
+    ]
+
+
+@st.composite
+def filtrations_at_points(draw):
+    """A filtration of order 2-3 on 2-3 variables, a submanifold whose base
+    point is nonzero on a tangent coordinate, and a degree bound 0-3."""
+    n = draw(st.integers(2, 3))
+    chart = CHARTS[n]
+    monos = monomials_up_to(n, 2)
+    poly = st.dictionaries(st.sampled_from(monos), st.sampled_from(COEFFS), max_size=2)
+    field = st.lists(poly, min_size=n, max_size=n).map(
+        lambda cs: VectorField(chart, [Poly(n, c) for c in cs])
+    )
+    order = draw(st.integers(2, 3))
+    levels = [draw(st.lists(field, min_size=1, max_size=2)) for _ in range(order)]
+    tangent = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    coord = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    point = [Fraction(0)] * n
+    for idx in tangent:
+        point[idx] = draw(coord)
+    point[tangent[0]] = draw(st.sampled_from(COEFFS))
+    bound = draw(st.integers(0, 3))
+    return Filtration(chart, order, levels), Submanifold(chart, tangent, point), bound
+
+
+@given(filtrations_at_points())
+@settings(max_examples=50, deadline=None)
+def test_centred_chart_matches_recentred_columns(case):
+    filt, sub, bound = case
+    m = sub.base_point
+    alg = osculating_at(filt, m, bound)
+    degrees = []
+    for depth in range(1, filt.order + 1):
+        cands = filt.generators(depth)
+        lower = filt.generators(depth - 1) if depth > 1 else ()
+        relations = _recentred_membership_solve(cands, lower, cands, m, bound, None)
+        span = RowEchelon(relations)
+        basis = [j for j in range(len(cands)) if span.add({j: Fraction(1)})]
+        degrees.extend([-depth] * len(basis))
+        block = alg.level_indices(depth)
+        assert [alg.representatives[u] for u in block] == [cands[j] for j in basis]
+        # each candidate minus its class is a relation
+        span = RowEchelon(relations)
+        for j, cls in enumerate(alg.candidate_classes[depth - 1]):
+            assert not any(c for u, c in enumerate(cls) if u not in block)
+            rest = {j: Fraction(1)}
+            for b, u in zip(basis, block):
+                rest[b] = rest.get(b, Fraction(0)) - cls[u]
+            assert span.contains(rest)
+    assert alg.degrees == tuple(degrees)
+
+    structure = {(u, v): vec for u, v, vec in alg.structure}
+    unverified = []
+    for u in range(alg.dim):
+        for v in range(u + 1, alg.dim):
+            q = -(alg.degrees[u] + alg.degrees[v])
+            if q > filt.order:
+                continue
+            block = alg.level_indices(q)
+            coords = _recentred_membership_solve(
+                [alg.representatives[w] for w in block],
+                filt.generators(q - 1) if q > 1 else (),
+                filt.generators(q),
+                m,
+                bound,
+                lie_bracket(alg.representatives[u], alg.representatives[v]),
+            )
+            if coords is None:
+                unverified.append((u, v))
+                assert (u, v) not in structure
+                continue
+            vec = [Fraction(0)] * alg.dim
+            for w, c in zip(block, coords):
+                vec[w] = c
+            assert structure.get((u, v), tuple(vec)) == tuple(vec)
+            assert ((u, v) in structure) == any(vec)
+    assert alg.unverified == tuple(unverified)
+
+    tangent = tangent_subalg(filt, sub, bound, parent=alg)
+    for depth in range(1, filt.order + 1):
+        vecs = []
+        for combo in _all_variable_tangency(filt.generators(depth), sub, bound):
+            acc = [Fraction(0)] * alg.dim
+            for u, cls in zip(combo, alg.candidate_classes[depth - 1]):
+                for w, c in enumerate(cls):
+                    acc[w] += u.eval(m) * c
+            vecs.append(acc)
+        assert tangent.spans[depth - 1] == RowEchelon(vecs).reduced_rows(alg.dim)

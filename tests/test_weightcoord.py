@@ -26,8 +26,6 @@ from lieweights.weightcoord import (
     INFINITE,
     Frame,
     filtration_degree,
-    homogeneous_approx,
-    homogeneous_approx_vf,
     normalize_chart,
     push_to_weighted,
     select_frame,
@@ -145,11 +143,6 @@ class TestStepThreeExample:
         x_over = RatFunc(Poly.variable(3, 0), parse_polynomial("1 + z", CHART3))
         assert weighted_degree(x_over, w).degree == 1
 
-    def test_homogeneous_approx(self, result):
-        w = result.weighted
-        part = homogeneous_approx(Poly.variable(3, 2), w)
-        assert part == Poly(3, {(2, 0, 0): Fraction(1, 2)})
-
     def test_vf_degrees(self, result):
         w = result.weighted
         filt = heis_plus_vertical()
@@ -158,12 +151,6 @@ class TestStepThreeExample:
         assert vf_filtration_degree(filt.levels[2][2], w) == -3
         zero = VectorField(CHART3, [Fraction(0)] * 3)
         assert vf_filtration_degree(zero, w) == INFINITE
-
-    def test_homogeneous_vf(self, result):
-        w = result.weighted
-        filt = heis_plus_vertical()
-        part = homogeneous_approx_vf(filt.levels[0][0], w)
-        assert part == coordinate_field(w.chart, 0)
 
     def test_base_point(self, result):
         assert result.weighted.base_point_weighted() == (0, 0, 0)
