@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,6 +34,7 @@ from .lieflt import (
 )
 from .osculating import osculating_at, tangent_subalg, verify_hh
 from .vfield import (
+    MAX_MONOMIALS,
     Chart,
     ParseError,
     coordinate_field,
@@ -231,6 +233,15 @@ def load_problem(
         raise ProblemError(f"{path}: samples must be non-negative")
     if bound is not None and bound < 0:
         raise ProblemError(f"{path}: degree bound must be non-negative, got {bound}")
+    used = bound if bound is not None else max(
+        filtration.default_degree_bound(), DEFAULT_OSCULATE_BOUND
+    )
+    monomials = math.comb(n + used, n)
+    if monomials > MAX_MONOMIALS:
+        raise ProblemError(
+            f"{path}: degree bound {used} gives {monomials} monomials in {n} "
+            f"variables, over the limit of {MAX_MONOMIALS}"
+        )
     return ProblemSpec(
         chart=chart,
         filtration=filtration,

@@ -689,8 +689,11 @@ class RowEchelon:
     def rank(self) -> int:
         return len(self.pivot_rows)
 
-    def _reduce(self, row) -> dict:
-        """The row with every pivot column cleared; empty when in the span."""
+    def reduce(self, row) -> dict:
+        """The row's normal form: the row minus the combination of held rows
+        that clears every pivot column.  Empty exactly when the row is in
+        the span.  The pivot columns are fixed by the span, so the normal
+        form is unique and is linear in the row."""
         items = row.items() if isinstance(row, Mapping) else enumerate(row)
         out = {c: Fraction(x) if isinstance(x, int) else x for c, x in items if x}
         for p in [c for c in out if c in self.pivot_rows]:
@@ -699,11 +702,11 @@ class RowEchelon:
         return out
 
     def contains(self, row) -> bool:
-        return not self._reduce(row)
+        return not self.reduce(row)
 
     def add(self, row) -> bool:
         """Insert a row; returns whether it extended the span."""
-        rest = self._reduce(row)
+        rest = self.reduce(row)
         if not rest:
             return False
         pivot = min(rest)

@@ -38,8 +38,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactalg import Poly, RatFunc
-from .lieflt import Filtration, Submanifold
+from .exactalg import Poly, RatFunc, RowEchelon
+from .lieflt import Filtration, Submanifold, field_entries, module_solve
 from .vfield import Chart, VectorField
 from .weightcoord import WeightedChart
 
@@ -410,9 +410,9 @@ class _ExpTable:
     those words.  The empty word, which leaves the targets as they are,
     has no entry.  A field sequence whose polynomials are all zero is
     dropped together with every extension of it.  `levels` groups the
-    letter indices by depth 1..order, and `flat[L]` is letter L's field
-    as a {(a, monomial): coefficient} dict, for exact zero tests of
-    combinations.
+    letter indices by depth 1..order, and `relations[d - 1]` spans the
+    coefficient vectors on level d's letters whose combination of fields
+    is zero.
     """
 
     def __init__(
@@ -430,18 +430,18 @@ class _ExpTable:
         field_ids: dict[frozenset, int] = {}
         fields: list[VectorField] = []
         by_field: list[list[int]] = []
-        flat = []
+        letter_entries = [field_entries(x) for _, x in letters]
         for i, (_, x) in enumerate(letters):
-            coeffs = x.poly_coeffs()
-            terms = {(a, m): c for a, p in enumerate(coeffs) for m, c in p.terms.items()}
-            key = frozenset(terms.items())
+            key = frozenset(letter_entries[i].items())
             if key not in field_ids:
                 field_ids[key] = len(fields)
                 fields.append(x)
                 by_field.append([])
             by_field[field_ids[key]].append(i)
-            flat.append(terms)
-        self.flat = tuple(flat)
+        self.relations = tuple(
+            RowEchelon(module_solve([letter_entries[i] for i in level]).nullspace)
+            for level in self.levels
+        )
         self.entries: list[tuple[tuple[Poly, ...], list]] = []
         current = [(self.targets, [((), 0)])]
         while current:
@@ -625,17 +625,12 @@ def _random_element(
     term at all no t is drawn and nothing is returned.
     """
     coeffs: list[Fraction] = []
-    for level in table.levels:
+    for level, relations in zip(table.levels, table.relations):
         drawn = [
             rng.choice(_COEFF_POOL) if rng.random() < 0.5 else Fraction(0)
             for _ in level
         ]
-        combo: dict = {}
-        for i, c in zip(level, drawn):
-            if c:
-                for key, v in table.flat[i].items():
-                    combo[key] = combo.get(key, 0) + c * v
-        coeffs.extend(drawn if any(combo.values()) else [Fraction(0)] * len(level))
+        coeffs.extend([Fraction(0)] * len(level) if relations.contains(drawn) else drawn)
     if not any(coeffs):
         return None
     return coeffs, rng.choice(_COEFF_POOL)

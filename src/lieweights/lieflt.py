@@ -22,7 +22,6 @@ from .exactalg import (
     Poly,
     RatFunc,
     RowEchelon,
-    grlex_key,
     matrix_rank,
 )
 from .vfield import Chart, VectorField, lie_bracket, restrict_zero
@@ -161,13 +160,18 @@ class Filtration:
 
 def monomials_up_to(nvars: int, degree: int) -> list[tuple[int, ...]]:
     """All exponent tuples of total degree <= degree, ascending grlex."""
-    monos = [
-        m
-        for m in itertools.product(range(degree + 1), repeat=nvars)
-        if sum(m) <= degree
-    ]
-    monos.sort(key=grlex_key)
-    return monos
+
+    def of_degree(d: int, k: int):
+        # exponent tuples of length k summing to d, lexicographically ascending
+        if k == 0:
+            if d == 0:
+                yield ()
+            return
+        for first in range(d + 1):
+            for rest in of_degree(d - first, k - 1):
+                yield (first,) + rest
+
+    return [m for d in range(degree + 1) for m in of_degree(d, nvars)]
 
 
 _RATIONAL_CYCLE = (

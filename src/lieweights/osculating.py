@@ -3,14 +3,18 @@
 The graded piece at depth i is gr_i = H_{-i} / (H_{-(i-1)} + m H_{-i}),
 where m is the ideal of functions vanishing at the point.  Each call
 translates the chart once so that the point becomes the origin; there m
-is spanned by the monomials x^beta with beta != 0, and every column of
-the quotient systems is a generator times a monomial.  Quotients are
-computed through bounded-degree exact linear solves, so a relation whose
-certificate needs coefficient degree above the bound is missed: reported
-dimensions are upper bounds that settle once the bound is raised far
-enough.  Structure constants that cannot be certified at the bound are
-flagged as unverified, never guessed.  Representatives stay in the
-original chart.
+is spanned by the monomials x^beta with beta != 0.  So the denominator,
+truncated at the degree bound, is spanned by the lower fields and by the
+level's fields times the nonconstant monomials.  Each depth puts this
+span in reduced form once (exactalg.RowEchelon) and reads its quotient
+off normal forms.  The level's candidates are reduced in list order; one
+whose field entries survive becomes a basis element and joins the span
+with a marker column of its own.  A field's class is the negated marker
+part of its normal form.  A relation whose certificate needs coefficient
+degree above the bound is missed, so reported dimensions are upper
+bounds that settle once the bound is raised far enough.  Structure
+constants that cannot be certified at the bound are flagged as
+unverified, never guessed.  Representatives stay in the original chart.
 
 Basis elements are picked greedily in generator-list order, which makes
 every output deterministic for a given input ordering.
@@ -24,13 +28,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .exactalg import Poly, RatFunc, RowEchelon, grlex_key, matrix_inverse
+from .exactalg import Poly, RatFunc, RowEchelon, grlex_key
 from .lieflt import (
     Filtration,
     Submanifold,
     field_entries,
     module_columns,
-    module_solve,
     monomials_up_to,
     tangency_solve,
 )
@@ -74,39 +77,20 @@ def _centred(
     )
 
 
-def _membership_solve(
-    leading: Sequence[VectorField],
-    lower: Sequence[VectorField],
-    ideal_gens: Sequence[VectorField],
-    ideal_monos: Sequence[tuple[int, ...]],
-    target: VectorField | None,
-):
-    """Bounded-degree membership in span(leading) + span(lower) + I<ideal_gens>,
-    with every field in the chart centred at the base point.
-
-    Columns are constant multiples of the leading and of the lower-level
-    fields, and the multiples x^beta * g of the ideal generators for the
-    nonconstant monomials beta of ideal_monos: in the centred chart these
-    span the multiples of degree <= bound by functions vanishing at the
-    point.  The ideal generators contain the lower-level fields, so their
-    nonconstant multiples need no columns of their own.  With target None,
-    returns the reduced projections of the homogeneous nullspace onto the
-    leading block (the certified relations among the leading fields).  With
-    a target field, returns its leading coefficients or None when no
-    bounded certificate exists.
-    """
-    cols = [field_entries(g) for g in leading]
-    cols.extend(field_entries(g) for g in lower)
-    cols.extend(module_columns(ideal_gens, ideal_monos))
-    solution = module_solve(cols, field_entries(target) if target is not None else None)
-    if solution is None:
+def _class(rest: dict, n: int) -> dict[int, Fraction] | None:
+    """Basis coordinates read off a reduction against a level's span: the
+    negated marker part, or None when a field entry survives (no
+    certificate at the degree bound)."""
+    if any(a < n for a, _ in rest):
         return None
-    k = len(leading)
-    if target is None:
-        return RowEchelon(vec[:k] for vec in solution.nullspace).reduced_rows(k)
-    for vec in solution.nullspace:
-        assert not any(vec[:k]), "chosen basis is dependent at this degree bound"
-    return tuple(solution.particular[:k])
+    return {a - n: -x for (a, _), x in rest.items()}
+
+
+def _embed(cls: dict[int, Fraction], offset: int, total: int) -> Vector:
+    vec = [Fraction(0)] * total
+    for pos, c in cls.items():
+        vec[offset + pos] = c
+    return tuple(vec)
 
 
 @dataclass(frozen=True)
@@ -243,19 +227,32 @@ def osculating_at(
     ]
     ideal_monos = monomials_up_to(n, degree_bound)[1:]
 
-    level_candidates: list[tuple[VectorField, ...]] = []
-    level_relations: list[tuple[Vector, ...]] = []
+    spans: list[RowEchelon] = []
     level_basis: list[tuple[int, ...]] = []
+    level_classes: list[list[dict[int, Fraction]]] = []
     for depth in range(1, order + 1):
         cands = centred_levels[depth - 1]
         lower = centred_levels[depth - 2] if depth > 1 else ()
-        relations = _membership_solve(cands, lower, cands, ideal_monos, None)
-        level_candidates.append(filtration.generators(depth))
-        level_relations.append(relations)
-        span = RowEchelon(relations)
-        level_basis.append(
-            tuple(j for j in range(len(cands)) if span.add({j: Fraction(1)}))
-        )
+        # the denominator: constant multiples of the lower fields, and the
+        # level's fields times the nonconstant monomials
+        span = RowEchelon(field_entries(g) for g in lower)
+        for col in module_columns(cands, ideal_monos):
+            span.add(col)
+        basis: list[int] = []
+        classes: list[dict[int, Fraction]] = []
+        for j, g in enumerate(cands):
+            rest = span.reduce(field_entries(g))
+            cls = _class(rest, n)
+            if cls is None:
+                # a marker column (n + pos, ()) sorts after every field key
+                # and records the new basis position in later reductions
+                cls = {len(basis): Fraction(1)}
+                span.add({**rest, (n + len(basis), ()): Fraction(1)})
+                basis.append(j)
+            classes.append(cls)
+        spans.append(span)
+        level_basis.append(tuple(basis))
+        level_classes.append(classes)
 
     offsets: list[int] = []
     total = 0
@@ -266,28 +263,14 @@ def osculating_at(
         offsets.append(total)
         for j in level_basis[depth - 1]:
             degrees.append(-depth)
-            representatives.append(level_candidates[depth - 1][j])
+            representatives.append(filtration.generators(depth)[j])
             centred_reps.append(centred_levels[depth - 1][j])
         total += len(level_basis[depth - 1])
 
-    candidate_classes: list[tuple[Vector, ...]] = []
-    for depth in range(1, order + 1):
-        cands = level_candidates[depth - 1]
-        basis = level_basis[depth - 1]
-        # C = [basis unit vectors | relations] is square and invertible, as
-        # the greedy basis extends the relations' span to every candidate;
-        # the class of candidate j is the basis part of column j of C^-1
-        cols = [_unit_vector(len(cands), b) for b in basis]
-        cols.extend(level_relations[depth - 1])
-        inverse = matrix_inverse(list(zip(*cols)))
-        assert inverse is not None, "basis and relations do not span the candidates"
-        rows: list[Vector] = []
-        for j in range(len(cands)):
-            vec = [Fraction(0)] * total
-            for pos in range(len(basis)):
-                vec[offsets[depth - 1] + pos] = inverse[pos][j]
-            rows.append(tuple(vec))
-        candidate_classes.append(tuple(rows))
+    candidate_classes = tuple(
+        tuple(_embed(cls, offsets[depth - 1], total) for cls in level_classes[depth - 1])
+        for depth in range(1, order + 1)
+    )
 
     structure: list[tuple[int, int, Vector]] = []
     unverified: list[tuple[int, int]] = []
@@ -297,23 +280,11 @@ def osculating_at(
             if q > order:
                 continue
             target = lie_bracket(centred_reps[u], centred_reps[v])
-            leading = [centred_reps[w] for w, d in enumerate(degrees) if d == -q]
-            coords = _membership_solve(
-                leading,
-                centred_levels[q - 2] if q > 1 else (),
-                centred_levels[q - 1],
-                ideal_monos,
-                target,
-            )
-            if coords is None:
+            cls = _class(spans[q - 1].reduce(field_entries(target)), n)
+            if cls is None:
                 unverified.append((u, v))
-                continue
-            if any(coords):
-                vec = [Fraction(0)] * total
-                block = [w for w, d in enumerate(degrees) if d == -q]
-                for pos, value in zip(block, coords):
-                    vec[pos] = value
-                structure.append((u, v, tuple(vec)))
+            elif cls:
+                structure.append((u, v, _embed(cls, offsets[q - 1], total)))
 
     return GradedLieAlg(
         order=order,
@@ -321,8 +292,10 @@ def osculating_at(
         representatives=tuple(representatives),
         structure=tuple(structure),
         unverified=tuple(unverified),
-        level_candidates=tuple(level_candidates),
-        candidate_classes=tuple(candidate_classes),
+        level_candidates=tuple(
+            filtration.generators(depth) for depth in range(1, order + 1)
+        ),
+        candidate_classes=candidate_classes,
     )
 
 

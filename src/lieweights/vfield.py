@@ -97,8 +97,11 @@ class VectorField:
     def apply(self, f: Scalar) -> Scalar:
         """Directional derivative: sum of coeff_a * df/dx_a.
 
-        Returns a Poly when the field and the argument are polynomial.
+        Returns a Poly when the field and the argument are polynomial; a
+        RatFunc with unit denominator counts as polynomial.
         """
+        if isinstance(f, RatFunc) and f.is_polynomial():
+            f = f.num
         if isinstance(f, Poly):
             if f.nvars != self.chart.dim:
                 raise ValueError("function does not live on the field's chart")
@@ -162,20 +165,12 @@ def coordinate_field(chart: Chart, index: int) -> VectorField:
 
 
 def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
-    """Commutator [X, Y] with coefficients X^b d_b Y^a - Y^b d_b X^a."""
+    """Commutator [X, Y], whose a-th coefficient is X(Y^a) - Y(X^a)."""
     if x.chart != y.chart:
         raise ValueError("vector fields live on different charts")
-    n = x.chart.dim
-    out = []
-    for a in range(n):
-        acc = RatFunc.const(n, 0)
-        for b in range(n):
-            if x.coeffs[b]:
-                acc = acc + x.coeffs[b] * y.coeffs[a].diff(b)
-            if y.coeffs[b]:
-                acc = acc - y.coeffs[b] * x.coeffs[a].diff(b)
-        out.append(acc)
-    return VectorField(x.chart, out)
+    return VectorField(
+        x.chart, [x.apply(ya) - y.apply(xa) for xa, ya in zip(x.coeffs, y.coeffs)]
+    )
 
 
 @dataclass(frozen=True)
@@ -312,6 +307,13 @@ MAX_DEGREE = 12
 # builds; a degree cap alone still lets (1+x+y+z+u+v)^12 expand to 6188
 # terms, so products and powers are bounded before they are computed
 MAX_TERMS = 500
+
+# largest number of monomials of degree <= the degree bound in the chart
+# variables, C(n + bound, n); every bounded module system has one unknown
+# per generator and monomial, so a larger bound is refused at load time
+# instead of eliminated for minutes (the (2,3,5) Cartan default bound 7
+# on five variables gives 792)
+MAX_MONOMIALS = 1000
 
 
 def _degree(value: RatFunc) -> int:

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line front end."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -14,10 +15,11 @@ from lieweights.cli import (
     main,
     render_json,
 )
-from lieweights.vfield import Chart, coordinate_field, parse_scalar
+from lieweights.vfield import MAX_MONOMIALS, Chart, coordinate_field, parse_scalar
 from lieweights.weightcoord import weighted_coordinates
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+BENCH_PROBLEMS = PROBLEMS.parent / "bench" / "problems"
 EXAMPLE1 = str(PROBLEMS / "example1.json")
 EXAMPLE2 = str(PROBLEMS / "example2.json")
 HEISENBERG = str(PROBLEMS / "heisenberg.json")
@@ -351,6 +353,37 @@ class TestInputErrors:
         doc["degree_bound"] = -1
         assert main(["report", write_problem(tmp_path, doc)]) == EXIT_INPUT
         assert "degree bound must be non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bound", ["17", "30"])
+    def test_degree_bound_flag_past_the_monomial_cap(self, capsys, bound):
+        # heisenberg has 3 variables: bound 16 gives 969 monomials, 17 gives 1140
+        code = main(["check", HEISENBERG, "--degree-bound", bound, "--quiet"])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"over the limit of {MAX_MONOMIALS}" in err
+        assert err.count("\n") == 1
+
+    def test_degree_bound_in_file_past_the_monomial_cap(self, tmp_path, capsys):
+        doc = json.loads(Path(HEISENBERG).read_text())
+        doc["degree_bound"] = 1000000
+        assert main(["check", write_problem(tmp_path, doc), "--quiet"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "degree bound 1000000 gives" in err
+        assert err.count("\n") == 1
+
+    def test_bound_at_the_monomial_cap_loads(self):
+        assert math.comb(3 + 16, 3) <= MAX_MONOMIALS
+        assert load_problem(HEISENBERG, degree_bound=16).degree_bound == 16
+
+    @pytest.mark.parametrize(
+        "path", sorted(PROBLEMS.glob("*.json")) + sorted(BENCH_PROBLEMS.glob("*.json"))
+    )
+    def test_shipped_bounds_stay_under_the_monomial_cap(self, path):
+        spec = load_problem(str(path))
+        n = spec.chart.dim
+        for bound in (spec.degree_bound, spec.filtration.default_degree_bound()):
+            if bound is not None:
+                assert math.comb(n + bound, n) <= MAX_MONOMIALS
 
     def test_deep_nesting_is_an_input_error(self, tmp_path, capsys):
         doc = basic_doc()

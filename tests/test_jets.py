@@ -467,6 +467,19 @@ class TestFlowOut:
             ],
         }
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.sampled_from((-1, 0, 1, 2)), min_size=4, max_size=4))
+    def test_level_relations_decide_zero_combinations(self, coeffs):
+        # dx, -dx and dx + x*dy, 2*dx + 2*x*dy are dependent pairs
+        chart = Chart(("x", "y"))
+        srcs = ("dx", "-dx", "dx + x*dy", "2*dx + 2*x*dy")
+        gens = [parse_vector_field(f, chart) for f in srcs]
+        table = _ExpTable.of_filtration(Filtration(chart, 1, (tuple(gens),)))
+        combo = VectorField(chart, [0, 0])
+        for c, g in zip(coeffs, gens):
+            combo = combo + g.scale(c)
+        assert table.relations[0].contains(coeffs) == combo.is_zero()
+
     def test_cancelling_levels_draw_no_time(self):
         # level -1 lists dx and -dx: a combination can cancel, and when no
         # level adds a term no t is drawn.  The weighting belongs to another

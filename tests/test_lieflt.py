@@ -316,3 +316,12 @@ def test_tangency_at_a_point_ignores_the_bound():
 def test_monomial_enumeration_is_graded():
     monos = monomials_up_to(2, 2)
     assert monos == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
+
+
+@pytest.mark.parametrize("nvars", range(5))
+def test_monomial_enumeration_matches_filtered_product(nvars):
+    # the definition: every tuple in {0..d}^n of total degree <= d, grlex sorted
+    for degree in range(-1, 5):
+        cube = itertools.product(range(degree + 1), repeat=nvars)
+        expected = sorted((m for m in cube if sum(m) <= degree), key=grlex_key)
+        assert monomials_up_to(nvars, degree) == expected

@@ -128,6 +128,42 @@ def test_bracket_matches_sympy_oracle(x, y):
         assert to_sympy(got.coeffs[a].as_poly(), syms) == expected[a]
 
 
+def double_loop_bracket(x, y):
+    """Oracle: the coefficient formula X^b d_b Y^a - Y^b d_b X^a, summed
+    in RatFunc arithmetic."""
+    n = x.chart.dim
+    out = []
+    for a in range(n):
+        acc = RatFunc.const(n, 0)
+        for b in range(n):
+            if x.coeffs[b]:
+                acc = acc + x.coeffs[b] * y.coeffs[a].diff(b)
+            if y.coeffs[b]:
+                acc = acc - y.coeffs[b] * x.coeffs[a].diff(b)
+        out.append(acc)
+    return VectorField(x.chart, out)
+
+
+# linear denominators keep the oracle's RatFunc sums fast
+DENOMINATORS = (Poly.one(3), Poly.one(3) + X_, Poly.const(3, 2) - Y_)
+
+
+@st.composite
+def rational_fields(draw):
+    polys = draw(fields()).poly_coeffs()
+    dens = draw(st.lists(st.sampled_from(DENOMINATORS), min_size=3, max_size=3))
+    return VectorField(CHART, [RatFunc(p, d) for p, d in zip(polys, dens)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(fields(), rational_fields()), st.one_of(fields(), rational_fields()))
+def test_bracket_matches_double_loop_formula(x, y):
+    got = lie_bracket(x, y)
+    assert got == double_loop_bracket(x, y)
+    if x.has_poly_coeffs() and y.has_poly_coeffs():
+        assert got.has_poly_coeffs()
+
+
 @settings(max_examples=40)
 @given(fields(), fields(), funcs())
 def test_word_commutator_identity(x, y, f):
