@@ -126,15 +126,6 @@ class Poly:
         ((mono, c),) = self.terms.items()
         return c == 1 and not any(mono)
 
-    def is_constant(self) -> bool:
-        return all(sum(m) == 0 for m in self.terms)
-
-    def constant_value(self) -> Fraction:
-        """The value of a constant polynomial (raises if non-constant)."""
-        if not self.is_constant():
-            raise ValueError("polynomial is not constant")
-        return self.terms.get((0,) * self.nvars, Fraction(0))
-
     def total_degree(self) -> int:
         """Maximum total degree; -1 for the zero polynomial."""
         if not self.terms:

@@ -12,7 +12,11 @@ not assumed.
 Coordinate functions of the weighted chart are kept as exact expressions
 in the original chart (``forward``) together with the inverse substitution
 (``inverse``), so rewriting in weighted coordinates is a substitution, not
-a numerical change of basis.
+a numerical change of basis.  The inverse is written in closed form: each
+correction multiplies a monomial in already final lower-weight coordinates,
+so the correction records give the linear coordinates in the weighted
+chart, and the pairing matrix of the linear stage gives the original fiber
+variables from those.
 """
 
 from __future__ import annotations
@@ -22,7 +26,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactalg import Poly, RatFunc, RowEchelon, grlex_key, matrix_inverse, matrix_rank
+from .exactalg import (
+    Poly,
+    RatFunc,
+    RowEchelon,
+    as_ratfunc,
+    grlex_key,
+    matrix_inverse,
+    matrix_rank,
+)
 from .lieflt import (
     CleanResult,
     Filtration,
@@ -85,12 +97,14 @@ def select_frame(
 
 def normalize_chart(
     frame: Frame, submanifold: Submanifold
-) -> tuple[Frame, tuple[RatFunc, ...]]:
+) -> tuple[tuple[RatFunc, ...], tuple[tuple[RatFunc, ...], ...]]:
     """Linear fiber coordinate change making (V_a x_c)|_N the identity.
 
-    Returns the frame unchanged plus the new fiber coordinate functions,
-    expressed in the original chart.  Raises when the pairing matrix is
-    singular at the base point.
+    Returns the new fiber coordinate functions, expressed in the original
+    chart, and the pairing matrix pairing[a][c] = (V_a x_{fiber_c})|_N,
+    a function on N, whose transpose maps them back to the fiber
+    variables.  Raises when the pairing matrix is singular at the base
+    point.
     """
     chart = frame.chart
     n = chart.dim
@@ -98,13 +112,13 @@ def normalize_chart(
     k = len(fiber)
     if len(frame.fields) != k:
         raise ValueError("frame size does not match the fiber dimension")
-    pairing: list[list[RatFunc]] = []
-    for field in frame.fields:
-        row = []
-        for c in fiber:
-            val = field.apply(Poly.variable(n, c))
-            row.append(_as_rf(submanifold.restrict(val)))
-        pairing.append(row)
+    pairing = tuple(
+        tuple(
+            as_ratfunc(submanifold.restrict(field.apply(Poly.variable(n, c))), n)
+            for c in fiber
+        )
+        for field in frame.fields
+    )
     point_matrix = [
         [entry.eval(submanifold.base_point) for entry in row] for row in pairing
     ]
@@ -120,14 +134,10 @@ def normalize_chart(
         coords.append(acc)
     for a, field in enumerate(frame.fields):
         for b in range(k):
-            val = _as_rf(submanifold.restrict(field.apply(coords[b])))
+            val = as_ratfunc(submanifold.restrict(field.apply(coords[b])), n)
             expected = Fraction(1 if a == b else 0)
             assert val == expected, "normalized pairing failed to be the identity"
-    return frame, tuple(coords)
-
-
-def _as_rf(value: Scalar) -> RatFunc:
-    return value if isinstance(value, RatFunc) else RatFunc(value)
+    return tuple(coords), pairing
 
 
 def weighted_multiindices(weights: Sequence[int], bound: int) -> list[tuple[int, ...]]:
@@ -166,13 +176,9 @@ def filtration_degree(
     weights = frame.levels
     for s in weighted_multiindices(weights, cap - 1):
         value = submanifold.restrict(_word_for(frame, s).apply(f))
-        if not _is_zero(value):
+        if not value.is_zero():
             return sum(e * w for e, w in zip(s, weights))
     return cap
-
-
-def _is_zero(value: Scalar) -> bool:
-    return value.is_zero()
 
 
 @dataclass(frozen=True)
@@ -209,9 +215,6 @@ class WeightedChart:
         """Rewrite a function on the original chart in weighted coordinates."""
         return value.subst(list(self.inverse))
 
-    def fiber_weight(self, mono: tuple[int, ...]) -> int:
-        return sum(e * w for e, w in zip(mono, self.weights))
-
 
 @dataclass(frozen=True)
 class CorrectionRecord:
@@ -237,9 +240,12 @@ def weighted_coordinates(
 ) -> WeightingResult:
     """Build the weighted chart induced by a clean filtration.
 
-    Raises ValueError when the cleanness test fails or when the internal
-    consistency checks (identity pairing, factorial normalization
-    constants, recomputed filtration degrees) do not hold.
+    Raises ValueError when the cleanness test fails, when a level has too
+    few generators for the frame, when the pairing matrix is singular at
+    the base point, or when a normalization constant or a recomputed
+    filtration degree is not the expected one.  That the normalized pairing
+    is the identity and that forward after inverse is the identity are
+    asserted.
     """
     clean = check_clean(filtration, submanifold)
     if clean.verdict != "pass":
@@ -248,7 +254,7 @@ def weighted_coordinates(
         )
     assignment = weight_sequence(clean)
     frame = select_frame(filtration, assignment, submanifold)
-    frame, fiber_coords = normalize_chart(frame, submanifold)
+    fiber_coords, pairing = normalize_chart(frame, submanifold)
 
     chart = filtration.chart
     n = chart.dim
@@ -278,7 +284,7 @@ def weighted_coordinates(
             for s in admissible:
                 word = _word_for(frame, s)
                 power = _monomial_of(current, k0, s, n)
-                c_s = _as_rf(submanifold.restrict(word.apply(power)))
+                c_s = as_ratfunc(submanifold.restrict(word.apply(power)), n)
                 expected = Fraction(math.prod(math.factorial(e) for e in s))
                 if c_s.eval(submanifold.base_point) == 0:
                     raise ValueError(
@@ -288,12 +294,13 @@ def weighted_coordinates(
                     raise ValueError(
                         f"normalization constant for {s} is not the factorial product"
                     )
-                total = _as_rf(submanifold.restrict(word.apply(current[a])))
+                total = as_ratfunc(submanifold.restrict(word.apply(current[a])), n)
                 for u in admissible:
                     if sum(u) >= sum(s):
                         continue
                     term = chi[u] * _monomial_of(current, k0, u, n)
-                    total = total + _as_rf(submanifold.restrict(word.apply(term)))
+                    restricted = submanifold.restrict(word.apply(term))
+                    total = total + as_ratfunc(restricted, n)
                 coeff = -(total / expected)
                 chi[s] = coeff
                 records.append(
@@ -316,9 +323,7 @@ def weighted_coordinates(
             )
 
     weighted_chart = Chart(tuple(chart.names[positions[p]] for p in range(n)))
-    inverse = _invert_weighting(
-        chart, weighted_chart, submanifold, weights, positions, current, records
-    )
+    inverse = _invert_weighting(submanifold, positions, pairing, records)
     weighted = WeightedChart(
         source_chart=chart,
         chart=weighted_chart,
@@ -349,123 +354,43 @@ def _monomial_of(
 
 
 def _invert_weighting(
-    chart: Chart,
-    weighted_chart: Chart,
     submanifold: Submanifold,
-    weights: tuple[int, ...],
     positions: tuple[int, ...],
-    forward: Sequence[RatFunc],
+    pairing: Sequence[Sequence[RatFunc]],
     records: Sequence[CorrectionRecord],
 ) -> tuple[RatFunc, ...]:
-    """Triangular inversion of the weighting substitution.
+    """Closed-form inverse of the weighting substitution, in the weighted chart.
 
-    Base variables are weighted variables verbatim.  The fiber block is
-    inverted in two stages: corrections are unwound in increasing weight
-    (they only involve strictly lower weights), then the linear pairing
-    change is undone by the pairing matrix itself.
+    A correction at position p multiplies a function on N by a monomial in
+    coordinates of weight at most w_p - 2, which are final when it is made.
+    So the normalized linear coordinate at p is y_p - sum_s chi_s * y^s,
+    read off the records, and the pairing matrix gives the original fiber
+    variables: x_{fiber_c} = sum_p pairing[p][c] * linear_p.  Functions on N
+    enter through their tangent variables; base variables are weighted
+    variables verbatim.
     """
-    n = chart.dim
+    n = len(positions)
     k0 = submanifold.dim
-    base_images: list[Poly | None] = [None] * n
+    y = [Poly.variable(n, p) for p in range(n)]
+    on_n = [Poly.zero(n)] * n
     for p in range(k0):
-        base_images[positions[p]] = Poly.variable(n, p)
-
-    def base_to_weighted(value: RatFunc) -> RatFunc:
-        images: list[Poly] = []
-        for c in range(n):
-            img = base_images[c]
-            if img is None:
-                for mono in value.num.terms:
-                    if mono[c]:
-                        raise AssertionError("correction coefficient uses fiber variables")
-                for mono in value.den.terms:
-                    if mono[c]:
-                        raise AssertionError("correction coefficient uses fiber variables")
-                img = Poly.zero(n)
-            images.append(img)
-        return value.subst(images)
-
-    # linear parts: forward fiber coordinate before corrections is
-    # xhat_p = sum_c inv[c][p] x_{fiber_c}; recover the matrix by applying
-    # the corrections in reverse instead of re-deriving it: unwind
-    # corrections symbolically over the weighted chart.
-    by_position: dict[int, list[CorrectionRecord]] = {}
+        on_n[positions[p]] = y[p]
+    linear = [RatFunc(y[p]) for p in range(k0, n)]
     for rec in records:
-        by_position.setdefault(rec.position, []).append(rec)
-
-    xhat_exprs: list[RatFunc | None] = [None] * n
-    order = sorted(range(k0, n), key=lambda p: (weights[p], p))
-    for p in order:
-        expr = RatFunc(Poly.variable(n, p))
-        for rec in by_position.get(p, ()):
-            if rec.coefficient.is_zero():
-                continue
-            coeff_w = base_to_weighted(rec.coefficient)
-            term = coeff_w
-            for offset, e in enumerate(rec.multi_index):
-                if e:
-                    lower = xhat_exprs[k0 + offset]
-                    assert lower is not None, "correction references an uninverted position"
-                    term = term * lower**e
-            expr = expr - term
-        xhat_exprs[p] = expr
-
-    # Unwinding the corrections yields, at each fiber position, the
-    # normalized linear coordinate as a function of the weighted chart.
-    # The linear stage then gives the original fiber variables via the
-    # pairing matrix: x_{fiber_c} = sum_p pairing[p][c] * xhat_p, where
-    # pairing[p][c] = (V_p x_{fiber_c})|_N is a function of base variables.
-    inverse: list[RatFunc | None] = [None] * n
-    for p in range(k0):
-        inverse[positions[p]] = RatFunc(Poly.variable(n, p))
-
-    fiber = submanifold.fiber_indices
-    k = len(fiber)
-    if k:
-        # recover the pairing matrix from the forward linear parts:
-        # forward (before corrections) is linear in the fiber variables,
-        # so extract the coefficient of each fiber variable and invert.
-        linear_rows: list[list[RatFunc]] = []
-        for p in range(k0, n):
-            lin = forward[p]
-            for rec in by_position.get(p, ()):
-                if not rec.coefficient.is_zero():
-                    term = rec.coefficient
-                    for offset, e in enumerate(rec.multi_index):
-                        if e:
-                            term = term * forward[k0 + offset] ** e
-                    lin = lin - term
-            row = []
-            for c in fiber:
-                row.append(_coefficient_of_variable(lin, c))
-            linear_rows.append(row)
-        mat = matrix_inverse(linear_rows)
-        assert mat is not None, "weighting linear stage is singular"
-        for ci, c in enumerate(fiber):
-            acc = RatFunc.const(n, 0)
-            for p_off in range(k):
-                entry = base_to_weighted(mat[ci][p_off])
-                xe = xhat_exprs[k0 + p_off]
-                assert xe is not None
-                acc = acc + entry * xe
-            inverse[c] = acc
-    out = []
-    for c in range(n):
-        val = inverse[c]
-        assert val is not None
-        out.append(val)
-    return tuple(out)
-
-
-def _coefficient_of_variable(value: RatFunc, var: int) -> RatFunc:
-    """Coefficient of one variable in an expression linear in that block."""
-    num = value.num
-    terms = {}
-    for mono, c in num.terms.items():
-        if mono[var] == 1:
-            lowered = tuple(0 if i == var else e for i, e in enumerate(mono))
-            terms[lowered] = c
-    return RatFunc(Poly(num.nvars, terms), value.den)
+        if rec.coefficient.is_zero():
+            continue
+        term = rec.coefficient.subst(on_n)
+        for offset, e in enumerate(rec.multi_index):
+            if e:
+                term = term * y[k0 + offset] ** e
+        linear[rec.position - k0] = linear[rec.position - k0] - term
+    inverse = [RatFunc(img) for img in on_n]
+    for ci, c in enumerate(submanifold.fiber_indices):
+        acc = RatFunc.const(n, 0)
+        for p, row in enumerate(pairing):
+            acc = acc + row[ci].subst(on_n) * linear[p]
+        inverse[c] = acc
+    return tuple(inverse)
 
 
 @dataclass(frozen=True)

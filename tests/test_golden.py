@@ -26,6 +26,7 @@ CASES = {
     "cartan235": EXIT_PASS,
     "engel4": EXIT_PASS,
     "engel4_broken": EXIT_FAIL,
+    "graded135": EXIT_PASS,
 }
 
 
