@@ -358,7 +358,15 @@ class _Pipeline:
             },
             "seed": self.spec.seed,
         }
-        return (PASS if sample.passed else FAIL), data
+        if sample.off_chart:
+            data["samples"]["off_chart"] = sample.off_chart
+            data["samples"]["first_off_chart"] = sample.first_off_chart
+        if not sample.passed:
+            return FAIL, data
+        if sample.off_chart:
+            data["reason"] = "off_chart"
+            return INCONCLUSIVE, data
+        return PASS, data
 
     def stage_osculating(self):
         bound = self.osculate_bound()
@@ -441,8 +449,9 @@ def _stage_summary(result: dict) -> str:
         return "coordinates=" + ", ".join(data["coordinates"])
     if name == "jets" and "samples" in data:
         s = data["samples"]
+        off_chart = f"off_chart={s['off_chart']} " if "off_chart" in s else ""
         return (
-            f"tested={s['tested']} failed={s['failed']} "
+            f"tested={s['tested']} failed={s['failed']} {off_chart}"
             f"q_total={data['q_dimension']['total']}"
         )
     if name == "osculating" and "graded_dims" in data:

@@ -14,11 +14,14 @@ one letter L per listed generator X_L of level -j_L, the power Y^k x_a is
 multilinear in the coefficients: the sum over words L1..Lk of
 c_L1...c_Lk eps^(j_L1 + ... + j_Lk) X_L1(...X_Lk(x_a)).  Only words of
 depth sum at most r survive the truncation, so _ExpTable computes their
-polynomials once per filtration, one per field sequence.  A sampled group
-element is then a coefficient vector and a time t, and moving a jet by it
-is rational arithmetic on the table: no Poly, RatFunc or VectorField is
-built per sample.  u_exp_act and u_exp_apply use the same table, with one
-letter of coefficient 1 per term of the URElem.
+polynomials once per filtration, one per field sequence, with integer
+coefficients over one table denominator.  A sampled group element is then
+a coefficient vector and a time t, and moving a jet by it is integer
+arithmetic on the table: a jet is integer numerators over one common
+denominator, and the membership test looks only at which numerators
+vanish.  No Poly, RatFunc or VectorField is built per sample, and moving
+and testing a jet runs on Python ints.  u_exp_act and u_exp_apply use the
+same table, with one letter of coefficient 1 per term of the URElem.
 
 flowout_sample draws from one random.Random(seed) in a fixed order, so a
 report depends only on (count, seed).  Per sample: each component of each
@@ -36,6 +39,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial, gcd, lcm
 from typing import Sequence
 
 from .exactalg import Poly, RatFunc, RowEchelon
@@ -163,36 +167,63 @@ class TruncSeries:
 
 @dataclass(frozen=True)
 class JetPoint:
-    """Order-r jet: the epsilon-components of every base coordinate."""
+    """Order-r jet: the epsilon-components of every base coordinate.
+
+    Component i of coordinate a is nums[a][i] / den.  The denominator is
+    positive and shares no factor with all the numerators at once, so equal
+    jets have equal fields.  comps, flat and base_point give the values as
+    Fractions.
+    """
 
     chart: Chart
     order: int
-    comps: tuple[tuple[Fraction, ...], ...]
+    nums: tuple[tuple[int, ...], ...]
+    den: int = 1
 
     def __post_init__(self):
-        if len(self.comps) != self.chart.dim or any(
-            len(row) != self.order + 1 for row in self.comps
+        if len(self.nums) != self.chart.dim or any(
+            [len(row) != self.order + 1 for row in self.nums]
         ):
             raise ValueError("jet components must be dim x (order + 1)")
+        if self.den <= 0:
+            raise ValueError("jet denominator must be positive")
+        # list comprehensions, not generators, here and in from_rows: every
+        # sample and move builds a jet, and generator frames on that path
+        # raise the peak resident size
+        g = gcd(self.den, *[v for row in self.nums for v in row])
+        if g != 1:
+            object.__setattr__(
+                self, "nums", tuple([tuple([v // g for v in row]) for row in self.nums])
+            )
+            object.__setattr__(self, "den", self.den // g)
 
     @classmethod
     def from_rows(cls, chart: Chart, order: int, rows) -> "JetPoint":
-        return cls(
-            chart,
-            order,
-            tuple(tuple(Fraction(v) for v in row) for row in rows),
+        """The jet with the given components: ints, Fractions, or anything
+        else Fraction accepts."""
+        values = [
+            [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row] for row in rows
+        ]
+        den = lcm(*[v.denominator for row in values for v in row])
+        nums = tuple(
+            [tuple([v.numerator * (den // v.denominator) for v in row]) for row in values]
         )
+        return cls(chart, order, nums, den)
 
     @classmethod
     def zero(cls, chart: Chart, order: int) -> "JetPoint":
-        return cls(chart, order, tuple((Fraction(0),) * (order + 1) for _ in range(chart.dim)))
+        return cls(chart, order, tuple((0,) * (order + 1) for _ in range(chart.dim)))
+
+    @property
+    def comps(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(v, self.den) for v in row) for row in self.nums)
 
     def base_point(self) -> tuple[Fraction, ...]:
-        return tuple(row[0] for row in self.comps)
+        return tuple(Fraction(row[0], self.den) for row in self.nums)
 
     def flat(self) -> tuple[Fraction, ...]:
         """Components in jet-chart variable order."""
-        return tuple(c for row in self.comps for c in row)
+        return tuple(Fraction(v, self.den) for row in self.nums for v in row)
 
 
 def eval_jet(u: JetPoint, f: Scalar) -> TruncSeries:
@@ -204,56 +235,75 @@ def eval_jet(u: JetPoint, f: Scalar) -> TruncSeries:
 
 
 class _JetEvaluator:
-    """eval_jet for any number of functions on one jet.
+    """Polynomials on one jet, in integers.
 
-    powers[a][e - 1] is the coefficient list of (row a)^e and monomials
-    maps an exponent tuple to its coefficient list; both grow on demand
-    and are shared by every function evaluated.
+    A monomial of degree m is the product of the jet's numerator rows, over
+    den^m.  powers[a][e - 1] is the coefficient list of (row a)^e and
+    monomials maps an exponent tuple to its coefficient list; both grow on
+    demand and are shared by every function evaluated.
     """
 
     def __init__(self, u: JetPoint):
-        self.u = u
-        self.powers = [[list(row)] for row in u.comps]
-        self.monomials: dict[tuple[int, ...], list[Fraction]] = {}
+        self.dim = u.chart.dim
+        self.order = u.order
+        self.den = u.den
+        self.powers = [[list(row)] for row in u.nums]
+        self.monomials: dict[tuple[int, ...], list[int]] = {}
 
-    def power(self, a: int, e: int) -> list[Fraction]:
+    def power(self, a: int, e: int) -> list[int]:
         table = self.powers[a]
         while len(table) < e:
-            table.append(_trunc_mul(table[-1], table[0], self.u.order))
+            table.append(_trunc_mul(table[-1], table[0], self.order))
         return table[e - 1]
 
-    def monomial(self, mono: tuple[int, ...]) -> list[Fraction]:
-        """Coefficient list of the monomial on the jet; do not mutate it."""
+    def monomial(self, mono: tuple[int, ...]) -> list[int]:
+        """Numerators of the monomial on the jet, over den^(degree of
+        mono); do not mutate the list."""
         series = self.monomials.get(mono)
         if series is None:
-            r = self.u.order
+            r = self.order
             for a, e in enumerate(mono):
                 if e:
                     p = self.power(a, e)
                     series = p if series is None else _trunc_mul(series, p, r)
             if series is None:
-                series = [Fraction(1)] + [Fraction(0)] * r
+                series = [1] + [0] * r
             self.monomials[mono] = series
         return series
+
+    def numerators(self, f: Poly) -> tuple[list[int], int]:
+        """f on the jet as integer coefficients over one positive
+        denominator: the lcm of f's coefficient denominators times den^deg."""
+        if f.nvars != self.dim:
+            raise ValueError("function does not live on the jet's base chart")
+        total = [0] * (self.order + 1)
+        if not f.terms:
+            return total, 1
+        degrees = [sum(mono) for mono in f.terms]
+        top = max(degrees)
+        scale = lcm(*[c.denominator for c in f.terms.values()])
+        lift = [1]
+        for _ in range(top):
+            lift.append(lift[-1] * self.den)
+        for (mono, c), m in zip(f.terms.items(), degrees):
+            w = c.numerator * (scale // c.denominator) * lift[top - m]
+            for i, v in enumerate(self.monomial(mono)):
+                if v:
+                    total[i] += w * v
+        return total, scale * lift[top]
 
     def __call__(self, f: Scalar) -> TruncSeries:
         if isinstance(f, RatFunc):
             if f.is_polynomial():
                 return self(f.num)
             return self(f.num) * self(f.den).inverse()
-        if f.nvars != self.u.chart.dim:
-            raise ValueError("function does not live on the jet's base chart")
-        total = [Fraction(0)] * (self.u.order + 1)
-        for mono, c in f.terms.items():
-            for i, v in enumerate(self.monomial(mono)):
-                if v:
-                    total[i] += c * v
-        return TruncSeries(self.u.order, tuple(total))
+        total, den = self.numerators(f)
+        return TruncSeries(self.order, tuple(Fraction(v, den) for v in total))
 
 
-def _trunc_mul(p: Sequence[Fraction], q: Sequence[Fraction], r: int) -> list[Fraction]:
+def _trunc_mul(p: Sequence[int], q: Sequence[int], r: int) -> list[int]:
     """Product of two coefficient lists, truncated after epsilon^r."""
-    out = [Fraction(0)] * (r + 1)
+    out = [0] * (r + 1)
     for i, a in enumerate(p):
         if a:
             for j in range(r + 1 - i):
@@ -407,12 +457,14 @@ class _ExpTable:
     (polys, words) per field sequence: polys holds X_L1(...X_Lk(f)) for
     each target f, shared by every word with that field sequence (levels
     repeat generators), and words the (letter indices, depth sum) of
-    those words.  The empty word, which leaves the targets as they are,
-    has no entry.  A field sequence whose polynomials are all zero is
-    dropped together with every extension of it.  `levels` groups the
-    letter indices by depth 1..order, and `relations[d - 1]` spans the
-    coefficient vectors on level d's letters whose combination of fields
-    is zero.
+    those words.  A polynomial is kept as (monomial, integer) pairs over
+    the one table denominator `den`, and `max_degree` is the largest
+    total degree of those monomials and of the coordinate functions.  The
+    empty word, which leaves the targets as they are, has no entry.  A
+    field sequence whose polynomials are all zero is dropped together
+    with every extension of it.  `levels` groups the letter indices by
+    depth 1..order, and `relations[d - 1]` spans the coefficient vectors
+    on level d's letters whose combination of fields is zero.
     """
 
     def __init__(
@@ -442,7 +494,7 @@ class _ExpTable:
             RowEchelon(module_solve([letter_entries[i] for i in level]).nullspace)
             for level in self.levels
         )
-        self.entries: list[tuple[tuple[Poly, ...], list]] = []
+        entries: list[tuple[tuple[Poly, ...], list]] = []
         current = [(self.targets, [((), 0)])]
         while current:
             extended = []
@@ -459,8 +511,24 @@ class _ExpTable:
                     moved = tuple(field.apply(p) for p in polys)
                     if any(moved):
                         extended.append((moved, longer))
-            self.entries.extend(extended)
+            entries.extend(extended)
             current = extended
+        terms = [p.terms for polys, _ in entries for p in polys]
+        self.den = lcm(*[c.denominator for t in terms for c in t.values()])
+        self.max_degree = max([1] + [sum(mono) for t in terms for mono in t])
+        self.entries = [
+            (
+                tuple(
+                    tuple(
+                        (mono, c.numerator * (self.den // c.denominator))
+                        for mono, c in p.terms.items()
+                    )
+                    for p in polys
+                ),
+                words,
+            )
+            for polys, words in entries
+        ]
 
     @classmethod
     def of_filtration(cls, filtration: Filtration) -> "_ExpTable":
@@ -471,61 +539,83 @@ class _ExpTable:
         ]
         return cls(filtration.order, letters, _coordinates(filtration.chart.dim))
 
-    def _weights(self, coeffs: Sequence[Fraction], s: Fraction):
-        """(polys, {depth: weight}) per entry with a nonzero weight, where
-        a word of length k weighs c_L1...c_Lk * s^k / k!."""
-        scale = [Fraction(1)]
-        for k in range(1, self.order + 1):
-            scale.append(scale[-1] * s / k)
+    def _weights(self, coeffs: Sequence[Fraction], s: Fraction) -> tuple[int, list[dict]]:
+        """(den, sums): sums[a][depth] maps each monomial to its integer
+        coefficient, over den, at eps^depth in exp(s * Y) f_a - f_a.
+
+        A word L1..Lk weighs c_L1...c_Lk * s^k / k!.  With d the lcm of the
+        denominators of the c_L and of s, C_L = d * c_L and S = d * s, that
+        is prod(C_Li * S) * d^(2(r - k)) * r!/k! over d^(2r) * r!, one
+        denominator for every word length k; den also carries the table's.
+        """
+        r = self.order
+        d = lcm(s.denominator, *[c.denominator for c in coeffs])
+        letter = [c.numerator * (d // c.denominator) for c in coeffs]
+        step = s.numerator * (d // s.denominator)
+        d2 = d * d
+        scale = [d2**r * factorial(r)]
+        for k in range(1, r + 1):
+            scale.append(scale[-1] * step // (d2 * k))
+        sums = [[{} for _ in range(r + 1)] for _ in self.targets]
         for polys, words in self.entries:
-            by_depth: dict[int, Fraction] = {}
+            by_depth: dict[int, int] = {}
             for word, depth in words:
                 w = scale[len(word)]
                 for i in word:
-                    if not coeffs[i]:
+                    w *= letter[i]
+                    if not w:
                         break
-                    w *= coeffs[i]
-                else:
-                    if w:
-                        by_depth[depth] = by_depth.get(depth, 0) + w
-            if by_depth:
-                yield polys, by_depth
+                if w:
+                    by_depth[depth] = by_depth.get(depth, 0) + w
+            for depth, w in by_depth.items():
+                if w:
+                    for series, p in zip(sums, polys):
+                        acc = series[depth]
+                        for mono, c in p:
+                            acc[mono] = acc.get(mono, 0) + w * c
+        return scale[0] * self.den, sums
 
     def expand(self, coeffs: Sequence[Fraction], t: Fraction) -> list[list[Poly]]:
         """The eps-coefficients of exp(t * Y) f for every target f."""
-        out = [[f] + [Poly.zero(f.nvars)] * self.order for f in self.targets]
-        for polys, by_depth in self._weights(coeffs, t):
-            for series, p in zip(out, polys):
-                if p:
-                    for depth, w in by_depth.items():
-                        series[depth] = series[depth] + p * w
+        den, sums = self._weights(coeffs, t)
+        out = []
+        for f, by_depth in zip(self.targets, sums):
+            terms = [{m: Fraction(w, den) for m, w in acc.items()} for acc in by_depth[1:]]
+            out.append([f] + [Poly(f.nvars, part) for part in terms])
         return out
 
     def act(self, u: JetPoint, coeffs: Sequence[Fraction], t: Fraction) -> JetPoint:
         """The group element (coeffs, t) moves the jet: row a of the result
         is exp(-t * Y) x_a evaluated on u.  The targets must be the
-        coordinate functions."""
+        coordinate functions.
+
+        Everything is integer arithmetic over one common denominator,
+        wden * u.den^M with wden from _weights and M = max_degree: a
+        monomial of degree m on u's numerator rows, over u.den^m, is
+        lifted by u.den^(M - m), and u's own rows by wden * u.den^(M - 1).
+        The moved jet divides by one gcd.
+        """
         r = self.order
-        # per target: the weight of each (depth, monomial) over all words
-        combined: list[dict] = [{} for _ in self.targets]
-        for polys, by_depth in self._weights(coeffs, -t):
-            for acc, p in zip(combined, polys):
-                for mono, c in p.terms.items():
-                    for depth, w in by_depth.items():
-                        key = (depth, mono)
-                        acc[key] = acc.get(key, 0) + w * c
+        wden, sums = self._weights(coeffs, -t)
+        top = self.max_degree
+        lift = [1]
+        for _ in range(top):
+            lift.append(lift[-1] * u.den)
+        keep = wden * lift[top - 1]
         values_at = _JetEvaluator(u)
         rows = []
-        for acc, row in zip(combined, u.comps):
-            row = list(row)
-            for (depth, mono), w in acc.items():
-                if w:
-                    series = values_at.monomial(mono)
-                    for i in range(r + 1 - depth):
-                        if series[i]:
-                            row[i + depth] += w * series[i]
+        for series, row in zip(sums, u.nums):
+            row = [v * keep for v in row]
+            for depth in range(1, r + 1):
+                for mono, w in series[depth].items():
+                    if w:
+                        values = values_at.monomial(mono)
+                        w *= lift[top - sum(mono)]
+                        for i in range(r + 1 - depth):
+                            if values[i]:
+                                row[i + depth] += w * values[i]
             rows.append(tuple(row))
-        return JetPoint(u.chart, r, tuple(rows))
+        return JetPoint(u.chart, r, tuple(rows), wden * lift[top])
 
 
 def _elem_table(elem: URElem, targets: Sequence[Poly]) -> tuple[_ExpTable, list[Fraction]]:
@@ -552,7 +642,13 @@ def u_exp_act(elem: URElem, u: JetPoint) -> JetPoint:
 
 def q_membership(u: JetPoint, weighting: WeightedChart) -> bool:
     """Whether the jet lies in the flow-out locus: every weighted
-    coordinate of weight w must have vanishing components below index w."""
+    coordinate of weight w must have vanishing components below index w.
+
+    The test runs on integers.  A rational coordinate num/den is tested on
+    num alone: den must be a unit on the jet (a nonzero constant term,
+    else ZeroDivisionError), and multiplying by a unit, like scaling by a
+    positive integer, does not change which components vanish.
+    """
     if u.chart != weighting.source_chart:
         raise ValueError("jet does not live on the weighting's source chart")
     values_at = _JetEvaluator(u)
@@ -560,10 +656,13 @@ def q_membership(u: JetPoint, weighting: WeightedChart) -> bool:
         w = weighting.weights[p]
         if w == 0:
             continue
-        series = values_at(weighting.forward[p])
-        for i in range(min(w, u.order + 1)):
-            if series.coefficients[i]:
-                return False
+        f = weighting.forward[p]
+        if not f.is_polynomial():
+            if not values_at.numerators(f.den)[0][0]:
+                raise ZeroDivisionError("series has no invertible constant term")
+        series, _ = values_at.numerators(f.num)
+        if any(series[: min(w, u.order + 1)]):
+            return False
     return True
 
 
@@ -588,9 +687,16 @@ _COEFF_POOL = tuple(
 
 @dataclass(frozen=True)
 class SampleReport:
+    """Flow-out sampling outcome.  Samples whose base point lies off the
+    weighted chart (a denominator of a weighted coordinate vanishes there)
+    are counted in off_chart and not tested; first_off_chart is the index
+    of the first of them."""
+
     tested: int
     failed: int
     first_failure: dict | None
+    off_chart: int = 0
+    first_off_chart: int | None = None
 
     @property
     def passed(self) -> bool:
@@ -605,32 +711,32 @@ def _random_tangent_jet(
     tangent = set(submanifold.tangent_indices)
     for a in range(chart.dim):
         if a in tangent:
-            row = tuple(
-                rng.choice(_COEFF_POOL) if rng.random() < 0.7 else Fraction(0)
+            row = [
+                rng.choice(_COEFF_POOL) if rng.random() < 0.7 else 0
                 for _ in range(order + 1)
-            )
+            ]
         else:
-            row = (Fraction(0),) * (order + 1)
+            row = [0] * (order + 1)
         rows.append(row)
-    return JetPoint(chart, order, tuple(rows))
+    return JetPoint.from_rows(chart, order, rows)
 
 
 def _random_element(
     rng: random.Random, table: _ExpTable
-) -> tuple[list[Fraction], Fraction] | None:
+) -> tuple[list[Fraction | int], Fraction] | None:
     """Draw a group element as letter coefficients and a time t.
 
     Each generator is kept with probability 1/2 and a coefficient from the
     pool.  A level whose combination is zero adds no term, and with no
     term at all no t is drawn and nothing is returned.
     """
-    coeffs: list[Fraction] = []
+    coeffs: list[Fraction | int] = []
     for level, relations in zip(table.levels, table.relations):
-        drawn = [
-            rng.choice(_COEFF_POOL) if rng.random() < 0.5 else Fraction(0)
-            for _ in level
-        ]
-        coeffs.extend([Fraction(0)] * len(level) if relations.contains(drawn) else drawn)
+        drawn = [rng.choice(_COEFF_POOL) if rng.random() < 0.5 else 0 for _ in level]
+        # with no relations only the zero draw is a zero combination
+        if relations.rank and relations.contains(drawn):
+            drawn = [0] * len(level)
+        coeffs.extend(drawn)
     if not any(coeffs):
         return None
     return coeffs, rng.choice(_COEFF_POOL)
@@ -646,17 +752,29 @@ def flowout_sample(
     """Randomized flow-out check: products of unipotent exponentials built
     from the filtration levels, applied to jets of the submanifold, must
     all satisfy the weighted membership equations.  Deterministic for a
-    fixed (count, seed)."""
+    fixed (count, seed).
+
+    Every letter has depth at least 1, so a move keeps the jet's base
+    point.  A sample drawn off the weighted chart therefore stays off it:
+    its group elements are drawn, so later samples do not change, but it
+    is neither moved nor tested."""
     table = _ExpTable.of_filtration(filtration)
+    poles = [f.den for f in weighting.forward if not f.is_polynomial()]
     rng = random.Random(seed)
-    failed = 0
-    first = None
+    tested = failed = off_chart = 0
+    first = first_off = None
     for k in range(count):
         u = _random_tangent_jet(rng, submanifold, filtration.order)
-        for _ in range(rng.randrange(1, 4)):
-            elem = _random_element(rng, table)
+        elems = [_random_element(rng, table) for _ in range(rng.randrange(1, 4))]
+        if poles and any(not q.eval(u.base_point()) for q in poles):
+            off_chart += 1
+            if first_off is None:
+                first_off = k
+            continue
+        for elem in elems:
             if elem is not None:
                 u = table.act(u, *elem)
+        tested += 1
         if not q_membership(u, weighting):
             failed += 1
             if first is None:
@@ -664,4 +782,4 @@ def flowout_sample(
                     "sample": k,
                     "components": [[str(c) for c in row] for row in u.comps],
                 }
-    return SampleReport(tested=count, failed=failed, first_failure=first)
+    return SampleReport(tested, failed, first, off_chart, first_off)

@@ -9,7 +9,7 @@ from fractions import Fraction
 import random
 
 from lieweights.exactalg import Poly
-from lieweights.lieflt import monomials_up_to
+from lieweights.lieflt import Filtration, monomials_up_to
 from lieweights.vfield import Chart, VectorField
 
 COEFFS = tuple(Fraction(n, d) for n in (-2, -1, 1, 2) for d in (1, 2))
@@ -50,3 +50,48 @@ def lift_identity_cases(seed: int, count: int):
         j = rng.randrange(0, r + 1)
         out.append((chart, r, x, y, f, i, j))
     return out
+
+
+CHART_TABC = Chart(("t", "a", "b", "c"))
+# (1, 3, 5) twice: among weights up to 5 it is the only triple in which a
+# correction multiplies a corrected coordinate
+WEIGHT_TRIPLES = [
+    (1, 3, 5), (1, 3, 5), (1, 4, 5), (1, 2, 4), (1, 2, 3), (1, 1, 3), (2, 3, 5)
+]
+
+
+def _random_fiber_poly(rng, variables, degree):
+    # every monomial carries a fiber variable, so the map preserves N
+    out = Poly.zero(4)
+    for _ in range(rng.randint(1, 3)):
+        exps = [0, 0, 0, 0]
+        for _ in range(rng.randint(1, degree)):
+            exps[rng.choice(variables)] += 1
+        if not any(exps[1:]):
+            exps[rng.choice(variables[1:])] += 1
+        coeff = rng.choice([-2, -1, Fraction(1, 2), 1, 3])
+        out = out + Poly.term(4, tuple(exps), coeff)
+    return out
+
+
+def pushed_forward_model(rng: random.Random) -> Filtration:
+    """The graded model s_a(t)*da, s_b(t)*db, s_c(t)*dc on (t, a, b, c),
+    with weights drawn up to 5, pushed forward by the triangular map
+    (t, a, b, c) -> (t, a, b + P(t, a), c + Q(t, a, b))."""
+    weights = rng.choice(WEIGHT_TRIPLES)
+    t, a, b, c = (Poly.variable(4, i) for i in range(4))
+    p_map = _random_fiber_poly(rng, [0, 1], 2)
+    q_map = _random_fiber_poly(rng, [0, 1, 2], 2)
+    image = [t, a, b + p_map, c + q_map]
+    b_back = b - p_map
+    back = [t, a, b_back, c - q_map.subst([t, a, b_back, c])]
+    fields = []
+    for i in (1, 2, 3):
+        scale = rng.choice([Poly.one(4), t, t + 1])
+        coeffs = [(scale * image[j].diff(i)).subst(back) for j in range(4)]
+        fields.append(VectorField(CHART_TABC, coeffs))
+    levels = [
+        tuple(f for f, wt in zip(fields, weights) if wt <= depth)
+        for depth in range(1, weights[-1] + 1)
+    ]
+    return Filtration(CHART_TABC, weights[-1], levels)

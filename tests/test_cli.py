@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from lieweights import cli
 from lieweights.cli import (
     EXIT_FAIL,
     EXIT_INCONCLUSIVE,
@@ -15,6 +16,7 @@ from lieweights.cli import (
     main,
     render_json,
 )
+from lieweights.jets import SampleReport
 from lieweights.vfield import MAX_MONOMIALS, Chart, coordinate_field, parse_scalar
 from lieweights.weightcoord import weighted_coordinates
 
@@ -234,6 +236,30 @@ class TestReport:
     def test_quiet_suppresses_text(self, capsys):
         main(["coords", EXAMPLE1, "--quiet"])
         assert capsys.readouterr().out == ""
+
+    def test_jets_off_the_chart_are_inconclusive(self, capsys):
+        # a/(1 + t) has a pole at t = -1, a base value the sampler draws
+        code = main(["jets", str(PROBLEMS / "singular_chart.json")])
+        out = capsys.readouterr().out
+        assert code == EXIT_INCONCLUSIVE
+        assert "jets           inconclusive  tested=78 failed=0 off_chart=22 " in out
+
+    def test_a_failed_sample_outweighs_off_chart_ones(self, tmp_path, monkeypatch):
+        failure = {"sample": 3, "components": []}
+        monkeypatch.setattr(
+            cli, "flowout_sample", lambda *args: SampleReport(5, 1, failure, 2, 0)
+        )
+        code, report = run_report("jets", HEISENBERG, tmp_path)
+        assert code == EXIT_FAIL
+        data = stage(report, "jets")["data"]
+        assert "reason" not in data
+        assert data["samples"] == {
+            "tested": 5,
+            "failed": 1,
+            "first_failure": failure,
+            "off_chart": 2,
+            "first_off_chart": 0,
+        }
 
 
 class TestFlags:

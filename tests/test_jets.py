@@ -1,13 +1,15 @@
 """Jet bundle layer: evaluation, lifts, epsilon-action, group action, flow-out."""
 
+import random
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import lift_identity_cases, random_field
+from corpus import CHART_TABC, lift_identity_cases, pushed_forward_model
 from lieweights.cli import load_problem
 from lieweights.exactalg import Poly, RatFunc
 from lieweights.lieflt import Filtration, Submanifold
@@ -168,23 +170,70 @@ def unipotent_elements(draw):
     return elem, JetPoint.from_rows(CHART2, order, rows), poly()
 
 
-@given(unipotent_elements())
-@settings(max_examples=40, deadline=None)
-def test_exponentials_match_reference_series(data):
-    elem, u, f = data
-    assert u_exp_apply(elem, f).coefficients == tuple(_reference_exp(elem, f))
-    # the moved jet evaluates each coordinate through exp(-t Y); values of
-    # the image come from lift_all, independently of the jet evaluator
-    moved = u_exp_act(elem, u)
-    jc = JetChart(CHART2, u.order)
-    for a in range(2):
-        image = _reference_exp(elem.inverse(), Poly.variable(2, a))
+def _reference_move(elem, u):
+    """The rows of u moved by elem: each coordinate evaluated through
+    exp(-t Y), with values of the image from lift_all, independently of
+    the jet evaluator."""
+    jc = JetChart(u.chart, u.order)
+    rows = []
+    for a in range(u.chart.dim):
+        image = _reference_exp(elem.inverse(), Poly.variable(u.chart.dim, a))
         row = [Fraction(0)] * (u.order + 1)
         for k, coeff in enumerate(image):
             for i, piece in enumerate(lift_all(jc, coeff)):
                 if i + k <= u.order:
                     row[i + k] += piece.eval(u.flat())
-        assert moved.comps[a] == tuple(row)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+@given(unipotent_elements())
+@settings(max_examples=40, deadline=None)
+def test_exponentials_match_reference_series(data):
+    elem, u, f = data
+    assert u_exp_apply(elem, f).coefficients == tuple(_reference_exp(elem, f))
+    assert u_exp_act(elem, u).comps == _reference_move(elem, u)
+
+
+# generators with non-integral polynomial coefficients and monomials of
+# several degrees, like Cartan's 1/2*x1^2
+CHAIN_FIELDS = tuple(
+    parse_vector_field(src, CHART2)
+    for src in ("dx + 1/2*x^2*dz", "1/3*z*dx - x*dz", "2/3*x*z*dz + dx", "dz")
+)
+
+
+@st.composite
+def chained_moves(draw):
+    order = draw(st.integers(2, 4))
+    small = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 4))
+    letters = [
+        (draw(st.integers(1, order)), draw(st.sampled_from(CHAIN_FIELDS)))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    moves = [
+        ([draw(small) for _ in letters], draw(small))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    rows = draw(
+        st.lists(st.lists(small, min_size=order + 1, max_size=order + 1), min_size=2, max_size=2)
+    )
+    return order, letters, moves, JetPoint.from_rows(CHART2, order, rows)
+
+
+@given(chained_moves())
+@settings(max_examples=40, deadline=None)
+def test_chained_moves_match_reference_series(data):
+    # letter coefficients with mixed denominators, over a table whose
+    # polynomials are not integral: each move must match the reference
+    # series applied to the previous result
+    order, letters, moves, u = data
+    table = _ExpTable(order, letters, (Poly.variable(2, 0), Poly.variable(2, 1)))
+    for coeffs, t in moves:
+        terms = tuple((j, x.scale(c)) for c, (j, x) in zip(coeffs, letters))
+        expected = _reference_move(URElem(CHART2, order, terms, t), u)
+        u = table.act(u, coeffs, t)
+        assert u.comps == expected
 
 
 class TestLiftFunction:
@@ -531,6 +580,105 @@ class TestFlowOut:
                     moved = lifted.field.apply(g)
                     for u in points:
                         assert moved.eval(u.flat()) == 0
+
+
+@cache
+def _rational_models():
+    """Pushed-forward (t, a, b, c) models whose weighted coordinates have
+    denominators in t, with their exponential tables."""
+    sub = Submanifold(CHART_TABC, (0,), (2, 0, 0, 0))
+    rng = random.Random(20260)
+    models = []
+    while len(models) < 4:
+        filt = pushed_forward_model(rng)
+        w = weighted_coordinates(filt, sub).weighted
+        if not all(f.is_polynomial() for f in w.forward):
+            models.append((filt, w, _ExpTable.of_filtration(filt)))
+    return tuple(models)
+
+
+def _series_by_substitution(u, f):
+    jc = JetChart(u.chart, u.order)
+    return TruncSeries(u.order, tuple(piece.eval(u.flat()) for piece in lift_all(jc, f)))
+
+
+def _membership_by_series(u, weighting):
+    """The membership test on rational series: each weighted coordinate
+    num/den is the truncated series of num times the inverse of den's,
+    with values from lift_all."""
+    for p in range(weighting.dim):
+        w = weighting.weights[p]
+        if w == 0:
+            continue
+        f = weighting.forward[p]
+        series = _series_by_substitution(u, f.num) * _series_by_substitution(u, f.den).inverse()
+        if any(series.coefficients[: min(w, u.order + 1)]):
+            return False
+    return True
+
+
+def _outcome(check, u, weighting):
+    try:
+        return check(u, weighting)
+    except ZeroDivisionError:
+        return "no unit denominator"
+
+
+@st.composite
+def jets_on_rational_models(draw):
+    filt, w, table = draw(st.sampled_from(_rational_models()))
+    r = filt.order
+    small = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))
+    tangent = draw(st.lists(small, min_size=r + 1, max_size=r + 1).filter(any))
+    u = JetPoint.from_rows(CHART_TABC, r, [tangent] + [[0] * (r + 1)] * 3)
+    # moved jets lie on the flow-out locus, a perturbed one mostly not
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    for _ in range(draw(st.integers(0, 3))):
+        elem = _random_element(rng, table)
+        if elem is not None:
+            u = table.act(u, *elem)
+    if draw(st.booleans()):
+        rows = [list(row) for row in u.comps]
+        rows[draw(st.integers(1, 3))][draw(st.integers(0, r))] += draw(small)
+        u = JetPoint.from_rows(CHART_TABC, r, rows)
+    return w, u
+
+
+@given(jets_on_rational_models())
+@settings(max_examples=60, deadline=None)
+def test_membership_on_rational_coordinates_matches_series(data):
+    w, u = data
+    assert _outcome(q_membership, u, w) == _outcome(_membership_by_series, u, w)
+
+
+class TestRationalCoordinates:
+    def test_jets_flowed_out_on_the_chart_are_members(self):
+        sub = Submanifold(CHART_TABC, (0,), (2, 0, 0, 0))
+        for filt, w, _ in _rational_models():
+            report = flowout_sample(filt, sub, w, count=20, seed=3)
+            assert report.tested > 0
+            assert report.failed == 0
+
+    def test_a_denominator_that_is_no_unit_is_rejected(self):
+        # a/(1 + t) at t = -1: the numerator alone vanishes to every order,
+        # and the jet must still not count as tested
+        spec = load_problem(str(PROBLEMS / "singular_chart.json"))
+        w = weighted_coordinates(spec.filtration, spec.submanifold).weighted
+        t = Poly.variable(3, 0)
+        assert w.forward[1] == RatFunc(Poly.variable(3, 1), t + 1)
+        rows = [(-1, 1, 0), (0, 0, 0), (0, 0, 0)]
+        with pytest.raises(ZeroDivisionError):
+            q_membership(JetPoint.from_rows(spec.chart, 2, rows), w)
+        rows[0] = (2, 1, 0)
+        assert q_membership(JetPoint.from_rows(spec.chart, 2, rows), w)
+
+    def test_off_chart_samples_are_counted_not_tested(self):
+        spec = load_problem(str(PROBLEMS / "singular_chart.json"))
+        w = weighted_coordinates(spec.filtration, spec.submanifold).weighted
+        report = flowout_sample(spec.filtration, spec.submanifold, w, count=100, seed=0)
+        assert report.failed == 0 and report.first_failure is None
+        assert report.off_chart == 22 and report.first_off_chart == 2
+        assert report.tested + report.off_chart == 100
 
 
 class TestQDimension:

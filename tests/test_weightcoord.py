@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpus import CHART_TABC, pushed_forward_model
 from lieweights.exactalg import Poly, RatFunc
 from lieweights.lieflt import (
     Filtration,
@@ -357,58 +358,13 @@ def test_correction_of_a_corrected_coordinate_inverts():
     assert _compositions_are_identity(w)
 
 
-CHART_TABC = Chart(("t", "a", "b", "c"))
-# (1, 3, 5) twice: among weights up to 5 it is the only triple in which a
-# correction multiplies a corrected coordinate
-WEIGHT_TRIPLES = [
-    (1, 3, 5), (1, 3, 5), (1, 4, 5), (1, 2, 4), (1, 2, 3), (1, 1, 3), (2, 3, 5)
-]
-
-
-def _random_fiber_poly(rng, variables, degree):
-    # every monomial carries a fiber variable, so the map preserves N
-    out = Poly.zero(4)
-    for _ in range(rng.randint(1, 3)):
-        exps = [0, 0, 0, 0]
-        for _ in range(rng.randint(1, degree)):
-            exps[rng.choice(variables)] += 1
-        if not any(exps[1:]):
-            exps[rng.choice(variables[1:])] += 1
-        coeff = rng.choice([-2, -1, Fraction(1, 2), 1, 3])
-        out = out + Poly.term(4, tuple(exps), coeff)
-    return out
-
-
-def _pushed_forward_model(rng):
-    """The graded model s_a(t)*da, s_b(t)*db, s_c(t)*dc on (t, a, b, c),
-    with weights drawn up to 5, pushed forward by the triangular map
-    (t, a, b, c) -> (t, a, b + P(t, a), c + Q(t, a, b))."""
-    weights = rng.choice(WEIGHT_TRIPLES)
-    t, a, b, c = (Poly.variable(4, i) for i in range(4))
-    p_map = _random_fiber_poly(rng, [0, 1], 2)
-    q_map = _random_fiber_poly(rng, [0, 1, 2], 2)
-    image = [t, a, b + p_map, c + q_map]
-    b_back = b - p_map
-    back = [t, a, b_back, c - q_map.subst([t, a, b_back, c])]
-    fields = []
-    for i in (1, 2, 3):
-        scale = rng.choice([Poly.one(4), t, t + 1])
-        coeffs = [(scale * image[j].diff(i)).subst(back) for j in range(4)]
-        fields.append(VectorField(CHART_TABC, coeffs))
-    levels = [
-        tuple(f for f, wt in zip(fields, weights) if wt <= depth)
-        for depth in range(1, weights[-1] + 1)
-    ]
-    return Filtration(CHART_TABC, weights[-1], levels)
-
-
 def test_both_compositions_are_identity_on_pushed_forward_models():
     # N = {a = b = c = 0} at t = 2: the pairing entries depend on t
     sub = Submanifold(CHART_TABC, (0,), (2, 0, 0, 0))
     rng = random.Random(20260)
     nested = 0
     for case in range(24):
-        result = weighted_coordinates(_pushed_forward_model(rng), sub)
+        result = weighted_coordinates(pushed_forward_model(rng), sub)
         assert _compositions_are_identity(result.weighted), case
         active = [rec for rec in result.corrections if rec.coefficient]
         corrected = {rec.position - sub.dim for rec in active}
