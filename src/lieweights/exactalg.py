@@ -716,28 +716,44 @@ class RowEchelon:
             for _, row in sorted(self.pivot_rows.items())
         )
 
-    def solve(self, ncols: int) -> LinearSolution | None:
-        """Solve A x = b for held rows [A | b], b in column ncols.
+    def particular(self, ncols: int, rhs: int) -> tuple | None:
+        """A particular solution of A x = b for held rows [A | B]: A is
+        columns < ncols, and b is column rhs >= ncols of B.
 
-        The particular solution sets the free variables to 0; nullspace
-        vector number k has a 1 at the k-th free column.  None when the
-        reduced form has a pivot in the b column (a row 0 = 1).
+        The free variables are set to 0, so x is b's entries on the rows
+        with their pivot in A.  None when b is not in the span of A's
+        columns, that is when a row with its pivot in B has an entry in
+        column rhs (with one right-hand side, a row 0 = 1).  The reduced
+        form of [A | B] restricted to A and b is that of [A | b], so the
+        other columns of B do not change the result.
         """
-        if ncols in self.pivot_rows:
+        x = [Fraction(0)] * ncols
+        for p, row in self.pivot_rows.items():
+            if rhs in row:
+                if p >= ncols:
+                    return None
+                x[p] = row[rhs]
+        return tuple(x)
+
+    def solve(self, ncols: int) -> LinearSolution | None:
+        """Solve A x = b, b in column ncols, as in particular(), with a
+        basis of the nullspace of A: vector number k has a 1 at the k-th
+        free column of A.  Rows with their pivot at or past ncols have no
+        entries in A, and the basis skips columns >= ncols, so it is that
+        of A alone."""
+        particular = self.particular(ncols, ncols)
+        if particular is None:
             return None
         zero = Fraction(0)
-        particular = [zero] * ncols
         basis = {c: [zero] * ncols for c in range(ncols) if c not in self.pivot_rows}
         for c, vec in basis.items():
             vec[c] = Fraction(1)
         for p, row in self.pivot_rows.items():
             for c, x in row.items():
-                if c == ncols:
-                    particular[p] = x
-                elif c != p:
+                if c < ncols and c != p:
                     basis[c][p] = -x
         return LinearSolution(
-            particular=tuple(particular),
+            particular=particular,
             nullspace=tuple(tuple(vec) for vec in basis.values()),
         )
 

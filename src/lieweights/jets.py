@@ -43,7 +43,7 @@ from math import factorial, gcd, lcm
 from typing import Sequence
 
 from .exactalg import Poly, RatFunc, RowEchelon
-from .lieflt import Filtration, Submanifold, field_entries, module_solve
+from .lieflt import Filtration, Submanifold, field_entries, transposed
 from .vfield import Chart, VectorField
 from .weightcoord import WeightedChart
 
@@ -447,6 +447,18 @@ def _coordinates(n: int) -> tuple[Poly, ...]:
     return tuple(Poly.variable(n, a) for a in range(n))
 
 
+def _primitive_rows(span: RowEchelon, width: int) -> tuple[tuple[int, ...], ...]:
+    """The held rows, dense over columns 0..width - 1, scaled to coprime
+    integers."""
+    out = []
+    for row in span.pivot_rows.values():
+        scale = lcm(*[x.denominator for x in row.values()])
+        ints = [int(row.get(c, 0) * scale) for c in range(width)]
+        g = gcd(*ints)
+        out.append(tuple(x // g for x in ints))
+    return tuple(out)
+
+
 class _ExpTable:
     """Word expansion of exp(s * Y), Y = sum_L c_L * eps^(depth L) * X_L,
     on fixed target functions, with the letter coefficients c_L and the
@@ -463,8 +475,11 @@ class _ExpTable:
     empty word, which leaves the targets as they are, has no entry.  A
     field sequence whose polynomials are all zero is dropped together
     with every extension of it.  `levels` groups the letter indices by
-    depth 1..order, and `relations[d - 1]` spans the coefficient vectors
-    on level d's letters whose combination of fields is zero.
+    depth 1..order.  `row_spaces[d - 1]` holds primitive integer rows
+    spanning the row space of level d's letter matrix (one column of
+    field entries per letter), so that coefficients on those letters
+    combine the fields to zero exactly when every row is orthogonal to
+    them (`cancels`); it is None when the letters are independent.
     """
 
     def __init__(
@@ -490,9 +505,13 @@ class _ExpTable:
                 fields.append(x)
                 by_field.append([])
             by_field[field_ids[key]].append(i)
-        self.relations = tuple(
-            RowEchelon(module_solve([letter_entries[i] for i in level]).nullspace)
+        spans = [
+            RowEchelon(transposed([letter_entries[i] for i in level]))
             for level in self.levels
+        ]
+        self.row_spaces = tuple(
+            None if span.rank == len(level) else _primitive_rows(span, len(level))
+            for span, level in zip(spans, self.levels)
         )
         entries: list[tuple[tuple[Poly, ...], list]] = []
         current = [(self.targets, [((), 0)])]
@@ -529,6 +548,14 @@ class _ExpTable:
             )
             for polys, words in entries
         ]
+
+    def cancels(self, depth: int, ints: Sequence[int]) -> bool:
+        """Whether integer coefficients on level depth's letters combine
+        their fields to zero."""
+        rows = self.row_spaces[depth - 1]
+        if rows is None:
+            return not any(ints)
+        return not any(sum([a * b for a, b in zip(row, ints)]) for row in rows)
 
     @classmethod
     def of_filtration(cls, filtration: Filtration) -> "_ExpTable":
@@ -683,6 +710,8 @@ def q_dimension(ranks: Sequence[int]) -> QDimension:
 _COEFF_POOL = tuple(
     Fraction(num, den) for num in (-2, -1, 1, 2) for den in (1, 2, 3)
 )
+# scales a pool draw to integers
+_POOL_LCM = lcm(*[c.denominator for c in _COEFF_POOL])
 
 
 @dataclass(frozen=True)
@@ -731,10 +760,12 @@ def _random_element(
     term at all no t is drawn and nothing is returned.
     """
     coeffs: list[Fraction | int] = []
-    for level, relations in zip(table.levels, table.relations):
+    for depth, level in enumerate(table.levels, 1):
         drawn = [rng.choice(_COEFF_POOL) if rng.random() < 0.5 else 0 for _ in level]
-        # with no relations only the zero draw is a zero combination
-        if relations.rank and relations.contains(drawn):
+        # with independent letters only the zero draw is a zero combination
+        if table.row_spaces[depth - 1] is not None and table.cancels(
+            depth, [c.numerator * (_POOL_LCM // c.denominator) for c in drawn]
+        ):
             drawn = [0] * len(level)
         coeffs.extend(drawn)
     if not any(coeffs):

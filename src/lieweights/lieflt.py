@@ -240,6 +240,15 @@ def module_columns(
     return cols
 
 
+def transposed(columns: Sequence[dict[RowKey, Fraction]]) -> list[dict[int, Fraction]]:
+    """One sparse row per (component, monomial) key: entry k is column k's."""
+    rows: dict[RowKey, dict[int, Fraction]] = {}
+    for k, col in enumerate(columns):
+        for rk, value in col.items():
+            rows.setdefault(rk, {})[k] = value
+    return list(rows.values())
+
+
 def module_solve(
     columns: Sequence[dict[RowKey, Fraction]],
     target: dict[RowKey, Fraction] | None = None,
@@ -251,14 +260,8 @@ def module_solve(
     means 0.  The reduced echelon form is unique, so the row order does
     not matter.
     """
-    ncols = len(columns)
-    rows: dict[RowKey, dict[int, Fraction]] = {}
-    for k, col in enumerate(columns):
-        for rk, value in col.items():
-            rows.setdefault(rk, {})[k] = value
-    for rk, value in (target or {}).items():
-        rows.setdefault(rk, {})[ncols] = value
-    return RowEchelon(rows.values()).solve(ncols)
+    rows = transposed([*columns, target or {}])
+    return RowEchelon(rows).solve(len(columns))
 
 
 def unpack_coefficients(
@@ -272,34 +275,68 @@ def unpack_coefficients(
     )
 
 
-def module_membership(
-    v: VectorField, gens: Sequence[VectorField], degree_bound: int
-) -> TriState:
-    """Decide v = sum u_j g_j with polynomial u_j of degree <= degree_bound.
+def module_membership_batch(
+    fields: Sequence[VectorField], gens: Sequence[VectorField], degree_bound: int
+) -> tuple[TriState, ...]:
+    """Decide v = sum u_j g_j with polynomial u_j of degree <= degree_bound
+    for every field v of the batch, one verdict per field in order.
+
+    One elimination serves the batch: the transposed system of
+    module_columns(gens, monos) with field t as right-hand column
+    ncols + t.  A field is feasible exactly when no reduced row with its
+    pivot at or past ncols has an entry in its column, and its particular
+    solution is then that column's entries on the other rows
+    (RowEchelon.particular).  RREF is unique and rows that vanish on the
+    generator columns do not change a feasible column, so each verdict
+    and certificate equals that of solving the field on its own.
 
     A pass certificate is the tuple of coefficient polynomials; a fail
-    certificate is a point where v leaves the pointwise span of the
-    generators.  When neither a bounded solution nor a witness exists the
-    verdict is inconclusive.
+    certificate is the first point of sample_points where v leaves the
+    pointwise span of the generators.  When neither a bounded solution nor
+    a witness exists the verdict is inconclusive.
     """
-    chart = v.chart
-    for g in gens:
-        if g.chart != chart:
-            raise ValueError("generators live on a different chart")
-    if not v.has_poly_coeffs() or not all(g.has_poly_coeffs() for g in gens):
+    if not fields:
+        return ()
+    chart = fields[0].chart
+    if any(x.chart != chart for x in (*fields, *gens)):
+        raise ValueError("fields and generators live on different charts")
+    if not all(x.has_poly_coeffs() for x in (*fields, *gens)):
         raise ValueError("module membership needs polynomial coefficients")
     n = chart.dim
     monos = monomials_up_to(n, degree_bound)
-    solution = module_solve(module_columns(gens, monos), field_entries(v))
-    if solution is not None:
-        return TriState.passed(
-            unpack_coefficients(solution.particular, len(gens), monos, n)
-        )
+    columns = module_columns(gens, monos)
+    ncols = len(columns)
+    span = RowEchelon(transposed(columns + [field_entries(v) for v in fields]))
+    results: list[TriState] = []
+    pending: list[int] = []
+    for t in range(len(fields)):
+        solution = span.particular(ncols, ncols + t)
+        if solution is None:
+            results.append(TriState.undecided("degree_bound"))
+            pending.append(t)
+        else:
+            coeffs = unpack_coefficients(solution, len(gens), monos, n)
+            results.append(TriState.passed(coeffs))
     for point in sample_points(n):
-        span = RowEchelon(g.value_at(point) for g in gens)
-        if not span.contains(v.value_at(point)):
-            return TriState.failed(point)
-    return TriState.undecided("degree_bound")
+        if not pending:
+            break
+        pointwise = RowEchelon(g.value_at(point) for g in gens)
+        inside = []
+        for t in pending:
+            if pointwise.contains(fields[t].value_at(point)):
+                inside.append(t)
+            else:
+                results[t] = TriState.failed(point)
+        pending = inside
+    return tuple(results)
+
+
+def module_membership(
+    v: VectorField, gens: Sequence[VectorField], degree_bound: int
+) -> TriState:
+    """Decide v = sum u_j g_j with polynomial u_j of degree <= degree_bound:
+    module_membership_batch on the one field v."""
+    return module_membership_batch([v], gens, degree_bound)[0]
 
 
 @dataclass(frozen=True)
@@ -338,15 +375,17 @@ def check_bracket_compat(
 ) -> BracketCompatReport:
     """Verify [H_{-i}, H_{-j}] <= H_{-(i+j)} on all generator pairs.
 
-    Pairs with i + j beyond the filtration order land in the full module
-    of vector fields and pass with the tautological coordinate-field
-    certificate.
+    Every pair with the same i + j is tested against the same target
+    module, so the brackets are grouped by target level and each level
+    is one module_membership_batch call: one elimination, with each
+    bracket as its own right-hand side.  Pairs with i + j beyond the
+    filtration order land in the full module of vector fields and pass
+    with the tautological coordinate-field certificate.
     """
     if degree_bound is None:
         degree_bound = filtration.default_degree_bound()
-    chart = filtration.chart
-    checks: list[BracketCheck] = []
     r = filtration.order
+    pairs = []
     for i in range(1, r + 1):
         for j in range(i, r + 1):
             gens_i = filtration.levels[i - 1]
@@ -355,16 +394,23 @@ def check_bracket_compat(
                 for gj, h in enumerate(gens_j):
                     if i == j and gj < gi:
                         continue
-                    bracket = lie_bracket(g, h)
-                    if i + j <= r:
-                        targets = filtration.generators(i + j)
-                        result = module_membership(bracket, targets, degree_bound)
-                    else:
-                        cert = tuple(bracket.poly_coeffs()) + tuple(
-                            Poly.zero(chart.dim) for _ in filtration.generators(r)
-                        )
-                        result = TriState.passed(cert)
-                    checks.append(BracketCheck(i, j, gi, gj, result))
+                    pairs.append((i, j, gi, gj, lie_bracket(g, h)))
+    by_level: dict[int, list[VectorField]] = {}
+    for i, j, _, _, bracket in pairs:
+        if i + j <= r:
+            by_level.setdefault(i + j, []).append(bracket)
+    verdicts = {
+        k: iter(module_membership_batch(brackets, filtration.generators(k), degree_bound))
+        for k, brackets in by_level.items()
+    }
+    padding = tuple(Poly.zero(filtration.chart.dim) for _ in filtration.generators(r))
+    checks = []
+    for i, j, gi, gj, bracket in pairs:
+        if i + j <= r:
+            result = next(verdicts[i + j])
+        else:
+            result = TriState.passed(tuple(bracket.poly_coeffs()) + padding)
+        checks.append(BracketCheck(i, j, gi, gj, result))
     return BracketCompatReport(tuple(checks))
 
 

@@ -406,6 +406,26 @@ def test_kernel_matches_sympy_rref(system):
     )
 
 
+@settings(max_examples=150, deadline=None)
+@given(sparse_systems(), st.lists(st.integers(0, 3), min_size=1, max_size=4))
+def test_solve_reads_each_right_hand_column_as_alone(system, picks):
+    # B's columns are drawn, with repeats, from the often infeasible rhs,
+    # the zero column, A's first column and their sum; each must solve as
+    # if it were the only one
+    rows, rhs, _ = system
+    n = len(rows[0])
+    first = [r[0] for r in rows]
+    choices = [rhs, [Fraction(0)] * len(rows), first, [a + b for a, b in zip(first, rhs)]]
+    columns = [choices[k] for k in picks]
+    echelon = RowEchelon(row + [col[i] for col in columns] for i, row in enumerate(rows))
+    for t, col in enumerate(columns):
+        alone = RowEchelon(row + [b] for row, b in zip(rows, col)).solve(n)
+        assert echelon.particular(n, n + t) == (alone.particular if alone else None)
+        if t == 0:
+            # the nullspace is A's, whatever B holds past the first column
+            assert echelon.solve(n) == alone
+
+
 def test_ratfunc_inverse_multiplies_back_to_identity():
     x, y = Poly.variable(2, 0), Poly.variable(2, 1)
     one = Poly.one(2)

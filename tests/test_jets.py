@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import CHART_TABC, lift_identity_cases, pushed_forward_model
+from corpus import CHART_TABC, lift_identity_cases, pushed_forward_model, random_field
 from lieweights.cli import load_problem
 from lieweights.exactalg import Poly, RatFunc
 from lieweights.lieflt import Filtration, Submanifold
@@ -527,7 +527,27 @@ class TestFlowOut:
         combo = VectorField(chart, [0, 0])
         for c, g in zip(coeffs, gens):
             combo = combo + g.scale(c)
-        assert table.relations[0].contains(coeffs) == combo.is_zero()
+        assert table.cancels(1, coeffs) == combo.is_zero()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 10**6),
+        st.lists(st.integers(-2, 2), min_size=2, max_size=2),
+        st.lists(st.integers(-2, 2), min_size=4, max_size=4),
+    )
+    def test_integer_zero_test_matches_field_combination(self, seed, mix, coeffs):
+        # two random fields, a combination of them and the zero field: the
+        # level has relations unless the random fields are dependent
+        chart = Chart(("x", "y"))
+        rng = random.Random(seed)
+        a, b = (random_field(rng, chart, 1) for _ in range(2))
+        zero = VectorField(chart, [0, 0])
+        gens = (a, b, a.scale(mix[0]) + b.scale(mix[1]), zero)
+        table = _ExpTable(1, [(1, g) for g in gens], ())
+        combo = zero
+        for c, g in zip(coeffs, gens):
+            combo = combo + g.scale(c)
+        assert table.cancels(1, coeffs) == combo.is_zero()
 
     def test_cancelling_levels_draw_no_time(self):
         # level -1 lists dx and -dx: a combination can cancel, and when no

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from lieweights.exactalg import (
     LinearSolution,
     Poly,
+    RowEchelon,
     grlex_key,
     linear_solve_exact,
     matrix_rank,
@@ -21,12 +22,17 @@ from lieweights.lieflt import (
     Filtration,
     Submanifold,
     check_bracket_compat,
+    TriState,
     check_clean,
+    field_entries,
+    module_columns,
     module_membership,
+    module_membership_batch,
     module_solve,
     monomials_up_to,
     sample_points,
     tangency_solve,
+    unpack_coefficients,
     weight_sequence,
 )
 from lieweights.vfield import Chart, VectorField, coordinate_field, parse_vector_field
@@ -179,6 +185,109 @@ def test_membership_certificates_resubstitute(coeffs):
         for a, c in enumerate(g.poly_coeffs()):
             rebuilt[a] = rebuilt[a] + u * c
     assert VectorField(CHART, rebuilt) == v
+
+
+def per_field_membership(v, gens, degree_bound):
+    """Oracle: membership as decided before batching, one elimination and
+    one witness scan per field."""
+    chart = v.chart
+    for g in gens:
+        if g.chart != chart:
+            raise ValueError("generators live on a different chart")
+    if not v.has_poly_coeffs() or not all(g.has_poly_coeffs() for g in gens):
+        raise ValueError("module membership needs polynomial coefficients")
+    n = chart.dim
+    monos = monomials_up_to(n, degree_bound)
+    solution = module_solve(module_columns(gens, monos), field_entries(v))
+    if solution is not None:
+        return TriState.passed(
+            unpack_coefficients(solution.particular, len(gens), monos, n)
+        )
+    for point in sample_points(n):
+        span = RowEchelon(g.value_at(point) for g in gens)
+        if not span.contains(v.value_at(point)):
+            return TriState.failed(point)
+    return TriState.undecided("degree_bound")
+
+
+LINEAR_MONOS = monomials_up_to(3, 1)
+
+
+@st.composite
+def small_poly(draw, monos=LINEAR_MONOS):
+    terms = {}
+    for _ in range(draw(st.integers(0, 2))):
+        terms[draw(st.sampled_from(monos))] = Fraction(draw(st.integers(-2, 2)))
+    return Poly(3, terms)
+
+
+@st.composite
+def small_field(draw):
+    return VectorField(CHART, [draw(small_poly()) for _ in range(3)])
+
+
+@st.composite
+def membership_batches(draw):
+    """(fields, gens, bound): combinations of the generators with
+    coefficients of degree <= 2, so some need more than the bound, and
+    random fields, often infeasible; plus the zero field, and a repeat of
+    the first field the oracle does not pass."""
+    gens = draw(st.lists(small_field(), min_size=1, max_size=3))
+    bound = draw(st.integers(0, 2))
+    fields = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            v = VectorField(CHART, [0, 0, 0])
+            for g in gens:
+                v = v + g.scale(draw(small_poly(monomials_up_to(3, 2))))
+            fields.append(v)
+        else:
+            fields.append(draw(small_field()))
+    fields.insert(draw(st.integers(0, len(fields))), VectorField(CHART, [0, 0, 0]))
+    for v in fields:
+        if per_field_membership(v, gens, bound).verdict != PASS:
+            fields.append(v)
+            break
+    return fields, gens, bound
+
+
+@settings(max_examples=120, deadline=None)
+@given(membership_batches())
+def test_batch_membership_matches_per_field_oracle(batch):
+    fields, gens, bound = batch
+    expected = tuple(per_field_membership(v, gens, bound) for v in fields)
+    assert module_membership_batch(fields, gens, bound) == expected
+    assert module_membership(fields[-1], gens, bound) == expected[-1]
+
+
+def test_batch_repeats_an_infeasible_field():
+    # dz is not in the span at the origin; its repeat must not be read as
+    # feasible off the row that the first copy pivots on
+    gens = [vf("dx"), vf("dy + x*dz")]
+    dz, inside = vf("dz"), vf("y*dx + dy + x*dz")
+    results = module_membership_batch([dz, inside, dz, VectorField(CHART, [0, 0, 0])], gens, 1)
+    assert [r.verdict for r in results] == [FAIL, PASS, FAIL, PASS]
+    assert results[0] == results[2] == per_field_membership(dz, gens, 1)
+    assert results[1].certificate == (CHART.var("y"), Poly.one(3))
+    assert results[3].certificate == (Poly.zero(3), Poly.zero(3))
+    assert module_membership_batch([], gens, 1) == ()
+
+
+def test_membership_rejects_foreign_chart_and_rational_coefficients():
+    other = parse_vector_field("du", Chart(("u", "v", "w")))
+    rational = vf("1/(1 + x)*dx")
+    with pytest.raises(ValueError):
+        module_membership(other, [vf("dx")], 1)
+    with pytest.raises(ValueError):
+        module_membership(vf("dx"), [other], 1)
+    with pytest.raises(ValueError):
+        module_membership_batch([vf("dx"), other], [vf("dx")], 1)
+    with pytest.raises(ValueError):
+        module_membership(rational, [vf("dx")], 1)
+    with pytest.raises(ValueError):
+        module_membership(vf("dx"), [rational], 1)
+    with pytest.raises(ValueError):
+        module_membership_batch([vf("dx"), rational], [vf("dx")], 1)
 
 
 def test_sample_points_deterministic():
