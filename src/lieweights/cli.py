@@ -140,7 +140,10 @@ def load_problem(
         raise ProblemError(f"{path}: variables must be a list of names")
     if len(set(variables)) != len(variables):
         raise ProblemError(f"{path}: variable names must be distinct")
-    chart = Chart(tuple(variables))
+    try:
+        chart = Chart(tuple(variables))
+    except ValueError as exc:
+        raise ProblemError(f"{path}: {exc}") from exc
     n = chart.dim
 
     order = _require(doc, "order", path)

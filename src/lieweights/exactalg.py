@@ -292,13 +292,13 @@ class Poly:
                         term = term * images[i] ** e
                 acc_p = acc_p + term
             return acc_p
-        acc = RatFunc.from_poly(Poly.zero(target))
+        acc = RatFunc(Poly.zero(target))
         for mono, c in self.sorted_terms():
-            term = RatFunc.from_poly(Poly.const(target, c))
+            term = RatFunc(Poly.const(target, c))
             for i, e in enumerate(mono):
                 if e:
                     img = images[i]
-                    rf = img if isinstance(img, RatFunc) else RatFunc.from_poly(img)
+                    rf = img if isinstance(img, RatFunc) else RatFunc(img)
                     term = term * rf ** e
             acc = acc + term
         return acc
@@ -356,6 +356,8 @@ def divide_exact(f: Poly, g: Poly) -> Poly | None:
         return Poly.zero(f.nvars)
     if f.nvars != g.nvars:
         raise ValueError("polynomial dimension mismatch")
+    if g.is_one():
+        return f
     lm_g = g.leading_monomial()
     lc_g = g.terms[lm_g]
     quotient: dict[Monomial, Fraction] = {}
@@ -499,10 +501,6 @@ class RatFunc:
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc is immutable")
-
-    @staticmethod
-    def from_poly(p: Poly) -> "RatFunc":
-        return RatFunc(p)
 
     @staticmethod
     def const(nvars: int, value: ScalarLike) -> "RatFunc":

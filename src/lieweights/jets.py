@@ -370,12 +370,10 @@ def lift_vf(jc: JetChart, x: VectorField, j: int) -> LiftedVF:
         raise ValueError("field does not live on the jet chart's base")
     if not 0 <= j <= jc.order:
         raise ValueError("lift depth out of range")
-    if not x.has_poly_coeffs():
-        raise ValueError("lifting requires polynomial coefficients")
     n = jc.base.dim
     r = jc.order
     coeffs: list[Poly] = [Poly.zero(jc.dim) for _ in range(jc.dim)]
-    for a, comp in enumerate(x.poly_coeffs()):
+    for a, comp in enumerate(x.coeffs):
         if comp.is_zero():
             continue
         pieces = lift_all(jc, comp)
@@ -436,8 +434,6 @@ class URElem:
                 raise ValueError("unipotent terms need depth between 1 and the order")
             if x.chart != self.chart:
                 raise ValueError("term field lives on the wrong chart")
-            if not x.has_poly_coeffs():
-                raise ValueError("unipotent terms require polynomial coefficients")
 
     def inverse(self) -> "URElem":
         return URElem(self.chart, self.order, self.terms, -self.t)

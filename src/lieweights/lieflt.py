@@ -121,8 +121,6 @@ class Filtration:
             for g in gens:
                 if g.chart != chart:
                     raise ValueError("generator lives on a different chart")
-                if not g.has_poly_coeffs():
-                    raise ValueError("filtration generators must have polynomial coefficients")
             frozen.append(gens)
         nested = all(
             all(g in frozen[i + 1] for g in frozen[i]) for i in range(order - 1)
@@ -150,7 +148,7 @@ class Filtration:
         deg = 0
         for gens in self.levels:
             for g in gens:
-                for c in g.poly_coeffs():
+                for c in g.coeffs:
                     deg = max(deg, c.total_degree())
         return deg
 
@@ -214,10 +212,10 @@ RowKey = tuple[int, tuple[int, ...]]
 
 
 def field_entries(field: VectorField) -> dict[RowKey, Fraction]:
-    """Nonzero coefficients of a polynomial field keyed (component, monomial)."""
+    """Nonzero coefficients of a field keyed (component, monomial)."""
     return {
         (a, mono): value
-        for a, c in enumerate(field.poly_coeffs())
+        for a, c in enumerate(field.coeffs)
         for mono, value in c.terms.items()
     }
 
@@ -300,8 +298,6 @@ def module_membership_batch(
     chart = fields[0].chart
     if any(x.chart != chart for x in (*fields, *gens)):
         raise ValueError("fields and generators live on different charts")
-    if not all(x.has_poly_coeffs() for x in (*fields, *gens)):
-        raise ValueError("module membership needs polynomial coefficients")
     n = chart.dim
     monos = monomials_up_to(n, degree_bound)
     columns = module_columns(gens, monos)
@@ -409,7 +405,7 @@ def check_bracket_compat(
         if i + j <= r:
             result = next(verdicts[i + j])
         else:
-            result = TriState.passed(tuple(bracket.poly_coeffs()) + padding)
+            result = TriState.passed(bracket.coeffs + padding)
         checks.append(BracketCheck(i, j, gi, gj, result))
     return BracketCompatReport(tuple(checks))
 
@@ -450,7 +446,7 @@ def check_clean(filtration: Filtration, submanifold: Submanifold) -> CleanResult
         if depth >= 1:
             for g in filtration.generators(depth):
                 columns.append(
-                    [RatFunc(restrict_zero(c, fiber)) for c in g.poly_coeffs()]
+                    [RatFunc(restrict_zero(c, fiber)) for c in g.coeffs]
                 )
         rows = [[col[a] for col in columns] for a in range(n)]
         generic = matrix_rank(rows)

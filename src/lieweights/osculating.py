@@ -45,6 +45,7 @@ from .weightcoord import (
     push_to_weighted,
     vf_degree_in_chart,
     weighted_coordinates,
+    weighted_multiindices,
 )
 
 Vector = tuple[Fraction, ...]
@@ -73,7 +74,7 @@ def _centred(
     n = len(point)
     shift = [Poly.variable(n, i) + Poly.const(n, v) for i, v in enumerate(point)]
     return tuple(
-        VectorField(g.chart, [c.subst(shift) for c in g.poly_coeffs()]) for g in fields
+        VectorField(g.chart, [c.subst(shift) for c in g.coeffs]) for g in fields
     )
 
 
@@ -423,35 +424,6 @@ def bch(
     return tuple(acc)
 
 
-def _fiber_monos_of_weight(
-    weights: Sequence[int], target: int
-) -> list[tuple[int, ...]]:
-    """Multi-indices supported on the positive-weight positions with
-    weighted degree exactly target, graded-lex ascending."""
-    n = len(weights)
-    out: list[tuple[int, ...]] = []
-
-    def rec(pos: int, remaining: int, cur: list[int]) -> None:
-        if pos == n:
-            if remaining == 0:
-                out.append(tuple(cur))
-            return
-        w = weights[pos]
-        if w == 0:
-            cur.append(0)
-            rec(pos + 1, remaining, cur)
-            cur.pop()
-            return
-        for e in range(remaining // w + 1):
-            cur.append(e)
-            rec(pos + 1, remaining - e * w, cur)
-            cur.pop()
-
-    rec(0, target, [])
-    out.sort(key=grlex_key)
-    return out
-
-
 def fiber_class_pairs(
     weighting: WeightedChart, depth: int
 ) -> tuple[tuple[int, tuple[int, ...]], ...]:
@@ -462,12 +434,19 @@ def fiber_class_pairs(
     exactly (weight of p) - depth.  Labels with s = 0 span the complement
     of the tangent part; there is one for each position of weight depth.
     """
+    k0 = weighting.submanifold.dim
+    fiber_weights = weighting.weights[k0:]
     out: list[tuple[int, tuple[int, ...]]] = []
     for p in range(weighting.dim):
         target = weighting.weights[p] - depth
         if target < 0:
             continue
-        for phi in _fiber_monos_of_weight(weighting.weights, target):
+        exact = [
+            (0,) * k0 + s
+            for s in weighted_multiindices(fiber_weights, target)
+            if sum(e * w for e, w in zip(s, fiber_weights)) == target
+        ]
+        for phi in sorted(exact, key=grlex_key):
             out.append((p, phi))
     return tuple(out)
 
@@ -476,8 +455,11 @@ def _frozen_fiber_part(coeff, weighting: WeightedChart, degree: int) -> Poly:
     """Freeze the weight-0 variables at the base point and return the
     weighted-homogeneous part of the given degree.
 
-    Rational coefficients are expanded as a finite geometric series; the
-    denominator must not vanish at the base point.
+    The coefficient must have weighted degree at least `degree`, as
+    weighted_fiber_class ensures.  A frozen denominator is its constant
+    term c0 plus terms of positive weight, so only c0 meets the
+    numerator's part of that degree: a rational coefficient contributes
+    that part divided by c0, which must not vanish.
     """
     n = weighting.dim
     base = weighting.base_point_weighted()
@@ -486,37 +468,15 @@ def _frozen_fiber_part(coeff, weighting: WeightedChart, degree: int) -> Poly:
         for p in range(n)
     ]
     frozen = coeff.subst(images)
-    if isinstance(frozen, RatFunc) and frozen.is_polynomial():
-        frozen = frozen.as_poly()
-    if isinstance(frozen, Poly):
-        return poly_weight_part(frozen, weighting.weights, degree)
-    num, den = frozen.num, frozen.den
-    c0 = den.terms.get((0,) * n, Fraction(0))
-    if c0 == 0:
-        raise ZeroDivisionError("denominator vanishes at the base point")
-    h = den - Poly.const(n, c0)
-    inv = Poly.const(n, Fraction(1, 1) / c0)
-    power = Poly.one(n)
-    for k in range(1, degree + 1):
-        power = _weight_chop(power * h, weighting.weights, degree)
-        if power.is_zero():
-            break
-        sign = Fraction((-1) ** k) / c0 ** (k + 1)
-        inv = inv + power * Poly.const(n, sign)
-    return poly_weight_part(
-        _weight_chop(num * inv, weighting.weights, degree), weighting.weights, degree
-    )
-
-
-def _weight_chop(p: Poly, weights: Sequence[int], cap: int) -> Poly:
-    return Poly(
-        p.nvars,
-        {
-            mono: c
-            for mono, c in p.terms.items()
-            if sum(e * w for e, w in zip(mono, weights)) <= cap
-        },
-    )
+    if isinstance(frozen, RatFunc):
+        if not frozen.is_polynomial():
+            c0 = frozen.den.terms.get((0,) * n, Fraction(0))
+            if c0 == 0:
+                raise ZeroDivisionError("denominator vanishes at the base point")
+            part = poly_weight_part(frozen.num, weighting.weights, degree)
+            return part * (1 / c0)
+        frozen = frozen.num
+    return poly_weight_part(frozen, weighting.weights, degree)
 
 
 def weighted_fiber_class(
@@ -539,7 +499,7 @@ def weighted_fiber_class(
     for p, phi in fiber_class_pairs(weighting, depth):
         if p not in parts:
             parts[p] = _frozen_fiber_part(
-                pushed.coeffs[p], weighting, weighting.weights[p] - depth
+                pushed[p], weighting, weighting.weights[p] - depth
             )
         comps.append(parts[p].terms.get(phi, Fraction(0)))
     return tuple(comps)

@@ -12,9 +12,12 @@ line/column):
     ident    := letter { letter | digit | "_" }
 
 "/" between arbitrary factors is a superset of the written grammar so that
-printed rational functions re-parse; plain polynomial and vector-field text
-never needs it.  An identifier that exactly matches a chart variable wins
-over the "d"-prefixed reading.
+printed rational functions re-parse.  The parser carries numerators over
+one common denominator and takes no gcd; a vector field's coefficients are
+divided by it once, exactly, at the end, so "(x^2-1)/(x-1)*dx" loads as
+"(x + 1)*dx" and a coefficient that is not a polynomial is a parse error.
+An identifier that exactly matches a chart variable wins over the
+"d"-prefixed reading.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .exactalg import Poly, RatFunc, as_ratfunc
+from .exactalg import Poly, RatFunc, divide_exact
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
@@ -69,8 +72,22 @@ class Chart:
         return Poly.one(self.dim)
 
 
+def _as_poly(value: Scalar | Fraction | int, nvars: int) -> Poly:
+    """A coefficient as a Poly: a RatFunc must have denominator 1."""
+    if isinstance(value, RatFunc):
+        if not value.is_polynomial():
+            raise ValueError("vector field coefficients must be polynomial")
+        value = value.num
+    if isinstance(value, Poly):
+        if value.nvars != nvars:
+            raise ValueError("polynomial dimension mismatch")
+        return value
+    return Poly.const(nvars, value)
+
+
 class VectorField:
-    """A vector field on a chart, one coefficient per coordinate direction."""
+    """A vector field on a chart, one polynomial coefficient per coordinate
+    direction."""
 
     __slots__ = ("chart", "coeffs")
 
@@ -78,7 +95,7 @@ class VectorField:
         if len(coeffs) != chart.dim:
             raise ValueError("coefficient count does not match chart dimension")
         object.__setattr__(
-            self, "coeffs", tuple(as_ratfunc(c, chart.dim) for c in coeffs)
+            self, "coeffs", tuple(_as_poly(c, chart.dim) for c in coeffs)
         )
         object.__setattr__(self, "chart", chart)
 
@@ -88,32 +105,22 @@ class VectorField:
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
 
-    def has_poly_coeffs(self) -> bool:
-        return all(c.is_polynomial() for c in self.coeffs)
-
-    def poly_coeffs(self) -> tuple[Poly, ...]:
-        return tuple(c.as_poly() for c in self.coeffs)
-
     def apply(self, f: Scalar) -> Scalar:
         """Directional derivative: sum of coeff_a * df/dx_a.
 
-        Returns a Poly when the field and the argument are polynomial; a
-        RatFunc with unit denominator counts as polynomial.
+        Returns a Poly for a polynomial argument; a RatFunc with unit
+        denominator counts as polynomial.
         """
         if isinstance(f, RatFunc) and f.is_polynomial():
             f = f.num
-        if isinstance(f, Poly):
-            if f.nvars != self.chart.dim:
-                raise ValueError("function does not live on the field's chart")
-            if self.has_poly_coeffs():
-                acc_p = Poly.zero(f.nvars)
-                for a, c in enumerate(self.coeffs):
-                    if c:
-                        acc_p = acc_p + c.as_poly() * f.diff(a)
-                return acc_p
-            f = RatFunc(f)
         if f.nvars != self.chart.dim:
             raise ValueError("function does not live on the field's chart")
+        if isinstance(f, Poly):
+            acc_p = Poly.zero(f.nvars)
+            for a, c in enumerate(self.coeffs):
+                if c:
+                    acc_p = acc_p + c * f.diff(a)
+            return acc_p
         acc = RatFunc.const(f.nvars, 0)
         for a, c in enumerate(self.coeffs):
             if c:
@@ -137,8 +144,8 @@ class VectorField:
     def __neg__(self) -> "VectorField":
         return VectorField(self.chart, [-c for c in self.coeffs])
 
-    def scale(self, factor: Scalar | Fraction | int) -> "VectorField":
-        f = as_ratfunc(factor, self.chart.dim)
+    def scale(self, factor: Poly | Fraction | int) -> "VectorField":
+        f = _as_poly(factor, self.chart.dim)
         return VectorField(self.chart, [f * c for c in self.coeffs])
 
     def value_at(self, point: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -147,9 +154,7 @@ class VectorField:
     def __eq__(self, other):
         if not isinstance(other, VectorField):
             return NotImplemented
-        return self.chart == other.chart and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs)
-        )
+        return self.chart == other.chart and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash((self.chart, self.coeffs))
@@ -284,13 +289,24 @@ def _tokenize(src: str) -> list[_Token]:
 
 
 class _Value:
-    """Intermediate parse value: a scalar part plus an optional vector part."""
+    """Intermediate parse value: the numerators of a scalar part and of an
+    optional vector part, over one shared denominator.  No gcd is taken;
+    the callers of the parser divide once, at the end."""
 
-    __slots__ = ("scalar", "vector")
+    __slots__ = ("scalar", "vector", "den")
 
-    def __init__(self, scalar: RatFunc, vector: tuple[RatFunc, ...] | None):
+    def __init__(self, scalar: Poly, vector: tuple[Poly, ...] | None, den: Poly):
         self.scalar = scalar
         self.vector = vector
+        self.den = den
+
+    def map(self, f, den: Poly) -> "_Value":
+        """f applied to every numerator, over the new denominator den."""
+        vector = None if self.vector is None else tuple(f(c) for c in self.vector)
+        return _Value(f(self.scalar), vector, den)
+
+    def parts(self) -> tuple[Poly, ...]:
+        return (self.scalar, *(self.vector or ()), self.den)
 
 
 # parentheses and unary minus recurse; past this depth the parser refuses
@@ -316,18 +332,14 @@ MAX_TERMS = 500
 MAX_MONOMIALS = 1000
 
 
-def _degree(value: RatFunc) -> int:
-    return max(value.num.total_degree(), value.den.total_degree(), 0)
+def _value_degree(val: _Value) -> int:
+    """Largest total degree of a numerator or the denominator, at least 0."""
+    return max(0, *(p.total_degree() for p in val.parts()))
 
 
-def _value_degree(val: "_Value") -> int:
-    return max([_degree(val.scalar)] + [_degree(c) for c in val.vector or ()])
-
-
-def _value_terms(val: "_Value") -> int:
-    """Largest term count of any numerator or denominator, at least 1."""
-    parts = (val.scalar, *(val.vector or ()))
-    return max(1, *(len(q.terms) for p in parts for q in (p.num, p.den)))
+def _value_terms(val: _Value) -> int:
+    """Largest term count of a numerator or the denominator, at least 1."""
+    return max(1, *(len(p.terms) for p in val.parts()))
 
 
 class _Parser:
@@ -348,8 +360,8 @@ class _Parser:
     def error(self, message: str, tok: _Token):
         raise ParseError(message, tok.line, tok.column)
 
-    def _scalar(self, value) -> _Value:
-        return _Value(as_ratfunc(value, self.chart.dim), None)
+    def _scalar(self, value: Poly) -> _Value:
+        return _Value(value, None, self.chart.one())
 
     def check_degree(self, degree: int, tok: _Token):
         if degree > MAX_DEGREE:
@@ -373,20 +385,20 @@ class _Parser:
         while self.peek().kind == "op" and self.peek().text in "+-":
             op = self.next()
             rhs = self.term()
-            scalar = (
-                val.scalar + rhs.scalar if op.text == "+" else val.scalar - rhs.scalar
-            )
+            if rhs.den != val.den:
+                lden, rden = val.den, rhs.den
+                val = val.map(lambda c: c * rden, lden * rden)
+                rhs = rhs.map(lambda c: c * lden, val.den)
+            add = Poly.__add__ if op.text == "+" else Poly.__sub__
+            scalar = add(val.scalar, rhs.scalar)
             if val.vector is None and rhs.vector is None:
                 vector = None
             else:
-                zero = as_ratfunc(0, self.chart.dim)
-                left = val.vector or (zero,) * self.chart.dim
-                right = rhs.vector or (zero,) * self.chart.dim
-                if op.text == "+":
-                    vector = tuple(a + b for a, b in zip(left, right))
-                else:
-                    vector = tuple(a - b for a, b in zip(left, right))
-            val = _Value(scalar, vector)
+                zero = (self.chart.zero(),) * self.chart.dim
+                left = val.vector or zero
+                right = rhs.vector or zero
+                vector = tuple(add(a, b) for a, b in zip(left, right))
+            val = _Value(scalar, vector, val.den)
             # common denominators add degrees and multiply term counts, so
             # sums are checked too; their operands are already bounded
             self.check_degree(_value_degree(val), op)
@@ -405,25 +417,14 @@ class _Parser:
                     self.error("cannot multiply two vector fields", op)
                 if rhs.vector is not None:
                     val, rhs = rhs, val
-                scalar = val.scalar * rhs.scalar
-                vector = (
-                    None
-                    if val.vector is None
-                    else tuple(c * rhs.scalar for c in val.vector)
-                )
-                val = _Value(scalar, vector)
+                factor, den = rhs.scalar, val.den * rhs.den
             else:
                 if rhs.vector is not None:
                     self.error("cannot divide by a vector field", op)
                 if rhs.scalar.is_zero():
                     self.error("division by zero", op)
-                scalar = val.scalar / rhs.scalar
-                vector = (
-                    None
-                    if val.vector is None
-                    else tuple(c / rhs.scalar for c in val.vector)
-                )
-                val = _Value(scalar, vector)
+                factor, den = rhs.den, val.den * rhs.scalar
+            val = val.map(lambda c: c * factor, den)
         return val
 
     def factor(self) -> _Value:
@@ -440,10 +441,10 @@ class _Parser:
             if len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
                 self.error(f"exponent exceeds the limit of {MAX_DEGREE}", exp_tok)
             exponent = int(digits)
-            self.check_degree(_degree(val.scalar) * exponent, op)
+            self.check_degree(_value_degree(val) * exponent, op)
             # (a_1 + ... + a_t)^e has at most comb(t + e - 1, e) terms
             self.check_terms(math.comb(_value_terms(val) + exponent - 1, exponent), op)
-            val = self._scalar(val.scalar ** exponent)
+            val = _Value(val.scalar**exponent, None, val.den**exponent)
         return val
 
     def atom(self) -> _Value:
@@ -461,7 +462,7 @@ class _Parser:
                 value = int(tok.text)
             except ValueError:  # past the interpreter's digit limit
                 self.error("number has too many digits", tok)
-            return self._scalar(Fraction(value))
+            return self._scalar(Poly.const(self.chart.dim, value))
         if tok.kind == "ident":
             self.next()
             name = tok.text
@@ -469,10 +470,9 @@ class _Parser:
                 return self._scalar(self.chart.var(name))
             if name.startswith("d") and name[1:] in self.chart.names:
                 idx = self.chart.index(name[1:])
-                zero = as_ratfunc(0, self.chart.dim)
-                one = as_ratfunc(1, self.chart.dim)
+                zero, one = self.chart.zero(), self.chart.one()
                 vec = tuple(one if i == idx else zero for i in range(self.chart.dim))
-                return _Value(as_ratfunc(0, self.chart.dim), vec)
+                return _Value(zero, vec, one)
             self.error(f"unknown identifier {name!r}", tok)
         self.error(f"unexpected {tok.text!r}" if tok.text else "unexpected end of input", tok)
 
@@ -487,34 +487,49 @@ class _Parser:
             self.next()
             return val
         val = self.atom()
-        vector = None if val.vector is None else tuple(-c for c in val.vector)
-        return _Value(-val.scalar, vector)
+        return val.map(Poly.__neg__, val.den)
+
+
+def _parse_scalar_value(src: str, chart: Chart) -> _Value:
+    val = _Parser(src, chart).parse()
+    if val.vector is not None:
+        raise ParseError("expression contains vector field factors", 1, 1)
+    return val
 
 
 def parse_scalar(src: str, chart: Chart) -> RatFunc:
     """Parse a scalar (function) expression to a rational function."""
-    val = _Parser(src, chart).parse()
-    if val.vector is not None:
-        raise ParseError("expression contains vector field factors", 1, 1)
-    return val.scalar
+    val = _parse_scalar_value(src, chart)
+    return RatFunc(val.scalar, val.den)
 
 
 def parse_polynomial(src: str, chart: Chart) -> Poly:
     """Parse a polynomial expression; rejects genuine denominators."""
-    scalar = parse_scalar(src, chart)
-    if not scalar.is_polynomial():
+    val = _parse_scalar_value(src, chart)
+    quotient = divide_exact(val.scalar, val.den)
+    if quotient is None:
         raise ParseError("expression is not polynomial", 1, 1)
-    return scalar.as_poly()
+    return quotient
 
 
 def parse_vector_field(src: str, chart: Chart) -> VectorField:
-    """Parse a vector field: a sum of terms, each with exactly one d-factor."""
+    """Parse a vector field: a sum of terms, each with exactly one d-factor.
+
+    Each coefficient is divided by the common denominator once, exactly;
+    a coefficient that is not a polynomial is a parse error.
+    """
     val = _Parser(src, chart).parse()
     if val.vector is None:
         raise ParseError("expression has no directional part", 1, 1)
     if not val.scalar.is_zero():
         raise ParseError("vector field expression has a scalar part", 1, 1)
-    return VectorField(chart, val.vector)
+    coeffs = []
+    for name, num in zip(chart.names, val.vector):
+        quotient = divide_exact(num, val.den)
+        if quotient is None:
+            raise ParseError(f"the coefficient of d{name} is not a polynomial", 1, 1)
+        coeffs.append(quotient)
+    return VectorField(chart, coeffs)
 
 
 # -- printing -----------------------------------------------------------------
@@ -597,21 +612,17 @@ def format_scalar(value: Scalar, chart: Chart) -> str:
 def format_vector_field(v: VectorField) -> str:
     chart = v.chart
     parts: list[tuple[bool, str]] = []
-    for name, coeff in zip(chart.names, v.coeffs):
-        if coeff.is_zero():
+    for name, p in zip(chart.names, v.coeffs):
+        if p.is_zero():
             continue
-        if coeff.is_polynomial():
-            p = coeff.num
-            if len(p.terms) == 1:
-                for neg, body in _poly_term_strings(p, chart):
-                    if body == "1":
-                        parts.append((neg, f"d{name}"))
-                    else:
-                        parts.append((neg, f"{body}*d{name}"))
-                continue
-            parts.append((False, f"({format_poly(p, chart)})*d{name}"))
-        else:
-            parts.append((False, f"({format_scalar(coeff, chart)})*d{name}"))
+        if len(p.terms) == 1:
+            for neg, body in _poly_term_strings(p, chart):
+                if body == "1":
+                    parts.append((neg, f"d{name}"))
+                else:
+                    parts.append((neg, f"{body}*d{name}"))
+            continue
+        parts.append((False, f"({format_poly(p, chart)})*d{name}"))
     if not parts:
         return f"0*d{chart.names[0]}"
     return _join_signed(parts)

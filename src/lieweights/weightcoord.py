@@ -424,15 +424,21 @@ def weighted_degree(f: Scalar, weighting: WeightedChart) -> WeightedDegreeResult
     return weighted_degree_in_chart(weighting.to_weighted(f), weighting)
 
 
-def push_to_weighted(field: VectorField, weighting: WeightedChart) -> VectorField:
-    """Rewrite a vector field in the weighted chart."""
+def push_to_weighted(
+    field: VectorField, weighting: WeightedChart
+) -> tuple[Scalar, ...]:
+    """The coefficients of a vector field rewritten in the weighted chart.
+
+    Coefficient p is the field applied to weighted coordinate p, written in
+    the weighted variables.  A weighted chart may have rational coordinates,
+    so the coefficients are rational functions, not a VectorField.
+    """
     if field.chart != weighting.source_chart:
         raise ValueError("field does not live on the weighting's source chart")
-    coeffs = []
-    for p in range(weighting.dim):
-        applied = field.apply(weighting.forward[p])
-        coeffs.append(weighting.to_weighted(applied))
-    return VectorField(weighting.chart, coeffs)
+    return tuple(
+        weighting.to_weighted(field.apply(weighting.forward[p]))
+        for p in range(weighting.dim)
+    )
 
 
 def vf_filtration_degree(field: VectorField, weighting: WeightedChart) -> int | float:
@@ -441,12 +447,15 @@ def vf_filtration_degree(field: VectorField, weighting: WeightedChart) -> int | 
     return vf_degree_in_chart(push_to_weighted(field, weighting), weighting)
 
 
-def vf_degree_in_chart(field: VectorField, weighting: WeightedChart) -> int | float:
-    """vf_filtration_degree of a field already written in the weighted chart."""
+def vf_degree_in_chart(
+    coeffs: Sequence[Scalar], weighting: WeightedChart
+) -> int | float:
+    """vf_filtration_degree of a field given by its weighted-chart
+    coefficients, as push_to_weighted returns them."""
     return min(
         (
             weighted_degree_in_chart(coeff, weighting).degree - weighting.weights[p]
-            for p, coeff in enumerate(field.coeffs)
+            for p, coeff in enumerate(coeffs)
             if not coeff.is_zero()
         ),
         default=INFINITE,

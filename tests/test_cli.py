@@ -1,10 +1,17 @@
 """End-to-end tests for the command-line front end."""
 
+import io
 import json
 import math
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lieweights import cli
 from lieweights.cli import (
@@ -45,6 +52,11 @@ def write_problem(tmp_path, doc):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def reciprocal_sum(count):
+    """1/(x+y+z+u+v+1)*dx + 1/(x+2*y+z+u+v+1)*dx + ..., count terms."""
+    return " + ".join(f"1/(x+{k}*y+z+u+v+1)*dx" for k in range(1, count + 1))
 
 
 def basic_doc():
@@ -313,6 +325,14 @@ class TestInputErrors:
         assert main(["check", write_problem(tmp_path, doc)]) == EXIT_INPUT
         assert "distinct" in capsys.readouterr().err
 
+    def test_invalid_variable_name(self, tmp_path, capsys):
+        doc = basic_doc()
+        doc["variables"] = ["x", "1y", "z"]
+        assert main(["check", write_problem(tmp_path, doc)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "invalid coordinate name '1y'" in err
+        assert err.count("\n") == 1
+
     def test_missing_level(self, tmp_path, capsys):
         doc = basic_doc()
         del doc["filtration"]["-2"]
@@ -422,15 +442,26 @@ class TestInputErrors:
 
     @pytest.mark.parametrize(
         "expr",
-        # the last one has degree 12 but up to 84 * 84 terms
-        ["(1+x+y+z)^40*dx", "x^1000000*dy", "(1+x+y+z)^6*(1+x+y+z)^6*dx"],
+        [
+            "(1+x+y+z)^40*dx",
+            "x^1000000*dy",
+            # degree 12 but up to 84 * 84 terms
+            "(1+x+y+z)^6*(1+x+y+z)^6*dx",
+            # sums of reciprocals of linear forms: every intermediate is
+            # under the caps, and the field is not polynomial
+            pytest.param(reciprocal_sum(4), id="reciprocal_sum_4"),
+            pytest.param(reciprocal_sum(6), id="reciprocal_sum_6"),
+        ],
     )
     def test_degree_blowup_is_an_input_error(self, tmp_path, capsys, expr):
+        message = "not a polynomial" if expr.startswith("1/") else "exceeds the limit of"
         doc = basic_doc()
+        doc["variables"] = ["x", "y", "z", "u", "v"]
+        doc["submanifold"]["base_point"] = ["0"] * 5
         doc["filtration"]["-1"] = [expr]
         assert main(["check", write_problem(tmp_path, doc)]) == EXIT_INPUT
         err = capsys.readouterr().err
-        assert "exceeds the limit of" in err
+        assert message in err
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
@@ -452,3 +483,88 @@ class TestFullToken:
         assert top[:2] == spec.filtration.levels[0]
         assert top[2:] == tuple(coordinate_field(chart, a) for a in range(3))
         assert spec.filtration.chart == chart
+
+
+# -- input fuzz ------------------------------------------------------------------
+
+FUZZ_NAMES = ("x", "y", "z", "dx", "x_1")
+FUZZ_COEFFS = (
+    "1",
+    "2",
+    "{a}",
+    "{a}^2",
+    "{a}*{b}",
+    "-{a}",
+    "(1 + {a})",
+    "{a}/2",
+    "1/(1 + {a})",
+    "({a}^2 - 1)/({a} - 1)",
+    "1/({a} - {a})",
+)
+FUZZ_POINTS = st.one_of(
+    st.just("0"),
+    st.just(0),
+    st.just("0"),
+    st.integers(-2, 2),
+    st.sampled_from(["1/2", "-1", "abc", "1/0", "", "0.5", None, True, 1.5, []]),
+)
+
+
+@st.composite
+def problem_docs(draw):
+    """Small problem documents, valid or not: 1-3 variables (some invalid
+    or repeated), order <= 2, levels from a small grammar with rational
+    terms, and base points of any JSON type."""
+    names = draw(st.lists(st.sampled_from(FUZZ_NAMES), min_size=1, max_size=3, unique=True))
+    # now and then an invalid, empty or repeated name
+    if draw(st.integers(0, 3)) == 0:
+        bad = draw(st.sampled_from(["1y", "", names[0]]))
+        names.insert(draw(st.integers(0, len(names))), bad)
+
+    def field():
+        terms = []
+        for _ in range(draw(st.integers(1, 2))):
+            a, b, d = (draw(st.sampled_from(names)) for _ in range(3))
+            coeff = draw(st.sampled_from(FUZZ_COEFFS)).format(a=a, b=b)
+            terms.append(f"{coeff}*d{d}")
+        return " + ".join(terms)
+
+    order = draw(st.integers(1, 2))
+    filtration = {}
+    for depth in range(1, order + 1):
+        if depth == order and draw(st.booleans()):
+            filtration[str(-depth)] = "full"
+        else:
+            filtration[str(-depth)] = [field() for _ in range(draw(st.integers(1, 3)))]
+    tangent = draw(st.lists(st.sampled_from(names), max_size=len(names), unique=True))
+    size = max(0, len(names) + draw(st.sampled_from([0] * 6 + [-1, 1])))
+    return {
+        "variables": names,
+        "order": order,
+        "filtration": filtration,
+        "submanifold": {
+            "tangent": tangent,
+            "base_point": [draw(FUZZ_POINTS) for _ in range(size)],
+        },
+        "samples": draw(st.integers(0, 5)),
+        "degree_bound": draw(st.integers(0, 2)),
+    }
+
+
+@settings(max_examples=100, deadline=timedelta(seconds=10))
+@given(problem_docs(), st.sampled_from(["check", "report"]))
+def test_fuzzed_problems_exit_cleanly(doc, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "problem.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([command, path])
+    assert code in (EXIT_PASS, EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_INPUT)
+    text = err.getvalue()
+    if code == EXIT_INPUT:
+        assert text.startswith("error: ") and text.count("\n") == 1
+        assert text.endswith("\n")
+    else:
+        assert text == ""

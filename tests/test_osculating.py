@@ -1,5 +1,6 @@
 """Osculating algebra construction: frozen examples and algebra axioms."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -24,10 +25,9 @@ from lieweights.vfield import (
     VectorField,
     coordinate_field,
     lie_bracket,
-    parse_polynomial,
     parse_vector_field,
 )
-from lieweights.weightcoord import weighted_coordinates
+from lieweights.weightcoord import push_to_weighted, weighted_coordinates
 from lieweights.osculating import (
     GradedSubalg,
     bch,
@@ -348,13 +348,21 @@ class TestAmbientModule:
         assert class_in_tangent_part(pairs, cls)
 
     def test_rational_coefficient_class(self, step3_weighting):
-        coeff = RatFunc(
-            parse_polynomial("x^2", CHART3), parse_polynomial("1 + x", CHART3)
-        )
-        field = VectorField(CHART3, (RatFunc.const(3, 0), RatFunc.const(3, 0), coeff))
-        # x^2/(1+x) expands to x^2 - x^3 + ..., weight-2 part is x^2
-        cls = weighted_fiber_class(field, step3_weighting, 1)
-        assert cls == (0, 0, 0, 1)
+        # a chart whose third coordinate is z/(c + x): pushing x^2*dz there
+        # gives the rational coefficient x^2/(c + x)
+        x, y, z = (Poly.variable(3, i) for i in range(3))
+        field = parse_vector_field("x^2*dz", CHART3)
+        for c, expected in ((1, 1), (2, Fraction(1, 2))):
+            den = Poly.const(3, c) + x
+            rational = dataclasses.replace(
+                step3_weighting,
+                forward=(RatFunc(x), RatFunc(y), RatFunc(z, den)),
+                inverse=(RatFunc(x), RatFunc(y), RatFunc(z * den)),
+            )
+            assert push_to_weighted(field, rational)[2] == RatFunc(x**2, den)
+            # x^2/(1+x) expands to x^2 - x^3 + ..., weight-2 part is x^2
+            cls = weighted_fiber_class(field, rational, 1)
+            assert cls == (0, 0, 0, expected)
 
     def test_axis_class_lies_in_tangent_part(self):
         x_fld = parse_vector_field("dx", CHART3)

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from lieweights.exactalg import Poly, RatFunc
+from lieweights import exactalg
+from lieweights.exactalg import Poly, RatFunc, divide_exact
 from lieweights.vfield import (
     MAX_DEGREE,
     MAX_NESTING,
@@ -120,12 +121,12 @@ def funcs(draw):
 @given(fields(), fields())
 def test_bracket_matches_sympy_oracle(x, y):
     syms = sympy.symbols("x y z")
-    xs = [to_sympy(c.as_poly(), syms) for c in x.coeffs]
-    ys = [to_sympy(c.as_poly(), syms) for c in y.coeffs]
+    xs = [to_sympy(c, syms) for c in x.coeffs]
+    ys = [to_sympy(c, syms) for c in y.coeffs]
     expected = sympy_bracket(xs, ys, syms)
     got = lie_bracket(x, y)
     for a in range(3):
-        assert to_sympy(got.coeffs[a].as_poly(), syms) == expected[a]
+        assert to_sympy(got.coeffs[a], syms) == expected[a]
 
 
 def double_loop_bracket(x, y):
@@ -144,24 +145,10 @@ def double_loop_bracket(x, y):
     return VectorField(x.chart, out)
 
 
-# linear denominators keep the oracle's RatFunc sums fast
-DENOMINATORS = (Poly.one(3), Poly.one(3) + X_, Poly.const(3, 2) - Y_)
-
-
-@st.composite
-def rational_fields(draw):
-    polys = draw(fields()).poly_coeffs()
-    dens = draw(st.lists(st.sampled_from(DENOMINATORS), min_size=3, max_size=3))
-    return VectorField(CHART, [RatFunc(p, d) for p, d in zip(polys, dens)])
-
-
 @settings(max_examples=30, deadline=None)
-@given(st.one_of(fields(), rational_fields()), st.one_of(fields(), rational_fields()))
+@given(fields(), fields())
 def test_bracket_matches_double_loop_formula(x, y):
-    got = lie_bracket(x, y)
-    assert got == double_loop_bracket(x, y)
-    if x.has_poly_coeffs() and y.has_poly_coeffs():
-        assert got.has_poly_coeffs()
+    assert lie_bracket(x, y) == double_loop_bracket(x, y)
 
 
 @settings(max_examples=40)
@@ -356,3 +343,137 @@ def test_poly_print_parse_round_trip(f):
 @given(fields())
 def test_vf_print_parse_round_trip(v):
     assert parse_vector_field(format_vector_field(v), CHART) == v
+
+
+# -- parser arithmetic against a RatFunc reference ------------------------------
+
+CHART2 = Chart(("x", "y"))
+X2, Y2 = (CHART2.var(n) for n in "xy")
+SCALAR_LEAVES = {
+    "x": X2,
+    "y": Y2,
+    "2": Poly.const(2, 2),
+    "(x + 1)": X2 + 1,
+    "(x - y)": X2 - Y2,
+    "(1 + y)": Y2 + 1,
+}
+
+
+def scalar_trees():
+    """Scalar expression trees: ("leaf", text, exponent) or (op, *children)."""
+    leaves = st.tuples(
+        st.just("leaf"), st.sampled_from(sorted(SCALAR_LEAVES)), st.integers(0, 2)
+    )
+    return st.recursive(
+        leaves,
+        lambda kids: st.one_of(
+            st.tuples(st.sampled_from(["+", "-", "*", "/", "exact"]), kids, kids),
+            st.tuples(st.just("neg"), kids),
+        ),
+        max_leaves=4,
+    )
+
+
+def vector_trees():
+    leaves = st.tuples(st.just("d"), st.integers(0, 1))
+    return st.recursive(
+        leaves,
+        lambda kids: st.one_of(
+            st.tuples(st.sampled_from(["+", "-"]), kids, kids),
+            st.tuples(st.sampled_from(["*", "/", "exact"]), kids, scalar_trees()),
+            st.tuples(st.just("left*"), scalar_trees(), kids),
+            st.tuples(st.just("neg"), kids),
+        ),
+        max_leaves=4,
+    )
+
+
+def render(tree) -> str:
+    op = tree[0]
+    if op == "leaf":
+        return tree[1] if tree[2] == 1 else f"{tree[1]}^{tree[2]}"
+    if op == "d":
+        return f"d{CHART2.names[tree[1]]}"
+    if op == "neg":
+        return f"-({render(tree[1])})"
+    if op == "left*":
+        return f"({render(tree[1])})*({render(tree[2])})"
+    a, b = render(tree[1]), render(tree[2])
+    if op == "exact":
+        # divides by a factor it has just multiplied in
+        return f"(({a})*({b}))/({b})"
+    return f"({a}){op}({b})"
+
+
+def evaluate(tree):
+    """The tree in RatFunc arithmetic: a RatFunc, or a tuple of them for a
+    vector tree.  Raises ZeroDivisionError on division by zero."""
+    op = tree[0]
+    if op == "leaf":
+        return RatFunc(SCALAR_LEAVES[tree[1]]) ** tree[2]
+    if op == "d":
+        return tuple(RatFunc.const(2, int(a == tree[1])) for a in range(2))
+    if op == "neg":
+        val = evaluate(tree[1])
+        return tuple(-c for c in val) if isinstance(val, tuple) else -val
+    if op == "left*":
+        return tuple(evaluate(tree[1]) * c for c in evaluate(tree[2]))
+    a, b = evaluate(tree[1]), evaluate(tree[2])
+    if op == "exact":
+        op, a = "/", (tuple(c * b for c in a) if isinstance(a, tuple) else a * b)
+    if isinstance(a, tuple):
+        if op in "+-":
+            return tuple(x + y if op == "+" else x - y for x, y in zip(a, b))
+        return tuple(c * b if op == "*" else c / b for c in a)
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    return a * b if op == "*" else a / b
+
+
+@settings(max_examples=150, deadline=None)
+@given(vector_trees())
+def test_parse_vector_field_matches_ratfunc_reference(tree):
+    text = render(tree)
+    try:
+        reference = evaluate(tree)
+    except ZeroDivisionError:
+        with pytest.raises(ParseError, match="division by zero"):
+            parse_vector_field(text, CHART2)
+        return
+    quotients = [divide_exact(c.num, c.den) for c in reference]
+    try:
+        got = parse_vector_field(text, CHART2)
+    except ParseError as err:
+        if "limit of" in str(err):
+            reject()
+        assert "not a polynomial" in str(err)
+        assert None in quotients
+        return
+    assert None not in quotients
+    assert got.coeffs == tuple(quotients)
+
+
+def test_exact_quotient_loads_as_polynomial():
+    got = parse_vector_field("(x^2-1)/(x-1)*dx", CHART)
+    assert got.coeffs == (X_ + 1, Poly.zero(3), Poly.zero(3))
+    assert got == parse_vector_field("(x + 1)*dx", CHART)
+    # a RatFunc with denominator 1 is converted to its numerator
+    assert VectorField(CHART, [RatFunc(X_ + 1), 0, 0]) == got
+
+
+def test_parser_takes_no_gcd(monkeypatch):
+    calls = []
+    real_gcd = exactalg.poly_gcd
+
+    def counted(f, g):
+        calls.append((f, g))
+        return real_gcd(f, g)
+
+    monkeypatch.setattr(exactalg, "poly_gcd", counted)
+    chart5 = Chart(("x", "y", "z", "u", "v"))
+    six = " + ".join(f"1/(x+{k}*y+z+u+v+1)*dx" for k in range(1, 7))
+    with pytest.raises(ParseError, match="not a polynomial"):
+        parse_vector_field(six, chart5)
+    assert calls == []

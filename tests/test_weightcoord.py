@@ -203,7 +203,7 @@ class TestMartinetExample:
         bracket = parse_vector_field("2*x*dz", CHART3)
         assert vf_filtration_degree(bracket, w) == -3
         pushed = push_to_weighted(bracket, w)
-        assert pushed.coeffs[2] == Poly(3, {(1, 0, 0): Fraction(2)})
+        assert pushed[2] == Poly(3, {(1, 0, 0): Fraction(2)})
 
     def test_normalization_constants_are_factorials(self, result):
         # exercised on words the construction itself never needed
