@@ -318,7 +318,7 @@ class _Pipeline:
     def stage_coordinates(self):
         try:
             self.weighting = weighted_coordinates(
-                self.spec.filtration, self.spec.submanifold
+                self.spec.filtration, self.spec.submanifold, self.clean
             )
         except ValueError as exc:
             return FAIL, {"error": str(exc)}
@@ -368,6 +368,9 @@ class _Pipeline:
             return FAIL, data
         if sample.off_chart:
             data["reason"] = "off_chart"
+            return INCONCLUSIVE, data
+        if not sample.tested:
+            data["reason"] = "no_samples"
             return INCONCLUSIVE, data
         return PASS, data
 

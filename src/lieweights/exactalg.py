@@ -666,11 +666,15 @@ class RowEchelon:
     from the other rows, so the held rows are in reduced form after every
     insertion.  RREF is unique, so the rank, the reduced rows and every
     solution read off them do not depend on the strategy or the row order.
-    pivot_rows maps each pivot column to its row, which has a 1 there.
+    pivot_rows maps each pivot column to its row, which has a 1 there; it
+    is a read-only view.  A column index, _holders, maps each non-pivot
+    column to the pivots of the held rows with an entry there, so an
+    insertion touches only the rows holding its pivot column.
     """
 
     def __init__(self, rows: Iterable = ()):
         self.pivot_rows: dict[int, dict] = {}
+        self._holders: dict[int, set] = {}
         for row in rows:
             self.add(row)
 
@@ -700,10 +704,31 @@ class RowEchelon:
             return False
         pivot = min(rest)
         lead = rest[pivot]
-        rest = {c: x / lead for c, x in rest.items()}
-        for other in self.pivot_rows.values():
-            if pivot in other:
-                _subtract_multiple(other, other[pivot], rest)
+        if lead != 1:
+            rest = {c: x / lead for c, x in rest.items()}
+        tail = [(c, x) for c, x in rest.items() if c != pivot]
+        holders = self._holders
+        # the pivot column leaves the index; rest vanishes on the other
+        # pivot columns, so fill-in lands on non-pivot columns only
+        for p in holders.pop(pivot, ()):
+            other = self.pivot_rows[p]
+            factor = other.pop(pivot)
+            for c, x in tail:
+                if c in other:
+                    y = other[c] - factor * x
+                    if y:
+                        other[c] = y
+                    else:
+                        del other[c]
+                        column = holders[c]
+                        column.discard(p)
+                        if not column:
+                            del holders[c]
+                else:
+                    other[c] = -(factor * x)
+                    holders.setdefault(c, set()).add(p)
+        for c, _ in tail:
+            holders.setdefault(c, set()).add(pivot)
         self.pivot_rows[pivot] = rest
         return True
 
@@ -723,14 +748,16 @@ class RowEchelon:
         columns, that is when a row with its pivot in B has an entry in
         column rhs (with one right-hand side, a row 0 = 1).  The reduced
         form of [A | B] restricted to A and b is that of [A | b], so the
-        other columns of B do not change the result.
+        other columns of B do not change the result.  The rows holding
+        column rhs are read from the column index.
         """
+        if rhs in self.pivot_rows:
+            return None
         x = [Fraction(0)] * ncols
-        for p, row in self.pivot_rows.items():
-            if rhs in row:
-                if p >= ncols:
-                    return None
-                x[p] = row[rhs]
+        for p in self._holders.get(rhs, ()):
+            if p >= ncols:
+                return None
+            x[p] = self.pivot_rows[p][rhs]
         return tuple(x)
 
     def solve(self, ncols: int) -> LinearSolution | None:

@@ -12,6 +12,7 @@ point, and anything else is reported as inconclusive rather than guessed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -366,6 +367,25 @@ class BracketCompatReport:
         return None
 
 
+class _TautologicalPass(TriState):
+    """Pass of a bracket [g, h] in the full module of vector fields.
+
+    The certificate is the bracket's own coefficients on the coordinate
+    frame, padded with a zero coefficient per top-level generator.  It is
+    built on first read, so a verdict alone never computes the bracket.
+    """
+
+    def __init__(self, g: VectorField, h: VectorField, padding: tuple[Poly, ...]):
+        object.__setattr__(self, "verdict", PASS)
+        object.__setattr__(self, "reason", "")
+        object.__setattr__(self, "_pair", (g, h, padding))
+
+    @functools.cached_property
+    def certificate(self) -> tuple[Poly, ...]:
+        g, h, padding = self._pair
+        return lie_bracket(g, h).coeffs + padding
+
+
 def check_bracket_compat(
     filtration: Filtration, degree_bound: int | None = None
 ) -> BracketCompatReport:
@@ -376,7 +396,8 @@ def check_bracket_compat(
     is one module_membership_batch call: one elimination, with each
     bracket as its own right-hand side.  Pairs with i + j beyond the
     filtration order land in the full module of vector fields and pass
-    with the tautological coordinate-field certificate.
+    with the tautological coordinate-field certificate, whose bracket is
+    computed only when the certificate is read.
     """
     if degree_bound is None:
         degree_bound = filtration.default_degree_bound()
@@ -390,22 +411,22 @@ def check_bracket_compat(
                 for gj, h in enumerate(gens_j):
                     if i == j and gj < gi:
                         continue
-                    pairs.append((i, j, gi, gj, lie_bracket(g, h)))
+                    pairs.append((i, j, gi, gj, g, h))
     by_level: dict[int, list[VectorField]] = {}
-    for i, j, _, _, bracket in pairs:
+    for i, j, _, _, g, h in pairs:
         if i + j <= r:
-            by_level.setdefault(i + j, []).append(bracket)
+            by_level.setdefault(i + j, []).append(lie_bracket(g, h))
     verdicts = {
         k: iter(module_membership_batch(brackets, filtration.generators(k), degree_bound))
         for k, brackets in by_level.items()
     }
     padding = tuple(Poly.zero(filtration.chart.dim) for _ in filtration.generators(r))
     checks = []
-    for i, j, gi, gj, bracket in pairs:
+    for i, j, gi, gj, g, h in pairs:
         if i + j <= r:
             result = next(verdicts[i + j])
         else:
-            result = TriState.passed(bracket.coeffs + padding)
+            result = _TautologicalPass(g, h, padding)
         checks.append(BracketCheck(i, j, gi, gj, result))
     return BracketCompatReport(tuple(checks))
 

@@ -236,9 +236,14 @@ class WeightingResult:
 
 
 def weighted_coordinates(
-    filtration: Filtration, submanifold: Submanifold
+    filtration: Filtration,
+    submanifold: Submanifold,
+    clean: CleanResult | None = None,
 ) -> WeightingResult:
     """Build the weighted chart induced by a clean filtration.
+
+    clean is check_clean(filtration, submanifold) when the caller has it
+    already; it is computed here when not given.
 
     Raises ValueError when the cleanness test fails, when a level has too
     few generators for the frame, when the pairing matrix is singular at
@@ -247,7 +252,8 @@ def weighted_coordinates(
     is the identity and that forward after inverse is the identity are
     asserted.
     """
-    clean = check_clean(filtration, submanifold)
+    if clean is None:
+        clean = check_clean(filtration, submanifold)
     if clean.verdict != "pass":
         raise ValueError(
             f"submanifold is not clean for this filtration (level {clean.first_bad_level})"

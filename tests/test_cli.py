@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lieweights import cli
+from lieweights import cli, weightcoord
 from lieweights.cli import (
     EXIT_FAIL,
     EXIT_INCONCLUSIVE,
@@ -24,6 +24,7 @@ from lieweights.cli import (
     render_json,
 )
 from lieweights.jets import SampleReport
+from lieweights.lieflt import check_clean
 from lieweights.vfield import MAX_MONOMIALS, Chart, coordinate_field, parse_scalar
 from lieweights.weightcoord import weighted_coordinates
 
@@ -302,6 +303,33 @@ class TestFlags:
         data = stage(report, "jets")["data"]
         assert data["samples"]["tested"] == 3
         assert data["seed"] == 11
+
+    def test_zero_samples_are_no_evidence(self, tmp_path):
+        code, report = run_report("report", HEISENBERG, tmp_path, "--samples", "0")
+        assert code == EXIT_INCONCLUSIVE
+        entry = stage(report, "jets")
+        assert entry["verdict"] == "inconclusive"
+        assert entry["data"]["reason"] == "no_samples"
+        assert entry["data"]["samples"] == {
+            "tested": 0,
+            "failed": 0,
+            "first_failure": None,
+        }
+        # the pipeline keeps going after an inconclusive stage
+        assert stage(report, "osculating")["verdict"] == "pass"
+
+    def test_report_checks_cleanness_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_clean(*args):
+            calls.append(args)
+            return check_clean(*args)
+
+        monkeypatch.setattr(cli, "check_clean", counting_clean)
+        monkeypatch.setattr(weightcoord, "check_clean", counting_clean)
+        code, _ = run_report("report", EXAMPLE1, tmp_path)
+        assert code == EXIT_PASS
+        assert len(calls) == 1
 
 
 class TestInputErrors:

@@ -444,3 +444,74 @@ def test_ratfunc_inverse_multiplies_back_to_identity():
             assert entry == RatFunc.const(2, 1 if i == j else 0)
     singular = [[RatFunc(one), RatFunc(y)], [RatFunc(x), RatFunc(x * y)]]
     assert matrix_inverse(singular) is None
+
+
+# -- the kernel's column index -------------------------------------------------
+
+
+@st.composite
+def row_batches(draw):
+    """Sparse Fraction rows with zero rows, repeated rows and combinations
+    of earlier rows mixed in, plus two insertion orders."""
+    n = draw(st.integers(1, 7))
+    entry = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+    rows: list[dict] = []
+    for _ in range(draw(st.integers(1, 9))):
+        kind = draw(st.sampled_from(["sparse", "sparse", "zero", "repeat", "combination"]))
+        if kind == "zero":
+            rows.append({})
+        elif kind == "repeat" and rows:
+            rows.append(dict(draw(st.sampled_from(rows))))
+        elif kind == "combination" and rows:
+            combined: dict = {}
+            for _ in range(draw(st.integers(1, 3))):
+                factor = draw(entry)
+                for c, x in draw(st.sampled_from(rows)).items():
+                    combined[c] = combined.get(c, Fraction(0)) + factor * x
+            rows.append({c: x for c, x in combined.items() if x})
+        else:
+            cols = draw(st.sets(st.integers(0, n - 1), max_size=n))
+            rows.append({c: draw(entry) for c in sorted(cols)})
+    first = draw(st.permutations(rows))
+    second = draw(st.permutations(rows))
+    return n, first, second
+
+
+def recomputed_index(echelon: RowEchelon) -> dict:
+    index: dict = {}
+    for p, row in echelon.pivot_rows.items():
+        for c in row:
+            if c != p:
+                index.setdefault(c, set()).add(p)
+    return index
+
+
+def scanned_particular(echelon: RowEchelon, ncols: int, rhs: int):
+    x = [Fraction(0)] * ncols
+    for p, row in echelon.pivot_rows.items():
+        if rhs in row:
+            if p >= ncols:
+                return None
+            x[p] = row[rhs]
+    return tuple(x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(row_batches())
+def test_column_index_tracks_the_held_rows(batch):
+    n, first, second = batch
+    spans = []
+    for order in (first, second):
+        echelon = RowEchelon()
+        for row in order:
+            echelon.add(row)
+            index = recomputed_index(echelon)
+            assert echelon._holders == index
+            assert not set(index) & set(echelon.pivot_rows)
+            for ncols in range(n):
+                for rhs in range(ncols, n):
+                    assert echelon.particular(ncols, rhs) == scanned_particular(
+                        echelon, ncols, rhs
+                    )
+        spans.append(echelon)
+    assert spans[0].pivot_rows == spans[1].pivot_rows

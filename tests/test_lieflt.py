@@ -2,11 +2,14 @@
 
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lieweights import lieflt
+from lieweights.cli import load_problem
 from lieweights.exactalg import (
     LinearSolution,
     Poly,
@@ -41,10 +44,12 @@ from lieweights.vfield import (
     ParseError,
     VectorField,
     coordinate_field,
+    lie_bracket,
     parse_vector_field,
 )
 
 CHART = Chart(("x", "y", "z"))
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def vf(src: str) -> VectorField:
@@ -333,6 +338,43 @@ def test_pairs_beyond_order_pass_tautologically():
     assert report.verdict == PASS
     deep = [c for c in report.checks if c.i + c.j > 3]
     assert deep and all(c.result.verdict == PASS for c in deep)
+
+
+@pytest.mark.parametrize("name", ["engel4", "cartan235"])
+def test_bracket_compat_builds_only_the_brackets_it_tests(name, monkeypatch):
+    spec = load_problem(str(PROBLEMS / f"{name}.json"))
+    flt = spec.filtration
+    built = []
+
+    def counting_bracket(g, h):
+        built.append((id(g), id(h)))
+        return lie_bracket(g, h)
+
+    monkeypatch.setattr(lieflt, "lie_bracket", counting_bracket)
+    report = check_bracket_compat(flt, spec.degree_bound)
+    assert report.verdict == PASS
+    assert report.first_failure() is None
+
+    def pair(check):
+        return flt.levels[check.i - 1][check.gi], flt.levels[check.j - 1][check.gj]
+
+    tested = [c for c in report.checks if c.i + c.j <= flt.order]
+    deep = [c for c in report.checks if c.i + c.j > flt.order]
+    assert tested and deep
+    assert built == [(id(g), id(h)) for g, h in map(pair, tested)]
+
+    # reading a tautological certificate builds its bracket, and the
+    # certificate re-substitutes to it on the frame plus H_{-order}
+    basis = [coordinate_field(flt.chart, a) for a in range(flt.chart.dim)]
+    basis += flt.generators(flt.order)
+    for check in deep:
+        cert = check.result.certificate
+        assert len(cert) == len(basis)
+        total = basis[0].scale(cert[0])
+        for coeff, gen in zip(cert[1:], basis[1:]):
+            total = total + gen.scale(coeff)
+        assert total == lie_bracket(*pair(check))
+    assert len(built) == len(tested) + len(deep)
 
 
 # -- cleanness and weights -------------------------------------------------------
