@@ -658,9 +658,10 @@ class LinearSolution:
 class RowEchelon:
     """Reduced row echelon form over an exact field, built one row at a time.
 
-    Rows are sparse ``{column: entry}`` dicts; dense sequences are accepted
-    and converted, and int entries become Fractions.  Entries need +, -, *,
-    / and truthiness for the zero test, so Fraction and RatFunc both work.
+    Rows are sparse ``{column: entry}`` dicts; any other row is read as a
+    dense sequence and converted, and int entries become Fractions.
+    Entries need +, -, *, / and truthiness for the zero test, so Fraction
+    and RatFunc both work.
     An inserted row is cleared of the existing pivot columns, takes its
     first nonzero column as pivot, is scaled to a leading 1 and cleared
     from the other rows, so the held rows are in reduced form after every
@@ -687,7 +688,7 @@ class RowEchelon:
         that clears every pivot column.  Empty exactly when the row is in
         the span.  The pivot columns are fixed by the span, so the normal
         form is unique and is linear in the row."""
-        items = row.items() if isinstance(row, Mapping) else enumerate(row)
+        items = row.items() if isinstance(row, dict) else enumerate(row)
         out = {c: Fraction(x) if isinstance(x, int) else x for c, x in items if x}
         for p in [c for c in out if c in self.pivot_rows]:
             # pivot rows vanish on the other pivot columns: no new ones appear

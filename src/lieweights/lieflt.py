@@ -23,7 +23,6 @@ from .exactalg import (
     Poly,
     RatFunc,
     RowEchelon,
-    matrix_rank,
 )
 from .vfield import Chart, VectorField, lie_bracket, restrict_zero
 
@@ -105,7 +104,6 @@ class Filtration:
     chart: Chart
     order: int
     levels: tuple[tuple[VectorField, ...], ...]
-    nested: bool = field(init=False)
     # generators(depth) for depth 1..order, built once
     _generators: tuple[tuple[VectorField, ...], ...] = field(
         init=False, repr=False, compare=False
@@ -123,13 +121,9 @@ class Filtration:
                 if g.chart != chart:
                     raise ValueError("generator lives on a different chart")
             frozen.append(gens)
-        nested = all(
-            all(g in frozen[i + 1] for g in frozen[i]) for i in range(order - 1)
-        )
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "levels", tuple(frozen))
-        object.__setattr__(self, "nested", nested)
         cumulative: list[VectorField] = []
         generators = []
         for gens in frozen:
@@ -433,13 +427,15 @@ def check_bracket_compat(
 
 @dataclass(frozen=True)
 class CleanResult:
-    """Rank data of TN + H_{-i} along the submanifold.
+    """Rank flag of TN + H_{-i} along the submanifold, and its frame.
 
-    ranks[i] is the rank at the base point of the matrix whose columns are
-    a tangent basis of N followed by the level -i generators restricted to
-    N; generic_ranks[i] is the same rank over the rational-function field
-    of N.  The submanifold is clean exactly when the two agree at every
-    level.
+    ranks[i] is the dimension at the base point m of the span of a tangent
+    basis of N and the values of the level -i generators; generic_ranks[i]
+    is the same dimension over the rational-function field of N, with the
+    generators restricted to N.  The submanifold is clean exactly when the
+    two agree at every level.  frame lists, in generator-list order, the
+    generators whose value at m extended the span, and frame_levels[p] is
+    the depth at which frame[p] joined: depth i adds ranks[i] - ranks[i-1].
     """
 
     verdict: str
@@ -447,45 +443,53 @@ class CleanResult:
     generic_ranks: tuple[int, ...]
     first_bad_level: int | None
     submanifold: Submanifold
+    frame: tuple[VectorField, ...]
+    frame_levels: tuple[int, ...]
 
 
 def check_clean(filtration: Filtration, submanifold: Submanifold) -> CleanResult:
+    """Both rank flags, each from one span grown level by level.
+
+    A span starts from the tangent unit rows and takes, at each depth,
+    only the generators new at that depth: the earlier ones are in it
+    already, so its rank after depth i is the rank of TN + H_{-i}, and
+    adopting greedily over the new generators adopts what a greedy scan
+    of all of H_{-i} would.
+    """
     chart = filtration.chart
     if submanifold.chart != chart:
         raise ValueError("submanifold lives on a different chart")
-    n = chart.dim
+    one = RatFunc.const(chart.dim, 1)
     fiber = submanifold.fiber_indices
-    ranks = []
-    generic_ranks = []
-    first_bad = None
-    for depth in range(filtration.order + 1):
-        columns: list[list[RatFunc]] = []
-        for b in submanifold.tangent_indices:
-            columns.append(
-                [RatFunc.const(n, 1 if a == b else 0) for a in range(n)]
-            )
-        if depth >= 1:
-            for g in filtration.generators(depth):
-                columns.append(
-                    [RatFunc(restrict_zero(c, fiber)) for c in g.coeffs]
-                )
-        rows = [[col[a] for col in columns] for a in range(n)]
-        generic = matrix_rank(rows)
-        point_rows = [
-            [entry.eval(submanifold.base_point) for entry in row] for row in rows
-        ]
-        at_point = matrix_rank(point_rows)
-        ranks.append(at_point)
-        generic_ranks.append(generic)
-        if at_point != generic and first_bad is None:
-            first_bad = depth
-    verdict = PASS if first_bad is None else FAIL
+    m = submanifold.base_point
+    generic = RowEchelon({b: one} for b in submanifold.tangent_indices)
+    at_point = RowEchelon({b: Fraction(1)} for b in submanifold.tangent_indices)
+    ranks = [at_point.rank]
+    generic_ranks = [generic.rank]
+    frame: list[VectorField] = []
+    frame_levels: list[int] = []
+    done = 0
+    for depth in range(1, filtration.order + 1):
+        gens = filtration.generators(depth)
+        for g in gens[done:]:
+            generic.add([RatFunc(restrict_zero(c, fiber)) for c in g.coeffs])
+            if at_point.add(g.value_at(m)):
+                frame.append(g)
+                frame_levels.append(depth)
+        done = len(gens)
+        ranks.append(at_point.rank)
+        generic_ranks.append(generic.rank)
+    first_bad = next(
+        (i for i, (a, b) in enumerate(zip(ranks, generic_ranks)) if a != b), None
+    )
     return CleanResult(
-        verdict=verdict,
+        verdict=PASS if first_bad is None else FAIL,
         ranks=tuple(ranks),
         generic_ranks=tuple(generic_ranks),
         first_bad_level=first_bad,
         submanifold=submanifold,
+        frame=tuple(frame),
+        frame_levels=tuple(frame_levels),
     )
 
 
@@ -501,30 +505,16 @@ class WeightAssignment:
 
     weights: tuple[int, ...]
     positions: tuple[int, ...]
-    ranks: tuple[int, ...]
 
 
 def weight_sequence(clean: CleanResult) -> WeightAssignment:
-    ranks = clean.ranks
     sub = clean.submanifold
-    n = sub.chart.dim
-    if any(ranks[i] > ranks[i + 1] for i in range(len(ranks) - 1)):
-        raise ValueError("rank sequence is not non-decreasing")
-    if ranks[-1] != n:
+    if clean.ranks[-1] != sub.chart.dim:
         raise ValueError("top filtration level does not span the tangent space")
-    if ranks[0] != sub.dim:
-        raise ValueError("rank at level 0 does not match the submanifold dimension")
-    weights = []
-    for p in range(n):
-        if p < ranks[0]:
-            weights.append(0)
-            continue
-        for i, k in enumerate(ranks):
-            if k >= p + 1:
-                weights.append(i)
-                break
-    positions = tuple(sub.tangent_indices) + sub.fiber_indices
-    return WeightAssignment(weights=tuple(weights), positions=positions, ranks=ranks)
+    return WeightAssignment(
+        weights=(0,) * sub.dim + clean.frame_levels,
+        positions=tuple(sub.tangent_indices) + sub.fiber_indices,
+    )
 
 
 def tangency_solve(

@@ -103,9 +103,9 @@ class GradedLieAlg:
     vectors; pairs whose degree sum drops below -order are zero and not
     stored.  unverified lists the pairs whose constants had no certificate
     at the degree bound used to build the algebra (entries left zero).
-    level_candidates / candidate_classes record, per depth, the generator
-    fields considered and their classes in the global basis; they define
-    the quotient map used when pairing the algebra with other data.
+    candidate_classes[i - 1] holds the classes in the global basis of
+    filtration.generators(i), in order; they define the quotient map used
+    when pairing the algebra with other data.
     """
 
     order: int
@@ -113,7 +113,6 @@ class GradedLieAlg:
     representatives: tuple[VectorField, ...]
     structure: tuple[tuple[int, int, Vector], ...]
     unverified: tuple[tuple[int, int], ...]
-    level_candidates: tuple[tuple[VectorField, ...], ...]
     candidate_classes: tuple[tuple[Vector, ...], ...]
 
     @property
@@ -293,9 +292,6 @@ def osculating_at(
         representatives=tuple(representatives),
         structure=tuple(structure),
         unverified=tuple(unverified),
-        level_candidates=tuple(
-            filtration.generators(depth) for depth in range(1, order + 1)
-        ),
         candidate_classes=candidate_classes,
     )
 
@@ -526,6 +522,11 @@ class HHReport:
     per_degree_ok: per depth, dim p - dim r equals the rank increment.
     maps_into_ok: pushing tangent-class representatives to the weighted
     chart lands them in the tangent part of the ambient graded piece.
+
+    The verdict is fail only when maps_into_ok is false: a tangency
+    certificate gives the class of a tangent field at any bound.  The
+    dimensions at a bound are only upper bounds, so a mismatch, like an
+    unverified structure constant, is inconclusive.
     """
 
     algebra: GradedLieAlg
@@ -540,9 +541,9 @@ class HHReport:
 
     @property
     def verdict(self) -> str:
-        if not (self.fiber_total_ok and self.per_degree_ok and self.maps_into_ok):
+        if not self.maps_into_ok:
             return "fail"
-        if self.algebra.unverified:
+        if not (self.fiber_total_ok and self.per_degree_ok) or self.algebra.unverified:
             return "inconclusive"
         return "pass"
 

@@ -1,13 +1,13 @@
 """Construction of weighted coordinates from a clean filtration.
 
-Pipeline: rank flags fix the weights; a frame of generators is chosen
-greedily, one block per level; a linear change makes the frame pair with
-the fiber coordinates as the identity along N; then higher-weight fiber
-coordinates receive polynomial corrections, computed degree by degree, so
-that every operator word of weighted order below the target weight kills
-them along N.  Each correction divides by a normalization constant that
-must equal the product of factorials of the multi-index; this is asserted,
-not assumed.
+Pipeline: the rank flags and the frame come from lieflt.check_clean, whose
+span at the base point adopts the generators that extend it, one block per
+level; a linear change makes the frame pair with the fiber coordinates as
+the identity along N; then higher-weight fiber coordinates receive
+polynomial corrections, computed degree by degree, so that every operator
+word of weighted order below the target weight kills them along N.  Each
+correction divides by a normalization constant that must equal the product
+of factorials of the multi-index; this is asserted, not assumed.
 
 Coordinate functions of the weighted chart are kept as exact expressions
 in the original chart (``forward``) together with the inverse substitution
@@ -29,7 +29,6 @@ from typing import Sequence
 from .exactalg import (
     Poly,
     RatFunc,
-    RowEchelon,
     as_ratfunc,
     grlex_key,
     matrix_inverse,
@@ -39,7 +38,6 @@ from .lieflt import (
     CleanResult,
     Filtration,
     Submanifold,
-    WeightAssignment,
     check_clean,
     weight_sequence,
 )
@@ -66,33 +64,6 @@ class Frame:
     @property
     def chart(self) -> Chart:
         return self.submanifold.chart
-
-
-def select_frame(
-    filtration: Filtration, weight_assignment: WeightAssignment, submanifold: Submanifold
-) -> Frame:
-    """Greedy frame choice: scan each level's generators in list order and
-    adopt those whose value at the base point extends the running span."""
-    m = submanifold.base_point
-    ranks = weight_assignment.ranks
-    span = RowEchelon({b: Fraction(1)} for b in submanifold.tangent_indices)
-    fields: list[VectorField] = []
-    levels: list[int] = []
-    for depth in range(1, filtration.order + 1):
-        needed = ranks[depth] - ranks[depth - 1]
-        adopted = 0
-        for g in filtration.generators(depth):
-            if adopted == needed:
-                break
-            if span.add(g.value_at(m)):
-                fields.append(g)
-                levels.append(depth)
-                adopted += 1
-        if adopted != needed:
-            raise ValueError(
-                f"frame incomplete at level {depth}: needed {needed}, found {adopted}"
-            )
-    return Frame(submanifold=submanifold, fields=tuple(fields), levels=tuple(levels))
 
 
 def normalize_chart(
@@ -245,12 +216,12 @@ def weighted_coordinates(
     clean is check_clean(filtration, submanifold) when the caller has it
     already; it is computed here when not given.
 
-    Raises ValueError when the cleanness test fails, when a level has too
-    few generators for the frame, when the pairing matrix is singular at
-    the base point, or when a normalization constant or a recomputed
-    filtration degree is not the expected one.  That the normalized pairing
-    is the identity and that forward after inverse is the identity are
-    asserted.
+    The frame is the one check_clean adopted.  Raises ValueError when the
+    cleanness test fails, when the top level does not span, when the
+    pairing matrix is singular at the base point, or when a normalization
+    constant or a recomputed filtration degree is not the expected one.
+    That the normalized pairing is the identity and that forward after
+    inverse is the identity are asserted.
     """
     if clean is None:
         clean = check_clean(filtration, submanifold)
@@ -259,7 +230,7 @@ def weighted_coordinates(
             f"submanifold is not clean for this filtration (level {clean.first_bad_level})"
         )
     assignment = weight_sequence(clean)
-    frame = select_frame(filtration, assignment, submanifold)
+    frame = Frame(submanifold, clean.frame, clean.frame_levels)
     fiber_coords, pairing = normalize_chart(frame, submanifold)
 
     chart = filtration.chart

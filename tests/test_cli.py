@@ -219,6 +219,25 @@ class TestReport:
         assert "jets" not in names
         assert names[-1] == "osculating"
 
+    @pytest.mark.parametrize("name", ["heisenberg", "singular_chart"])
+    def test_osculate_dims_at_a_small_bound_are_inconclusive(self, tmp_path, name):
+        # at bound 0 the graded dims are upper bounds that overshoot, so
+        # the mismatch certifies nothing; bound 1 settles them
+        path = str(PROBLEMS / f"{name}.json")
+        code, report = run_report("osculate", path, tmp_path, "--degree-bound", "0")
+        assert code == EXIT_INCONCLUSIVE
+        osc = stage(report, "osculating")
+        assert osc["verdict"] == "inconclusive"
+        assert osc["data"]["reason"] == "degree_bound"
+        assert osc["data"]["checks"] == {
+            "fiber_total": False,
+            "per_degree": False,
+            "maps_into": True,
+        }
+        code, report = run_report("osculate", path, tmp_path, "--degree-bound", "1")
+        assert code == EXIT_PASS
+        assert stage(report, "osculating")["verdict"] == "pass"
+
     def test_corrections_expose_factorial_constants(self, tmp_path):
         _, report = run_report("coords", EXAMPLE2, tmp_path)
         recs = stage(report, "coordinates")["data"]["corrections"]

@@ -1,6 +1,8 @@
 """Filtration checks: membership, bracket compatibility, cleanness, weights."""
 
+import functools
 import itertools
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpus import CHART_TABC, pushed_forward_model
 from lieweights import lieflt
 from lieweights.cli import load_problem
 from lieweights.exactalg import (
@@ -437,6 +440,99 @@ def test_weight_sequence_rejects_short_span():
     res = check_clean(flt, Submanifold(chart, (), (0, 0)))
     with pytest.raises(ValueError):
         weight_sequence(res)
+
+
+def reference_clean(filtration, submanifold):
+    """Rank flags by a fresh dense matrix_rank per depth, over RatFunc and
+    at the base point, and a greedy frame that scans all of H_{-i}."""
+    n = filtration.chart.dim
+    m = submanifold.base_point
+    ranks, generic_ranks = [], []
+    for depth in range(filtration.order + 1):
+        columns = [
+            [RatFunc.const(n, 1 if a == b else 0) for a in range(n)]
+            for b in submanifold.tangent_indices
+        ]
+        if depth:
+            for g in filtration.generators(depth):
+                columns.append([RatFunc(submanifold.restrict(c)) for c in g.coeffs])
+        rows = [[col[a] for col in columns] for a in range(n)]
+        generic_ranks.append(matrix_rank(rows))
+        ranks.append(matrix_rank([[x.eval(m) for x in row] for row in rows]))
+    span = RowEchelon({b: Fraction(1)} for b in submanifold.tangent_indices)
+    frame, levels = [], []
+    for depth in range(1, filtration.order + 1):
+        for g in filtration.generators(depth):
+            if span.add(g.value_at(m)):
+                frame.append(g)
+                levels.append(depth)
+    return tuple(ranks), tuple(generic_ranks), tuple(frame), tuple(levels)
+
+
+def reference_weights(ranks, submanifold):
+    """Weights read off the rank sequence: fiber position p gets the first
+    depth whose rank covers it; None when the top level does not span."""
+    n = submanifold.chart.dim
+    if ranks[-1] != n:
+        return None
+    return tuple(
+        0 if p < ranks[0] else next(i for i, k in enumerate(ranks) if k > p)
+        for p in range(n)
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def pushed_forward_models():
+    rng = random.Random(20261)
+    return tuple(pushed_forward_model(rng) for _ in range(60))
+
+
+def assert_clean_matches_reference(filtration, submanifold):
+    res = check_clean(filtration, submanifold)
+    ranks, generic_ranks, frame, levels = reference_clean(filtration, submanifold)
+    assert res.ranks == ranks
+    assert res.generic_ranks == generic_ranks
+    assert res.frame == frame
+    assert res.frame_levels == levels
+    assert (res.verdict == PASS) == (ranks == generic_ranks)
+    weights = reference_weights(ranks, submanifold)
+    if weights is None:
+        with pytest.raises(ValueError, match="does not span"):
+            weight_sequence(res)
+    else:
+        assignment = weight_sequence(res)
+        assert assignment.weights == weights
+        assert assignment.positions == (
+            submanifold.tangent_indices + submanifold.fiber_indices
+        )
+    return res
+
+
+PROBLEM_FILES = sorted(PROBLEMS.glob("*.json")) + sorted(
+    (PROBLEMS.parent / "bench" / "problems").glob("*.json")
+)
+
+
+@pytest.mark.parametrize(
+    "path",
+    PROBLEM_FILES,
+    ids=lambda path: path.relative_to(PROBLEMS.parent).with_suffix("").as_posix(),
+)
+def test_clean_matches_dense_reference_on_problem_files(path):
+    spec = load_problem(str(path))
+    assert_clean_matches_reference(spec.filtration, spec.submanifold)
+
+
+@pytest.mark.parametrize("t", [0, 1, 2, -1])
+def test_clean_matches_dense_reference_on_pushed_forward_models(t):
+    # N = {a = b = c = 0} at t: a generator scaled by t or t + 1 drops rank
+    # at t = 0 or t = -1, so some of these cases are not clean
+    sub = Submanifold(CHART_TABC, (0,), (t, 0, 0, 0))
+    verdicts = {
+        assert_clean_matches_reference(filt, sub).verdict
+        for filt in pushed_forward_models()
+    }
+    assert verdicts == ({PASS} if t in (1, 2) else {PASS, FAIL})
 
 
 # -- tangency -----------------------------------------------------------------

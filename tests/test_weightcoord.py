@@ -12,7 +12,6 @@ from lieweights.exactalg import Poly, RatFunc
 from lieweights.lieflt import (
     Filtration,
     Submanifold,
-    WeightAssignment,
     monomials_up_to,
 )
 from lieweights.vfield import (
@@ -30,7 +29,6 @@ from lieweights.weightcoord import (
     filtration_degree,
     normalize_chart,
     push_to_weighted,
-    select_frame,
     vf_filtration_degree,
     weighted_coordinates,
     weighted_degree,
@@ -265,18 +263,6 @@ def test_permuted_adapted_order():
     assert w.forward[0] == Poly.variable(2, 1)
     assert weighted_degree(Poly.variable(2, 0), w).degree == 1
     assert weighted_degree(Poly.variable(2, 1), w).degree == 0
-
-
-def test_select_frame_incomplete_level():
-    filt = heis_plus_vertical()
-    crippled = Filtration(
-        CHART3, 3, (filt.levels[0], filt.levels[1], filt.levels[1])
-    )
-    assignment = WeightAssignment(
-        weights=(1, 2, 3), positions=(0, 1, 2), ranks=(0, 1, 2, 3)
-    )
-    with pytest.raises(ValueError, match="frame incomplete at level 3"):
-        select_frame(crippled, assignment, ORIGIN3)
 
 
 def test_normalize_rejects_singular_pairing():
