@@ -372,6 +372,9 @@ class _Pipeline:
         if not sample.tested:
             data["reason"] = "no_samples"
             return INCONCLUSIVE, data
+        if not sample.certified:
+            data["reason"] = "uncertified"
+            return INCONCLUSIVE, data
         return PASS, data
 
     def stage_osculating(self):

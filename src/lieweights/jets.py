@@ -9,6 +9,15 @@ depth-graded families act on jets unipotently; the flow-out of the jets of
 a submanifold under such exponentials built from a filtration is cut out
 by weighted-coordinate equations, which is what flowout_sample verifies.
 
+flowout_sample first tries a certificate: every generator listed at level
+-j has weighted filtration degree at least -j.  Then each lifted letter is
+tangent to the flow-out locus Q, every exponential the sampler could draw
+keeps Q, and the start jets lie in Q, so every sample on the weighted
+chart passes and the counts are exact without a jet being moved; only an
+off-chart count needs the draws, and only for their base points.  When
+the certificate fails, _sample_by_moving moves and tests each sample, and
+its first failing jet is a witness.
+
 The exponentials are expanded in words.  With Y = sum_L c_L eps^(j_L) X_L,
 one letter L per listed generator X_L of level -j_L, the power Y^k x_a is
 multilinear in the coefficients: the sum over words L1..Lk of
@@ -23,7 +32,7 @@ vanish.  No Poly, RatFunc or VectorField is built per sample, and moving
 and testing a jet runs on Python ints.  u_exp_act and u_exp_apply use the
 same table, with one letter of coefficient 1 per term of the URElem.
 
-flowout_sample draws from one random.Random(seed) in a fixed order, so a
+The sampler draws from one random.Random(seed) in a fixed order, so a
 report depends only on (count, seed).  Per sample: each component of each
 tangent row (random() < 0.7, then choice() when kept), then
 randrange(1, 4) group elements.  Per element, level by
@@ -40,12 +49,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .exactalg import Poly, RatFunc, RowEchelon
 from .lieflt import Filtration, Submanifold, field_entries, transposed
 from .vfield import Chart, VectorField
-from .weightcoord import WeightedChart
+from .weightcoord import WeightedChart, vf_filtration_degree
 
 Scalar = Poly | RatFunc
 
@@ -715,13 +724,21 @@ class SampleReport:
     """Flow-out sampling outcome.  Samples whose base point lies off the
     weighted chart (a denominator of a weighted coordinate vanishes there)
     are counted in off_chart and not tested; first_off_chart is the index
-    of the first of them."""
+    of the first of them.
+
+    certified says that flowout_sample's certificate held.  Then every
+    on-chart sample lies in the flow-out locus: tested counts them, the
+    certificate decided their membership without a jet being moved, and
+    failed is 0.  Without it, tested and failed count on-chart samples
+    that were moved and tested one by one, and failed == 0 means only that
+    no failing jet turned up among them."""
 
     tested: int
     failed: int
     first_failure: dict | None
     off_chart: int = 0
     first_off_chart: int | None = None
+    certified: bool = False
 
     @property
     def passed(self) -> bool:
@@ -769,6 +786,39 @@ def _random_element(
     return coeffs, rng.choice(_COEFF_POOL)
 
 
+def _draws(
+    submanifold: Submanifold, table: _ExpTable, count: int, seed: int
+) -> Iterator[tuple[JetPoint, list]]:
+    """The samples in drawing order: per sample a tangent jet of the
+    submanifold and its one to three group elements."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        u = _random_tangent_jet(rng, submanifold, table.order)
+        yield u, [_random_element(rng, table) for _ in range(rng.randrange(1, 4))]
+
+
+def _off_chart(poles: Sequence[Poly], u: JetPoint) -> bool:
+    """Whether a denominator of a weighted coordinate vanishes at the
+    jet's base point."""
+    return any(not q.eval(u.base_point()) for q in poles)
+
+
+def _flowout_certified(
+    filtration: Filtration, submanifold: Submanifold, weighting: WeightedChart
+) -> bool:
+    """Whether every generator listed at level -j has filtration degree at
+    least -j in the weighting, and the submanifold's jets are the ones the
+    weighting was built along.  A generator listed at several levels needs
+    the bound of the first."""
+    first_level: dict[VectorField, int] = {}
+    for j, gens in enumerate(filtration.levels, 1):
+        for x in gens:
+            first_level.setdefault(x, j)
+    return submanifold.tangent_indices == weighting.submanifold.tangent_indices and all(
+        vf_filtration_degree(x, weighting) >= -j for x, j in first_level.items()
+    )
+
+
 def flowout_sample(
     filtration: Filtration,
     submanifold: Submanifold,
@@ -776,10 +826,65 @@ def flowout_sample(
     count: int,
     seed: int,
 ) -> SampleReport:
-    """Randomized flow-out check: products of unipotent exponentials built
-    from the filtration levels, applied to jets of the submanifold, must
-    all satisfy the weighted membership equations.  Deterministic for a
-    fixed (count, seed).
+    """Flow-out check: products of unipotent exponentials built from the
+    filtration levels, applied to jets of the submanifold, must all
+    satisfy the weighted membership equations.  Deterministic for a fixed
+    (count, seed), and the counts equal _sample_by_moving's.
+
+    The outcome is decided before anything is drawn.  The filtration is
+    certified when every generator X listed at level -j has
+    vf_filtration_degree(X, weighting) >= -j, and the submanifold has the
+    weighting's tangent variables.  Then every on-chart sample passes:
+
+    - Let Q = {phi_p^(i) = 0 for i < w_p} in the jets, phi_p the weighted
+      coordinate of weight w_p.  The depth-j lift of X has component
+      lift_all(X(phi_p))[i - j] along phi_p^(i).  On Q a weighted monomial
+      of weighted degree d starts at eps^d, and the weighted chart's
+      denominators are functions on N, of weight 0 and units on the chart.
+      So when X(phi_p) has weighted degree >= w_p - j, that component
+      vanishes on Q for every i < w_p: every lifted letter is tangent to
+      Q, a coordinate subspace of the lifted weighted chart.
+    - A sampled element exp(t * sum_L c_L eps^(j_L) X_L) is a finite sum
+      of powers of such a field, and each power maps the ideal of Q into
+      itself, so the element keeps Q.
+    - A start jet has zero fiber rows, so it lies in the jets of N, and
+      each positive-weight coordinate vanishes on N.  weighted_coordinates
+      guarantees that: it requires the filtration_degree of every fiber
+      coordinate to equal its weight, at least 1, and the empty word, of
+      weighted order 0, is among the words that test sees, so a
+      coordinate not vanishing on N would have degree 0 and raise.
+
+    So a certified run moves no jet and calls no q_membership: tested is
+    the number of on-chart samples and failed is 0.  The draws matter only
+    for the off-chart count.  With no rational weighted coordinate nothing
+    is drawn; with poles the draws are replayed, in the same order, for
+    their base points.  Without the certificate the samples are moved and
+    tested by _sample_by_moving, whose first_failure is a failing jet."""
+    if not _flowout_certified(filtration, submanifold, weighting):
+        return _sample_by_moving(filtration, submanifold, weighting, count, seed)
+    poles = [f.den for f in weighting.forward if not f.is_polynomial()]
+    if not poles:
+        return SampleReport(count, 0, None, certified=True)
+    table = _ExpTable.of_filtration(filtration)
+    off = [
+        k
+        for k, (u, _) in enumerate(_draws(submanifold, table, count, seed))
+        if _off_chart(poles, u)
+    ]
+    return SampleReport(
+        count - len(off), 0, None, len(off), off[0] if off else None, certified=True
+    )
+
+
+def _sample_by_moving(
+    filtration: Filtration,
+    submanifold: Submanifold,
+    weighting: WeightedChart,
+    count: int,
+    seed: int,
+) -> SampleReport:
+    """The randomized flow-out check itself: each on-chart sample is moved
+    by its group elements and tested with q_membership.
 
     Every letter has depth at least 1, so a move keeps the jet's base
     point.  A sample drawn off the weighted chart therefore stays off it:
@@ -787,13 +892,10 @@ def flowout_sample(
     is neither moved nor tested."""
     table = _ExpTable.of_filtration(filtration)
     poles = [f.den for f in weighting.forward if not f.is_polynomial()]
-    rng = random.Random(seed)
     tested = failed = off_chart = 0
     first = first_off = None
-    for k in range(count):
-        u = _random_tangent_jet(rng, submanifold, filtration.order)
-        elems = [_random_element(rng, table) for _ in range(rng.randrange(1, 4))]
-        if poles and any(not q.eval(u.base_point()) for q in poles):
+    for k, (u, elems) in enumerate(_draws(submanifold, table, count, seed)):
+        if _off_chart(poles, u):
             off_chart += 1
             if first_off is None:
                 first_off = k

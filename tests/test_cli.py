@@ -30,6 +30,8 @@ from lieweights.weightcoord import weighted_coordinates
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 BENCH_PROBLEMS = PROBLEMS.parent / "bench" / "problems"
+PROBLEM_FILES = sorted(PROBLEMS.glob("*.json")) + sorted(BENCH_PROBLEMS.glob("*.json"))
+PROBLEM_IDS = [str(p.relative_to(PROBLEMS.parent)) for p in PROBLEM_FILES]
 EXAMPLE1 = str(PROBLEMS / "example1.json")
 EXAMPLE2 = str(PROBLEMS / "example2.json")
 HEISENBERG = str(PROBLEMS / "heisenberg.json")
@@ -293,6 +295,23 @@ class TestReport:
             "first_off_chart": 0,
         }
 
+    @pytest.mark.parametrize("certified", [True, False])
+    def test_a_pass_needs_the_flowout_certificate(self, tmp_path, monkeypatch, certified):
+        # five samples passed; without the certificate that proves nothing
+        monkeypatch.setattr(
+            cli, "flowout_sample", lambda *args: SampleReport(5, 0, None, certified=certified)
+        )
+        code, report = run_report("jets", HEISENBERG, tmp_path)
+        data = stage(report, "jets")["data"]
+        assert data["samples"] == {"tested": 5, "failed": 0, "first_failure": None}
+        if certified:
+            assert code == EXIT_PASS
+            assert "reason" not in data
+        else:
+            assert code == EXIT_INCONCLUSIVE
+            assert stage(report, "jets")["verdict"] == "inconclusive"
+            assert data["reason"] == "uncertified"
+
 
 class TestFlags:
     def test_samples_and_seed_override(self, tmp_path):
@@ -310,6 +329,23 @@ class TestFlags:
         )
         assert code == EXIT_PASS
         assert stage(report, "bracket-compat")["data"]["degree_bound"] == 3
+
+    @pytest.mark.parametrize("command", ["check", "osculate"])
+    @pytest.mark.parametrize("path", PROBLEM_FILES, ids=PROBLEM_IDS)
+    def test_a_larger_bound_never_turns_a_pass_into_a_fail(self, tmp_path, path, command):
+        # a larger bound may settle an inconclusive verdict, never refute a pass
+        names = {EXIT_PASS: "pass", EXIT_FAIL: "fail", EXIT_INCONCLUSIVE: "inconclusive"}
+        previous = {}
+        for bound in range(5):
+            code, report = run_report(
+                command, str(path), tmp_path, "--degree-bound", str(bound)
+            )
+            verdicts = {s["name"]: s["verdict"] for s in report["stages"]}
+            verdicts["overall"] = names[code]
+            for name, verdict in previous.items():
+                if verdict == "pass":
+                    assert verdicts.get(name) != "fail", (bound, name)
+            previous = verdicts
 
     def test_file_values_feed_defaults(self, tmp_path):
         doc = basic_doc()
@@ -468,9 +504,7 @@ class TestInputErrors:
         assert math.comb(3 + 16, 3) <= MAX_MONOMIALS
         assert load_problem(HEISENBERG, degree_bound=16).degree_bound == 16
 
-    @pytest.mark.parametrize(
-        "path", sorted(PROBLEMS.glob("*.json")) + sorted(BENCH_PROBLEMS.glob("*.json"))
-    )
+    @pytest.mark.parametrize("path", PROBLEM_FILES)
     def test_shipped_bounds_stay_under_the_monomial_cap(self, path):
         spec = load_problem(str(path))
         n = spec.chart.dim

@@ -1,6 +1,7 @@
 """Jet bundle layer: evaluation, lifts, epsilon-action, group action, flow-out."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import CHART_TABC, lift_identity_cases, pushed_forward_model, random_field
+from lieweights import jets
 from lieweights.cli import load_problem
 from lieweights.exactalg import Poly, RatFunc
 from lieweights.lieflt import Filtration, Submanifold
@@ -19,6 +21,7 @@ from lieweights.jets import (
     JetChart,
     JetPoint,
     LiftCombination,
+    SampleReport,
     TruncSeries,
     URElem,
     eval_jet,
@@ -33,12 +36,17 @@ from lieweights.jets import (
     u_exp_apply,
     _ExpTable,
     _random_element,
+    _sample_by_moving,
 )
 
 CHART1 = Chart(("x",))
 CHART2 = Chart(("x", "z"))
 CHART3 = Chart(("x", "y", "z"))
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+PROBLEM_FILES = sorted(PROBLEMS.glob("*.json")) + sorted(
+    (PROBLEMS.parent / "bench" / "problems").glob("*.json")
+)
+PROBLEM_IDS = [str(p.relative_to(PROBLEMS.parent)) for p in PROBLEM_FILES]
 
 
 def jet(chart, rows):
@@ -699,6 +707,86 @@ class TestRationalCoordinates:
         assert report.failed == 0 and report.first_failure is None
         assert report.off_chart == 22 and report.first_off_chart == 2
         assert report.tested + report.off_chart == 100
+
+
+# -- the flow-out certificate ------------------------------------------------
+
+
+@cache
+def _problem_case(path):
+    spec = load_problem(str(path))
+    w = weighted_coordinates(spec.filtration, spec.submanifold).weighted
+    return spec.filtration, spec.submanifold, w
+
+
+@cache
+def _pushed_forward_cases(t):
+    # N = {a = b = c = 0} at t = 1 or 2 is clean for every model; a chart
+    # with a denominator t or 1 + t has poles where the sampler draws t
+    sub = Submanifold(CHART_TABC, (0,), (t, 0, 0, 0))
+    rng = random.Random(20261)
+    return tuple(
+        (filt, sub, weighted_coordinates(filt, sub).weighted)
+        for filt in (pushed_forward_model(rng) for _ in range(60))
+    )
+
+
+def _assert_certificate_matches_moving(filt, sub, w, count, seed):
+    report = flowout_sample(filt, sub, w, count, seed)
+    # equal tested, failed, first_failure, off_chart and first_off_chart
+    assert replace(report, certified=False) == _sample_by_moving(filt, sub, w, count, seed)
+    assert not report.certified or report.failed == 0
+    return report
+
+
+# the filtrations whose bracket-compat fails; every other one certifies
+UNCERTIFIED = {"broken.json", "engel4_broken.json"}
+
+
+@pytest.mark.parametrize("path", PROBLEM_FILES, ids=PROBLEM_IDS)
+@pytest.mark.parametrize("seed", [0, 101])
+def test_certificate_matches_moving_on_problem_files(path, seed):
+    report = _assert_certificate_matches_moving(*_problem_case(path), 40, seed)
+    assert report.certified == (path.name not in UNCERTIFIED)
+
+
+@pytest.mark.parametrize("t", [1, 2])
+def test_certificate_matches_moving_on_pushed_forward_models(t):
+    off_chart = 0
+    for filt, sub, w in _pushed_forward_cases(t):
+        for seed in (3, 17):
+            report = _assert_certificate_matches_moving(filt, sub, w, 12, seed)
+            assert report.certified
+            off_chart += report.off_chart
+    # some charts have poles, so the replayed draws are compared too
+    assert off_chart
+
+
+def test_uncertified_filtration_whose_samples_pass_is_pinned():
+    # broken.json fails bracket-compat; these five samples all pass, which
+    # without the certificate proves nothing
+    report = flowout_sample(*_problem_case(PROBLEMS / "broken.json"), 5, 1)
+    assert report == SampleReport(5, 0, None, 0, None, certified=False)
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        PROBLEMS / "example1.json",
+        PROBLEMS / "example2.json",
+        PROBLEMS / "heisenberg.json",
+        PROBLEMS.parent / "bench" / "problems" / "engel4.json",
+    ],
+    ids=lambda p: p.name,
+)
+def test_certified_filtration_moves_no_jet(path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a certified flow-out moved or tested a jet")
+
+    monkeypatch.setattr(_ExpTable, "act", refuse)
+    monkeypatch.setattr(jets, "q_membership", refuse)
+    report = flowout_sample(*_problem_case(path), 500, 101)
+    assert (report.tested, report.failed, report.certified) == (500, 0, True)
 
 
 class TestQDimension:
