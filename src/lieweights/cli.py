@@ -32,7 +32,7 @@ from .lieflt import (
     check_clean,
     weight_sequence,
 )
-from .osculating import osculating_at, tangent_subalg, verify_hh
+from .osculating import DEFAULT_OSCULATE_BOUND, osculating_at, tangent_subalg, verify_hh
 from .vfield import (
     MAX_MONOMIALS,
     Chart,
@@ -48,10 +48,6 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INPUT = 3
-
-# bound for the osculating quotient solves when the problem does not pin
-# one; the membership default grows too fast for pure-rational elimination
-DEFAULT_OSCULATE_BOUND = 2
 
 STAGE_ORDER = (
     "bracket-compat",
@@ -361,14 +357,8 @@ class _Pipeline:
             },
             "seed": self.spec.seed,
         }
-        if sample.off_chart:
-            data["samples"]["off_chart"] = sample.off_chart
-            data["samples"]["first_off_chart"] = sample.first_off_chart
         if not sample.passed:
             return FAIL, data
-        if sample.off_chart:
-            data["reason"] = "off_chart"
-            return INCONCLUSIVE, data
         if not sample.tested:
             data["reason"] = "no_samples"
             return INCONCLUSIVE, data
@@ -458,9 +448,8 @@ def _stage_summary(result: dict) -> str:
         return "coordinates=" + ", ".join(data["coordinates"])
     if name == "jets" and "samples" in data:
         s = data["samples"]
-        off_chart = f"off_chart={s['off_chart']} " if "off_chart" in s else ""
         return (
-            f"tested={s['tested']} failed={s['failed']} {off_chart}"
+            f"tested={s['tested']} failed={s['failed']} "
             f"q_total={data['q_dimension']['total']}"
         )
     if name == "osculating" and "graded_dims" in data:

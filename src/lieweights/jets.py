@@ -12,11 +12,14 @@ by weighted-coordinate equations, which is what flowout_sample verifies.
 flowout_sample first tries a certificate: every generator listed at level
 -j has weighted filtration degree at least -j.  Then each lifted letter is
 tangent to the flow-out locus Q, every exponential the sampler could draw
-keeps Q, and the start jets lie in Q, so every sample on the weighted
-chart passes and the counts are exact without a jet being moved; only an
-off-chart count needs the draws, and only for their base points.  When
-the certificate fails, _sample_by_moving moves and tests each sample, and
-its first failing jet is a witness.
+keeps Q, and the start jets lie in Q, so every sample passes and nothing
+is drawn or moved.  When the certificate fails, _sample_by_moving moves
+and tests each sample, and its first failing jet is a witness.
+
+Every sampled jet is the jet of a curve through the base point m of the
+submanifold, and every letter has depth at least 1, so a moved jet keeps
+m as its base point.  The weighted chart is regular at m, so no sample
+meets a pole of it and q_membership never raises on one.
 
 The exponentials are expanded in words.  With Y = sum_L c_L eps^(j_L) X_L,
 one letter L per listed generator X_L of level -j_L, the power Y^k x_a is
@@ -33,8 +36,8 @@ and testing a jet runs on Python ints.  u_exp_act and u_exp_apply use the
 same table, with one letter of coefficient 1 per term of the URElem.
 
 The sampler draws from one random.Random(seed) in a fixed order, so a
-report depends only on (count, seed).  Per sample: each component of each
-tangent row (random() < 0.7, then choice() when kept), then
+report depends only on (count, seed).  Per sample: components 1..r of
+each tangent row (random() < 0.7, then choice() when kept), then
 randrange(1, 4) group elements.  Per element, level by
 level and generator by generator, random() < 0.5 decides whether the
 generator is kept and a kept one draws its coefficient with choice(); a
@@ -49,7 +52,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .exactalg import Poly, RatFunc, RowEchelon
 from .lieflt import Filtration, Submanifold, field_entries, transposed
@@ -721,23 +724,17 @@ _POOL_LCM = lcm(*[c.denominator for c in _COEFF_POOL])
 
 @dataclass(frozen=True)
 class SampleReport:
-    """Flow-out sampling outcome.  Samples whose base point lies off the
-    weighted chart (a denominator of a weighted coordinate vanishes there)
-    are counted in off_chart and not tested; first_off_chart is the index
-    of the first of them.
+    """Flow-out sampling outcome: tested counts the samples, all of them.
 
     certified says that flowout_sample's certificate held.  Then every
-    on-chart sample lies in the flow-out locus: tested counts them, the
-    certificate decided their membership without a jet being moved, and
-    failed is 0.  Without it, tested and failed count on-chart samples
-    that were moved and tested one by one, and failed == 0 means only that
-    no failing jet turned up among them."""
+    sample lies in the flow-out locus, the certificate decided that
+    without a jet being moved, and failed is 0.  Without it, each sample
+    was moved and tested one by one, and failed == 0 means only that no
+    failing jet turned up among them."""
 
     tested: int
     failed: int
     first_failure: dict | None
-    off_chart: int = 0
-    first_off_chart: int | None = None
     certified: bool = False
 
     @property
@@ -748,19 +745,19 @@ class SampleReport:
 def _random_tangent_jet(
     rng: random.Random, submanifold: Submanifold, order: int
 ) -> JetPoint:
-    chart = submanifold.chart
-    rows = []
+    """The jet of a curve in the submanifold through its base point:
+    component 0 of every row is the base point, and only components
+    1..order of the tangent rows are drawn."""
     tangent = set(submanifold.tangent_indices)
-    for a in range(chart.dim):
+    rows = []
+    for a, base in enumerate(submanifold.base_point):
+        row = [base] + [0] * order
         if a in tangent:
-            row = [
-                rng.choice(_COEFF_POOL) if rng.random() < 0.7 else 0
-                for _ in range(order + 1)
-            ]
-        else:
-            row = [0] * (order + 1)
+            for i in range(1, order + 1):
+                if rng.random() < 0.7:
+                    row[i] = rng.choice(_COEFF_POOL)
         rows.append(row)
-    return JetPoint.from_rows(chart, order, rows)
+    return JetPoint.from_rows(submanifold.chart, order, rows)
 
 
 def _random_element(
@@ -786,35 +783,18 @@ def _random_element(
     return coeffs, rng.choice(_COEFF_POOL)
 
 
-def _draws(
-    submanifold: Submanifold, table: _ExpTable, count: int, seed: int
-) -> Iterator[tuple[JetPoint, list]]:
-    """The samples in drawing order: per sample a tangent jet of the
-    submanifold and its one to three group elements."""
-    rng = random.Random(seed)
-    for _ in range(count):
-        u = _random_tangent_jet(rng, submanifold, table.order)
-        yield u, [_random_element(rng, table) for _ in range(rng.randrange(1, 4))]
-
-
-def _off_chart(poles: Sequence[Poly], u: JetPoint) -> bool:
-    """Whether a denominator of a weighted coordinate vanishes at the
-    jet's base point."""
-    return any(not q.eval(u.base_point()) for q in poles)
-
-
 def _flowout_certified(
     filtration: Filtration, submanifold: Submanifold, weighting: WeightedChart
 ) -> bool:
     """Whether every generator listed at level -j has filtration degree at
-    least -j in the weighting, and the submanifold's jets are the ones the
-    weighting was built along.  A generator listed at several levels needs
-    the bound of the first."""
+    least -j in the weighting, and the submanifold and its base point are
+    the ones the weighting was built along.  A generator listed at several
+    levels needs the bound of the first."""
     first_level: dict[VectorField, int] = {}
     for j, gens in enumerate(filtration.levels, 1):
         for x in gens:
             first_level.setdefault(x, j)
-    return submanifold.tangent_indices == weighting.submanifold.tangent_indices and all(
+    return submanifold == weighting.submanifold and all(
         vf_filtration_degree(x, weighting) >= -j for x, j in first_level.items()
     )
 
@@ -833,8 +813,8 @@ def flowout_sample(
 
     The outcome is decided before anything is drawn.  The filtration is
     certified when every generator X listed at level -j has
-    vf_filtration_degree(X, weighting) >= -j, and the submanifold has the
-    weighting's tangent variables.  Then every on-chart sample passes:
+    vf_filtration_degree(X, weighting) >= -j, and the submanifold is the
+    weighting's.  Then every sample passes:
 
     - Let Q = {phi_p^(i) = 0 for i < w_p} in the jets, phi_p the weighted
       coordinate of weight w_p.  The depth-j lift of X has component
@@ -853,27 +833,17 @@ def flowout_sample(
       coordinate to equal its weight, at least 1, and the empty word, of
       weighted order 0, is among the words that test sees, so a
       coordinate not vanishing on N would have degree 0 and raise.
+    - Every sample has its base point at m.  normalize_chart requires the
+      frame pairing, a polynomial matrix on N, to be nonsingular at m, and
+      every denominator of the weighted chart divides a power of its
+      determinant, so no sample meets a pole.
 
-    So a certified run moves no jet and calls no q_membership: tested is
-    the number of on-chart samples and failed is 0.  The draws matter only
-    for the off-chart count.  With no rational weighted coordinate nothing
-    is drawn; with poles the draws are replayed, in the same order, for
-    their base points.  Without the certificate the samples are moved and
-    tested by _sample_by_moving, whose first_failure is a failing jet."""
+    So a certified run draws, moves and tests nothing: tested is count and
+    failed is 0.  Without the certificate the samples are moved and tested
+    by _sample_by_moving, whose first_failure is a failing jet."""
     if not _flowout_certified(filtration, submanifold, weighting):
         return _sample_by_moving(filtration, submanifold, weighting, count, seed)
-    poles = [f.den for f in weighting.forward if not f.is_polynomial()]
-    if not poles:
-        return SampleReport(count, 0, None, certified=True)
-    table = _ExpTable.of_filtration(filtration)
-    off = [
-        k
-        for k, (u, _) in enumerate(_draws(submanifold, table, count, seed))
-        if _off_chart(poles, u)
-    ]
-    return SampleReport(
-        count - len(off), 0, None, len(off), off[0] if off else None, certified=True
-    )
+    return SampleReport(count, 0, None, certified=True)
 
 
 def _sample_by_moving(
@@ -883,27 +853,19 @@ def _sample_by_moving(
     count: int,
     seed: int,
 ) -> SampleReport:
-    """The randomized flow-out check itself: each on-chart sample is moved
-    by its group elements and tested with q_membership.
-
-    Every letter has depth at least 1, so a move keeps the jet's base
-    point.  A sample drawn off the weighted chart therefore stays off it:
-    its group elements are drawn, so later samples do not change, but it
-    is neither moved nor tested."""
+    """The randomized flow-out check itself: each sample, a tangent jet of
+    the submanifold at its base point, is moved by one to three group
+    elements and tested with q_membership."""
     table = _ExpTable.of_filtration(filtration)
-    poles = [f.den for f in weighting.forward if not f.is_polynomial()]
-    tested = failed = off_chart = 0
-    first = first_off = None
-    for k, (u, elems) in enumerate(_draws(submanifold, table, count, seed)):
-        if _off_chart(poles, u):
-            off_chart += 1
-            if first_off is None:
-                first_off = k
-            continue
-        for elem in elems:
+    rng = random.Random(seed)
+    failed = 0
+    first = None
+    for k in range(count):
+        u = _random_tangent_jet(rng, submanifold, table.order)
+        for _ in range(rng.randrange(1, 4)):
+            elem = _random_element(rng, table)
             if elem is not None:
                 u = table.act(u, *elem)
-        tested += 1
         if not q_membership(u, weighting):
             failed += 1
             if first is None:
@@ -911,4 +873,4 @@ def _sample_by_moving(
                     "sample": k,
                     "components": [[str(c) for c in row] for row in u.comps],
                 }
-    return SampleReport(tested, failed, first, off_chart, first_off)
+    return SampleReport(count, failed, first)

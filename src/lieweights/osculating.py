@@ -50,6 +50,10 @@ from .weightcoord import (
 
 Vector = tuple[Fraction, ...]
 
+# bound for the osculating quotient solves when the caller does not pin
+# one; the membership default grows too fast for pure-rational elimination
+DEFAULT_OSCULATE_BOUND = 2
+
 
 def _zero_vector(n: int) -> Vector:
     return tuple(Fraction(0) for _ in range(n))
@@ -205,7 +209,7 @@ class GradedLieAlg:
 def osculating_at(
     filtration: Filtration,
     point: Sequence[Fraction | int],
-    degree_bound: int = 2,
+    degree_bound: int = DEFAULT_OSCULATE_BOUND,
 ) -> GradedLieAlg:
     """The graded nilpotent algebra of the filtration at the point.
 
@@ -333,7 +337,7 @@ class GradedSubalg:
 def tangent_subalg(
     filtration: Filtration,
     submanifold: Submanifold,
-    degree_bound: int = 2,
+    degree_bound: int = DEFAULT_OSCULATE_BOUND,
     parent: GradedLieAlg | None = None,
 ) -> GradedSubalg:
     """Classes at the base point of the combinations tangent to the
@@ -551,7 +555,7 @@ class HHReport:
 def verify_hh(
     filtration: Filtration,
     submanifold: Submanifold,
-    degree_bound: int = 2,
+    degree_bound: int = DEFAULT_OSCULATE_BOUND,
     weighting: WeightingResult | None = None,
     algebra: GradedLieAlg | None = None,
     tangent: GradedSubalg | None = None,

@@ -271,29 +271,21 @@ class TestReport:
         main(["coords", EXAMPLE1, "--quiet"])
         assert capsys.readouterr().out == ""
 
-    def test_jets_off_the_chart_are_inconclusive(self, capsys):
-        # a/(1 + t) has a pole at t = -1, a base value the sampler draws
+    def test_jets_on_a_rational_chart_pass(self, capsys):
+        # a/(1 + t) has a pole at t = -1, away from the base point t = 2
         code = main(["jets", str(PROBLEMS / "singular_chart.json")])
         out = capsys.readouterr().out
-        assert code == EXIT_INCONCLUSIVE
-        assert "jets           inconclusive  tested=78 failed=0 off_chart=22 " in out
+        assert code == EXIT_PASS
+        assert "jets           pass  tested=100 failed=0 " in out
 
-    def test_a_failed_sample_outweighs_off_chart_ones(self, tmp_path, monkeypatch):
+    def test_a_failed_sample_fails_the_stage(self, tmp_path, monkeypatch):
         failure = {"sample": 3, "components": []}
-        monkeypatch.setattr(
-            cli, "flowout_sample", lambda *args: SampleReport(5, 1, failure, 2, 0)
-        )
+        monkeypatch.setattr(cli, "flowout_sample", lambda *args: SampleReport(5, 1, failure))
         code, report = run_report("jets", HEISENBERG, tmp_path)
         assert code == EXIT_FAIL
         data = stage(report, "jets")["data"]
         assert "reason" not in data
-        assert data["samples"] == {
-            "tested": 5,
-            "failed": 1,
-            "first_failure": failure,
-            "off_chart": 2,
-            "first_off_chart": 0,
-        }
+        assert data["samples"] == {"tested": 5, "failed": 1, "first_failure": failure}
 
     @pytest.mark.parametrize("certified", [True, False])
     def test_a_pass_needs_the_flowout_certificate(self, tmp_path, monkeypatch, certified):

@@ -36,6 +36,7 @@ from lieweights.jets import (
     u_exp_apply,
     _ExpTable,
     _random_element,
+    _random_tangent_jet,
     _sample_by_moving,
 )
 
@@ -700,13 +701,17 @@ class TestRationalCoordinates:
         rows[0] = (2, 1, 0)
         assert q_membership(JetPoint.from_rows(spec.chart, 2, rows), w)
 
-    def test_off_chart_samples_are_counted_not_tested(self):
+    def test_moved_samples_never_meet_a_pole(self):
+        # dt, (t + 1)*da, db at level -1 is not certified on singular_chart's
+        # weighting, so every sample is moved and tested; its base point
+        # stays at t = 2, where a/(1 + t) is regular
         spec = load_problem(str(PROBLEMS / "singular_chart.json"))
         w = weighted_coordinates(spec.filtration, spec.submanifold).weighted
-        report = flowout_sample(spec.filtration, spec.submanifold, w, count=100, seed=0)
-        assert report.failed == 0 and report.first_failure is None
-        assert report.off_chart == 22 and report.first_off_chart == 2
-        assert report.tested + report.off_chart == 100
+        level = tuple(parse_vector_field(f, spec.chart) for f in ("dt", "(t + 1)*da", "db"))
+        filt = Filtration(spec.chart, 2, (level, level))
+        report = _sample_by_moving(filt, spec.submanifold, w, 200, 0)
+        assert report.tested == 200 and report.failed > 0
+        assert flowout_sample(filt, spec.submanifold, w, 200, 0) == report
 
 
 # -- the flow-out certificate ------------------------------------------------
@@ -721,8 +726,8 @@ def _problem_case(path):
 
 @cache
 def _pushed_forward_cases(t):
-    # N = {a = b = c = 0} at t = 1 or 2 is clean for every model; a chart
-    # with a denominator t or 1 + t has poles where the sampler draws t
+    # N = {a = b = c = 0} at t = 1, 2 or 3 is clean for every model; a
+    # chart may have a denominator t or 1 + t, with its poles away from m
     sub = Submanifold(CHART_TABC, (0,), (t, 0, 0, 0))
     rng = random.Random(20261)
     return tuple(
@@ -733,7 +738,7 @@ def _pushed_forward_cases(t):
 
 def _assert_certificate_matches_moving(filt, sub, w, count, seed):
     report = flowout_sample(filt, sub, w, count, seed)
-    # equal tested, failed, first_failure, off_chart and first_off_chart
+    # equal tested, failed and first_failure
     assert replace(report, certified=False) == _sample_by_moving(filt, sub, w, count, seed)
     assert not report.certified or report.failed == 0
     return report
@@ -752,21 +757,71 @@ def test_certificate_matches_moving_on_problem_files(path, seed):
 
 @pytest.mark.parametrize("t", [1, 2])
 def test_certificate_matches_moving_on_pushed_forward_models(t):
-    off_chart = 0
+    with_poles = 0
     for filt, sub, w in _pushed_forward_cases(t):
+        with_poles += not all(f.is_polynomial() for f in w.forward)
         for seed in (3, 17):
             report = _assert_certificate_matches_moving(filt, sub, w, 12, seed)
             assert report.certified
-            off_chart += report.off_chart
-    # some charts have poles, so the replayed draws are compared too
-    assert off_chart
+    # some charts have poles, so moved jets are tested on rational coordinates
+    assert with_poles
+
+
+def _assert_chart_regular_at_base_point(sub, w):
+    for f in w.forward:
+        if not f.is_polynomial():
+            assert f.den.eval(sub.base_point) != 0
+
+
+@pytest.mark.parametrize("path", PROBLEM_FILES, ids=PROBLEM_IDS)
+def test_weighted_chart_is_regular_at_the_base_point(path):
+    _, sub, w = _problem_case(path)
+    _assert_chart_regular_at_base_point(sub, w)
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_pushed_forward_charts_are_regular_at_the_base_point(t):
+    with_poles = 0
+    for _, sub, w in _pushed_forward_cases(t):
+        with_poles += not all(f.is_polynomial() for f in w.forward)
+        _assert_chart_regular_at_base_point(sub, w)
+    assert with_poles
+
+
+@pytest.mark.parametrize(
+    "sub",
+    [
+        Submanifold(CHART_TABC, (0,), (2, 0, 0, 0)),
+        Submanifold(CHART_TABC, (0, 2), (Fraction(-1, 2), 0, 3, 0)),
+    ],
+    ids=["t", "t-b"],
+)
+def test_sampled_jets_start_at_the_base_point(sub):
+    rng = random.Random(11)
+    drawn = set()
+    for _ in range(30):
+        u = _random_tangent_jet(rng, sub, 3)
+        assert u.base_point() == sub.base_point
+        for a in sub.fiber_indices:
+            assert not any(u.nums[a])
+        drawn.update(u.comps[a][i] for a in sub.tangent_indices for i in (1, 2, 3))
+    # the tangent components above 0 are drawn, zero and nonzero
+    assert len(drawn) > 1
+
+
+def test_the_certificate_needs_the_weightings_base_point():
+    # the chart a/(1 + t) is regular at t = 3 too, but it was built at t = 2
+    filt, sub, w = _problem_case(PROBLEMS / "singular_chart.json")
+    elsewhere = Submanifold(sub.chart, sub.tangent_indices, (3, 0, 0))
+    report = flowout_sample(filt, elsewhere, w, 10, 0)
+    assert (report.tested, report.certified) == (10, False)
 
 
 def test_uncertified_filtration_whose_samples_pass_is_pinned():
     # broken.json fails bracket-compat; these five samples all pass, which
     # without the certificate proves nothing
     report = flowout_sample(*_problem_case(PROBLEMS / "broken.json"), 5, 1)
-    assert report == SampleReport(5, 0, None, 0, None, certified=False)
+    assert report == SampleReport(5, 0, None, certified=False)
 
 
 @pytest.mark.parametrize(
@@ -775,14 +830,16 @@ def test_uncertified_filtration_whose_samples_pass_is_pinned():
         PROBLEMS / "example1.json",
         PROBLEMS / "example2.json",
         PROBLEMS / "heisenberg.json",
+        PROBLEMS / "singular_chart.json",
         PROBLEMS.parent / "bench" / "problems" / "engel4.json",
     ],
     ids=lambda p: p.name,
 )
 def test_certified_filtration_moves_no_jet(path, monkeypatch):
     def refuse(*args):
-        raise AssertionError("a certified flow-out moved or tested a jet")
+        raise AssertionError("a certified flow-out built a table, moved or tested a jet")
 
+    monkeypatch.setattr(_ExpTable, "__init__", refuse)
     monkeypatch.setattr(_ExpTable, "act", refuse)
     monkeypatch.setattr(jets, "q_membership", refuse)
     report = flowout_sample(*_problem_case(path), 500, 101)

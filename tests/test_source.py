@@ -35,3 +35,45 @@ def test_module_uses_every_name_it_imports(path):
         name: line for name, line in imported_names(tree).items() if name not in used
     }
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level `_name`s the module defines, dunders aside, with their
+    line numbers."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                names[name] = node.lineno
+    return names
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    """Every name the module loads, bare or as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_private_names_are_used():
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE.glob("*.py")}
+    read = set().union(*[read_names(tree) for tree in trees.values()])
+    unused = {
+        f"{path.name}:{line} {name}"
+        for path, tree in trees.items()
+        for name, line in private_definitions(tree).items()
+        if name not in read
+    }
+    assert not unused, f"private names no package module reads: {sorted(unused)}"
