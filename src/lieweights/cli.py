@@ -17,10 +17,10 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .exactalg import record
 from .jets import flowout_sample, q_dimension
 from .lieflt import (
     FAIL,
@@ -72,7 +72,7 @@ class ProblemError(ValueError):
     """Anything wrong with the problem document or the command line."""
 
 
-@dataclass(frozen=True)
+@record
 class ProblemSpec:
     chart: Chart
     filtration: Filtration
@@ -232,14 +232,10 @@ def load_problem(
         raise ProblemError(f"{path}: samples must be non-negative")
     if bound is not None and bound < 0:
         raise ProblemError(f"{path}: degree bound must be non-negative, got {bound}")
-    used = bound if bound is not None else max(
-        filtration.default_degree_bound(), DEFAULT_OSCULATE_BOUND
-    )
-    monomials = math.comb(n + used, n)
-    if monomials > MAX_MONOMIALS:
+    if bound is not None and math.comb(n + bound, n) > MAX_MONOMIALS:
         raise ProblemError(
-            f"{path}: degree bound {used} gives {monomials} monomials in {n} "
-            f"variables, over the limit of {MAX_MONOMIALS}"
+            f"{path}: degree bound {bound} gives {math.comb(n + bound, n)} monomials "
+            f"in {n} variables, over the limit of {MAX_MONOMIALS}"
         )
     return ProblemSpec(
         chart=chart,
@@ -262,12 +258,22 @@ class _Pipeline:
     def membership_bound(self) -> int:
         if self.spec.degree_bound is not None:
             return self.spec.degree_bound
-        return self.spec.filtration.default_degree_bound()
+        return self.capped(self.spec.filtration.default_degree_bound())
 
     def osculate_bound(self) -> int:
         if self.spec.degree_bound is not None:
             return self.spec.degree_bound
-        return DEFAULT_OSCULATE_BOUND
+        return self.capped(DEFAULT_OSCULATE_BOUND)
+
+    def capped(self, bound: int) -> int:
+        """A default bound, lowered to the largest d with at most
+        MAX_MONOMIALS monomials of degree <= d in the chart variables.  An
+        explicit bound past that is an input error; a defaulted one is only
+        too small, so the stages that need more give inconclusive."""
+        n = self.spec.chart.dim
+        while math.comb(n + bound, n) > MAX_MONOMIALS:
+            bound -= 1
+        return bound
 
     def stage_bracket_compat(self):
         bound = self.membership_bound()

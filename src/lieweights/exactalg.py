@@ -28,15 +28,91 @@ Representation notes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence, Union
 
 Monomial = tuple[int, ...]
 ScalarLike = Union[Fraction, int]
 
 GCD_DEGREE_CAP = 8
+
+
+def record(cls):
+    """Make cls an immutable value record, as a frozen standard-library
+    data class would be.
+
+    The fields are the class's own annotations, in order; a class-level
+    value is that field's default.  A field whose name starts with ``_`` is
+    internal: it is not an argument, and ``==``, ``hash`` and ``repr`` skip it.
+    The generated ``__init__`` takes the fields by position or keyword and
+    then calls ``__post_init__``, if the class has one; a class's own
+    ``__init__`` is kept.  ``==`` holds only between instances of the same
+    class, ``hash`` is the hash of the tuple of fields, and assignment and
+    deletion raise AttributeError.  Instances keep a ``__dict__``.
+
+    It is built from closures, with no generated source to compile, so
+    the package need not import the data-class module, which loads
+    ``inspect``: those two were most of the command line's start-up.
+    """
+    name = cls.__name__
+    fields = tuple(f for f in cls.__dict__.get("__annotations__", {}) if not f.startswith("_"))
+    defaults = {f: cls.__dict__[f] for f in fields if f in cls.__dict__}
+    post_init = getattr(cls, "__post_init__", None)
+    if len(fields) == 1:
+        get = attrgetter(fields[0])
+
+        def key(self):
+            return (get(self),)
+
+    else:
+        key = attrgetter(*fields)
+
+    def bind(args, kwargs) -> dict:
+        values = dict(zip(fields, args))
+        if len(args) > len(fields) or any(f in values or f not in fields for f in kwargs):
+            raise TypeError(f"{name}() takes the arguments {fields}, each once")
+        values = {**defaults, **values, **kwargs}
+        if len(values) < len(fields):
+            missing = [f for f in fields if f not in values]
+            raise TypeError(f"{name}() is missing the arguments {missing}")
+        return values
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(fields):
+            self.__dict__.update(bind(args, kwargs))
+        else:
+            self.__dict__.update(zip(fields, args))
+        if post_init is not None:
+            post_init(self)
+
+    def __repr__(self):
+        parts = ", ".join(f"{f}={getattr(self, f)!r}" for f in fields)
+        return f"{self.__class__.__qualname__}({parts})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(key(self))
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"{name} is immutable")
+
+    def __delattr__(self, attr):
+        raise AttributeError(f"{name} is immutable")
+
+    if "__init__" not in cls.__dict__:
+        cls.__init__ = __init__
+    cls.__repr__ = __repr__
+    cls.__eq__ = __eq__
+    cls.__hash__ = __hash__
+    cls.__setattr__ = __setattr__
+    cls.__delattr__ = __delattr__
+    return cls
 
 
 def grlex_key(mono: Monomial) -> tuple[int, Monomial]:
@@ -647,7 +723,7 @@ def as_ratfunc(value: "Poly | RatFunc | ScalarLike", nvars: int) -> RatFunc:
     return RatFunc.const(nvars, value)
 
 
-@dataclass(frozen=True)
+@record
 class LinearSolution:
     """A particular solution together with a basis of the homogeneous space."""
 

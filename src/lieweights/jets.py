@@ -49,12 +49,11 @@ otherwise the element is skipped.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm
 from typing import Sequence
 
-from .exactalg import Poly, RatFunc, RowEchelon
+from .exactalg import Poly, RatFunc, RowEchelon, record
 from .lieflt import Filtration, Submanifold, field_entries, transposed
 from .vfield import Chart, VectorField
 from .weightcoord import WeightedChart, vf_filtration_degree
@@ -62,7 +61,7 @@ from .weightcoord import WeightedChart, vf_filtration_degree
 Scalar = Poly | RatFunc
 
 
-@dataclass(frozen=True)
+@record
 class JetChart:
     """Chart of component variables for jets of a base chart.
 
@@ -106,7 +105,7 @@ def _zero_like(sample):
     return Fraction(0)
 
 
-@dataclass(frozen=True)
+@record
 class TruncSeries:
     """Polynomial in epsilon truncated by epsilon^(order+1) = 0.
 
@@ -177,7 +176,7 @@ class TruncSeries:
         return TruncSeries(self.order, tuple(inv))
 
 
-@dataclass(frozen=True)
+@record
 class JetPoint:
     """Order-r jet: the epsilon-components of every base coordinate.
 
@@ -363,7 +362,7 @@ def lift_function(jc: JetChart, f: Poly, i: int) -> Poly:
     return lift_all(jc, f)[i]
 
 
-@dataclass(frozen=True)
+@record
 class LiftedVF:
     """A vector field lifted to the jet chart at vertical depth `level`.
 
@@ -394,7 +393,7 @@ def lift_vf(jc: JetChart, x: VectorField, j: int) -> LiftedVF:
     return LiftedVF(jc, x, j, VectorField(jc.chart, coeffs))
 
 
-@dataclass(frozen=True)
+@record
 class LiftCombination:
     """Finite sum of jet-chart-coefficient multiples of lifted fields.
 
@@ -429,7 +428,7 @@ def koszul_shift(comb: LiftCombination) -> LiftCombination:
     return LiftCombination(comb.jet_chart, kept)
 
 
-@dataclass(frozen=True)
+@record
 class URElem:
     """exp(t * sum_j X_j eps^j) with every depth j >= 1: a unipotent
     automorphism of functions valued in the truncated series ring."""
@@ -701,7 +700,7 @@ def q_membership(u: JetPoint, weighting: WeightedChart) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@record
 class QDimension:
     total: int
     base: int
@@ -722,7 +721,7 @@ _COEFF_POOL = tuple(
 _POOL_LCM = lcm(*[c.denominator for c in _COEFF_POOL])
 
 
-@dataclass(frozen=True)
+@record
 class SampleReport:
     """Flow-out sampling outcome: tested counts the samples, all of them.
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -23,6 +22,7 @@ from .exactalg import (
     Poly,
     RatFunc,
     RowEchelon,
+    record,
 )
 from .vfield import Chart, VectorField, lie_bracket, restrict_zero
 
@@ -31,7 +31,7 @@ FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
+@record
 class TriState:
     """Checker verdict: pass/fail carry certificates, inconclusive a reason."""
 
@@ -52,7 +52,7 @@ class TriState:
         return TriState(INCONCLUSIVE, reason=reason)
 
 
-@dataclass(frozen=True)
+@record
 class Submanifold:
     """A coordinate submanifold {fiber variables = 0} with a base point on it."""
 
@@ -97,7 +97,7 @@ class Submanifold:
         return restrict_zero(value, self.fiber_indices)
 
 
-@dataclass(frozen=True)
+@record
 class Filtration:
     """Generator lists for levels -1..-order on a common chart."""
 
@@ -105,9 +105,7 @@ class Filtration:
     order: int
     levels: tuple[tuple[VectorField, ...], ...]
     # generators(depth) for depth 1..order, built once
-    _generators: tuple[tuple[VectorField, ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
+    _generators: tuple[tuple[VectorField, ...], ...]
 
     def __init__(self, chart: Chart, order: int, levels: Sequence[Sequence[VectorField]]):
         if order < 1:
@@ -330,7 +328,7 @@ def module_membership(
     return module_membership_batch([v], gens, degree_bound)[0]
 
 
-@dataclass(frozen=True)
+@record
 class BracketCheck:
     """Result for one generator pair: [G_{-i}[gi], G_{-j}[gj]] in H_{-(i+j)}."""
 
@@ -341,7 +339,7 @@ class BracketCheck:
     result: TriState
 
 
-@dataclass(frozen=True)
+@record
 class BracketCompatReport:
     checks: tuple[BracketCheck, ...]
 
@@ -425,7 +423,7 @@ def check_bracket_compat(
     return BracketCompatReport(tuple(checks))
 
 
-@dataclass(frozen=True)
+@record
 class CleanResult:
     """Rank flag of TN + H_{-i} along the submanifold, and its frame.
 
@@ -493,7 +491,7 @@ def check_clean(filtration: Filtration, submanifold: Submanifold) -> CleanResult
     )
 
 
-@dataclass(frozen=True)
+@record
 class WeightAssignment:
     """Adapted variable order and the weight of each adapted position.
 

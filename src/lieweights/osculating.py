@@ -23,12 +23,11 @@ every output deterministic for a given input ordering.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .exactalg import Poly, RatFunc, RowEchelon, grlex_key
+from .exactalg import Poly, RatFunc, RowEchelon, grlex_key, record
 from .lieflt import (
     Filtration,
     Submanifold,
@@ -98,7 +97,7 @@ def _embed(cls: dict[int, Fraction], offset: int, total: int) -> Vector:
     return tuple(vec)
 
 
-@dataclass(frozen=True)
+@record
 class GradedLieAlg:
     """A graded nilpotent Lie algebra concentrated in degrees -1..-order.
 
@@ -300,7 +299,7 @@ def osculating_at(
     )
 
 
-@dataclass(frozen=True)
+@record
 class GradedSubalg:
     """A graded subspace of a GradedLieAlg, one reduced span per depth."""
 
@@ -518,7 +517,7 @@ def class_in_tangent_part(
     )
 
 
-@dataclass(frozen=True)
+@record
 class HHReport:
     """Checks tying the osculating quotients to the weighting's ranks.
 

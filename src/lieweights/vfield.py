@@ -24,18 +24,17 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .exactalg import Poly, RatFunc, divide_exact
+from .exactalg import Poly, RatFunc, divide_exact, record
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 Scalar = Union[Poly, RatFunc]
 
 
-@dataclass(frozen=True)
+@record
 class Chart:
     """An ordered tuple of distinct coordinate names."""
 
@@ -178,7 +177,7 @@ def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
     )
 
 
-@dataclass(frozen=True)
+@record
 class DiffOpWord:
     """A composition of vector fields acting as a differential operator.
 
@@ -241,7 +240,7 @@ class ParseError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
+@record
 class _Token:
     kind: str  # "nat" | "ident" | "op" | "end"
     text: str
@@ -326,9 +325,10 @@ MAX_TERMS = 500
 
 # largest number of monomials of degree <= the degree bound in the chart
 # variables, C(n + bound, n); every bounded module system has one unknown
-# per generator and monomial, so a larger bound is refused at load time
-# instead of eliminated for minutes (the (2,3,5) Cartan default bound 7
-# on five variables gives 792)
+# per generator and monomial, so a larger explicit bound is refused at
+# load time instead of eliminated for minutes, and a defaulted one is
+# lowered to fit (the (2,3,5) Cartan default bound 7 on five variables
+# gives 792)
 MAX_MONOMIALS = 1000
 
 

@@ -21,8 +21,8 @@ variables from those.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -33,6 +33,7 @@ from .exactalg import (
     grlex_key,
     matrix_inverse,
     matrix_rank,
+    record,
 )
 from .lieflt import (
     CleanResult,
@@ -48,7 +49,7 @@ Scalar = Poly | RatFunc
 INFINITE = math.inf
 
 
-@dataclass(frozen=True)
+@record
 class Frame:
     """One generator per fiber position, tagged with its weight level.
 
@@ -152,7 +153,7 @@ def filtration_degree(
     return cap
 
 
-@dataclass(frozen=True)
+@record
 class WeightedChart:
     """A weighted chart adapted to the submanifold.
 
@@ -187,7 +188,7 @@ class WeightedChart:
         return value.subst(list(self.inverse))
 
 
-@dataclass(frozen=True)
+@record
 class CorrectionRecord:
     """One correction step: target position, multi-index, normalization
     constant, and the correction coefficient."""
@@ -198,7 +199,7 @@ class CorrectionRecord:
     coefficient: RatFunc
 
 
-@dataclass(frozen=True)
+@record
 class WeightingResult:
     weighted: WeightedChart
     frame: Frame
@@ -257,39 +258,37 @@ def weighted_coordinates(
                 if sum(s) >= 2
             ]
             admissible.sort(key=lambda s: (sum(s), s))
-            chi: dict[tuple[int, ...], RatFunc] = {}
-            for s in admissible:
-                word = _word_for(frame, s)
-                power = _monomial_of(current, k0, s, n)
-                c_s = as_ratfunc(submanifold.restrict(word.apply(power)), n)
-                expected = Fraction(math.prod(math.factorial(e) for e in s))
-                if c_s.eval(submanifold.base_point) == 0:
-                    raise ValueError(
-                        f"normalization constant vanishes at the base point for {s}"
+            # partial is current[a] + sum of chi_u * y^u over the finished
+            # tiers, the u with |u| < |s|.  The word and the restriction to N
+            # are linear, so each word is applied once, to partial, not to
+            # each term.
+            partial = current[a]
+            for _, tier in itertools.groupby(admissible, key=sum):
+                terms = []
+                for s in tier:
+                    word = _word_for(frame, s)
+                    power = _monomial_of(current, k0, s, n)
+                    c_s = as_ratfunc(submanifold.restrict(word.apply(power)), n)
+                    expected = Fraction(math.prod(math.factorial(e) for e in s))
+                    if c_s.eval(submanifold.base_point) == 0:
+                        raise ValueError(
+                            f"normalization constant vanishes at the base point for {s}"
+                        )
+                    if c_s != expected:
+                        raise ValueError(
+                            f"normalization constant for {s} is not the factorial product"
+                        )
+                    total = as_ratfunc(submanifold.restrict(word.apply(partial)), n)
+                    coeff = -(total / expected)
+                    records.append(
+                        CorrectionRecord(
+                            position=a, multi_index=s, constant=expected, coefficient=coeff
+                        )
                     )
-                if c_s != expected:
-                    raise ValueError(
-                        f"normalization constant for {s} is not the factorial product"
-                    )
-                total = as_ratfunc(submanifold.restrict(word.apply(current[a])), n)
-                for u in admissible:
-                    if sum(u) >= sum(s):
-                        continue
-                    term = chi[u] * _monomial_of(current, k0, u, n)
-                    restricted = submanifold.restrict(word.apply(term))
-                    total = total + as_ratfunc(restricted, n)
-                coeff = -(total / expected)
-                chi[s] = coeff
-                records.append(
-                    CorrectionRecord(
-                        position=a, multi_index=s, constant=expected, coefficient=coeff
-                    )
-                )
-            corrected = current[a]
-            for s in admissible:
-                if chi[s]:
-                    corrected = corrected + chi[s] * _monomial_of(current, k0, s, n)
-            current[a] = corrected
+                    if coeff:
+                        terms.append(coeff * power)
+                partial = sum(terms, partial)
+            current[a] = partial
 
     for p in range(k0, n):
         got = filtration_degree(current[p], frame, submanifold, cap=weights[p])
@@ -370,7 +369,7 @@ def _invert_weighting(
     return tuple(inverse)
 
 
-@dataclass(frozen=True)
+@record
 class WeightedDegreeResult:
     degree: int | float
     witness: tuple[int, ...] | None

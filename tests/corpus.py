@@ -6,6 +6,7 @@ unit tests.
 """
 
 from fractions import Fraction
+import math
 import random
 
 from lieweights.exactalg import Poly
@@ -95,3 +96,30 @@ def pushed_forward_model(rng: random.Random) -> Filtration:
         for depth in range(1, weights[-1] + 1)
     ]
     return Filtration(CHART_TABC, weights[-1], levels)
+
+
+def filiform_problem(n: int) -> dict:
+    """The chained (Goursat) filiform model on x1..xn, as a problem document.
+
+    Y_j = sum over k >= j + 2 of x1^(k-2-j)/(k-2-j)! dxk, and level -d lists
+    dx1, Y_0, ..., Y_{d-1}; the order is n - 1.  N is the origin, where the
+    weights are 1, 1, 2, ..., n - 1.
+    """
+
+    def term(e: int, k: int) -> str:
+        if e == 0:
+            return f"dx{k}"
+        if e == 1:
+            return f"x1*dx{k}"
+        return f"1/{math.factorial(e)}*x1^{e}*dx{k}"
+
+    ys = [
+        " + ".join(term(k - 2 - j, k) for k in range(j + 2, n + 1))
+        for j in range(n - 1)
+    ]
+    return {
+        "variables": [f"x{i}" for i in range(1, n + 1)],
+        "order": n - 1,
+        "filtration": {str(-d): ["dx1", *ys[:d]] for d in range(1, n)},
+        "submanifold": {"tangent": [], "base_point": ["0"] * n},
+    }

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpus import filiform_problem
 from lieweights import cli, weightcoord
 from lieweights.cli import (
     EXIT_FAIL,
@@ -544,6 +545,26 @@ class TestInputErrors:
         doc["submanifold"]["base_point"] = [2, "0", "0"]
         spec = load_problem(write_problem(tmp_path, doc))
         assert spec.submanifold.base_point[0] == 2
+
+
+class TestChainedFiliform:
+    def test_bound_two_passes_with_the_filiform_weights(self, tmp_path):
+        path = write_problem(tmp_path, filiform_problem(6))
+        code, report = run_report("report", path, tmp_path, "--degree-bound", "2")
+        assert code == EXIT_PASS
+        assert stage(report, "weights")["data"]["weights"] == [1, 1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize("n, capped", [(5, 7), (6, 6)])
+    def test_a_defaulted_bound_past_the_cap_is_lowered(self, tmp_path, capsys, n, capped):
+        path = write_problem(tmp_path, filiform_problem(n))
+        default = load_problem(path).filtration.default_degree_bound()
+        assert math.comb(n + default, n) > MAX_MONOMIALS
+        code, report = run_report("report", path, tmp_path)
+        assert code in (EXIT_PASS, EXIT_FAIL, EXIT_INCONCLUSIVE)
+        assert "Traceback" not in capsys.readouterr().err
+        # the largest bound under the cap, echoed in the report
+        assert stage(report, "bracket-compat")["data"]["degree_bound"] == capped
+        assert math.comb(n + capped, n) <= MAX_MONOMIALS < math.comb(n + capped + 1, n)
 
 
 class TestFullToken:

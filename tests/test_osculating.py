@@ -1,6 +1,5 @@
 """Osculating algebra construction: frozen examples and algebra axioms."""
 
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -27,7 +26,7 @@ from lieweights.vfield import (
     lie_bracket,
     parse_vector_field,
 )
-from lieweights.weightcoord import push_to_weighted, weighted_coordinates
+from lieweights.weightcoord import WeightedChart, push_to_weighted, weighted_coordinates
 from lieweights.osculating import (
     GradedSubalg,
     bch,
@@ -354,8 +353,13 @@ class TestAmbientModule:
         field = parse_vector_field("x^2*dz", CHART3)
         for c, expected in ((1, 1), (2, Fraction(1, 2))):
             den = Poly.const(3, c) + x
-            rational = dataclasses.replace(
-                step3_weighting,
+            w = step3_weighting
+            rational = WeightedChart(
+                w.source_chart,
+                w.chart,
+                w.submanifold,
+                w.weights,
+                w.positions,
                 forward=(RatFunc(x), RatFunc(y), RatFunc(z, den)),
                 inverse=(RatFunc(x), RatFunc(y), RatFunc(z * den)),
             )

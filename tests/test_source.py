@@ -1,6 +1,8 @@
 """Source hygiene checks on the package modules."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -77,3 +79,32 @@ def test_private_names_are_used():
         if name not in read
     }
     assert not unused, f"private names no package module reads: {sorted(unused)}"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_does_not_import_dataclasses(path):
+    # importing dataclasses loads inspect, and each decoration compiles
+    # generated methods: together most of the command line's start-up.
+    # exactalg.record stands in for it.
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add(node.module)
+    assert "dataclasses" not in modules
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import lieweights.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", code, str(PACKAGE.parent)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
