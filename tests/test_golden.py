@@ -34,6 +34,7 @@ CASES = {
     "engel4_broken": EXIT_FAIL,
     "graded135": EXIT_PASS,
     "singular_chart": EXIT_PASS,
+    "uncertified": EXIT_FAIL,
 }
 
 
