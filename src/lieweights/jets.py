@@ -21,20 +21,6 @@ submanifold, and every letter has depth at least 1, so a moved jet keeps
 m as its base point.  The weighted chart is regular at m, so no sample
 meets a pole of it and q_membership never raises on one.
 
-The exponentials are expanded in words.  With Y = sum_L c_L eps^(j_L) X_L,
-one letter L per listed generator X_L of level -j_L, the power Y^k x_a is
-multilinear in the coefficients: the sum over words L1..Lk of
-c_L1...c_Lk eps^(j_L1 + ... + j_Lk) X_L1(...X_Lk(x_a)).  Only words of
-depth sum at most r survive the truncation, so _ExpTable computes their
-polynomials once per filtration, one per field sequence, with integer
-coefficients over one table denominator.  A sampled group element is then
-a coefficient vector and a time t, and moving a jet by it is integer
-arithmetic on the table: a jet is integer numerators over one common
-denominator, and the membership test looks only at which numerators
-vanish.  No Poly, RatFunc or VectorField is built per sample, and moving
-and testing a jet runs on Python ints.  u_exp_act and u_exp_apply use the
-same table, with one letter of coefficient 1 per term of the URElem.
-
 The sampler draws from one random.Random(seed) in a fixed order, so a
 report depends only on (count, seed).  Per sample: components 1..r of
 each tangent row (random() < 0.7, then choice() when kept), then
@@ -43,18 +29,18 @@ level and generator by generator, random() < 0.5 decides whether the
 generator is kept and a kept one draws its coefficient with choice(); a
 level whose kept combination sum_g c_g g is zero adds no term.  The time
 t is drawn with choice() last, and only when some level added a term;
-otherwise the element is skipped.
+otherwise the element is skipped.  Each element is a URElem, and
+u_exp_act, the group action on jets, moves the sample by it.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import factorial, gcd, lcm
 from typing import Sequence
 
-from .exactalg import Poly, RatFunc, RowEchelon, record
-from .lieflt import Filtration, Submanifold, field_entries, transposed
+from .exactalg import Poly, RatFunc, record
+from .lieflt import Filtration, Submanifold
 from .vfield import Chart, VectorField
 from .weightcoord import WeightedChart, vf_filtration_degree
 
@@ -71,7 +57,7 @@ class JetChart:
 
     base: Chart
     order: int
-    chart: Chart = None  # type: ignore[assignment]
+    _chart: Chart
 
     def __post_init__(self):
         if self.order < 1:
@@ -82,7 +68,11 @@ class JetChart:
                 names.append(f"{name}_{i}")
         if len(set(names)) != len(names):
             raise ValueError("jet component names collide; rename base variables")
-        object.__setattr__(self, "chart", Chart(tuple(names)))
+        object.__setattr__(self, "_chart", Chart(tuple(names)))
+
+    @property
+    def chart(self) -> Chart:
+        return self._chart
 
     @property
     def dim(self) -> int:
@@ -178,63 +168,33 @@ class TruncSeries:
 
 @record
 class JetPoint:
-    """Order-r jet: the epsilon-components of every base coordinate.
-
-    Component i of coordinate a is nums[a][i] / den.  The denominator is
-    positive and shares no factor with all the numerators at once, so equal
-    jets have equal fields.  comps, flat and base_point give the values as
-    Fractions.
-    """
+    """Order-r jet: comps[a][i] is the epsilon^i component of coordinate a."""
 
     chart: Chart
     order: int
-    nums: tuple[tuple[int, ...], ...]
-    den: int = 1
+    comps: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        if len(self.nums) != self.chart.dim or any(
-            [len(row) != self.order + 1 for row in self.nums]
+        if len(self.comps) != self.chart.dim or any(
+            len(row) != self.order + 1 for row in self.comps
         ):
             raise ValueError("jet components must be dim x (order + 1)")
-        if self.den <= 0:
-            raise ValueError("jet denominator must be positive")
-        # list comprehensions, not generators, here and in from_rows: every
-        # sample and move builds a jet, and generator frames on that path
-        # raise the peak resident size
-        g = gcd(self.den, *[v for row in self.nums for v in row])
-        if g != 1:
-            object.__setattr__(
-                self, "nums", tuple([tuple([v // g for v in row]) for row in self.nums])
-            )
-            object.__setattr__(self, "den", self.den // g)
 
     @classmethod
     def from_rows(cls, chart: Chart, order: int, rows) -> "JetPoint":
-        """The jet with the given components: ints, Fractions, or anything
-        else Fraction accepts."""
-        values = [
-            [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row] for row in rows
-        ]
-        den = lcm(*[v.denominator for row in values for v in row])
-        nums = tuple(
-            [tuple([v.numerator * (den // v.denominator) for v in row]) for row in values]
-        )
-        return cls(chart, order, nums, den)
+        """The jet with the given components: anything Fraction accepts."""
+        return cls(chart, order, tuple(tuple(Fraction(v) for v in row) for row in rows))
 
     @classmethod
     def zero(cls, chart: Chart, order: int) -> "JetPoint":
-        return cls(chart, order, tuple((0,) * (order + 1) for _ in range(chart.dim)))
-
-    @property
-    def comps(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(tuple(Fraction(v, self.den) for v in row) for row in self.nums)
+        return cls(chart, order, tuple((Fraction(0),) * (order + 1) for _ in range(chart.dim)))
 
     def base_point(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(row[0], self.den) for row in self.nums)
+        return tuple(row[0] for row in self.comps)
 
     def flat(self) -> tuple[Fraction, ...]:
         """Components in jet-chart variable order."""
-        return tuple(Fraction(v, self.den) for row in self.nums for v in row)
+        return tuple(c for row in self.comps for c in row)
 
 
 def eval_jet(u: JetPoint, f: Scalar) -> TruncSeries:
@@ -242,86 +202,21 @@ def eval_jet(u: JetPoint, f: Scalar) -> TruncSeries:
     truncated series and expand.  The result is a unital algebra morphism
     in f.  Rational functions require the denominator to be a unit at the
     jet's base point."""
-    return _JetEvaluator(u)(f)
-
-
-class _JetEvaluator:
-    """Polynomials on one jet, in integers.
-
-    A monomial of degree m is the product of the jet's numerator rows, over
-    den^m.  powers[a][e - 1] is the coefficient list of (row a)^e and
-    monomials maps an exponent tuple to its coefficient list; both grow on
-    demand and are shared by every function evaluated.
-    """
-
-    def __init__(self, u: JetPoint):
-        self.dim = u.chart.dim
-        self.order = u.order
-        self.den = u.den
-        self.powers = [[list(row)] for row in u.nums]
-        self.monomials: dict[tuple[int, ...], list[int]] = {}
-
-    def power(self, a: int, e: int) -> list[int]:
-        table = self.powers[a]
-        while len(table) < e:
-            table.append(_trunc_mul(table[-1], table[0], self.order))
-        return table[e - 1]
-
-    def monomial(self, mono: tuple[int, ...]) -> list[int]:
-        """Numerators of the monomial on the jet, over den^(degree of
-        mono); do not mutate the list."""
-        series = self.monomials.get(mono)
-        if series is None:
-            r = self.order
-            for a, e in enumerate(mono):
-                if e:
-                    p = self.power(a, e)
-                    series = p if series is None else _trunc_mul(series, p, r)
-            if series is None:
-                series = [1] + [0] * r
-            self.monomials[mono] = series
-        return series
-
-    def numerators(self, f: Poly) -> tuple[list[int], int]:
-        """f on the jet as integer coefficients over one positive
-        denominator: the lcm of f's coefficient denominators times den^deg."""
-        if f.nvars != self.dim:
-            raise ValueError("function does not live on the jet's base chart")
-        total = [0] * (self.order + 1)
-        if not f.terms:
-            return total, 1
-        degrees = [sum(mono) for mono in f.terms]
-        top = max(degrees)
-        scale = lcm(*[c.denominator for c in f.terms.values()])
-        lift = [1]
-        for _ in range(top):
-            lift.append(lift[-1] * self.den)
-        for (mono, c), m in zip(f.terms.items(), degrees):
-            w = c.numerator * (scale // c.denominator) * lift[top - m]
-            for i, v in enumerate(self.monomial(mono)):
-                if v:
-                    total[i] += w * v
-        return total, scale * lift[top]
-
-    def __call__(self, f: Scalar) -> TruncSeries:
-        if isinstance(f, RatFunc):
-            if f.is_polynomial():
-                return self(f.num)
-            return self(f.num) * self(f.den).inverse()
-        total, den = self.numerators(f)
-        return TruncSeries(self.order, tuple(Fraction(v, den) for v in total))
-
-
-def _trunc_mul(p: Sequence[int], q: Sequence[int], r: int) -> list[int]:
-    """Product of two coefficient lists, truncated after epsilon^r."""
-    out = [0] * (r + 1)
-    for i, a in enumerate(p):
-        if a:
-            for j in range(r + 1 - i):
-                b = q[j]
-                if b:
-                    out[i + j] += a * b
-    return out
+    if isinstance(f, RatFunc):
+        return eval_jet(u, f.num) * eval_jet(u, f.den).inverse()
+    if f.nvars != u.chart.dim:
+        raise ValueError("function does not live on the jet's base chart")
+    r = u.order
+    rows = [TruncSeries(r, row) for row in u.comps]
+    zeros = (Fraction(0),) * r
+    total = TruncSeries(r, (Fraction(0),) + zeros)
+    for mono, c in f.terms.items():
+        term = TruncSeries(r, (c,) + zeros)
+        for row, e in zip(rows, mono):
+            for _ in range(e):
+                term = term * row
+        total = total + term
+    return total
 
 
 def lift_all(jc: JetChart, f: Poly) -> tuple[Poly, ...]:
@@ -450,252 +345,60 @@ class URElem:
         return URElem(self.chart, self.order, self.terms, -self.t)
 
 
-def _coordinates(n: int) -> tuple[Poly, ...]:
-    return tuple(Poly.variable(n, a) for a in range(n))
-
-
-def _primitive_rows(span: RowEchelon, width: int) -> tuple[tuple[int, ...], ...]:
-    """The held rows, dense over columns 0..width - 1, scaled to coprime
-    integers."""
-    out = []
-    for row in span.pivot_rows.values():
-        scale = lcm(*[x.denominator for x in row.values()])
-        ints = [int(row.get(c, 0) * scale) for c in range(width)]
-        g = gcd(*ints)
-        out.append(tuple(x // g for x in ints))
-    return tuple(out)
-
-
-class _ExpTable:
-    """Word expansion of exp(s * Y), Y = sum_L c_L * eps^(depth L) * X_L,
-    on fixed target functions, with the letter coefficients c_L and the
-    time s left free.
-
-    Y^k f is the sum, over words L1..Lk of depth sum at most the order,
-    of c_L1...c_Lk eps^(depth sum) X_L1(...X_Lk(f)).  `entries` lists
-    (polys, words) per field sequence: polys holds X_L1(...X_Lk(f)) for
-    each target f, shared by every word with that field sequence (levels
-    repeat generators), and words the (letter indices, depth sum) of
-    those words.  A polynomial is kept as (monomial, integer) pairs over
-    the one table denominator `den`, and `max_degree` is the largest
-    total degree of those monomials and of the coordinate functions.  The
-    empty word, which leaves the targets as they are, has no entry.  A
-    field sequence whose polynomials are all zero is dropped together
-    with every extension of it.  `levels` groups the letter indices by
-    depth 1..order.  `row_spaces[d - 1]` holds primitive integer rows
-    spanning the row space of level d's letter matrix (one column of
-    field entries per letter), so that coefficients on those letters
-    combine the fields to zero exactly when every row is orthogonal to
-    them (`cancels`); it is None when the letters are independent.
-    """
-
-    def __init__(
-        self,
-        order: int,
-        letters: Sequence[tuple[int, VectorField]],
-        targets: Sequence[Poly],
-    ):
-        self.order = order
-        self.targets = tuple(targets)
-        self.levels = tuple(
-            tuple(i for i, (j, _) in enumerate(letters) if j == depth)
-            for depth in range(1, order + 1)
-        )
-        field_ids: dict[frozenset, int] = {}
-        fields: list[VectorField] = []
-        by_field: list[list[int]] = []
-        letter_entries = [field_entries(x) for _, x in letters]
-        for i, (_, x) in enumerate(letters):
-            key = frozenset(letter_entries[i].items())
-            if key not in field_ids:
-                field_ids[key] = len(fields)
-                fields.append(x)
-                by_field.append([])
-            by_field[field_ids[key]].append(i)
-        spans = [
-            RowEchelon(transposed([letter_entries[i] for i in level]))
-            for level in self.levels
-        ]
-        self.row_spaces = tuple(
-            None if span.rank == len(level) else _primitive_rows(span, len(level))
-            for span, level in zip(spans, self.levels)
-        )
-        entries: list[tuple[tuple[Poly, ...], list]] = []
-        current = [(self.targets, [((), 0)])]
-        while current:
-            extended = []
-            for polys, words in current:
-                for field, ids in zip(fields, by_field):
-                    longer = [
-                        ((i,) + word, depth + letters[i][0])
-                        for word, depth in words
-                        for i in ids
-                        if depth + letters[i][0] <= order
-                    ]
-                    if not longer:
-                        continue
-                    moved = tuple(field.apply(p) for p in polys)
-                    if any(moved):
-                        extended.append((moved, longer))
-            entries.extend(extended)
-            current = extended
-        terms = [p.terms for polys, _ in entries for p in polys]
-        self.den = lcm(*[c.denominator for t in terms for c in t.values()])
-        self.max_degree = max([1] + [sum(mono) for t in terms for mono in t])
-        self.entries = [
-            (
-                tuple(
-                    tuple(
-                        (mono, c.numerator * (self.den // c.denominator))
-                        for mono, c in p.terms.items()
-                    )
-                    for p in polys
-                ),
-                words,
-            )
-            for polys, words in entries
-        ]
-
-    def cancels(self, depth: int, ints: Sequence[int]) -> bool:
-        """Whether integer coefficients on level depth's letters combine
-        their fields to zero."""
-        rows = self.row_spaces[depth - 1]
-        if rows is None:
-            return not any(ints)
-        return not any(sum([a * b for a, b in zip(row, ints)]) for row in rows)
-
-    @classmethod
-    def of_filtration(cls, filtration: Filtration) -> "_ExpTable":
-        """One letter per listed generator, level by level, acting on the
-        coordinate functions."""
-        letters = [
-            (j, g) for j, gens in enumerate(filtration.levels, 1) for g in gens
-        ]
-        return cls(filtration.order, letters, _coordinates(filtration.chart.dim))
-
-    def _weights(self, coeffs: Sequence[Fraction], s: Fraction) -> tuple[int, list[dict]]:
-        """(den, sums): sums[a][depth] maps each monomial to its integer
-        coefficient, over den, at eps^depth in exp(s * Y) f_a - f_a.
-
-        A word L1..Lk weighs c_L1...c_Lk * s^k / k!.  With d the lcm of the
-        denominators of the c_L and of s, C_L = d * c_L and S = d * s, that
-        is prod(C_Li * S) * d^(2(r - k)) * r!/k! over d^(2r) * r!, one
-        denominator for every word length k; den also carries the table's.
-        """
-        r = self.order
-        d = lcm(s.denominator, *[c.denominator for c in coeffs])
-        letter = [c.numerator * (d // c.denominator) for c in coeffs]
-        step = s.numerator * (d // s.denominator)
-        d2 = d * d
-        scale = [d2**r * factorial(r)]
-        for k in range(1, r + 1):
-            scale.append(scale[-1] * step // (d2 * k))
-        sums = [[{} for _ in range(r + 1)] for _ in self.targets]
-        for polys, words in self.entries:
-            by_depth: dict[int, int] = {}
-            for word, depth in words:
-                w = scale[len(word)]
-                for i in word:
-                    w *= letter[i]
-                    if not w:
-                        break
-                if w:
-                    by_depth[depth] = by_depth.get(depth, 0) + w
-            for depth, w in by_depth.items():
-                if w:
-                    for series, p in zip(sums, polys):
-                        acc = series[depth]
-                        for mono, c in p:
-                            acc[mono] = acc.get(mono, 0) + w * c
-        return scale[0] * self.den, sums
-
-    def expand(self, coeffs: Sequence[Fraction], t: Fraction) -> list[list[Poly]]:
-        """The eps-coefficients of exp(t * Y) f for every target f."""
-        den, sums = self._weights(coeffs, t)
-        out = []
-        for f, by_depth in zip(self.targets, sums):
-            terms = [{m: Fraction(w, den) for m, w in acc.items()} for acc in by_depth[1:]]
-            out.append([f] + [Poly(f.nvars, part) for part in terms])
-        return out
-
-    def act(self, u: JetPoint, coeffs: Sequence[Fraction], t: Fraction) -> JetPoint:
-        """The group element (coeffs, t) moves the jet: row a of the result
-        is exp(-t * Y) x_a evaluated on u.  The targets must be the
-        coordinate functions.
-
-        Everything is integer arithmetic over one common denominator,
-        wden * u.den^M with wden from _weights and M = max_degree: a
-        monomial of degree m on u's numerator rows, over u.den^m, is
-        lifted by u.den^(M - m), and u's own rows by wden * u.den^(M - 1).
-        The moved jet divides by one gcd.
-        """
-        r = self.order
-        wden, sums = self._weights(coeffs, -t)
-        top = self.max_degree
-        lift = [1]
-        for _ in range(top):
-            lift.append(lift[-1] * u.den)
-        keep = wden * lift[top - 1]
-        values_at = _JetEvaluator(u)
-        rows = []
-        for series, row in zip(sums, u.nums):
-            row = [v * keep for v in row]
-            for depth in range(1, r + 1):
-                for mono, w in series[depth].items():
-                    if w:
-                        values = values_at.monomial(mono)
-                        w *= lift[top - sum(mono)]
-                        for i in range(r + 1 - depth):
-                            if values[i]:
-                                row[i + depth] += w * values[i]
-            rows.append(tuple(row))
-        return JetPoint(u.chart, r, tuple(rows), wden * lift[top])
-
-
-def _elem_table(elem: URElem, targets: Sequence[Poly]) -> tuple[_ExpTable, list[Fraction]]:
-    """A URElem is a table with one letter per term, each with coefficient 1."""
-    return _ExpTable(elem.order, elem.terms, targets), [Fraction(1)] * len(elem.terms)
-
-
 def u_exp_apply(elem: URElem, f: Poly) -> TruncSeries:
-    """The exponential as a finite operator sum applied to a function."""
+    """The exponential as a finite operator sum applied to a function: the
+    eps-coefficients of sum_k (t Y)^k / k! f, Y = sum_j eps^j X_j.  Every
+    depth j is at least 1, so (t Y)^k f starts at eps^k and the sum stops
+    after k = order."""
     if f.nvars != elem.chart.dim:
         raise ValueError("function does not live on the element's chart")
-    table, coeffs = _elem_table(elem, (f,))
-    return TruncSeries(elem.order, tuple(table.expand(coeffs, elem.t)[0]))
+    r = elem.order
+    zero = Poly.zero(f.nvars)
+    current = [f] + [zero] * r
+    total = list(current)
+    k = 0
+    while any(current):
+        k += 1
+        moved = [zero] * (r + 1)
+        for j, x in elem.terms:
+            for i in range(r + 1 - j):
+                if current[i]:
+                    moved[i + j] = moved[i + j] + x.apply(current[i])
+        current = [p * (elem.t / k) for p in moved]
+        total = [a + b for a, b in zip(total, current)]
+    return TruncSeries(r, tuple(total))
 
 
 def u_exp_act(elem: URElem, u: JetPoint) -> JetPoint:
-    """Group action on jets: the moved jet evaluates coordinates through
-    the inverse exponential."""
+    """Group action on jets: row a of the moved jet is exp(-t Y) x_a
+    evaluated on u."""
     if u.chart != elem.chart or u.order != elem.order:
         raise ValueError("jet and group element are incompatible")
-    table, coeffs = _elem_table(elem, _coordinates(u.chart.dim))
-    return table.act(u, coeffs, elem.t)
+    inverse = elem.inverse()
+    n = u.chart.dim
+    rows = []
+    for a in range(n):
+        row = TruncSeries(u.order, (Fraction(0),) * (u.order + 1))
+        for k, p in enumerate(u_exp_apply(inverse, Poly.variable(n, a)).coefficients):
+            if p:
+                row = row + eval_jet(u, p).shift(k)
+        rows.append(row.coefficients)
+    return JetPoint(u.chart, u.order, tuple(rows))
 
 
 def q_membership(u: JetPoint, weighting: WeightedChart) -> bool:
     """Whether the jet lies in the flow-out locus: every weighted
     coordinate of weight w must have vanishing components below index w.
-
-    The test runs on integers.  A rational coordinate num/den is tested on
-    num alone: den must be a unit on the jet (a nonzero constant term,
-    else ZeroDivisionError), and multiplying by a unit, like scaling by a
-    positive integer, does not change which components vanish.
-    """
+    A rational coordinate needs a unit denominator on the jet, else
+    ZeroDivisionError."""
     if u.chart != weighting.source_chart:
         raise ValueError("jet does not live on the weighting's source chart")
-    values_at = _JetEvaluator(u)
     for p in range(weighting.dim):
         w = weighting.weights[p]
         if w == 0:
             continue
-        f = weighting.forward[p]
-        if not f.is_polynomial():
-            if not values_at.numerators(f.den)[0][0]:
-                raise ZeroDivisionError("series has no invertible constant term")
-        series, _ = values_at.numerators(f.num)
-        if any(series[: min(w, u.order + 1)]):
+        series = eval_jet(u, weighting.forward[p])
+        if any(series.coefficients[: min(w, u.order + 1)]):
             return False
     return True
 
@@ -717,8 +420,6 @@ def q_dimension(ranks: Sequence[int]) -> QDimension:
 _COEFF_POOL = tuple(
     Fraction(num, den) for num in (-2, -1, 1, 2) for den in (1, 2, 3)
 )
-# scales a pool draw to integers
-_POOL_LCM = lcm(*[c.denominator for c in _COEFF_POOL])
 
 
 @record
@@ -759,27 +460,25 @@ def _random_tangent_jet(
     return JetPoint.from_rows(submanifold.chart, order, rows)
 
 
-def _random_element(
-    rng: random.Random, table: _ExpTable
-) -> tuple[list[Fraction | int], Fraction] | None:
-    """Draw a group element as letter coefficients and a time t.
+def _random_element(rng: random.Random, filtration: Filtration) -> URElem | None:
+    """Draw a group element: per level, the sum of its kept generators.
 
     Each generator is kept with probability 1/2 and a coefficient from the
-    pool.  A level whose combination is zero adds no term, and with no
-    term at all no t is drawn and nothing is returned.
+    pool.  A level whose sum is zero adds no term, and with no term at all
+    no t is drawn and nothing is returned.
     """
-    coeffs: list[Fraction | int] = []
-    for depth, level in enumerate(table.levels, 1):
-        drawn = [rng.choice(_COEFF_POOL) if rng.random() < 0.5 else 0 for _ in level]
-        # with independent letters only the zero draw is a zero combination
-        if table.row_spaces[depth - 1] is not None and table.cancels(
-            depth, [c.numerator * (_POOL_LCM // c.denominator) for c in drawn]
-        ):
-            drawn = [0] * len(level)
-        coeffs.extend(drawn)
-    if not any(coeffs):
+    chart = filtration.chart
+    terms = []
+    for depth, gens in enumerate(filtration.levels, 1):
+        level = VectorField(chart, [0] * chart.dim)
+        for g in gens:
+            if rng.random() < 0.5:
+                level = level + g.scale(rng.choice(_COEFF_POOL))
+        if not level.is_zero():
+            terms.append((depth, level))
+    if not terms:
         return None
-    return coeffs, rng.choice(_COEFF_POOL)
+    return URElem(chart, filtration.order, tuple(terms), rng.choice(_COEFF_POOL))
 
 
 def _flowout_certified(
@@ -855,16 +554,15 @@ def _sample_by_moving(
     """The randomized flow-out check itself: each sample, a tangent jet of
     the submanifold at its base point, is moved by one to three group
     elements and tested with q_membership."""
-    table = _ExpTable.of_filtration(filtration)
     rng = random.Random(seed)
     failed = 0
     first = None
     for k in range(count):
-        u = _random_tangent_jet(rng, submanifold, table.order)
+        u = _random_tangent_jet(rng, submanifold, filtration.order)
         for _ in range(rng.randrange(1, 4)):
-            elem = _random_element(rng, table)
+            elem = _random_element(rng, filtration)
             if elem is not None:
-                u = table.act(u, *elem)
+                u = u_exp_act(elem, u)
         if not q_membership(u, weighting):
             failed += 1
             if first is None:

@@ -108,19 +108,17 @@ class VectorField:
         """Directional derivative: sum of coeff_a * df/dx_a.
 
         Returns a Poly for a polynomial argument; a RatFunc with unit
-        denominator counts as polynomial.
+        denominator counts as polynomial.  On n/d it is the one quotient
+        (X(n)*d - n*X(d)) / d^2.
         """
-        if isinstance(f, RatFunc) and f.is_polynomial():
+        if isinstance(f, RatFunc):
+            if not f.is_polynomial():
+                n, d = f.num, f.den
+                return RatFunc(self.apply(n) * d - n * self.apply(d), d * d)
             f = f.num
         if f.nvars != self.chart.dim:
             raise ValueError("function does not live on the field's chart")
-        if isinstance(f, Poly):
-            acc_p = Poly.zero(f.nvars)
-            for a, c in enumerate(self.coeffs):
-                if c:
-                    acc_p = acc_p + c * f.diff(a)
-            return acc_p
-        acc = RatFunc.const(f.nvars, 0)
+        acc = Poly.zero(f.nvars)
         for a, c in enumerate(self.coeffs):
             if c:
                 acc = acc + c * f.diff(a)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import CHART_TABC, lift_identity_cases, pushed_forward_model, random_field
+from corpus import CHART_TABC, lift_identity_cases, pushed_forward_model
 from lieweights import jets
 from lieweights.cli import load_problem
 from lieweights.exactalg import Poly, RatFunc
@@ -33,7 +33,6 @@ from lieweights.jets import (
     q_membership,
     u_exp_act,
     u_exp_apply,
-    _ExpTable,
     _random_element,
     _random_tangent_jet,
     _sample_by_moving,
@@ -52,6 +51,11 @@ PROBLEM_IDS = [str(p.relative_to(PROBLEMS.parent)) for p in PROBLEM_FILES]
 def jet(chart, rows):
     order = len(rows[0]) - 1
     return JetPoint.from_rows(chart, order, rows)
+
+
+def test_the_jet_chart_is_no_constructor_argument():
+    with pytest.raises(TypeError):
+        JetChart(CHART2, 2, chart=CHART2)
 
 
 class TestEvalJet:
@@ -129,7 +133,7 @@ def jets_and_high_powers(draw):
 @settings(max_examples=40, deadline=None)
 def test_eval_jet_matches_lifted_components(data):
     # lift_all expands by substitution in the jet chart, independently of
-    # eval_jet's power tables
+    # eval_jet's products of truncated series
     u, f = data
     jc = JetChart(CHART2, u.order)
     series = eval_jet(u, f)
@@ -232,15 +236,15 @@ def chained_moves(draw):
 @given(chained_moves())
 @settings(max_examples=40, deadline=None)
 def test_chained_moves_match_reference_series(data):
-    # letter coefficients with mixed denominators, over a table whose
+    # letter coefficients with mixed denominators, on fields whose
     # polynomials are not integral: each move must match the reference
     # series applied to the previous result
     order, letters, moves, u = data
-    table = _ExpTable(order, letters, (Poly.variable(2, 0), Poly.variable(2, 1)))
     for coeffs, t in moves:
         terms = tuple((j, x.scale(c)) for c, (j, x) in zip(coeffs, letters))
-        expected = _reference_move(URElem(CHART2, order, terms, t), u)
-        u = table.act(u, coeffs, t)
+        elem = URElem(CHART2, order, terms, t)
+        expected = _reference_move(elem, u)
+        u = u_exp_act(elem, u)
         assert u.comps == expected
 
 
@@ -524,39 +528,6 @@ class TestFlowOut:
             ],
         }
 
-    @settings(max_examples=30, deadline=None)
-    @given(st.lists(st.sampled_from((-1, 0, 1, 2)), min_size=4, max_size=4))
-    def test_level_relations_decide_zero_combinations(self, coeffs):
-        # dx, -dx and dx + x*dy, 2*dx + 2*x*dy are dependent pairs
-        chart = Chart(("x", "y"))
-        srcs = ("dx", "-dx", "dx + x*dy", "2*dx + 2*x*dy")
-        gens = [parse_vector_field(f, chart) for f in srcs]
-        table = _ExpTable.of_filtration(Filtration(chart, 1, (tuple(gens),)))
-        combo = VectorField(chart, [0, 0])
-        for c, g in zip(coeffs, gens):
-            combo = combo + g.scale(c)
-        assert table.cancels(1, coeffs) == combo.is_zero()
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.integers(0, 10**6),
-        st.lists(st.integers(-2, 2), min_size=2, max_size=2),
-        st.lists(st.integers(-2, 2), min_size=4, max_size=4),
-    )
-    def test_integer_zero_test_matches_field_combination(self, seed, mix, coeffs):
-        # two random fields, a combination of them and the zero field: the
-        # level has relations unless the random fields are dependent
-        chart = Chart(("x", "y"))
-        rng = random.Random(seed)
-        a, b = (random_field(rng, chart, 1) for _ in range(2))
-        zero = VectorField(chart, [0, 0])
-        gens = (a, b, a.scale(mix[0]) + b.scale(mix[1]), zero)
-        table = _ExpTable(1, [(1, g) for g in gens], ())
-        combo = zero
-        for c, g in zip(coeffs, gens):
-            combo = combo + g.scale(c)
-        assert table.cancels(1, coeffs) == combo.is_zero()
-
     def test_cancelling_levels_draw_no_time(self):
         # level -1 lists dx and -dx: a combination can cancel, and when no
         # level adds a term no t is drawn.  The weighting belongs to another
@@ -591,14 +562,13 @@ class TestFlowOut:
             for i in range(wt):
                 defining.append(lift_function(jc, poly, i))
         rng = _random.Random(5)
-        table = _ExpTable.of_filtration(filt)
         points = []
         for _ in range(4):
             u = JetPoint.zero(CHART3, 3)
             for _ in range(2):
-                elem = _random_element(rng, table)
+                elem = _random_element(rng, filt)
                 if elem is not None:
-                    u = table.act(u, *elem)
+                    u = u_exp_act(elem, u)
             assert q_membership(u, w)
             points.append(u)
         for j in range(1, 4):
@@ -613,7 +583,7 @@ class TestFlowOut:
 @cache
 def _rational_models():
     """Pushed-forward (t, a, b, c) models whose weighted coordinates have
-    denominators in t, with their exponential tables."""
+    denominators in t."""
     sub = Submanifold(CHART_TABC, (0,), (2, 0, 0, 0))
     rng = random.Random(20260)
     models = []
@@ -621,7 +591,7 @@ def _rational_models():
         filt = pushed_forward_model(rng)
         w = weighted_coordinates(filt, sub).weighted
         if not all(f.is_polynomial() for f in w.forward):
-            models.append((filt, w, _ExpTable.of_filtration(filt)))
+            models.append((filt, w))
     return tuple(models)
 
 
@@ -654,7 +624,7 @@ def _outcome(check, u, weighting):
 
 @st.composite
 def jets_on_rational_models(draw):
-    filt, w, table = draw(st.sampled_from(_rational_models()))
+    filt, w = draw(st.sampled_from(_rational_models()))
     r = filt.order
     small = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))
     tangent = draw(st.lists(small, min_size=r + 1, max_size=r + 1).filter(any))
@@ -662,9 +632,9 @@ def jets_on_rational_models(draw):
     # moved jets lie on the flow-out locus, a perturbed one mostly not
     rng = random.Random(draw(st.integers(0, 2**16)))
     for _ in range(draw(st.integers(0, 3))):
-        elem = _random_element(rng, table)
+        elem = _random_element(rng, filt)
         if elem is not None:
-            u = table.act(u, *elem)
+            u = u_exp_act(elem, u)
     if draw(st.booleans()):
         rows = [list(row) for row in u.comps]
         rows[draw(st.integers(1, 3))][draw(st.integers(0, r))] += draw(small)
@@ -682,7 +652,7 @@ def test_membership_on_rational_coordinates_matches_series(data):
 class TestRationalCoordinates:
     def test_jets_flowed_out_on_the_chart_are_members(self):
         sub = Submanifold(CHART_TABC, (0,), (2, 0, 0, 0))
-        for filt, w, _ in _rational_models():
+        for filt, w in _rational_models():
             report = flowout_sample(filt, sub, w, count=20, seed=3)
             assert report.tested > 0
             assert report.failed == 0
@@ -805,7 +775,7 @@ def test_sampled_jets_start_at_the_base_point(sub):
         u = _random_tangent_jet(rng, sub, 3)
         assert u.base_point() == sub.base_point
         for a in sub.fiber_indices:
-            assert not any(u.nums[a])
+            assert not any(u.comps[a])
         drawn.update(u.comps[a][i] for a in sub.tangent_indices for i in (1, 2, 3))
     # the tangent components above 0 are drawn, zero and nonzero
     assert len(drawn) > 1
@@ -839,10 +809,9 @@ def test_uncertified_filtration_whose_samples_pass_is_pinned():
 )
 def test_certified_filtration_moves_no_jet(path, monkeypatch):
     def refuse(*args):
-        raise AssertionError("a certified flow-out built a table, moved or tested a jet")
+        raise AssertionError("a certified flow-out moved or tested a jet")
 
-    monkeypatch.setattr(_ExpTable, "__init__", refuse)
-    monkeypatch.setattr(_ExpTable, "act", refuse)
+    monkeypatch.setattr(jets, "u_exp_act", refuse)
     monkeypatch.setattr(jets, "q_membership", refuse)
     report = flowout_sample(*_problem_case(path), 500, 101)
     assert (report.tested, report.failed, report.certified) == (500, 0, True)

@@ -164,6 +164,23 @@ def test_apply_is_derivation(x, f, g):
     assert x.apply(f * g) == x.apply(f) * g + f * x.apply(g)
 
 
+def per_term_apply(x, f):
+    """Oracle: sum_a c_a * d_a(f) in RatFunc arithmetic, one RatFunc.diff
+    per term."""
+    acc = RatFunc.const(f.nvars, 0)
+    for a, c in enumerate(x.coeffs):
+        if c:
+            acc = acc + c * f.diff(a)
+    return acc
+
+
+@settings(max_examples=40, deadline=None)
+@given(fields(), funcs(), funcs().filter(bool))
+def test_apply_on_a_quotient_matches_the_per_term_sum(x, num, den):
+    f = RatFunc(num, den)
+    assert per_term_apply(x, f) == x.apply(f)
+
+
 @settings(max_examples=25, deadline=None)
 @given(fields(), fields(), fields())
 def test_jacobi_identity(x, y, z):
