@@ -120,6 +120,33 @@ def grlex_key(mono: Monomial) -> tuple[int, Monomial]:
     return (sum(mono), mono)
 
 
+def weight_of(mono: Monomial, weights: Sequence[int]) -> int:
+    """Weighted degree sum_p s_p * w_p of an exponent tuple."""
+    return sum(e * w for e, w in zip(mono, weights))
+
+
+def weighted_multiindices(weights: Sequence[int], bound: int) -> list[Monomial]:
+    """Exponent tuples s with weight_of(s, weights) <= bound, for positive
+    weights, ordered by weighted degree, then grlex; none for bound < 0."""
+    if bound < 0:
+        return []
+    out: list[Monomial] = []
+
+    def rec(pos: int, remaining: int, cur: list[int]):
+        if pos == len(weights):
+            out.append(tuple(cur))
+            return
+        w = weights[pos]
+        for e in range(remaining // w + 1):
+            cur.append(e)
+            rec(pos + 1, remaining - e * w, cur)
+            cur.pop()
+
+    rec(0, bound, [])
+    out.sort(key=lambda s: (weight_of(s, weights), grlex_key(s)))
+    return out
+
+
 def _as_fraction(value: ScalarLike) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -471,12 +498,14 @@ def _content_in(p: Poly, var: int) -> Poly:
 
 
 def _primitive_in(p: Poly, var: int) -> Poly:
+    """p over its content in var, scaled to integer-primitive form so that
+    remainder sequences do not grow their rational content."""
     cont = _content_in(p, var)
     if cont.is_zero():
         return p
     q = divide_exact(p, cont)
     assert q is not None
-    return q
+    return _normalize_primitive(q)
 
 
 def _pseudo_rem(a: Poly, b: Poly, var: int) -> Poly:
@@ -516,7 +545,9 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     used = sorted(set(f.variables_used()) | set(g.variables_used()))
     if not used:
         return Poly.one(f.nvars)
-    var = used[-1]
+    # the result is unique, so take the variable of least degree: a variable
+    # only f or only g has reduces the gcd to contents at once
+    var = min(used, key=lambda v: sorted((f.degree_in(v), g.degree_in(v))))
     cont_f = _content_in(f, var)
     cont_g = _content_in(g, var)
     a = _primitive_in(f, var)
@@ -675,9 +706,15 @@ class RatFunc:
         return self.num * o.den == o.num * self.den
 
     def __hash__(self):
-        if self.den.is_one():
-            return hash(self.num)
-        return hash((self.num, self.den))
+        # == cross-multiplies and past GCD_DEGREE_CAP the stored form is not
+        # reduced, so hash the lowest terms, which are unique and normalized
+        num, den = self.num, self.den
+        if not den.is_one():
+            g = poly_gcd(num, den)
+            num, den = divide_exact(num, g), divide_exact(den, g)
+        if den.is_one():
+            return hash(num)
+        return hash((num, den))
 
     def __bool__(self):
         return not self.num.is_zero()

@@ -23,6 +23,7 @@ from .exactalg import (
     RatFunc,
     RowEchelon,
     record,
+    weighted_multiindices,
 )
 from .vfield import Chart, VectorField, lie_bracket, restrict_zero
 
@@ -151,18 +152,7 @@ class Filtration:
 
 def monomials_up_to(nvars: int, degree: int) -> list[tuple[int, ...]]:
     """All exponent tuples of total degree <= degree, ascending grlex."""
-
-    def of_degree(d: int, k: int):
-        # exponent tuples of length k summing to d, lexicographically ascending
-        if k == 0:
-            if d == 0:
-                yield ()
-            return
-        for first in range(d + 1):
-            for rest in of_degree(d - first, k - 1):
-                yield (first,) + rest
-
-    return [m for d in range(degree + 1) for m in of_degree(d, nvars)]
+    return weighted_multiindices((1,) * nvars, degree)
 
 
 _RATIONAL_CYCLE = (
@@ -177,7 +167,11 @@ _RATIONAL_CYCLE = (
 )
 
 
-def sample_points(nvars: int, budget: int = 60):
+# length of the witness-point sequence sample_points yields
+SAMPLE_BUDGET = 60
+
+
+def sample_points(nvars: int):
     """Deterministic witness-point sequence: origin, integer shells, rationals."""
     count = 0
 
@@ -191,13 +185,13 @@ def sample_points(nvars: int, budget: int = 60):
         for pt in itertools.product(range(-radius, radius + 1), repeat=nvars):
             if max(abs(c) for c in pt) == radius:
                 yield emit(pt)
-                if count >= budget:
+                if count >= SAMPLE_BUDGET:
                     return
     m = len(_RATIONAL_CYCLE)
     for k in range(m):
         pt = tuple(_RATIONAL_CYCLE[(k + i) % m] for i in range(nvars))
         yield emit(pt)
-        if count >= budget:
+        if count >= SAMPLE_BUDGET:
             return
 
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .exactalg import Poly, RatFunc, RowEchelon, grlex_key, record
+from .exactalg import Poly, RowEchelon, record, weight_of, weighted_multiindices
 from .lieflt import (
     Filtration,
     Submanifold,
@@ -40,11 +40,9 @@ from .vfield import VectorField, lie_bracket
 from .weightcoord import (
     WeightedChart,
     WeightingResult,
-    poly_weight_part,
     push_to_weighted,
     vf_degree_in_chart,
     weighted_coordinates,
-    weighted_multiindices,
 )
 
 Vector = tuple[Fraction, ...]
@@ -430,8 +428,10 @@ def fiber_class_pairs(
 
     A label (position, multi-index) stands for the class of x^s d/dx_p
     where s runs over fiber-supported multi-indices of weighted degree
-    exactly (weight of p) - depth.  Labels with s = 0 span the complement
-    of the tangent part; there is one for each position of weight depth.
+    exactly (weight of p) - depth, in grlex order, which is the order
+    weighted_multiindices gives them within one weight.  Labels with s = 0
+    span the complement of the tangent part; there is one for each
+    position of weight depth.
     """
     k0 = weighting.submanifold.dim
     fiber_weights = weighting.weights[k0:]
@@ -440,26 +440,18 @@ def fiber_class_pairs(
         target = weighting.weights[p] - depth
         if target < 0:
             continue
-        exact = [
-            (0,) * k0 + s
+        out.extend(
+            (p, (0,) * k0 + s)
             for s in weighted_multiindices(fiber_weights, target)
-            if sum(e * w for e, w in zip(s, fiber_weights)) == target
-        ]
-        for phi in sorted(exact, key=grlex_key):
-            out.append((p, phi))
+            if weight_of(s, fiber_weights) == target
+        )
     return tuple(out)
 
 
-def _frozen_fiber_part(coeff, weighting: WeightedChart, degree: int) -> Poly:
+def _frozen_fiber_part(coeff, weighting: WeightedChart) -> tuple[Poly, Fraction]:
     """Freeze the weight-0 variables at the base point and return the
-    weighted-homogeneous part of the given degree.
-
-    The coefficient must have weighted degree at least `degree`, as
-    weighted_fiber_class ensures.  A frozen denominator is its constant
-    term c0 plus terms of positive weight, so only c0 meets the
-    numerator's part of that degree: a rational coefficient contributes
-    that part divided by c0, which must not vanish.
-    """
+    numerator and the denominator's constant term c0, which must not
+    vanish."""
     n = weighting.dim
     base = weighting.base_point_weighted()
     images = [
@@ -467,15 +459,12 @@ def _frozen_fiber_part(coeff, weighting: WeightedChart, degree: int) -> Poly:
         for p in range(n)
     ]
     frozen = coeff.subst(images)
-    if isinstance(frozen, RatFunc):
-        if not frozen.is_polynomial():
-            c0 = frozen.den.terms.get((0,) * n, Fraction(0))
-            if c0 == 0:
-                raise ZeroDivisionError("denominator vanishes at the base point")
-            part = poly_weight_part(frozen.num, weighting.weights, degree)
-            return part * (1 / c0)
-        frozen = frozen.num
-    return poly_weight_part(frozen, weighting.weights, degree)
+    if isinstance(frozen, Poly):
+        return frozen, Fraction(1)
+    c0 = frozen.den.terms.get((0,) * n, Fraction(0))
+    if c0 == 0:
+        raise ZeroDivisionError("denominator vanishes at the base point")
+    return frozen.num, c0
 
 
 def weighted_fiber_class(
@@ -488,19 +477,21 @@ def weighted_fiber_class(
     when its weighted degree is below -depth (it has no class at that
     depth).  The component at (p, s) is the coefficient of x^s in the
     direction-p coefficient after freezing the weight-0 variables at the
-    base point.
+    base point.  That coefficient has weighted degree at least the weight
+    of s, and a frozen denominator is its constant term c0 plus terms of
+    positive weight, so only c0 meets the numerator's x^s term: the
+    component is that term's coefficient divided by c0.
     """
     pushed = push_to_weighted(field, weighting)
     if vf_degree_in_chart(pushed, weighting) < -depth:
         return None
-    parts: dict[int, Poly] = {}
+    frozen: dict[int, tuple[Poly, Fraction]] = {}
     comps: list[Fraction] = []
     for p, phi in fiber_class_pairs(weighting, depth):
-        if p not in parts:
-            parts[p] = _frozen_fiber_part(
-                pushed[p], weighting, weighting.weights[p] - depth
-            )
-        comps.append(parts[p].terms.get(phi, Fraction(0)))
+        if p not in frozen:
+            frozen[p] = _frozen_fiber_part(pushed[p], weighting)
+        num, c0 = frozen[p]
+        comps.append(num.terms.get(phi, Fraction(0)) / c0)
     return tuple(comps)
 
 

@@ -1,5 +1,4 @@
-"""Polynomial charts, vector fields, differential operator words, and the
-ASCII expression grammar.
+"""Polynomial charts, vector fields, and the ASCII expression grammar.
 
 Grammar accepted by the parser (whitespace insignificant, errors carry
 line/column):
@@ -141,9 +140,8 @@ class VectorField:
     def __neg__(self) -> "VectorField":
         return VectorField(self.chart, [-c for c in self.coeffs])
 
-    def scale(self, factor: Poly | Fraction | int) -> "VectorField":
-        f = _as_poly(factor, self.chart.dim)
-        return VectorField(self.chart, [f * c for c in self.coeffs])
+    def scale(self, factor: Scalar | Fraction | int) -> "VectorField":
+        return VectorField(self.chart, [c * factor for c in self.coeffs])
 
     def value_at(self, point: Sequence[Fraction]) -> tuple[Fraction, ...]:
         return tuple(c.eval(point) for c in self.coeffs)
@@ -173,35 +171,6 @@ def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
     return VectorField(
         x.chart, [x.apply(ya) - y.apply(xa) for xa, ya in zip(x.coeffs, y.coeffs)]
     )
-
-
-@record
-class DiffOpWord:
-    """A composition of vector fields acting as a differential operator.
-
-    Factors are applied rightmost first: DiffOpWord([X, Y]) sends f to
-    X(Y(f)).
-    """
-
-    chart: Chart
-    factors: tuple[VectorField, ...]
-
-    def __init__(self, chart: Chart, factors: Sequence[VectorField]):
-        factors = tuple(factors)
-        for f in factors:
-            if f.chart != chart:
-                raise ValueError("word factor lives on a different chart")
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "factors", factors)
-
-    @property
-    def order(self) -> int:
-        return len(self.factors)
-
-    def apply(self, f: Scalar) -> Scalar:
-        for field in reversed(self.factors):
-            f = field.apply(f)
-        return f
 
 
 def restrict_zero(value: Scalar, fiber_indices: Iterable[int]) -> Scalar:

@@ -30,10 +30,11 @@ from .exactalg import (
     Poly,
     RatFunc,
     as_ratfunc,
-    grlex_key,
     matrix_inverse,
     matrix_rank,
     record,
+    weight_of,
+    weighted_multiindices,
 )
 from .lieflt import (
     CleanResult,
@@ -42,7 +43,7 @@ from .lieflt import (
     check_clean,
     weight_sequence,
 )
-from .vfield import Chart, DiffOpWord, VectorField
+from .vfield import Chart, VectorField
 
 Scalar = Poly | RatFunc
 
@@ -68,7 +69,7 @@ class Frame:
 
 
 def normalize_chart(
-    frame: Frame, submanifold: Submanifold
+    frame: Frame,
 ) -> tuple[tuple[RatFunc, ...], tuple[tuple[RatFunc, ...], ...]]:
     """Linear fiber coordinate change making (V_a x_c)|_N the identity.
 
@@ -78,8 +79,8 @@ def normalize_chart(
     variables.  Raises when the pairing matrix is singular at the base
     point.
     """
-    chart = frame.chart
-    n = chart.dim
+    submanifold = frame.submanifold
+    n = frame.chart.dim
     fiber = submanifold.fiber_indices
     k = len(fiber)
     if len(frame.fields) != k:
@@ -112,44 +113,21 @@ def normalize_chart(
     return tuple(coords), pairing
 
 
-def weighted_multiindices(weights: Sequence[int], bound: int) -> list[tuple[int, ...]]:
-    """Multi-indices s over the fiber positions with s.w <= bound,
-    ordered by weighted degree, then length, then lexicographic order."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(pos: int, remaining: int, cur: list[int]):
-        if pos == len(weights):
-            out.append(tuple(cur))
-            return
-        w = weights[pos]
-        for e in range(remaining // w + 1):
-            cur.append(e)
-            rec(pos + 1, remaining - e * w, cur)
-            cur.pop()
-
-    rec(0, bound, [])
-    out.sort(key=lambda s: (sum(e * w for e, w in zip(s, weights)), sum(s), s))
-    return out
+def _apply_word(frame: Frame, s: Sequence[int], f: Scalar) -> Scalar:
+    """V^s f: frame field p applied s[p] times, the last field first."""
+    for field, mult in reversed(list(zip(frame.fields, s))):
+        for _ in range(mult):
+            f = field.apply(f)
+    return f
 
 
-def _word_for(frame: Frame, s: Sequence[int]) -> DiffOpWord:
-    factors: list[VectorField] = []
-    for field, mult in zip(frame.fields, s):
-        factors.extend([field] * mult)
-    return DiffOpWord(frame.chart, tuple(factors))
-
-
-def filtration_degree(
-    f: Scalar, frame: Frame, submanifold: Submanifold, cap: int
-) -> int:
+def filtration_degree(f: Scalar, frame: Frame, cap: int) -> int:
     """Largest i <= cap with (V^s f)|_N = 0 for every word of weighted
     order below i; equals the smallest weighted order of a word that sees
     f along N, capped."""
-    weights = frame.levels
-    for s in weighted_multiindices(weights, cap - 1):
-        value = submanifold.restrict(_word_for(frame, s).apply(f))
-        if not value.is_zero():
-            return sum(e * w for e, w in zip(s, weights))
+    for s in weighted_multiindices(frame.levels, cap - 1):
+        if not frame.submanifold.restrict(_apply_word(frame, s, f)).is_zero():
+            return weight_of(s, frame.levels)
     return cap
 
 
@@ -232,7 +210,7 @@ def weighted_coordinates(
         )
     assignment = weight_sequence(clean)
     frame = Frame(submanifold, clean.frame, clean.frame_levels)
-    fiber_coords, pairing = normalize_chart(frame, submanifold)
+    fiber_coords, pairing = normalize_chart(frame)
 
     chart = filtration.chart
     n = chart.dim
@@ -266,9 +244,10 @@ def weighted_coordinates(
             for _, tier in itertools.groupby(admissible, key=sum):
                 terms = []
                 for s in tier:
-                    word = _word_for(frame, s)
                     power = _monomial_of(current, k0, s, n)
-                    c_s = as_ratfunc(submanifold.restrict(word.apply(power)), n)
+                    c_s = as_ratfunc(
+                        submanifold.restrict(_apply_word(frame, s, power)), n
+                    )
                     expected = Fraction(math.prod(math.factorial(e) for e in s))
                     if c_s.eval(submanifold.base_point) == 0:
                         raise ValueError(
@@ -278,7 +257,9 @@ def weighted_coordinates(
                         raise ValueError(
                             f"normalization constant for {s} is not the factorial product"
                         )
-                    total = as_ratfunc(submanifold.restrict(word.apply(partial)), n)
+                    total = as_ratfunc(
+                        submanifold.restrict(_apply_word(frame, s, partial)), n
+                    )
                     coeff = -(total / expected)
                     records.append(
                         CorrectionRecord(
@@ -291,7 +272,7 @@ def weighted_coordinates(
             current[a] = partial
 
     for p in range(k0, n):
-        got = filtration_degree(current[p], frame, submanifold, cap=weights[p])
+        got = filtration_degree(current[p], frame, cap=weights[p])
         if got != weights[p]:
             raise ValueError(
                 f"weighted coordinate at position {p} has filtration degree {got}, "
@@ -369,35 +350,15 @@ def _invert_weighting(
     return tuple(inverse)
 
 
-@record
-class WeightedDegreeResult:
-    degree: int | float
-    witness: tuple[int, ...] | None
-
-
-def _poly_weighted_degree(p: Poly, weights: Sequence[int]) -> WeightedDegreeResult:
-    if p.is_zero():
-        return WeightedDegreeResult(INFINITE, None)
-    best_key = None
-    best_mono = None
-    for mono in p.terms:
-        d = sum(e * w for e, w in zip(mono, weights))
-        key = (d, grlex_key(mono))
-        if best_key is None or key < best_key:
-            best_key = key
-            best_mono = mono
-    return WeightedDegreeResult(best_key[0], best_mono)
-
-
-def weighted_degree(f: Scalar, weighting: WeightedChart) -> WeightedDegreeResult:
+def weighted_degree(f: Scalar, weighting: WeightedChart) -> int | float:
     """Minimal weighted order of f, computed in the weighted chart.
 
     This is the weighting itself, read as the filtration of functions that
     defines it: f lies in C^inf(M)_(i) exactly when its weighted order is
     at least i.  Base (weight-0) variables contribute nothing.  The zero
-    function has degree +inf and no witness monomial.
+    function has degree +inf.
     """
-    return weighted_degree_in_chart(weighting.to_weighted(f), weighting)
+    return weighted_degree_in_chart(weighting.to_weighted(f), weighting.weights)
 
 
 def push_to_weighted(
@@ -430,7 +391,7 @@ def vf_degree_in_chart(
     coefficients, as push_to_weighted returns them."""
     return min(
         (
-            weighted_degree_in_chart(coeff, weighting).degree - weighting.weights[p]
+            weighted_degree_in_chart(coeff, weighting.weights) - weighting.weights[p]
             for p, coeff in enumerate(coeffs)
             if not coeff.is_zero()
         ),
@@ -438,24 +399,13 @@ def vf_degree_in_chart(
     )
 
 
-def weighted_degree_in_chart(g: Scalar, weighting: WeightedChart) -> WeightedDegreeResult:
-    """Weighted degree of a function already written in the weighted chart."""
-    if isinstance(g, Poly):
-        return _poly_weighted_degree(g, weighting.weights)
+def weighted_degree_in_chart(g: Scalar, weights: Sequence[int]) -> int | float:
+    """Weighted order of a function already written in the weighted chart:
+    the least weight of a numerator term minus that of a denominator
+    term, +inf for zero."""
     if g.is_zero():
-        return WeightedDegreeResult(INFINITE, None)
-    num = _poly_weighted_degree(g.num, weighting.weights)
-    den = _poly_weighted_degree(g.den, weighting.weights)
-    return WeightedDegreeResult(num.degree - den.degree, num.witness)
-
-
-def poly_weight_part(p: Poly, weights: Sequence[int], degree: int) -> Poly:
-    """The terms of p whose weighted degree is exactly degree."""
-    return Poly(
-        p.nvars,
-        {
-            mono: c
-            for mono, c in p.terms.items()
-            if sum(e * w for e, w in zip(mono, weights)) == degree
-        },
-    )
+        return INFINITE
+    if isinstance(g, Poly):
+        g = RatFunc(g)
+    num = min(weight_of(mono, weights) for mono in g.num.terms)
+    return num - min(weight_of(mono, weights) for mono in g.den.terms)

@@ -1,5 +1,6 @@
 """Exact arithmetic layer: canonical forms, ring ops, gcd, linear solving."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -12,12 +13,15 @@ from lieweights.exactalg import (
     Poly,
     RatFunc,
     RowEchelon,
+    GCD_DEGREE_CAP,
     divide_exact,
     grlex_key,
     linear_solve_exact,
     matrix_inverse,
     matrix_rank,
     poly_gcd,
+    weight_of,
+    weighted_multiindices,
 )
 
 X = Poly.variable(3, 0)
@@ -123,6 +127,25 @@ def test_grlex_total_order_and_compatibility():
 
 
 # -- ring operations ----------------------------------------------------------
+
+
+def test_weighted_multiindices_of_a_negative_bound_are_empty():
+    assert weighted_multiindices((), -1) == []
+    assert weighted_multiindices((1, 2), -1) == []
+    assert weighted_multiindices((), 0) == [()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 4), max_size=4), st.integers(-1, 7))
+def test_weighted_multiindices_match_the_filtered_product(weights, bound):
+    # the definition: every tuple of weighted degree <= bound, ordered by
+    # weighted degree, then grlex; so one weight's tuples come in grlex order
+    box = itertools.product(*(range(bound // w + 1) for w in weights))
+    expected = sorted(
+        (s for s in box if weight_of(s, weights) <= bound),
+        key=lambda s: (weight_of(s, weights), grlex_key(s)),
+    )
+    assert weighted_multiindices(weights, bound) == expected
 
 
 def test_product_difference_of_squares():
@@ -270,6 +293,30 @@ def test_ratfunc_diff_quotient_rule():
 def test_ratfunc_zero_denominator_rejected():
     with pytest.raises(ZeroDivisionError):
         RatFunc(X, Poly.zero(3))
+
+
+def test_ratfunc_hash_agrees_with_eq_past_the_gcd_cap():
+    # x^9 pushes both degrees past the cap, so the stored forms stay unreduced
+    x, y = Poly.variable(2, 0), Poly.variable(2, 1)
+    one = Poly.one(2)
+    assert 9 > GCD_DEGREE_CAP
+    plain = RatFunc(y, y + one)
+    padded = RatFunc(x**9 * y, x**9 * (y + one))
+    assert padded.den != plain.den
+    assert plain == padded
+    assert hash(plain) == hash(padded)
+    assert len({plain, padded}) == 1
+    quotient = RatFunc(x**9 * y, x**9)
+    assert not quotient.is_polynomial()
+    assert quotient == y
+    assert hash(quotient) == hash(y)
+
+
+@settings(max_examples=30, deadline=None)
+@given(polys(max_terms=3, max_exp=2), polys(max_terms=2, max_exp=2).filter(bool))
+def test_equal_ratfuncs_hash_alike(num, den):
+    pad = Poly.variable(3, 0) ** (GCD_DEGREE_CAP + 1) + Poly.one(3)
+    assert hash(RatFunc(num, den)) == hash(RatFunc(num * pad, den * pad))
 
 
 def test_ratfunc_eval():

@@ -3,13 +3,23 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import CHARTS, COEFFS
-from lieweights.exactalg import Poly, RatFunc, RowEchelon
+from corpus import CHART_TABC, CHARTS, COEFFS, pushed_forward_model, random_poly
+from lieweights.cli import load_problem
+from lieweights.exactalg import (
+    Poly,
+    RatFunc,
+    RowEchelon,
+    as_ratfunc,
+    grlex_key,
+    weight_of,
+    weighted_multiindices,
+)
 from lieweights.lieflt import (
     Filtration,
     Submanifold,
@@ -26,7 +36,12 @@ from lieweights.vfield import (
     lie_bracket,
     parse_vector_field,
 )
-from lieweights.weightcoord import WeightedChart, push_to_weighted, weighted_coordinates
+from lieweights.weightcoord import (
+    WeightedChart,
+    push_to_weighted,
+    vf_degree_in_chart,
+    weighted_coordinates,
+)
 from lieweights.osculating import (
     GradedSubalg,
     bch,
@@ -380,6 +395,76 @@ class TestAmbientModule:
         cls = weighted_fiber_class(x_fld, weighting, 1)
         assert cls == (0, -1)
         assert class_in_tangent_part(pairs, cls)
+
+
+# -- fiber classes against the weight-part reading ------------------------------
+
+SINGULAR_CHART = load_problem(
+    str(Path(__file__).resolve().parent.parent / "problems" / "singular_chart.json")
+)
+
+
+def poly_weight_part(p, weights, degree):
+    """The terms of p whose weighted degree is exactly degree."""
+    return Poly(
+        p.nvars,
+        {mono: c for mono, c in p.terms.items() if weight_of(mono, weights) == degree},
+    )
+
+
+def reference_fiber_class(field, weighting, depth):
+    """Oracle: the labels sorted in grlex order per position, and each
+    component read off the weight part of the frozen numerator, divided by
+    the frozen denominator's constant term."""
+    n = weighting.dim
+    k0 = weighting.submanifold.dim
+    fiber_weights = weighting.weights[k0:]
+    pairs = []
+    for p in range(n):
+        target = weighting.weights[p] - depth
+        exact = [
+            (0,) * k0 + s
+            for s in weighted_multiindices(fiber_weights, target)
+            if weight_of(s, fiber_weights) == target
+        ]
+        pairs.extend((p, phi) for phi in sorted(exact, key=grlex_key))
+    pushed = push_to_weighted(field, weighting)
+    if vf_degree_in_chart(pushed, weighting) < -depth:
+        return tuple(pairs), None
+    base = weighting.base_point_weighted()
+    images = [
+        Poly.const(n, base[p]) if weighting.weights[p] == 0 else Poly.variable(n, p)
+        for p in range(n)
+    ]
+    comps = []
+    for p, phi in pairs:
+        frozen = as_ratfunc(pushed[p].subst(images), n)
+        c0 = frozen.den.terms[(0,) * n]
+        part = poly_weight_part(frozen.num, weighting.weights, weighting.weights[p] - depth)
+        comps.append(part.terms.get(phi, Fraction(0)) * (1 / c0))
+    return tuple(pairs), tuple(comps)
+
+
+@given(st.integers(0, 2**32), st.sampled_from([None, 1, 2]))
+@settings(max_examples=12, deadline=None)
+def test_fiber_classes_match_the_weight_part_reading(seed, t):
+    # t None is singular_chart.json; otherwise a pushed-forward model with
+    # N = {a = b = c = 0} at that t, whose weighted chart has denominators
+    rng = random.Random(seed)
+    if t is None:
+        filt, sub = SINGULAR_CHART.filtration, SINGULAR_CHART.submanifold
+    else:
+        filt = pushed_forward_model(rng)
+        sub = Submanifold(CHART_TABC, (0,), (t, 0, 0, 0))
+    weighting = weighted_coordinates(filt, sub).weighted
+    n = filt.chart.dim
+    fields = list(filt.generators(filt.order))
+    fields += [g.scale(random_poly(rng, n, 2)) for g in fields]
+    for depth in range(1, filt.order + 1):
+        for field in fields:
+            pairs, expected = reference_fiber_class(field, weighting, depth)
+            assert fiber_class_pairs(weighting, depth) == pairs
+            assert weighted_fiber_class(field, weighting, depth) == expected
 
 
 # -- centred chart against recentred columns ------------------------------------

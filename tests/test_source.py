@@ -108,3 +108,50 @@ def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
         check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+# public names no package module reads, each kept for a stated reason
+UNREAD_PUBLIC_NAMES = {
+    "weighted_degree": "the paper's filtration of functions by weighted order",
+    "module_membership": "the benchmark's tracing wraps it",
+    "lift_function": "acceptance criterion 4: lifts of functions to the jet chart",
+    "koszul_shift": "acceptance criterion 5: the shift operator on lifts",
+    "parse_scalar": "the grammar's scalar entry point",
+    "parse_polynomial": "the grammar's polynomial entry point",
+}
+
+
+def public_definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level functions and classes without a leading `_`, with
+    their line numbers."""
+    return {
+        node.name: node.lineno
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    }
+
+
+def exported_names(tree: ast.Module) -> set[str]:
+    """The strings listed in the module's __all__."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def test_public_names_are_read_or_exported():
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE.glob("*.py")}
+    read = set().union(*[read_names(tree) for tree in trees.values()])
+    read |= exported_names(trees[PACKAGE / "__init__.py"])
+    unread = {
+        f"{path.name}:{line} {name}"
+        for path, tree in trees.items()
+        for name, line in public_definitions(tree).items()
+        if name not in read and name not in UNREAD_PUBLIC_NAMES
+    }
+    assert not unread, f"public names no package module reads: {sorted(unread)}"
+    stale = {name for name in UNREAD_PUBLIC_NAMES if name in read}
+    assert not stale, f"allowlisted names that are read after all: {sorted(stale)}"
