@@ -25,12 +25,7 @@ from .osculating import (
     verify_hh,
 )
 from .vfield import Chart, VectorField, lie_bracket, parse_vector_field
-from .weightcoord import (
-    WeightedChart,
-    WeightingResult,
-    vf_filtration_degree,
-    weighted_coordinates,
-)
+from .weightcoord import WeightedChart, vf_filtration_degree, weighted_coordinates
 
 __all__ = [
     "Chart",
@@ -45,7 +40,6 @@ __all__ = [
     "Submanifold",
     "VectorField",
     "WeightedChart",
-    "WeightingResult",
     "bch",
     "check_bracket_compat",
     "check_clean",

@@ -32,7 +32,7 @@ from .lieflt import (
     check_clean,
     weight_sequence,
 )
-from .osculating import DEFAULT_OSCULATE_BOUND, osculating_at, tangent_subalg, verify_hh
+from .osculating import osculating_at, tangent_subalg, verify_hh
 from .vfield import (
     MAX_MONOMIALS,
     Chart,
@@ -48,6 +48,10 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INPUT = 3
+
+# bound for the osculating quotient solves when the caller does not pin
+# one; the membership default grows too fast for pure-rational elimination
+DEFAULT_OSCULATE_BOUND = 2
 
 STAGE_ORDER = (
     "bracket-compat",
@@ -307,47 +311,41 @@ class _Pipeline:
 
     def stage_weights(self):
         try:
-            assignment = weight_sequence(self.clean)
+            weights = weight_sequence(self.clean)
         except ValueError as exc:
             return FAIL, {"error": str(exc)}
-        chart = self.spec.chart
+        names = self.spec.chart.names
         data = {
-            "weights": list(assignment.weights),
-            "adapted_order": [chart.names[p] for p in assignment.positions],
+            "weights": list(weights),
+            "adapted_order": [names[p] for p in self.spec.submanifold.adapted_order],
         }
         return PASS, data
 
     def stage_coordinates(self):
         try:
-            self.weighting = weighted_coordinates(
-                self.spec.filtration, self.spec.submanifold, self.clean
-            )
+            self.weighting = weighted_coordinates(self.clean)
         except ValueError as exc:
             return FAIL, {"error": str(exc)}
-        W = self.weighting.weighted
-        chart = self.spec.chart
+        W = self.weighting
+        chart, weighted_chart = self.spec.chart, W.chart
         data = {
             "coordinates": [format_scalar(f, chart) for f in W.forward],
-            "inverse": [format_scalar(f, W.chart) for f in W.inverse],
-            "frame": [format_vector_field(v) for v in self.weighting.frame.fields],
+            "inverse": [format_scalar(f, weighted_chart) for f in W.inverse],
+            "frame": [format_vector_field(v) for v in self.clean.frame],
             "corrections": [
                 {
                     "position": rec.position,
                     "multi_index": list(rec.multi_index),
                     "constant": str(rec.constant),
                 }
-                for rec in self.weighting.corrections
+                for rec in W.corrections
             ],
         }
         return PASS, data
 
     def stage_jets(self):
         sample = flowout_sample(
-            self.spec.filtration,
-            self.spec.submanifold,
-            self.weighting.weighted,
-            self.spec.samples,
-            self.spec.seed,
+            self.spec.filtration, self.weighting, self.spec.samples, self.spec.seed
         )
         qdim = q_dimension(self.clean.ranks)
         data = {
@@ -381,14 +379,7 @@ class _Pipeline:
         tangent = tangent_subalg(
             self.spec.filtration, self.spec.submanifold, bound, parent=algebra
         )
-        report = verify_hh(
-            self.spec.filtration,
-            self.spec.submanifold,
-            bound,
-            weighting=self.weighting,
-            algebra=algebra,
-            tangent=tangent,
-        )
+        report = verify_hh(self.weighting, algebra, tangent)
         constants = []
         for u, v, vec in algebra.structure:
             for k, c in enumerate(vec):

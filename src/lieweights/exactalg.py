@@ -463,6 +463,14 @@ def divide_exact(f: Poly, g: Poly) -> Poly | None:
         return f
     lm_g = g.leading_monomial()
     lc_g = g.terms[lm_g]
+    if len(g.terms) == 1:
+        # a monomial divides term by term
+        shifted = {
+            tuple(a - b for a, b in zip(mono, lm_g)): c / lc_g for mono, c in f.terms.items()
+        }
+        if any(e < 0 for mono in shifted for e in mono):
+            return None
+        return Poly(f.nvars, shifted)
     quotient: dict[Monomial, Fraction] = {}
     rem = f
     while not rem.is_zero():
@@ -508,16 +516,27 @@ def _primitive_in(p: Poly, var: int) -> Poly:
     return _normalize_primitive(q)
 
 
+def _lead_in(p: Poly, var: int) -> Poly:
+    """The coefficient of the highest power of var in p."""
+    d = p.degree_in(var)
+    return Poly(
+        p.nvars,
+        {mono[:var] + (0,) + mono[var + 1 :]: c for mono, c in p.terms.items() if mono[var] == d},
+    )
+
+
 def _pseudo_rem(a: Poly, b: Poly, var: int) -> Poly:
-    """Pseudo-remainder of a by b with respect to one variable."""
+    """lc(b)^(deg a - deg b + 1) * a mod b in one variable, deg a >= deg b:
+    a step whose leading terms cancel past one degree still counts."""
     db = b.degree_in(var)
-    lb = _coeffs_in(b, var)[db]
+    lb = _lead_in(b, var)
+    steps = a.degree_in(var) - db + 1
     while not a.is_zero() and a.degree_in(var) >= db:
         da = a.degree_in(var)
-        la = _coeffs_in(a, var)[da]
         shift = Poly.term(a.nvars, tuple(da - db if i == var else 0 for i in range(a.nvars)), 1)
-        a = lb * a - la * shift * b
-    return a
+        a = lb * a - _lead_in(a, var) * shift * b
+        steps -= 1
+    return a * lb**steps if steps else a
 
 
 def _normalize_primitive(p: Poly) -> Poly:
@@ -554,10 +573,23 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     b = _primitive_in(g, var)
     if a.degree_in(var) < b.degree_in(var):
         a, b = b, a
-    while not b.is_zero():
+    # subresultant remainder sequence (Collins 1967; Cohen, Alg. 3.3.1):
+    # each pseudo-remainder divides exactly by lead * h^delta, which keeps
+    # the coefficients small without a content gcd per step
+    lead = h = Poly.one(f.nvars)
+    while b.degree_in(var):
+        delta = a.degree_in(var) - b.degree_in(var)
         r = _pseudo_rem(a, b, var)
-        a, b = b, _primitive_in(r, var)
-    result = poly_gcd(cont_f, cont_g) * _primitive_in(a, var)
+        a, b = b, divide_exact(r, lead * h**delta)
+        assert b is not None, "subresultant division is not exact"
+        lead = _lead_in(a, var)
+        if delta:
+            h = divide_exact(lead**delta, h ** (delta - 1))
+            assert h is not None, "subresultant division is not exact"
+    # a last remainder free of var (b nonzero) leaves the gcd no part in var
+    result = poly_gcd(cont_f, cont_g)
+    if b.is_zero():
+        result = result * _primitive_in(a, var)
     return _normalize_primitive(result)
 
 
@@ -622,11 +654,6 @@ class RatFunc:
 
     def is_polynomial(self) -> bool:
         return self.den.is_one()
-
-    def as_poly(self) -> Poly:
-        if not self.den.is_one():
-            raise ValueError("rational function has a nontrivial denominator")
-        return self.num
 
     def _coerce(self, other) -> "RatFunc | None":
         if isinstance(other, RatFunc):

@@ -481,38 +481,28 @@ def _random_element(rng: random.Random, filtration: Filtration) -> URElem | None
     return URElem(chart, filtration.order, tuple(terms), rng.choice(_COEFF_POOL))
 
 
-def _flowout_certified(
-    filtration: Filtration, submanifold: Submanifold, weighting: WeightedChart
-) -> bool:
+def _flowout_certified(filtration: Filtration, weighting: WeightedChart) -> bool:
     """Whether every generator listed at level -j has filtration degree at
-    least -j in the weighting, and the submanifold and its base point are
-    the ones the weighting was built along.  A generator listed at several
-    levels needs the bound of the first."""
+    least -j in the weighting.  A generator listed at several levels needs
+    the bound of the first."""
     first_level: dict[VectorField, int] = {}
     for j, gens in enumerate(filtration.levels, 1):
         for x in gens:
             first_level.setdefault(x, j)
-    return submanifold == weighting.submanifold and all(
-        vf_filtration_degree(x, weighting) >= -j for x, j in first_level.items()
-    )
+    return all(vf_filtration_degree(x, weighting) >= -j for x, j in first_level.items())
 
 
 def flowout_sample(
-    filtration: Filtration,
-    submanifold: Submanifold,
-    weighting: WeightedChart,
-    count: int,
-    seed: int,
+    filtration: Filtration, weighting: WeightedChart, count: int, seed: int
 ) -> SampleReport:
     """Flow-out check: products of unipotent exponentials built from the
-    filtration levels, applied to jets of the submanifold, must all
-    satisfy the weighted membership equations.  Deterministic for a fixed
-    (count, seed), and the counts equal _sample_by_moving's.
+    filtration levels, applied to jets of the weighting's submanifold, must
+    all satisfy the weighted membership equations.  Deterministic for a
+    fixed (count, seed), and the counts equal _sample_by_moving's.
 
     The outcome is decided before anything is drawn.  The filtration is
     certified when every generator X listed at level -j has
-    vf_filtration_degree(X, weighting) >= -j, and the submanifold is the
-    weighting's.  Then every sample passes:
+    vf_filtration_degree(X, weighting) >= -j.  Then every sample passes:
 
     - Let Q = {phi_p^(i) = 0 for i < w_p} in the jets, phi_p the weighted
       coordinate of weight w_p.  The depth-j lift of X has component
@@ -539,26 +529,22 @@ def flowout_sample(
     So a certified run draws, moves and tests nothing: tested is count and
     failed is 0.  Without the certificate the samples are moved and tested
     by _sample_by_moving, whose first_failure is a failing jet."""
-    if not _flowout_certified(filtration, submanifold, weighting):
-        return _sample_by_moving(filtration, submanifold, weighting, count, seed)
+    if not _flowout_certified(filtration, weighting):
+        return _sample_by_moving(filtration, weighting, count, seed)
     return SampleReport(count, 0, None, certified=True)
 
 
 def _sample_by_moving(
-    filtration: Filtration,
-    submanifold: Submanifold,
-    weighting: WeightedChart,
-    count: int,
-    seed: int,
+    filtration: Filtration, weighting: WeightedChart, count: int, seed: int
 ) -> SampleReport:
     """The randomized flow-out check itself: each sample, a tangent jet of
-    the submanifold at its base point, is moved by one to three group
-    elements and tested with q_membership."""
+    the weighting's submanifold at its base point, is moved by one to
+    three group elements and tested with q_membership."""
     rng = random.Random(seed)
     failed = 0
     first = None
     for k in range(count):
-        u = _random_tangent_jet(rng, submanifold, filtration.order)
+        u = _random_tangent_jet(rng, weighting.submanifold, filtration.order)
         for _ in range(rng.randrange(1, 4)):
             elem = _random_element(rng, filtration)
             if elem is not None:

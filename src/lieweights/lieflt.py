@@ -93,6 +93,12 @@ class Submanifold:
         tangent = set(self.tangent_indices)
         return tuple(i for i in range(self.chart.dim) if i not in tangent)
 
+    @property
+    def adapted_order(self) -> tuple[int, ...]:
+        """Chart indices in adapted order: tangent, then fiber, each in
+        chart order."""
+        return self.tangent_indices + self.fiber_indices
+
     def restrict(self, value):
         """Set the fiber variables to zero (ambient variable count kept)."""
         return restrict_zero(value, self.fiber_indices)
@@ -372,9 +378,7 @@ class _TautologicalPass(TriState):
         return lie_bracket(g, h).coeffs + padding
 
 
-def check_bracket_compat(
-    filtration: Filtration, degree_bound: int | None = None
-) -> BracketCompatReport:
+def check_bracket_compat(filtration: Filtration, degree_bound: int) -> BracketCompatReport:
     """Verify [H_{-i}, H_{-j}] <= H_{-(i+j)} on all generator pairs.
 
     Every pair with the same i + j is tested against the same target
@@ -385,8 +389,6 @@ def check_bracket_compat(
     with the tautological coordinate-field certificate, whose bracket is
     computed only when the certificate is read.
     """
-    if degree_bound is None:
-        degree_bound = filtration.default_degree_bound()
     r = filtration.order
     pairs = []
     for i in range(1, r + 1):
@@ -485,28 +487,14 @@ def check_clean(filtration: Filtration, submanifold: Submanifold) -> CleanResult
     )
 
 
-@record
-class WeightAssignment:
-    """Adapted variable order and the weight of each adapted position.
-
-    positions[p] is the original chart index sitting at adapted position p
-    (tangent variables first, in chart order, then fiber variables in chart
-    order); weights[p] is 0 for tangent positions and the filtration level
-    at which the rank flag first covers position p otherwise.
-    """
-
-    weights: tuple[int, ...]
-    positions: tuple[int, ...]
-
-
-def weight_sequence(clean: CleanResult) -> WeightAssignment:
+def weight_sequence(clean: CleanResult) -> tuple[int, ...]:
+    """Weight of each position of the submanifold's adapted_order: 0 for
+    tangent positions, and for fiber positions the depth at which the
+    rank flag first covers them."""
     sub = clean.submanifold
     if clean.ranks[-1] != sub.chart.dim:
         raise ValueError("top filtration level does not span the tangent space")
-    return WeightAssignment(
-        weights=(0,) * sub.dim + clean.frame_levels,
-        positions=tuple(sub.tangent_indices) + sub.fiber_indices,
-    )
+    return (0,) * sub.dim + clean.frame_levels
 
 
 def tangency_solve(

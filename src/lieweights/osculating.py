@@ -37,19 +37,9 @@ from .lieflt import (
     tangency_solve,
 )
 from .vfield import VectorField, lie_bracket
-from .weightcoord import (
-    WeightedChart,
-    WeightingResult,
-    push_to_weighted,
-    vf_degree_in_chart,
-    weighted_coordinates,
-)
+from .weightcoord import WeightedChart, push_to_weighted, vf_degree_in_chart
 
 Vector = tuple[Fraction, ...]
-
-# bound for the osculating quotient solves when the caller does not pin
-# one; the membership default grows too fast for pure-rational elimination
-DEFAULT_OSCULATE_BOUND = 2
 
 
 def _zero_vector(n: int) -> Vector:
@@ -204,9 +194,7 @@ class GradedLieAlg:
 
 
 def osculating_at(
-    filtration: Filtration,
-    point: Sequence[Fraction | int],
-    degree_bound: int = DEFAULT_OSCULATE_BOUND,
+    filtration: Filtration, point: Sequence[Fraction | int], degree_bound: int
 ) -> GradedLieAlg:
     """The graded nilpotent algebra of the filtration at the point.
 
@@ -334,8 +322,8 @@ class GradedSubalg:
 def tangent_subalg(
     filtration: Filtration,
     submanifold: Submanifold,
-    degree_bound: int = DEFAULT_OSCULATE_BOUND,
-    parent: GradedLieAlg | None = None,
+    degree_bound: int,
+    parent: GradedLieAlg,
 ) -> GradedSubalg:
     """Classes at the base point of the combinations tangent to the
     submanifold, one graded span per depth.
@@ -344,10 +332,8 @@ def tangent_subalg(
     unknowns are polynomials on N, so the spans are lower bounds for the
     true tangent subalgebra; when N is a point the tangency system does not
     depend on the bound.  A combination sum u_j g_j contributes the class
-    sum u_j(m) [g_j].
+    sum u_j(m) [g_j], in parent, the algebra at the base point.
     """
-    if parent is None:
-        parent = osculating_at(filtration, submanifold.base_point, degree_bound)
     m = submanifold.base_point
     spans: list[tuple[Vector, ...]] = []
     for depth in range(1, filtration.order + 1):
@@ -524,7 +510,6 @@ class HHReport:
     """
 
     algebra: GradedLieAlg
-    tangent: GradedSubalg
     p_dims: tuple[int, ...]
     r_dims: tuple[int, ...]
     quotient_dims: tuple[int, ...]
@@ -543,45 +528,31 @@ class HHReport:
 
 
 def verify_hh(
-    filtration: Filtration,
-    submanifold: Submanifold,
-    degree_bound: int = DEFAULT_OSCULATE_BOUND,
-    weighting: WeightingResult | None = None,
-    algebra: GradedLieAlg | None = None,
-    tangent: GradedSubalg | None = None,
+    weighting: WeightedChart, algebra: GradedLieAlg, tangent: GradedSubalg
 ) -> HHReport:
     """Cross-check the osculating quotients against the induced weighting.
 
-    Verifies that (a) the total quotient dimension matches the fiber
-    dimension, (b) each graded quotient dimension matches the rank
-    increment of the filtration along the submanifold, and (c) the classes
-    of tangent representatives land in the tangent part of the ambient
-    graded pieces of the weighted chart.
+    algebra is the osculating algebra at the weighting's base point and
+    tangent its tangent subalgebra.  Verifies that (a) the total quotient
+    dimension matches the fiber dimension, (b) each graded quotient
+    dimension matches the rank increment of the filtration along the
+    submanifold, and (c) the classes of tangent representatives land in
+    the tangent part of the ambient graded pieces of the weighted chart.
     """
-    if weighting is None:
-        weighting = weighted_coordinates(filtration, submanifold)
-    if algebra is None:
-        algebra = osculating_at(
-            filtration, submanifold.base_point, degree_bound
-        )
-    if tangent is None:
-        tangent = tangent_subalg(
-            filtration, submanifold, degree_bound, parent=algebra
-        )
-    W = weighting.weighted
-    order = filtration.order
+    order = algebra.order
     p_dims = algebra.graded_dims()
     r_dims = tangent.graded_dims()
     quotient = tuple(p - r for p, r in zip(p_dims, r_dims))
     expected = tuple(
-        sum(1 for w in W.weights if w == depth) for depth in range(1, order + 1)
+        sum(1 for w in weighting.weights if w == depth) for depth in range(1, order + 1)
     )
-    fiber_total_ok = algebra.dim - tangent.dim == W.dim - submanifold.dim
+    fiber_dim = weighting.dim - weighting.submanifold.dim
+    fiber_total_ok = algebra.dim - tangent.dim == fiber_dim
     per_degree_ok = quotient == expected
 
     maps_into_ok = True
     for depth in range(1, order + 1):
-        pairs = fiber_class_pairs(W, depth)
+        pairs = fiber_class_pairs(weighting, depth)
         for span_vec in tangent.spans[depth - 1]:
             rep = None
             for u, value in enumerate(span_vec):
@@ -591,13 +562,12 @@ def verify_hh(
                 rep = term if rep is None else rep + term
             if rep is None:
                 continue
-            cls = weighted_fiber_class(rep, W, depth)
+            cls = weighted_fiber_class(rep, weighting, depth)
             if cls is None or not class_in_tangent_part(pairs, cls):
                 maps_into_ok = False
 
     return HHReport(
         algebra=algebra,
-        tangent=tangent,
         p_dims=p_dims,
         r_dims=r_dims,
         quotient_dims=quotient,

@@ -36,13 +36,7 @@ from .exactalg import (
     weight_of,
     weighted_multiindices,
 )
-from .lieflt import (
-    CleanResult,
-    Filtration,
-    Submanifold,
-    check_clean,
-    weight_sequence,
-)
+from .lieflt import CleanResult, Submanifold, weight_sequence
 from .vfield import Chart, VectorField
 
 Scalar = Poly | RatFunc
@@ -50,28 +44,11 @@ Scalar = Poly | RatFunc
 INFINITE = math.inf
 
 
-@record
-class Frame:
-    """One generator per fiber position, tagged with its weight level.
-
-    fields[p] belongs to filtration level -levels[p], and the values of
-    the fields at the base point extend a tangent basis of N to a basis of
-    the ambient tangent space.
-    """
-
-    submanifold: Submanifold
-    fields: tuple[VectorField, ...]
-    levels: tuple[int, ...]
-
-    @property
-    def chart(self) -> Chart:
-        return self.submanifold.chart
-
-
 def normalize_chart(
-    frame: Frame,
+    clean: CleanResult,
 ) -> tuple[tuple[RatFunc, ...], tuple[tuple[RatFunc, ...], ...]]:
-    """Linear fiber coordinate change making (V_a x_c)|_N the identity.
+    """Linear fiber coordinate change making (V_a x_c)|_N the identity,
+    V the frame of the clean result.
 
     Returns the new fiber coordinate functions, expressed in the original
     chart, and the pairing matrix pairing[a][c] = (V_a x_{fiber_c})|_N,
@@ -79,18 +56,18 @@ def normalize_chart(
     variables.  Raises when the pairing matrix is singular at the base
     point.
     """
-    submanifold = frame.submanifold
-    n = frame.chart.dim
+    submanifold = clean.submanifold
+    n = submanifold.chart.dim
     fiber = submanifold.fiber_indices
     k = len(fiber)
-    if len(frame.fields) != k:
+    if len(clean.frame) != k:
         raise ValueError("frame size does not match the fiber dimension")
     pairing = tuple(
         tuple(
             as_ratfunc(submanifold.restrict(field.apply(Poly.variable(n, c))), n)
             for c in fiber
         )
-        for field in frame.fields
+        for field in clean.frame
     )
     point_matrix = [
         [entry.eval(submanifold.base_point) for entry in row] for row in pairing
@@ -105,7 +82,7 @@ def normalize_chart(
         for c in range(k):
             acc = acc + inverse[c][b] * Poly.variable(n, fiber[c])
         coords.append(acc)
-    for a, field in enumerate(frame.fields):
+    for a, field in enumerate(clean.frame):
         for b in range(k):
             val = as_ratfunc(submanifold.restrict(field.apply(coords[b])), n)
             expected = Fraction(1 if a == b else 0)
@@ -113,57 +90,22 @@ def normalize_chart(
     return tuple(coords), pairing
 
 
-def _apply_word(frame: Frame, s: Sequence[int], f: Scalar) -> Scalar:
+def _apply_word(frame: Sequence[VectorField], s: Sequence[int], f: Scalar) -> Scalar:
     """V^s f: frame field p applied s[p] times, the last field first."""
-    for field, mult in reversed(list(zip(frame.fields, s))):
+    for field, mult in reversed(list(zip(frame, s))):
         for _ in range(mult):
             f = field.apply(f)
     return f
 
 
-def filtration_degree(f: Scalar, frame: Frame, cap: int) -> int:
-    """Largest i <= cap with (V^s f)|_N = 0 for every word of weighted
-    order below i; equals the smallest weighted order of a word that sees
-    f along N, capped."""
-    for s in weighted_multiindices(frame.levels, cap - 1):
-        if not frame.submanifold.restrict(_apply_word(frame, s, f)).is_zero():
-            return weight_of(s, frame.levels)
+def filtration_degree(f: Scalar, clean: CleanResult, cap: int) -> int:
+    """Largest i <= cap with (V^s f)|_N = 0 for every word in the frame V
+    of weighted order below i; equals the smallest weighted order of a
+    word that sees f along N, capped."""
+    for s in weighted_multiindices(clean.frame_levels, cap - 1):
+        if not clean.submanifold.restrict(_apply_word(clean.frame, s, f)).is_zero():
+            return weight_of(s, clean.frame_levels)
     return cap
-
-
-@record
-class WeightedChart:
-    """A weighted chart adapted to the submanifold.
-
-    chart holds the weighted variable names (original names permuted to
-    adapted order: tangent variables first, then fiber variables by
-    weight).  forward[p] expresses weighted coordinate p in the original
-    chart; inverse[c] expresses original variable c in the weighted chart;
-    the two substitutions compose to the identity.
-    """
-
-    source_chart: Chart
-    chart: Chart
-    submanifold: Submanifold
-    weights: tuple[int, ...]
-    positions: tuple[int, ...]
-    forward: tuple[RatFunc, ...]
-    inverse: tuple[RatFunc, ...]
-
-    @property
-    def dim(self) -> int:
-        return self.source_chart.dim
-
-    def base_point_weighted(self) -> tuple[Fraction, ...]:
-        m = self.submanifold.base_point
-        return tuple(
-            m[self.positions[p]] if self.weights[p] == 0 else Fraction(0)
-            for p in range(self.dim)
-        )
-
-    def to_weighted(self, value: Scalar) -> Scalar:
-        """Rewrite a function on the original chart in weighted coordinates."""
-        return value.subst(list(self.inverse))
 
 
 @record
@@ -178,125 +120,149 @@ class CorrectionRecord:
 
 
 @record
-class WeightingResult:
-    weighted: WeightedChart
-    frame: Frame
+class WeightedChart:
+    """A weighted chart adapted to the submanifold of a clean result.
+
+    Position p of the weighted chart is chart index positions[p] of the
+    source chart (the submanifold's adapted order) and has weight
+    weights[p].  forward[p] expresses weighted coordinate p in the
+    original chart; inverse[c] expresses original variable c in the
+    weighted chart; the two substitutions compose to the identity.
+    corrections are the steps that made the higher-weight coordinates.
+    """
+
     clean: CleanResult
+    weights: tuple[int, ...]
+    forward: tuple[RatFunc, ...]
+    inverse: tuple[RatFunc, ...]
     corrections: tuple[CorrectionRecord, ...]
 
+    @property
+    def submanifold(self) -> Submanifold:
+        return self.clean.submanifold
 
-def weighted_coordinates(
-    filtration: Filtration,
-    submanifold: Submanifold,
-    clean: CleanResult | None = None,
-) -> WeightingResult:
-    """Build the weighted chart induced by a clean filtration.
+    @property
+    def source_chart(self) -> Chart:
+        return self.clean.submanifold.chart
 
-    clean is check_clean(filtration, submanifold) when the caller has it
-    already; it is computed here when not given.
+    @property
+    def positions(self) -> tuple[int, ...]:
+        return self.clean.submanifold.adapted_order
 
-    The frame is the one check_clean adopted.  Raises ValueError when the
-    cleanness test fails, when the top level does not span, when the
-    pairing matrix is singular at the base point, or when a normalization
-    constant or a recomputed filtration degree is not the expected one.
-    That the normalized pairing is the identity and that forward after
-    inverse is the identity are asserted.
+    @property
+    def chart(self) -> Chart:
+        """The original variable names permuted to adapted order."""
+        names = self.source_chart.names
+        return Chart(tuple(names[p] for p in self.positions))
+
+    @property
+    def dim(self) -> int:
+        return self.source_chart.dim
+
+    def base_point_weighted(self) -> tuple[Fraction, ...]:
+        m = self.submanifold.base_point
+        return tuple(
+            m[p] if w == 0 else Fraction(0) for p, w in zip(self.positions, self.weights)
+        )
+
+    def to_weighted(self, value: Scalar) -> Scalar:
+        """Rewrite a function on the original chart in weighted coordinates."""
+        return value.subst(list(self.inverse))
+
+
+def weighted_coordinates(clean: CleanResult) -> WeightedChart:
+    """Build the weighted chart induced by a clean filtration, from the
+    frame check_clean adopted.
+
+    Raises ValueError when the cleanness test failed, when the top level
+    does not span, when the pairing matrix is singular at the base point,
+    or when a normalization constant or a recomputed filtration degree is
+    not the expected one.  That the normalized pairing is the identity and
+    that forward after inverse is the identity are asserted.
     """
-    if clean is None:
-        clean = check_clean(filtration, submanifold)
     if clean.verdict != "pass":
         raise ValueError(
             f"submanifold is not clean for this filtration (level {clean.first_bad_level})"
         )
-    assignment = weight_sequence(clean)
-    frame = Frame(submanifold, clean.frame, clean.frame_levels)
-    fiber_coords, pairing = normalize_chart(frame)
+    weights = weight_sequence(clean)
+    fiber_coords, pairing = normalize_chart(clean)
 
-    chart = filtration.chart
-    n = chart.dim
+    submanifold = clean.submanifold
+    n = submanifold.chart.dim
     k0 = submanifold.dim
-    weights = assignment.weights
-    positions = assignment.positions
+    positions = submanifold.adapted_order
     fiber_weights = weights[k0:]
-    r = filtration.order
 
     current: list[RatFunc] = [
         RatFunc(Poly.variable(n, positions[p])) for p in range(k0)
     ] + list(fiber_coords)
 
     records: list[CorrectionRecord] = []
-    # corrections only for weights >= 3 (levels 2..r-1 in the outer loop)
-    for level in range(2, r):
-        targets = [p for p in range(k0, n) if weights[p] == level + 1]
-        for a in targets:
-            w_a = weights[a]
-            admissible = [
-                s
-                for s in weighted_multiindices(fiber_weights, w_a - 1)
-                if sum(s) >= 2
-            ]
-            admissible.sort(key=lambda s: (sum(s), s))
-            # partial is current[a] + sum of chi_u * y^u over the finished
-            # tiers, the u with |u| < |s|.  The word and the restriction to N
-            # are linear, so each word is applied once, to partial, not to
-            # each term.
-            partial = current[a]
-            for _, tier in itertools.groupby(admissible, key=sum):
-                terms = []
-                for s in tier:
-                    power = _monomial_of(current, k0, s, n)
-                    c_s = as_ratfunc(
-                        submanifold.restrict(_apply_word(frame, s, power)), n
+    # corrections only for weights >= 3; the fiber weights are the frame's
+    # depths, nondecreasing, so position order is weight order
+    for a in range(k0, n):
+        w_a = weights[a]
+        if w_a < 3:
+            continue
+        admissible = [
+            s for s in weighted_multiindices(fiber_weights, w_a - 1) if sum(s) >= 2
+        ]
+        admissible.sort(key=lambda s: (sum(s), s))
+        # partial is current[a] + sum of chi_u * y^u over the finished
+        # tiers, the u with |u| < |s|.  The word and the restriction to N
+        # are linear, so each word is applied once, to partial, not to
+        # each term.
+        partial = current[a]
+        for _, tier in itertools.groupby(admissible, key=sum):
+            terms = []
+            for s in tier:
+                power = _monomial_of(current, k0, s, n)
+                c_s = as_ratfunc(
+                    submanifold.restrict(_apply_word(clean.frame, s, power)), n
+                )
+                expected = Fraction(math.prod(math.factorial(e) for e in s))
+                if c_s.eval(submanifold.base_point) == 0:
+                    raise ValueError(
+                        f"normalization constant vanishes at the base point for {s}"
                     )
-                    expected = Fraction(math.prod(math.factorial(e) for e in s))
-                    if c_s.eval(submanifold.base_point) == 0:
-                        raise ValueError(
-                            f"normalization constant vanishes at the base point for {s}"
-                        )
-                    if c_s != expected:
-                        raise ValueError(
-                            f"normalization constant for {s} is not the factorial product"
-                        )
-                    total = as_ratfunc(
-                        submanifold.restrict(_apply_word(frame, s, partial)), n
+                if c_s != expected:
+                    raise ValueError(
+                        f"normalization constant for {s} is not the factorial product"
                     )
-                    coeff = -(total / expected)
-                    records.append(
-                        CorrectionRecord(
-                            position=a, multi_index=s, constant=expected, coefficient=coeff
-                        )
+                total = as_ratfunc(
+                    submanifold.restrict(_apply_word(clean.frame, s, partial)), n
+                )
+                coeff = -(total / expected)
+                records.append(
+                    CorrectionRecord(
+                        position=a, multi_index=s, constant=expected, coefficient=coeff
                     )
-                    if coeff:
-                        terms.append(coeff * power)
-                partial = sum(terms, partial)
-            current[a] = partial
+                )
+                if coeff:
+                    terms.append(coeff * power)
+            partial = sum(terms, partial)
+        current[a] = partial
 
     for p in range(k0, n):
-        got = filtration_degree(current[p], frame, cap=weights[p])
+        got = filtration_degree(current[p], clean, cap=weights[p])
         if got != weights[p]:
             raise ValueError(
                 f"weighted coordinate at position {p} has filtration degree {got}, "
                 f"expected {weights[p]}"
             )
 
-    weighted_chart = Chart(tuple(chart.names[positions[p]] for p in range(n)))
-    inverse = _invert_weighting(submanifold, positions, pairing, records)
-    weighted = WeightedChart(
-        source_chart=chart,
-        chart=weighted_chart,
-        submanifold=submanifold,
-        weights=weights,
-        positions=positions,
-        forward=tuple(current),
-        inverse=inverse,
-    )
+    inverse = _invert_weighting(submanifold, pairing, records)
     for p in range(n):
-        composed = weighted.forward[p].subst(list(inverse))
+        composed = current[p].subst(list(inverse))
         assert composed == RatFunc(
             Poly.variable(n, p)
         ), "forward and inverse substitutions do not compose to the identity"
-    return WeightingResult(
-        weighted=weighted, frame=frame, clean=clean, corrections=tuple(records)
+    return WeightedChart(
+        clean=clean,
+        weights=weights,
+        forward=tuple(current),
+        inverse=inverse,
+        corrections=tuple(records),
     )
 
 
@@ -312,7 +278,6 @@ def _monomial_of(
 
 def _invert_weighting(
     submanifold: Submanifold,
-    positions: tuple[int, ...],
     pairing: Sequence[Sequence[RatFunc]],
     records: Sequence[CorrectionRecord],
 ) -> tuple[RatFunc, ...]:
@@ -326,6 +291,7 @@ def _invert_weighting(
     enter through their tangent variables; base variables are weighted
     variables verbatim.
     """
+    positions = submanifold.adapted_order
     n = len(positions)
     k0 = submanifold.dim
     y = [Poly.variable(n, p) for p in range(n)]

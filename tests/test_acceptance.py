@@ -24,7 +24,7 @@ from lieweights.jets import (
     lift_vf,
     q_dimension,
 )
-from lieweights.lieflt import Submanifold, check_bracket_compat
+from lieweights.lieflt import Submanifold, check_bracket_compat, check_clean
 from lieweights.osculating import bch, osculating_at, tangent_subalg, verify_hh
 from lieweights.vfield import (
     Chart,
@@ -64,9 +64,9 @@ def _heisenberg_carnot():
 def test_criterion_01_first_example_weights_and_coordinates():
     start = time.perf_counter()
     spec = load_problem(EXAMPLE1)
-    result = weighted_coordinates(spec.filtration, spec.submanifold)
-    assert result.weighted.weights == (1, 2, 3)
-    coords = [format_scalar(f, spec.chart) for f in result.weighted.forward]
+    result = weighted_coordinates(check_clean(spec.filtration, spec.submanifold))
+    assert result.weights == (1, 2, 3)
+    coords = [format_scalar(f, spec.chart) for f in result.forward]
     assert coords == ["x", "y", "z - 1/2*x^2"]
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
@@ -76,9 +76,9 @@ def test_criterion_01_first_example_weights_and_coordinates():
 def test_criterion_02_second_example_weights_and_coordinates():
     start = time.perf_counter()
     spec = load_problem(EXAMPLE2)
-    result = weighted_coordinates(spec.filtration, spec.submanifold)
-    assert result.weighted.weights == (1, 2, 4)
-    coords = [format_scalar(f, spec.chart) for f in result.weighted.forward]
+    result = weighted_coordinates(check_clean(spec.filtration, spec.submanifold))
+    assert result.weights == (1, 2, 4)
+    coords = [format_scalar(f, spec.chart) for f in result.forward]
     assert coords == ["x", "y", "z - x^2 - x*y"]
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
@@ -94,9 +94,9 @@ def test_criterion_03_normalization_constants_are_factorials():
     checked = 0
     for path in (EXAMPLE1, EXAMPLE2):
         spec = load_problem(path)
-        result = weighted_coordinates(spec.filtration, spec.submanifold)
+        result = weighted_coordinates(check_clean(spec.filtration, spec.submanifold))
         base = spec.submanifold.base_point
-        forward = result.weighted.forward
+        forward = result.forward
         for rec in result.corrections:
             expected = math.prod(math.factorial(e) for e in rec.multi_index)
             assert rec.constant == expected
@@ -107,7 +107,7 @@ def test_criterion_03_normalization_constants_are_factorials():
                     monomial = factor if monomial is None else monomial * factor
             for position, power in enumerate(rec.multi_index):
                 for _ in range(power):
-                    monomial = result.frame.fields[position].apply(monomial)
+                    monomial = result.clean.frame[position].apply(monomial)
             assert monomial.eval(base) == expected
             checked += 1
     assert checked > 0
@@ -157,16 +157,14 @@ def test_criterion_05_shift_operator_on_same_corpus():
 def test_criterion_06_flowout_membership_and_dimension():
     start = time.perf_counter()
     spec2 = load_problem(EXAMPLE2)
-    result2 = weighted_coordinates(spec2.filtration, spec2.submanifold)
-    report = flowout_sample(
-        spec2.filtration, spec2.submanifold, result2.weighted, 100, 0
-    )
+    result2 = weighted_coordinates(check_clean(spec2.filtration, spec2.submanifold))
+    report = flowout_sample(spec2.filtration, result2, 100, 0)
     assert report.tested == 100
     assert report.failed == 0
     assert report.first_failure is None
     assert q_dimension(result2.clean.ranks).total == 8
     spec1 = load_problem(EXAMPLE1)
-    result1 = weighted_coordinates(spec1.filtration, spec1.submanifold)
+    result1 = weighted_coordinates(check_clean(spec1.filtration, spec1.submanifold))
     assert q_dimension(result1.clean.ranks).total == 6
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
@@ -187,9 +185,8 @@ def test_criterion_07_osculating_algebra_oracles():
     assert algebra.graded_dims() == (1, 1, 1, 1)
     tangent = tangent_subalg(spec.filtration, spec.submanifold, 2, parent=algebra)
     assert tangent.graded_dims() == (0, 0, 1, 0)
-    report = verify_hh(
-        spec.filtration, spec.submanifold, 2, algebra=algebra, tangent=tangent
-    )
+    weighting = weighted_coordinates(check_clean(spec.filtration, spec.submanifold))
+    report = verify_hh(weighting, algebra, tangent)
     assert report.quotient_dims == (1, 1, 0, 1)
     assert report.expected_dims == (1, 1, 0, 1)
     assert report.verdict == "pass"
@@ -285,9 +282,8 @@ def test_criterion_10_deterministic_reports_and_round_trip(tmp_path):
         for entry in report["stages"]:
             if entry["name"] != "coordinates":
                 continue
-            expected = weighted_coordinates(
-                spec.filtration, spec.submanifold
-            ).weighted.forward
+            clean = check_clean(spec.filtration, spec.submanifold)
+            expected = weighted_coordinates(clean).forward
             strings = entry["data"]["coordinates"]
             assert len(strings) == len(expected)
             for text, value in zip(strings, expected):

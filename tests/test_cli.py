@@ -105,7 +105,7 @@ class TestCoords:
             _, report = run_report("coords", path, tmp_path)
             spec = load_problem(path)
             strings = stage(report, "coordinates")["data"]["coordinates"]
-            W = weighted_coordinates(spec.filtration, spec.submanifold).weighted
+            W = weighted_coordinates(check_clean(spec.filtration, spec.submanifold))
             assert len(strings) == len(W.forward)
             for text, expected in zip(strings, W.forward):
                 assert parse_scalar(text, spec.chart) == expected
@@ -373,8 +373,9 @@ class TestFlags:
             calls.append(args)
             return check_clean(*args)
 
+        # weightcoord takes the clean result and cannot run check_clean
+        assert not hasattr(weightcoord, "check_clean")
         monkeypatch.setattr(cli, "check_clean", counting_clean)
-        monkeypatch.setattr(weightcoord, "check_clean", counting_clean)
         code, _ = run_report("report", EXAMPLE1, tmp_path)
         assert code == EXIT_PASS
         assert len(calls) == 1

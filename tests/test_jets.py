@@ -13,7 +13,7 @@ from corpus import CHART_TABC, lift_identity_cases, pushed_forward_model
 from lieweights import jets
 from lieweights.cli import load_problem
 from lieweights.exactalg import Poly, RatFunc
-from lieweights.lieflt import Filtration, Submanifold
+from lieweights.lieflt import Filtration, Submanifold, check_clean
 from lieweights.vfield import Chart, VectorField, coordinate_field, lie_bracket, parse_vector_field
 from lieweights.weightcoord import weighted_coordinates
 from lieweights.jets import (
@@ -432,7 +432,7 @@ def _example1():
     z_fld = parse_vector_field("dz", CHART3)
     filt = Filtration(CHART3, 3, ((x_fld,), (x_fld, y_fld), (x_fld, y_fld, z_fld)))
     sub = Submanifold(CHART3, (), (Fraction(0),) * 3)
-    return filt, sub, weighted_coordinates(filt, sub)
+    return filt, sub, weighted_coordinates(check_clean(filt, sub))
 
 
 def _example2():
@@ -451,14 +451,14 @@ def _example2():
         CHART3, 4, ((x_fld,), (x_fld, y_fld), (x_fld, y_fld, b_fld), full)
     )
     sub = Submanifold(CHART3, (), (Fraction(0),) * 3)
-    return filt, sub, weighted_coordinates(filt, sub)
+    return filt, sub, weighted_coordinates(check_clean(filt, sub))
 
 
 class TestFlowOut:
     def test_membership_zero_jet(self):
         _, _, result = _example1()
         u = JetPoint.zero(CHART3, 3)
-        assert q_membership(u, result.weighted)
+        assert q_membership(u, result)
 
     def test_membership_integral_curve_jet(self):
         # jet of the horizontal integral curve t -> (t, 0, t^2/2)
@@ -468,25 +468,25 @@ class TestFlowOut:
             (0, 0, 0, 0),
             (0, 0, Fraction(1, 2), 0),
         ]
-        assert q_membership(JetPoint.from_rows(CHART3, 3, rows), result.weighted)
+        assert q_membership(JetPoint.from_rows(CHART3, 3, rows), result)
 
     def test_membership_rejects_straight_line_jet(self):
         # the straight curve t -> (t, 0, 0) is not horizontal: the induced
         # weighted coordinate picks up a nonzero second component
         _, _, result = _example1()
         rows = [(0, 1, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)]
-        assert not q_membership(JetPoint.from_rows(CHART3, 3, rows), result.weighted)
+        assert not q_membership(JetPoint.from_rows(CHART3, 3, rows), result)
 
     def test_membership_rejects_shallow_vertical(self):
         _, _, result = _example1()
         u = JetPoint.zero(CHART3, 3)
         rows = [list(row) for row in u.comps]
         rows[2][1] = Fraction(1)
-        assert not q_membership(JetPoint.from_rows(CHART3, 3, rows), result.weighted)
+        assert not q_membership(JetPoint.from_rows(CHART3, 3, rows), result)
 
     def test_flowout_sample_example2(self):
         filt, sub, result = _example2()
-        report = flowout_sample(filt, sub, result.weighted, count=25, seed=0)
+        report = flowout_sample(filt, result, count=25, seed=0)
         assert report.tested == 25
         assert report.failed == 0
         assert report.first_failure is None
@@ -494,30 +494,30 @@ class TestFlowOut:
 
     def test_flowout_sample_vacuous(self):
         filt, sub, result = _example1()
-        report = flowout_sample(filt, sub, result.weighted, count=0, seed=1)
+        report = flowout_sample(filt, result, count=0, seed=1)
         assert report.tested == 0 and report.failed == 0
 
     def test_tangent_jets_are_members(self):
         chart = Chart(("x", "u"))
         sub = Submanifold(chart, (0,), (Fraction(0), Fraction(0)))
         filt = Filtration(chart, 1, ((coordinate_field(chart, 1),),))
-        result = weighted_coordinates(filt, sub)
+        result = weighted_coordinates(check_clean(filt, sub))
         rows = [(Fraction(2), Fraction(-1)), (Fraction(0), Fraction(0))]
         u = JetPoint.from_rows(chart, 1, rows)
-        assert q_membership(u, result.weighted)
+        assert q_membership(u, result)
 
     def test_determinism(self):
         filt, sub, result = _example2()
-        a = flowout_sample(filt, sub, result.weighted, count=10, seed=7)
-        b = flowout_sample(filt, sub, result.weighted, count=10, seed=7)
+        a = flowout_sample(filt, result, count=10, seed=7)
+        b = flowout_sample(filt, result, count=10, seed=7)
         assert a == b
 
     def test_failing_report_is_pinned(self):
         # no golden report has a failing flow-out; this pins the sampled
         # jets and the random stream behind them
         spec = load_problem(str(PROBLEMS / "broken.json"))
-        w = weighted_coordinates(spec.filtration, spec.submanifold).weighted
-        report = flowout_sample(spec.filtration, spec.submanifold, w, count=50, seed=101)
+        w = weighted_coordinates(check_clean(spec.filtration, spec.submanifold))
+        report = flowout_sample(spec.filtration, w, count=50, seed=101)
         assert report.failed == 20
         assert report.first_failure == {
             "sample": 0,
@@ -538,8 +538,9 @@ class TestFlowOut:
             chart, 2, ((dx, minus_dx), (dx, minus_dx, parse_vector_field("dy + x*dx", chart)))
         )
         sub = Submanifold(chart, (), (0, 0))
-        w = weighted_coordinates(Filtration(chart, 2, ((dy,), (dy, dx))), sub).weighted
-        report = flowout_sample(filt, sub, w, count=50, seed=7)
+        other = Filtration(chart, 2, ((dy,), (dy, dx)))
+        w = weighted_coordinates(check_clean(other, sub))
+        report = flowout_sample(filt, w, count=50, seed=7)
         assert report.failed == 43
         assert report.first_failure == {
             "sample": 1,
@@ -551,14 +552,15 @@ class TestFlowOut:
         import random as _random
 
         filt, sub, result = _example1()
-        w = result.weighted
+        w = result
         jc = JetChart(CHART3, 3)
         defining = []
         for p in range(3):
             wt = w.weights[p]
             if wt == 0:
                 continue
-            poly = w.forward[p].as_poly()
+            assert w.forward[p].is_polynomial()
+            poly = w.forward[p].num
             for i in range(wt):
                 defining.append(lift_function(jc, poly, i))
         rng = _random.Random(5)
@@ -589,7 +591,7 @@ def _rational_models():
     models = []
     while len(models) < 4:
         filt = pushed_forward_model(rng)
-        w = weighted_coordinates(filt, sub).weighted
+        w = weighted_coordinates(check_clean(filt, sub))
         if not all(f.is_polynomial() for f in w.forward):
             models.append((filt, w))
     return tuple(models)
@@ -651,9 +653,8 @@ def test_membership_on_rational_coordinates_matches_series(data):
 
 class TestRationalCoordinates:
     def test_jets_flowed_out_on_the_chart_are_members(self):
-        sub = Submanifold(CHART_TABC, (0,), (2, 0, 0, 0))
         for filt, w in _rational_models():
-            report = flowout_sample(filt, sub, w, count=20, seed=3)
+            report = flowout_sample(filt, w, count=20, seed=3)
             assert report.tested > 0
             assert report.failed == 0
 
@@ -661,7 +662,7 @@ class TestRationalCoordinates:
         # a/(1 + t) at t = -1: the numerator alone vanishes to every order,
         # and the jet must still not count as tested
         spec = load_problem(str(PROBLEMS / "singular_chart.json"))
-        w = weighted_coordinates(spec.filtration, spec.submanifold).weighted
+        w = weighted_coordinates(check_clean(spec.filtration, spec.submanifold))
         t = Poly.variable(3, 0)
         assert w.forward[1] == RatFunc(Poly.variable(3, 1), t + 1)
         rows = [(-1, 1, 0), (0, 0, 0), (0, 0, 0)]
@@ -675,12 +676,12 @@ class TestRationalCoordinates:
         # weighting, so every sample is moved and tested; its base point
         # stays at t = 2, where a/(1 + t) is regular
         spec = load_problem(str(PROBLEMS / "singular_chart.json"))
-        w = weighted_coordinates(spec.filtration, spec.submanifold).weighted
+        w = weighted_coordinates(check_clean(spec.filtration, spec.submanifold))
         level = tuple(parse_vector_field(f, spec.chart) for f in ("dt", "(t + 1)*da", "db"))
         filt = Filtration(spec.chart, 2, (level, level))
-        report = _sample_by_moving(filt, spec.submanifold, w, 200, 0)
+        report = _sample_by_moving(filt, w, 200, 0)
         assert report.tested == 200 and report.failed > 0
-        assert flowout_sample(filt, spec.submanifold, w, 200, 0) == report
+        assert flowout_sample(filt, w, 200, 0) == report
 
 
 # -- the flow-out certificate ------------------------------------------------
@@ -689,8 +690,8 @@ class TestRationalCoordinates:
 @cache
 def _problem_case(path):
     spec = load_problem(str(path))
-    w = weighted_coordinates(spec.filtration, spec.submanifold).weighted
-    return spec.filtration, spec.submanifold, w
+    clean = check_clean(spec.filtration, spec.submanifold)
+    return spec.filtration, weighted_coordinates(clean)
 
 
 @cache
@@ -700,16 +701,16 @@ def _pushed_forward_cases(t):
     sub = Submanifold(CHART_TABC, (0,), (t, 0, 0, 0))
     rng = random.Random(20261)
     return tuple(
-        (filt, sub, weighted_coordinates(filt, sub).weighted)
+        (filt, weighted_coordinates(check_clean(filt, sub)))
         for filt in (pushed_forward_model(rng) for _ in range(60))
     )
 
 
-def _assert_certificate_matches_moving(filt, sub, w, count, seed):
-    report = flowout_sample(filt, sub, w, count, seed)
+def _assert_certificate_matches_moving(filt, w, count, seed):
+    report = flowout_sample(filt, w, count, seed)
     # equal tested, failed and first_failure
     assert SampleReport(report.tested, report.failed, report.first_failure) == _sample_by_moving(
-        filt, sub, w, count, seed
+        filt, w, count, seed
     )
     assert not report.certified or report.failed == 0
     return report
@@ -730,33 +731,33 @@ def test_certificate_matches_moving_on_problem_files(path, seed):
 @pytest.mark.parametrize("t", [1, 2])
 def test_certificate_matches_moving_on_pushed_forward_models(t):
     with_poles = 0
-    for filt, sub, w in _pushed_forward_cases(t):
+    for filt, w in _pushed_forward_cases(t):
         with_poles += not all(f.is_polynomial() for f in w.forward)
         for seed in (3, 17):
-            report = _assert_certificate_matches_moving(filt, sub, w, 12, seed)
+            report = _assert_certificate_matches_moving(filt, w, 12, seed)
             assert report.certified
     # some charts have poles, so moved jets are tested on rational coordinates
     assert with_poles
 
 
-def _assert_chart_regular_at_base_point(sub, w):
+def _assert_chart_regular_at_base_point(w):
     for f in w.forward:
         if not f.is_polynomial():
-            assert f.den.eval(sub.base_point) != 0
+            assert f.den.eval(w.submanifold.base_point) != 0
 
 
 @pytest.mark.parametrize("path", PROBLEM_FILES, ids=PROBLEM_IDS)
 def test_weighted_chart_is_regular_at_the_base_point(path):
-    _, sub, w = _problem_case(path)
-    _assert_chart_regular_at_base_point(sub, w)
+    _, w = _problem_case(path)
+    _assert_chart_regular_at_base_point(w)
 
 
 @pytest.mark.parametrize("t", [1, 2, 3])
 def test_pushed_forward_charts_are_regular_at_the_base_point(t):
     with_poles = 0
-    for _, sub, w in _pushed_forward_cases(t):
+    for _, w in _pushed_forward_cases(t):
         with_poles += not all(f.is_polynomial() for f in w.forward)
-        _assert_chart_regular_at_base_point(sub, w)
+        _assert_chart_regular_at_base_point(w)
     assert with_poles
 
 
@@ -779,14 +780,6 @@ def test_sampled_jets_start_at_the_base_point(sub):
         drawn.update(u.comps[a][i] for a in sub.tangent_indices for i in (1, 2, 3))
     # the tangent components above 0 are drawn, zero and nonzero
     assert len(drawn) > 1
-
-
-def test_the_certificate_needs_the_weightings_base_point():
-    # the chart a/(1 + t) is regular at t = 3 too, but it was built at t = 2
-    filt, sub, w = _problem_case(PROBLEMS / "singular_chart.json")
-    elsewhere = Submanifold(sub.chart, sub.tangent_indices, (3, 0, 0))
-    report = flowout_sample(filt, elsewhere, w, 10, 0)
-    assert (report.tested, report.certified) == (10, False)
 
 
 def test_uncertified_filtration_whose_samples_pass_is_pinned():

@@ -412,12 +412,10 @@ def test_non_constant_rank_fails():
 
 def test_weight_sequences():
     res1 = check_clean(example1_filtration(), origin_sub())
-    w1 = weight_sequence(res1)
-    assert w1.weights == (1, 2, 3)
-    assert w1.positions == (0, 1, 2)
+    assert weight_sequence(res1) == (1, 2, 3)
+    assert origin_sub().adapted_order == (0, 1, 2)
     res2 = check_clean(martinet_filtration(), origin_sub())
-    w2 = weight_sequence(res2)
-    assert w2.weights == (1, 2, 4)
+    assert weight_sequence(res2) == (1, 2, 4)
 
 
 def test_weight_sequence_with_tangent_directions():
@@ -428,9 +426,8 @@ def test_weight_sequence_with_tangent_directions():
     sub = Submanifold(chart, (0,), (5, 0, 0))
     res = check_clean(flt, sub)
     assert res.ranks == (1, 2, 3)
-    w = weight_sequence(res)
-    assert w.weights == (0, 1, 2)
-    assert w.positions == (0, 1, 2)
+    assert weight_sequence(res) == (0, 1, 2)
+    assert sub.adapted_order == (0, 1, 2)
 
 
 def test_weight_sequence_rejects_short_span():
@@ -500,9 +497,8 @@ def assert_clean_matches_reference(filtration, submanifold):
         with pytest.raises(ValueError, match="does not span"):
             weight_sequence(res)
     else:
-        assignment = weight_sequence(res)
-        assert assignment.weights == weights
-        assert assignment.positions == (
+        assert weight_sequence(res) == weights
+        assert submanifold.adapted_order == (
             submanifold.tangent_indices + submanifold.fiber_indices
         )
     return res

@@ -23,6 +23,7 @@ from lieweights.exactalg import (
 from lieweights.lieflt import (
     Filtration,
     Submanifold,
+    check_clean,
     field_entries,
     module_columns,
     module_solve,
@@ -87,14 +88,22 @@ def step4_flag():
     return Filtration(CHART3, 4, ((x_fld,), (x_fld, y_fld), (x_fld, y_fld, b_fld), full))
 
 
+def hh_report(filtration, submanifold, algebra):
+    """verify_hh on the weighting and the bound-2 tangent subalgebra, as
+    the report pipeline builds them."""
+    weighting = weighted_coordinates(check_clean(filtration, submanifold))
+    tangent = tangent_subalg(filtration, submanifold, 2, parent=algebra)
+    return verify_hh(weighting, algebra, tangent)
+
+
 @pytest.fixture(scope="module")
 def heis_alg():
-    return osculating_at(heisenberg(), (0, 0, 0))
+    return osculating_at(heisenberg(), (0, 0, 0), 2)
 
 
 @pytest.fixture(scope="module")
 def step4_alg():
-    return osculating_at(step4_flag(), (0, 0, 0))
+    return osculating_at(step4_flag(), (0, 0, 0), 2)
 
 
 class TestHeisenberg:
@@ -128,7 +137,7 @@ class TestHeisenberg:
 
     @pytest.mark.parametrize("point", [(1, 5, -2), (0, 0, 7), (-3, 2, 1)])
     def test_regular_dims_at_other_points(self, point):
-        alg = osculating_at(heisenberg(), point)
+        alg = osculating_at(heisenberg(), point, 2)
         assert alg.graded_dims() == (2, 1)
         assert alg.bracket_basis(0, 1) == (0, 0, 1)
 
@@ -145,7 +154,7 @@ class TestHeisenberg:
 def test_candidate_classes_through_relations(third, point, cls):
     chart = Chart(("x", "y"))
     gens = tuple(parse_vector_field(t, chart) for t in ("dx", "dy", third))
-    alg = osculating_at(Filtration(chart, 1, (gens,)), point)
+    alg = osculating_at(Filtration(chart, 1, (gens,)), point, 2)
     assert alg.graded_dims() == (2,)
     assert alg.candidate_classes[0] == ((1, 0), (0, 1), cls)
 
@@ -178,13 +187,13 @@ class TestStepFourFlag:
         assert alg.graded_dims() == (1, 1, 1, 3)
 
     def test_tangent_subalgebra(self, step4_alg):
-        sub = tangent_subalg(step4_flag(), ORIGIN3, parent=step4_alg)
+        sub = tangent_subalg(step4_flag(), ORIGIN3, 2, parent=step4_alg)
         assert sub.graded_dims() == (0, 0, 1, 0)
         assert sub.spans[2] == ((Fraction(0), Fraction(0), Fraction(1), Fraction(0)),)
         assert sub.closed_under_bracket()
 
     def test_hh_report(self, step4_alg):
-        report = verify_hh(step4_flag(), ORIGIN3, algebra=step4_alg)
+        report = hh_report(step4_flag(), ORIGIN3, step4_alg)
         assert report.verdict == "pass"
         assert report.p_dims == (1, 1, 1, 1)
         assert report.r_dims == (0, 0, 1, 0)
@@ -194,18 +203,19 @@ class TestStepFourFlag:
 
 class TestStepThreeFlag:
     def test_abelian(self):
-        alg = osculating_at(step3_flag(), (0, 0, 0))
+        alg = osculating_at(step3_flag(), (0, 0, 0), 2)
         assert alg.graded_dims() == (1, 1, 1)
         assert alg.structure == ()
         assert alg.axioms_ok()
 
     def test_tangent_trivial_at_point(self):
-        alg = osculating_at(step3_flag(), (0, 0, 0))
-        sub = tangent_subalg(step3_flag(), ORIGIN3, parent=alg)
+        alg = osculating_at(step3_flag(), (0, 0, 0), 2)
+        sub = tangent_subalg(step3_flag(), ORIGIN3, 2, parent=alg)
         assert sub.graded_dims() == (0, 0, 0)
 
     def test_hh_report(self):
-        report = verify_hh(step3_flag(), ORIGIN3)
+        alg = osculating_at(step3_flag(), (0, 0, 0), 2)
+        report = hh_report(step3_flag(), ORIGIN3, alg)
         assert report.verdict == "pass"
         assert report.quotient_dims == (1, 1, 1)
         assert report.expected_dims == (1, 1, 1)
@@ -214,13 +224,13 @@ class TestStepThreeFlag:
 class TestTangentSubalgebra:
     def test_whole_chart_gives_everything(self, heis_alg):
         whole = Submanifold(CHART3, (0, 1, 2), (0, 0, 0))
-        sub = tangent_subalg(heisenberg(), whole, parent=heis_alg)
+        sub = tangent_subalg(heisenberg(), whole, 2, parent=heis_alg)
         assert sub.graded_dims() == heis_alg.graded_dims()
         assert sub.closed_under_bracket()
 
     def test_axis_spans(self, heis_alg):
         axis = Submanifold(CHART3, (0,), (0, 0, 0))
-        sub = tangent_subalg(heisenberg(), axis, parent=heis_alg)
+        sub = tangent_subalg(heisenberg(), axis, 2, parent=heis_alg)
         assert sub.graded_dims() == (1, 0)
         assert sub.spans[0] == ((Fraction(1), Fraction(0), Fraction(0)),)
         assert sub.contains((1, 0, 0))
@@ -237,7 +247,7 @@ class TestTangentSubalgebra:
 
     def test_hh_report_along_axis(self, heis_alg):
         axis = Submanifold(CHART3, (0,), (0, 0, 0))
-        report = verify_hh(heisenberg(), axis, algebra=heis_alg)
+        report = hh_report(heisenberg(), axis, heis_alg)
         assert report.verdict == "pass"
         assert report.p_dims == (2, 1)
         assert report.r_dims == (1, 0)
@@ -254,7 +264,8 @@ class TestTangentSubalgebra:
             ((Fraction(0), Fraction(0), Fraction(0), Fraction(1)),),
         )
         bad = GradedSubalg(parent=step4_alg, spans=spans)
-        report = verify_hh(step4_flag(), ORIGIN3, algebra=step4_alg, tangent=bad)
+        weighting = weighted_coordinates(check_clean(step4_flag(), ORIGIN3))
+        report = verify_hh(weighting, step4_alg, bad)
         assert not report.maps_into_ok
         assert report.verdict == "fail"
 
@@ -305,7 +316,7 @@ class TestGroupLaw:
             assert bch(step4_alg, x, (Fraction(0),) * step4_alg.dim) == x
 
     def test_abelian_is_addition(self):
-        alg = osculating_at(step3_flag(), (0, 0, 0))
+        alg = osculating_at(step3_flag(), (0, 0, 0), 2)
         x = (Fraction(1), Fraction(-2), Fraction(3))
         y = (Fraction(4), Fraction(1, 2), Fraction(0))
         assert bch(alg, x, y) == (5, Fraction(-3, 2), 3)
@@ -324,12 +335,12 @@ class TestGroupLaw:
 
 @pytest.fixture(scope="module")
 def step3_weighting():
-    return weighted_coordinates(step3_flag(), ORIGIN3).weighted
+    return weighted_coordinates(check_clean(step3_flag(), ORIGIN3))
 
 
 @pytest.fixture(scope="module")
 def step4_weighting():
-    return weighted_coordinates(step4_flag(), ORIGIN3).weighted
+    return weighted_coordinates(check_clean(step4_flag(), ORIGIN3))
 
 
 class TestAmbientModule:
@@ -370,13 +381,11 @@ class TestAmbientModule:
             den = Poly.const(3, c) + x
             w = step3_weighting
             rational = WeightedChart(
-                w.source_chart,
-                w.chart,
-                w.submanifold,
+                w.clean,
                 w.weights,
-                w.positions,
                 forward=(RatFunc(x), RatFunc(y), RatFunc(z, den)),
                 inverse=(RatFunc(x), RatFunc(y), RatFunc(z * den)),
+                corrections=(),
             )
             assert push_to_weighted(field, rational)[2] == RatFunc(x**2, den)
             # x^2/(1+x) expands to x^2 - x^3 + ..., weight-2 part is x^2
@@ -389,7 +398,7 @@ class TestAmbientModule:
         z_fld = parse_vector_field("dz", CHART3)
         filt = Filtration(CHART3, 2, ((x_fld, y_fld), (x_fld, y_fld, z_fld)))
         axis = Submanifold(CHART3, (0,), (0, 0, 0))
-        weighting = weighted_coordinates(filt, axis).weighted
+        weighting = weighted_coordinates(check_clean(filt, axis))
         pairs = fiber_class_pairs(weighting, 1)
         assert pairs == ((1, (0, 0, 0)), (2, (0, 1, 0)))
         cls = weighted_fiber_class(x_fld, weighting, 1)
@@ -456,7 +465,7 @@ def test_fiber_classes_match_the_weight_part_reading(seed, t):
     else:
         filt = pushed_forward_model(rng)
         sub = Submanifold(CHART_TABC, (0,), (t, 0, 0, 0))
-    weighting = weighted_coordinates(filt, sub).weighted
+    weighting = weighted_coordinates(check_clean(filt, sub))
     n = filt.chart.dim
     fields = list(filt.generators(filt.order))
     fields += [g.scale(random_poly(rng, n, 2)) for g in fields]

@@ -110,7 +110,8 @@ def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
     assert out.stdout.strip() == "[]"
 
 
-# public names no package module reads, each kept for a stated reason
+# public names no package module reads, each kept for a stated reason;
+# a method or property is named Class.name
 UNREAD_PUBLIC_NAMES = {
     "weighted_degree": "the paper's filtration of functions by weighted order",
     "module_membership": "the benchmark's tracing wraps it",
@@ -118,18 +119,29 @@ UNREAD_PUBLIC_NAMES = {
     "koszul_shift": "acceptance criterion 5: the shift operator on lifts",
     "parse_scalar": "the grammar's scalar entry point",
     "parse_polynomial": "the grammar's polynomial entry point",
+    "LiftCombination.materialize": "acceptance criterion 4: a lift combination as a field",
+    "GradedLieAlg.axioms_ok": "acceptance criterion 9: the graded Lie algebra axioms",
+    "GradedSubalg.closed_under_bracket": "the tangent subalgebra's defining property",
+    "JetPoint.flat": "a jet's coordinates on the JetChart",
 }
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def public_definitions(tree: ast.Module) -> dict[str, int]:
-    """Module-level functions and classes without a leading `_`, with
-    their line numbers."""
-    return {
-        node.name: node.lineno
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-    }
+    """Module-level functions and classes without a leading `_`, and the
+    methods and properties of those classes as Class.name, with their
+    line numbers."""
+    names = {}
+    for node in tree.body:
+        if not isinstance(node, (*FUNCTIONS, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        names[node.name] = node.lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, FUNCTIONS) and not item.name.startswith("_"):
+                    names[f"{node.name}.{item.name}"] = item.lineno
+    return names
 
 
 def exported_names(tree: ast.Module) -> set[str]:
@@ -150,8 +162,54 @@ def test_public_names_are_read_or_exported():
         f"{path.name}:{line} {name}"
         for path, tree in trees.items()
         for name, line in public_definitions(tree).items()
-        if name not in read and name not in UNREAD_PUBLIC_NAMES
+        if name.rpartition(".")[2] not in read and name not in UNREAD_PUBLIC_NAMES
     }
     assert not unread, f"public names no package module reads: {sorted(unread)}"
-    stale = {name for name in UNREAD_PUBLIC_NAMES if name in read}
+    stale = {name for name in UNREAD_PUBLIC_NAMES if name.rpartition(".")[2] in read}
     assert not stale, f"allowlisted names that are read after all: {sorted(stale)}"
+
+
+# parameters that may default to None, each for a stated reason; any other
+# None default would be a second call path that fills the argument in
+NONE_DEFAULTS = {
+    "cli.load_problem.degree_bound": "an unset flag means the file's value applies",
+    "cli.load_problem.samples": "an unset flag means the file's value applies",
+    "cli.load_problem.seed": "an unset flag means the file's value applies",
+    "cli.main.argv": "None means sys.argv",
+    "exactalg.Poly.__init__.terms": "the zero polynomial",
+    "exactalg.RatFunc.__init__.den": "a polynomial",
+    "lieflt.module_solve.target": "the homogeneous system",
+}
+
+
+def none_defaults(tree: ast.Module, module: str) -> dict[str, int]:
+    """Parameters of the module's functions and methods whose default is
+    None, as module.function.parameter or module.Class.method.parameter."""
+    found = {}
+
+    def visit(body, prefix):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, f"{prefix}{node.name}.")
+            elif isinstance(node, FUNCTIONS):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                pairs = list(zip(positional[len(positional) - len(args.defaults) :], args.defaults))
+                pairs += [(a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+                for arg, default in pairs:
+                    if isinstance(default, ast.Constant) and default.value is None:
+                        found[f"{prefix}{node.name}.{arg.arg}"] = node.lineno
+                visit(node.body, f"{prefix}{node.name}.")
+
+    visit(tree.body, f"{module}.")
+    return found
+
+
+def test_no_parameter_defaults_to_none_outside_the_allowlist():
+    found = {}
+    for path in PACKAGE.glob("*.py"):
+        found.update(none_defaults(ast.parse(path.read_text(), filename=str(path)), path.stem))
+    extra = {f"{name} (line {line})" for name, line in found.items() if name not in NONE_DEFAULTS}
+    assert not extra, f"parameters defaulting to None: {sorted(extra)}"
+    stale = set(NONE_DEFAULTS) - set(found)
+    assert not stale, f"allowlisted parameters that no longer default to None: {sorted(stale)}"

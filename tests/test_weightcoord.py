@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from corpus import CHART_TABC, pushed_forward_model
 from lieweights.exactalg import Poly, RatFunc, weighted_multiindices
 from lieweights.lieflt import (
+    CleanResult,
     Filtration,
     Submanifold,
+    check_clean,
     monomials_up_to,
 )
 from lieweights.vfield import (
@@ -25,7 +27,6 @@ from lieweights.vfield import (
 )
 from lieweights.weightcoord import (
     INFINITE,
-    Frame,
     filtration_degree,
     normalize_chart,
     push_to_weighted,
@@ -74,18 +75,19 @@ def test_word_applies_the_last_frame_field_first():
     b = parse_vector_field("dy + x*dz", CHART3)
     c = coordinate_field(CHART3, 2)
     assert lie_bracket(a, b) == c
-    frame = Frame(ORIGIN3, (a, b, c), (1, 1, 3))
-    assert filtration_degree(Poly.variable(3, 2), frame, cap=4) == 2
+    clean = check_clean(Filtration(CHART3, 3, ((a, b), (a, b), (a, b, c))), ORIGIN3)
+    assert (clean.frame, clean.frame_levels) == ((a, b, c), (1, 1, 3))
+    assert filtration_degree(Poly.variable(3, 2), clean, cap=4) == 2
 
 
 @pytest.fixture(scope="module")
 def step3_result():
-    return weighted_coordinates(heis_plus_vertical(), ORIGIN3)
+    return weighted_coordinates(check_clean(heis_plus_vertical(), ORIGIN3))
 
 
 @pytest.fixture(scope="module")
 def martinet_result():
-    return weighted_coordinates(martinet(), ORIGIN3)
+    return weighted_coordinates(check_clean(martinet(), ORIGIN3))
 
 
 class TestStepThreeExample:
@@ -94,21 +96,21 @@ class TestStepThreeExample:
         return step3_result
 
     def test_weights_and_positions(self, result):
-        assert result.weighted.weights == (1, 2, 3)
-        assert result.weighted.positions == (0, 1, 2)
-        assert result.weighted.chart == CHART3
+        assert result.weights == (1, 2, 3)
+        assert result.positions == (0, 1, 2)
+        assert result.chart == CHART3
 
     def test_frame(self, result):
-        assert result.frame.levels == (1, 2, 3)
+        assert result.clean.frame_levels == (1, 2, 3)
         filt = heis_plus_vertical()
-        assert result.frame.fields == (
+        assert result.clean.frame == (
             filt.levels[0][0],
             filt.levels[1][1],
             filt.levels[2][2],
         )
 
     def test_coordinates(self, result):
-        fwd = result.weighted.forward
+        fwd = result.forward
         assert fwd[0] == Poly.variable(3, 0)
         assert fwd[1] == Poly.variable(3, 1)
         assert format_scalar(fwd[2], CHART3) == "z - 1/2*x^2"
@@ -122,36 +124,36 @@ class TestStepThreeExample:
         assert rec.coefficient == Fraction(-1, 2)
 
     def test_inverse(self, result):
-        inv = result.weighted.inverse
+        inv = result.inverse
         assert inv[0] == Poly.variable(3, 0)
         assert inv[1] == Poly.variable(3, 1)
-        assert inv[2] == parse_polynomial("z + 1/2*x^2", result.weighted.chart)
+        assert inv[2] == parse_polynomial("z + 1/2*x^2", result.chart)
 
     def test_filtration_degree_of_uncorrected_vertical(self, result):
         z = Poly.variable(3, 2)
-        assert filtration_degree(z, result.frame, cap=4) == 2
+        assert filtration_degree(z, result.clean, cap=4) == 2
 
     def test_filtration_degree_edge_cases(self, result):
-        assert filtration_degree(Poly.const(3, 5), result.frame, cap=3) == 0
-        assert filtration_degree(Poly.zero(3), result.frame, cap=3) == 3
-        corrected = result.weighted.forward[2]
-        assert filtration_degree(corrected, result.frame, cap=3) == 3
+        assert filtration_degree(Poly.const(3, 5), result.clean, cap=3) == 0
+        assert filtration_degree(Poly.zero(3), result.clean, cap=3) == 3
+        corrected = result.forward[2]
+        assert filtration_degree(corrected, result.clean, cap=3) == 3
 
     def test_weighted_degree(self, result):
-        w = result.weighted
+        w = result
         assert weighted_degree(Poly.variable(3, 2), w) == 2
         assert weighted_degree(Poly.variable(3, 0), w) == 1
         assert weighted_degree(Poly.zero(3), w) == INFINITE
 
     def test_weighted_degree_of_quotients(self, result):
-        w = result.weighted
+        w = result
         one_plus_z = RatFunc(Poly.one(3), parse_polynomial("1 + z", CHART3))
         assert weighted_degree(one_plus_z, w) == 0
         x_over = RatFunc(Poly.variable(3, 0), parse_polynomial("1 + z", CHART3))
         assert weighted_degree(x_over, w) == 1
 
     def test_vf_degrees(self, result):
-        w = result.weighted
+        w = result
         filt = heis_plus_vertical()
         assert vf_filtration_degree(filt.levels[0][0], w) == -1
         assert vf_filtration_degree(filt.levels[1][1], w) == -2
@@ -160,7 +162,7 @@ class TestStepThreeExample:
         assert vf_filtration_degree(zero, w) == INFINITE
 
     def test_base_point(self, result):
-        assert result.weighted.base_point_weighted() == (0, 0, 0)
+        assert result.base_point_weighted() == (0, 0, 0)
 
 
 class TestMartinetExample:
@@ -169,19 +171,19 @@ class TestMartinetExample:
         return martinet_result
 
     def test_weights(self, result):
-        assert result.weighted.weights == (1, 2, 4)
-        assert result.frame.levels == (1, 2, 4)
+        assert result.weights == (1, 2, 4)
+        assert result.clean.frame_levels == (1, 2, 4)
 
     def test_frame_fields(self, result):
         filt = martinet()
-        assert result.frame.fields == (
+        assert result.clean.frame == (
             filt.levels[0][0],
             filt.levels[1][1],
             coordinate_field(CHART3, 2),
         )
 
     def test_coordinates(self, result):
-        fwd = result.weighted.forward
+        fwd = result.forward
         assert fwd[0] == Poly.variable(3, 0)
         assert fwd[1] == Poly.variable(3, 1)
         assert format_scalar(fwd[2], CHART3) == "z - x^2 - x*y"
@@ -198,13 +200,13 @@ class TestMartinetExample:
         ]
 
     def test_inverse_and_roundtrip(self, result):
-        w = result.weighted
+        w = result
         assert w.inverse[2] == parse_polynomial("z + x^2 + x*y", w.chart)
         for p in range(3):
             assert w.forward[p].subst(list(w.inverse)) == RatFunc(Poly.variable(3, p))
 
     def test_bracket_field_degree(self, result):
-        w = result.weighted
+        w = result
         bracket = parse_vector_field("2*x*dz", CHART3)
         assert vf_filtration_degree(bracket, w) == -3
         pushed = push_to_weighted(bracket, w)
@@ -212,8 +214,8 @@ class TestMartinetExample:
 
     def test_normalization_constants_are_factorials(self, result):
         # exercised on words the construction itself never needed
-        frame = result.frame
-        fwd = result.weighted.forward
+        frame = result.clean.frame
+        fwd = result.forward
         for s, expected in [
             ((1, 0, 1), 1),
             ((0, 2, 0), 2),
@@ -226,7 +228,7 @@ class TestMartinetExample:
                     power = power * fwd[offset] ** e
             # V^s applies the last frame field first
             value = power
-            for field, mult in reversed(list(zip(frame.fields, s))):
+            for field, mult in reversed(list(zip(frame, s))):
                 for _ in range(mult):
                     value = field.apply(value)
             assert ORIGIN3.restrict(value) == Fraction(expected)
@@ -236,8 +238,7 @@ def test_rational_normalization_stage():
     chart = Chart(("y", "u"))
     sub = Submanifold(chart, (0,), (Fraction(0), Fraction(0)))
     filt = Filtration(chart, 1, ((parse_vector_field("(1 + y)*du", chart),),))
-    result = weighted_coordinates(filt, sub)
-    w = result.weighted
+    w = weighted_coordinates(check_clean(filt, sub))
     assert w.weights == (0, 1)
     assert w.positions == (0, 1)
     expected = RatFunc(Poly.variable(2, 1), parse_polynomial("1 + y", chart))
@@ -250,9 +251,9 @@ def test_nonzero_base_point():
     chart = Chart(("y", "u"))
     sub = Submanifold(chart, (0,), (Fraction(3), Fraction(0)))
     filt = Filtration(chart, 1, ((parse_vector_field("(1 + y)*du", chart),),))
-    result = weighted_coordinates(filt, sub)
-    assert result.weighted.base_point_weighted() == (3, 0)
-    assert result.weighted.forward[1] == RatFunc(
+    result = weighted_coordinates(check_clean(filt, sub))
+    assert result.base_point_weighted() == (3, 0)
+    assert result.forward[1] == RatFunc(
         Poly.variable(2, 1), parse_polynomial("1 + y", chart)
     )
 
@@ -261,8 +262,7 @@ def test_permuted_adapted_order():
     chart = Chart(("x", "y"))
     sub = Submanifold(chart, (1,), (Fraction(0), Fraction(0)))
     filt = Filtration(chart, 1, ((coordinate_field(chart, 0),),))
-    result = weighted_coordinates(filt, sub)
-    w = result.weighted
+    w = weighted_coordinates(check_clean(filt, sub))
     assert w.positions == (1, 0)
     assert w.chart.names == ("y", "x")
     assert w.forward[0] == Poly.variable(2, 1)
@@ -273,9 +273,12 @@ def test_permuted_adapted_order():
 def test_normalize_rejects_singular_pairing():
     chart = Chart(("y", "u"))
     sub = Submanifold(chart, (0,), (Fraction(0), Fraction(0)))
-    frame = Frame(sub, (parse_vector_field("y*du", chart),), (1,))
+    # check_clean never adopts a field vanishing at m, so the frame is
+    # built by hand
+    frame = (parse_vector_field("y*du", chart),)
+    clean = CleanResult("pass", (1, 2), (1, 2), None, sub, frame, (1,))
     with pytest.raises(ValueError, match="singular at the base point"):
-        normalize_chart(frame)
+        normalize_chart(clean)
 
 
 def test_unclean_input_raises():
@@ -284,7 +287,7 @@ def test_unclean_input_raises():
     xdy = parse_vector_field("x*dy", chart)
     filt = Filtration(chart, 1, ((coordinate_field(chart, 0), xdy),))
     with pytest.raises(ValueError, match="not clean"):
-        weighted_coordinates(filt, sub)
+        weighted_coordinates(check_clean(filt, sub))
 
 
 _RESULT_CACHE = {}
@@ -292,7 +295,8 @@ _RESULT_CACHE = {}
 
 def _step3_result():
     if "r" not in _RESULT_CACHE:
-        _RESULT_CACHE["r"] = weighted_coordinates(heis_plus_vertical(), ORIGIN3)
+        clean = check_clean(heis_plus_vertical(), ORIGIN3)
+        _RESULT_CACHE["r"] = weighted_coordinates(clean)
     return _RESULT_CACHE["r"]
 
 
@@ -313,8 +317,8 @@ def test_word_vanishing_matches_weighted_degree(f):
     # the operator-word filtration degree and the weighted-monomial degree
     # must agree for every polynomial, up to the cap
     result = _step3_result()
-    fd = filtration_degree(f, result.frame, cap=4)
-    wd = weighted_degree(f, result.weighted)
+    fd = filtration_degree(f, result.clean, cap=4)
+    wd = weighted_degree(f, result)
     assert fd == min(wd, 4)
 
 
@@ -337,7 +341,7 @@ def test_correction_of_a_corrected_coordinate_inverts():
     full = (x_fld, y_fld) + tuple(coordinate_field(chart, i) for i in range(3))
     lower, middle = (x_fld,), (x_fld, y_fld)
     filt = Filtration(chart, 5, (lower, lower, middle, middle, full))
-    w = weighted_coordinates(filt, Submanifold(chart, (), (0, 0, 0))).weighted
+    w = weighted_coordinates(check_clean(filt, Submanifold(chart, (), (0, 0, 0))))
     assert w.weights == (1, 3, 5)
     assert [format_scalar(f, chart) for f in w.forward] == [
         "u",
@@ -355,8 +359,8 @@ def test_both_compositions_are_identity_on_pushed_forward_models():
     rng = random.Random(20260)
     nested = 0
     for case in range(24):
-        result = weighted_coordinates(pushed_forward_model(rng), sub)
-        assert _compositions_are_identity(result.weighted), case
+        result = weighted_coordinates(check_clean(pushed_forward_model(rng), sub))
+        assert _compositions_are_identity(result), case
         active = [rec for rec in result.corrections if rec.coefficient]
         corrected = {rec.position - sub.dim for rec in active}
         nested += any(rec.multi_index[j] for rec in active for j in corrected)
