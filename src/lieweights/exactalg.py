@@ -3,7 +3,7 @@ rational functions, and deterministic exact linear algebra.
 
 Representation notes:
   * Scalars are stdlib ``fractions.Fraction`` (lowest terms, positive
-    denominator by construction).
+    denominator by construction), except inside ``RowEchelon`` (below).
   * A polynomial is a mapping {exponent tuple -> Fraction} with no zero
     coefficients stored; two polynomials are equal iff the mappings are
     equal.  The public ``Poly(nvars, terms)`` checks and canonicalizes its
@@ -23,7 +23,12 @@ Representation notes:
     sparse rows, pivot on the first column holding a nonzero entry.  Its
     outputs are fixed because the reduced row echelon form of a matrix is
     unique: ranks, solutions (free variables 0) and nullspace bases do not
-    depend on how the elimination is ordered.
+    depend on how the elimination is ordered.  Inside it an integral
+    rational entry is held as a plain ``int``, since most entries of the
+    bounded module systems are integers and ``int`` arithmetic is far
+    cheaper than ``Fraction`` arithmetic; the values it reads out
+    (``particular``, ``solve``, ``reduced_rows``, ``matrix_inverse``) are
+    ``Fraction`` again.
 """
 
 from __future__ import annotations
@@ -795,13 +800,31 @@ class LinearSolution:
     nullspace: tuple[tuple[Fraction, ...], ...]
 
 
+def _held(x):
+    """An entry as RowEchelon holds it: an integral Fraction as its int."""
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
+
+
+def _read_out(x):
+    """A held entry as RowEchelon returns it: an int as a Fraction."""
+    return Fraction(x) if type(x) is int else x
+
+
 class RowEchelon:
     """Reduced row echelon form over an exact field, built one row at a time.
 
     Rows are sparse ``{column: entry}`` dicts; any other row is read as a
-    dense sequence and converted, and int entries become Fractions.
-    Entries need +, -, *, / and truthiness for the zero test, so Fraction
-    and RatFunc both work.
+    dense sequence and converted.  Entries need +, -, *, / and truthiness
+    for the zero test, so Fraction and RatFunc both work.  Rational entries
+    are held as ints where they are integral: an integral Fraction becomes
+    its int on input, and int arithmetic stays int (a Fraction that an
+    elimination step makes integral is kept as it is).  A row is scaled to its
+    leading 1 by negation when the lead is -1 and otherwise by dividing
+    through by the lead, an int lead as a Fraction, so no float can appear;
+    integral quotients go back to ints.  A RatFunc entry is never an int
+    and takes the same path.  Values read out through particular, solve
+    and reduced_rows are Fractions (or RatFuncs) again; reduce may return
+    ints, which compare, hash and print like the equal Fractions.
     An inserted row is cleared of the existing pivot columns, takes its
     first nonzero column as pivot, is scaled to a leading 1 and cleared
     from the other rows, so the held rows are in reduced form after every
@@ -827,9 +850,10 @@ class RowEchelon:
         """The row's normal form: the row minus the combination of held rows
         that clears every pivot column.  Empty exactly when the row is in
         the span.  The pivot columns are fixed by the span, so the normal
-        form is unique and is linear in the row."""
+        form is unique and is linear in the row.  Integral rational entries
+        may come back as ints."""
         items = row.items() if isinstance(row, dict) else enumerate(row)
-        out = {c: Fraction(x) if isinstance(x, int) else x for c, x in items if x}
+        out = {c: _held(x) for c, x in items if x}
         for p in [c for c in out if c in self.pivot_rows]:
             # pivot rows vanish on the other pivot columns: no new ones appear
             _subtract_multiple(out, out[p], self.pivot_rows[p])
@@ -845,8 +869,11 @@ class RowEchelon:
             return False
         pivot = min(rest)
         lead = rest[pivot]
-        if lead != 1:
-            rest = {c: x / lead for c, x in rest.items()}
+        if lead == -1:
+            rest = {c: -x for c, x in rest.items()}
+        elif lead != 1:
+            lead = Fraction(lead) if type(lead) is int else lead
+            rest = {c: _held(x / lead) for c, x in rest.items()}
         tail = [(c, x) for c, x in rest.items() if c != pivot]
         holders = self._holders
         # the pivot column leaves the index; rest vanishes on the other
@@ -875,8 +902,9 @@ class RowEchelon:
 
     def reduced_rows(self, width: int) -> tuple[tuple[Fraction, ...], ...]:
         """The reduced rows in pivot order, as dense rational vectors."""
+        zero = Fraction(0)
         return tuple(
-            tuple(row.get(c, Fraction(0)) for c in range(width))
+            tuple(_read_out(row.get(c, zero)) for c in range(width))
             for _, row in sorted(self.pivot_rows.items())
         )
 
@@ -898,7 +926,7 @@ class RowEchelon:
         for p in self._holders.get(rhs, ()):
             if p >= ncols:
                 return None
-            x[p] = self.pivot_rows[p][rhs]
+            x[p] = _read_out(self.pivot_rows[p][rhs])
         return tuple(x)
 
     def solve(self, ncols: int) -> LinearSolution | None:
@@ -917,7 +945,7 @@ class RowEchelon:
         for p, row in self.pivot_rows.items():
             for c, x in row.items():
                 if c < ncols and c != p:
-                    basis[c][p] = -x
+                    basis[c][p] = _read_out(-x)
         return LinearSolution(
             particular=particular,
             nullspace=tuple(tuple(vec) for vec in basis.values()),
@@ -955,7 +983,9 @@ def matrix_inverse(rows: Sequence[Sequence]) -> list[list] | None:
     if any(p >= k for p in span.pivot_rows):
         return None
     zero = one * 0
-    return [[span.pivot_rows[i].get(k + j, zero) for j in range(k)] for i in range(k)]
+    return [
+        [_read_out(span.pivot_rows[i].get(k + j, zero)) for j in range(k)] for i in range(k)
+    ]
 
 
 def linear_solve_exact(

@@ -267,25 +267,43 @@ def unpack_coefficients(
 
 
 def module_membership_batch(
-    fields: Sequence[VectorField], gens: Sequence[VectorField], degree_bound: int
+    fields: Sequence[VectorField],
+    gens: Sequence[VectorField],
+    prefixes: Sequence[int],
+    degree_bound: int,
 ) -> tuple[TriState, ...]:
-    """Decide v = sum u_j g_j with polynomial u_j of degree <= degree_bound
-    for every field v of the batch, one verdict per field in order.
+    """Decide v = sum u_j g_j over the first prefixes[t] generators, with
+    polynomial u_j of degree <= degree_bound, for every field v = fields[t]
+    of the batch, one verdict per field in order.
 
     One elimination serves the batch: the transposed system of
     module_columns(gens, monos) with field t as right-hand column
-    ncols + t.  A field is feasible exactly when no reduced row with its
-    pivot at or past ncols has an entry in its column, and its particular
-    solution is then that column's entries on the other rows
-    (RowEchelon.particular).  RREF is unique and rows that vanish on the
-    generator columns do not change a feasible column, so each verdict
-    and certificate equals that of solving the field on its own.
+    ncols + t.  Generator j owns the block of columns j*len(monos) up to
+    (j + 1)*len(monos), so the first prefixes[t] generators own the
+    leading k_t = prefixes[t]*len(monos) columns, and field t is read with
+    RowEchelon.particular(k_t, ncols + t).  That is exact because RREF has
+    a prefix property: restricted to the leading columns A_1..A_k and one
+    column b of B, the reduced form of [A_1 | A_2 | ... | B] is row
+    equivalent to [A_1..A_k | b]; its rows with a pivot among the leading
+    columns are in reduced form there, and its other rows vanish on them.
+    So b is in the span of the leading columns exactly when none of those
+    other rows (pivot at or past k_t) has an entry in b's column, and the
+    particular solution (free variables 0) is then b's entries on the rows
+    with their pivot before k_t.  RREF is unique, so each verdict and
+    certificate equals that of solving the field on its own against its
+    prefix, in a system of its own.
 
-    A pass certificate is the tuple of coefficient polynomials; a fail
-    certificate is the first point of sample_points where v leaves the
-    pointwise span of the generators.  When neither a bounded solution nor
-    a witness exists the verdict is inconclusive.
+    A pass certificate is the tuple of coefficient polynomials, one per
+    generator of the prefix; a fail certificate is the first point of
+    sample_points where v leaves the pointwise span of those generators.
+    The witness scan evaluates the generators once per point and grows one
+    pointwise span through the prefixes in increasing order.  When neither
+    a bounded solution nor a witness exists the verdict is inconclusive.
     """
+    if len(prefixes) != len(fields):
+        raise ValueError("expected one generator-prefix length per field")
+    if any(not 0 <= k <= len(gens) for k in prefixes):
+        raise ValueError("generator-prefix length out of range")
     if not fields:
         return ()
     chart = fields[0].chart
@@ -298,20 +316,25 @@ def module_membership_batch(
     span = RowEchelon(transposed(columns + [field_entries(v) for v in fields]))
     results: list[TriState] = []
     pending: list[int] = []
-    for t in range(len(fields)):
-        solution = span.particular(ncols, ncols + t)
+    for t, k in enumerate(prefixes):
+        solution = span.particular(k * len(monos), ncols + t)
         if solution is None:
             results.append(TriState.undecided("degree_bound"))
             pending.append(t)
         else:
-            coeffs = unpack_coefficients(solution, len(gens), monos, n)
+            coeffs = unpack_coefficients(solution, k, monos, n)
             results.append(TriState.passed(coeffs))
+    pending.sort(key=prefixes.__getitem__)
     for point in sample_points(n):
         if not pending:
             break
-        pointwise = RowEchelon(g.value_at(point) for g in gens)
+        pointwise = RowEchelon()
+        held = 0
         inside = []
         for t in pending:
+            for g in gens[held : prefixes[t]]:
+                pointwise.add(g.value_at(point))
+            held = prefixes[t]
             if pointwise.contains(fields[t].value_at(point)):
                 inside.append(t)
             else:
@@ -324,8 +347,8 @@ def module_membership(
     v: VectorField, gens: Sequence[VectorField], degree_bound: int
 ) -> TriState:
     """Decide v = sum u_j g_j with polynomial u_j of degree <= degree_bound:
-    module_membership_batch on the one field v."""
-    return module_membership_batch([v], gens, degree_bound)[0]
+    module_membership_batch on the one field v, against every generator."""
+    return module_membership_batch([v], gens, [len(gens)], degree_bound)[0]
 
 
 @record
@@ -381,13 +404,16 @@ class _TautologicalPass(TriState):
 def check_bracket_compat(filtration: Filtration, degree_bound: int) -> BracketCompatReport:
     """Verify [H_{-i}, H_{-j}] <= H_{-(i+j)} on all generator pairs.
 
-    Every pair with the same i + j is tested against the same target
-    module, so the brackets are grouped by target level and each level
-    is one module_membership_batch call: one elimination, with each
-    bracket as its own right-hand side.  Pairs with i + j beyond the
-    filtration order land in the full module of vector fields and pass
-    with the tautological coordinate-field certificate, whose bracket is
-    computed only when the certificate is read.
+    The target modules are nested: generators(k) is a prefix of
+    generators(top) for every target level k <= top.  So all brackets go
+    into one module_membership_batch call against the top target level's
+    generators, each bracket read against the prefix generators(i + j): one
+    elimination for every level, whose verdicts and certificates equal
+    those of one call per level (the prefix property of RREF; see
+    module_membership_batch).  Pairs with i + j beyond the filtration order
+    land in the full module of vector fields and pass with the tautological
+    coordinate-field certificate, whose bracket is computed only when the
+    certificate is read.
     """
     r = filtration.order
     pairs = []
@@ -400,19 +426,21 @@ def check_bracket_compat(filtration: Filtration, degree_bound: int) -> BracketCo
                     if i == j and gj < gi:
                         continue
                     pairs.append((i, j, gi, gj, g, h))
-    by_level: dict[int, list[VectorField]] = {}
-    for i, j, _, _, g, h in pairs:
-        if i + j <= r:
-            by_level.setdefault(i + j, []).append(lie_bracket(g, h))
-    verdicts = {
-        k: iter(module_membership_batch(brackets, filtration.generators(k), degree_bound))
-        for k, brackets in by_level.items()
-    }
+    inside = [(i + j, g, h) for i, j, _, _, g, h in pairs if i + j <= r]
+    top = max((k for k, _, _ in inside), default=1)
+    verdicts = iter(
+        module_membership_batch(
+            [lie_bracket(g, h) for _, g, h in inside],
+            filtration.generators(top),
+            [len(filtration.generators(k)) for k, _, _ in inside],
+            degree_bound,
+        )
+    )
     padding = tuple(Poly.zero(filtration.chart.dim) for _ in filtration.generators(r))
     checks = []
     for i, j, gi, gj, g, h in pairs:
         if i + j <= r:
-            result = next(verdicts[i + j])
+            result = next(verdicts)
         else:
             result = _TautologicalPass(g, h, padding)
         checks.append(BracketCheck(i, j, gi, gj, result))

@@ -53,8 +53,16 @@ def normalize_chart(
     Returns the new fiber coordinate functions, expressed in the original
     chart, and the pairing matrix pairing[a][c] = (V_a x_{fiber_c})|_N,
     a function on N, whose transpose maps them back to the fiber
-    variables.  Raises when the pairing matrix is singular at the base
-    point.
+    variables.  Raises when the frame size differs from the fiber
+    dimension, or when the pairing matrix is singular at the base point.
+
+    Neither can happen on the clean result that weighted_coordinates
+    passes: weight_sequence has already refused a top level that does not
+    span, and check_clean adopts a generator only when its value at m
+    extends a span that starts from the tangent unit rows.  So the frame
+    has one field per fiber direction, and the fiber components of the
+    frame's values at m, which are the pairing at m, form an invertible
+    matrix.  Only a hand-built CleanResult reaches the two checks.
     """
     submanifold = clean.submanifold
     n = submanifold.chart.dim

@@ -627,3 +627,129 @@ def test_column_index_tracks_the_held_rows(batch):
                     )
         spans.append(echelon)
     assert spans[0].pivot_rows == spans[1].pivot_rows
+
+
+# -- integral entries held as ints -----------------------------------------------
+
+
+def gauss_jordan(rows, width):
+    """Reference: dense Fraction Gauss-Jordan; the nonzero reduced rows and
+    their pivot columns."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(width):
+        hit = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if hit is None:
+            continue
+        mat[r], mat[hit] = mat[hit], mat[r]
+        lead = mat[r][c]
+        mat[r] = [x / lead for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                factor = mat[i][c]
+                mat[i] = [x - factor * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+    return [tuple(row) for row in mat[:r]], pivots
+
+
+def reference_solve(rows, ncols, rhs):
+    """Particular solution (free variables 0) and nullspace basis of
+    A x = b, A the first ncols columns and b column rhs, or None."""
+    reduced, pivots = gauss_jordan([[*row[:ncols], row[rhs]] for row in rows], ncols + 1)
+    if ncols in pivots:
+        return None
+    particular = [Fraction(0)] * ncols
+    for row, p in zip(reduced, pivots):
+        particular[p] = row[ncols]
+    nullspace = []
+    for c in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[c] = Fraction(1)
+        for row, p in zip(reduced, pivots):
+            vec[p] = -row[c]
+        nullspace.append(tuple(vec))
+    return tuple(particular), tuple(nullspace)
+
+
+@st.composite
+def integral_systems(draw):
+    """Small matrices [A | B] mixing ints, integral Fractions and proper
+    fractions, with leading entries of 1, -1 and other values; each row is
+    given dense or as a sparse dict."""
+    ncols = draw(st.integers(1, 5))
+    width = ncols + draw(st.integers(1, 2))
+    entry = st.one_of(
+        st.just(0),
+        st.just(0),
+        st.integers(-4, 4),
+        st.builds(Fraction, st.integers(-4, 4)),
+        st.builds(Fraction, st.integers(-5, 5), st.integers(2, 4)),
+    )
+    lead = st.sampled_from(
+        [1, -1, 2, -3, 5, Fraction(1), Fraction(-1), Fraction(4), Fraction(-2, 3)]
+    )
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        start = draw(st.integers(0, width))
+        row = [0] * start
+        row += [draw(lead) if c == start else draw(entry) for c in range(start, width)]
+        rows.append(row)
+    sparse = [draw(st.booleans()) for _ in rows]
+    return rows, sparse, ncols, width
+
+
+@settings(max_examples=200, deadline=None)
+@given(integral_systems())
+def test_integral_entries_match_dense_fraction_reference(system):
+    rows, sparse, ncols, width = system
+    given_rows = [
+        {c: x for c, x in enumerate(row) if x} if as_dict else row
+        for row, as_dict in zip(rows, sparse)
+    ]
+    echelon = RowEchelon(given_rows)
+    reduced, pivots = gauss_jordan(rows, width)
+    assert echelon.rank == len(pivots) == matrix_rank(rows)
+    got = echelon.reduced_rows(width)
+    assert got == tuple(reduced)
+    for rhs in range(ncols, width):
+        expected = reference_solve(rows, ncols, rhs)
+        particular = echelon.particular(ncols, rhs)
+        assert particular == (expected[0] if expected else None)
+        read_out = [got, [particular or ()]]
+        if rhs == ncols:
+            solution = echelon.solve(ncols)
+            if expected is None:
+                assert solution is None
+            else:
+                assert (solution.particular, solution.nullspace) == expected
+                read_out.append(solution.nullspace)
+        assert all(type(x) is Fraction for vecs in read_out for vec in vecs for x in vec)
+    if len(rows) >= ncols:
+        square = [row[:ncols] for row in rows[:ncols]]
+        inverse = matrix_inverse(square)
+        if gauss_jordan(square, ncols)[1] == list(range(ncols)):
+            assert all(type(x) is Fraction for row in inverse for x in row)
+            product = [
+                [sum(a * b for a, b in zip(row, col)) for col in zip(*inverse)]
+                for row in square
+            ]
+            assert product == [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+        else:
+            assert inverse is None
+
+
+def test_integral_pivots_take_the_int_and_fraction_paths():
+    # lead -1 negates the row, lead 2 divides through as a Fraction, and
+    # integral Fractions go in as ints
+    echelon = RowEchelon([[-1, Fraction(3), 4], {1: 2, 2: Fraction(1, 2)}])
+    held = [x for row in echelon.pivot_rows.values() for x in row.values()]
+    assert all(type(x) in (int, Fraction) for x in held)
+    assert any(type(x) is int for x in held)
+    assert echelon.reduced_rows(3) == (
+        (Fraction(1), Fraction(0), Fraction(-13, 4)),
+        (Fraction(0), Fraction(1), Fraction(1, 4)),
+    )
+    assert echelon.particular(2, 2) == (Fraction(-13, 4), Fraction(1, 4))
+    assert echelon.reduce([0, 0, Fraction(6, 3)]) == {2: 2}

@@ -269,7 +269,7 @@ def membership_batches(draw):
 def test_batch_membership_matches_per_field_oracle(batch):
     fields, gens, bound = batch
     expected = tuple(per_field_membership(v, gens, bound) for v in fields)
-    assert module_membership_batch(fields, gens, bound) == expected
+    assert module_membership_batch(fields, gens, [len(gens)] * len(fields), bound) == expected
     assert module_membership(fields[-1], gens, bound) == expected[-1]
 
 
@@ -278,12 +278,13 @@ def test_batch_repeats_an_infeasible_field():
     # feasible off the row that the first copy pivots on
     gens = [vf("dx"), vf("dy + x*dz")]
     dz, inside = vf("dz"), vf("y*dx + dy + x*dz")
-    results = module_membership_batch([dz, inside, dz, VectorField(CHART, [0, 0, 0])], gens, 1)
+    zero = VectorField(CHART, [0, 0, 0])
+    results = module_membership_batch([dz, inside, dz, zero], gens, [2] * 4, 1)
     assert [r.verdict for r in results] == [FAIL, PASS, FAIL, PASS]
     assert results[0] == results[2] == per_field_membership(dz, gens, 1)
     assert results[1].certificate == (CHART.var("y"), Poly.one(3))
     assert results[3].certificate == (Poly.zero(3), Poly.zero(3))
-    assert module_membership_batch([], gens, 1) == ()
+    assert module_membership_batch([], gens, [], 1) == ()
 
 
 def test_membership_rejects_foreign_chart_and_rational_coefficients():
@@ -293,7 +294,7 @@ def test_membership_rejects_foreign_chart_and_rational_coefficients():
     with pytest.raises(ValueError):
         module_membership(vf("dx"), [other], 1)
     with pytest.raises(ValueError):
-        module_membership_batch([vf("dx"), other], [vf("dx")], 1)
+        module_membership_batch([vf("dx"), other], [vf("dx")], [1, 1], 1)
     # a rational coefficient never reaches membership: the parser and the
     # VectorField constructor both refuse it
     with pytest.raises(ParseError, match="not a polynomial"):
@@ -378,6 +379,114 @@ def test_bracket_compat_builds_only_the_brackets_it_tests(name, monkeypatch):
             total = total + gen.scale(coeff)
         assert total == lie_bracket(*pair(check))
     assert len(built) == len(tested) + len(deep)
+
+
+def per_level_bracket_compat(filtration, degree_bound):
+    """Oracle: the verdicts of check_bracket_compat as decided before the
+    elimination was shared, one module_membership_batch per target level
+    against that level's generators; keyed (i, j, gi, gj)."""
+    r = filtration.order
+    by_level: dict = {}
+    for i in range(1, r + 1):
+        for j in range(i, r + 1):
+            if i + j > r:
+                continue
+            for gi, g in enumerate(filtration.levels[i - 1]):
+                for gj, h in enumerate(filtration.levels[j - 1]):
+                    if i < j or gi <= gj:
+                        by_level.setdefault(i + j, []).append(((i, j, gi, gj), lie_bracket(g, h)))
+    results = {}
+    for k, entries in by_level.items():
+        gens = filtration.generators(k)
+        brackets = [b for _, b in entries]
+        prefixes = [len(gens)] * len(brackets)
+        verdicts = module_membership_batch(brackets, gens, prefixes, degree_bound)
+        results.update(zip((key for key, _ in entries), verdicts))
+    return results
+
+
+@st.composite
+def small_filtrations(draw):
+    """Filtrations with 2 or 3 levels of one or two small fields each,
+    often repeating an earlier level's field, and a bound 0..2."""
+    order = draw(st.integers(2, 3))
+    levels = []
+    for _ in range(order):
+        level = []
+        for _ in range(draw(st.integers(1, 2))):
+            earlier = [g for lv in levels for g in lv]
+            if earlier and draw(st.booleans()):
+                level.append(draw(st.sampled_from(earlier)))
+            else:
+                level.append(draw(small_field()))
+        levels.append(level)
+    return Filtration(CHART, order, levels), draw(st.integers(0, 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_filtrations())
+def test_shared_elimination_matches_per_level_oracle(case):
+    filtration, bound = case
+    expected = per_level_bracket_compat(filtration, bound)
+    report = check_bracket_compat(filtration, bound)
+    inside = {
+        (c.i, c.j, c.gi, c.gj): c.result
+        for c in report.checks
+        if c.i + c.j <= filtration.order
+    }
+    assert inside == expected
+
+
+class CountingRowEchelon(RowEchelon):
+    built = 0
+
+    def __init__(self, rows=()):
+        type(self).built += 1
+        super().__init__(rows)
+
+
+def test_bracket_in_a_higher_level_only_fails_at_the_lower_target(monkeypatch):
+    # [dx, dy + x*dz] = dz lies in H_{-3} but not in H_{-2}: the pair at
+    # levels (1, 1) must fail, its twin at (1, 2) must pass, off one
+    # shared elimination (plus the pointwise span at the origin)
+    gens = [vf("dx"), vf("dy + x*dz")]
+    flt = Filtration(CHART, 3, [gens, gens, [vf("dz")]])
+    monkeypatch.setattr(lieflt, "RowEchelon", CountingRowEchelon)
+    CountingRowEchelon.built = 0
+    report = check_bracket_compat(flt, degree_bound=1)
+    assert CountingRowEchelon.built == 2
+    checks = {(c.i, c.j, c.gi, c.gj): c.result for c in report.checks}
+    assert checks[(1, 1, 0, 1)] == TriState.failed((0, 0, 0))
+    one, zero = Poly.one(3), Poly.zero(3)
+    assert checks[(1, 2, 0, 1)] == TriState.passed((zero, zero, one))
+    assert checks[(1, 2, 1, 0)] == TriState.passed((zero, zero, -one))
+    assert module_membership(vf("dz"), flt.generators(3), 1).verdict == PASS
+    for key, expected in per_level_bracket_compat(flt, 1).items():
+        assert checks[key] == expected
+
+
+def test_bracket_compat_builds_one_bounded_system(monkeypatch):
+    # three target levels, every bracket passes: no witness scan, and one
+    # elimination in place of one per level
+    flt = martinet_filtration()
+    monkeypatch.setattr(lieflt, "RowEchelon", CountingRowEchelon)
+    CountingRowEchelon.built = 0
+    report = check_bracket_compat(flt, degree_bound=2)
+    assert report.verdict == PASS
+    assert {c.i + c.j for c in report.checks if c.i + c.j <= flt.order} == {2, 3, 4}
+    assert CountingRowEchelon.built == 1
+
+
+def test_batch_reads_each_field_against_its_prefix():
+    gens = [vf("dx"), vf("dy"), vf("dz")]
+    dz = vf("dz")
+    results = module_membership_batch([dz, dz, dz], gens, [3, 2, 0], 0)
+    assert results[0] == TriState.passed((Poly.zero(3), Poly.zero(3), Poly.one(3)))
+    assert results[1] == results[2] == TriState.failed((0, 0, 0))
+    with pytest.raises(ValueError):
+        module_membership_batch([dz], gens, [4], 0)
+    with pytest.raises(ValueError):
+        module_membership_batch([dz, dz], gens, [3], 0)
 
 
 # -- cleanness and weights -------------------------------------------------------
