@@ -27,8 +27,8 @@ Representation notes:
     rational entry is held as a plain ``int``, since most entries of the
     bounded module systems are integers and ``int`` arithmetic is far
     cheaper than ``Fraction`` arithmetic; the values it reads out
-    (``particular``, ``solve``, ``reduced_rows``, ``matrix_inverse``) are
-    ``Fraction`` again.
+    (``particular_entries``, ``particular``, ``solve``, ``reduced_rows``,
+    ``matrix_inverse``) are ``Fraction`` again.
 """
 
 from __future__ import annotations
@@ -779,19 +779,6 @@ class RatFunc:
         return f"RatFunc({self.num!r} / {self.den!r})"
 
 
-def as_ratfunc(value: "Poly | RatFunc | ScalarLike", nvars: int) -> RatFunc:
-    """Coerce a polynomial or scalar into a RatFunc of given dimension."""
-    if isinstance(value, RatFunc):
-        if value.nvars != nvars:
-            raise ValueError("rational function dimension mismatch")
-        return value
-    if isinstance(value, Poly):
-        if value.nvars != nvars:
-            raise ValueError("polynomial dimension mismatch")
-        return RatFunc(value)
-    return RatFunc.const(nvars, value)
-
-
 @record
 class LinearSolution:
     """A particular solution together with a basis of the homogeneous space."""
@@ -822,9 +809,10 @@ class RowEchelon:
     leading 1 by negation when the lead is -1 and otherwise by dividing
     through by the lead, an int lead as a Fraction, so no float can appear;
     integral quotients go back to ints.  A RatFunc entry is never an int
-    and takes the same path.  Values read out through particular, solve
-    and reduced_rows are Fractions (or RatFuncs) again; reduce may return
-    ints, which compare, hash and print like the equal Fractions.
+    and takes the same path.  Values read out through particular_entries,
+    particular, solve and reduced_rows are Fractions (or RatFuncs) again;
+    reduce may return ints, which compare, hash and print like the equal
+    Fractions.
     An inserted row is cleared of the existing pivot columns, takes its
     first nonzero column as pivot, is scaled to a leading 1 and cleared
     from the other rows, so the held rows are in reduced form after every
@@ -908,9 +896,10 @@ class RowEchelon:
             for _, row in sorted(self.pivot_rows.items())
         )
 
-    def particular(self, ncols: int, rhs: int) -> tuple | None:
-        """A particular solution of A x = b for held rows [A | B]: A is
-        columns < ncols, and b is column rhs >= ncols of B.
+    def particular_entries(self, ncols: int, rhs: int) -> dict | None:
+        """The nonzero entries {column: value} of the particular solution
+        of A x = b for held rows [A | B]: A is columns < ncols, and b is
+        column rhs >= ncols of B.
 
         The free variables are set to 0, so x is b's entries on the rows
         with their pivot in A.  None when b is not in the span of A's
@@ -918,16 +907,26 @@ class RowEchelon:
         column rhs (with one right-hand side, a row 0 = 1).  The reduced
         form of [A | B] restricted to A and b is that of [A | b], so the
         other columns of B do not change the result.  The rows holding
-        column rhs are read from the column index.
+        column rhs are read from the column index, so the cost is the
+        number of nonzero entries, not ncols.
         """
         if rhs in self.pivot_rows:
             return None
-        x = [Fraction(0)] * ncols
+        x = {}
         for p in self._holders.get(rhs, ()):
             if p >= ncols:
                 return None
             x[p] = _read_out(self.pivot_rows[p][rhs])
-        return tuple(x)
+        return x
+
+    def particular(self, ncols: int, rhs: int) -> tuple | None:
+        """particular_entries as a dense tuple of ncols Fractions (or
+        RatFuncs), or None when b is not in the span of A's columns."""
+        entries = self.particular_entries(ncols, rhs)
+        if entries is None:
+            return None
+        zero = Fraction(0)
+        return tuple(entries.get(c, zero) for c in range(ncols))
 
     def solve(self, ncols: int) -> LinearSolution | None:
         """Solve A x = b, b in column ncols, as in particular(), with a

@@ -281,11 +281,12 @@ def module_membership_batch(
     ncols + t.  Generator j owns the block of columns j*len(monos) up to
     (j + 1)*len(monos), so the first prefixes[t] generators own the
     leading k_t = prefixes[t]*len(monos) columns, and field t is read with
-    RowEchelon.particular(k_t, ncols + t).  That is exact because RREF has
-    a prefix property: restricted to the leading columns A_1..A_k and one
-    column b of B, the reduced form of [A_1 | A_2 | ... | B] is row
-    equivalent to [A_1..A_k | b]; its rows with a pivot among the leading
-    columns are in reduced form there, and its other rows vanish on them.
+    RowEchelon.particular_entries(k_t, ncols + t).  That is exact because
+    RREF has a prefix property: restricted to the leading columns
+    A_1..A_k and one column b of B, the reduced form of
+    [A_1 | A_2 | ... | B] is row equivalent to [A_1..A_k | b]; its rows
+    with a pivot among the leading columns are in reduced form there, and
+    its other rows vanish on them.
     So b is in the span of the leading columns exactly when none of those
     other rows (pivot at or past k_t) has an entry in b's column, and the
     particular solution (free variables 0) is then b's entries on the rows
@@ -316,14 +317,18 @@ def module_membership_batch(
     span = RowEchelon(transposed(columns + [field_entries(v) for v in fields]))
     results: list[TriState] = []
     pending: list[int] = []
+    size = len(monos)
     for t, k in enumerate(prefixes):
-        solution = span.particular(k * len(monos), ncols + t)
+        solution = span.particular_entries(k * size, ncols + t)
         if solution is None:
             results.append(TriState.undecided("degree_bound"))
             pending.append(t)
         else:
-            coeffs = unpack_coefficients(solution, k, monos, n)
-            results.append(TriState.passed(coeffs))
+            # column p is generator p // size times monomial monos[p % size]
+            by_gen: list[dict] = [{} for _ in range(k)]
+            for p, x in sorted(solution.items()):
+                by_gen[p // size][monos[p % size]] = x
+            results.append(TriState.passed(tuple(Poly(n, terms) for terms in by_gen)))
     pending.sort(key=prefixes.__getitem__)
     for point in sample_points(n):
         if not pending:

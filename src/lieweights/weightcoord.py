@@ -29,7 +29,6 @@ from typing import Sequence
 from .exactalg import (
     Poly,
     RatFunc,
-    as_ratfunc,
     matrix_inverse,
     matrix_rank,
     record,
@@ -44,17 +43,29 @@ Scalar = Poly | RatFunc
 INFINITE = math.inf
 
 
+def _demoted(value: Scalar) -> Scalar:
+    """A RatFunc with denominator 1 as its numerator Poly; anything else
+    as it is."""
+    if isinstance(value, RatFunc) and value.is_polynomial():
+        return value.num
+    return value
+
+
 def normalize_chart(
     clean: CleanResult,
-) -> tuple[tuple[RatFunc, ...], tuple[tuple[RatFunc, ...], ...]]:
+) -> tuple[tuple[Scalar, ...], tuple[tuple[Poly, ...], ...]]:
     """Linear fiber coordinate change making (V_a x_c)|_N the identity,
     V the frame of the clean result.
 
     Returns the new fiber coordinate functions, expressed in the original
     chart, and the pairing matrix pairing[a][c] = (V_a x_{fiber_c})|_N,
-    a function on N, whose transpose maps them back to the fiber
-    variables.  Raises when the frame size differs from the fiber
-    dimension, or when the pairing matrix is singular at the base point.
+    a polynomial on N, whose transpose maps them back to the fiber
+    variables.  The pairing is inverted over RatFunc, and an inverse entry
+    with denominator 1 becomes its numerator Poly, so a coordinate is a
+    RatFunc only when the inverse has a true denominator (one dividing
+    det P); with a constant determinant every coordinate is a Poly.
+    Raises when the frame size differs from the fiber dimension, or when
+    the pairing matrix is singular at the base point.
 
     Neither can happen on the clean result that weighted_coordinates
     passes: weight_sequence has already refused a top level that does not
@@ -71,10 +82,7 @@ def normalize_chart(
     if len(clean.frame) != k:
         raise ValueError("frame size does not match the fiber dimension")
     pairing = tuple(
-        tuple(
-            as_ratfunc(submanifold.restrict(field.apply(Poly.variable(n, c))), n)
-            for c in fiber
-        )
+        tuple(submanifold.restrict(field.apply(Poly.variable(n, c))) for c in fiber)
         for field in clean.frame
     )
     point_matrix = [
@@ -82,17 +90,18 @@ def normalize_chart(
     ]
     if k and matrix_rank(point_matrix) < k:
         raise ValueError("frame-coordinate pairing is singular at the base point")
-    inverse = matrix_inverse(pairing)
+    inverse = matrix_inverse([[RatFunc(entry) for entry in row] for row in pairing])
     assert inverse is not None
+    inverse = [[_demoted(entry) for entry in row] for row in inverse]
     coords = []
     for b in range(k):
-        acc = RatFunc.const(n, 0)
+        acc = Poly.zero(n)
         for c in range(k):
             acc = acc + inverse[c][b] * Poly.variable(n, fiber[c])
         coords.append(acc)
     for a, field in enumerate(clean.frame):
         for b in range(k):
-            val = as_ratfunc(submanifold.restrict(field.apply(coords[b])), n)
+            val = submanifold.restrict(field.apply(coords[b]))
             expected = Fraction(1 if a == b else 0)
             assert val == expected, "normalized pairing failed to be the identity"
     return tuple(coords), pairing
@@ -119,12 +128,13 @@ def filtration_degree(f: Scalar, clean: CleanResult, cap: int) -> int:
 @record
 class CorrectionRecord:
     """One correction step: target position, multi-index, normalization
-    constant, and the correction coefficient."""
+    constant, and the correction coefficient, a function on N: a Poly, or
+    a RatFunc exactly when its reduced denominator is not 1."""
 
     position: int
     multi_index: tuple[int, ...]
     constant: Fraction
-    coefficient: RatFunc
+    coefficient: Scalar
 
 
 @record
@@ -137,12 +147,15 @@ class WeightedChart:
     original chart; inverse[c] expresses original variable c in the
     weighted chart; the two substitutions compose to the identity.
     corrections are the steps that made the higher-weight coordinates.
+    Every entry of forward and inverse is a Poly, or a RatFunc exactly
+    when its reduced denominator is not 1; that happens only when the
+    inverse of the frame pairing has a true denominator.
     """
 
     clean: CleanResult
     weights: tuple[int, ...]
-    forward: tuple[RatFunc, ...]
-    inverse: tuple[RatFunc, ...]
+    forward: tuple[Scalar, ...]
+    inverse: tuple[Scalar, ...]
     corrections: tuple[CorrectionRecord, ...]
 
     @property
@@ -201,9 +214,10 @@ def weighted_coordinates(clean: CleanResult) -> WeightedChart:
     positions = submanifold.adapted_order
     fiber_weights = weights[k0:]
 
-    current: list[RatFunc] = [
-        RatFunc(Poly.variable(n, positions[p])) for p in range(k0)
-    ] + list(fiber_coords)
+    current: list[Scalar] = [
+        *(Poly.variable(n, positions[p]) for p in range(k0)),
+        *fiber_coords,
+    ]
 
     records: list[CorrectionRecord] = []
     # corrections only for weights >= 3; the fiber weights are the frame's
@@ -225,9 +239,7 @@ def weighted_coordinates(clean: CleanResult) -> WeightedChart:
             terms = []
             for s in tier:
                 power = _monomial_of(current, k0, s, n)
-                c_s = as_ratfunc(
-                    submanifold.restrict(_apply_word(clean.frame, s, power)), n
-                )
+                c_s = submanifold.restrict(_apply_word(clean.frame, s, power))
                 expected = Fraction(math.prod(math.factorial(e) for e in s))
                 if c_s.eval(submanifold.base_point) == 0:
                     raise ValueError(
@@ -237,10 +249,8 @@ def weighted_coordinates(clean: CleanResult) -> WeightedChart:
                     raise ValueError(
                         f"normalization constant for {s} is not the factorial product"
                     )
-                total = as_ratfunc(
-                    submanifold.restrict(_apply_word(clean.frame, s, partial)), n
-                )
-                coeff = -(total / expected)
+                total = submanifold.restrict(_apply_word(clean.frame, s, partial))
+                coeff = _demoted(-(total * (1 / expected)))
                 records.append(
                     CorrectionRecord(
                         position=a, multi_index=s, constant=expected, coefficient=coeff
@@ -249,7 +259,7 @@ def weighted_coordinates(clean: CleanResult) -> WeightedChart:
                 if coeff:
                     terms.append(coeff * power)
             partial = sum(terms, partial)
-        current[a] = partial
+        current[a] = _demoted(partial)
 
     for p in range(k0, n):
         got = filtration_degree(current[p], clean, cap=weights[p])
@@ -262,9 +272,9 @@ def weighted_coordinates(clean: CleanResult) -> WeightedChart:
     inverse = _invert_weighting(submanifold, pairing, records)
     for p in range(n):
         composed = current[p].subst(list(inverse))
-        assert composed == RatFunc(
-            Poly.variable(n, p)
-        ), "forward and inverse substitutions do not compose to the identity"
+        assert composed == Poly.variable(n, p), (
+            "forward and inverse substitutions do not compose to the identity"
+        )
     return WeightedChart(
         clean=clean,
         weights=weights,
@@ -274,10 +284,8 @@ def weighted_coordinates(clean: CleanResult) -> WeightedChart:
     )
 
 
-def _monomial_of(
-    current: Sequence[RatFunc], k0: int, s: Sequence[int], n: int
-) -> RatFunc:
-    acc = RatFunc.const(n, 1)
+def _monomial_of(current: Sequence[Scalar], k0: int, s: Sequence[int], n: int) -> Scalar:
+    acc = Poly.one(n)
     for offset, e in enumerate(s):
         if e:
             acc = acc * current[k0 + offset] ** e
@@ -286,9 +294,9 @@ def _monomial_of(
 
 def _invert_weighting(
     submanifold: Submanifold,
-    pairing: Sequence[Sequence[RatFunc]],
+    pairing: Sequence[Sequence[Poly]],
     records: Sequence[CorrectionRecord],
-) -> tuple[RatFunc, ...]:
+) -> tuple[Scalar, ...]:
     """Closed-form inverse of the weighting substitution, in the weighted chart.
 
     A correction at position p multiplies a function on N by a monomial in
@@ -306,7 +314,7 @@ def _invert_weighting(
     on_n = [Poly.zero(n)] * n
     for p in range(k0):
         on_n[positions[p]] = y[p]
-    linear = [RatFunc(y[p]) for p in range(k0, n)]
+    linear: list[Scalar] = y[k0:]
     for rec in records:
         if rec.coefficient.is_zero():
             continue
@@ -315,12 +323,12 @@ def _invert_weighting(
             if e:
                 term = term * y[k0 + offset] ** e
         linear[rec.position - k0] = linear[rec.position - k0] - term
-    inverse = [RatFunc(img) for img in on_n]
+    inverse: list[Scalar] = list(on_n)
     for ci, c in enumerate(submanifold.fiber_indices):
-        acc = RatFunc.const(n, 0)
+        acc = Poly.zero(n)
         for p, row in enumerate(pairing):
             acc = acc + row[ci].subst(on_n) * linear[p]
-        inverse[c] = acc
+        inverse[c] = _demoted(acc)
     return tuple(inverse)
 
 
@@ -380,6 +388,5 @@ def weighted_degree_in_chart(g: Scalar, weights: Sequence[int]) -> int | float:
     if g.is_zero():
         return INFINITE
     if isinstance(g, Poly):
-        g = RatFunc(g)
-    num = min(weight_of(mono, weights) for mono in g.num.terms)
-    return num - min(weight_of(mono, weights) for mono in g.den.terms)
+        return min(weight_of(mono, weights) for mono in g.terms)
+    return weighted_degree_in_chart(g.num, weights) - weighted_degree_in_chart(g.den, weights)

@@ -15,7 +15,6 @@ from lieweights.exactalg import (
     Poly,
     RatFunc,
     RowEchelon,
-    as_ratfunc,
     grlex_key,
     weight_of,
     weighted_multiindices,
@@ -447,7 +446,9 @@ def reference_fiber_class(field, weighting, depth):
     ]
     comps = []
     for p, phi in pairs:
-        frozen = as_ratfunc(pushed[p].subst(images), n)
+        frozen = pushed[p].subst(images)
+        if isinstance(frozen, Poly):
+            frozen = RatFunc(frozen)
         c0 = frozen.den.terms[(0,) * n]
         part = poly_weight_part(frozen.num, weighting.weights, weighting.weights[p] - depth)
         comps.append(part.terms.get(phi, Fraction(0)) * (1 / c0))

@@ -2,13 +2,15 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import CHART_TABC, pushed_forward_model
-from lieweights.exactalg import Poly, RatFunc, weighted_multiindices
+from lieweights.cli import load_problem
+from lieweights.exactalg import Poly, RatFunc, divide_exact, poly_gcd, weighted_multiindices
 from lieweights.lieflt import (
     CleanResult,
     Filtration,
@@ -366,3 +368,50 @@ def test_both_compositions_are_identity_on_pushed_forward_models():
         nested += any(rec.multi_index[j] for rec in active for j in corrected)
     # some correction multiplies a coordinate that was itself corrected
     assert nested
+
+
+PROBLEM_FILES = sorted((Path(__file__).resolve().parents[1] / "problems").glob("*.json"))
+
+
+def _chart_entries(w):
+    """Every forward, inverse and correction-coefficient entry, labelled."""
+    return [
+        *((f"forward[{p}]", f) for p, f in enumerate(w.forward)),
+        *((f"inverse[{c}]", g) for c, g in enumerate(w.inverse)),
+        *((f"coefficient{rec.multi_index}", rec.coefficient) for rec in w.corrections),
+    ]
+
+
+@pytest.mark.parametrize("path", PROBLEM_FILES, ids=[p.name for p in PROBLEM_FILES])
+def test_problem_charts_are_polynomial_unless_the_pairing_has_a_denominator(path):
+    spec = load_problem(str(path))
+    w = weighted_coordinates(check_clean(spec.filtration, spec.submanifold))
+    rational = {label: f for label, f in _chart_entries(w) if not isinstance(f, Poly)}
+    if path.name != "singular_chart.json":
+        assert rational == {}
+        return
+    # the pairing is diag(1 + t, 1): only the fiber coordinate a/(1 + t)
+    # divides, and its inverse a*(1 + t) does not
+    assert list(rational) == ["forward[1]"]
+    assert isinstance(rational["forward[1]"], RatFunc)
+    assert rational["forward[1]"].den == parse_polynomial("1 + t", spec.chart)
+
+
+def _has_unit_denominator(f):
+    if isinstance(f, Poly):
+        return True
+    return divide_exact(f.den, poly_gcd(f.num, f.den)).total_degree() == 0
+
+
+def test_pushed_forward_chart_entries_are_ratfuncs_exactly_with_a_denominator():
+    # at t = 1 a chart may have a denominator t or 1 + t
+    sub = Submanifold(CHART_TABC, (0,), (1, 0, 0, 0))
+    rng = random.Random(20261)
+    kinds = set()
+    for case in range(20):
+        w = weighted_coordinates(check_clean(pushed_forward_model(rng), sub))
+        for label, f in _chart_entries(w):
+            assert isinstance(f, RatFunc) != _has_unit_denominator(f), (case, label)
+            kinds.add(type(f))
+    # both kinds occur
+    assert kinds == {Poly, RatFunc}
