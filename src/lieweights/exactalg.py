@@ -787,7 +787,7 @@ class LinearSolution:
     nullspace: tuple[tuple[Fraction, ...], ...]
 
 
-def _held(x):
+def held(x):
     """An entry as RowEchelon holds it: an integral Fraction as its int."""
     return x.numerator if type(x) is Fraction and x.denominator == 1 else x
 
@@ -841,7 +841,7 @@ class RowEchelon:
         form is unique and is linear in the row.  Integral rational entries
         may come back as ints."""
         items = row.items() if isinstance(row, dict) else enumerate(row)
-        out = {c: _held(x) for c, x in items if x}
+        out = {c: held(x) for c, x in items if x}
         for p in [c for c in out if c in self.pivot_rows]:
             # pivot rows vanish on the other pivot columns: no new ones appear
             _subtract_multiple(out, out[p], self.pivot_rows[p])
@@ -861,7 +861,7 @@ class RowEchelon:
             rest = {c: -x for c, x in rest.items()}
         elif lead != 1:
             lead = Fraction(lead) if type(lead) is int else lead
-            rest = {c: _held(x / lead) for c, x in rest.items()}
+            rest = {c: held(x / lead) for c, x in rest.items()}
         tail = [(c, x) for c, x in rest.items() if c != pivot]
         holders = self._holders
         # the pivot column leaves the index; rest vanishes on the other
@@ -928,27 +928,37 @@ class RowEchelon:
         zero = Fraction(0)
         return tuple(entries.get(c, zero) for c in range(ncols))
 
+    def nullspace(self, ncols: int) -> tuple[tuple, ...]:
+        """A basis of the nullspace of the leading columns A, the columns
+        < ncols: vector number k has a 1 at the k-th free column of A, and
+        minus that column's entries on the rows with their pivot in A.
+
+        RREF has a prefix property: the rows with their pivot in A, cut to
+        A, are the reduced form of A alone, and the other rows vanish on A.
+        So every prefix of the held columns reads its own nullspace here,
+        equal to that of a system of its own.  A row holding a column of A
+        has its pivot before that column, so the column index gives each
+        vector's entries directly.
+        """
+        zero, one = Fraction(0), Fraction(1)
+        basis = []
+        for c in range(ncols):
+            if c in self.pivot_rows:
+                continue
+            vec = [zero] * ncols
+            vec[c] = one
+            for p in self._holders.get(c, ()):
+                vec[p] = _read_out(-self.pivot_rows[p][c])
+            basis.append(tuple(vec))
+        return tuple(basis)
+
     def solve(self, ncols: int) -> LinearSolution | None:
-        """Solve A x = b, b in column ncols, as in particular(), with a
-        basis of the nullspace of A: vector number k has a 1 at the k-th
-        free column of A.  Rows with their pivot at or past ncols have no
-        entries in A, and the basis skips columns >= ncols, so it is that
-        of A alone."""
+        """Solve A x = b, b in column ncols, as in particular(), with the
+        nullspace() basis of A."""
         particular = self.particular(ncols, ncols)
         if particular is None:
             return None
-        zero = Fraction(0)
-        basis = {c: [zero] * ncols for c in range(ncols) if c not in self.pivot_rows}
-        for c, vec in basis.items():
-            vec[c] = Fraction(1)
-        for p, row in self.pivot_rows.items():
-            for c, x in row.items():
-                if c < ncols and c != p:
-                    basis[c][p] = _read_out(-x)
-        return LinearSolution(
-            particular=particular,
-            nullspace=tuple(tuple(vec) for vec in basis.values()),
-        )
+        return LinearSolution(particular=particular, nullspace=self.nullspace(ncols))
 
 
 def _subtract_multiple(target: dict, factor, row: Mapping) -> None:

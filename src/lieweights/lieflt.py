@@ -18,10 +18,10 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .exactalg import (
-    LinearSolution,
     Poly,
     RatFunc,
     RowEchelon,
+    held,
     record,
     weighted_multiindices,
 )
@@ -145,12 +145,7 @@ class Filtration:
         return self._generators[depth - 1]
 
     def max_generator_degree(self) -> int:
-        deg = 0
-        for gens in self.levels:
-            for g in gens:
-                for c in g.coeffs:
-                    deg = max(deg, c.total_degree())
-        return deg
+        return fields_degree(g for gens in self.levels for g in gens)
 
     def default_degree_bound(self) -> int:
         return 2 * self.max_generator_degree() + self.order
@@ -201,58 +196,106 @@ def sample_points(nvars: int):
             return
 
 
-RowKey = tuple[int, tuple[int, ...]]
+class PackedKeys:
+    """One int key per (component, monomial) entry of a field on nvars
+    variables, and one per marker column.
+
+    The entry (a, alpha) packs to a*B^n + sum alpha_i*B^(n-1-i), the digits
+    of (a, alpha_0, ..., alpha_{n-1}) in base B, and the marker number pos
+    to (n + pos)*B^n, the packing of (n + pos, 0).  With every exponent
+    below B the map is injective and orders keys as the tuples
+    (component, monomial) order, lexicographically; a marker sorts after
+    every field key.  Multiplying by x^beta adds enc(beta) to a key, as
+    long as the shifted exponents stay below B (Monagan and Pearce 2007,
+    packed exponent vectors).  enc and pack raise ValueError on an exponent
+    of B or more, so two entries never share a key silently.
+    """
+
+    def __init__(self, nvars: int, base: int):
+        if base < 1:
+            raise ValueError("the packing base must be positive")
+        self.nvars = nvars
+        self.base = base
+        self.place = base**nvars
+
+    @classmethod
+    def for_degree(cls, nvars: int, degree: int) -> "PackedKeys":
+        """Keys for monomials of total degree at most degree: B = degree + 1."""
+        return cls(nvars, degree + 1)
+
+    def enc(self, mono: Sequence[int]) -> int:
+        base = self.base
+        key = 0
+        for e in mono:
+            if e >= base:
+                raise ValueError(f"exponent {e} does not fit the packing base {base}")
+            key = key * base + e
+        return key
+
+    def pack(self, a: int, mono: Sequence[int]) -> int:
+        return a * self.place + self.enc(mono)
+
+    def unpack(self, key: int) -> tuple[int, tuple[int, ...]]:
+        a, rest = divmod(key, self.place)
+        digits = []
+        for _ in range(self.nvars):
+            rest, e = divmod(rest, self.base)
+            digits.append(e)
+        return a, tuple(reversed(digits))
+
+    def marker(self, pos: int) -> int:
+        return (self.nvars + pos) * self.place
 
 
-def field_entries(field: VectorField) -> dict[RowKey, Fraction]:
-    """Nonzero coefficients of a field keyed (component, monomial)."""
+def fields_degree(fields: Iterable[VectorField]) -> int:
+    """Largest total degree of a term of the fields' coefficients; 0 for
+    none."""
+    return max((sum(m) for f in fields for c in f.coeffs for m in c.terms), default=0)
+
+
+def field_entries(field: VectorField, keys: PackedKeys) -> dict[int, Fraction]:
+    """Nonzero coefficients of a field under packed (component, monomial)
+    keys, held as RowEchelon holds them."""
     return {
-        (a, mono): value
+        keys.pack(a, mono): held(value)
         for a, c in enumerate(field.coeffs)
         for mono, value in c.terms.items()
     }
 
 
 def module_columns(
-    gens: Sequence[VectorField], monos: Sequence[tuple[int, ...]]
-) -> list[dict[RowKey, Fraction]]:
+    gens: Sequence[VectorField], monos: Sequence[tuple[int, ...]], keys: PackedKeys
+) -> list[dict[int, Fraction]]:
     """Entries of x^alpha * g for every generator g (outer loop) and
-    monomial alpha (inner loop), the layout unpack_coefficients reads."""
+    monomial alpha (inner loop), the layout unpack_coefficients reads.
+
+    Each generator's entries are packed once and shifted by enc(alpha).
+    A shifted exponent reaches at most the generator's top exponent in
+    that variable plus the monomials' top one; ValueError when that is B
+    or more, so a shift never carries into the next digit.
+    """
+    n = keys.nvars
+    shifts = [keys.enc(alpha) for alpha in monos]
+    mono_top = [max((alpha[i] for alpha in monos), default=0) for i in range(n)]
     cols = []
     for g in gens:
-        entries = field_entries(g).items()
-        for alpha in monos:
-            cols.append(
-                {
-                    (a, tuple(x + y for x, y in zip(alpha, mono))): value
-                    for (a, mono), value in entries
-                }
-            )
+        for i in range(n):
+            top = max((c.degree_in(i) for c in g.coeffs), default=0)
+            if top + mono_top[i] >= keys.base:
+                raise ValueError(f"a shifted exponent does not fit the packing base {keys.base}")
+        entries = field_entries(g, keys).items()
+        for s in shifts:
+            cols.append({k + s: value for k, value in entries})
     return cols
 
 
-def transposed(columns: Sequence[dict[RowKey, Fraction]]) -> list[dict[int, Fraction]]:
-    """One sparse row per (component, monomial) key: entry k is column k's."""
-    rows: dict[RowKey, dict[int, Fraction]] = {}
+def transposed(columns: Sequence[dict[int, Fraction]]) -> list[dict[int, Fraction]]:
+    """One sparse row per packed key: entry k is column k's."""
+    rows: dict[int, dict[int, Fraction]] = {}
     for k, col in enumerate(columns):
-        for rk, value in col.items():
-            rows.setdefault(rk, {})[k] = value
+        for key, value in col.items():
+            rows.setdefault(key, {})[k] = value
     return list(rows.values())
-
-
-def module_solve(
-    columns: Sequence[dict[RowKey, Fraction]],
-    target: dict[RowKey, Fraction] | None = None,
-) -> LinearSolution | None:
-    """Solve sum_k x_k columns[k] = target, or None when infeasible.
-
-    The columns are transposed into one sparse row per (component,
-    monomial) key, with the target in column len(columns); target None
-    means 0.  The reduced echelon form is unique, so the row order does
-    not matter.
-    """
-    rows = transposed([*columns, target or {}])
-    return RowEchelon(rows).solve(len(columns))
 
 
 def unpack_coefficients(
@@ -277,7 +320,7 @@ def module_membership_batch(
     of the batch, one verdict per field in order.
 
     One elimination serves the batch: the transposed system of
-    module_columns(gens, monos) with field t as right-hand column
+    module_columns(gens, monos, keys) with field t as right-hand column
     ncols + t.  Generator j owns the block of columns j*len(monos) up to
     (j + 1)*len(monos), so the first prefixes[t] generators own the
     leading k_t = prefixes[t]*len(monos) columns, and field t is read with
@@ -312,9 +355,12 @@ def module_membership_batch(
         raise ValueError("fields and generators live on different charts")
     n = chart.dim
     monos = monomials_up_to(n, degree_bound)
-    columns = module_columns(gens, monos)
+    keys = PackedKeys.for_degree(
+        n, max(fields_degree(gens) + degree_bound, fields_degree(fields))
+    )
+    columns = module_columns(gens, monos, keys)
     ncols = len(columns)
-    span = RowEchelon(transposed(columns + [field_entries(v) for v in fields]))
+    span = RowEchelon(transposed(columns + [field_entries(v, keys) for v in fields]))
     results: list[TriState] = []
     pending: list[int] = []
     size = len(monos)
@@ -531,17 +577,26 @@ def weight_sequence(clean: CleanResult) -> tuple[int, ...]:
 
 
 def tangency_solve(
-    gens: Sequence[VectorField], submanifold: Submanifold, degree_bound: int
-) -> list[tuple[Poly, ...]]:
-    """Coefficient tuples u with sum u_j g_j tangent to the submanifold.
+    gens: Sequence[VectorField],
+    submanifold: Submanifold,
+    degree_bound: int,
+    prefixes: Sequence[int],
+) -> tuple[list[tuple[Poly, ...]], ...]:
+    """Coefficient tuples u with sum u_j g_j tangent to the submanifold,
+    one basis for each generator prefix gens[:prefixes[t]], in order.
 
     Tangency and the values u_j(m) depend only on u restricted to N, so
     the unknowns are polynomials on N: monomials of degree <= degree_bound
-    in the tangent variables.  Solves the homogeneous system "fiber
-    components vanish on N" and returns a deterministic basis of
-    coefficient tuples.  May miss higher-degree combinations
-    (degree-bound caveat).  When N is a point the system is the constant
-    nullspace of the generators' values there, whatever the bound.
+    in the tangent variables.  The system is "fiber components vanish on
+    N", homogeneous, with the generators' fiber parts restricted to N as
+    columns.  Generator j owns columns j*len(monos) up to
+    (j + 1)*len(monos), so each prefix's system is a column prefix of the
+    whole one: one elimination serves every prefix, each basis read with
+    RowEchelon.nullspace (the prefix property of RREF).  Each basis is
+    deterministic and equals that of a system of the prefix's own.  May
+    miss higher-degree combinations (degree-bound caveat).  When N is a
+    point the system is the constant nullspace of the generators' values
+    there, whatever the bound.
     """
     chart = submanifold.chart
     n = chart.dim
@@ -549,22 +604,27 @@ def tangency_solve(
     for g in gens:
         if g.chart != chart:
             raise ValueError("generator lives on a different chart")
+    if any(not 0 <= k <= len(gens) for k in prefixes):
+        raise ValueError("generator-prefix length out of range")
     monos = [
         mono
         for mono in monomials_up_to(n, degree_bound)
         if not any(mono[f] for f in fiber)
     ]
-    # fiber components restricted to N: drop monomials using a fiber variable
-    cols = [
-        {
-            (a, mono): value
-            for (a, mono), value in col.items()
-            if a in fiber and not any(mono[f] for f in fiber)
-        }
-        for col in module_columns(gens, monos)
+    zero = Poly.zero(n)
+    # fiber components restricted to N; a shift by a monomial on N keeps a
+    # term off the fiber variables
+    parts = [
+        VectorField(
+            chart,
+            [submanifold.restrict(c) if a in fiber else zero for a, c in enumerate(g.coeffs)],
+        )
+        for g in gens
     ]
-    solution = module_solve(cols)
-    assert solution is not None
-    return [
-        unpack_coefficients(vec, len(gens), monos, n) for vec in solution.nullspace
-    ]
+    keys = PackedKeys.for_degree(n, fields_degree(parts) + degree_bound)
+    span = RowEchelon(transposed(module_columns(parts, monos, keys)))
+    size = len(monos)
+    return tuple(
+        [unpack_coefficients(vec, k, monos, n) for vec in span.nullspace(k * size)]
+        for k in prefixes
+    )

@@ -1,20 +1,26 @@
 """Graded nilpotent Lie algebras osculating a filtration at a point.
 
-The graded piece at depth i is gr_i = H_{-i} / (H_{-(i-1)} + m H_{-i}),
-where m is the ideal of functions vanishing at the point.  Each call
-translates the chart once so that the point becomes the origin; there m
-is spanned by the monomials x^beta with beta != 0.  So the denominator,
-truncated at the degree bound, is spanned by the lower fields and by the
-level's fields times the nonconstant monomials.  Each depth puts this
-span in reduced form once (exactalg.RowEchelon) and reads its quotient
-off normal forms.  The level's candidates are reduced in list order; one
-whose field entries survive becomes a basis element and joins the span
-with a marker column of its own.  A field's class is the negated marker
-part of its normal form.  A relation whose certificate needs coefficient
-degree above the bound is missed, so reported dimensions are upper
-bounds that settle once the bound is raised far enough.  Structure
-constants that cannot be certified at the bound are flagged as
-unverified, never guessed.  Representatives stay in the original chart.
+The graded piece at depth i is gr_i = H_{-i} / P_i, where
+P_i = H_{-(i-1)} + m H_{-i} and m is the ideal of functions vanishing at
+the point.  Each call translates the chart once so that the point becomes
+the origin; there m is spanned by the monomials x^beta with beta != 0.
+So P_i, truncated at the degree bound, is spanned by the lower fields and
+by the level's fields times the nonconstant monomials.  The denominators
+are nested, P_i <= H_{-i} <= P_{i+1}, so one span (exactalg.RowEchelon)
+serves every depth, grown depth by depth over packed integer keys
+(lieflt.PackedKeys), and each depth puts this span in reduced form once.
+At depth i it takes the nonconstant multiples of the generators new at
+that level; the level's new candidates are reduced in list order, and
+one whose field entries survive becomes a basis element and joins the
+span with a marker column of its own.  A field's class is the negated
+marker part of its normal form, so the brackets landing at depth i are
+read off before the span moves on.  Then the depth's markers are retired
+by unit rows, which puts H_{-i} itself into the span.  A relation whose
+certificate needs coefficient degree above the bound is missed, so
+reported dimensions are upper bounds that settle once the bound is
+raised far enough.  Structure constants that cannot be certified at the
+bound are flagged as unverified, never guessed.  Representatives stay in
+the original chart.
 
 Basis elements are picked greedily in generator-list order, which makes
 every output deterministic for a given input ordering.
@@ -30,8 +36,10 @@ from typing import Sequence
 from .exactalg import Poly, RowEchelon, record, weight_of, weighted_multiindices
 from .lieflt import (
     Filtration,
+    PackedKeys,
     Submanifold,
     field_entries,
+    fields_degree,
     module_columns,
     monomials_up_to,
     tangency_solve,
@@ -69,13 +77,17 @@ def _centred(
     )
 
 
-def _class(rest: dict, n: int) -> dict[int, Fraction] | None:
-    """Basis coordinates read off a reduction against a level's span: the
-    negated marker part, or None when a field entry survives (no
-    certificate at the degree bound)."""
-    if any(a < n for a, _ in rest):
+def _class(rest: dict, keys: PackedKeys, offset: int) -> dict[int, Fraction] | None:
+    """Coordinates in a level's basis read off a normal form against the
+    span, the level's first basis element having marker number offset:
+    the negated marker part, or None when a field entry survives (no
+    certificate at the degree bound).  Earlier levels' markers are
+    retired, so only the level's own can appear."""
+    first = keys.marker(offset)
+    if any(key < first for key in rest):
         return None
-    return {a - n: -x for (a, _), x in rest.items()}
+    n = keys.nvars + offset
+    return {keys.unpack(key)[0] - n: -x for key, x in rest.items()}
 
 
 def _embed(cls: dict[int, Fraction], offset: int, total: int) -> Vector:
@@ -201,6 +213,24 @@ def osculating_at(
     degree_bound caps the coefficient degree of relation and bracket
     certificates; raise it when a bracket comes back unverified or when a
     dimension looks too large.
+
+    One span serves every depth.  Before depth i it holds H_{-(i-1)} and
+    the retired markers of the lower depths, which no field reaches, so a
+    normal form against it is the one against P_i once the multiples
+    m H_{-i} are in: m H_{-(i-1)} is already there, and only the level's
+    new generators add theirs.  The candidates of earlier levels lie in
+    H_{-(i-1)} and have class 0.  A bracket of basis elements of depths j
+    and k lands at depth j + k, after both representatives are known, and
+    is read while that depth's markers are live.  Then the depth's
+    markers are retired by unit rows {marker: 1}, which clear them from
+    the basis rows and put H_{-i} into the span, so each depth puts this
+    span in reduced form once.  Markers sort after every field key, so
+    every pivot but a retired marker's is a field key, and a marker-only
+    normal form, with every class and certificate, is the one a span of
+    the depth's own would give.  The packing base covers
+    every exponent packed: the generators times the monomials up to the
+    bound, and the brackets, of degree at most twice the generators' less
+    one.
     """
     chart = filtration.chart
     n = chart.dim
@@ -210,77 +240,68 @@ def osculating_at(
     order = filtration.order
 
     # generator lists are cumulative: each level's list extends the last
-    centred = _centred(filtration.generators(order), point)
-    centred_levels = [
-        centred[: len(filtration.generators(depth))] for depth in range(1, order + 1)
-    ]
+    gens = filtration.generators(order)
+    centred = _centred(gens, point)
+    counts = [0] + [len(filtration.generators(depth)) for depth in range(1, order + 1)]
+    top = fields_degree(centred)
+    keys = PackedKeys.for_degree(n, max(top + degree_bound, 2 * top - 1))
     ideal_monos = monomials_up_to(n, degree_bound)[1:]
 
-    spans: list[RowEchelon] = []
-    level_basis: list[tuple[int, ...]] = []
-    level_classes: list[list[dict[int, Fraction]]] = []
-    for depth in range(1, order + 1):
-        cands = centred_levels[depth - 1]
-        lower = centred_levels[depth - 2] if depth > 1 else ()
-        # the denominator: constant multiples of the lower fields, and the
-        # level's fields times the nonconstant monomials
-        span = RowEchelon(field_entries(g) for g in lower)
-        for col in module_columns(cands, ideal_monos):
-            span.add(col)
-        basis: list[int] = []
-        classes: list[dict[int, Fraction]] = []
-        for j, g in enumerate(cands):
-            rest = span.reduce(field_entries(g))
-            cls = _class(rest, n)
-            if cls is None:
-                # a marker column (n + pos, ()) sorts after every field key
-                # and records the new basis position in later reductions
-                cls = {len(basis): Fraction(1)}
-                span.add({**rest, (n + len(basis), ()): Fraction(1)})
-                basis.append(j)
-            classes.append(cls)
-        spans.append(span)
-        level_basis.append(tuple(basis))
-        level_classes.append(classes)
-
-    offsets: list[int] = []
-    total = 0
+    span = RowEchelon()
     degrees: list[int] = []
     representatives: list[VectorField] = []
     centred_reps: list[VectorField] = []
+    offsets: list[int] = []
+    level_classes: list[list[dict[int, Fraction]]] = []
+    # (u, v, depth of [e_u, e_v], its class or None)
+    brackets: list[tuple[int, int, int, dict[int, Fraction] | None]] = []
     for depth in range(1, order + 1):
-        offsets.append(total)
-        for j in level_basis[depth - 1]:
-            degrees.append(-depth)
-            representatives.append(filtration.generators(depth)[j])
-            centred_reps.append(centred_levels[depth - 1][j])
-        total += len(level_basis[depth - 1])
+        new = range(counts[depth - 1], counts[depth])
+        for col in module_columns([centred[j] for j in new], ideal_monos, keys):
+            span.add(col)
+        offset = len(degrees)
+        offsets.append(offset)
+        classes: list[dict[int, Fraction]] = [{} for _ in range(counts[depth - 1])]
+        for j in new:
+            rest = span.reduce(field_entries(centred[j], keys))
+            cls = _class(rest, keys, offset)
+            if cls is None:
+                # a marker column sorts after every field key and records
+                # the new basis position in later reductions
+                cls = {len(degrees) - offset: Fraction(1)}
+                span.add({**rest, keys.marker(len(degrees)): Fraction(1)})
+                degrees.append(-depth)
+                representatives.append(gens[j])
+                centred_reps.append(centred[j])
+            classes.append(cls)
+        level_classes.append(classes)
+        for u in range(offset):
+            for v in range(u + 1, offset):
+                if degrees[u] + degrees[v] == -depth:
+                    target = lie_bracket(centred_reps[u], centred_reps[v])
+                    rest = span.reduce(field_entries(target, keys))
+                    brackets.append((u, v, depth, _class(rest, keys, offset)))
+        # retire the depth's markers: H_{-depth} joins the span
+        for pos in range(offset, len(degrees)):
+            span.add({keys.marker(pos): Fraction(1)})
 
+    total = len(degrees)
     candidate_classes = tuple(
         tuple(_embed(cls, offsets[depth - 1], total) for cls in level_classes[depth - 1])
         for depth in range(1, order + 1)
     )
-
-    structure: list[tuple[int, int, Vector]] = []
-    unverified: list[tuple[int, int]] = []
-    for u in range(total):
-        for v in range(u + 1, total):
-            q = -(degrees[u] + degrees[v])
-            if q > order:
-                continue
-            target = lie_bracket(centred_reps[u], centred_reps[v])
-            cls = _class(spans[q - 1].reduce(field_entries(target)), n)
-            if cls is None:
-                unverified.append((u, v))
-            elif cls:
-                structure.append((u, v, _embed(cls, offsets[q - 1], total)))
+    brackets.sort(key=lambda b: b[:2])
+    structure = tuple(
+        (u, v, _embed(cls, offsets[q - 1], total)) for u, v, q, cls in brackets if cls
+    )
+    unverified = tuple((u, v) for u, v, _, cls in brackets if cls is None)
 
     return GradedLieAlg(
         order=order,
         degrees=tuple(degrees),
         representatives=tuple(representatives),
-        structure=tuple(structure),
-        unverified=tuple(unverified),
+        structure=structure,
+        unverified=unverified,
         candidate_classes=candidate_classes,
     )
 
@@ -332,13 +353,20 @@ def tangent_subalg(
     unknowns are polynomials on N, so the spans are lower bounds for the
     true tangent subalgebra; when N is a point the tangency system does not
     depend on the bound.  A combination sum u_j g_j contributes the class
-    sum u_j(m) [g_j], in parent, the algebra at the base point.
+    sum u_j(m) [g_j], in parent, the algebra at the base point.  The
+    generator lists are cumulative, so one tangency_solve of the top
+    level's system reads every depth's combinations off its prefixes.
     """
     m = submanifold.base_point
+    order = filtration.order
+    every_depth = tangency_solve(
+        filtration.generators(order),
+        submanifold,
+        degree_bound,
+        [len(filtration.generators(depth)) for depth in range(1, order + 1)],
+    )
     spans: list[tuple[Vector, ...]] = []
-    for depth in range(1, filtration.order + 1):
-        gens = filtration.generators(depth)
-        combos = tangency_solve(gens, submanifold, degree_bound)
+    for depth, combos in enumerate(every_depth, start=1):
         vecs: list[Vector] = []
         for combo in combos:
             acc = [Fraction(0)] * parent.dim

@@ -1,4 +1,4 @@
-"""Seeded random generators shared by test modules.
+"""Seeded random generators and model problems shared by test modules.
 
 Kept outside the package on purpose: production code never needs random
 polynomials, and the acceptance suite must drive the same corpus as the
@@ -9,9 +9,9 @@ from fractions import Fraction
 import math
 import random
 
-from lieweights.exactalg import Poly
-from lieweights.lieflt import Filtration, monomials_up_to
-from lieweights.vfield import Chart, VectorField
+from lieweights.exactalg import Poly, RowEchelon
+from lieweights.lieflt import Filtration, monomials_up_to, transposed
+from lieweights.vfield import Chart, VectorField, format_vector_field, lie_bracket
 
 COEFFS = tuple(Fraction(n, d) for n in (-2, -1, 1, 2) for d in (1, 2))
 
@@ -20,6 +20,24 @@ CHARTS = {
     2: Chart(("x", "y")),
     3: Chart(("x", "y", "z")),
 }
+
+
+def module_solve(columns, target=None):
+    """Solve sum_k x_k columns[k] = target (None means 0) in one
+    elimination of the transposed system, or None when infeasible: the
+    reference the bounded-module oracles solve with."""
+    return RowEchelon(transposed([*columns, target or {}])).solve(len(columns))
+
+
+class CountingRowEchelon(RowEchelon):
+    """A RowEchelon that counts its constructions, to pin how many
+    eliminations a stage builds."""
+
+    built = 0
+
+    def __init__(self, rows=()):
+        type(self).built += 1
+        super().__init__(rows)
 
 
 def random_poly(rng: random.Random, nvars: int, degree: int, max_terms: int = 3) -> Poly:
@@ -123,3 +141,147 @@ def filiform_problem(n: int) -> dict:
         "filtration": {str(-d): ["dx1", *ys[:d]] for d in range(1, n)},
         "submanifold": {"tangent": [], "base_point": ["0"] * n},
     }
+
+
+def lyndon_words(letters: int, length: int) -> list[tuple[int, ...]]:
+    """Lyndon words over 0..letters-1 of length 1..length, by length, then
+    lexicographically (Duval's generation)."""
+    words = []
+    w = [-1]
+    while w:
+        w[-1] += 1
+        words.append(tuple(w))
+        m = len(w)
+        while len(w) < length:
+            w.append(w[len(w) - m])
+        while w and w[-1] == letters - 1:
+            w.pop()
+    return sorted(words, key=lambda w: (len(w), w))
+
+
+def _standard_factorization(w: tuple[int, ...], lyndon: set) -> tuple[tuple, tuple]:
+    """w = uv with v the longest proper suffix of w that is a Lyndon word."""
+    for i in range(1, len(w)):
+        if w[i:] in lyndon:
+            return w[:i], w[i:]
+    raise ValueError("a single letter has no standard factorization")
+
+
+# x/(1 - exp(-x)) = sum of B_k^+ x^k / k!, up to k = 6
+ADJOINT_SERIES = (
+    Fraction(1), Fraction(1, 2), Fraction(1, 12), Fraction(0), Fraction(-1, 720),
+    Fraction(0), Fraction(1, 30240),
+)
+
+
+def free_nilpotent_problem(letters: int, step: int) -> dict:
+    """The free nilpotent group of the given step on `letters` generators,
+    in exponential coordinates of the first kind, as a problem document.
+
+    Coordinates x_w run over the Lyndon words w of length <= step (the
+    Lyndon basis, each word bracketed by its standard factorization), and
+    X_i(x) = sum_k B_k^+ / k! ad_x^k (e_i), the left-invariant field of
+    e_i, a finite sum since ad_x^step vanishes (exact up to step 7).
+    Level -d lists X_1..X_m and the bracket fields of the Lyndon words of
+    length 2..d.  Every field is homogeneous for the weights |w|, and the
+    bracket field of w equals d/dx_w at the origin, so N = the origin has
+    weights |w| and the coordinates are already weighted.
+    """
+    if step > len(ADJOINT_SERIES):
+        raise ValueError(f"the adjoint series is kept up to step {len(ADJOINT_SERIES)}")
+    words = lyndon_words(letters, step)
+    index = {w: k for k, w in enumerate(words)}
+    lyndon = set(words)
+
+    # Lie polynomials as {word: coefficient} in the free associative
+    # algebra, truncated at length step
+    def bracket(a: dict, b: dict) -> dict:
+        out: dict = {}
+        for u, x in a.items():
+            for v, y in b.items():
+                if len(u) + len(v) <= step:
+                    for w, c in ((u + v, x * y), (v + u, -x * y)):
+                        out[w] = out.get(w, 0) + c
+        return {w: c for w, c in out.items() if c}
+
+    basis: dict = {}
+    for w in words:
+        if len(w) == 1:
+            basis[w] = {w: Fraction(1)}
+        else:
+            u, v = _standard_factorization(w, lyndon)
+            basis[w] = bracket(basis[u], basis[v])
+
+    def coordinates(element: dict) -> dict[int, Fraction]:
+        # the least word of a Lie polynomial is Lyndon and leads its basis
+        # element, the other words of which are larger
+        element, out = dict(element), {}
+        while element:
+            w = min(element)
+            c = element[w]
+            out[index[w]] = c
+            for u, x in basis[w].items():
+                element[u] = element.get(u, 0) - c * x
+                if not element[u]:
+                    del element[u]
+        return out
+
+    structure = {
+        (a, b): coordinates(bracket(basis[u], basis[v]))
+        for a, u in enumerate(words)
+        for b, v in enumerate(words)
+    }
+    n = len(words)
+    xs = [Poly.variable(n, k) for k in range(n)]
+
+    def ad_x(element: list[Poly]) -> list[Poly]:
+        out = [Poly.zero(n) for _ in range(n)]
+        for a in range(n):
+            for b, y in enumerate(element):
+                if y.is_zero():
+                    continue
+                for w, c in structure[a, b].items():
+                    out[w] = out[w] + xs[a] * y * c
+        return out
+
+    names = ["x" + "".join(str(letter + 1) for letter in w) for w in words]
+    chart = Chart(tuple(names))
+    fields = []
+    for i in range(letters):
+        term = [Poly.one(n) if k == i else Poly.zero(n) for k in range(n)]
+        total = list(term)
+        for coeff in ADJOINT_SERIES[1:step]:
+            term = ad_x(term)
+            total = [t + s * coeff for t, s in zip(total, term)]
+        fields.append(VectorField(chart, total))
+    for w in words[letters:]:
+        u, v = _standard_factorization(w, lyndon)
+        fields.append(lie_bracket(fields[index[u]], fields[index[v]]))
+    return {
+        "variables": names,
+        "order": step,
+        "filtration": {
+            str(-d): [format_vector_field(f) for f, w in zip(fields, words) if len(w) <= d]
+            for d in range(1, step + 1)
+        },
+        "submanifold": {"tangent": [], "base_point": ["0"] * n},
+    }
+
+
+def witt_dimension(letters: int, length: int) -> int:
+    """Dimension of the degree-length piece of the free Lie algebra on
+    `letters` generators: (1/k) sum over d | k of mu(d) letters^(k/d)."""
+
+    def mobius(d: int) -> int:
+        sign, p = 1, 2
+        while p * p <= d:
+            if d % p == 0:
+                d //= p
+                if d % p == 0:
+                    return 0
+                sign = -sign
+            p += 1
+        return -sign if d > 1 else sign
+
+    total = sum(mobius(d) * letters ** (length // d) for d in range(1, length + 1) if length % d == 0)
+    return total // length

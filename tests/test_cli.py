@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import filiform_problem
+from corpus import filiform_problem, free_nilpotent_problem, lyndon_words, witt_dimension
 from lieweights import cli, weightcoord
 from lieweights.cli import (
     EXIT_FAIL,
@@ -566,6 +566,28 @@ class TestChainedFiliform:
         # the largest bound under the cap, echoed in the report
         assert stage(report, "bracket-compat")["data"]["degree_bound"] == capped
         assert math.comb(n + capped, n) <= MAX_MONOMIALS < math.comb(n + capped + 1, n)
+
+
+class TestFreeNilpotent:
+    """Free nilpotent groups in exponential coordinates, on 5, 8 and 14
+    variables: the chart is already weighted, and the osculating algebra
+    at the origin is the free nilpotent Lie algebra itself."""
+
+    @pytest.mark.parametrize("letters, step", [(2, 3), (2, 4), (3, 3)])
+    def test_default_report_recovers_the_free_algebra(self, tmp_path, letters, step):
+        doc = free_nilpotent_problem(letters, step)
+        path = write_problem(tmp_path, doc)
+        code, report = run_report("report", path, tmp_path)
+        assert code == EXIT_PASS
+        words = lyndon_words(letters, step)
+        assert stage(report, "weights")["data"]["weights"] == [len(w) for w in words]
+        coords = stage(report, "coordinates")["data"]
+        assert coords["coordinates"] == coords["inverse"] == doc["variables"]
+        osc = stage(report, "osculating")["data"]
+        witt = [witt_dimension(letters, k) for k in range(1, step + 1)]
+        assert osc["graded_dims"] == witt
+        assert sum(witt) == len(words)
+        assert osc["unverified"] == []
 
 
 class TestFullToken:

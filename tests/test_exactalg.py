@@ -740,6 +740,30 @@ def test_integral_entries_match_dense_fraction_reference(system):
             assert inverse is None
 
 
+@settings(max_examples=200, deadline=None)
+@given(integral_systems())
+def test_nullspace_of_every_column_prefix_matches_the_reference(system):
+    # one elimination of the whole matrix reads the nullspace of each
+    # leading block of columns, as a reduction of that block alone would
+    rows, sparse, _, width = system
+    echelon = RowEchelon(
+        {c: x for c, x in enumerate(row) if x} if as_dict else row
+        for row, as_dict in zip(rows, sparse)
+    )
+    for ncols in range(width + 1):
+        reduced, pivots = gauss_jordan([row[:ncols] for row in rows], ncols)
+        expected = []
+        for c in (c for c in range(ncols) if c not in pivots):
+            vec = [Fraction(0)] * ncols
+            vec[c] = Fraction(1)
+            for row, p in zip(reduced, pivots):
+                vec[p] = -row[c]
+            expected.append(tuple(vec))
+        got = echelon.nullspace(ncols)
+        assert got == tuple(expected)
+        assert all(type(x) is Fraction for vec in got for x in vec)
+
+
 def test_integral_pivots_take_the_int_and_fraction_paths():
     # lead -1 negates the row, lead 2 divides through as a Fraction, and
     # integral Fractions go in as ints

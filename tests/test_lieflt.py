@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import CHART_TABC, pushed_forward_model
+from corpus import CHART_TABC, CountingRowEchelon, module_solve, pushed_forward_model
 from lieweights import lieflt
 from lieweights.cli import load_problem
 from lieweights.exactalg import (
@@ -19,6 +19,7 @@ from lieweights.exactalg import (
     RatFunc,
     RowEchelon,
     grlex_key,
+    held,
     linear_solve_exact,
     matrix_rank,
 )
@@ -27,15 +28,16 @@ from lieweights.lieflt import (
     INCONCLUSIVE,
     PASS,
     Filtration,
+    PackedKeys,
     Submanifold,
     check_bracket_compat,
     TriState,
     check_clean,
     field_entries,
+    fields_degree,
     module_columns,
     module_membership,
     module_membership_batch,
-    module_solve,
     monomials_up_to,
     sample_points,
     tangency_solve,
@@ -134,6 +136,98 @@ def test_module_solve_edge_cases():
     assert module_solve([{key: Fraction(2)}], {(1, (0, 0)): Fraction(1)}) is None
 
 
+# -- packed keys ----------------------------------------------------------------
+
+
+@st.composite
+def fields_and_bounds(draw):
+    """A field on 1-4 variables with coefficients of degree <= 3 and a
+    degree bound 0-4."""
+    n = draw(st.integers(1, 4))
+    chart = Chart(tuple("xyzw"[:n]))
+    coeff = st.dictionaries(st.sampled_from(monomials_up_to(n, 3)), NONZERO, max_size=3)
+    field = VectorField(chart, [Poly(n, draw(coeff)) for _ in range(n)])
+    return field, draw(st.integers(0, 4))
+
+
+def keys_for(field, bound):
+    return PackedKeys.for_degree(field.chart.dim, fields_degree([field]) + bound)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fields_and_bounds())
+def test_packed_keys_order_like_tuple_keys_and_round_trip(case):
+    field, bound = case
+    n = field.chart.dim
+    keys = keys_for(field, bound)
+    entries = {
+        (a, tuple(x + y for x, y in zip(mono, beta)))
+        for a, c in enumerate(field.coeffs)
+        for mono in c.terms
+        for beta in monomials_up_to(n, bound)
+    }
+    # a marker is the packing of (n + pos, 0): after every field key
+    markers = {(n + pos, (0,) * n) for pos in range(3)}
+    ordered = sorted(entries | markers)
+    packed = [keys.pack(a, mono) for a, mono in ordered]
+    assert all(k < k_next for k, k_next in zip(packed, packed[1:]))
+    assert [keys.unpack(k) for k in packed] == ordered
+    assert packed[-3:] == [keys.marker(pos) for pos in range(3)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(fields_and_bounds())
+def test_a_monomial_shift_adds_its_code(case):
+    field, bound = case
+    n = field.chart.dim
+    keys = keys_for(field, bound)
+    entries = field_entries(field, keys)
+    assert entries == {
+        keys.pack(a, mono): x for a, c in enumerate(field.coeffs) for mono, x in c.terms.items()
+    }
+    # held as RowEchelon holds them: integral values as ints
+    assert all(type(x) is int or x.denominator != 1 for x in entries.values())
+    monos = monomials_up_to(n, bound)
+    for beta, column in zip(monos, module_columns([field], monos, keys)):
+        shifted = field_entries(field.scale(Poly.term(n, beta, 1)), keys)
+        assert column == shifted == {k + keys.enc(beta): x for k, x in entries.items()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.integers(1, 5), st.lists(st.integers(0, 6), min_size=n, max_size=n)
+        )
+    )
+)
+def test_packing_raises_exactly_on_an_exponent_at_or_past_the_base(case):
+    n, base, mono = case
+    keys = PackedKeys(n, base)
+    if max(mono) >= base:
+        with pytest.raises(ValueError):
+            keys.enc(mono)
+        with pytest.raises(ValueError):
+            keys.pack(1, mono)
+    else:
+        assert keys.unpack(keys.pack(1, mono)) == (1, tuple(mono))
+
+
+def test_a_shift_that_would_carry_raises():
+    keys = PackedKeys(2, 3)
+    chart = Chart(("x", "y"))
+    g = VectorField(chart, [Poly.term(2, (2, 0), 1), Poly.zero(2)])
+    # (2, 0) + (0, 2) stays below the base, (2, 0) + (1, 0) would carry
+    # x^2*dx packs to 2*3 + 0, times y^2 to 2*3 + 2
+    assert module_columns([g], [(0, 0), (0, 2)], keys) == [{6: 1}, {8: 1}]
+    with pytest.raises(ValueError):
+        module_columns([g], monomials_up_to(2, 1), keys)
+    with pytest.raises(ValueError):
+        field_entries(VectorField(chart, [Poly.term(2, (0, 3), 1), Poly.zero(2)]), keys)
+    with pytest.raises(ValueError):
+        PackedKeys(2, 0)
+
+
 # -- membership ---------------------------------------------------------------
 
 
@@ -211,7 +305,10 @@ def per_field_membership(v, gens, degree_bound):
             raise ValueError("generators live on a different chart")
     n = chart.dim
     monos = monomials_up_to(n, degree_bound)
-    solution = module_solve(module_columns(gens, monos), field_entries(v))
+    keys = PackedKeys.for_degree(
+        n, max(fields_degree(gens) + degree_bound, fields_degree([v]))
+    )
+    solution = module_solve(module_columns(gens, monos, keys), field_entries(v, keys))
     if solution is not None:
         return TriState.passed(
             unpack_coefficients(solution.particular, len(gens), monos, n)
@@ -437,14 +534,6 @@ def test_shared_elimination_matches_per_level_oracle(case):
     assert inside == expected
 
 
-class CountingRowEchelon(RowEchelon):
-    built = 0
-
-    def __init__(self, rows=()):
-        type(self).built += 1
-        super().__init__(rows)
-
-
 def test_bracket_in_a_higher_level_only_fails_at_the_lower_target(monkeypatch):
     # [dx, dy + x*dz] = dz lies in H_{-3} but not in H_{-2}: the pair at
     # levels (1, 1) must fail, its twin at (1, 2) must pass, off one
@@ -647,10 +736,10 @@ def test_tangency_forces_vanishing_restriction():
     # tangency of u*(dx + y*dz) to {z=0} forces u*y = 0 on N, so u vanishes
     # on N; the unknowns are polynomials on N, so no combination is left
     sub = Submanifold(CHART, (0, 1), (0, 0, 0))
-    assert tangency_solve([vf("dx + y*dz")], sub, 2) == []
+    assert tangency_solve([vf("dx + y*dz")], sub, 2, [1]) == ([],)
     # with dz adjoined, u*(dx + y*dz) - u*y*dz is tangent for every u on N;
     # at bound 2 that leaves u in {1, x, y}
-    combos = tangency_solve([vf("dx + y*dz"), vf("dz")], sub, 2)
+    (combos,) = tangency_solve([vf("dx + y*dz"), vf("dz")], sub, 2, [2])
     assert len(combos) == 3
     y = Poly.variable(3, 1)
     for u, w in combos:
@@ -667,7 +756,7 @@ def test_tangency_at_a_point_ignores_the_bound():
     one, zero = Poly.one(3), Poly.zero(3)
     expected = [(one * -2, one, zero, zero), (zero, zero, zero, one)]
     for bound in (0, 2, 5):
-        assert tangency_solve(gens, point, bound) == expected
+        assert tangency_solve(gens, point, bound, [4]) == (expected,)
 
 
 def test_monomial_enumeration_is_graded():

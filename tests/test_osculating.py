@@ -9,7 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import CHART_TABC, CHARTS, COEFFS, pushed_forward_model, random_poly
+from corpus import (
+    CHART_TABC,
+    CHARTS,
+    COEFFS,
+    CountingRowEchelon,
+    module_solve,
+    pushed_forward_model,
+    random_poly,
+)
+from lieweights import lieflt, osculating
 from lieweights.cli import load_problem
 from lieweights.exactalg import (
     Poly,
@@ -21,12 +30,14 @@ from lieweights.exactalg import (
 )
 from lieweights.lieflt import (
     Filtration,
+    PackedKeys,
     Submanifold,
     check_clean,
     field_entries,
+    fields_degree,
     module_columns,
-    module_solve,
     monomials_up_to,
+    tangency_solve,
     unpack_coefficients,
 )
 from lieweights.vfield import (
@@ -43,6 +54,7 @@ from lieweights.weightcoord import (
     weighted_coordinates,
 )
 from lieweights.osculating import (
+    GradedLieAlg,
     GradedSubalg,
     bch,
     class_in_tangent_part,
@@ -485,16 +497,20 @@ def _recentred_membership_solve(leading, lower, ideal_gens, point, degree_bound,
     multiples of the lower fields and ideal columns (x^beta - m^beta) * g."""
     n = len(point)
     monos = monomials_up_to(n, degree_bound)
-    cols = [field_entries(g) for g in leading]
-    cols.extend(module_columns(lower, monos))
+    packed = fields_degree([*leading, *lower, *ideal_gens]) + degree_bound
+    if target is not None:
+        packed = max(packed, fields_degree([target]))
+    keys = PackedKeys.for_degree(n, packed)
+    cols = [field_entries(g, keys) for g in leading]
+    cols.extend(module_columns(lower, monos, keys))
     for g in ideal_gens:
         for beta in monos:
             if sum(beta) == 0:
                 continue
             m_beta = math.prod((p**e for p, e in zip(point, beta)), start=Fraction(1))
             factor = Poly.term(n, beta, 1) - Poly.const(n, m_beta)
-            cols.append(field_entries(g.scale(factor)))
-    solution = module_solve(cols, field_entries(target) if target is not None else None)
+            cols.append(field_entries(g.scale(factor), keys))
+    solution = module_solve(cols, field_entries(target, keys) if target is not None else None)
     if solution is None:
         return None
     k = len(leading)
@@ -505,20 +521,29 @@ def _recentred_membership_solve(leading, lower, ideal_gens, point, degree_bound,
     return tuple(solution.particular[:k])
 
 
+def _tangency_columns(gens, submanifold, monos, degree_bound):
+    """The columns x^beta * g_j for beta in monos, cut to the fiber
+    components' entries on N."""
+    n = submanifold.chart.dim
+    fiber = submanifold.fiber_indices
+    keys = PackedKeys.for_degree(n, fields_degree(gens) + degree_bound)
+
+    def on_fiber_of_n(key):
+        a, mono = keys.unpack(key)
+        return a in fiber and not any(mono[f] for f in fiber)
+
+    return [
+        {key: value for key, value in col.items() if on_fiber_of_n(key)}
+        for col in module_columns(gens, monos, keys)
+    ]
+
+
 def _all_variable_tangency(gens, submanifold, degree_bound):
     """Oracle: tangent combinations with unknowns on monomials in every
     variable, not only in N's."""
     n = submanifold.chart.dim
-    fiber = submanifold.fiber_indices
     monos = monomials_up_to(n, degree_bound)
-    cols = [
-        {
-            (a, mono): value
-            for (a, mono), value in col.items()
-            if a in fiber and not any(mono[f] for f in fiber)
-        }
-        for col in module_columns(gens, monos)
-    ]
+    cols = _tangency_columns(gens, submanifold, monos, degree_bound)
     return [
         unpack_coefficients(vec, len(gens), monos, n)
         for vec in module_solve(cols).nullspace
@@ -611,3 +636,145 @@ def test_centred_chart_matches_recentred_columns(case):
                     acc[w] += u.eval(m) * c
             vecs.append(acc)
         assert tangent.spans[depth - 1] == RowEchelon(vecs).reduced_rows(alg.dim)
+
+
+# -- one span across depths against one span per depth -------------------------
+
+
+def per_depth_osculating_at(filtration, point, degree_bound):
+    """Oracle: the osculating algebra with a span of its own per depth, each
+    holding the lower fields and the level's fields times the nonconstant
+    monomials, as computed before one span served every depth."""
+    n = filtration.chart.dim
+    order = filtration.order
+    shift = [Poly.variable(n, i) + Poly.const(n, v) for i, v in enumerate(point)]
+    centred = [
+        VectorField(g.chart, [c.subst(shift) for c in g.coeffs])
+        for g in filtration.generators(order)
+    ]
+    levels = [centred[: len(filtration.generators(d))] for d in range(1, order + 1)]
+    top = fields_degree(centred)
+    keys = PackedKeys.for_degree(n, max(top + degree_bound, 2 * top - 1))
+    ideal_monos = monomials_up_to(n, degree_bound)[1:]
+
+    def class_of(rest):
+        if any(key < keys.marker(0) for key in rest):
+            return None
+        return {keys.unpack(key)[0] - n: -x for key, x in rest.items()}
+
+    spans, level_basis, level_classes = [], [], []
+    for depth in range(1, order + 1):
+        cands = levels[depth - 1]
+        lower = levels[depth - 2] if depth > 1 else ()
+        span = RowEchelon(field_entries(g, keys) for g in lower)
+        for col in module_columns(cands, ideal_monos, keys):
+            span.add(col)
+        basis, classes = [], []
+        for j, g in enumerate(cands):
+            rest = span.reduce(field_entries(g, keys))
+            cls = class_of(rest)
+            if cls is None:
+                cls = {len(basis): Fraction(1)}
+                span.add({**rest, keys.marker(len(basis)): Fraction(1)})
+                basis.append(j)
+            classes.append(cls)
+        spans.append(span)
+        level_basis.append(basis)
+        level_classes.append(classes)
+
+    offsets, degrees, reps, centred_reps = [], [], [], []
+    for depth in range(1, order + 1):
+        offsets.append(len(degrees))
+        for j in level_basis[depth - 1]:
+            degrees.append(-depth)
+            reps.append(filtration.generators(depth)[j])
+            centred_reps.append(levels[depth - 1][j])
+    total = len(degrees)
+
+    def embed(cls, offset):
+        vec = [Fraction(0)] * total
+        for pos, c in cls.items():
+            vec[offset + pos] = c
+        return tuple(vec)
+
+    structure, unverified = [], []
+    for u in range(total):
+        for v in range(u + 1, total):
+            q = -(degrees[u] + degrees[v])
+            if q > order:
+                continue
+            target = lie_bracket(centred_reps[u], centred_reps[v])
+            cls = class_of(spans[q - 1].reduce(field_entries(target, keys)))
+            if cls is None:
+                unverified.append((u, v))
+            elif cls:
+                structure.append((u, v, embed(cls, offsets[q - 1])))
+    return GradedLieAlg(
+        order=order,
+        degrees=tuple(degrees),
+        representatives=tuple(reps),
+        structure=tuple(structure),
+        unverified=tuple(unverified),
+        candidate_classes=tuple(
+            tuple(embed(cls, offsets[d]) for cls in level_classes[d]) for d in range(order)
+        ),
+    )
+
+
+@given(filtrations_at_points())
+@settings(max_examples=100, deadline=None)
+def test_one_span_matches_a_span_per_depth(case):
+    filt, sub, bound = case
+    alg = osculating_at(filt, sub.base_point, bound)
+    expected = per_depth_osculating_at(filt, sub.base_point, bound)
+    assert alg.degrees == expected.degrees
+    assert alg.representatives == expected.representatives
+    assert alg.structure == expected.structure
+    assert alg.unverified == expected.unverified
+    assert alg.candidate_classes == expected.candidate_classes
+
+
+@pytest.mark.parametrize(
+    "filt, point",
+    [(heisenberg(), (0, 0, 0)), (step4_flag(), (1, 0, 0)), (step3_flag(), (0, 2, 0))],
+)
+def test_the_oracle_agrees_on_the_frozen_examples(filt, point):
+    for bound in range(4):
+        assert osculating_at(filt, point, bound) == per_depth_osculating_at(filt, point, bound)
+
+
+def test_osculating_builds_one_span_and_tangency_one_system(monkeypatch):
+    # four depths on step4_flag: one span in place of one per depth, and
+    # one tangency elimination in place of one per depth
+    monkeypatch.setattr(osculating, "RowEchelon", CountingRowEchelon)
+    CountingRowEchelon.built = 0
+    alg = osculating_at(step4_flag(), (0, 0, 0), 2)
+    assert CountingRowEchelon.built == 1
+    assert alg.graded_dims() == (1, 1, 1, 1)
+    monkeypatch.undo()
+    monkeypatch.setattr(lieflt, "RowEchelon", CountingRowEchelon)
+    CountingRowEchelon.built = 0
+    tangent_subalg(step4_flag(), Submanifold(CHART3, (0,), (0, 0, 0)), 2, parent=alg)
+    assert CountingRowEchelon.built == 1
+
+
+@given(filtrations_at_points())
+@settings(max_examples=50, deadline=None)
+def test_one_tangency_solve_matches_one_per_depth(case):
+    filt, sub, bound = case
+    order = filt.order
+    prefixes = [len(filt.generators(depth)) for depth in range(1, order + 1)]
+    batched = tangency_solve(filt.generators(order), sub, bound, prefixes)
+    for depth, k in enumerate(prefixes, start=1):
+        gens = filt.generators(depth)
+        assert batched[depth - 1] == tangency_solve(gens, sub, bound, [k])[0]
+        # the per-depth system as it was assembled before: every column
+        # of the generators, cut to the fiber entries on N
+        n = filt.chart.dim
+        monos = [
+            m for m in monomials_up_to(n, bound) if not any(m[f] for f in sub.fiber_indices)
+        ]
+        cols = _tangency_columns(gens, sub, monos, bound)
+        assert batched[depth - 1] == [
+            unpack_coefficients(vec, k, monos, n) for vec in module_solve(cols).nullspace
+        ]

@@ -178,7 +178,6 @@ NONE_DEFAULTS = {
     "cli.main.argv": "None means sys.argv",
     "exactalg.Poly.__init__.terms": "the zero polynomial",
     "exactalg.RatFunc.__init__.den": "a polynomial",
-    "lieflt.module_solve.target": "the homogeneous system",
 }
 
 
