@@ -14,11 +14,10 @@ Representation notes:
     ``Fraction``, by construction.
   * The fixed monomial order is graded lexicographic: total degree first,
     then the exponent tuple compared left to right.
-  * A rational function is normalized so its denominator has integer
-    content 1 and positive leading coefficient.  The numerator/denominator
-    gcd is cancelled only while both total degrees are at most
-    ``GCD_DEGREE_CAP``; larger pairs stay unreduced (values unaffected,
-    only size).
+  * A rational function is kept in lowest terms at every degree: the
+    numerator/denominator gcd is cancelled, and the denominator has
+    integer content 1 and positive leading coefficient.  That form is
+    unique, so equality and hashing compare it directly.
   * All exact linear algebra goes through one kernel, ``RowEchelon``:
     sparse rows, pivot on the first column holding a nonzero entry.  Its
     outputs are fixed because the reduced row echelon form of a matrix is
@@ -40,8 +39,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 Monomial = tuple[int, ...]
 ScalarLike = Union[Fraction, int]
-
-GCD_DEGREE_CAP = 8
+Scalar = Union["Poly", "RatFunc"]
 
 
 def record(cls):
@@ -374,7 +372,7 @@ class Poly:
                 out[mono[:index] + (e - 1,) + mono[index + 1 :]] = c * e
         return Poly._canonical(self.nvars, out)
 
-    def subst(self, images: Sequence["Poly | RatFunc"]):
+    def subst(self, images: Sequence[Scalar]):
         """Substitute one expression per variable.
 
         Returns a Poly when every image is a Poly, otherwise a RatFunc.
@@ -384,30 +382,20 @@ class Poly:
         if len(images) != self.nvars:
             raise ValueError("substitution needs one image per variable")
         if not images:
-            if self.nvars == 0:
-                raise ValueError("cannot infer target dimension for 0-variable substitution")
-        target = images[0].nvars if images else 0
+            raise ValueError("cannot infer target dimension for 0-variable substitution")
+        target = images[0].nvars
         for img in images:
             if img.nvars != target:
                 raise ValueError("substitution images live in different variable counts")
-        all_poly = all(isinstance(img, Poly) for img in images)
-        if all_poly:
-            acc_p = Poly.zero(target)
-            for mono, c in self.sorted_terms():
-                term = Poly.const(target, c)
-                for i, e in enumerate(mono):
-                    if e:
-                        term = term * images[i] ** e
-                acc_p = acc_p + term
-            return acc_p
-        acc = RatFunc(Poly.zero(target))
-        for mono, c in self.sorted_terms():
-            term = RatFunc(Poly.const(target, c))
+        acc = Poly.zero(target)
+        if not all(isinstance(img, Poly) for img in images):
+            acc = RatFunc(acc)
+        # every value is canonical, so the order of the terms does not matter
+        for mono, c in self.terms.items():
+            term = c
             for i, e in enumerate(mono):
                 if e:
-                    img = images[i]
-                    rf = img if isinstance(img, RatFunc) else RatFunc(img)
-                    term = term * rf ** e
+                    term = term * images[i] ** e
             acc = acc + term
         return acc
 
@@ -604,11 +592,12 @@ def _unit_poly(nvars: int) -> Poly:
 
 
 class RatFunc:
-    """Quotient of two polynomials in normalized form.
+    """Quotient of two polynomials in lowest terms.
 
-    The denominator always has integer content 1 and positive leading
-    coefficient; the zero function is stored as 0/1.  Equality is semantic
-    (cross multiplication), so deferred gcd reduction never changes it.
+    The numerator and denominator are coprime at every degree, and the
+    denominator has integer content 1 and positive leading coefficient;
+    the zero function is stored as 0/1.  That form is unique, so equality
+    and hashing compare (num, den) as stored.
     """
 
     __slots__ = ("num", "den")
@@ -623,16 +612,9 @@ class RatFunc:
         if num.is_zero():
             den = _unit_poly(num.nvars)
         elif not den.is_one():
-            if (
-                num.total_degree() <= GCD_DEGREE_CAP
-                and den.total_degree() <= GCD_DEGREE_CAP
-            ):
-                g = poly_gcd(num, den)
-                if not g.is_one():
-                    num_q = divide_exact(num, g)
-                    den_q = divide_exact(den, g)
-                    assert num_q is not None and den_q is not None
-                    num, den = num_q, den_q
+            g = poly_gcd(num, den)
+            num, den = divide_exact(num, g), divide_exact(den, g)
+            assert num is not None and den is not None, "the gcd divides both"
             c = den.content()
             if den.leading_coefficient() < 0:
                 c = -c
@@ -677,8 +659,8 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.den.is_one() and o.den.is_one():
-            return RatFunc(self.num + o.num)
+        if self.den == o.den:
+            return RatFunc(self.num + o.num, self.den)
         return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
@@ -735,18 +717,13 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.num * o.den == o.num * self.den
+        return self.num == o.num and self.den == o.den
 
     def __hash__(self):
-        # == cross-multiplies and past GCD_DEGREE_CAP the stored form is not
-        # reduced, so hash the lowest terms, which are unique and normalized
-        num, den = self.num, self.den
-        if not den.is_one():
-            g = poly_gcd(num, den)
-            num, den = divide_exact(num, g), divide_exact(den, g)
-        if den.is_one():
-            return hash(num)
-        return hash((num, den))
+        # a polynomial hashes like its Poly, as it compares equal to it
+        if self.den.is_one():
+            return hash(self.num)
+        return hash((self.num, self.den))
 
     def __bool__(self):
         return not self.num.is_zero()
@@ -760,7 +737,7 @@ class RatFunc:
             self.den * self.den,
         )
 
-    def subst(self, images: Sequence["Poly | RatFunc"]) -> "RatFunc":
+    def subst(self, images: Sequence[Scalar]) -> "RatFunc":
         num = self.num.subst(images)
         den = self.den.subst(images)
         num_rf = num if isinstance(num, RatFunc) else RatFunc(num)

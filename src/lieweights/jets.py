@@ -39,12 +39,10 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .exactalg import Poly, RatFunc, record
+from .exactalg import Poly, RatFunc, Scalar, record
 from .lieflt import Filtration, Submanifold
 from .vfield import Chart, VectorField
 from .weightcoord import WeightedChart, vf_filtration_degree
-
-Scalar = Poly | RatFunc
 
 
 @record

@@ -24,13 +24,11 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
-from .exactalg import Poly, RatFunc, divide_exact, record
+from .exactalg import Poly, RatFunc, Scalar, divide_exact, record
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-
-Scalar = Union[Poly, RatFunc]
 
 
 @record

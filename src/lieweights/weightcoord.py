@@ -29,6 +29,7 @@ from typing import Sequence
 from .exactalg import (
     Poly,
     RatFunc,
+    Scalar,
     matrix_inverse,
     matrix_rank,
     record,
@@ -37,8 +38,6 @@ from .exactalg import (
 )
 from .lieflt import CleanResult, Submanifold, weight_sequence
 from .vfield import Chart, VectorField
-
-Scalar = Poly | RatFunc
 
 INFINITE = math.inf
 

@@ -9,31 +9,47 @@ bench/problems/*.json under four flag sets (312 runs), in-process through
 lieweights.cli.main, with the lieweights package of this checkout.  For
 each run it writes OUTDIR/<command>__<dir>_<problem>__<flags> with the
 suffixes .stdout, .stderr, .json (the --json report bytes, when one was
-written) and .exit (the exit code, or the exception a run raised).  Two
-checkouts give the same behaviour when `diff -r` finds no difference
+written) and .exit (the exit code, or the exception a run raised).
+
+Only singular_chart.json among the shipped problems has a rational
+weighted chart, so it also writes 24 problems from
+tests/corpus.py:pushed_forward_model (rng seed 20261, the first 12 models,
+N = {a = b = c = 0} at t = 1 and at t = 2, fields printed with
+format_vector_field) to OUTDIR/pushed_forward/, and runs coords and report
+on each at default flags (48 more runs).  Most of their charts have the
+denominator t or 1 + t, so the printed coordinates include rational
+functions.
+
+Two checkouts give the same behaviour when `diff -r` finds no difference
 between their output directories:
 
     python3 tests/snapshot_runs.py /tmp/before   # in the old checkout
     python3 tests/snapshot_runs.py /tmp/after    # in the new one
     diff -r /tmp/before /tmp/after
 
-Problem paths are passed relative to the checkout's root, so messages
-that name a file read the same in both.  The file name does not start
-with test_, so pytest does not collect it.
+Problem paths are passed relative to the checkout's root (the generated
+ones relative to OUTDIR), so messages that name a file read the same in
+both.  The file name does not start with test_, so pytest does not
+collect it.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
 import os
+import random
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
+from corpus import pushed_forward_model  # noqa: E402
 from lieweights.cli import COMMAND_STAGES, main  # noqa: E402
+from lieweights.vfield import format_vector_field  # noqa: E402
 
 PROBLEM_DIRS = ("problems", "bench/problems")
 FLAG_SETS = {
@@ -42,6 +58,10 @@ FLAG_SETS = {
     "samples200-seed7": ["--samples", "200", "--seed", "7"],
     "bound1": ["--degree-bound", "1"],
 }
+PUSHED_FORWARD_SEED = 20261
+PUSHED_FORWARD_MODELS = 12
+PUSHED_FORWARD_BASES = (1, 2)
+PUSHED_FORWARD_COMMANDS = ("coords", "report")
 
 
 def problem_files() -> list[str]:
@@ -52,25 +72,60 @@ def problem_files() -> list[str]:
     ]
 
 
+def pushed_forward_files(outdir: Path) -> list[str]:
+    """Write the pushed-forward problems under outdir; their paths relative
+    to outdir."""
+    rng = random.Random(PUSHED_FORWARD_SEED)
+    models = [pushed_forward_model(rng) for _ in range(PUSHED_FORWARD_MODELS)]
+    (outdir / "pushed_forward").mkdir(exist_ok=True)
+    paths = []
+    for k, filt in enumerate(models):
+        for t in PUSHED_FORWARD_BASES:
+            doc = {
+                "variables": list(filt.chart.names),
+                "order": filt.order,
+                "filtration": {
+                    str(-d): [format_vector_field(f) for f in level]
+                    for d, level in enumerate(filt.levels, start=1)
+                },
+                "submanifold": {"tangent": ["t"], "base_point": [str(t), "0", "0", "0"]},
+            }
+            path = f"pushed_forward/model{k:02d}_t{t}.json"
+            (outdir / path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+            paths.append(path)
+    return paths
+
+
+def run(command: str, problem: str, flags: list[str], base: Path) -> None:
+    json_path = base.with_suffix(".json")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = str(main([command, problem, "--json", str(json_path), *flags]))
+        except Exception as exc:  # recorded, so a crash is a difference too
+            code = f"raised {type(exc).__name__}: {exc}"
+    base.with_suffix(".stdout").write_text(out.getvalue(), encoding="utf-8")
+    base.with_suffix(".stderr").write_text(err.getvalue(), encoding="utf-8")
+    base.with_suffix(".exit").write_text(code + "\n", encoding="utf-8")
+
+
 def snapshot(outdir: Path) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     runs = 0
+    os.chdir(ROOT)
     for command in sorted(COMMAND_STAGES):
         for problem in problem_files():
             for label, flags in FLAG_SETS.items():
                 stem = Path(problem).with_suffix("").as_posix().replace("/", "_")
-                base = outdir / f"{command}__{stem}__{label}"
-                json_path = base.with_suffix(".json")
-                out, err = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    try:
-                        code = str(main([command, problem, "--json", str(json_path), *flags]))
-                    except Exception as exc:  # recorded, so a crash is a difference too
-                        code = f"raised {type(exc).__name__}: {exc}"
-                base.with_suffix(".stdout").write_text(out.getvalue(), encoding="utf-8")
-                base.with_suffix(".stderr").write_text(err.getvalue(), encoding="utf-8")
-                base.with_suffix(".exit").write_text(code + "\n", encoding="utf-8")
+                run(command, problem, flags, outdir / f"{command}__{stem}__{label}")
                 runs += 1
+    os.chdir(outdir)
+    generated = pushed_forward_files(outdir)
+    for command in PUSHED_FORWARD_COMMANDS:
+        for problem in generated:
+            stem = Path(problem).with_suffix("").as_posix().replace("/", "_")
+            run(command, problem, [], outdir / f"{command}__{stem}__default")
+            runs += 1
     return runs
 
 
@@ -78,5 +133,4 @@ if __name__ == "__main__":
     if len(sys.argv) != 2:
         sys.exit(__doc__)
     target = Path(sys.argv[1]).resolve()
-    os.chdir(ROOT)
     print(f"{snapshot(target)} runs written to {target}")

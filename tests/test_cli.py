@@ -58,6 +58,32 @@ def write_problem(tmp_path, doc):
     return str(path)
 
 
+UVW_DOC = {
+    "variables": ["u", "v", "w"],
+    "order": 5,
+    "filtration": {
+        "-1": ["du + 5*u^4*dw"],
+        "-2": ["du + 5*u^4*dw"],
+        "-3": ["du + 5*u^4*dw", "dv"],
+        "-4": ["du + 5*u^4*dw", "dv"],
+        "-5": "full",
+    },
+    "submanifold": {"tangent": [], "base_point": ["0", "0", "0"]},
+}
+
+
+def assert_no_osculating_over_claim(path, tmp_path, small, large):
+    """The osculating stage at bound `small` does not pass with graded dims
+    other than the ones it passes with at bound `large`."""
+    _, report = run_report("osculate", path, tmp_path, "--degree-bound", str(large))
+    settled = stage(report, "osculating")
+    assert settled["verdict"] == "pass"
+    _, report = run_report("osculate", path, tmp_path, "--degree-bound", str(small))
+    osc = stage(report, "osculating")
+    if osc["verdict"] == "pass":
+        assert osc["data"]["graded_dims"] == settled["data"]["graded_dims"]
+
+
 def reciprocal_sum(count):
     """1/(x+y+z+u+v+1)*dx + 1/(x+2*y+z+u+v+1)*dx + ..., count terms."""
     return " + ".join(f"1/(x+{k}*y+z+u+v+1)*dx" for k in range(1, count + 1))
@@ -240,6 +266,19 @@ class TestReport:
         code, report = run_report("osculate", path, tmp_path, "--degree-bound", "1")
         assert code == EXIT_PASS
         assert stage(report, "osculating")["verdict"] == "pass"
+
+    # Known over-claims: at these small bounds the osculating stage passes
+    # with graded dims that a large bound does not confirm
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    def test_example2_at_bound_0_does_not_pass_with_other_dims(self, tmp_path):
+        assert_no_osculating_over_claim(EXAMPLE2, tmp_path, small=0, large=5)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    @pytest.mark.parametrize("bound", [2, 3])
+    def test_uvw_at_a_small_bound_does_not_pass_with_other_dims(self, tmp_path, bound):
+        # levels -1, -2: du + 5*u^4*dw; -3, -4 add dv; -5 is full
+        path = write_problem(tmp_path, UVW_DOC)
+        assert_no_osculating_over_claim(path, tmp_path, small=bound, large=8)
 
     def test_corrections_expose_factorial_constants(self, tmp_path):
         _, report = run_report("coords", EXAMPLE2, tmp_path)

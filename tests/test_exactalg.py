@@ -14,7 +14,6 @@ from lieweights.exactalg import (
     Poly,
     RatFunc,
     RowEchelon,
-    GCD_DEGREE_CAP,
     _coeffs_in,
     _normalize_primitive,
     divide_exact,
@@ -26,7 +25,13 @@ from lieweights.exactalg import (
     weight_of,
     weighted_multiindices,
 )
-from lieweights.vfield import Chart, parse_polynomial, parse_vector_field
+from lieweights.vfield import (
+    Chart,
+    VectorField,
+    parse_polynomial,
+    parse_vector_field,
+    restrict_zero,
+)
 
 X = Poly.variable(3, 0)
 Y = Poly.variable(3, 1)
@@ -360,27 +365,62 @@ def test_ratfunc_zero_denominator_rejected():
         RatFunc(X, Poly.zero(3))
 
 
-def test_ratfunc_hash_agrees_with_eq_past_the_gcd_cap():
-    # x^9 pushes both degrees past the cap, so the stored forms stay unreduced
+def test_ratfunc_is_in_lowest_terms_at_high_degree():
+    # both degrees are 9 or more: the gcd is cancelled at every degree
     x, y = Poly.variable(2, 0), Poly.variable(2, 1)
     one = Poly.one(2)
-    assert 9 > GCD_DEGREE_CAP
     plain = RatFunc(y, y + one)
     padded = RatFunc(x**9 * y, x**9 * (y + one))
-    assert padded.den != plain.den
+    assert (padded.num, padded.den) == (plain.num, plain.den)
     assert plain == padded
     assert hash(plain) == hash(padded)
     assert len({plain, padded}) == 1
     quotient = RatFunc(x**9 * y, x**9)
-    assert not quotient.is_polynomial()
+    assert quotient.is_polynomial()
+    assert quotient.num == y
     assert quotient == y
     assert hash(quotient) == hash(y)
+    # a polynomial in lowest terms restricts, evaluates and is a coefficient
+    # where x vanishes
+    assert restrict_zero(quotient, [0]) == y
+    assert quotient.eval([0, 3]) == 3
+    field = VectorField(Chart(("x", "y")), [quotient, 1])
+    assert field.coeffs == (y, one)
+
+
+@st.composite
+def high_degree_factors(draw):
+    """A polynomial in three variables whose leading monomial has total
+    degree 9 or 10 in one or two of them, plus lower terms."""
+    used = draw(st.lists(st.integers(0, 2), min_size=1, max_size=2, unique=True))
+    degree = draw(st.integers(9, 10))
+    first = draw(st.integers(1, degree)) if len(used) == 2 else degree
+    exps = [0, 0, 0]
+    exps[used[0]] = first
+    if len(used) == 2:
+        exps[used[1]] = degree - first
+    lower = draw(polys(max_terms=2, max_exp=1))
+    return Poly.term(3, tuple(exps), draw(st.sampled_from([1, -2, Fraction(1, 3)]))) + lower
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    polys(max_terms=3, max_exp=2),
+    polys(max_terms=3, max_exp=2).filter(bool),
+    high_degree_factors(),
+)
+def test_a_common_factor_of_high_degree_cancels(num, den, common):
+    reduced = RatFunc(num, den)
+    padded = RatFunc(num * common, den * common)
+    assert (padded.num, padded.den) == (reduced.num, reduced.den)
+    assert hash(padded) == hash(reduced)
+    assert padded.is_polynomial() == (divide_exact(num, den) is not None)
 
 
 @settings(max_examples=30, deadline=None)
 @given(polys(max_terms=3, max_exp=2), polys(max_terms=2, max_exp=2).filter(bool))
 def test_equal_ratfuncs_hash_alike(num, den):
-    pad = Poly.variable(3, 0) ** (GCD_DEGREE_CAP + 1) + Poly.one(3)
+    pad = Poly.variable(3, 0) ** 9 + Poly.one(3)
     assert hash(RatFunc(num, den)) == hash(RatFunc(num * pad, den * pad))
 
 
