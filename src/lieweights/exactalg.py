@@ -8,10 +8,13 @@ Representation notes:
     coefficients stored; two polynomials are equal iff the mappings are
     equal.  The public ``Poly(nvars, terms)`` checks and canonicalizes its
     input.  ``Poly``'s own arithmetic (``+``, unary ``-``, scalar and
-    polynomial ``*``, ``diff``) builds its results through the private
-    ``Poly._canonical``, which skips the checks: every key there is already
-    a tuple of ``nvars`` non-negative ints and every value a nonzero
-    ``Fraction``, by construction.
+    polynomial ``*``, ``diff``, ``translate``) builds its results through
+    the private ``Poly._canonical``, which skips the checks: every key there
+    is already a tuple of ``nvars`` non-negative ints and every value a
+    nonzero ``Fraction``, by construction.
+  * Every derivation goes through one kernel, ``derive_into``: it adds
+    factor * sum_a c_a * df/dx_a term by term into one dict, and
+    ``Poly.from_sum`` drops the zeros of that dict once and wraps it.
   * The fixed monomial order is graded lexicographic: total degree first,
     then the exponent tuple compared left to right.
   * A rational function is kept in lowest terms at every degree: the
@@ -33,8 +36,8 @@ Representation notes:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
-from operator import attrgetter
+from math import comb, gcd, lcm
+from operator import add, attrgetter
 from typing import Iterable, Mapping, Sequence, Union
 
 Monomial = tuple[int, ...]
@@ -195,6 +198,13 @@ class Poly:
         object.__setattr__(p, "nvars", nvars)
         object.__setattr__(p, "terms", terms)
         return p
+
+    @classmethod
+    def from_sum(cls, nvars: int, sums: dict[Monomial, Fraction]) -> "Poly":
+        """The polynomial of a dict that derive_into (or translate) summed
+        into, the zero values dropped once.  Its keys are monomials of
+        Polys in nvars variables, so nothing else is checked."""
+        return cls._canonical(nvars, {m: c for m, c in sums.items() if c})
 
     # -- constructors ------------------------------------------------------
 
@@ -372,12 +382,45 @@ class Poly:
                 out[mono[:index] + (e - 1,) + mono[index + 1 :]] = c * e
         return Poly._canonical(self.nvars, out)
 
+    def translate(self, point: Sequence[ScalarLike]) -> "Poly":
+        """self(x + point), the same as subst([x_i + p_i]): each monomial
+        is expanded binomially in the coordinates with p_i != 0, and the
+        others are left as they are, so at the origin the terms do not
+        change."""
+        if len(point) != self.nvars:
+            raise ValueError("translation point has wrong dimension")
+        shifts = [(i, _as_fraction(p)) for i, p in enumerate(point) if p]
+        if not shifts:
+            return self
+        # (x + p)^e = sum_k C(e, k) p^(e - k) x^k, one list per (i, e)
+        expansions: dict[tuple[int, int], list[Fraction]] = {}
+        out: dict[Monomial, Fraction] = {}
+        for mono, c in self.terms.items():
+            partial = [(mono, c)]
+            for i, p in shifts:
+                e = mono[i]
+                if not e:
+                    continue
+                scales = expansions.get((i, e))
+                if scales is None:
+                    scales = expansions[(i, e)] = [comb(e, k) * p ** (e - k) for k in range(e + 1)]
+                partial = [
+                    (m[:i] + (k,) + m[i + 1 :], q * scale)
+                    for m, q in partial
+                    for k, scale in enumerate(scales)
+                ]
+            for m, q in partial:
+                s = out.get(m)
+                out[m] = q if s is None else s + q
+        return Poly.from_sum(self.nvars, out)
+
     def subst(self, images: Sequence[Scalar]):
         """Substitute one expression per variable.
 
         Returns a Poly when every image is a Poly, otherwise a RatFunc.
         All images must share a common variable count, which becomes the
-        variable count of the result.
+        variable count of the result.  Each image is raised to each power
+        once per call.
         """
         if len(images) != self.nvars:
             raise ValueError("substitution needs one image per variable")
@@ -390,12 +433,16 @@ class Poly:
         acc = Poly.zero(target)
         if not all(isinstance(img, Poly) for img in images):
             acc = RatFunc(acc)
+        powers: dict[tuple[int, int], Scalar] = {}
         # every value is canonical, so the order of the terms does not matter
         for mono, c in self.terms.items():
             term = c
             for i, e in enumerate(mono):
                 if e:
-                    term = term * images[i] ** e
+                    power = powers.get((i, e))
+                    if power is None:
+                        power = powers[(i, e)] = images[i] ** e
+                    term = term * power
             acc = acc + term
         return acc
 
@@ -442,6 +489,37 @@ class Poly:
                     factors.append(f"v{i}" + (f"^{e}" if e > 1 else ""))
             bits.append("*".join(factors))
         return "Poly(" + " + ".join(bits) + ")"
+
+
+def derive_into(
+    out: dict[Monomial, Fraction],
+    coeffs: Sequence[Poly],
+    terms: Mapping[Monomial, Fraction],
+    factor: ScalarLike,
+) -> None:
+    """Add factor * sum_a coeffs[a] * df/dx_a into out, f the polynomial
+    with these terms: the derivation with these coefficients applied to f,
+    term by term, with no Poly built in between.
+
+    Every derivation of the engine goes through here: X(f), each component
+    X(Y^a) - Y(X^a) of a bracket as two calls with factors +1 and -1, and
+    each eps-power of a jet series.  out may hold zeros afterwards;
+    Poly.from_sum drops them once, after the last call.
+    """
+    for a, coeff in enumerate(coeffs):
+        cterms = coeff.terms
+        if not cterms:
+            continue
+        for mono, c in terms.items():
+            e = mono[a]
+            if not e:
+                continue
+            lowered = mono[:a] + (e - 1,) + mono[a + 1 :]
+            scale = c * (e * factor)
+            for m, k in cterms.items():
+                key = tuple(map(add, lowered, m))
+                s = out.get(key)
+                out[key] = k * scale if s is None else s + k * scale
 
 
 def divide_exact(f: Poly, g: Poly) -> Poly | None:

@@ -39,7 +39,7 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .exactalg import Poly, RatFunc, Scalar, record
+from .exactalg import Poly, RatFunc, Scalar, derive_into, record
 from .lieflt import Filtration, Submanifold
 from .vfield import Chart, VectorField
 from .weightcoord import WeightedChart, vf_filtration_degree
@@ -347,22 +347,24 @@ def u_exp_apply(elem: URElem, f: Poly) -> TruncSeries:
     """The exponential as a finite operator sum applied to a function: the
     eps-coefficients of sum_k (t Y)^k / k! f, Y = sum_j eps^j X_j.  Every
     depth j is at least 1, so (t Y)^k f starts at eps^k and the sum stops
-    after k = order."""
-    if f.nvars != elem.chart.dim:
+    after k = order.  Step k adds (t / k) X_j of every eps-power of step
+    k - 1 into one dict per eps-power, through exactalg.derive_into."""
+    n = f.nvars
+    if n != elem.chart.dim:
         raise ValueError("function does not live on the element's chart")
     r = elem.order
-    zero = Poly.zero(f.nvars)
-    current = [f] + [zero] * r
+    current = [f] + [Poly.zero(n)] * r
     total = list(current)
     k = 0
     while any(current):
         k += 1
-        moved = [zero] * (r + 1)
+        factor = elem.t / k
+        moved: list[dict] = [{} for _ in range(r + 1)]
         for j, x in elem.terms:
             for i in range(r + 1 - j):
                 if current[i]:
-                    moved[i + j] = moved[i + j] + x.apply(current[i])
-        current = [p * (elem.t / k) for p in moved]
+                    derive_into(moved[i + j], x.coeffs, current[i].terms, factor)
+        current = [Poly.from_sum(n, out) for out in moved]
         total = [a + b for a, b in zip(total, current)]
     return TruncSeries(r, tuple(total))
 

@@ -69,11 +69,10 @@ def _centred(
 ) -> tuple[VectorField, ...]:
     """The fields rewritten under x -> x + point, so that the point sits at
     the origin.  A translation has identity Jacobian: only the
-    coefficients move, and brackets commute with it."""
-    n = len(point)
-    shift = [Poly.variable(n, i) + Poly.const(n, v) for i, v in enumerate(point)]
+    coefficients move, each by Poly.translate, and brackets commute with
+    it."""
     return tuple(
-        VectorField(g.chart, [c.subst(shift) for c in g.coeffs]) for g in fields
+        VectorField(g.chart, [c.translate(point) for c in g.coeffs]) for g in fields
     )
 
 

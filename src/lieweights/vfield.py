@@ -26,7 +26,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exactalg import Poly, RatFunc, Scalar, divide_exact, record
+from .exactalg import Poly, RatFunc, Scalar, derive_into, divide_exact, record
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
@@ -69,15 +69,16 @@ class Chart:
 
 
 def _as_poly(value: Scalar | Fraction | int, nvars: int) -> Poly:
-    """A coefficient as a Poly: a RatFunc must have denominator 1."""
-    if isinstance(value, RatFunc):
-        if not value.is_polynomial():
-            raise ValueError("vector field coefficients must be polynomial")
-        value = value.num
+    """A coefficient as a Poly: a RatFunc must have denominator 1.  Nearly
+    every coefficient is a Poly already, so that case is tested first."""
     if isinstance(value, Poly):
         if value.nvars != nvars:
             raise ValueError("polynomial dimension mismatch")
         return value
+    if isinstance(value, RatFunc):
+        if not value.is_polynomial():
+            raise ValueError("vector field coefficients must be polynomial")
+        return _as_poly(value.num, nvars)
     return Poly.const(nvars, value)
 
 
@@ -104,8 +105,9 @@ class VectorField:
     def apply(self, f: Scalar) -> Scalar:
         """Directional derivative: sum of coeff_a * df/dx_a.
 
-        Returns a Poly for a polynomial argument; a RatFunc with unit
-        denominator counts as polynomial.  On n/d it is the one quotient
+        Returns a Poly for a polynomial argument, summed term by term into
+        one dict by exactalg.derive_into; a RatFunc with unit denominator
+        counts as polynomial.  On n/d it is the one quotient
         (X(n)*d - n*X(d)) / d^2.
         """
         if isinstance(f, RatFunc):
@@ -115,11 +117,9 @@ class VectorField:
             f = f.num
         if f.nvars != self.chart.dim:
             raise ValueError("function does not live on the field's chart")
-        acc = Poly.zero(f.nvars)
-        for a, c in enumerate(self.coeffs):
-            if c:
-                acc = acc + c * f.diff(a)
-        return acc
+        out: dict = {}
+        derive_into(out, self.coeffs, f.terms, 1)
+        return Poly.from_sum(f.nvars, out)
 
     def __add__(self, other: "VectorField") -> "VectorField":
         if not isinstance(other, VectorField):
@@ -163,12 +163,18 @@ def coordinate_field(chart: Chart, index: int) -> VectorField:
 
 
 def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
-    """Commutator [X, Y], whose a-th coefficient is X(Y^a) - Y(X^a)."""
+    """Commutator [X, Y], whose a-th coefficient is X(Y^a) - Y(X^a): one
+    dict per coefficient, summed by two exactalg.derive_into calls with
+    factors +1 and -1."""
     if x.chart != y.chart:
         raise ValueError("vector fields live on different charts")
-    return VectorField(
-        x.chart, [x.apply(ya) - y.apply(xa) for xa, ya in zip(x.coeffs, y.coeffs)]
-    )
+    coeffs = []
+    for xa, ya in zip(x.coeffs, y.coeffs):
+        out: dict = {}
+        derive_into(out, x.coeffs, ya.terms, 1)
+        derive_into(out, y.coeffs, xa.terms, -1)
+        coeffs.append(Poly.from_sum(x.chart.dim, out))
+    return VectorField(x.chart, coeffs)
 
 
 def restrict_zero(value: Scalar, fiber_indices: Iterable[int]) -> Scalar:
@@ -265,9 +271,18 @@ class _Value:
         self.den = den
 
     def map(self, f, den: Poly) -> "_Value":
-        """f applied to every numerator, over the new denominator den."""
-        vector = None if self.vector is None else tuple(f(c) for c in self.vector)
-        return _Value(f(self.scalar), vector, den)
+        """f applied to every numerator, over the new denominator den.  f
+        is linear, so a zero numerator is left as it is."""
+        vector = None if self.vector is None else tuple(f(c) if c else c for c in self.vector)
+        scalar = f(self.scalar) if self.scalar else self.scalar
+        return _Value(scalar, vector, den)
+
+    def times(self, factor: Poly, den: Poly) -> "_Value":
+        """Every numerator times factor, over den; a factor of 1 leaves
+        them as they are."""
+        if factor.is_one():
+            return _Value(self.scalar, self.vector, den)
+        return self.map(lambda c: c * factor, den)
 
     def parts(self) -> tuple[Poly, ...]:
         return (self.scalar, *(self.vector or ()), self.den)
@@ -297,6 +312,15 @@ MAX_TERMS = 500
 MAX_MONOMIALS = 1000
 
 
+def _product(p: Poly, q: Poly) -> Poly:
+    """p * q, skipping the product when either is 1."""
+    if p.is_one():
+        return q
+    if q.is_one():
+        return p
+    return p * q
+
+
 def _value_degree(val: _Value) -> int:
     """Largest total degree of a numerator or the denominator, at least 0."""
     return max(0, *(p.total_degree() for p in val.parts()))
@@ -310,6 +334,8 @@ def _value_terms(val: _Value) -> int:
 class _Parser:
     def __init__(self, src: str, chart: Chart):
         self.chart = chart
+        # Polys are immutable, so one 0 and one 1 serve the whole parse
+        self.zero, self.one = chart.zero(), chart.one()
         self.tokens = _tokenize(src)
         self.pos = 0
         self.depth = 0
@@ -326,7 +352,7 @@ class _Parser:
         raise ParseError(message, tok.line, tok.column)
 
     def _scalar(self, value: Poly) -> _Value:
-        return _Value(value, None, self.chart.one())
+        return _Value(value, None, self.one)
 
     def check_degree(self, degree: int, tok: _Token):
         if degree > MAX_DEGREE:
@@ -352,14 +378,14 @@ class _Parser:
             rhs = self.term()
             if rhs.den != val.den:
                 lden, rden = val.den, rhs.den
-                val = val.map(lambda c: c * rden, lden * rden)
-                rhs = rhs.map(lambda c: c * lden, val.den)
+                val = val.times(rden, _product(lden, rden))
+                rhs = rhs.times(lden, val.den)
             add = Poly.__add__ if op.text == "+" else Poly.__sub__
             scalar = add(val.scalar, rhs.scalar)
             if val.vector is None and rhs.vector is None:
                 vector = None
             else:
-                zero = (self.chart.zero(),) * self.chart.dim
+                zero = (self.zero,) * self.chart.dim
                 left = val.vector or zero
                 right = rhs.vector or zero
                 vector = tuple(add(a, b) for a, b in zip(left, right))
@@ -382,14 +408,14 @@ class _Parser:
                     self.error("cannot multiply two vector fields", op)
                 if rhs.vector is not None:
                     val, rhs = rhs, val
-                factor, den = rhs.scalar, val.den * rhs.den
+                factor, den = rhs.scalar, _product(val.den, rhs.den)
             else:
                 if rhs.vector is not None:
                     self.error("cannot divide by a vector field", op)
                 if rhs.scalar.is_zero():
                     self.error("division by zero", op)
-                factor, den = rhs.den, val.den * rhs.scalar
-            val = val.map(lambda c: c * factor, den)
+                factor, den = rhs.den, _product(val.den, rhs.scalar)
+            val = val.times(factor, den)
         return val
 
     def factor(self) -> _Value:
@@ -435,7 +461,7 @@ class _Parser:
                 return self._scalar(self.chart.var(name))
             if name.startswith("d") and name[1:] in self.chart.names:
                 idx = self.chart.index(name[1:])
-                zero, one = self.chart.zero(), self.chart.one()
+                zero, one = self.zero, self.one
                 vec = tuple(one if i == idx else zero for i in range(self.chart.dim))
                 return _Value(zero, vec, one)
             self.error(f"unknown identifier {name!r}", tok)

@@ -58,11 +58,12 @@ def normalize_chart(
 
     Returns the new fiber coordinate functions, expressed in the original
     chart, and the pairing matrix pairing[a][c] = (V_a x_{fiber_c})|_N,
-    a polynomial on N, whose transpose maps them back to the fiber
-    variables.  The pairing is inverted over RatFunc, and an inverse entry
-    with denominator 1 becomes its numerator Poly, so a coordinate is a
-    RatFunc only when the inverse has a true denominator (one dividing
-    det P); with a constant determinant every coordinate is a Poly.
+    V_a's coefficient fiber_c restricted to N, whose transpose maps them
+    back to the fiber variables.  The pairing is inverted over RatFunc,
+    and an inverse entry with denominator 1 becomes its numerator Poly,
+    so a coordinate is a RatFunc only when the inverse has a true
+    denominator (one dividing det P); with a constant determinant every
+    coordinate is a Poly.
     Raises when the frame size differs from the fiber dimension, or when
     the pairing matrix is singular at the base point.
 
@@ -81,7 +82,7 @@ def normalize_chart(
     if len(clean.frame) != k:
         raise ValueError("frame size does not match the fiber dimension")
     pairing = tuple(
-        tuple(submanifold.restrict(field.apply(Poly.variable(n, c))) for c in fiber)
+        tuple(submanifold.restrict(field.coeffs[c]) for c in fiber)
         for field in clean.frame
     )
     point_matrix = [

@@ -40,6 +40,15 @@ class CountingRowEchelon(RowEchelon):
         super().__init__(rows)
 
 
+def assert_canonical(r: Poly) -> None:
+    """The invariant the arithmetic's unchecked constructor relies on."""
+    for mono, c in r.terms.items():
+        assert type(c) is Fraction and c != 0
+        assert type(mono) is tuple and len(mono) == r.nvars
+        assert all(type(e) is int and e >= 0 for e in mono)
+    assert r == Poly(r.nvars, r.terms)
+
+
 def random_poly(rng: random.Random, nvars: int, degree: int, max_terms: int = 3) -> Poly:
     monos = monomials_up_to(nvars, degree)
     terms = {}

@@ -9,6 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpus import assert_canonical
 from lieweights.exactalg import (
     LinearSolution,
     Poly,
@@ -16,6 +17,7 @@ from lieweights.exactalg import (
     RowEchelon,
     _coeffs_in,
     _normalize_primitive,
+    derive_into,
     divide_exact,
     grlex_key,
     linear_solve_exact,
@@ -98,15 +100,6 @@ def test_public_constructor_validates():
     assert p.terms == {(1, 0): Fraction(3)} and type(p.terms[(1, 0)]) is Fraction
 
 
-def assert_canonical(r: Poly) -> None:
-    """The invariant the arithmetic's unchecked constructor relies on."""
-    for mono, c in r.terms.items():
-        assert type(c) is Fraction and c != 0
-        assert type(mono) is tuple and len(mono) == r.nvars
-        assert all(type(e) is int and e >= 0 for e in mono)
-    assert r == Poly(r.nvars, r.terms)
-
-
 @settings(max_examples=80)
 @given(
     polys(max_terms=5, max_exp=3),
@@ -169,6 +162,85 @@ def test_substitution_collapses_correction():
     f = Z - X**2 - X * Y
     images = [X, Y, Z + X**2 + X * Y]
     assert f.subst(images) == Z
+
+
+def shifted_images(point):
+    n = len(point)
+    return [Poly.variable(n, i) + Poly.const(n, p) for i, p in enumerate(point)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    polys(max_terms=5, max_exp=3),
+    st.lists(
+        st.one_of(st.just(Fraction(0)), st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))),
+        min_size=3,
+        max_size=3,
+    ),
+)
+def test_translate_matches_substituting_shifted_variables(f, point):
+    moved = f.translate(point)
+    assert_canonical(moved)
+    assert moved == f.subst(shifted_images(point))
+    assert moved.translate([-p for p in point]) == f
+
+
+def test_translate_leaves_unshifted_coordinates_alone():
+    f = X**2 * Y + Fraction(1, 2) * Z**3 - Y
+    assert f.translate([0, 0, 0]).terms == f.terms
+    # only the x exponents are expanded; y and z keep theirs
+    moved = f.translate([2, 0, 0])
+    assert moved == (X + 2) ** 2 * Y + Fraction(1, 2) * Z**3 - Y
+    assert {m[1:] for m in moved.terms} == {m[1:] for m in f.terms}
+    # x^2 - 4x + 4 = (x - 2)^2 moves to x^2 at x -> x + 2, every cancelled
+    # term dropped
+    assert (X**2 - 4 * X + 4).translate([2, 0, 0]).terms == {(2, 0, 0): Fraction(1)}
+    with pytest.raises(ValueError):
+        f.translate([1, 2])
+
+
+class CountingPoly(Poly):
+    """A Poly that counts how often it is raised to a power."""
+
+    __slots__ = ()
+    powers = 0
+
+    def __pow__(self, exponent):
+        type(self).powers += 1
+        return super().__pow__(exponent)
+
+
+def test_subst_raises_each_image_to_each_power_once():
+    image = CountingPoly(3, {(1, 0, 0): 1, (0, 1, 0): 2})
+    f = X**2 + X**2 * Y + X**2 * Z + X**3 + Y**2
+    CountingPoly.powers = 0
+    expected = (X + 2 * Y) ** 2 * (1 + Y + Z) + (X + 2 * Y) ** 3 + Y**2
+    assert f.subst([image, Y, Z]) == expected
+    # x^2 appears three times and x^3 once: two powers in all
+    assert CountingPoly.powers == 2
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(polys(max_terms=3, max_exp=2), min_size=3, max_size=3),
+    polys(max_terms=5, max_exp=3),
+    st.one_of(
+        st.integers(-2, 2),
+        st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
+    ),
+)
+def test_derive_into_adds_the_scaled_derivation(coeffs, f, factor):
+    expected = Poly.zero(3)
+    for a, c in enumerate(coeffs):
+        expected = expected + c * f.diff(a) * factor
+    out = {}
+    derive_into(out, coeffs, f.terms, factor)
+    once = Poly.from_sum(3, out)
+    assert_canonical(once)
+    assert once == expected
+    # a second call with the opposite factor cancels every entry
+    derive_into(out, coeffs, f.terms, -factor)
+    assert Poly.from_sum(3, out).terms == {}
 
 
 def test_subst_returns_ratfunc_when_image_is_ratfunc():

@@ -212,3 +212,19 @@ def test_no_parameter_defaults_to_none_outside_the_allowlist():
     assert not extra, f"parameters defaulting to None: {sorted(extra)}"
     stale = set(NONE_DEFAULTS) - set(found)
     assert not stale, f"allowlisted parameters that no longer default to None: {sorted(stale)}"
+
+
+def test_only_exactalg_references_the_unchecked_poly_constructor():
+    # Poly._canonical skips every check; its docstring says only Poly's own
+    # arithmetic calls it, and every other module goes through Poly(...),
+    # Poly.from_sum or the arithmetic
+    found = []
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "exactalg.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            if name == "_canonical":
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"Poly._canonical referenced outside exactalg: {found}"

@@ -7,6 +7,7 @@ import sympy
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
+from corpus import assert_canonical
 from lieweights import exactalg
 from lieweights.exactalg import Poly, RatFunc, divide_exact
 from lieweights.vfield import (
@@ -192,6 +193,45 @@ def per_term_apply(x, f):
 def test_apply_on_a_quotient_matches_the_per_term_sum(x, num, den):
     f = RatFunc(num, den)
     assert per_term_apply(x, f) == x.apply(f)
+
+
+@st.composite
+def rational_fields(draw):
+    """Fields with rational coefficients of degree <= 2, scaled copies of
+    one another often enough that brackets cancel."""
+    coeffs = []
+    small = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    for _ in range(3):
+        terms = {}
+        for _ in range(draw(st.integers(0, 3))):
+            mono = tuple(draw(st.integers(0, 2)) for _ in range(3))
+            terms[mono] = draw(small)
+        coeffs.append(Poly(3, terms))
+    return VectorField(CHART, coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_fields(), rational_fields(), funcs(), st.integers(-2, 2))
+def test_apply_and_bracket_results_are_canonical(x, y, f, c):
+    for value in (x.apply(f), y.apply(f), x.apply(Poly.zero(3))):
+        assert_canonical(value)
+    for bracket in (lie_bracket(x, y), lie_bracket(y, x), lie_bracket(x, x.scale(c))):
+        for coeff in bracket.coeffs:
+            assert_canonical(coeff)
+    # a field commutes with its multiples: every coefficient cancels
+    assert lie_bracket(x, x.scale(c)).is_zero()
+    assert lie_bracket(x, y) == -lie_bracket(y, x)
+
+
+@settings(max_examples=25, deadline=None)
+@given(rational_fields(), rational_fields(), rational_fields())
+def test_jacobi_identity_on_rational_fields(x, y, z):
+    total = (
+        lie_bracket(x, lie_bracket(y, z))
+        + lie_bracket(y, lie_bracket(z, x))
+        + lie_bracket(z, lie_bracket(x, y))
+    )
+    assert total.is_zero()
 
 
 @settings(max_examples=25, deadline=None)
