@@ -8,7 +8,7 @@ Representation notes:
     coefficients stored; two polynomials are equal iff the mappings are
     equal.  The public ``Poly(nvars, terms)`` checks and canonicalizes its
     input.  ``Poly``'s own arithmetic (``+``, unary ``-``, scalar and
-    polynomial ``*``, ``diff``, ``translate``) builds its results through
+    polynomial ``*``, ``translate``) builds its results through
     the private ``Poly._canonical``, which skips the checks: every key there
     is already a tuple of ``nvars`` non-negative ints and every value a
     nonzero ``Fraction``, by construction.
@@ -369,18 +369,6 @@ class Poly:
         return bool(self.terms)
 
     # -- calculus and evaluation ---------------------------------------------
-
-    def diff(self, index: int) -> "Poly":
-        """Partial derivative with respect to one variable."""
-        if not 0 <= index < self.nvars:
-            raise ValueError(f"variable index {index} out of range")
-        # lowering one exponent is injective on the monomials that carry it
-        out: dict[Monomial, Fraction] = {}
-        for mono, c in self.terms.items():
-            e = mono[index]
-            if e:
-                out[mono[:index] + (e - 1,) + mono[index + 1 :]] = c * e
-        return Poly._canonical(self.nvars, out)
 
     def translate(self, point: Sequence[ScalarLike]) -> "Poly":
         """self(x + point), the same as subst([x_i + p_i]): each monomial
@@ -805,15 +793,6 @@ class RatFunc:
 
     def __bool__(self):
         return not self.num.is_zero()
-
-    def diff(self, index: int) -> "RatFunc":
-        """Partial derivative (quotient rule when the denominator is nontrivial)."""
-        if self.den.is_one():
-            return RatFunc(self.num.diff(index))
-        return RatFunc(
-            self.num.diff(index) * self.den - self.num * self.den.diff(index),
-            self.den * self.den,
-        )
 
     def subst(self, images: Sequence[Scalar]) -> "RatFunc":
         num = self.num.subst(images)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
+from math import comb
 from typing import Iterable, Sequence
 
 from .exactalg import (
@@ -309,6 +310,53 @@ def unpack_coefficients(
     )
 
 
+def degree_schedule(nvars: int, cap: int) -> list[int]:
+    """The rungs 0 = d_0 < d_1 < ... < cap that bounded membership walks.
+
+    The next rung is the least degree whose monomial count C(n + d, n) is
+    at least 4 times the previous rung's; a rung whose count exceeds a
+    quarter of the cap's is skipped, and the cap is always the last rung.
+    So the walk builds at most 1.5 times the cap's columns (4/3 for n >= 2).
+    """
+    top = comb(nvars + cap, nvars)
+    rungs = [0]
+    for d in range(1, cap):
+        count = comb(nvars + d, nvars)
+        if 4 * count > top:
+            break
+        if count >= 4 * comb(nvars + rungs[-1], nvars):
+            rungs.append(d)
+    if cap:
+        rungs.append(cap)
+    return rungs
+
+
+def _pointwise_scan(fields, gens, prefixes, pending, points, results) -> list[int]:
+    """Fail each pending field at the first of points where it leaves the
+    pointwise span of its generator prefix; the fields still pending.
+
+    The generators are evaluated once per point, and one pointwise span
+    grows through the prefixes in increasing order.
+    """
+    pending = sorted(pending, key=prefixes.__getitem__)
+    for point in points:
+        if not pending:
+            break
+        pointwise = RowEchelon()
+        done = 0
+        inside = []
+        for t in pending:
+            for g in gens[done : prefixes[t]]:
+                pointwise.add(g.value_at(point))
+            done = prefixes[t]
+            if pointwise.contains(fields[t].value_at(point)):
+                inside.append(t)
+            else:
+                results[t] = TriState.failed(point)
+        pending = inside
+    return pending
+
+
 def module_membership_batch(
     fields: Sequence[VectorField],
     gens: Sequence[VectorField],
@@ -319,12 +367,14 @@ def module_membership_batch(
     polynomial u_j of degree <= degree_bound, for every field v = fields[t]
     of the batch, one verdict per field in order.
 
-    One elimination serves the batch: the transposed system of
-    module_columns(gens, monos, keys) with field t as right-hand column
-    ncols + t.  Generator j owns the block of columns j*len(monos) up to
-    (j + 1)*len(monos), so the first prefixes[t] generators own the
-    leading k_t = prefixes[t]*len(monos) columns, and field t is read with
-    RowEchelon.particular_entries(k_t, ncols + t).  That is exact because
+    The bound is walked up degree_schedule(n, degree_bound), and each rung
+    d is one elimination: the transposed system of module_columns over
+    monos_d and the generators up to the largest open prefix, with the
+    open fields as right-hand columns, open field number s as ncols + s.
+    Generator j owns the block of columns j*len(monos_d) up to
+    (j + 1)*len(monos_d), so the first prefixes[t] generators own the
+    leading k_t = prefixes[t]*len(monos_d) columns, and field t is read with
+    RowEchelon.particular_entries(k_t, ncols + s).  That is exact because
     RREF has a prefix property: restricted to the leading columns
     A_1..A_k and one column b of B, the reduced form of
     [A_1 | A_2 | ... | B] is row equivalent to [A_1..A_k | b]; its rows
@@ -333,16 +383,23 @@ def module_membership_batch(
     So b is in the span of the leading columns exactly when none of those
     other rows (pivot at or past k_t) has an entry in b's column, and the
     particular solution (free variables 0) is then b's entries on the rows
-    with their pivot before k_t.  RREF is unique, so each verdict and
-    certificate equals that of solving the field on its own against its
-    prefix, in a system of its own.
+    with their pivot before k_t.  RREF is unique, so each rung's verdict and
+    certificate equal those of solving the field on its own against its
+    prefix at that rung's bound, in a system of its own.
 
     A pass certificate is the tuple of coefficient polynomials, one per
-    generator of the prefix; a fail certificate is the first point of
-    sample_points where v leaves the pointwise span of those generators.
-    The witness scan evaluates the generators once per point and grows one
-    pointwise span through the prefixes in increasing order.  When neither
-    a bounded solution nor a witness exists the verdict is inconclusive.
+    generator of the prefix, read at the first rung that solves the field;
+    a fail certificate is the first point of sample_points where v leaves
+    the pointwise span of those generators.  The fields rung 0 leaves open
+    are tested at the first point, and those the last rung leaves open are
+    scanned from the second point on.  When neither a bounded solution nor
+    a witness exists the verdict is inconclusive.
+
+    Every verdict and witness is that of one elimination at the cap: the
+    monomial sets are nested, so a rung's solution is one at the cap, and a
+    polynomial combination holds pointwise, so a pointwise witness rules
+    out every bound.  Only a pass certificate can differ, being read at the
+    deciding rung.
     """
     if len(prefixes) != len(fields):
         raise ValueError("expected one generator-prefix length per field")
@@ -354,43 +411,40 @@ def module_membership_batch(
     if any(x.chart != chart for x in (*fields, *gens)):
         raise ValueError("fields and generators live on different charts")
     n = chart.dim
-    monos = monomials_up_to(n, degree_bound)
-    keys = PackedKeys.for_degree(
-        n, max(fields_degree(gens) + degree_bound, fields_degree(fields))
-    )
-    columns = module_columns(gens, monos, keys)
-    ncols = len(columns)
-    span = RowEchelon(transposed(columns + [field_entries(v, keys) for v in fields]))
-    results: list[TriState] = []
-    pending: list[int] = []
-    size = len(monos)
-    for t, k in enumerate(prefixes):
-        solution = span.particular_entries(k * size, ncols + t)
-        if solution is None:
-            results.append(TriState.undecided("degree_bound"))
-            pending.append(t)
-        else:
+    results: list[TriState] = [TriState.undecided("degree_bound")] * len(fields)
+    pending = list(range(len(fields)))
+    points = sample_points(n)
+    gens_degree, top_field_degree = fields_degree(gens), fields_degree(fields)
+    for d in degree_schedule(n, degree_bound):
+        monos = monomials_up_to(n, d)
+        keys = PackedKeys.for_degree(n, max(gens_degree + d, top_field_degree))
+        # generators past every open prefix own trailing columns no read needs
+        used = max(prefixes[t] for t in pending)
+        columns = module_columns(gens[:used], monos, keys)
+        ncols = len(columns)
+        rhs = [field_entries(fields[t], keys) for t in pending]
+        span = RowEchelon(transposed(columns + rhs))
+        size = len(monos)
+        still = []
+        for s, t in enumerate(pending):
+            k = prefixes[t]
+            solution = span.particular_entries(k * size, ncols + s)
+            if solution is None:
+                still.append(t)
+                continue
             # column p is generator p // size times monomial monos[p % size]
             by_gen: list[dict] = [{} for _ in range(k)]
             for p, x in sorted(solution.items()):
                 by_gen[p // size][monos[p % size]] = x
-            results.append(TriState.passed(tuple(Poly(n, terms) for terms in by_gen)))
-    pending.sort(key=prefixes.__getitem__)
-    for point in sample_points(n):
+            results[t] = TriState.passed(tuple(Poly(n, terms) for terms in by_gen))
+        pending = still
+        if d == 0:
+            pending = _pointwise_scan(
+                fields, gens, prefixes, pending, itertools.islice(points, 1), results
+            )
         if not pending:
             break
-        pointwise = RowEchelon()
-        held = 0
-        inside = []
-        for t in pending:
-            for g in gens[held : prefixes[t]]:
-                pointwise.add(g.value_at(point))
-            held = prefixes[t]
-            if pointwise.contains(fields[t].value_at(point)):
-                inside.append(t)
-            else:
-                results[t] = TriState.failed(point)
-        pending = inside
+    _pointwise_scan(fields, gens, prefixes, pending, points, results)
     return tuple(results)
 
 
@@ -459,12 +513,17 @@ def check_bracket_compat(filtration: Filtration, degree_bound: int) -> BracketCo
     generators(top) for every target level k <= top.  So all brackets go
     into one module_membership_batch call against the top target level's
     generators, each bracket read against the prefix generators(i + j): one
-    elimination for every level, whose verdicts and certificates equal
-    those of one call per level (the prefix property of RREF; see
-    module_membership_batch).  Pairs with i + j beyond the filtration order
-    land in the full module of vector fields and pass with the tautological
-    coordinate-field certificate, whose bracket is computed only when the
-    certificate is read.
+    elimination per rung for every level, whose verdicts and certificates
+    equal those of one call per level (the prefix property of RREF; see
+    module_membership_batch).  That call walks the degree bound up from 0,
+    with the still-open brackets only, and tests what rung 0 leaves open
+    at the origin first: nearly every bracket is decided there.  Each
+    verdict and witness is that of one elimination at the cap; a pass
+    certificate is read at the least rung that solves its bracket.  Pairs
+    with i + j beyond the filtration order land in the full module of
+    vector fields and pass with the tautological coordinate-field
+    certificate, whose bracket is computed only when the certificate is
+    read.
     """
     r = filtration.order
     pairs = []

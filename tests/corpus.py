@@ -9,7 +9,7 @@ from fractions import Fraction
 import math
 import random
 
-from lieweights.exactalg import Poly, RowEchelon
+from lieweights.exactalg import Poly, RatFunc, RowEchelon
 from lieweights.lieflt import Filtration, monomials_up_to, transposed
 from lieweights.vfield import Chart, VectorField, format_vector_field, lie_bracket
 
@@ -47,6 +47,22 @@ def assert_canonical(r: Poly) -> None:
         assert type(mono) is tuple and len(mono) == r.nvars
         assert all(type(e) is int and e >= 0 for e in mono)
     assert r == Poly(r.nvars, r.terms)
+
+
+def partial(f, i: int):
+    """df/dx_i of a Poly, exponent by exponent, or of a RatFunc by the
+    quotient rule: the partial-derivative oracle, kept apart from the
+    package's derivation kernel."""
+    if isinstance(f, RatFunc):
+        num, den = f.num, f.den
+        return RatFunc(partial(num, i) * den - num * partial(den, i), den * den)
+    if not 0 <= i < f.nvars:
+        raise ValueError(f"variable index {i} out of range")
+    terms = {}
+    for mono, c in f.terms.items():
+        if mono[i]:
+            terms[mono[:i] + (mono[i] - 1,) + mono[i + 1 :]] = c * mono[i]
+    return Poly(f.nvars, terms)
 
 
 def random_poly(rng: random.Random, nvars: int, degree: int, max_terms: int = 3) -> Poly:
@@ -116,7 +132,7 @@ def pushed_forward_model(rng: random.Random) -> Filtration:
     fields = []
     for i in (1, 2, 3):
         scale = rng.choice([Poly.one(4), t, t + 1])
-        coeffs = [(scale * image[j].diff(i)).subst(back) for j in range(4)]
+        coeffs = [(scale * partial(image[j], i)).subst(back) for j in range(4)]
         fields.append(VectorField(CHART_TABC, coeffs))
     levels = [
         tuple(f for f, wt in zip(fields, weights) if wt <= depth)

@@ -11,6 +11,9 @@ each run it writes OUTDIR/<command>__<dir>_<problem>__<flags> with the
 suffixes .stdout, .stderr, .json (the --json report bytes, when one was
 written) and .exit (the exit code, or the exception a run raised).
 
+It also runs check with --degree-bound 7 on those 13 problems (13 runs),
+a cap whose bracket-compat walk has rungs between 0 and the cap.
+
 Only singular_chart.json among the shipped problems has a rational
 weighted chart, so it also writes 24 problems from
 tests/corpus.py:pushed_forward_model (rng seed 20261, the first 12 models,
@@ -19,6 +22,10 @@ format_vector_field) to OUTDIR/pushed_forward/, and runs coords and report
 on each at default flags (48 more runs).  Most of their charts have the
 denominator t or 1 + t, so the printed coordinates include rational
 functions.
+
+Last, it writes the free nilpotent problems (2,3), (2,4) and (3,3) of
+tests/corpus.py:free_nilpotent_problem to OUTDIR/free_nilpotent/ and
+runs check and report on each at default flags (6 more runs, 379 in all).
 
 Two checkouts give the same behaviour when `diff -r` finds no difference
 between their output directories:
@@ -47,7 +54,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
-from corpus import pushed_forward_model  # noqa: E402
+from corpus import free_nilpotent_problem, pushed_forward_model  # noqa: E402
 from lieweights.cli import COMMAND_STAGES, main  # noqa: E402
 from lieweights.vfield import format_vector_field  # noqa: E402
 
@@ -58,10 +65,13 @@ FLAG_SETS = {
     "samples200-seed7": ["--samples", "200", "--seed", "7"],
     "bound1": ["--degree-bound", "1"],
 }
+HIGH_BOUND_FLAGS = ["--degree-bound", "7"]
 PUSHED_FORWARD_SEED = 20261
 PUSHED_FORWARD_MODELS = 12
 PUSHED_FORWARD_BASES = (1, 2)
 PUSHED_FORWARD_COMMANDS = ("coords", "report")
+FREE_NILPOTENT = ((2, 3), (2, 4), (3, 3))
+FREE_NILPOTENT_COMMANDS = ("check", "report")
 
 
 def problem_files() -> list[str]:
@@ -96,6 +106,19 @@ def pushed_forward_files(outdir: Path) -> list[str]:
     return paths
 
 
+def free_nilpotent_files(outdir: Path) -> list[str]:
+    """Write the free nilpotent problems under outdir; their paths relative
+    to outdir."""
+    (outdir / "free_nilpotent").mkdir(exist_ok=True)
+    paths = []
+    for letters, step in FREE_NILPOTENT:
+        path = f"free_nilpotent/free_{letters}_{step}.json"
+        doc = free_nilpotent_problem(letters, step)
+        (outdir / path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        paths.append(path)
+    return paths
+
+
 def run(command: str, problem: str, flags: list[str], base: Path) -> None:
     json_path = base.with_suffix(".json")
     out, err = io.StringIO(), io.StringIO()
@@ -119,13 +142,21 @@ def snapshot(outdir: Path) -> int:
                 stem = Path(problem).with_suffix("").as_posix().replace("/", "_")
                 run(command, problem, flags, outdir / f"{command}__{stem}__{label}")
                 runs += 1
+    for problem in problem_files():
+        stem = Path(problem).with_suffix("").as_posix().replace("/", "_")
+        run("check", problem, HIGH_BOUND_FLAGS, outdir / f"check__{stem}__bound7")
+        runs += 1
     os.chdir(outdir)
-    generated = pushed_forward_files(outdir)
-    for command in PUSHED_FORWARD_COMMANDS:
-        for problem in generated:
-            stem = Path(problem).with_suffix("").as_posix().replace("/", "_")
-            run(command, problem, [], outdir / f"{command}__{stem}__default")
-            runs += 1
+    generated = [
+        (PUSHED_FORWARD_COMMANDS, pushed_forward_files(outdir)),
+        (FREE_NILPOTENT_COMMANDS, free_nilpotent_files(outdir)),
+    ]
+    for commands, problems in generated:
+        for command in commands:
+            for problem in problems:
+                stem = Path(problem).with_suffix("").as_posix().replace("/", "_")
+                run(command, problem, [], outdir / f"{command}__{stem}__default")
+                runs += 1
     return runs
 
 

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from corpus import CHART_TABC, CountingRowEchelon, module_solve, pushed_forward_model
 from lieweights import lieflt
-from lieweights.cli import load_problem
+from lieweights.cli import load_problem, main
 from lieweights.exactalg import (
     LinearSolution,
     Poly,
@@ -33,6 +34,7 @@ from lieweights.lieflt import (
     check_bracket_compat,
     TriState,
     check_clean,
+    degree_schedule,
     field_entries,
     fields_degree,
     module_columns,
@@ -45,6 +47,7 @@ from lieweights.lieflt import (
     weight_sequence,
 )
 from lieweights.vfield import (
+    MAX_MONOMIALS,
     Chart,
     ParseError,
     VectorField,
@@ -55,6 +58,7 @@ from lieweights.vfield import (
 
 CHART = Chart(("x", "y", "z"))
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+BENCH_PROBLEMS = PROBLEMS.parent / "bench" / "problems"
 
 
 def vf(src: str) -> VectorField:
@@ -336,14 +340,42 @@ def small_field(draw):
     return VectorField(CHART, [draw(small_poly()) for _ in range(3)])
 
 
+def walk_membership(v, gens, degree_bound):
+    """Oracle for the bound walk: per_field_membership at the cap, except
+    that a pass is the oracle's pass at the deciding rung, the first rung
+    of degree_schedule where it passes."""
+    at_cap = per_field_membership(v, gens, degree_bound)
+    if at_cap.verdict != PASS:
+        return at_cap
+    for d in degree_schedule(v.chart.dim, degree_bound):
+        at_rung = per_field_membership(v, gens, d)
+        if at_rung.verdict == PASS:
+            return at_rung
+    raise AssertionError("the cap is the last rung")
+
+
+def combination(coeffs, gens):
+    """sum u_j g_j, the field a pass certificate re-substitutes to."""
+    total = VectorField(CHART, [0, 0, 0])
+    for u, g in zip(coeffs, gens):
+        total = total + g.scale(u)
+    return total
+
+
 @st.composite
 def membership_batches(draw):
-    """(fields, gens, bound): combinations of the generators with
+    """(fields, gens, bound, prefixes): combinations of the generators with
     coefficients of degree <= 2, so some need more than the bound, and
     random fields, often infeasible; plus the zero field, and a repeat of
-    the first field the oracle does not pass."""
+    the first field the oracle does not pass.  Sometimes a generator is a
+    monomial multiple of an earlier one, so that a field passes at a low
+    rung with a certificate other than the cap's.  The prefixes are all
+    full, or drawn per field."""
     gens = draw(st.lists(small_field(), min_size=1, max_size=3))
-    bound = draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        mono = draw(st.sampled_from(monomials_up_to(3, 2)[1:]))
+        gens.append(draw(st.sampled_from(gens)).scale(Poly.term(3, mono, 1)))
+    bound = draw(st.integers(0, 3))
     fields = []
     for _ in range(draw(st.integers(1, 4))):
         if draw(st.booleans()):
@@ -358,16 +390,95 @@ def membership_batches(draw):
         if per_field_membership(v, gens, bound).verdict != PASS:
             fields.append(v)
             break
-    return fields, gens, bound
+    if draw(st.booleans()):
+        prefixes = [len(gens)] * len(fields)
+    else:
+        prefixes = [draw(st.integers(0, len(gens))) for _ in fields]
+    return fields, gens, bound, prefixes
 
 
 @settings(max_examples=120, deadline=None)
 @given(membership_batches())
 def test_batch_membership_matches_per_field_oracle(batch):
-    fields, gens, bound = batch
-    expected = tuple(per_field_membership(v, gens, bound) for v in fields)
-    assert module_membership_batch(fields, gens, [len(gens)] * len(fields), bound) == expected
-    assert module_membership(fields[-1], gens, bound) == expected[-1]
+    # per field: the verdict and any fail witness are the oracle's at the
+    # cap, and a pass certificate is the oracle's at the deciding rung,
+    # which re-substitutes to the field exactly
+    fields, gens, bound, prefixes = batch
+    results = module_membership_batch(fields, gens, prefixes, bound)
+    for v, k, result in zip(fields, prefixes, results):
+        at_cap = per_field_membership(v, gens[:k], bound)
+        assert result.verdict == at_cap.verdict
+        if result.verdict != PASS:
+            assert result == at_cap
+        else:
+            assert result == walk_membership(v, gens[:k], bound)
+            assert combination(result.certificate, gens[:k]) == v
+    assert module_membership(fields[-1], gens, bound) == walk_membership(
+        fields[-1], gens, bound
+    )
+
+
+def test_a_pass_is_certified_at_the_deciding_rung():
+    # x*dx against [dx, x*dx] at bound 1: rung 0 already solves it with
+    # (0, 1); one elimination at the cap reads (x, 0), its free column
+    # x^0 * (x*dx) set to 0.  Both re-substitute.
+    x = CHART.var("x")
+    zero, one = Poly.zero(3), Poly.one(3)
+    v = vf("x*dx")
+    gens = [vf("dx"), v]
+    assert degree_schedule(3, 1) == [0, 1]
+    result = module_membership(v, gens, 1)
+    assert result == TriState.passed((zero, one))
+    assert result == per_field_membership(v, gens, 0)
+    assert per_field_membership(v, gens, 1) == TriState.passed((x, zero))
+    for certificate in (result.certificate, (x, zero)):
+        assert combination(certificate, gens) == v
+
+
+@pytest.mark.parametrize("nvars", range(1, 13))
+def test_degree_schedule_builds_at_most_half_again_the_cap(nvars):
+    cap = 0
+    while math.comb(nvars + cap, nvars) <= MAX_MONOMIALS:
+        rungs = degree_schedule(nvars, cap)
+        assert rungs[0] == 0 and rungs[-1] == cap
+        assert rungs == sorted(set(rungs))
+        top = math.comb(nvars + cap, nvars)
+        total = sum(math.comb(nvars + d, nvars) for d in rungs)
+        assert 2 * total <= 3 * top
+        if nvars >= 2:
+            assert 3 * total <= 4 * top
+        cap += 1
+
+
+def built_column_degrees(monkeypatch):
+    """Patch lieflt.module_columns to record the degree bound of each
+    system it builds; the list it appends to."""
+    degrees = []
+
+    def recording(gens, monos, keys):
+        degrees.append(max(sum(alpha) for alpha in monos))
+        return module_columns(gens, monos, keys)
+
+    monkeypatch.setattr(lieflt, "module_columns", recording)
+    return degrees
+
+
+def test_cartan_at_bound_seven_decides_every_bracket_at_rung_zero(monkeypatch):
+    degrees = built_column_degrees(monkeypatch)
+    path = str(BENCH_PROBLEMS / "cartan235.json")
+    assert main(["check", path, "--degree-bound", "7"]) == 0
+    assert degree_schedule(5, 7) == [0, 1, 3, 7]
+    assert degrees == [0]
+
+
+def test_engel4_broken_never_builds_the_cap_system(monkeypatch):
+    # the default bound is 5, whose system has 126 monomials per generator
+    degrees = built_column_degrees(monkeypatch)
+    path = str(BENCH_PROBLEMS / "engel4_broken.json")
+    cap = load_problem(path).filtration.default_degree_bound()
+    assert main(["check", path]) == 1
+    assert degrees and max(degrees) < cap
+    assert degree_schedule(4, cap) == [0, 1, cap]
 
 
 def test_batch_repeats_an_infeasible_field():
@@ -555,8 +666,9 @@ def test_bracket_in_a_higher_level_only_fails_at_the_lower_target(monkeypatch):
 
 
 def test_bracket_compat_builds_one_bounded_system(monkeypatch):
-    # three target levels, every bracket passes: no witness scan, and one
-    # elimination in place of one per level
+    # three target levels, every bracket passes at rung 0 of the walk: no
+    # witness scan, no later rung, and one elimination in place of one per
+    # level
     flt = martinet_filtration()
     monkeypatch.setattr(lieflt, "RowEchelon", CountingRowEchelon)
     CountingRowEchelon.built = 0
