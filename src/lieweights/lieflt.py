@@ -317,6 +317,8 @@ def degree_schedule(nvars: int, cap: int) -> list[int]:
     at least 4 times the previous rung's; a rung whose count exceeds a
     quarter of the cap's is skipped, and the cap is always the last rung.
     So the walk builds at most 1.5 times the cap's columns (4/3 for n >= 2).
+    A middle rung decides a bracket whose certificate has low positive
+    degree, such as -x1*dx4 in the full module, certified by -x1 on dx4.
     """
     top = comb(nvars + cap, nvars)
     rungs = [0]

@@ -471,14 +471,27 @@ def test_cartan_at_bound_seven_decides_every_bracket_at_rung_zero(monkeypatch):
     assert degrees == [0]
 
 
-def test_engel4_broken_never_builds_the_cap_system(monkeypatch):
-    # the default bound is 5, whose system has 126 monomials per generator
+def test_engel4_broken_decides_its_last_bracket_at_the_middle_rung(monkeypatch):
+    # the default bound is 5, whose system has 126 monomials per generator.
+    # Rung 0 passes every bracket but two, and the origin fails
+    # [X1, X2] = dx3 at level -2.  [X2, x1*dx3] = -x1*dx4 at level -3 has a
+    # coefficient of degree 1: rung 1 passes it, so the cap is never built.
     degrees = built_column_degrees(monkeypatch)
     path = str(BENCH_PROBLEMS / "engel4_broken.json")
-    cap = load_problem(path).filtration.default_degree_bound()
+    flt = load_problem(path).filtration
+    cap = flt.default_degree_bound()
     assert main(["check", path]) == 1
-    assert degrees and max(degrees) < cap
     assert degree_schedule(4, cap) == [0, 1, cap]
+    assert degrees == [0, 1]
+    (check,) = [
+        c
+        for c in check_bracket_compat(flt, cap).checks
+        if (c.i, c.j, c.gi, c.gj) == (1, 2, 1, 2)
+    ]
+    bracket = lie_bracket(flt.levels[0][1], flt.levels[1][2])
+    assert bracket == VectorField(flt.chart, [0, 0, 0, -flt.chart.var("x1")])
+    assert per_field_membership(bracket, flt.generators(3), 0).verdict != PASS
+    assert check.result == per_field_membership(bracket, flt.generators(3), 1)
 
 
 def test_batch_repeats_an_infeasible_field():
