@@ -81,9 +81,6 @@ class JetChart:
             raise ValueError("jet component out of range")
         return a * (self.order + 1) + i
 
-    def var(self, a: int, i: int) -> Poly:
-        return Poly.variable(self.dim, self.index(a, i))
-
 
 def _zero_like(sample):
     if isinstance(sample, Poly):

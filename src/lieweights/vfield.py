@@ -15,6 +15,10 @@ printed rational functions re-parse.  The parser carries numerators over
 one common denominator and takes no gcd; a vector field's coefficients are
 divided by it once, exactly, at the end, so "(x^2-1)/(x-1)*dx" loads as
 "(x + 1)*dx" and a coefficient that is not a polynomial is a parse error.
+Numerators and denominator are plain term dicts with integer coefficients
+(every literal is a natural number and every quotient goes to the
+denominator); a Poly is built only for the result.  Errors carry the line
+and column of the token they name, worked out from its offset when raised.
 An identifier that exactly matches a chart variable wins over the
 "d"-prefixed reading.
 """
@@ -24,6 +28,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from operator import add, sub
 from typing import Iterable, Sequence
 
 from .exactalg import Poly, RatFunc, Scalar, derive_into, divide_exact, record
@@ -57,9 +62,6 @@ class Chart:
             return self.names.index(name)
         except ValueError:
             raise KeyError(f"no coordinate named {name!r}") from None
-
-    def var(self, name: str) -> Poly:
-        return Poly.variable(self.dim, self.index(name))
 
     def zero(self) -> Poly:
         return Poly.zero(self.dim)
@@ -211,81 +213,129 @@ class ParseError(ValueError):
         self.column = column
 
 
-@record
-class _Token:
-    kind: str  # "nat" | "ident" | "op" | "end"
-    text: str
-    line: int
-    column: int
+# one token after optional whitespace: a run of decimal digits, an
+# identifier, or an operator character.  \s matches what str.isspace
+# accepts, and every \d is a str.isdigit character
+_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9_]*)|([-+*/^()]))")
+
+NAT, IDENT, END = "nat", "ident", "end"
 
 
-def _tokenize(src: str) -> list[_Token]:
+def _position(src: str, offset: int) -> tuple[int, int]:
+    """Line and column, both from 1, of a character offset."""
+    return src.count("\n", 0, offset) + 1, offset - src.rfind("\n", 0, offset)
+
+
+def _tokenize(src: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) per token, then an end token.  An operator's
+    kind is its own character.  A number is a maximal run of str.isdigit
+    characters, which int() may still refuse (a superscript digit)."""
     tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(src):
-        ch = src[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(src) and src[j].isdigit():
-                j += 1
-            tokens.append(_Token("nat", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        m = _IDENT_RE.match(src, i)
-        if m:
-            tokens.append(_Token("ident", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        if ch in "+-*/^()":
-            tokens.append(_Token("op", ch, line, col))
-            col += 1
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("end", "", line, col))
+    pos, end = 0, len(src)
+    match = _TOKEN_RE.match
+    while True:
+        m = match(src, pos)
+        if m is not None:
+            _, ident, op = m.groups()
+            if ident:
+                tokens.append((IDENT, ident, m.start(2)))
+                pos = m.end()
+                continue
+            if op:
+                tokens.append((op, op, m.start(3)))
+                pos = m.end()
+                continue
+            start, pos = m.start(1), m.end()
+        else:
+            while pos < end and src[pos].isspace():
+                pos += 1
+            if pos == end:
+                break
+            if not src[pos].isdigit():
+                raise ParseError(f"unexpected character {src[pos]!r}", *_position(src, pos))
+            start = pos
+        while pos < end and src[pos].isdigit():
+            pos += 1
+        tokens.append((NAT, src[start:pos], start))
+    tokens.append((END, "", end))
     return tokens
 
 
+# Term dicts {monomial: int}: every literal is a natural number and every
+# quotient goes to the denominator, so the parser's numerators and
+# denominators keep integer coefficients and no zero entries.
+
+
+def _times(p: dict, q: dict) -> dict:
+    """The product of two term dicts."""
+    out: dict = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m = tuple(map(add, m1, m2))
+            s = out.get(m)
+            out[m] = c1 * c2 if s is None else s + c1 * c2
+    # a one-term factor maps distinct monomials to distinct ones
+    if len(p) > 1 and len(q) > 1:
+        return {m: c for m, c in out.items() if c}
+    return out
+
+
+def _plus(p: dict, q: dict, sign: int) -> dict:
+    """p + sign * q of term dicts, sign +1 or -1."""
+    out = dict(p)
+    for m, c in q.items():
+        s = out.get(m)
+        if s is None:
+            out[m] = sign * c
+        elif s + sign * c:
+            out[m] = s + sign * c
+        else:
+            del out[m]
+    return out
+
+
+def _power(p: dict, exponent: int, one: dict) -> dict:
+    result, base = one, p
+    while exponent:
+        if exponent & 1:
+            result = _times(result, base)
+        exponent >>= 1
+        if exponent:
+            base = _times(base, base)
+    return result
+
+
 class _Value:
-    """Intermediate parse value: the numerators of a scalar part and of an
-    optional vector part, over one shared denominator.  No gcd is taken;
-    the callers of the parser divide once, at the end."""
+    """Intermediate parse value: numerators over one shared denominator,
+    each a term dict.  num maps part -1, the scalar part, and each a >= 0,
+    the coefficient of d/dx_a, to its numerator, nonzero ones only; vector
+    says whether a d-factor occurred, even one that cancelled.  No gcd is
+    taken; the callers of the parser divide once, at the end."""
 
-    __slots__ = ("scalar", "vector", "den")
+    __slots__ = ("num", "vector", "den")
 
-    def __init__(self, scalar: Poly, vector: tuple[Poly, ...] | None, den: Poly):
-        self.scalar = scalar
+    def __init__(self, num: dict, vector: bool, den: dict):
+        self.num = num
         self.vector = vector
         self.den = den
 
-    def map(self, f, den: Poly) -> "_Value":
-        """f applied to every numerator, over the new denominator den.  f
-        is linear, so a zero numerator is left as it is."""
-        vector = None if self.vector is None else tuple(f(c) if c else c for c in self.vector)
-        scalar = f(self.scalar) if self.scalar else self.scalar
-        return _Value(scalar, vector, den)
-
-    def times(self, factor: Poly, den: Poly) -> "_Value":
+    def times(self, factor: dict, den: dict, one: dict) -> "_Value":
         """Every numerator times factor, over den; a factor of 1 leaves
-        them as they are."""
-        if factor.is_one():
-            return _Value(self.scalar, self.vector, den)
-        return self.map(lambda c: c * factor, den)
+        them as they are, and a factor of 0 drops them."""
+        if factor == one:
+            return _Value(self.num, self.vector, den)
+        num = {a: _times(part, factor) for a, part in self.num.items()} if factor else {}
+        return _Value(num, self.vector, den)
 
-    def parts(self) -> tuple[Poly, ...]:
-        return (self.scalar, *(self.vector or ()), self.den)
+    def degree(self) -> int:
+        """Largest total degree of a numerator or the denominator, at least 0."""
+        return max(
+            (sum(m) for part in (self.den, *self.num.values()) for m in part), default=0
+        )
+
+    def terms(self) -> int:
+        """Largest term count of a numerator or the denominator, at least 1."""
+        return max(1, len(self.den), *map(len, self.num.values()))
 
 
 # parentheses and unary minus recurse; past this depth the parser refuses
@@ -312,53 +362,41 @@ MAX_TERMS = 500
 MAX_MONOMIALS = 1000
 
 
-def _product(p: Poly, q: Poly) -> Poly:
-    """p * q, skipping the product when either is 1."""
-    if p.is_one():
-        return q
-    if q.is_one():
-        return p
-    return p * q
-
-
-def _value_degree(val: _Value) -> int:
-    """Largest total degree of a numerator or the denominator, at least 0."""
-    return max(0, *(p.total_degree() for p in val.parts()))
-
-
-def _value_terms(val: _Value) -> int:
-    """Largest term count of a numerator or the denominator, at least 1."""
-    return max(1, *(len(p.terms) for p in val.parts()))
-
-
 class _Parser:
     def __init__(self, src: str, chart: Chart):
-        self.chart = chart
-        # Polys are immutable, so one 0 and one 1 serve the whole parse
-        self.zero, self.one = chart.zero(), chart.one()
+        self.src = src
+        self.nvars = n = chart.dim
+        self.zero = (0,) * n
+        self.one = {self.zero: 1}
+        self.names = {name: i for i, name in enumerate(chart.names)}
         self.tokens = _tokenize(src)
         self.pos = 0
         self.depth = 0
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
 
-    def next(self) -> _Token:
+    def next(self) -> tuple[str, str, int]:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def error(self, message: str, tok: _Token):
-        raise ParseError(message, tok.line, tok.column)
+    def error(self, message: str, tok: tuple[str, str, int]):
+        raise ParseError(message, *_position(self.src, tok[2]))
 
-    def _scalar(self, value: Poly) -> _Value:
-        return _Value(value, None, self.one)
+    def product(self, p: dict, q: dict) -> dict:
+        """p * q, skipping the product when either is 1."""
+        if p == self.one:
+            return q
+        if q == self.one:
+            return p
+        return _times(p, q)
 
-    def check_degree(self, degree: int, tok: _Token):
+    def check_degree(self, degree: int, tok):
         if degree > MAX_DEGREE:
             self.error(f"total degree {degree} exceeds the limit of {MAX_DEGREE}", tok)
 
-    def check_terms(self, terms: int, tok: _Token):
+    def check_terms(self, terms: int, tok):
         if terms > MAX_TERMS:
             self.error(
                 f"expansion to up to {terms} terms exceeds the limit of {MAX_TERMS}", tok
@@ -367,123 +405,146 @@ class _Parser:
     def parse(self) -> _Value:
         val = self.expr()
         tok = self.peek()
-        if tok.kind != "end":
-            self.error(f"unexpected {tok.text!r}", tok)
+        if tok[0] != END:
+            self.error(f"unexpected {tok[1]!r}", tok)
         return val
 
     def expr(self) -> _Value:
         val = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
+        while self.peek()[0] in ("+", "-"):
             op = self.next()
             rhs = self.term()
             if rhs.den != val.den:
                 lden, rden = val.den, rhs.den
-                val = val.times(rden, _product(lden, rden))
-                rhs = rhs.times(lden, val.den)
-            add = Poly.__add__ if op.text == "+" else Poly.__sub__
-            scalar = add(val.scalar, rhs.scalar)
-            if val.vector is None and rhs.vector is None:
-                vector = None
-            else:
-                zero = (self.zero,) * self.chart.dim
-                left = val.vector or zero
-                right = rhs.vector or zero
-                vector = tuple(add(a, b) for a, b in zip(left, right))
-            val = _Value(scalar, vector, val.den)
+                val = val.times(rden, self.product(lden, rden), self.one)
+                rhs = rhs.times(lden, val.den, self.one)
+            sign = 1 if op[0] == "+" else -1
+            num = dict(val.num)
+            for a, part in rhs.num.items():
+                total = _plus(num.get(a, {}), part, sign)
+                if total:
+                    num[a] = total
+                else:
+                    del num[a]
+            val = _Value(num, val.vector or rhs.vector, val.den)
             # common denominators add degrees and multiply term counts, so
             # sums are checked too; their operands are already bounded
-            self.check_degree(_value_degree(val), op)
-            self.check_terms(_value_terms(val), op)
+            self.check_degree(val.degree(), op)
+            self.check_terms(val.terms(), op)
         return val
 
     def term(self) -> _Value:
         val = self.factor()
-        while self.peek().kind == "op" and self.peek().text in "*/":
+        while self.peek()[0] in ("*", "/"):
             op = self.next()
             rhs = self.factor()
-            self.check_degree(_value_degree(val) + _value_degree(rhs), op)
-            self.check_terms(_value_terms(val) * _value_terms(rhs), op)
-            if op.text == "*":
-                if val.vector is not None and rhs.vector is not None:
+            self.check_degree(val.degree() + rhs.degree(), op)
+            self.check_terms(val.terms() * rhs.terms(), op)
+            if op[0] == "*":
+                if val.vector and rhs.vector:
                     self.error("cannot multiply two vector fields", op)
-                if rhs.vector is not None:
+                if rhs.vector:
                     val, rhs = rhs, val
-                factor, den = rhs.scalar, _product(val.den, rhs.den)
+                factor, den = rhs.num.get(-1, {}), self.product(val.den, rhs.den)
             else:
-                if rhs.vector is not None:
+                if rhs.vector:
                     self.error("cannot divide by a vector field", op)
-                if rhs.scalar.is_zero():
+                if -1 not in rhs.num:
                     self.error("division by zero", op)
-                factor, den = rhs.den, _product(val.den, rhs.scalar)
-            val = val.times(factor, den)
+                factor, den = rhs.den, self.product(val.den, rhs.num[-1])
+            val = val.times(factor, den, self.one)
         return val
 
     def factor(self) -> _Value:
         val = self.atom()
-        if self.peek().kind == "op" and self.peek().text == "^":
+        if self.peek()[0] == "^":
             op = self.next()
             exp_tok = self.peek()
-            if exp_tok.kind != "nat":
+            if exp_tok[0] != NAT:
                 self.error("exponent must be a natural number", exp_tok)
             self.next()
-            if val.vector is not None:
+            if val.vector:
                 self.error("cannot raise a vector field to a power", op)
-            digits = exp_tok.text.lstrip("0") or "0"
+            digits = exp_tok[1].lstrip("0") or "0"
             if len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
                 self.error(f"exponent exceeds the limit of {MAX_DEGREE}", exp_tok)
             exponent = int(digits)
-            self.check_degree(_value_degree(val) * exponent, op)
+            self.check_degree(val.degree() * exponent, op)
             # (a_1 + ... + a_t)^e has at most comb(t + e - 1, e) terms
-            self.check_terms(math.comb(_value_terms(val) + exponent - 1, exponent), op)
-            val = _Value(val.scalar**exponent, None, val.den**exponent)
+            self.check_terms(math.comb(val.terms() + exponent - 1, exponent), op)
+            scalar = _power(val.num.get(-1, {}), exponent, self.one)
+            val = _Value({-1: scalar} if scalar else {}, False, _power(val.den, exponent, self.one))
         return val
 
     def atom(self) -> _Value:
         tok = self.peek()
-        if tok.kind == "op" and tok.text in "(-":
+        kind = tok[0]
+        if kind in ("(", "-"):
             if self.depth == MAX_NESTING:
                 self.error(f"nesting deeper than {MAX_NESTING} levels", tok)
             self.depth += 1
             val = self.nested(tok)
             self.depth -= 1
             return val
-        if tok.kind == "nat":
+        if kind == NAT:
             self.next()
             try:
-                value = int(tok.text)
+                value = int(tok[1])
             except ValueError:  # past the interpreter's digit limit
                 self.error("number has too many digits", tok)
-            return self._scalar(Poly.const(self.chart.dim, value))
-        if tok.kind == "ident":
+            return _Value({-1: {self.zero: value}} if value else {}, False, self.one)
+        if kind == IDENT:
             self.next()
-            name = tok.text
-            if name in self.chart.names:
-                return self._scalar(self.chart.var(name))
-            if name.startswith("d") and name[1:] in self.chart.names:
-                idx = self.chart.index(name[1:])
-                zero, one = self.zero, self.one
-                vec = tuple(one if i == idx else zero for i in range(self.chart.dim))
-                return _Value(zero, vec, one)
+            name = tok[1]
+            index = self.names.get(name)
+            if index is not None:
+                mono = self.zero[:index] + (1,) + self.zero[index + 1 :]
+                return _Value({-1: {mono: 1}}, False, self.one)
+            index = self.names.get(name[1:]) if name.startswith("d") else None
+            if index is not None:
+                return _Value({index: self.one}, True, self.one)
             self.error(f"unknown identifier {name!r}", tok)
-        self.error(f"unexpected {tok.text!r}" if tok.text else "unexpected end of input", tok)
+        self.error(f"unexpected {tok[1]!r}" if tok[1] else "unexpected end of input", tok)
 
-    def nested(self, tok: _Token) -> _Value:
+    def nested(self, tok) -> _Value:
         """A parenthesized expression or a negated atom."""
         self.next()
-        if tok.text == "(":
+        if tok[0] == "(":
             val = self.expr()
             close = self.peek()
-            if not (close.kind == "op" and close.text == ")"):
+            if close[0] != ")":
                 self.error("expected ')'", close)
             self.next()
             return val
         val = self.atom()
-        return val.map(Poly.__neg__, val.den)
+        num = {a: {m: -c for m, c in part.items()} for a, part in val.num.items()}
+        return _Value(num, val.vector, val.den)
+
+
+def _divided(num: dict, den: dict, nvars: int) -> Poly | None:
+    """num / den as a Poly, or None when den does not divide num."""
+    if len(den) != 1:
+        return divide_exact(_poly(num, nvars), _poly(den, nvars))
+    # a monomial divides term by term
+    ((m0, c0),) = den.items()
+    if not any(m0):
+        return Poly.from_sum(nvars, {m: Fraction(c, c0) for m, c in num.items()})
+    terms = {}
+    for m, c in num.items():
+        shifted = tuple(map(sub, m, m0))
+        if any(e < 0 for e in shifted):
+            return None
+        terms[shifted] = Fraction(c, c0)
+    return Poly.from_sum(nvars, terms)
+
+
+def _poly(terms: dict, nvars: int) -> Poly:
+    return Poly.from_sum(nvars, {m: Fraction(c) for m, c in terms.items()})
 
 
 def _parse_scalar_value(src: str, chart: Chart) -> _Value:
     val = _Parser(src, chart).parse()
-    if val.vector is not None:
+    if val.vector:
         raise ParseError("expression contains vector field factors", 1, 1)
     return val
 
@@ -491,13 +552,13 @@ def _parse_scalar_value(src: str, chart: Chart) -> _Value:
 def parse_scalar(src: str, chart: Chart) -> RatFunc:
     """Parse a scalar (function) expression to a rational function."""
     val = _parse_scalar_value(src, chart)
-    return RatFunc(val.scalar, val.den)
+    return RatFunc(_poly(val.num.get(-1, {}), chart.dim), _poly(val.den, chart.dim))
 
 
 def parse_polynomial(src: str, chart: Chart) -> Poly:
     """Parse a polynomial expression; rejects genuine denominators."""
     val = _parse_scalar_value(src, chart)
-    quotient = divide_exact(val.scalar, val.den)
+    quotient = _divided(val.num.get(-1, {}), val.den, chart.dim)
     if quotient is None:
         raise ParseError("expression is not polynomial", 1, 1)
     return quotient
@@ -510,13 +571,13 @@ def parse_vector_field(src: str, chart: Chart) -> VectorField:
     a coefficient that is not a polynomial is a parse error.
     """
     val = _Parser(src, chart).parse()
-    if val.vector is None:
+    if not val.vector:
         raise ParseError("expression has no directional part", 1, 1)
-    if not val.scalar.is_zero():
+    if -1 in val.num:
         raise ParseError("vector field expression has a scalar part", 1, 1)
     coeffs = []
-    for name, num in zip(chart.names, val.vector):
-        quotient = divide_exact(num, val.den)
+    for a, name in enumerate(chart.names):
+        quotient = _divided(val.num.get(a, {}), val.den, chart.dim)
         if quotient is None:
             raise ParseError(f"the coefficient of d{name} is not a polynomial", 1, 1)
         coeffs.append(quotient)

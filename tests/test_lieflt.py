@@ -239,7 +239,7 @@ def test_membership_pass_with_certificate():
     v = vf("x*dx")
     res = module_membership(v, [coordinate_field(CHART, 0)], 1)
     assert res.verdict == PASS
-    assert res.certificate == (CHART.var("x"),)
+    assert res.certificate == (Poly.variable(3, 0),)
 
 
 def test_membership_fail_at_origin():
@@ -265,7 +265,7 @@ def test_membership_fail_away_from_origin():
 
 def test_membership_inconclusive_when_degree_bound_too_small():
     # z^3*dx needs degree 3 coefficients but never fails pointwise
-    v = VectorField(CHART, [CHART.var("z") ** 3, CHART.zero(), CHART.zero()])
+    v = VectorField(CHART, [Poly.variable(3, 2) ** 3, 0, 0])
     res = module_membership(v, [coordinate_field(CHART, 0)], 2)
     assert res.verdict == INCONCLUSIVE
     assert res.reason == "degree_bound"
@@ -422,7 +422,7 @@ def test_a_pass_is_certified_at_the_deciding_rung():
     # x*dx against [dx, x*dx] at bound 1: rung 0 already solves it with
     # (0, 1); one elimination at the cap reads (x, 0), its free column
     # x^0 * (x*dx) set to 0.  Both re-substitute.
-    x = CHART.var("x")
+    x = Poly.variable(3, 0)
     zero, one = Poly.zero(3), Poly.one(3)
     v = vf("x*dx")
     gens = [vf("dx"), v]
@@ -489,7 +489,7 @@ def test_engel4_broken_decides_its_last_bracket_at_the_middle_rung(monkeypatch):
         if (c.i, c.j, c.gi, c.gj) == (1, 2, 1, 2)
     ]
     bracket = lie_bracket(flt.levels[0][1], flt.levels[1][2])
-    assert bracket == VectorField(flt.chart, [0, 0, 0, -flt.chart.var("x1")])
+    assert bracket == VectorField(flt.chart, [0, 0, 0, -Poly.variable(4, 0)])
     assert per_field_membership(bracket, flt.generators(3), 0).verdict != PASS
     assert check.result == per_field_membership(bracket, flt.generators(3), 1)
 
@@ -503,7 +503,7 @@ def test_batch_repeats_an_infeasible_field():
     results = module_membership_batch([dz, inside, dz, zero], gens, [2] * 4, 1)
     assert [r.verdict for r in results] == [FAIL, PASS, FAIL, PASS]
     assert results[0] == results[2] == per_field_membership(dz, gens, 1)
-    assert results[1].certificate == (CHART.var("y"), Poly.one(3))
+    assert results[1].certificate == (Poly.variable(3, 1), Poly.one(3))
     assert results[3].certificate == (Poly.zero(3), Poly.zero(3))
     assert module_membership_batch([], gens, [], 1) == ()
 
@@ -520,7 +520,7 @@ def test_membership_rejects_foreign_chart_and_rational_coefficients():
     # VectorField constructor both refuse it
     with pytest.raises(ParseError, match="not a polynomial"):
         vf("1/(1 + x)*dx")
-    one_over = RatFunc(Poly.one(3), Poly.one(3) + CHART.var("x"))
+    one_over = RatFunc(Poly.one(3), Poly.one(3) + Poly.variable(3, 0))
     with pytest.raises(ValueError, match="must be polynomial"):
         VectorField(CHART, [one_over, 0, 0])
 

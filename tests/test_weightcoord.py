@@ -400,7 +400,8 @@ def test_problem_charts_are_polynomial_unless_the_pairing_has_a_denominator(path
 def _has_unit_denominator(f):
     if isinstance(f, Poly):
         return True
-    return divide_exact(f.den, poly_gcd(f.num, f.den)).total_degree() == 0
+    reduced = divide_exact(f.den, poly_gcd(f.num, f.den))
+    return set(reduced.terms) == {(0,) * f.nvars}
 
 
 def test_pushed_forward_chart_entries_are_ratfuncs_exactly_with_a_denominator():
