@@ -5,10 +5,15 @@ line/column):
 
     expr     := term { ("+" | "-") term }
     term     := factor { ("*" | "/") factor }
-    factor   := atom [ "^" nat ]
-    atom     := rational | ident | "d" ident | "(" expr ")" | "-" atom
+    factor   := "-" factor | power
+    power    := atom [ "^" nat ]
+    atom     := rational | ident | "d" ident | "(" expr ")"
     rational := nat [ "/" nat ]
     ident    := letter { letter | digit | "_" }
+
+The power binds tighter than a unary minus on its left, as in the usual
+notation (and Python's): "-x^2" is -(x^2), and (-x)^2 needs its
+parentheses.
 
 "/" between arbitrary factors is a superset of the written grammar so that
 printed rational functions re-parse.  The parser carries numerators over
@@ -456,6 +461,19 @@ class _Parser:
         return val
 
     def factor(self) -> _Value:
+        tok = self.peek()
+        if tok[0] != "-":
+            return self.power()
+        if self.depth == MAX_NESTING:
+            self.error(f"nesting deeper than {MAX_NESTING} levels", tok)
+        self.depth += 1
+        self.next()
+        val = self.factor()
+        self.depth -= 1
+        num = {a: {m: -c for m, c in part.items()} for a, part in val.num.items()}
+        return _Value(num, val.vector, val.den)
+
+    def power(self) -> _Value:
         val = self.atom()
         if self.peek()[0] == "^":
             op = self.next()
@@ -479,11 +497,16 @@ class _Parser:
     def atom(self) -> _Value:
         tok = self.peek()
         kind = tok[0]
-        if kind in ("(", "-"):
+        if kind == "(":
             if self.depth == MAX_NESTING:
                 self.error(f"nesting deeper than {MAX_NESTING} levels", tok)
             self.depth += 1
-            val = self.nested(tok)
+            self.next()
+            val = self.expr()
+            close = self.peek()
+            if close[0] != ")":
+                self.error("expected ')'", close)
+            self.next()
             self.depth -= 1
             return val
         if kind == NAT:
@@ -505,20 +528,6 @@ class _Parser:
                 return _Value({index: self.one}, True, self.one)
             self.error(f"unknown identifier {name!r}", tok)
         self.error(f"unexpected {tok[1]!r}" if tok[1] else "unexpected end of input", tok)
-
-    def nested(self, tok) -> _Value:
-        """A parenthesized expression or a negated atom."""
-        self.next()
-        if tok[0] == "(":
-            val = self.expr()
-            close = self.peek()
-            if close[0] != ")":
-                self.error("expected ')'", close)
-            self.next()
-            return val
-        val = self.atom()
-        num = {a: {m: -c for m, c in part.items()} for a, part in val.num.items()}
-        return _Value(num, val.vector, val.den)
 
 
 def _divided(num: dict, den: dict, nvars: int) -> Poly | None:
@@ -622,8 +631,8 @@ def _join_signed(parts: list[tuple[bool, str]]) -> str:
     if not parts:
         return "0"
     neg, body = parts[0]
-    # a leading "-x^2" would re-parse as (-x)^2 under the grammar's unary
-    # minus, so spell out the unit coefficient in exactly that position
+    # a leading unit coefficient before a power is spelled "-1*x^2": the
+    # grammar reads "-x^2" as -(x^2) too, but reports print this spelling
     if neg and body[0].isalpha() and "^" in body.split("*", 1)[0]:
         body = f"1*{body}"
     text = ("-" if neg else "") + body

@@ -186,7 +186,7 @@ def per_term_apply(x, f):
 # poly_gcd once took about 95 s on this quotient's derivative: its
 # remainder sequences grew their rational content exponentially
 @example(
-    parse_vector_field("(-x^2 - 3*x*y^2)*dx + (3*x^2*y^2*z^2 - 3*x*z)*dy", CHART),
+    parse_vector_field("(x^2 - 3*x*y^2)*dx + (3*x^2*y^2*z^2 - 3*x*z)*dy", CHART),
     parse_polynomial("1/2*z", CHART),
     parse_polynomial("-3/2*x*z + 2*y^2*z + y^2*z^2", CHART),
 )
@@ -373,10 +373,17 @@ def test_variable_shadows_d_prefix():
     assert v.coeffs[0] == RatFunc(Poly.one(2))
 
 
-def test_unary_minus_binds_to_atom():
-    # per the grammar "-x^2" is (-x)^2
-    assert parse_polynomial("-x^2", CHART) == X_**2
+def test_power_binds_tighter_than_unary_minus():
+    # per the grammar "-x^2" is -(x^2), as in the usual notation
+    assert parse_polynomial("-x^2", CHART) == -(X_**2)
     assert parse_polynomial("0 - x^2", CHART) == -(X_**2)
+    assert parse_polynomial("(-x)^2", CHART) == X_**2
+    assert parse_polynomial("2*-x^2*y", CHART) == -2 * X_**2 * Y_
+    assert parse_polynomial("-2^2", CHART) == Poly.const(3, -4)
+    assert parse_polynomial("--x^3", CHART) == X_**3
+    assert parse_vector_field("-x^2*y*dx + dy", CHART) == VectorField(
+        CHART, [-(X_**2) * Y_, 1, 0]
+    )
 
 
 def test_print_canonical_examples():
@@ -415,6 +422,25 @@ def test_poly_print_parse_round_trip(f):
 @given(fields())
 def test_vf_print_parse_round_trip(v):
     assert parse_vector_field(format_vector_field(v), CHART) == v
+
+
+def sympy_text(p: Poly) -> str:
+    """p as sympy prints it, with ** written ^: "-x^2/2 + 3*x*y", a unary
+    minus directly before a power wherever the leading term has one."""
+    return sympy.sstr(to_sympy(p, sympy.symbols("x y z"))).replace("**", "^")
+
+
+@settings(max_examples=100)
+@given(funcs())
+def test_poly_sympy_print_parse_round_trip(f):
+    assert parse_polynomial(sympy_text(f), CHART) == f
+
+
+@settings(max_examples=60)
+@given(fields())
+def test_vf_sympy_print_parse_round_trip(v):
+    text = " + ".join(f"({sympy_text(c)})*d{name}" for name, c in zip(CHART.names, v.coeffs))
+    assert parse_vector_field(text, CHART) == v
 
 
 # -- parser arithmetic against a RatFunc reference ------------------------------
