@@ -120,7 +120,12 @@ def load_problem(
     samples: int | None = None,
     seed: int | None = None,
 ) -> ProblemSpec:
-    """Parse and validate a problem document; flags override file values."""
+    """Parse and validate a problem document; flags override file values.
+
+    The levels list their generators cumulatively, so a string usually
+    recurs at every level from its first one on: each distinct string is
+    parsed once, and every level that lists it holds the same field.
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
@@ -154,6 +159,7 @@ def load_problem(
     if not isinstance(filtration_doc, dict):
         raise ProblemError(f"{path}: filtration must be an object")
     levels: list[tuple] = []
+    parsed: dict = {}
     for depth in range(1, order + 1):
         key = str(-depth)
         if key not in filtration_doc:
@@ -174,15 +180,15 @@ def load_problem(
             raise ProblemError(
                 f"{path}: filtration level {key!r} must be a list of expressions"
             )
-        fields = []
         for expr in entry:
-            try:
-                fields.append(parse_vector_field(expr, chart))
-            except ParseError as exc:
-                raise ProblemError(
-                    f"{path}: level {key!r}: cannot parse {expr!r}: {exc}"
-                ) from exc
-        levels.append(tuple(fields))
+            if expr not in parsed:
+                try:
+                    parsed[expr] = parse_vector_field(expr, chart)
+                except ParseError as exc:
+                    raise ProblemError(
+                        f"{path}: level {key!r}: cannot parse {expr!r}: {exc}"
+                    ) from exc
+        levels.append(tuple(parsed[expr] for expr in entry))
     extra = set(filtration_doc) - {str(-d) for d in range(1, order + 1)}
     if extra:
         raise ProblemError(

@@ -16,7 +16,7 @@ import functools
 import itertools
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .exactalg import (
     Poly,
@@ -107,46 +107,71 @@ class Submanifold:
 
 @record
 class Filtration:
-    """Generator lists for levels -1..-order on a common chart."""
+    """Generator lists for levels -1..-order on a common chart.
+
+    Each distinct generator, by value, is kept once: generators(order)
+    lists them in order of first appearance, found through a dict, and
+    generators(depth) is the prefix of those first listed at a level of
+    depth at most depth.  A level lists them by position,
+    level_indices(depth), and levels[depth - 1] holds those same objects,
+    so a field that the lists repeat is one object, and anything derived
+    from it can be computed once per generator.
+    """
 
     chart: Chart
     order: int
     levels: tuple[tuple[VectorField, ...], ...]
-    # generators(depth) for depth 1..order, built once
+    # per depth: generators(depth), a prefix of the distinct generators,
+    # and the positions the level lists
     _generators: tuple[tuple[VectorField, ...], ...]
+    _indices: tuple[tuple[int, ...], ...]
 
     def __init__(self, chart: Chart, order: int, levels: Sequence[Sequence[VectorField]]):
         if order < 1:
             raise ValueError("filtration order must be at least 1")
         if len(levels) != order:
             raise ValueError("expected one generator list per level -1..-order")
-        frozen = []
+        position: dict[VectorField, int] = {}
+        distinct: list[VectorField] = []
+        prefixes, indices = [], []
         for gens in levels:
-            gens = tuple(gens)
+            level = []
             for g in gens:
-                if g.chart != chart:
-                    raise ValueError("generator lives on a different chart")
-            frozen.append(gens)
+                p = position.get(g)
+                if p is None:
+                    if g.chart != chart:
+                        raise ValueError("generator lives on a different chart")
+                    p = position[g] = len(distinct)
+                    distinct.append(g)
+                level.append(p)
+            indices.append(tuple(level))
+            prefixes.append(tuple(distinct))
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "levels", tuple(frozen))
-        cumulative: list[VectorField] = []
-        generators = []
-        for gens in frozen:
-            for g in gens:
-                if g not in cumulative:
-                    cumulative.append(g)
-            generators.append(tuple(cumulative))
-        object.__setattr__(self, "_generators", tuple(generators))
+        object.__setattr__(
+            self, "levels", tuple(tuple(distinct[p] for p in level) for level in indices)
+        )
+        object.__setattr__(self, "_generators", tuple(prefixes))
+        object.__setattr__(self, "_indices", tuple(indices))
 
-    def generators(self, depth: int) -> tuple[VectorField, ...]:
-        """Generators of H_{-depth}: every listed generator of levels 1..depth."""
+    def _check_depth(self, depth: int) -> None:
         if not 1 <= depth <= self.order:
             raise ValueError(f"level depth {depth} out of range")
+
+    def generators(self, depth: int) -> tuple[VectorField, ...]:
+        """Generators of H_{-depth}: every listed generator of levels 1..depth,
+        each once, in order of first appearance."""
+        self._check_depth(depth)
         return self._generators[depth - 1]
 
+    def level_indices(self, depth: int) -> tuple[int, ...]:
+        """The position in generators(self.order) of each generator the
+        level lists, in list order."""
+        self._check_depth(depth)
+        return self._indices[depth - 1]
+
     def max_generator_degree(self) -> int:
-        return fields_degree(g for gens in self.levels for g in gens)
+        return fields_degree(self.generators(self.order))
 
     def default_degree_bound(self) -> int:
         return 2 * self.max_generator_degree() + self.order
@@ -333,28 +358,33 @@ def degree_schedule(nvars: int, cap: int) -> list[int]:
     return rungs
 
 
-def _pointwise_scan(fields, gens, prefixes, pending, points, results) -> list[int]:
-    """Fail each pending field at the first of points where it leaves the
-    pointwise span of its generator prefix; the fields still pending.
+def _pointwise_scan(fields, gens, pending, points, failed) -> list[tuple[int, int]]:
+    """Fail each pending question (t, k) at the first of points where
+    fields[t] leaves the pointwise span of gens[:k], recording the point
+    as failed[(t, k)]; the questions still pending.
 
-    The generators are evaluated once per point, and one pointwise span
-    grows through the prefixes in increasing order.
+    Each field and generator is evaluated once per point, and one
+    pointwise span grows through the prefixes in increasing order.
     """
-    pending = sorted(pending, key=prefixes.__getitem__)
+    pending = sorted(pending, key=lambda question: question[1])
     for point in points:
         if not pending:
             break
         pointwise = RowEchelon()
         done = 0
+        values: dict[int, tuple[Fraction, ...]] = {}
         inside = []
-        for t in pending:
-            for g in gens[done : prefixes[t]]:
+        for t, k in pending:
+            for g in gens[done:k]:
                 pointwise.add(g.value_at(point))
-            done = prefixes[t]
-            if pointwise.contains(fields[t].value_at(point)):
-                inside.append(t)
+            done = k
+            value = values.get(t)
+            if value is None:
+                value = values[t] = fields[t].value_at(point)
+            if pointwise.contains(value):
+                inside.append((t, k))
             else:
-                results[t] = TriState.failed(point)
+                failed[(t, k)] = point
         pending = inside
     return pending
 
@@ -362,37 +392,49 @@ def _pointwise_scan(fields, gens, prefixes, pending, points, results) -> list[in
 def module_membership_batch(
     fields: Sequence[VectorField],
     gens: Sequence[VectorField],
-    prefixes: Sequence[int],
+    reads: Sequence[tuple[int, int, int]],
     degree_bound: int,
 ) -> tuple[TriState, ...]:
-    """Decide v = sum u_j g_j over the first prefixes[t] generators, with
-    polynomial u_j of degree <= degree_bound, for every field v = fields[t]
-    of the batch, one verdict per field in order.
+    """Decide sign * v = sum u_j g_j over the first k generators, with
+    polynomial u_j of degree <= degree_bound and v = fields[t], for every
+    read (t, k, sign) of the batch, sign +1 or -1; one verdict per read,
+    in order.  Each field is one right-hand column, however many reads
+    it has.
 
     The bound is walked up degree_schedule(n, degree_bound), and each rung
     d is one elimination: the transposed system of module_columns over
     monos_d and the generators up to the largest open prefix, with the
-    open fields as right-hand columns, open field number s as ncols + s.
-    Generator j owns the block of columns j*len(monos_d) up to
-    (j + 1)*len(monos_d), so the first prefixes[t] generators own the
-    leading k_t = prefixes[t]*len(monos_d) columns, and field t is read with
-    RowEchelon.particular_entries(k_t, ncols + s).  That is exact because
-    RREF has a prefix property: restricted to the leading columns
-    A_1..A_k and one column b of B, the reduced form of
+    fields that have an open read as right-hand columns, open field number
+    s as ncols + s.  Generator j owns the block of columns j*len(monos_d)
+    up to (j + 1)*len(monos_d), so the first k generators own the leading
+    k*len(monos_d) columns, and field t is read against prefix k with
+    RowEchelon.particular_entries(k*len(monos_d), ncols + s).  That is
+    exact because RREF has a prefix property: restricted to the leading
+    columns A_1..A_k and one column b of B, the reduced form of
     [A_1 | A_2 | ... | B] is row equivalent to [A_1..A_k | b]; its rows
     with a pivot among the leading columns are in reduced form there, and
     its other rows vanish on them.
     So b is in the span of the leading columns exactly when none of those
-    other rows (pivot at or past k_t) has an entry in b's column, and the
-    particular solution (free variables 0) is then b's entries on the rows
-    with their pivot before k_t.  RREF is unique, so each rung's verdict and
-    certificate equal those of solving the field on its own against its
-    prefix at that rung's bound, in a system of its own.
+    other rows (pivot at or past the prefix) has an entry in b's column,
+    and the particular solution (free variables 0) is then b's entries on
+    the rows with their pivot before it.  RREF is unique, so each rung's
+    verdict and certificate equal those of solving the field on its own
+    against its prefix at that rung's bound, in a system of its own.
+
+    Three readings follow, which let one column answer every read of its
+    field.  The particular solution is linear in b, so -b reads the
+    negated certificate, at the same rung, and a pointwise witness is one
+    for -b too.  A row with its pivot at or past a prefix k vanishes on
+    the first k columns, so when b lies in their span it has no entry
+    there: b passes against every larger prefix, with the prefix-k
+    certificate padded by zero coefficients.  So a field's open prefixes
+    are read in increasing order, up to the first that passes.  And a
+    smaller prefix spans less: it never passes where a larger one fails.
 
     A pass certificate is the tuple of coefficient polynomials, one per
-    generator of the prefix, read at the first rung that solves the field;
+    generator of the prefix, read at the first rung that solves the read;
     a fail certificate is the first point of sample_points where v leaves
-    the pointwise span of those generators.  The fields rung 0 leaves open
+    the pointwise span of those generators.  The reads rung 0 leaves open
     are tested at the first point, and those the last rung leaves open are
     scanned from the second point on.  When neither a bounded solution nor
     a witness exists the verdict is inconclusive.
@@ -403,51 +445,89 @@ def module_membership_batch(
     out every bound.  Only a pass certificate can differ, being read at the
     deciding rung.
     """
-    if len(prefixes) != len(fields):
-        raise ValueError("expected one generator-prefix length per field")
-    if any(not 0 <= k <= len(gens) for k in prefixes):
+    if any(not 0 <= t < len(fields) for t, _, _ in reads):
+        raise ValueError("read of a field outside the batch")
+    if any(not 0 <= k <= len(gens) for _, k, _ in reads):
         raise ValueError("generator-prefix length out of range")
-    if not fields:
+    if any(sign not in (1, -1) for _, _, sign in reads):
+        raise ValueError("a read's sign is +1 or -1")
+    if not reads:
         return ()
     chart = fields[0].chart
     if any(x.chart != chart for x in (*fields, *gens)):
         raise ValueError("fields and generators live on different charts")
     n = chart.dim
-    results: list[TriState] = [TriState.undecided("degree_bound")] * len(fields)
-    pending = list(range(len(fields)))
+    results: list[TriState] = [TriState.undecided("degree_bound")] * len(reads)
+    # each question (t, k) once, with the reads that ask it
+    asked: dict[tuple[int, int], list[int]] = {}
+    for r, (t, k, _) in enumerate(reads):
+        asked.setdefault((t, k), []).append(r)
+    # per field, its open prefixes in increasing order
+    open_prefixes: dict[int, list[int]] = {}
+    for t, k in sorted(asked):
+        open_prefixes.setdefault(t, []).append(k)
+    failed: dict[tuple[int, int], tuple[Fraction, ...]] = {}
     points = sample_points(n)
     gens_degree, top_field_degree = fields_degree(gens), fields_degree(fields)
+    zero = Poly.zero(n)
+
+    def decide(t: int, prefixes: list[int], terms: list[dict]) -> None:
+        # a pass against prefixes[0], with the coefficient terms per
+        # generator, answers every prefix after it too
+        certificate = {1: tuple(Poly(n, c) for c in terms)}
+        for k in prefixes:
+            padding = (zero,) * (k - len(terms))
+            for r in asked[(t, k)]:
+                sign = reads[r][2]
+                if sign not in certificate:
+                    certificate[sign] = tuple(-u for u in certificate[1])
+                results[r] = TriState.passed(certificate[sign] + padding)
+
     for d in degree_schedule(n, degree_bound):
         monos = monomials_up_to(n, d)
         keys = PackedKeys.for_degree(n, max(gens_degree + d, top_field_degree))
         # generators past every open prefix own trailing columns no read needs
-        used = max(prefixes[t] for t in pending)
+        used = max(ks[-1] for ks in open_prefixes.values())
         columns = module_columns(gens[:used], monos, keys)
         ncols = len(columns)
-        rhs = [field_entries(fields[t], keys) for t in pending]
+        rhs = [field_entries(fields[t], keys) for t in open_prefixes]
         span = RowEchelon(transposed(columns + rhs))
         size = len(monos)
-        still = []
-        for s, t in enumerate(pending):
-            k = prefixes[t]
-            solution = span.particular_entries(k * size, ncols + s)
-            if solution is None:
-                still.append(t)
+        for s, (t, prefixes) in enumerate(list(open_prefixes.items())):
+            for pos, k in enumerate(prefixes):
+                solution = span.particular_entries(k * size, ncols + s)
+                if solution is not None:
+                    break
+            else:
                 continue
             # column p is generator p // size times monomial monos[p % size]
-            by_gen: list[dict] = [{} for _ in range(k)]
+            terms: list[dict] = [{} for _ in range(k)]
             for p, x in sorted(solution.items()):
-                by_gen[p // size][monos[p % size]] = x
-            results[t] = TriState.passed(tuple(Poly(n, terms) for terms in by_gen))
-        pending = still
+                terms[p // size][monos[p % size]] = x
+            decide(t, prefixes[pos:], terms)
+            if pos:
+                open_prefixes[t] = prefixes[:pos]
+            else:
+                del open_prefixes[t]
         if d == 0:
-            pending = _pointwise_scan(
-                fields, gens, prefixes, pending, itertools.islice(points, 1), results
-            )
-        if not pending:
+            _scan_open(fields, gens, open_prefixes, itertools.islice(points, 1), failed)
+        if not open_prefixes:
             break
-    _pointwise_scan(fields, gens, prefixes, pending, points, results)
+    _scan_open(fields, gens, open_prefixes, points, failed)
+    for question, point in failed.items():
+        for r in asked[question]:
+            results[r] = TriState.failed(point)
     return tuple(results)
+
+
+def _scan_open(fields, gens, open_prefixes: dict, points, failed: dict) -> None:
+    """_pointwise_scan over every open question, dropping the failed ones
+    from open_prefixes."""
+    pending = [(t, k) for t, prefixes in open_prefixes.items() for k in prefixes]
+    still = _pointwise_scan(fields, gens, pending, points, failed)
+    open_prefixes.clear()
+    for t, k in sorted(still):
+        open_prefixes.setdefault(t, []).append(k)
 
 
 def module_membership(
@@ -455,7 +535,7 @@ def module_membership(
 ) -> TriState:
     """Decide v = sum u_j g_j with polynomial u_j of degree <= degree_bound:
     module_membership_batch on the one field v, against every generator."""
-    return module_membership_batch([v], gens, [len(gens)], degree_bound)[0]
+    return module_membership_batch([v], gens, [(0, len(gens), 1)], degree_bound)[0]
 
 
 @record
@@ -489,72 +569,108 @@ class BracketCompatReport:
         return None
 
 
+class _BracketTable:
+    """Brackets [g_p, g_q] of the generators of one filtration, by
+    position: each unordered pair of distinct generators is bracketed once,
+    when first asked for, as [g_p, g_q] with p < q; the reversed pair reads
+    its negation, and [g_p, g_p] is the zero field.  One table serves one
+    check_bracket_compat call."""
+
+    def __init__(self, gens: Sequence[VectorField], zero: VectorField):
+        self.gens = gens
+        self.zero = zero
+        self.built: dict[tuple[int, int], VectorField] = {}
+
+    def bracket(self, p: int, q: int) -> VectorField:
+        if p == q:
+            return self.zero
+        key = (min(p, q), max(p, q))
+        field = self.built.get(key)
+        if field is None:
+            field = self.built[key] = lie_bracket(self.gens[key[0]], self.gens[key[1]])
+        return field if p < q else -field
+
+
 class _TautologicalPass(TriState):
     """Pass of a bracket [g, h] in the full module of vector fields.
 
     The certificate is the bracket's own coefficients on the coordinate
     frame, padded with a zero coefficient per top-level generator.  It is
-    built on first read, so a verdict alone never computes the bracket.
+    built on first read, from the zero-argument bracket, so a verdict
+    alone never computes the bracket.
     """
 
-    def __init__(self, g: VectorField, h: VectorField, padding: tuple[Poly, ...]):
+    def __init__(self, bracket: Callable[[], VectorField], padding: tuple[Poly, ...]):
         object.__setattr__(self, "verdict", PASS)
         object.__setattr__(self, "reason", "")
-        object.__setattr__(self, "_pair", (g, h, padding))
+        object.__setattr__(self, "_pair", (bracket, padding))
 
     @functools.cached_property
     def certificate(self) -> tuple[Poly, ...]:
-        g, h, padding = self._pair
-        return lie_bracket(g, h).coeffs + padding
+        bracket, padding = self._pair
+        return bracket().coeffs + padding
 
 
 def check_bracket_compat(filtration: Filtration, degree_bound: int) -> BracketCompatReport:
     """Verify [H_{-i}, H_{-j}] <= H_{-(i+j)} on all generator pairs.
 
-    The target modules are nested: generators(k) is a prefix of
+    A pair is named by levels and list positions, (i, j, gi, gj), but its
+    bracket depends only on the two generators: the filtration keeps each
+    distinct generator once, so every unordered pair of distinct generators
+    is bracketed once, in a _BracketTable, and a pair (g, g) is the zero
+    field.  The target modules are nested: generators(k) is a prefix of
     generators(top) for every target level k <= top.  So all brackets go
     into one module_membership_batch call against the top target level's
-    generators, each bracket read against the prefix generators(i + j): one
-    elimination per rung for every level, whose verdicts and certificates
-    equal those of one call per level (the prefix property of RREF; see
-    module_membership_batch).  That call walks the degree bound up from 0,
-    with the still-open brackets only, and tests what rung 0 leaves open
-    at the origin first: nearly every bracket is decided there.  Each
-    verdict and witness is that of one elimination at the cap; a pass
-    certificate is read at the least rung that solves its bracket.  Pairs
-    with i + j beyond the filtration order land in the full module of
-    vector fields and pass with the tautological coordinate-field
-    certificate, whose bracket is computed only when the certificate is
-    read.
+    generators, each distinct bracket one right-hand column, read against
+    the prefix generators(i + j) of each pair that asks it, with sign -1
+    for a pair in the reversed order: one elimination per rung for every
+    level, whose verdicts and certificates equal those of one call per
+    level and per pair (the prefix property of RREF and the linearity of
+    the particular solution; see module_membership_batch).  That call
+    walks the degree bound up from 0, with the still-open reads only, and
+    tests what rung 0 leaves open at the origin first: nearly every
+    bracket is decided there.  Each verdict and witness is that of one
+    elimination at the cap; a pass certificate is read at the least rung
+    that solves its bracket.  Pairs with i + j beyond the filtration order
+    land in the full module of vector fields and pass with the tautological
+    coordinate-field certificate, whose bracket is taken from the table
+    only when the certificate is read.
     """
     r = filtration.order
+    n = filtration.chart.dim
+    table = _BracketTable(
+        filtration.generators(r), VectorField(filtration.chart, [0] * n)
+    )
+    padding = (Poly.zero(n),) * len(filtration.generators(r))
+    columns: dict[tuple[int, int], int] = {}
+    fields: list[VectorField] = []
+    reads: list[tuple[int, int, int]] = []
     pairs = []
     for i in range(1, r + 1):
         for j in range(i, r + 1):
-            gens_i = filtration.levels[i - 1]
-            gens_j = filtration.levels[j - 1]
-            for gi, g in enumerate(gens_i):
-                for gj, h in enumerate(gens_j):
+            for gi, p in enumerate(filtration.level_indices(i)):
+                for gj, q in enumerate(filtration.level_indices(j)):
                     if i == j and gj < gi:
                         continue
-                    pairs.append((i, j, gi, gj, g, h))
-    inside = [(i + j, g, h) for i, j, _, _, g, h in pairs if i + j <= r]
-    top = max((k for k, _, _ in inside), default=1)
-    verdicts = iter(
-        module_membership_batch(
-            [lie_bracket(g, h) for _, g, h in inside],
-            filtration.generators(top),
-            [len(filtration.generators(k)) for k, _, _ in inside],
-            degree_bound,
-        )
-    )
-    padding = tuple(Poly.zero(filtration.chart.dim) for _ in filtration.generators(r))
+                    pairs.append((i, j, gi, gj, p, q))
+                    if i + j > r:
+                        continue
+                    # every pair (g, g) reads the one zero field
+                    key = (min(p, q), max(p, q)) if p != q else (0, 0)
+                    t = columns.get(key)
+                    if t is None:
+                        t = columns[key] = len(fields)
+                        fields.append(table.bracket(*key))
+                    reads.append((t, len(filtration.generators(i + j)), 1 if p <= q else -1))
+    top = max((k for _, k, _ in reads), default=0)
+    gens = filtration.generators(r)
+    verdicts = iter(module_membership_batch(fields, gens[:top], reads, degree_bound))
     checks = []
-    for i, j, gi, gj, g, h in pairs:
+    for i, j, gi, gj, p, q in pairs:
         if i + j <= r:
             result = next(verdicts)
         else:
-            result = _TautologicalPass(g, h, padding)
+            result = _TautologicalPass(functools.partial(table.bracket, p, q), padding)
         checks.append(BracketCheck(i, j, gi, gj, result))
     return BracketCompatReport(tuple(checks))
 

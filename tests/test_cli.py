@@ -71,6 +71,28 @@ UVW_DOC = {
     "submanifold": {"tangent": [], "base_point": ["0", "0", "0"]},
 }
 
+# engel4 pushed forward by (x1, x2, x3, x4) -> (x1, x2 + x1^2, x3 + x2^2,
+# x4 + 2*x1 + 1/2*x1*x3), the fields printed by format_vector_field
+ENGEL4_PUSHED_DOC = {
+    "variables": ["x1", "x2", "x3", "x4"],
+    "order": 3,
+    "filtration": {
+        "-1": [
+            "dx1 + 2*x1*dx2 + (2 + 1/2*x3 - 1/2*x2^2 + x1^2*x2 - 1/2*x1^4)*dx4",
+            "dx2 + (x1 + 2*x2 - 2*x1^2)*dx3"
+            " + (x3 + 1/2*x1^2 - x2^2 + 2*x1^2*x2 - x1^4)*dx4",
+        ],
+        "-2": [
+            "dx1 + 2*x1*dx2 + (2 + 1/2*x3 - 1/2*x2^2 + x1^2*x2 - 1/2*x1^4)*dx4",
+            "dx2 + (x1 + 2*x2 - 2*x1^2)*dx3"
+            " + (x3 + 1/2*x1^2 - x2^2 + 2*x1^2*x2 - x1^4)*dx4",
+            "dx3 + 1/2*x1*dx4",
+        ],
+        "-3": "full",
+    },
+    "submanifold": {"tangent": [], "base_point": ["0", "0", "0", "0"]},
+}
+
 
 def assert_no_osculating_over_claim(path, tmp_path, small, large):
     """The osculating stage at bound `small` does not pass with graded dims
@@ -279,6 +301,14 @@ class TestReport:
         # levels -1, -2: du + 5*u^4*dw; -3, -4 add dv; -5 is full
         path = write_problem(tmp_path, UVW_DOC)
         assert_no_osculating_over_claim(path, tmp_path, small=bound, large=8)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    def test_engel4_pushforward_at_bound_2_does_not_pass_with_other_dims(self, tmp_path):
+        # at default flags (osculate bound 2) every stage of report passes
+        # with dims [2, 1, 2] and tangent dims [0, 0, 1]; bounds 3 and 4
+        # give engel4's own [2, 1, 1] and [0, 0, 0]
+        path = write_problem(tmp_path, ENGEL4_PUSHED_DOC)
+        assert_no_osculating_over_claim(path, tmp_path, small=2, large=4)
 
     def test_corrections_expose_factorial_constants(self, tmp_path):
         _, report = run_report("coords", EXAMPLE2, tmp_path)
@@ -627,6 +657,41 @@ class TestFreeNilpotent:
         assert osc["graded_dims"] == witt
         assert sum(witt) == len(words)
         assert osc["unverified"] == []
+
+
+class TestLoadProblem:
+    @pytest.mark.parametrize(
+        "name,doc,strings,distinct",
+        [
+            ("cartan235", None, 5, 3),
+            ("filiform 10", filiform_problem(10), 54, 10),
+        ],
+    )
+    def test_each_distinct_string_is_parsed_once(
+        self, tmp_path, monkeypatch, name, doc, strings, distinct
+    ):
+        path = str(BENCH_PROBLEMS / "cartan235.json") if doc is None else write_problem(tmp_path, doc)
+        levels = json.loads(Path(path).read_text())["filtration"]
+        listed = [e for level in levels.values() if level != "full" for e in level]
+        assert len(listed) == strings
+        parsed = []
+        real = cli.parse_vector_field
+
+        def counting(text, chart):
+            parsed.append(text)
+            return real(text, chart)
+
+        monkeypatch.setattr(cli, "parse_vector_field", counting)
+        flt = load_problem(path).filtration
+        assert parsed == list(dict.fromkeys(listed))
+        assert len(parsed) == distinct
+        # every level that lists a string holds the one field parsed from it
+        by_text = {}
+        for depth, level in enumerate(levels.values(), start=1):
+            if level == "full":
+                continue
+            for text, field in zip(level, flt.levels[depth - 1]):
+                assert by_text.setdefault(text, field) is field
 
 
 class TestFullToken:

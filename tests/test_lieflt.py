@@ -1,7 +1,10 @@
 """Filtration checks: membership, bracket compatibility, cleanness, weights."""
 
+import contextlib
 import functools
+import io
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -11,7 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import CHART_TABC, CountingRowEchelon, module_solve, pushed_forward_model
+from corpus import (
+    CHART_TABC,
+    CountingRowEchelon,
+    filiform_problem,
+    module_solve,
+    pushed_forward_model,
+)
 from lieweights import lieflt
 from lieweights.cli import load_problem, main
 from lieweights.exactalg import (
@@ -364,13 +373,15 @@ def combination(coeffs, gens):
 
 @st.composite
 def membership_batches(draw):
-    """(fields, gens, bound, prefixes): combinations of the generators with
+    """(fields, gens, bound, reads): combinations of the generators with
     coefficients of degree <= 2, so some need more than the bound, and
     random fields, often infeasible; plus the zero field, and a repeat of
     the first field the oracle does not pass.  Sometimes a generator is a
     monomial multiple of an earlier one, so that a field passes at a low
-    rung with a certificate other than the cap's.  The prefixes are all
-    full, or drawn per field."""
+    rung with a certificate other than the cap's.  Each field has one to
+    three reads (t, k, sign), in shuffled order: the prefixes are all
+    full, or drawn per read, so one column is often read against several
+    prefixes, and each sign is drawn, so a field is also read negated."""
     gens = draw(st.lists(small_field(), min_size=1, max_size=3))
     if draw(st.booleans()):
         mono = draw(st.sampled_from(monomials_up_to(3, 2)[1:]))
@@ -390,22 +401,27 @@ def membership_batches(draw):
         if per_field_membership(v, gens, bound).verdict != PASS:
             fields.append(v)
             break
-    if draw(st.booleans()):
-        prefixes = [len(gens)] * len(fields)
-    else:
-        prefixes = [draw(st.integers(0, len(gens))) for _ in fields]
-    return fields, gens, bound, prefixes
+    full = draw(st.booleans())
+    reads = [
+        (t, len(gens) if full else draw(st.integers(0, len(gens))), draw(st.sampled_from([1, -1])))
+        for t in range(len(fields))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return fields, gens, bound, draw(st.permutations(reads))
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(membership_batches())
 def test_batch_membership_matches_per_field_oracle(batch):
-    # per field: the verdict and any fail witness are the oracle's at the
-    # cap, and a pass certificate is the oracle's at the deciding rung,
-    # which re-substitutes to the field exactly
-    fields, gens, bound, prefixes = batch
-    results = module_membership_batch(fields, gens, prefixes, bound)
-    for v, k, result in zip(fields, prefixes, results):
+    # per read of sign * fields[t] against gens[:k]: the verdict and any
+    # fail witness are the oracle's at the cap, and a pass certificate is
+    # the oracle's at the deciding rung, which re-substitutes to the
+    # signed field exactly
+    fields, gens, bound, reads = batch
+    results = module_membership_batch(fields, gens, reads, bound)
+    assert len(results) == len(reads)
+    for (t, k, sign), result in zip(reads, results):
+        v = fields[t] if sign == 1 else -fields[t]
         at_cap = per_field_membership(v, gens[:k], bound)
         assert result.verdict == at_cap.verdict
         if result.verdict != PASS:
@@ -500,7 +516,9 @@ def test_batch_repeats_an_infeasible_field():
     gens = [vf("dx"), vf("dy + x*dz")]
     dz, inside = vf("dz"), vf("y*dx + dy + x*dz")
     zero = VectorField(CHART, [0, 0, 0])
-    results = module_membership_batch([dz, inside, dz, zero], gens, [2] * 4, 1)
+    results = module_membership_batch(
+        [dz, inside, dz, zero], gens, [(t, 2, 1) for t in range(4)], 1
+    )
     assert [r.verdict for r in results] == [FAIL, PASS, FAIL, PASS]
     assert results[0] == results[2] == per_field_membership(dz, gens, 1)
     assert results[1].certificate == (Poly.variable(3, 1), Poly.one(3))
@@ -515,7 +533,7 @@ def test_membership_rejects_foreign_chart_and_rational_coefficients():
     with pytest.raises(ValueError):
         module_membership(vf("dx"), [other], 1)
     with pytest.raises(ValueError):
-        module_membership_batch([vf("dx"), other], [vf("dx")], [1, 1], 1)
+        module_membership_batch([vf("dx"), other], [vf("dx")], [(0, 1, 1), (1, 1, 1)], 1)
     # a rational coefficient never reaches membership: the parser and the
     # VectorField constructor both refuse it
     with pytest.raises(ParseError, match="not a polynomial"):
@@ -572,7 +590,7 @@ def test_bracket_compat_builds_only_the_brackets_it_tests(name, monkeypatch):
     built = []
 
     def counting_bracket(g, h):
-        built.append((id(g), id(h)))
+        built.append(frozenset((id(g), id(h))))
         return lie_bracket(g, h)
 
     monkeypatch.setattr(lieflt, "lie_bracket", counting_bracket)
@@ -583,10 +601,19 @@ def test_bracket_compat_builds_only_the_brackets_it_tests(name, monkeypatch):
     def pair(check):
         return flt.levels[check.i - 1][check.gi], flt.levels[check.j - 1][check.gj]
 
+    def generator_pairs(checks):
+        # unordered pairs of distinct generators; a repeated generator is
+        # one object at every level that lists it
+        return {frozenset(map(id, pair(c))) for c in checks if len(set(map(id, pair(c)))) == 2}
+
     tested = [c for c in report.checks if c.i + c.j <= flt.order]
     deep = [c for c in report.checks if c.i + c.j > flt.order]
     assert tested and deep
-    assert built == [(id(g), id(h)) for g, h in map(pair, tested)]
+    # one bracket per unordered pair of distinct generators the tested
+    # pairs name, none for a pair (g, g), and none for a deep pair yet
+    assert len(built) == len(set(built))
+    assert set(built) == generator_pairs(tested)
+    assert len(built) < len(tested)
 
     # reading a tautological certificate builds its bracket, and the
     # certificate re-substitutes to it on the frame plus H_{-order}
@@ -599,7 +626,39 @@ def test_bracket_compat_builds_only_the_brackets_it_tests(name, monkeypatch):
         for coeff, gen in zip(cert[1:], basis[1:]):
             total = total + gen.scale(coeff)
         assert total == lie_bracket(*pair(check))
-    assert len(built) == len(tested) + len(deep)
+    # reading the deep certificates built only the pairs still missing
+    assert len(built) == len(set(built))
+    assert set(built) == generator_pairs(tested) | generator_pairs(deep)
+
+
+def test_filiform_ten_check_brackets_each_generator_pair_once(tmp_path, monkeypatch):
+    # filiform 10 lists 54 generator strings, 10 distinct, over 9 levels:
+    # bracket-compat tests 310 of its 1485 pairs (those with i + j <= 9),
+    # which name 29 unordered generator pairs.  It brackets the 24 pairs
+    # of distinct generators once each; the five pairs (g, g) read the
+    # zero field, with no bracket.
+    path = tmp_path / "filiform10.json"
+    path.write_text(json.dumps(filiform_problem(10)))
+    built = []
+
+    def counting_bracket(g, h):
+        built.append((g, h))
+        return lie_bracket(g, h)
+
+    monkeypatch.setattr(lieflt, "lie_bracket", counting_bracket)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["check", str(path)]) == 0
+    assert len(built) == 24
+    flt = load_problem(str(path)).filtration
+    report = check_bracket_compat(flt, 0)
+    assert len(report.checks) == 1485
+    tested = [c for c in report.checks if c.i + c.j <= flt.order]
+    names = {
+        frozenset((flt.level_indices(c.i)[c.gi], flt.level_indices(c.j)[c.gj]))
+        for c in tested
+    }
+    assert len(tested) == 310
+    assert len(names) == 29 and sum(len(p) == 1 for p in names) == 5
 
 
 def per_level_bracket_compat(filtration, degree_bound):
@@ -620,8 +679,8 @@ def per_level_bracket_compat(filtration, degree_bound):
     for k, entries in by_level.items():
         gens = filtration.generators(k)
         brackets = [b for _, b in entries]
-        prefixes = [len(gens)] * len(brackets)
-        verdicts = module_membership_batch(brackets, gens, prefixes, degree_bound)
+        reads = [(t, len(gens), 1) for t in range(len(brackets))]
+        verdicts = module_membership_batch(brackets, gens, reads, degree_bound)
         results.update(zip((key for key, _ in entries), verdicts))
     return results
 
@@ -694,13 +753,34 @@ def test_bracket_compat_builds_one_bounded_system(monkeypatch):
 def test_batch_reads_each_field_against_its_prefix():
     gens = [vf("dx"), vf("dy"), vf("dz")]
     dz = vf("dz")
-    results = module_membership_batch([dz, dz, dz], gens, [3, 2, 0], 0)
-    assert results[0] == TriState.passed((Poly.zero(3), Poly.zero(3), Poly.one(3)))
+    reads = [(0, 3, 1), (0, 2, 1), (0, 0, 1), (0, 3, -1)]
+    results = module_membership_batch([dz], gens, reads, 0)
+    zero, one = Poly.zero(3), Poly.one(3)
+    assert results[0] == TriState.passed((zero, zero, one))
     assert results[1] == results[2] == TriState.failed((0, 0, 0))
+    assert results[3] == TriState.passed((zero, zero, -one))
     with pytest.raises(ValueError):
-        module_membership_batch([dz], gens, [4], 0)
+        module_membership_batch([dz], gens, [(0, 4, 1)], 0)
     with pytest.raises(ValueError):
-        module_membership_batch([dz, dz], gens, [3], 0)
+        module_membership_batch([dz], gens, [(1, 3, 1)], 0)
+    with pytest.raises(ValueError):
+        module_membership_batch([dz], gens, [(0, 3, 0)], 0)
+
+
+def test_a_pass_at_a_prefix_answers_the_larger_ones_padded():
+    # x*dz is in the module of [dz] at bound 1 (rung 1), and of [dz, x*dz]
+    # already at rung 0; [dx] alone never holds it.  Read against all
+    # three prefixes of [dz, x*dz, dx], each prefix keeps its own deciding
+    # rung, and prefix 3 is prefix 2's certificate padded with a zero.
+    gens = [vf("dz"), vf("x*dz"), vf("dx")]
+    v = vf("x*dz")
+    zero, one = Poly.zero(3), Poly.one(3)
+    results = module_membership_batch([v], gens, [(0, 1, 1), (0, 2, -1), (0, 3, 1)], 1)
+    assert results[0] == TriState.passed((Poly.variable(3, 0),))
+    assert results[1] == TriState.passed((zero, -one))
+    assert results[2] == TriState.passed((zero, one, zero))
+    for (k, sign), result in zip([(1, 1), (2, -1), (3, 1)], results):
+        assert result == walk_membership(v if sign == 1 else -v, gens[:k], 1)
 
 
 # -- cleanness and weights -------------------------------------------------------

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from lieweights.exactalg import Poly, record
 from lieweights.lieflt import Filtration, TriState, _TautologicalPass
-from lieweights.vfield import Chart, parse_vector_field
+from lieweights.vfield import Chart, lie_bracket, parse_vector_field
 
 
 def point_class(decorate):
@@ -176,7 +176,7 @@ def test_tristate_certificate_defaults_to_none():
 def test_tautological_pass_differs_from_a_plain_pass():
     g, h = parse_vector_field("dx", CHART), parse_vector_field("x*dy", CHART)
     padding = (Poly.zero(3),)
-    tautological = _TautologicalPass(g, h, padding)
+    tautological = _TautologicalPass(lambda: lie_bracket(g, h), padding)
     plain = TriState.passed(tautological.certificate)
     assert tautological.verdict == plain.verdict
     assert tautological.certificate == plain.certificate
