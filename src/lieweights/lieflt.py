@@ -764,7 +764,10 @@ def tangency_solve(
 
     Tangency and the values u_j(m) depend only on u restricted to N, so
     the unknowns are polynomials on N: monomials of degree <= degree_bound
-    in the tangent variables.  The system is "fiber components vanish on
+    in the tangent variables, enumerated in those variables alone and
+    embedded with zero fiber exponents.  Graded lexicographic order
+    compares the fiber exponents, all 0, as equal, so the embedding keeps
+    the order the tangent monomials have among all of the chart's.  The system is "fiber components vanish on
     N", homogeneous, with the generators' fiber parts restricted to N as
     columns.  Generator j owns columns j*len(monos) up to
     (j + 1)*len(monos), so each prefix's system is a column prefix of the
@@ -783,11 +786,13 @@ def tangency_solve(
             raise ValueError("generator lives on a different chart")
     if any(not 0 <= k <= len(gens) for k in prefixes):
         raise ValueError("generator-prefix length out of range")
-    monos = [
-        mono
-        for mono in monomials_up_to(n, degree_bound)
-        if not any(mono[f] for f in fiber)
-    ]
+    tangent = submanifold.tangent_indices
+    monos = []
+    for alpha in monomials_up_to(len(tangent), degree_bound):
+        mono = [0] * n
+        for i, e in zip(tangent, alpha):
+            mono[i] = e
+        monos.append(tuple(mono))
     zero = Poly.zero(n)
     # fiber components restricted to N; a shift by a monomial on N keeps a
     # term off the fiber variables

@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .exactalg import Poly, RowEchelon, record, weight_of, weighted_multiindices
+from .exactalg import Poly, RowEchelon, record
 from .lieflt import (
     Filtration,
     PackedKeys,
@@ -441,23 +441,18 @@ def fiber_class_pairs(
 
     A label (position, multi-index) stands for the class of x^s d/dx_p
     where s runs over fiber-supported multi-indices of weighted degree
-    exactly (weight of p) - depth, in grlex order, which is the order
-    weighted_multiindices gives them within one weight.  Labels with s = 0
-    span the complement of the tangent part; there is one for each
-    position of weight depth.
+    exactly (weight of p) - depth, in grlex order: the weighting's words of
+    that weight.  Labels with s = 0 span the complement of the tangent
+    part; there is one for each position of weight depth.
     """
+    if depth < 1:
+        raise ValueError(f"depth {depth} is not a filtration level")
     k0 = weighting.submanifold.dim
-    fiber_weights = weighting.weights[k0:]
     out: list[tuple[int, tuple[int, ...]]] = []
     for p in range(weighting.dim):
         target = weighting.weights[p] - depth
-        if target < 0:
-            continue
-        out.extend(
-            (p, (0,) * k0 + s)
-            for s in weighted_multiindices(fiber_weights, target)
-            if weight_of(s, fiber_weights) == target
-        )
+        if target >= 0:
+            out.extend((p, (0,) * k0 + s) for s in weighting.words[target])
     return tuple(out)
 
 
@@ -579,8 +574,13 @@ def verify_hh(
 
     maps_into_ok = True
     for depth in range(1, order + 1):
+        span = tangent.spans[depth - 1]
+        # the labels are needed only for a class to read; when N is a
+        # point most spans are empty
+        if not span:
+            continue
         pairs = fiber_class_pairs(weighting, depth)
-        for span_vec in tangent.spans[depth - 1]:
+        for span_vec in span:
             rep = None
             for u, value in enumerate(span_vec):
                 if not value:

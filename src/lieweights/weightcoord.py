@@ -27,6 +27,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exactalg import (
+    Monomial,
     Poly,
     RatFunc,
     Scalar,
@@ -115,13 +116,34 @@ def _apply_word(frame: Sequence[VectorField], s: Sequence[int], f: Scalar) -> Sc
     return f
 
 
-def filtration_degree(f: Scalar, clean: CleanResult, cap: int) -> int:
+def frame_words(levels: Sequence[int], top: int) -> tuple[tuple[Monomial, ...], ...]:
+    """The multi-indices s over a frame with these levels, by weighted
+    order: entry w lists those with weight_of(s, levels) = w, in grlex
+    order, for w = 0..top.
+
+    One weighted_multiindices enumeration, split where the weighted order
+    grows (its output is sorted by it), so every reader of a weight or of
+    the words below a weight reads a slice of the one list.
+    """
+    by_weight: list[list[Monomial]] = [[] for _ in range(top + 1)]
+    for s in weighted_multiindices(levels, top):
+        by_weight[weight_of(s, levels)].append(s)
+    return tuple(tuple(words) for words in by_weight)
+
+
+def filtration_degree(
+    f: Scalar, clean: CleanResult, words: Sequence[Sequence[Monomial]], cap: int
+) -> int:
     """Largest i <= cap with (V^s f)|_N = 0 for every word in the frame V
     of weighted order below i; equals the smallest weighted order of a
-    word that sees f along N, capped."""
-    for s in weighted_multiindices(clean.frame_levels, cap - 1):
-        if not clean.submanifold.restrict(_apply_word(clean.frame, s, f)).is_zero():
-            return weight_of(s, clean.frame_levels)
+    word that sees f along N, capped.  words is frame_words of the frame's
+    levels, up to cap - 1 at least."""
+    if cap > len(words):
+        raise ValueError(f"frame words up to weight {len(words) - 1} cannot reach {cap - 1}")
+    for weight in range(cap):
+        for s in words[weight]:
+            if not clean.submanifold.restrict(_apply_word(clean.frame, s, f)).is_zero():
+                return weight
     return cap
 
 
@@ -149,7 +171,10 @@ class WeightedChart:
     corrections are the steps that made the higher-weight coordinates.
     Every entry of forward and inverse is a Poly, or a RatFunc exactly
     when its reduced denominator is not 1; that happens only when the
-    inverse of the frame pairing has a true denominator.
+    inverse of the frame pairing has a true denominator.  words is
+    frame_words of the fiber weights up to the largest weight less one,
+    enumerated once: the correction loop, filtration_degree and the
+    osculating stage's fiber_class_pairs read their multi-indices there.
     """
 
     clean: CleanResult
@@ -157,6 +182,7 @@ class WeightedChart:
     forward: tuple[Scalar, ...]
     inverse: tuple[Scalar, ...]
     corrections: tuple[CorrectionRecord, ...]
+    words: tuple[tuple[Monomial, ...], ...]
 
     @property
     def submanifold(self) -> Submanifold:
@@ -212,7 +238,7 @@ def weighted_coordinates(clean: CleanResult) -> WeightedChart:
     n = submanifold.chart.dim
     k0 = submanifold.dim
     positions = submanifold.adapted_order
-    fiber_weights = weights[k0:]
+    words = frame_words(clean.frame_levels, max(weights, default=0) - 1)
 
     current: list[Scalar] = [
         *(Poly.variable(n, positions[p]) for p in range(k0)),
@@ -226,9 +252,7 @@ def weighted_coordinates(clean: CleanResult) -> WeightedChart:
         w_a = weights[a]
         if w_a < 3:
             continue
-        admissible = [
-            s for s in weighted_multiindices(fiber_weights, w_a - 1) if sum(s) >= 2
-        ]
+        admissible = [s for tier in words[:w_a] for s in tier if sum(s) >= 2]
         admissible.sort(key=lambda s: (sum(s), s))
         # partial is current[a] + sum of chi_u * y^u over the finished
         # tiers, the u with |u| < |s|.  The word and the restriction to N
@@ -262,7 +286,7 @@ def weighted_coordinates(clean: CleanResult) -> WeightedChart:
         current[a] = _demoted(partial)
 
     for p in range(k0, n):
-        got = filtration_degree(current[p], clean, cap=weights[p])
+        got = filtration_degree(current[p], clean, words, cap=weights[p])
         if got != weights[p]:
             raise ValueError(
                 f"weighted coordinate at position {p} has filtration degree {got}, "
@@ -281,6 +305,7 @@ def weighted_coordinates(clean: CleanResult) -> WeightedChart:
         forward=tuple(current),
         inverse=inverse,
         corrections=tuple(records),
+        words=words,
     )
 
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import filiform_problem, free_nilpotent_problem, lyndon_words, witt_dimension
-from lieweights import cli, weightcoord
+from lieweights import cli, exactalg, lieflt, osculating, weightcoord
 from lieweights.cli import (
     EXIT_FAIL,
     EXIT_INCONCLUSIVE,
@@ -692,6 +692,50 @@ class TestLoadProblem:
                 continue
             for text, field in zip(level, flt.levels[depth - 1]):
                 assert by_text.setdefault(text, field) is field
+
+
+class TestSharedDerivations:
+    def test_cartan_report_enumerates_each_multi_index_list_once(self, tmp_path, monkeypatch):
+        # one per question: bracket-compat's rung 0, the weighting's frame
+        # words, the osculating monomials and the tangency monomials (in
+        # the tangent variables only, none here); twenty calls with five
+        # distinct arguments before the weighting owned its words
+        calls = []
+        real = exactalg.weighted_multiindices
+
+        def counting(weights, bound):
+            calls.append((tuple(weights), bound))
+            return real(weights, bound)
+
+        for module in (exactalg, lieflt, weightcoord, osculating):
+            if hasattr(module, "weighted_multiindices"):
+                monkeypatch.setattr(module, "weighted_multiindices", counting)
+        path = str(BENCH_PROBLEMS / "cartan235.json")
+        code, _ = run_report("report", path, tmp_path, "--degree-bound", "3")
+        assert code == EXIT_PASS
+        assert len(calls) <= 4
+        assert len(set(calls)) == len(calls)
+        assert ((), 3) in calls
+
+    @pytest.mark.parametrize("name,depths", [("cartan235", set()), ("heisenberg", {1})])
+    def test_fiber_class_labels_only_for_a_tangent_span(self, tmp_path, monkeypatch, name, depths):
+        # N is a point on cartan235, so its tangent spans are empty and no
+        # label is built; heisenberg's N is the x axis, a line, and only
+        # depth 1 has a tangent vector (verify_hh builds its labels, and
+        # weighted_fiber_class again for the one class it reads)
+        calls = []
+        real = osculating.fiber_class_pairs
+
+        def counting(weighting, depth):
+            calls.append(depth)
+            return real(weighting, depth)
+
+        monkeypatch.setattr(osculating, "fiber_class_pairs", counting)
+        code, report = run_report("report", str(PROBLEMS / f"{name}.json"), tmp_path)
+        assert code == EXIT_PASS
+        tangent_dims = stage(report, "osculating")["data"]["tangent_dims"]
+        assert set(calls) == {d for d, dim in enumerate(tangent_dims, start=1) if dim}
+        assert set(calls) == depths
 
 
 class TestFullToken:

@@ -397,6 +397,7 @@ class TestAmbientModule:
                 forward=(RatFunc(x), RatFunc(y), RatFunc(z, den)),
                 inverse=(RatFunc(x), RatFunc(y), RatFunc(z * den)),
                 corrections=(),
+                words=w.words,
             )
             assert push_to_weighted(field, rational)[2] == RatFunc(x**2, den)
             # x^2/(1+x) expands to x^2 - x^3 + ..., weight-2 part is x^2

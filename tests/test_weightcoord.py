@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 
 from corpus import CHART_TABC, pushed_forward_model
 from lieweights.cli import load_problem
-from lieweights.exactalg import Poly, RatFunc, divide_exact, poly_gcd, weighted_multiindices
+from lieweights.exactalg import (
+    Poly,
+    RatFunc,
+    divide_exact,
+    poly_gcd,
+    weight_of,
+    weighted_multiindices,
+)
 from lieweights.lieflt import (
     CleanResult,
     Filtration,
@@ -30,6 +37,7 @@ from lieweights.vfield import (
 from lieweights.weightcoord import (
     INFINITE,
     filtration_degree,
+    frame_words,
     normalize_chart,
     push_to_weighted,
     vf_filtration_degree,
@@ -64,6 +72,30 @@ def martinet():
     return Filtration(CHART3, 4, ((x_fld,), (x_fld, y_fld), (x_fld, y_fld, b_fld), full))
 
 
+def degree_up_to(f, clean, cap):
+    """filtration_degree read off the frame words up to weight 3, a prefix
+    of them for every cap up to 4."""
+    return filtration_degree(f, clean, frame_words(clean.frame_levels, 3), cap)
+
+
+@pytest.mark.parametrize("levels", [(), (1,), (1, 1, 2), (2, 3), (1, 2, 2, 4)])
+def test_frame_words_split_the_enumeration_by_weight(levels):
+    for top in range(-1, 6):
+        words = frame_words(levels, top)
+        assert len(words) == top + 1
+        assert [s for tier in words for s in tier] == weighted_multiindices(levels, top)
+        for weight, tier in enumerate(words):
+            assert all(weight_of(s, levels) == weight for s in tier)
+
+
+def test_filtration_degree_refuses_words_that_stop_short():
+    clean = check_clean(heis_plus_vertical(), ORIGIN3)
+    words = frame_words(clean.frame_levels, 2)
+    assert filtration_degree(Poly.variable(3, 2), clean, words, cap=3) == 2
+    with pytest.raises(ValueError, match="cannot reach"):
+        filtration_degree(Poly.variable(3, 2), clean, words, cap=4)
+
+
 def test_weighted_multiindices_order():
     got = weighted_multiindices((1, 2), 3)
     assert got == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (3, 0)]
@@ -79,7 +111,7 @@ def test_word_applies_the_last_frame_field_first():
     assert lie_bracket(a, b) == c
     clean = check_clean(Filtration(CHART3, 3, ((a, b), (a, b), (a, b, c))), ORIGIN3)
     assert (clean.frame, clean.frame_levels) == ((a, b, c), (1, 1, 3))
-    assert filtration_degree(Poly.variable(3, 2), clean, cap=4) == 2
+    assert degree_up_to(Poly.variable(3, 2), clean, cap=4) == 2
 
 
 @pytest.fixture(scope="module")
@@ -133,13 +165,13 @@ class TestStepThreeExample:
 
     def test_filtration_degree_of_uncorrected_vertical(self, result):
         z = Poly.variable(3, 2)
-        assert filtration_degree(z, result.clean, cap=4) == 2
+        assert degree_up_to(z, result.clean, cap=4) == 2
 
     def test_filtration_degree_edge_cases(self, result):
-        assert filtration_degree(Poly.const(3, 5), result.clean, cap=3) == 0
-        assert filtration_degree(Poly.zero(3), result.clean, cap=3) == 3
+        assert degree_up_to(Poly.const(3, 5), result.clean, cap=3) == 0
+        assert degree_up_to(Poly.zero(3), result.clean, cap=3) == 3
         corrected = result.forward[2]
-        assert filtration_degree(corrected, result.clean, cap=3) == 3
+        assert degree_up_to(corrected, result.clean, cap=3) == 3
 
     def test_weighted_degree(self, result):
         w = result
@@ -319,7 +351,7 @@ def test_word_vanishing_matches_weighted_degree(f):
     # the operator-word filtration degree and the weighted-monomial degree
     # must agree for every polynomial, up to the cap
     result = _step3_result()
-    fd = filtration_degree(f, result.clean, cap=4)
+    fd = degree_up_to(f, result.clean, cap=4)
     wd = weighted_degree(f, result)
     assert fd == min(wd, 4)
 
