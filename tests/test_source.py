@@ -258,3 +258,83 @@ def test_only_exactalg_references_the_unchecked_poly_constructor():
             if name == "_canonical":
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"Poly._canonical referenced outside exactalg: {found}"
+
+
+# functions that may carry a process-wide memo, each for a stated reason;
+# anything derived from a problem is shared within one run by the object
+# that owns it, never cached across runs
+MEMOIZED = {
+    "osculating._dynkin_blocks": "the block sequences depend on the order alone, not on a problem",
+}
+MEMO_DECORATORS = {"lru_cache", "cache"}
+
+
+def memo_uses(tree: ast.Module, module: str) -> dict[str, int]:
+    """Every reference to functools.lru_cache or functools.cache, by the
+    qualified name of the function it decorates (module.function, or
+    module.Class.method), or module:line when it decorates nothing."""
+    aliases = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "functools"
+        for alias in node.names
+        if alias.name in MEMO_DECORATORS
+    }
+
+    def is_memo(node) -> bool:
+        if isinstance(node, ast.Attribute):
+            return (
+                node.attr in MEMO_DECORATORS
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "functools"
+            )
+        return isinstance(node, ast.Name) and node.id in aliases
+
+    found, decorating = {}, set()
+
+    def visit(body, prefix):
+        for node in body:
+            if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+                name = f"{prefix}{node.name}"
+                for decorator in node.decorator_list:
+                    for sub in ast.walk(decorator):
+                        if is_memo(sub):
+                            found[name] = node.lineno
+                            decorating.add(id(sub))
+                visit(node.body, f"{name}.")
+
+    visit(tree.body, f"{module}.")
+    for node in ast.walk(tree):
+        if is_memo(node) and id(node) not in decorating:
+            found[f"{module}:{node.lineno}"] = node.lineno
+    return found
+
+
+def test_no_process_wide_memo_outside_the_allowlist():
+    found = {}
+    for path in PACKAGE.glob("*.py"):
+        found.update(memo_uses(ast.parse(path.read_text(), filename=str(path)), path.stem))
+    extra = sorted(name for name in found if name not in MEMOIZED)
+    assert not extra, f"functools memo outside the allowlist: {extra}"
+    stale = sorted(set(MEMOIZED) - set(found))
+    assert not stale, f"allowlisted memos that no longer exist: {stale}"
+
+
+def test_memo_guard_sees_every_spelling():
+    source = (
+        "import functools\n"
+        "from functools import cache as remembered, lru_cache\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def a(): pass\n"
+        "@functools.cache\n"
+        "def b(): pass\n"
+        "class C:\n"
+        "    @remembered\n"
+        "    def c(self): pass\n"
+        "@lru_cache\n"
+        "def d(): pass\n"
+        "e = lru_cache(maxsize=4)(len)\n"
+        "@functools.cached_property\n"
+        "def f(): pass\n"
+    )
+    assert set(memo_uses(ast.parse(source), "m")) == {"m.a", "m.b", "m.C.c", "m.d", "m:12"}
