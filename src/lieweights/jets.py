@@ -481,12 +481,15 @@ def _random_element(rng: random.Random, filtration: Filtration) -> URElem | None
 def _flowout_certified(filtration: Filtration, weighting: WeightedChart) -> bool:
     """Whether every generator listed at level -j has filtration degree at
     least -j in the weighting.  A generator listed at several levels needs
-    the bound of the first."""
-    first_level: dict[VectorField, int] = {}
-    for j, gens in enumerate(filtration.levels, 1):
-        for x in gens:
-            first_level.setdefault(x, j)
-    return all(vf_filtration_degree(x, weighting) >= -j for x, j in first_level.items())
+    the bound of the first: the filtration keeps it once, first among
+    generators(j) for that j."""
+    done = 0
+    for j in range(1, filtration.order + 1):
+        gens = filtration.generators(j)
+        if any(vf_filtration_degree(x, weighting) < -j for x in gens[done:]):
+            return False
+        done = len(gens)
+    return True
 
 
 def flowout_sample(
