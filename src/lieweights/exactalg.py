@@ -431,6 +431,8 @@ class Poly:
     def eval(self, point: Sequence[ScalarLike]) -> Fraction:
         if len(point) != self.nvars:
             raise ValueError("evaluation point has wrong dimension")
+        if not self.terms:
+            return Fraction(0)
         pt = [_as_fraction(v) for v in point]
         total = Fraction(0)
         for mono, c in self.terms.items():

@@ -132,17 +132,20 @@ class Filtration:
         if len(levels) != order:
             raise ValueError("expected one generator list per level -1..-order")
         position: dict[VectorField, int] = {}
+        # a list repeats mostly the same objects; those skip the hash
+        placed: dict[int, int] = {}
         distinct: list[VectorField] = []
         prefixes, indices = [], []
         for gens in levels:
             level = []
             for g in gens:
-                p = position.get(g)
+                p = placed.get(id(g))
                 if p is None:
-                    if g.chart != chart:
-                        raise ValueError("generator lives on a different chart")
-                    p = position[g] = len(distinct)
-                    distinct.append(g)
+                    p = placed[id(g)] = position.setdefault(g, len(distinct))
+                    if p == len(distinct):
+                        if g.chart != chart:
+                            raise ValueError("generator lives on a different chart")
+                        distinct.append(g)
                 level.append(p)
             indices.append(tuple(level))
             prefixes.append(tuple(distinct))
@@ -646,10 +649,12 @@ def check_bracket_compat(filtration: Filtration, degree_bound: int) -> BracketCo
     fields: list[VectorField] = []
     reads: list[tuple[int, int, int]] = []
     pairs = []
+    listed = [filtration.level_indices(depth) for depth in range(1, r + 1)]
+    sizes = [len(filtration.generators(depth)) for depth in range(1, r + 1)]
     for i in range(1, r + 1):
         for j in range(i, r + 1):
-            for gi, p in enumerate(filtration.level_indices(i)):
-                for gj, q in enumerate(filtration.level_indices(j)):
+            for gi, p in enumerate(listed[i - 1]):
+                for gj, q in enumerate(listed[j - 1]):
                     if i == j and gj < gi:
                         continue
                     pairs.append((i, j, gi, gj, p, q))
@@ -661,7 +666,7 @@ def check_bracket_compat(filtration: Filtration, degree_bound: int) -> BracketCo
                     if t is None:
                         t = columns[key] = len(fields)
                         fields.append(table.bracket(*key))
-                    reads.append((t, len(filtration.generators(i + j)), 1 if p <= q else -1))
+                    reads.append((t, sizes[i + j - 1], 1 if p <= q else -1))
     top = max((k for _, k, _ in reads), default=0)
     gens = filtration.generators(r)
     verdicts = iter(module_membership_batch(fields, gens[:top], reads, degree_bound))

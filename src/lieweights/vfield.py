@@ -96,11 +96,10 @@ class VectorField:
     __slots__ = ("chart", "coeffs")
 
     def __init__(self, chart: Chart, coeffs: Sequence[Scalar | Fraction | int]):
-        if len(coeffs) != chart.dim:
+        n = chart.dim
+        if len(coeffs) != n:
             raise ValueError("coefficient count does not match chart dimension")
-        object.__setattr__(
-            self, "coeffs", tuple(_as_poly(c, chart.dim) for c in coeffs)
-        )
+        object.__setattr__(self, "coeffs", tuple(_as_poly(c, n) for c in coeffs))
         object.__setattr__(self, "chart", chart)
 
     def __setattr__(self, name, value):
@@ -165,8 +164,8 @@ class VectorField:
 
 def coordinate_field(chart: Chart, index: int) -> VectorField:
     """The coordinate frame field d/dx_index."""
-    coeffs = [Fraction(1) if i == index else Fraction(0) for i in range(chart.dim)]
-    return VectorField(chart, coeffs)
+    one, zero = chart.one(), chart.zero()
+    return VectorField(chart, [one if i == index else zero for i in range(chart.dim)])
 
 
 def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
