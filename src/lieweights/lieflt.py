@@ -361,15 +361,19 @@ def degree_schedule(nvars: int, cap: int) -> list[int]:
     return rungs
 
 
-def _pointwise_scan(fields, gens, pending, points, failed) -> list[tuple[int, int]]:
-    """Fail each pending question (t, k) at the first of points where
-    fields[t] leaves the pointwise span of gens[:k], recording the point
-    as failed[(t, k)]; the questions still pending.
+def _pointwise_scan(fields, gens, open_prefixes: dict, points, failed: dict) -> None:
+    """Fail each open question, field t against prefix k for k in
+    open_prefixes[t], at the first of points where fields[t] leaves the
+    pointwise span of gens[:k]: record the point as failed[(t, k)] and
+    drop k from open_prefixes[t], and t once it has no prefix left.
 
     Each field and generator is evaluated once per point, and one
     pointwise span grows through the prefixes in increasing order.
     """
-    pending = sorted(pending, key=lambda question: question[1])
+    pending = sorted(
+        ((t, k) for t, prefixes in open_prefixes.items() for k in prefixes),
+        key=lambda question: question[1],
+    )
     for point in points:
         if not pending:
             break
@@ -389,7 +393,9 @@ def _pointwise_scan(fields, gens, pending, points, failed) -> list[tuple[int, in
             else:
                 failed[(t, k)] = point
         pending = inside
-    return pending
+    open_prefixes.clear()
+    for t, k in sorted(pending):
+        open_prefixes.setdefault(t, []).append(k)
 
 
 def module_membership_batch(
@@ -513,24 +519,14 @@ def module_membership_batch(
             else:
                 del open_prefixes[t]
         if d == 0:
-            _scan_open(fields, gens, open_prefixes, itertools.islice(points, 1), failed)
+            _pointwise_scan(fields, gens, open_prefixes, itertools.islice(points, 1), failed)
         if not open_prefixes:
             break
-    _scan_open(fields, gens, open_prefixes, points, failed)
+    _pointwise_scan(fields, gens, open_prefixes, points, failed)
     for question, point in failed.items():
         for r in asked[question]:
             results[r] = TriState.failed(point)
     return tuple(results)
-
-
-def _scan_open(fields, gens, open_prefixes: dict, points, failed: dict) -> None:
-    """_pointwise_scan over every open question, dropping the failed ones
-    from open_prefixes."""
-    pending = [(t, k) for t, prefixes in open_prefixes.items() for k in prefixes]
-    still = _pointwise_scan(fields, gens, pending, points, failed)
-    open_prefixes.clear()
-    for t, k in sorted(still):
-        open_prefixes.setdefault(t, []).append(k)
 
 
 def module_membership(
