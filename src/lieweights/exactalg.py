@@ -242,6 +242,12 @@ class Poly:
         ((mono, c),) = self.terms.items()
         return c == 1 and not any(mono)
 
+    def total_degree(self) -> int:
+        """Maximum total degree; -1 for the zero polynomial."""
+        if not self.terms:
+            return -1
+        return max(sum(m) for m in self.terms)
+
     def degree_in(self, index: int) -> int:
         """Maximum exponent of one variable; 0 when the variable is absent."""
         if not self.terms:

@@ -279,7 +279,7 @@ class PackedKeys:
 def fields_degree(fields: Iterable[VectorField]) -> int:
     """Largest total degree of a term of the fields' coefficients; 0 for
     none."""
-    return max((sum(m) for f in fields for c in f.coeffs for m in c.terms), default=0)
+    return max([0, *(c.total_degree() for f in fields for c in f.coeffs)])
 
 
 def field_entries(field: VectorField, keys: PackedKeys) -> dict[int, Fraction]:

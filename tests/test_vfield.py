@@ -302,10 +302,8 @@ def test_parse_nesting_depth_is_capped():
 
 def test_parse_degree_is_capped():
     half = MAX_DEGREE // 2
-    assert parse_polynomial(f"x^{MAX_DEGREE}", CHART) == X_**MAX_DEGREE
-    assert parse_polynomial(f"x^{half}*y^{MAX_DEGREE - half}", CHART) == (
-        X_**half * Y_ ** (MAX_DEGREE - half)
-    )
+    assert parse_polynomial(f"x^{MAX_DEGREE}", CHART).total_degree() == MAX_DEGREE
+    assert parse_polynomial(f"x^{half}*y^{MAX_DEGREE - half}", CHART).total_degree() == MAX_DEGREE
     too_big = [
         f"x^{MAX_DEGREE + 1}",
         "x^1000000",
