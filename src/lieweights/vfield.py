@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from itertools import chain
 from operator import add, sub
 from typing import Iterable, Sequence
 
@@ -272,6 +273,11 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
 
 def _times(p: dict, q: dict) -> dict:
     """The product of two term dicts."""
+    if len(p) == 1 and len(q) == 1:
+        # the usual factor of a written term: monomial times monomial
+        ((m1, c1),) = p.items()
+        ((m2, c2),) = q.items()
+        return {tuple(map(add, m1, m2)): c1 * c2}
     out: dict = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():
@@ -314,32 +320,44 @@ class _Value:
     each a term dict.  num maps part -1, the scalar part, and each a >= 0,
     the coefficient of d/dx_a, to its numerator, nonzero ones only; vector
     says whether a d-factor occurred, even one that cancelled.  No gcd is
-    taken; the callers of the parser divide once, at the end."""
+    taken; the callers of the parser divide once, at the end.
 
-    __slots__ = ("num", "vector", "den")
+    ndeg is the largest total degree of a numerator, -1 with none, and
+    ddeg the denominator's.  They are carried along exactly: the degree of
+    a product of nonzero polynomials is the sum of theirs, so only a sum,
+    where terms may cancel, counts them again."""
 
-    def __init__(self, num: dict, vector: bool, den: dict):
+    __slots__ = ("num", "vector", "den", "ndeg", "ddeg", "size")
+
+    def __init__(self, num: dict, vector: bool, den: dict, ndeg: int, ddeg: int, size=0):
         self.num = num
         self.vector = vector
         self.den = den
+        self.ndeg = ndeg
+        self.ddeg = ddeg
+        # terms(), once read; an atom passes its 1
+        self.size = size
 
-    def times(self, factor: dict, den: dict, one: dict) -> "_Value":
-        """Every numerator times factor, over den; a factor of 1 leaves
-        them as they are, and a factor of 0 drops them."""
+    def times(self, factor: dict, fdeg: int, den: dict, ddeg: int, one: dict) -> "_Value":
+        """Every numerator times factor, of degree fdeg, over den, of
+        degree ddeg; a factor of 1 leaves them as they are, and a factor of
+        0 drops them."""
         if factor == one:
-            return _Value(self.num, self.vector, den)
-        num = {a: _times(part, factor) for a, part in self.num.items()} if factor else {}
-        return _Value(num, self.vector, den)
+            return _Value(self.num, self.vector, den, self.ndeg, ddeg)
+        if not factor or not self.num:
+            return _Value({}, self.vector, den, -1, ddeg)
+        num = {a: _times(part, factor) for a, part in self.num.items()}
+        return _Value(num, self.vector, den, self.ndeg + fdeg, ddeg)
 
     def degree(self) -> int:
         """Largest total degree of a numerator or the denominator, at least 0."""
-        return max(
-            (sum(m) for part in (self.den, *self.num.values()) for m in part), default=0
-        )
+        return max(0, self.ndeg, self.ddeg)
 
     def terms(self) -> int:
         """Largest term count of a numerator or the denominator, at least 1."""
-        return max(1, len(self.den), *map(len, self.num.values()))
+        if not self.size:
+            self.size = max(1, len(self.den), *map(len, self.num.values()))
+        return self.size
 
 
 # parentheses and unary minus recurse; past this depth the parser refuses
@@ -375,14 +393,17 @@ class _Parser:
         self.names = {name: i for i, name in enumerate(chart.names)}
         self.tokens = _tokenize(src)
         self.pos = 0
+        self.tok = self.tokens[0]
+        # the monomial of each chart variable the text names
+        self.units: dict[int, tuple[int, ...]] = {}
         self.depth = 0
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
-
-    def next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
+    def advance(self) -> tuple[str, str, int]:
+        """The current token, moving past it; the end token is never
+        moved past."""
+        tok = self.tok
         self.pos += 1
+        self.tok = self.tokens[self.pos]
         return tok
 
     def error(self, message: str, tok: tuple[str, str, int]):
@@ -408,29 +429,34 @@ class _Parser:
 
     def parse(self) -> _Value:
         val = self.expr()
-        tok = self.peek()
+        tok = self.tok
         if tok[0] != END:
             self.error(f"unexpected {tok[1]!r}", tok)
         return val
 
     def expr(self) -> _Value:
         val = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.next()
+        while self.tok[0] in ("+", "-"):
+            op = self.advance()
             rhs = self.term()
             if rhs.den != val.den:
-                lden, rden = val.den, rhs.den
-                val = val.times(rden, self.product(lden, rden), self.one)
-                rhs = rhs.times(lden, val.den, self.one)
+                lden, rden, lddeg, rddeg = val.den, rhs.den, val.ddeg, rhs.ddeg
+                val = val.times(rden, rddeg, self.product(lden, rden), lddeg + rddeg, self.one)
+                rhs = rhs.times(lden, lddeg, val.den, val.ddeg, self.one)
             sign = 1 if op[0] == "+" else -1
             num = dict(val.num)
             for a, part in rhs.num.items():
-                total = _plus(num.get(a, {}), part, sign)
+                mine = num.get(a)
+                if mine is None:
+                    num[a] = part if sign == 1 else {m: -c for m, c in part.items()}
+                    continue
+                total = _plus(mine, part, sign)
                 if total:
                     num[a] = total
                 else:
                     del num[a]
-            val = _Value(num, val.vector or rhs.vector, val.den)
+            ndeg = max(map(sum, chain(*num.values())), default=-1)
+            val = _Value(num, val.vector or rhs.vector, val.den, ndeg, val.ddeg)
             # common denominators add degrees and multiply term counts, so
             # sums are checked too; their operands are already bounded
             self.check_degree(val.degree(), op)
@@ -439,8 +465,8 @@ class _Parser:
 
     def term(self) -> _Value:
         val = self.factor()
-        while self.peek()[0] in ("*", "/"):
-            op = self.next()
+        while self.tok[0] in ("*", "/"):
+            op = self.advance()
             rhs = self.factor()
             self.check_degree(val.degree() + rhs.degree(), op)
             self.check_terms(val.terms() * rhs.terms(), op)
@@ -449,37 +475,38 @@ class _Parser:
                     self.error("cannot multiply two vector fields", op)
                 if rhs.vector:
                     val, rhs = rhs, val
-                factor, den = rhs.num.get(-1, {}), self.product(val.den, rhs.den)
+                # rhs is scalar: its one numerator has degree rhs.ndeg
+                factor, fdeg = rhs.num.get(-1, {}), rhs.ndeg
+                den, ddeg = self.product(val.den, rhs.den), val.ddeg + rhs.ddeg
             else:
                 if rhs.vector:
                     self.error("cannot divide by a vector field", op)
                 if -1 not in rhs.num:
                     self.error("division by zero", op)
-                factor, den = rhs.den, self.product(val.den, rhs.num[-1])
-            val = val.times(factor, den, self.one)
+                factor, fdeg = rhs.den, rhs.ddeg
+                den, ddeg = self.product(val.den, rhs.num[-1]), val.ddeg + rhs.ndeg
+            val = val.times(factor, fdeg, den, ddeg, self.one)
         return val
 
     def factor(self) -> _Value:
-        tok = self.peek()
-        if tok[0] != "-":
-            return self.power()
-        if self.depth == MAX_NESTING:
-            self.error(f"nesting deeper than {MAX_NESTING} levels", tok)
-        self.depth += 1
-        self.next()
-        val = self.factor()
-        self.depth -= 1
-        num = {a: {m: -c for m, c in part.items()} for a, part in val.num.items()}
-        return _Value(num, val.vector, val.den)
-
-    def power(self) -> _Value:
+        """A negated factor, or an atom with an optional power."""
+        tok = self.tok
+        if tok[0] == "-":
+            if self.depth == MAX_NESTING:
+                self.error(f"nesting deeper than {MAX_NESTING} levels", tok)
+            self.depth += 1
+            self.advance()
+            val = self.factor()
+            self.depth -= 1
+            num = {a: {m: -c for m, c in part.items()} for a, part in val.num.items()}
+            return _Value(num, val.vector, val.den, val.ndeg, val.ddeg, val.size)
         val = self.atom()
-        if self.peek()[0] == "^":
-            op = self.next()
-            exp_tok = self.peek()
+        if self.tok[0] == "^":
+            op = self.advance()
+            exp_tok = self.tok
             if exp_tok[0] != NAT:
                 self.error("exponent must be a natural number", exp_tok)
-            self.next()
+            self.advance()
             if val.vector:
                 self.error("cannot raise a vector field to a power", op)
             digits = exp_tok[1].lstrip("0") or "0"
@@ -490,41 +517,48 @@ class _Parser:
             # (a_1 + ... + a_t)^e has at most comb(t + e - 1, e) terms
             self.check_terms(math.comb(val.terms() + exponent - 1, exponent), op)
             scalar = _power(val.num.get(-1, {}), exponent, self.one)
-            val = _Value({-1: scalar} if scalar else {}, False, _power(val.den, exponent, self.one))
+            den = _power(val.den, exponent, self.one)
+            # a zero scalar part to the power 0 is 1, of degree -1 * 0
+            ndeg = val.ndeg * exponent if scalar else -1
+            val = _Value({-1: scalar} if scalar else {}, False, den, ndeg, val.ddeg * exponent)
         return val
 
     def atom(self) -> _Value:
-        tok = self.peek()
+        tok = self.tok
         kind = tok[0]
         if kind == "(":
             if self.depth == MAX_NESTING:
                 self.error(f"nesting deeper than {MAX_NESTING} levels", tok)
             self.depth += 1
-            self.next()
+            self.advance()
             val = self.expr()
-            close = self.peek()
+            close = self.tok
             if close[0] != ")":
                 self.error("expected ')'", close)
-            self.next()
+            self.advance()
             self.depth -= 1
             return val
         if kind == NAT:
-            self.next()
+            self.advance()
             try:
                 value = int(tok[1])
             except ValueError:  # past the interpreter's digit limit
                 self.error("number has too many digits", tok)
-            return _Value({-1: {self.zero: value}} if value else {}, False, self.one)
+            if not value:
+                return _Value({}, False, self.one, -1, 0, 1)
+            return _Value({-1: {self.zero: value}}, False, self.one, 0, 0, 1)
         if kind == IDENT:
-            self.next()
+            self.advance()
             name = tok[1]
             index = self.names.get(name)
             if index is not None:
-                mono = self.zero[:index] + (1,) + self.zero[index + 1 :]
-                return _Value({-1: {mono: 1}}, False, self.one)
+                mono = self.units.get(index)
+                if mono is None:
+                    mono = self.units[index] = self.zero[:index] + (1,) + self.zero[index + 1 :]
+                return _Value({-1: {mono: 1}}, False, self.one, 1, 0, 1)
             index = self.names.get(name[1:]) if name.startswith("d") else None
             if index is not None:
-                return _Value({index: self.one}, True, self.one)
+                return _Value({index: self.one}, True, self.one, 0, 0, 1)
             self.error(f"unknown identifier {name!r}", tok)
         self.error(f"unexpected {tok[1]!r}" if tok[1] else "unexpected end of input", tok)
 
@@ -583,9 +617,12 @@ def parse_vector_field(src: str, chart: Chart) -> VectorField:
         raise ParseError("expression has no directional part", 1, 1)
     if -1 in val.num:
         raise ParseError("vector field expression has a scalar part", 1, 1)
+    # most coefficients of a field are 0, and one Poly serves them all
+    zero = Poly.zero(chart.dim)
     coeffs = []
     for a, name in enumerate(chart.names):
-        quotient = _divided(val.num.get(a, {}), val.den, chart.dim)
+        part = val.num.get(a)
+        quotient = zero if part is None else _divided(part, val.den, chart.dim)
         if quotient is None:
             raise ParseError(f"the coefficient of d{name} is not a polynomial", 1, 1)
         coeffs.append(quotient)

@@ -325,6 +325,21 @@ def test_parse_degree_is_capped():
     assert "total degree" in str(err.value) and err.value.column == 8
 
 
+def test_parse_degree_is_exact_after_cancellation():
+    # the degree check reads the degree a sum has after its terms cancel,
+    # and a product's degree is the sum of its factors' degrees
+    top = f"x^{MAX_DEGREE}"
+    assert parse_polynomial(f"({top} + 1 - {top})*y^{MAX_DEGREE}", CHART) == Y_**MAX_DEGREE
+    # a cancelled numerator leaves the denominator's degree
+    assert parse_polynomial(f"(({top} - {top})/x)*y^{MAX_DEGREE - 1}", CHART) == Poly.zero(3)
+    with pytest.raises(ParseError, match=f"total degree {MAX_DEGREE + 1} "):
+        parse_polynomial(f"(({top} - {top})/x)*y^{MAX_DEGREE}", CHART)
+    with pytest.raises(ParseError, match=f"total degree {MAX_DEGREE + 1} "):
+        parse_polynomial(f"({top} + y - {top})*y^{MAX_DEGREE}", CHART)
+    with pytest.raises(ParseError, match=f"total degree {MAX_DEGREE + 2} "):
+        parse_scalar(f"1/(x + y)^2*x^{MAX_DEGREE}", CHART)
+
+
 def test_parse_terms_are_capped():
     # 455 terms, the most a degree-12 power of four terms can have
     assert len(parse_polynomial("(1+x+y+z)^12", CHART).terms) == 455
