@@ -666,12 +666,19 @@ def check_bracket_compat(filtration: Filtration, degree_bound: int) -> BracketCo
     top = max((k for _, k, _ in reads), default=0)
     gens = filtration.generators(r)
     verdicts = iter(module_membership_batch(fields, gens[:top], reads, degree_bound))
+    # the pairs past the order that name the same generators, in the same
+    # order, share one tautological pass
+    tautological: dict[tuple[int, int], TriState] = {}
     checks = []
     for i, j, gi, gj, p, q in pairs:
         if i + j <= r:
             result = next(verdicts)
         else:
-            result = _TautologicalPass(functools.partial(table.bracket, p, q), padding)
+            result = tautological.get((p, q))
+            if result is None:
+                result = tautological[(p, q)] = _TautologicalPass(
+                    functools.partial(table.bracket, p, q), padding
+                )
         checks.append(BracketCheck(i, j, gi, gj, result))
     return BracketCompatReport(tuple(checks))
 

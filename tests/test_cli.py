@@ -661,15 +661,12 @@ class TestFreeNilpotent:
 
 class TestLoadProblem:
     @pytest.mark.parametrize(
-        "name,doc,strings,distinct",
-        [
-            ("cartan235", None, 5, 3),
-            ("filiform 10", filiform_problem(10), 54, 10),
-        ],
+        "doc,strings,distinct",
+        [(None, 5, 3), (filiform_problem(10), 54, 10)],
+        ids=["cartan235", "filiform10"],
     )
-    def test_each_distinct_string_is_parsed_once(
-        self, tmp_path, monkeypatch, name, doc, strings, distinct
-    ):
+    def test_each_distinct_string_is_parsed_once(self, tmp_path, monkeypatch, doc, strings, distinct):
+        # doc None is bench/problems/cartan235.json
         path = str(BENCH_PROBLEMS / "cartan235.json") if doc is None else write_problem(tmp_path, doc)
         levels = json.loads(Path(path).read_text())["filtration"]
         listed = [e for level in levels.values() if level != "full" for e in level]
