@@ -132,11 +132,13 @@ class Filtration:
         if len(levels) != order:
             raise ValueError("expected one generator list per level -1..-order")
         position: dict[VectorField, int] = {}
-        # a list repeats mostly the same objects; those skip the hash
+        # a list repeats mostly the same objects; those skip the hash.  The
+        # lists are held as tuples until the end, so no id is reused
         placed: dict[int, int] = {}
+        listed = [tuple(gens) for gens in levels]
         distinct: list[VectorField] = []
         prefixes, indices = [], []
-        for gens in levels:
+        for gens in listed:
             level = []
             for g in gens:
                 p = placed.get(id(g))

@@ -183,3 +183,15 @@ def test_tautological_pass_differs_from_a_plain_pass():
     assert tautological != plain
     # [dx, x*dy] = dy, then one zero per padding entry
     assert tautological.certificate == (Poly.zero(3), Poly.one(3), Poly.zero(3), Poly.zero(3))
+
+
+def test_filtration_keeps_generators_by_value_from_fresh_objects():
+    # levels given as iterators of freshly parsed fields: equal fields are
+    # one generator, and a field dropped after its level is read is not
+    # mistaken for a later one
+    texts = (("dx", "dy + x*dz"), ("dx", "dz", "dy + x*dz", "dz"))
+    filt = Filtration(CHART, 2, [(parse_vector_field(t, CHART) for t in level) for level in texts])
+    assert filt.generators(2) == tuple(parse_vector_field(t, CHART) for t in ("dx", "dy + x*dz", "dz"))
+    assert filt.level_indices(1) == (0, 1)
+    assert filt.level_indices(2) == (0, 2, 1, 2)
+    assert filt.levels[1][0] is filt.levels[0][0] and filt.levels[1][1] is filt.levels[1][3]
