@@ -17,10 +17,15 @@ Representation notes:
     ``Poly.from_sum`` drops the zeros of that dict once and wraps it.
   * The fixed monomial order is graded lexicographic: total degree first,
     then the exponent tuple compared left to right.
-  * A rational function is kept in lowest terms at every degree: the
-    numerator/denominator gcd is cancelled, and the denominator has
-    integer content 1 and positive leading coefficient.  That form is
-    unique, so equality and hashing compare it directly.
+  * An exact function (a ``Scalar``) is a ``Poly`` exactly when it is a
+    polynomial, and a ``RatFunc`` otherwise.  One function, ``quotient``,
+    decides it: it reduces num/den to lowest terms and returns a Poly when
+    the reduced denominator is 1.  RatFunc arithmetic and ``subst`` and
+    Poly division return through it, so no other code tests for a unit
+    denominator.  A RatFunc's denominator has integer content 1 and a
+    positive leading coefficient; that form is unique, so equality and
+    hashing compare it directly.  A constant Poly equals, and hashes as,
+    its rational value.
   * All exact linear algebra goes through one kernel, ``RowEchelon``:
     sparse rows, pivot on the first column holding a nonzero entry.  Its
     outputs are fixed because the reduced row echelon form of a matrix is
@@ -355,6 +360,18 @@ class Poly:
             e >>= 1
         return result
 
+    def __truediv__(self, other) -> Scalar:
+        if isinstance(other, (int, Fraction)):
+            return self * (1 / _as_fraction(other))
+        if isinstance(other, Poly):
+            return quotient(self, other)
+        return NotImplemented
+
+    def __rtruediv__(self, other) -> Scalar:
+        if isinstance(other, (int, Fraction)):
+            return quotient(Poly.const(self.nvars, other), self)
+        return NotImplemented
+
     def __eq__(self, other):
         if isinstance(other, Poly):
             return self.nvars == other.nvars and self.terms == other.terms
@@ -363,7 +380,11 @@ class Poly:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        # a constant equals its value, an int or Fraction, so hashes as it
+        terms = self.terms
+        if len(terms) > 1 or any(map(any, terms)):
+            return hash((self.nvars, frozenset(terms.items())))
+        return hash(terms.get((0,) * self.nvars, 0))
 
     def __bool__(self):
         return bool(self.terms)
@@ -402,10 +423,9 @@ class Poly:
                 out[m] = q if s is None else s + q
         return Poly.from_sum(self.nvars, out)
 
-    def subst(self, images: Sequence[Scalar]):
+    def subst(self, images: Sequence[Scalar]) -> Scalar:
         """Substitute one expression per variable.
 
-        Returns a Poly when every image is a Poly, otherwise a RatFunc.
         All images must share a common variable count, which becomes the
         variable count of the result.  Each image is raised to each power
         once per call.
@@ -419,8 +439,6 @@ class Poly:
             if img.nvars != target:
                 raise ValueError("substitution images live in different variable counts")
         acc = Poly.zero(target)
-        if not all(isinstance(img, Poly) for img in images):
-            acc = RatFunc(acc)
         powers: dict[tuple[int, int], Scalar] = {}
         # every value is canonical, so the order of the terms does not matter
         for mono, c in self.terms.items():
@@ -654,154 +672,170 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     return _normalize_primitive(result)
 
 
-def _unit_poly(nvars: int) -> Poly:
-    """The constant 1 in nvars variables, for an nvars taken from a Poly."""
-    return Poly._canonical(nvars, {(0,) * nvars: Fraction(1)})
+def quotient(num: Poly, den: Poly) -> Scalar:
+    """num / den in lowest terms: a Poly when den divides num, and a
+    RatFunc otherwise.
+
+    This is the one place that decides whether a quotient is a
+    polynomial.  RatFunc arithmetic and subst, Poly division and
+    RatFunc(num, den) all return through it, so a Scalar is a Poly exactly
+    when it is a polynomial.
+    """
+    if num.nvars != den.nvars:
+        raise ValueError("numerator/denominator dimension mismatch")
+    if den.is_zero():
+        raise ZeroDivisionError("zero denominator")
+    if num.terms and den.total_degree() > 0:
+        g = poly_gcd(num, den)
+        if not g.is_one():
+            num, den = divide_exact(num, g), divide_exact(den, g)
+            assert num is not None and den is not None, "the gcd divides both"
+    return _coprime_quotient(num, den)
+
+
+def _coprime_quotient(num: Poly, den: Poly) -> Scalar:
+    """num / den for coprime num and den, den nonzero: a Poly when den is
+    a constant; otherwise a RatFunc whose denominator is scaled to integer
+    content 1 and a positive leading coefficient.  No gcd is taken."""
+    if not num.terms:
+        return num
+    if den.total_degree() == 0:
+        return num * (1 / den.terms[(0,) * den.nvars])
+    c = den.content()
+    if den.leading_coefficient() < 0:
+        c = -c
+    if c != 1:
+        inv = 1 / c
+        num, den = num * inv, den * inv
+    return RatFunc._canonical(num, den)
 
 
 class RatFunc:
-    """Quotient of two polynomials in lowest terms.
+    """A quotient of two polynomials that is not a polynomial, in lowest
+    terms.
 
-    The numerator and denominator are coprime at every degree, and the
-    denominator has integer content 1 and positive leading coefficient;
-    the zero function is stored as 0/1.  That form is unique, so equality
-    and hashing compare (num, den) as stored.
+    The numerator and denominator are coprime, and the denominator is not
+    a constant, has integer content 1 and a positive leading coefficient.
+    That form is unique, so equality and hashing compare (num, den) as
+    stored, and a RatFunc never equals a Poly or a rational.  Every
+    RatFunc is built by quotient; RatFunc(num, den) reduces through it
+    and raises ValueError when the quotient is a polynomial.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Poly, den: Poly | None = None):
-        if den is None:
-            den = _unit_poly(num.nvars)
-        if num.nvars != den.nvars:
-            raise ValueError("numerator/denominator dimension mismatch")
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            den = _unit_poly(num.nvars)
-        elif not den.is_one():
-            g = poly_gcd(num, den)
-            num, den = divide_exact(num, g), divide_exact(den, g)
-            assert num is not None and den is not None, "the gcd divides both"
-            c = den.content()
-            if den.leading_coefficient() < 0:
-                c = -c
-            if c != 1:
-                inv = 1 / c
-                num = num * inv
-                den = den * inv
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+    def __init__(self, num: Poly, den: Poly):
+        q = quotient(num, den)
+        if not isinstance(q, RatFunc):
+            raise ValueError("the quotient is a polynomial: build it as a Poly")
+        object.__setattr__(self, "num", q.num)
+        object.__setattr__(self, "den", q.den)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc is immutable")
 
-    @staticmethod
-    def const(nvars: int, value: ScalarLike) -> "RatFunc":
-        return RatFunc(Poly.const(nvars, value))
+    @classmethod
+    def _canonical(cls, num: Poly, den: Poly) -> "RatFunc":
+        """Wrap a pair already in the form above.  Nothing is checked; only
+        this module calls it."""
+        r = object.__new__(cls)
+        object.__setattr__(r, "num", num)
+        object.__setattr__(r, "den", den)
+        return r
 
     @property
     def nvars(self) -> int:
         return self.num.nvars
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        # the zero function is the Poly 0
+        return False
 
-    def is_polynomial(self) -> bool:
-        return self.den.is_one()
-
-    def _coerce(self, other) -> "RatFunc | None":
-        if isinstance(other, RatFunc):
+    def _check(self, other) -> bool:
+        """Whether other is an operand of RatFunc arithmetic; a RatFunc or
+        Poly must have the same variable count."""
+        if isinstance(other, (RatFunc, Poly)):
             if other.nvars != self.nvars:
                 raise ValueError("rational function dimension mismatch")
-            return other
-        if isinstance(other, Poly):
-            if other.nvars != self.nvars:
-                raise ValueError("rational function dimension mismatch")
-            return RatFunc(other)
-        if isinstance(other, (int, Fraction)):
-            return RatFunc.const(self.nvars, other)
-        return None
+            return True
+        return isinstance(other, (int, Fraction))
 
-    def __add__(self, other) -> "RatFunc":
-        o = self._coerce(other)
-        if o is None:
+    def __add__(self, other) -> Scalar:
+        if not self._check(other):
             return NotImplemented
-        if self.den == o.den:
-            return RatFunc(self.num + o.num, self.den)
-        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
+        num, den = self.num, self.den
+        if not isinstance(other, RatFunc):
+            # num + other * den is coprime to den: no gcd to take
+            return RatFunc._canonical(num + den * other, den)
+        if den == other.den:
+            return quotient(num + other.num, den)
+        return quotient(num * other.den + other.num * den, den * other.den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den)
+        return RatFunc._canonical(-self.num, self.den)
 
-    def __sub__(self, other) -> "RatFunc":
-        o = self._coerce(other)
-        if o is None:
+    def __sub__(self, other) -> Scalar:
+        if not self._check(other):
             return NotImplemented
-        return self + (-o)
+        return self + (-other)
 
-    def __rsub__(self, other) -> "RatFunc":
-        o = self._coerce(other)
-        if o is None:
+    def __rsub__(self, other) -> Scalar:
+        if not self._check(other):
             return NotImplemented
-        return o + (-self)
+        return (-self) + other
 
-    def __mul__(self, other) -> "RatFunc":
-        o = self._coerce(other)
-        if o is None:
+    def __mul__(self, other) -> Scalar:
+        if not self._check(other):
             return NotImplemented
-        if self.den.is_one() and o.den.is_one():
-            return RatFunc(self.num * o.num)
-        return RatFunc(self.num * o.num, self.den * o.den)
+        if isinstance(other, RatFunc):
+            return quotient(self.num * other.num, self.den * other.den)
+        if isinstance(other, Poly):
+            return quotient(self.num * other, self.den)
+        if not other:
+            return Poly.zero(self.nvars)
+        # a nonzero rational keeps num and den coprime
+        return RatFunc._canonical(self.num * other, self.den)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "RatFunc":
-        o = self._coerce(other)
-        if o is None:
+    def __truediv__(self, other) -> Scalar:
+        if not self._check(other):
             return NotImplemented
-        if o.is_zero():
-            raise ZeroDivisionError("division by the zero function")
-        return RatFunc(self.num * o.den, self.den * o.num)
+        if isinstance(other, RatFunc):
+            return quotient(self.num * other.den, self.den * other.num)
+        if isinstance(other, Poly):
+            return quotient(self.num, self.den * other)
+        return RatFunc._canonical(self.num * (1 / _as_fraction(other)), self.den)
 
-    def __rtruediv__(self, other) -> "RatFunc":
-        o = self._coerce(other)
-        if o is None:
+    def __rtruediv__(self, other) -> Scalar:
+        if not self._check(other):
             return NotImplemented
-        return o / self
+        if isinstance(other, Poly):
+            return quotient(other * self.den, self.num)
+        return _coprime_quotient(self.den * other, self.num)
 
-    def __pow__(self, exponent: int) -> "RatFunc":
+    def __pow__(self, exponent: int) -> Scalar:
         if not isinstance(exponent, int):
             raise ValueError("exponent must be an integer")
+        # powers of coprime polynomials stay coprime
         if exponent < 0:
-            if self.is_zero():
-                raise ZeroDivisionError("negative power of the zero function")
-            return RatFunc(self.den ** (-exponent), self.num ** (-exponent))
-        return RatFunc(self.num**exponent, self.den**exponent)
+            return _coprime_quotient(self.den ** (-exponent), self.num ** (-exponent))
+        return _coprime_quotient(self.num**exponent, self.den**exponent)
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.num == o.num and self.den == o.den
+        if isinstance(other, RatFunc):
+            return self.num == other.num and self.den == other.den
+        if isinstance(other, (Poly, int, Fraction)):
+            return False
+        return NotImplemented
 
     def __hash__(self):
-        # a polynomial hashes like its Poly, as it compares equal to it
-        if self.den.is_one():
-            return hash(self.num)
         return hash((self.num, self.den))
 
-    def __bool__(self):
-        return not self.num.is_zero()
-
-    def subst(self, images: Sequence[Scalar]) -> "RatFunc":
-        num = self.num.subst(images)
-        den = self.den.subst(images)
-        num_rf = num if isinstance(num, RatFunc) else RatFunc(num)
-        den_rf = den if isinstance(den, RatFunc) else RatFunc(den)
-        return num_rf / den_rf
+    def subst(self, images: Sequence[Scalar]) -> Scalar:
+        return self.num.subst(images) / self.den.subst(images)
 
     def eval(self, point: Sequence[ScalarLike]) -> Fraction:
         d = self.den.eval(point)
@@ -810,8 +844,6 @@ class RatFunc:
         return self.num.eval(point) / d
 
     def __repr__(self):
-        if self.den.is_one():
-            return f"RatFunc({self.num!r})"
         return f"RatFunc({self.num!r} / {self.den!r})"
 
 
@@ -838,15 +870,17 @@ class RowEchelon:
 
     Rows are sparse ``{column: entry}`` dicts; any other row is read as a
     dense sequence and converted.  Entries need +, -, *, / and truthiness
-    for the zero test, so Fraction and RatFunc both work.  Rational entries
+    for the zero test: int, Fraction, Poly and RatFunc entries all work,
+    and may be mixed, since Poly division goes through quotient.  Rational entries
     are held as ints where they are integral: an integral Fraction becomes
     its int on input, and int arithmetic stays int (a Fraction that an
     elimination step makes integral is kept as it is).  A row is scaled to its
     leading 1 by negation when the lead is -1 and otherwise by dividing
     through by the lead, an int lead as a Fraction, so no float can appear;
-    integral quotients go back to ints.  A RatFunc entry is never an int
-    and takes the same path.  Values read out through particular_entries,
-    particular, solve and reduced_rows are Fractions (or RatFuncs) again;
+    integral quotients go back to ints.  A Poly or RatFunc entry is never
+    an int and takes the same path.  Values read out through
+    particular_entries, particular, solve and reduced_rows are Fractions
+    (or Polys and RatFuncs) again;
     reduce may return ints, which compare, hash and print like the equal
     Fractions.
     An inserted row is cleared of the existing pivot columns, takes its
@@ -957,7 +991,7 @@ class RowEchelon:
 
     def particular(self, ncols: int, rhs: int) -> tuple | None:
         """particular_entries as a dense tuple of ncols Fractions (or
-        RatFuncs), or None when b is not in the span of A's columns."""
+        functions), or None when b is not in the span of A's columns."""
         entries = self.particular_entries(ncols, rhs)
         if entries is None:
             return None
@@ -1011,7 +1045,8 @@ def _subtract_multiple(target: dict, factor, row: Mapping) -> None:
 
 
 def matrix_rank(rows: Sequence[Sequence]) -> int:
-    """Rank of a matrix over an exact field (Fraction or RatFunc entries)."""
+    """Rank of a matrix over an exact field: rational entries, or
+    functions (Poly and RatFunc entries) over the rational-function field."""
     return RowEchelon(rows).rank
 
 

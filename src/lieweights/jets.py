@@ -82,14 +82,6 @@ class JetChart:
         return a * (self.order + 1) + i
 
 
-def _zero_like(sample):
-    if isinstance(sample, Poly):
-        return Poly.zero(sample.nvars)
-    if isinstance(sample, RatFunc):
-        return RatFunc.const(sample.nvars, 0)
-    return Fraction(0)
-
-
 @record
 class TruncSeries:
     """Polynomial in epsilon truncated by epsilon^(order+1) = 0.
@@ -134,14 +126,14 @@ class TruncSeries:
                     continue
                 term = a * b
                 out[i + j] = term if out[i + j] is None else out[i + j] + term
-        zero = _zero_like(self.coefficients[0])
+        zero = self.coefficients[0] * 0
         return TruncSeries(self.order, tuple(zero if c is None else c for c in out))
 
     def shift(self, j: int) -> "TruncSeries":
         """Multiply by epsilon^j."""
         if j < 0:
             raise ValueError("shift must be non-negative")
-        zero = _zero_like(self.coefficients[0])
+        zero = self.coefficients[0] * 0
         coeffs = (zero,) * min(j, self.order + 1) + self.coefficients[: max(0, self.order + 1 - j)]
         return TruncSeries(self.order, coeffs)
 

@@ -20,7 +20,6 @@ from typing import Callable, Iterable, Sequence
 
 from .exactalg import (
     Poly,
-    RatFunc,
     RowEchelon,
     held,
     record,
@@ -719,10 +718,9 @@ def check_clean(filtration: Filtration, submanifold: Submanifold) -> CleanResult
     chart = filtration.chart
     if submanifold.chart != chart:
         raise ValueError("submanifold lives on a different chart")
-    one = RatFunc.const(chart.dim, 1)
     fiber = submanifold.fiber_indices
     m = submanifold.base_point
-    generic = RowEchelon({b: one} for b in submanifold.tangent_indices)
+    generic = RowEchelon({b: 1} for b in submanifold.tangent_indices)
     at_point = RowEchelon({b: Fraction(1)} for b in submanifold.tangent_indices)
     ranks = [at_point.rank]
     generic_ranks = [generic.rank]
@@ -732,7 +730,7 @@ def check_clean(filtration: Filtration, submanifold: Submanifold) -> CleanResult
     for depth in range(1, filtration.order + 1):
         gens = filtration.generators(depth)
         for g in gens[done:]:
-            generic.add([RatFunc(restrict_zero(c, fiber)) for c in g.coeffs])
+            generic.add([restrict_zero(c, fiber) for c in g.coeffs])
             if at_point.add(g.value_at(m)):
                 frame.append(g)
                 frame_levels.append(depth)

@@ -476,10 +476,14 @@ def _frozen_fiber_part(coeff, weighting: WeightedChart) -> tuple[Poly, Fraction]
 
 
 def weighted_fiber_class(
-    field: VectorField, weighting: WeightedChart, depth: int
+    field: VectorField,
+    weighting: WeightedChart,
+    depth: int,
+    pairs: Sequence[tuple[int, tuple[int, ...]]],
 ) -> Vector | None:
     """Coordinates of the field's class in the ambient graded piece, along
-    the fiber_class_pairs basis.
+    pairs, the fiber_class_pairs basis at that depth, which the caller
+    builds once for all the classes it reads there.
 
     The field must live on the weighting's source chart.  Returns None
     when its weighted degree is below -depth (it has no class at that
@@ -495,7 +499,7 @@ def weighted_fiber_class(
         return None
     frozen: dict[int, tuple[Poly, Fraction]] = {}
     comps: list[Fraction] = []
-    for p, phi in fiber_class_pairs(weighting, depth):
+    for p, phi in pairs:
         if p not in frozen:
             frozen[p] = _frozen_fiber_part(pushed[p], weighting)
         num, c0 = frozen[p]
@@ -589,7 +593,7 @@ def verify_hh(
                 rep = term if rep is None else rep + term
             if rep is None:
                 continue
-            cls = weighted_fiber_class(rep, weighting, depth)
+            cls = weighted_fiber_class(rep, weighting, depth, pairs)
             if cls is None or not class_in_tangent_part(pairs, cls):
                 maps_into_ok = False
 

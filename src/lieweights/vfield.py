@@ -77,17 +77,16 @@ class Chart:
 
 
 def _as_poly(value: Scalar | Fraction | int, nvars: int) -> Poly:
-    """A coefficient as a Poly: a RatFunc must have denominator 1.  Nearly
-    every coefficient is a Poly already, so that case is tested first."""
+    """A coefficient as a Poly: a rational becomes a constant, and a
+    RatFunc, which is never a polynomial, is refused.  Nearly every
+    coefficient is a Poly already, so that case is tested first."""
     if isinstance(value, Poly):
         if value.nvars != nvars:
             raise ValueError("polynomial dimension mismatch")
         return value
-    if isinstance(value, RatFunc):
-        if not value.is_polynomial():
-            raise ValueError("vector field coefficients must be polynomial")
-        return _as_poly(value.num, nvars)
-    return Poly.const(nvars, value)
+    if isinstance(value, (int, Fraction)):
+        return Poly.const(nvars, value)
+    raise ValueError("vector field coefficients must be polynomial")
 
 
 class VectorField:
@@ -113,15 +112,12 @@ class VectorField:
         """Directional derivative: sum of coeff_a * df/dx_a.
 
         Returns a Poly for a polynomial argument, summed term by term into
-        one dict by exactalg.derive_into; a RatFunc with unit denominator
-        counts as polynomial.  On n/d it is the one quotient
-        (X(n)*d - n*X(d)) / d^2.
+        one dict by exactalg.derive_into.  On a RatFunc n/d it is the one
+        quotient (X(n)*d - n*X(d)) / d^2.
         """
         if isinstance(f, RatFunc):
-            if not f.is_polynomial():
-                n, d = f.num, f.den
-                return RatFunc(self.apply(n) * d - n * self.apply(d), d * d)
-            f = f.num
+            n, d = f.num, f.den
+            return (self.apply(n) * d - n * self.apply(d)) / (d * d)
         if f.nvars != self.chart.dim:
             raise ValueError("function does not live on the field's chart")
         out: dict = {}
@@ -203,7 +199,7 @@ def restrict_zero(value: Scalar, fiber_indices: Iterable[int]) -> Scalar:
     den = chop(value.den)
     if den.is_zero():
         raise ZeroDivisionError("denominator vanishes identically on the submanifold")
-    return RatFunc(chop(value.num), den)
+    return chop(value.num) / den
 
 
 # -- parsing -----------------------------------------------------------------
@@ -591,10 +587,11 @@ def _parse_scalar_value(src: str, chart: Chart) -> _Value:
     return val
 
 
-def parse_scalar(src: str, chart: Chart) -> RatFunc:
-    """Parse a scalar (function) expression to a rational function."""
+def parse_scalar(src: str, chart: Chart) -> Scalar:
+    """Parse a scalar (function) expression: a Poly when it is a
+    polynomial, otherwise a RatFunc."""
     val = _parse_scalar_value(src, chart)
-    return RatFunc(_poly(val.num.get(-1, {}), chart.dim), _poly(val.den, chart.dim))
+    return _poly(val.num.get(-1, {}), chart.dim) / _poly(val.den, chart.dim)
 
 
 def parse_polynomial(src: str, chart: Chart) -> Poly:
@@ -695,8 +692,6 @@ def _den_needs_parens(den: Poly) -> bool:
 def format_scalar(value: Scalar, chart: Chart) -> str:
     if isinstance(value, Poly):
         return format_poly(value, chart)
-    if value.is_polynomial():
-        return format_poly(value.num, chart)
     num = format_poly(value.num, chart)
     if len(value.num.terms) > 1:
         num = f"({num})"

@@ -29,7 +29,6 @@ from typing import Sequence
 from .exactalg import (
     Monomial,
     Poly,
-    RatFunc,
     Scalar,
     matrix_inverse,
     matrix_rank,
@@ -43,14 +42,6 @@ from .vfield import Chart, VectorField
 INFINITE = math.inf
 
 
-def _demoted(value: Scalar) -> Scalar:
-    """A RatFunc with denominator 1 as its numerator Poly; anything else
-    as it is."""
-    if isinstance(value, RatFunc) and value.is_polynomial():
-        return value.num
-    return value
-
-
 def normalize_chart(
     clean: CleanResult,
 ) -> tuple[tuple[Scalar, ...], tuple[tuple[Poly, ...], ...]]:
@@ -60,11 +51,9 @@ def normalize_chart(
     Returns the new fiber coordinate functions, expressed in the original
     chart, and the pairing matrix pairing[a][c] = (V_a x_{fiber_c})|_N,
     V_a's coefficient fiber_c restricted to N, whose transpose maps them
-    back to the fiber variables.  The pairing is inverted over RatFunc,
-    and an inverse entry with denominator 1 becomes its numerator Poly,
-    so a coordinate is a RatFunc only when the inverse has a true
-    denominator (one dividing det P); with a constant determinant every
-    coordinate is a Poly.
+    back to the fiber variables.  The pairing's Poly entries are inverted
+    as they are; every denominator of the inverse divides det P, so with
+    a constant determinant every coordinate is a Poly.
     Raises when the frame size differs from the fiber dimension, or when
     the pairing matrix is singular at the base point.
 
@@ -91,9 +80,8 @@ def normalize_chart(
     ]
     if k and matrix_rank(point_matrix) < k:
         raise ValueError("frame-coordinate pairing is singular at the base point")
-    inverse = matrix_inverse([[RatFunc(entry) for entry in row] for row in pairing])
+    inverse = matrix_inverse(pairing)
     assert inverse is not None
-    inverse = [[_demoted(entry) for entry in row] for row in inverse]
     coords = []
     for b in range(k):
         acc = Poly.zero(n)
@@ -150,8 +138,7 @@ def filtration_degree(
 @record
 class CorrectionRecord:
     """One correction step: target position, multi-index, normalization
-    constant, and the correction coefficient, a function on N: a Poly, or
-    a RatFunc exactly when its reduced denominator is not 1."""
+    constant, and the correction coefficient, a function on N."""
 
     position: int
     multi_index: tuple[int, ...]
@@ -169,9 +156,8 @@ class WeightedChart:
     original chart; inverse[c] expresses original variable c in the
     weighted chart; the two substitutions compose to the identity.
     corrections are the steps that made the higher-weight coordinates.
-    Every entry of forward and inverse is a Poly, or a RatFunc exactly
-    when its reduced denominator is not 1; that happens only when the
-    inverse of the frame pairing has a true denominator.  words is
+    An entry of forward or inverse is a RatFunc only when the inverse of
+    the frame pairing has a true denominator.  words is
     frame_words of the fiber weights up to the largest weight less one,
     enumerated once: the correction loop, filtration_degree and the
     osculating stage's fiber_class_pairs read their multi-indices there.
@@ -274,7 +260,7 @@ def weighted_coordinates(clean: CleanResult) -> WeightedChart:
                         f"normalization constant for {s} is not the factorial product"
                     )
                 total = submanifold.restrict(_apply_word(clean.frame, s, partial))
-                coeff = _demoted(-(total * (1 / expected)))
+                coeff = -(total * (1 / expected))
                 records.append(
                     CorrectionRecord(
                         position=a, multi_index=s, constant=expected, coefficient=coeff
@@ -283,7 +269,7 @@ def weighted_coordinates(clean: CleanResult) -> WeightedChart:
                 if coeff:
                     terms.append(coeff * power)
             partial = sum(terms, partial)
-        current[a] = _demoted(partial)
+        current[a] = partial
 
     for p in range(k0, n):
         got = filtration_degree(current[p], clean, words, cap=weights[p])
@@ -353,7 +339,7 @@ def _invert_weighting(
         acc = Poly.zero(n)
         for p, row in enumerate(pairing):
             acc = acc + row[ci].subst(on_n) * linear[p]
-        inverse[c] = _demoted(acc)
+        inverse[c] = acc
     return tuple(inverse)
 
 
@@ -374,8 +360,9 @@ def push_to_weighted(
     """The coefficients of a vector field rewritten in the weighted chart.
 
     Coefficient p is the field applied to weighted coordinate p, written in
-    the weighted variables.  A weighted chart may have rational coordinates,
-    so the coefficients are rational functions, not a VectorField.
+    the weighted variables.  A weighted chart may have rational
+    coordinates, so a coefficient may be a RatFunc, and they are returned
+    as a tuple, not a VectorField.
     """
     if field.chart != weighting.source_chart:
         raise ValueError("field does not live on the weighting's source chart")

@@ -9,7 +9,7 @@ from fractions import Fraction
 import math
 import random
 
-from lieweights.exactalg import Poly, RatFunc, RowEchelon
+from lieweights.exactalg import Poly, RatFunc, RowEchelon, quotient
 from lieweights.lieflt import Filtration, monomials_up_to, transposed
 from lieweights.vfield import Chart, VectorField, format_vector_field, lie_bracket
 
@@ -55,7 +55,7 @@ def partial(f, i: int):
     package's derivation kernel."""
     if isinstance(f, RatFunc):
         num, den = f.num, f.den
-        return RatFunc(partial(num, i) * den - num * partial(den, i), den * den)
+        return quotient(partial(num, i) * den - num * partial(den, i), den * den)
     if not 0 <= i < f.nvars:
         raise ValueError(f"variable index {i} out of range")
     terms = {}

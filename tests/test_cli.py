@@ -718,8 +718,8 @@ class TestSharedDerivations:
     def test_fiber_class_labels_only_for_a_tangent_span(self, tmp_path, monkeypatch, name, depths):
         # N is a point on cartan235, so its tangent spans are empty and no
         # label is built; heisenberg's N is the x axis, a line, and only
-        # depth 1 has a tangent vector (verify_hh builds its labels, and
-        # weighted_fiber_class again for the one class it reads)
+        # depth 1 has a tangent vector.  verify_hh builds each depth's
+        # labels once and hands them to every class it reads there
         calls = []
         real = osculating.fiber_class_pairs
 
@@ -733,6 +733,7 @@ class TestSharedDerivations:
         tangent_dims = stage(report, "osculating")["data"]["tangent_dims"]
         assert set(calls) == {d for d, dim in enumerate(tangent_dims, start=1) if dim}
         assert set(calls) == depths
+        assert len(calls) == len(set(calls))
 
 
 class TestFullToken:

@@ -24,6 +24,7 @@ from lieweights.exactalg import (
     matrix_inverse,
     matrix_rank,
     poly_gcd,
+    quotient,
     weight_of,
     weighted_multiindices,
 )
@@ -408,9 +409,11 @@ def test_ratfunc_normalization():
 
 
 def test_ratfunc_gcd_cancellation():
-    f = RatFunc(X**2 - Y**2, X + Y)
-    assert f.is_polynomial()
-    assert f.num == X - Y
+    f = (X**2 - Y**2) / (X + Y)
+    assert isinstance(f, Poly)
+    assert f == X - Y
+    with pytest.raises(ValueError):
+        RatFunc(X**2 - Y**2, X + Y)
 
 
 def test_ratfunc_arithmetic_matches_sympy():
@@ -453,16 +456,15 @@ def test_ratfunc_is_in_lowest_terms_at_high_degree():
     assert plain == padded
     assert hash(plain) == hash(padded)
     assert len({plain, padded}) == 1
-    quotient = RatFunc(x**9 * y, x**9)
-    assert quotient.is_polynomial()
-    assert quotient.num == y
-    assert quotient == y
-    assert hash(quotient) == hash(y)
+    polynomial = x**9 * y / x**9
+    assert isinstance(polynomial, Poly)
+    assert polynomial == y
+    assert hash(polynomial) == hash(y)
     # a polynomial in lowest terms restricts, evaluates and is a coefficient
     # where x vanishes
-    assert restrict_zero(quotient, [0]) == y
-    assert quotient.eval([0, 3]) == 3
-    field = VectorField(Chart(("x", "y")), [quotient, 1])
+    assert restrict_zero(polynomial, [0]) == y
+    assert polynomial.eval([0, 3]) == 3
+    field = VectorField(Chart(("x", "y")), [polynomial, 1])
     assert field.coeffs == (y, one)
 
 
@@ -488,18 +490,19 @@ def high_degree_factors(draw):
     high_degree_factors(),
 )
 def test_a_common_factor_of_high_degree_cancels(num, den, common):
-    reduced = RatFunc(num, den)
-    padded = RatFunc(num * common, den * common)
-    assert (padded.num, padded.den) == (reduced.num, reduced.den)
+    reduced = quotient(num, den)
+    padded = quotient(num * common, den * common)
+    assert type(padded) is type(reduced)
+    assert padded == reduced
     assert hash(padded) == hash(reduced)
-    assert padded.is_polynomial() == (divide_exact(num, den) is not None)
+    assert isinstance(padded, Poly) == (divide_exact(num, den) is not None)
 
 
 @settings(max_examples=30, deadline=None)
 @given(polys(max_terms=3, max_exp=2), polys(max_terms=2, max_exp=2).filter(bool))
 def test_equal_ratfuncs_hash_alike(num, den):
     pad = Poly.variable(3, 0) ** 9 + Poly.one(3)
-    assert hash(RatFunc(num, den)) == hash(RatFunc(num * pad, den * pad))
+    assert hash(quotient(num, den)) == hash(quotient(num * pad, den * pad))
 
 
 def test_ratfunc_eval():
@@ -508,6 +511,138 @@ def test_ratfunc_eval():
     assert f.eval([1, 1, 0]) == Fraction(1)
     with pytest.raises(ZeroDivisionError):
         f.eval([0, -1, 0])
+
+
+# -- one normal form: a quotient is a RatFunc only when it is not a polynomial -
+
+
+def sympy_value(f):
+    """A Poly, RatFunc, Fraction or int as a sympy expression."""
+    if isinstance(f, RatFunc):
+        return to_sympy(f.num) / to_sympy(f.den)
+    if isinstance(f, Poly):
+        return to_sympy(f)
+    return sympy.Rational(f.numerator, f.denominator)
+
+
+def assert_normal_form(got, expected):
+    """got is a function equal to the sympy expression expected, and is a
+    Poly exactly when cancel leaves expected a constant denominator."""
+    assert isinstance(got, (Poly, RatFunc))
+    _, den = sympy.fraction(sympy.cancel(expected))
+    assert isinstance(got, Poly) == (not den.free_symbols), (got, expected)
+    assert sympy.cancel(sympy_value(got) - expected) == 0
+
+
+@st.composite
+def quotient_pairs(draw, nvars):
+    """(num, den) with den nonzero: unrelated, with a planted common
+    factor, or with den dividing num."""
+    num = draw(polys(nvars=nvars, max_terms=3, max_exp=2))
+    den = draw(polys(nvars=nvars, max_terms=3, max_exp=2).filter(bool))
+    kind = draw(st.sampled_from(["plain", "common", "multiple"]))
+    if kind == "common":
+        common = draw(polys(nvars=nvars, max_terms=2, max_exp=2).filter(bool))
+        num, den = num * common, den * common
+    elif kind == "multiple":
+        num = num * den
+    return num, den
+
+
+@st.composite
+def scalars(draw, nvars):
+    """An int, a Fraction, a Poly or a quotient, in nvars variables."""
+    kind = draw(st.sampled_from(["int", "fraction", "poly", "quotient", "quotient"]))
+    if kind == "int":
+        return draw(st.integers(-3, 3))
+    if kind == "fraction":
+        return Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+    if kind == "poly":
+        return draw(polys(nvars=nvars, max_terms=3, max_exp=2))
+    return quotient(*draw(quotient_pairs(nvars)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 3).flatmap(quotient_pairs))
+def test_quotient_is_a_poly_exactly_when_cancel_leaves_no_denominator(pair):
+    num, den = pair
+    assert_normal_form(quotient(num, den), to_sympy(num) / to_sympy(den))
+    assert_normal_form(num / den, to_sympy(num) / to_sympy(den))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda n: st.tuples(scalars(n), scalars(n))))
+def test_arithmetic_keeps_the_type_rule(operands):
+    a, b = operands
+    for x, y in ((a, b), (b, a)):
+        if not isinstance(x, (Poly, RatFunc)) and not isinstance(y, (Poly, RatFunc)):
+            continue
+        sx, sy = sympy_value(x), sympy_value(y)
+        assert_normal_form(x + y, sx + sy)
+        assert_normal_form(x - y, sx - sy)
+        assert_normal_form(x * y, sx * sy)
+        if y == 0:
+            with pytest.raises(ZeroDivisionError):
+                x / y
+        else:
+            assert_normal_form(x / y, sx / sy)
+    for x in (a, b):
+        if isinstance(x, (Poly, RatFunc)):
+            assert_normal_form(-x, -sympy_value(x))
+            for k in range(-2 if isinstance(x, RatFunc) else 0, 4):
+                assert_normal_form(x**k, sympy_value(x) ** k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 3).flatmap(
+        lambda n: st.tuples(scalars(n), st.lists(scalars(n), min_size=n, max_size=n))
+    )
+)
+def test_subst_keeps_the_type_rule(case):
+    f, images = case
+    if not isinstance(f, (Poly, RatFunc)):
+        return
+    nvars = f.nvars
+    images = [c if isinstance(c, (Poly, RatFunc)) else Poly.const(nvars, c) for c in images]
+    mapping = dict(zip(sympy_symbols(nvars), map(sympy_value, images)))
+    expected = sympy_value(f).subs(mapping, simultaneous=True)
+    try:
+        got = f.subst(images)
+    except ZeroDivisionError:
+        # only a denominator can vanish under the substitution
+        assert isinstance(f, RatFunc)
+        assert sympy.cancel(to_sympy(f.den).subs(mapping, simultaneous=True)) == 0
+        return
+    assert_normal_form(got, expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda n: st.tuples(scalars(n), scalars(n), scalars(n))))
+def test_equal_values_hash_alike(values):
+    pool = list(values)
+    for x in values:
+        if isinstance(x, (Poly, RatFunc)):
+            n = x.nvars
+            pad = Poly.variable(n, 0) + 2
+            pool += [x + 0, x * 1, (x * pad) / pad, x - x, x / 1]
+        else:
+            pool += [Poly.const(n, x) for n in (2, 3)]
+            pool += [Fraction(x)]
+    for x in pool:
+        for y in pool:
+            if x == y:
+                assert hash(x) == hash(y), (x, y)
+
+
+def test_constant_polys_hash_as_their_values():
+    assert len({Poly.const(2, 3), 3}) == 1
+    assert hash(Poly.zero(2)) == hash(0)
+    assert hash(Poly.const(3, Fraction(1, 2))) == hash(Fraction(1, 2))
+    assert {Poly.one(2): "one"}[1] == "one"
+    # a constant quotient is a Poly too
+    assert quotient(2 * (X + Y), 4 * (X + Y)) == Fraction(1, 2)
+    assert len({quotient(2 * (X + Y), 4 * (X + Y)), Fraction(1, 2)}) == 1
 
 
 # -- linear solving ----------------------------------------------------------
@@ -558,11 +693,9 @@ def test_solutions_reverify(sys_pair):
 def test_matrix_rank_over_ratfunc_field():
     one = Poly.one(1)
     y = Poly.variable(1, 0)
-    rows = [
-        [RatFunc(one), RatFunc(y)],
-        [RatFunc(y), RatFunc(y * y)],
-    ]
+    rows = [[one, y], [y, y * y]]
     assert matrix_rank(rows) == 1
+    assert matrix_rank([[one, y / (one + y)], [one + y, y]]) == 1
 
 
 # -- the elimination kernel against sympy's rref ------------------------------
@@ -660,19 +793,19 @@ def test_ratfunc_inverse_multiplies_back_to_identity():
     x, y = Poly.variable(2, 0), Poly.variable(2, 1)
     one = Poly.one(2)
     rows = [
-        [RatFunc(one), RatFunc(y), RatFunc(Poly.zero(2))],
-        [RatFunc(x), RatFunc(one + x * y, one + x), RatFunc(y * y)],
-        [RatFunc(Poly.zero(2)), RatFunc(x), RatFunc(one - y)],
+        [one, y, Poly.zero(2)],
+        [x, (one + x * y) / (one + x), y * y],
+        [Poly.zero(2), x, one - y],
     ]
     inverse = matrix_inverse(rows)
     assert inverse is not None
     for i in range(3):
         for j in range(3):
             entry = sum(
-                (rows[i][k] * inverse[k][j] for k in range(3)), RatFunc.const(2, 0)
+                (rows[i][k] * inverse[k][j] for k in range(3)), Poly.zero(2)
             )
-            assert entry == RatFunc.const(2, 1 if i == j else 0)
-    singular = [[RatFunc(one), RatFunc(y)], [RatFunc(x), RatFunc(x * y)]]
+            assert entry == Poly.const(2, 1 if i == j else 0)
+    singular = [[one, y], [x, x * y]]
     assert matrix_inverse(singular) is None
 
 

@@ -843,19 +843,20 @@ def test_weight_sequence_rejects_short_span():
 
 
 def reference_clean(filtration, submanifold):
-    """Rank flags by a fresh dense matrix_rank per depth, over RatFunc and
-    at the base point, and a greedy frame that scans all of H_{-i}."""
+    """Rank flags by a fresh dense matrix_rank per depth, over the
+    rational functions of N and at the base point, and a greedy frame that
+    scans all of H_{-i}."""
     n = filtration.chart.dim
     m = submanifold.base_point
     ranks, generic_ranks = [], []
     for depth in range(filtration.order + 1):
         columns = [
-            [RatFunc.const(n, 1 if a == b else 0) for a in range(n)]
+            [Poly.const(n, 1 if a == b else 0) for a in range(n)]
             for b in submanifold.tangent_indices
         ]
         if depth:
             for g in filtration.generators(depth):
-                columns.append([RatFunc(submanifold.restrict(c)) for c in g.coeffs])
+                columns.append([submanifold.restrict(c) for c in g.coeffs])
         rows = [[col[a] for col in columns] for a in range(n)]
         generic_ranks.append(matrix_rank(rows))
         ranks.append(matrix_rank([[x.eval(m) for x in row] for row in rows]))

@@ -207,7 +207,6 @@ NONE_DEFAULTS = {
     "cli.load_problem.seed": "an unset flag means the file's value applies",
     "cli.main.argv": "None means sys.argv",
     "exactalg.Poly.__init__.terms": "the zero polynomial",
-    "exactalg.RatFunc.__init__.den": "a polynomial",
 }
 
 
@@ -258,6 +257,26 @@ def test_only_exactalg_references_the_unchecked_poly_constructor():
             if name == "_canonical":
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"Poly._canonical referenced outside exactalg: {found}"
+
+
+def test_only_exactalg_decides_whether_a_quotient_is_a_polynomial():
+    # exactalg.quotient alone reduces num/den and picks Poly or RatFunc;
+    # every other module divides, so a second RatFunc(...) call or a
+    # unit-denominator test would decide it again
+    found = []
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "exactalg.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "RatFunc":
+                    found.append(f"{path.name}:{node.lineno} RatFunc(...)")
+            elif isinstance(node, ast.Attribute) and node.attr == "is_polynomial":
+                found.append(f"{path.name}:{node.lineno} .is_polynomial")
+    assert not found, f"quotients decided outside exactalg: {found}"
 
 
 # functions that may carry a process-wide memo, each for a stated reason;
