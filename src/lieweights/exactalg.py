@@ -679,7 +679,10 @@ def quotient(num: Poly, den: Poly) -> Scalar:
     This is the one place that decides whether a quotient is a
     polynomial.  RatFunc arithmetic and subst, Poly division and
     RatFunc(num, den) all return through it, so a Scalar is a Poly exactly
-    when it is a polynomial.
+    when it is a polynomial.  Only where the operands fix the answer does
+    RatFunc arithmetic skip it: a RatFunc negated, scaled by a nonzero
+    rational or added to a polynomial is a RatFunc over the same
+    denominator, still in lowest terms.
     """
     if num.nvars != den.nvars:
         raise ValueError("numerator/denominator dimension mismatch")
