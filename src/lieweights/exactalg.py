@@ -720,9 +720,9 @@ class RatFunc:
     The numerator and denominator are coprime, and the denominator is not
     a constant, has integer content 1 and a positive leading coefficient.
     That form is unique, so equality and hashing compare (num, den) as
-    stored, and a RatFunc never equals a Poly or a rational.  Every
-    RatFunc is built by quotient; RatFunc(num, den) reduces through it
-    and raises ValueError when the quotient is a polynomial.
+    stored, and a RatFunc never equals a Poly or a rational.
+    RatFunc(num, den) reduces through quotient and raises ValueError when
+    the quotient is a polynomial.
     """
 
     __slots__ = ("num", "den")
