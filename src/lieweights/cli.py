@@ -386,11 +386,11 @@ class _Pipeline:
             self.spec.filtration, self.spec.submanifold, bound, parent=algebra
         )
         report = verify_hh(self.weighting, algebra, tangent)
-        constants = []
-        for u, v, vec in algebra.structure:
-            for k, c in enumerate(vec):
-                if c:
-                    constants.append([u, v, k, str(c)])
+        constants = [
+            [u, v, k, str(c)]
+            for (u, v), vec in sorted(algebra.structure.items())
+            for k, c in sorted(vec.items())
+        ]
         data = {
             "degree_bound": bound,
             "graded_dims": list(report.p_dims),

@@ -35,7 +35,9 @@ Representation notes:
     bounded module systems are integers and ``int`` arithmetic is far
     cheaper than ``Fraction`` arithmetic; the values it reads out
     (``particular_entries``, ``particular``, ``solve``, ``reduced_rows``,
-    ``matrix_inverse``) are ``Fraction`` again.
+    ``matrix_inverse``) are ``Fraction`` again.  ``particular_entries``
+    and ``reduced_rows`` read out sparse ``{column: value}`` maps, the
+    others dense tuples.
 """
 
 from __future__ import annotations
@@ -883,7 +885,7 @@ class RowEchelon:
     integral quotients go back to ints.  A Poly or RatFunc entry is never
     an int and takes the same path.  Values read out through
     particular_entries, particular, solve and reduced_rows are Fractions
-    (or Polys and RatFuncs) again;
+    (or Polys and RatFuncs) again, reduced_rows as sparse rows;
     reduce may return ints, which compare, hash and print like the equal
     Fractions.
     An inserted row is cleared of the existing pivot columns, takes its
@@ -961,11 +963,11 @@ class RowEchelon:
         self.pivot_rows[pivot] = rest
         return True
 
-    def reduced_rows(self, width: int) -> tuple[tuple[Fraction, ...], ...]:
-        """The reduced rows in pivot order, as dense rational vectors."""
-        zero = Fraction(0)
+    def reduced_rows(self) -> tuple[dict, ...]:
+        """The reduced rows in pivot order, as sparse {column: entry} maps
+        in column order, with no zero entries."""
         return tuple(
-            tuple(_read_out(row.get(c, zero)) for c in range(width))
+            {c: _read_out(x) for c, x in sorted(row.items())}
             for _, row in sorted(self.pivot_rows.items())
         )
 

@@ -155,7 +155,12 @@ class TruncSeries:
 
 @record
 class JetPoint:
-    """Order-r jet: comps[a][i] is the epsilon^i component of coordinate a."""
+    """Order-r jet: comps[a][i] is the epsilon^i component of coordinate a.
+
+    Components may be any exact ring element: Fractions for a point of
+    the jet bundle, or jet-chart Polys for the symbolic jet whose
+    component (a, i) is the variable of that slot (lift_all).
+    """
 
     chart: Chart
     order: int
@@ -187,7 +192,9 @@ class JetPoint:
 def eval_jet(u: JetPoint, f: Scalar) -> TruncSeries:
     """Value of a function on the jet: substitute each coordinate's
     truncated series and expand.  The result is a unital algebra morphism
-    in f.  Rational functions require the denominator to be a unit at the
+    in f.  The components may be any exact ring element, and every
+    coefficient of f is taken into their ring, as a multiple of its unit.
+    Rational functions require the denominator to be a unit at the
     jet's base point."""
     if isinstance(f, RatFunc):
         return eval_jet(u, f.num) * eval_jet(u, f.den).inverse()
@@ -195,10 +202,11 @@ def eval_jet(u: JetPoint, f: Scalar) -> TruncSeries:
         raise ValueError("function does not live on the jet's base chart")
     r = u.order
     rows = [TruncSeries(r, row) for row in u.comps]
-    zeros = (Fraction(0),) * r
-    total = TruncSeries(r, (Fraction(0),) + zeros)
+    one = u.comps[0][0] ** 0 if u.comps else Fraction(1)
+    zeros = (one * 0,) * r
+    total = TruncSeries(r, (one * 0,) + zeros)
     for mono, c in f.terms.items():
-        term = TruncSeries(r, (c,) + zeros)
+        term = TruncSeries(r, (one * c,) + zeros)
         for row, e in zip(rows, mono):
             for _ in range(e):
                 term = term * row
@@ -209,32 +217,17 @@ def eval_jet(u: JetPoint, f: Scalar) -> TruncSeries:
 def lift_all(jc: JetChart, f: Poly) -> tuple[Poly, ...]:
     """All graded components of a function on the jet chart at once.
 
-    Component i is the coefficient of t^i after substituting each base
-    variable by its component series.  Component 0 is the pullback of f
-    through the base projection.
+    Component i is the coefficient of epsilon^i in f evaluated on the
+    symbolic jet, whose component (a, i) is the jet-chart variable of that
+    slot.  Component 0 is the pullback of f through the base projection.
     """
     if f.nvars != jc.base.dim:
         raise ValueError("function does not live on the jet chart's base")
-    n = jc.base.dim
-    r = jc.order
-    big = jc.dim + 1  # trailing slot is the grading variable t
-    images = []
-    for a in range(n):
-        terms = {}
-        for i in range(r + 1):
-            mono = [0] * big
-            mono[jc.index(a, i)] = 1
-            mono[jc.dim] = i
-            terms[tuple(mono)] = Fraction(1)
-        images.append(Poly(big, terms))
-    expanded = f.subst(images)
-    assert isinstance(expanded, Poly)
-    buckets: list[dict] = [dict() for _ in range(r + 1)]
-    for mono, c in expanded.terms.items():
-        ti = mono[jc.dim]
-        if ti <= r:
-            buckets[ti][mono[: jc.dim]] = c
-    return tuple(Poly(jc.dim, b) for b in buckets)
+    comps = tuple(
+        tuple(Poly.variable(jc.dim, jc.index(a, i)) for i in range(jc.order + 1))
+        for a in range(jc.base.dim)
+    )
+    return eval_jet(JetPoint(jc.base, jc.order, comps), f).coefficients
 
 
 def lift_function(jc: JetChart, f: Poly, i: int) -> Poly:

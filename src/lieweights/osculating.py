@@ -24,6 +24,13 @@ the original chart.
 
 Basis elements are picked greedily in generator-list order, which makes
 every output deterministic for a given input ordering.
+
+Every element, class, structure constant and tangent-span row keeps the
+form RowEchelon gives: a sparse map {basis index: Fraction} with no zero
+entries.  Marker number u is basis element u, so a normal form's marker
+part is a class in the global basis.  bch sums the Dynkin series once per
+bracket word: the words and their summed coefficients depend on the
+order alone and are computed once per order.
 """
 
 from __future__ import annotations
@@ -47,23 +54,6 @@ from .lieflt import (
 from .vfield import VectorField, lie_bracket
 from .weightcoord import WeightedChart, push_to_weighted, vf_degree_in_chart
 
-Vector = tuple[Fraction, ...]
-
-
-def _zero_vector(n: int) -> Vector:
-    return tuple(Fraction(0) for _ in range(n))
-
-
-def _unit_vector(n: int, j: int) -> Vector:
-    return tuple(Fraction(1) if i == j else Fraction(0) for i in range(n))
-
-
-def _add_scaled(acc: list[Fraction], vec: Sequence[Fraction], c: Fraction) -> None:
-    for i, v in enumerate(vec):
-        if v:
-            acc[i] += c * v
-
-
 def _centred(
     fields: Sequence[VectorField], point: Sequence[Fraction]
 ) -> tuple[VectorField, ...]:
@@ -76,24 +66,24 @@ def _centred(
     )
 
 
-def _class(rest: dict, keys: PackedKeys, offset: int) -> dict[int, Fraction] | None:
-    """Coordinates in a level's basis read off a normal form against the
-    span, the level's first basis element having marker number offset:
-    the negated marker part, or None when a field entry survives (no
-    certificate at the degree bound).  Earlier levels' markers are
-    retired, so only the level's own can appear."""
-    first = keys.marker(offset)
+def _class(rest: dict, keys: PackedKeys) -> dict[int, Fraction] | None:
+    """Coordinates in the global basis read off a normal form against the
+    span: the negated marker part, or None when a field entry survives (no
+    certificate at the degree bound).  Retired markers are pivots of unit
+    rows, so a normal form holds only the live ones, the current level's."""
+    first = keys.marker(0)
     if any(key < first for key in rest):
         return None
-    n = keys.nvars + offset
-    return {keys.unpack(key)[0] - n: -x for key, x in rest.items()}
+    return {keys.unpack(key)[0] - keys.nvars: Fraction(-x) for key, x in rest.items()}
 
 
-def _embed(cls: dict[int, Fraction], offset: int, total: int) -> Vector:
-    vec = [Fraction(0)] * total
-    for pos, c in cls.items():
-        vec[offset + pos] = c
-    return tuple(vec)
+def _add_into(acc: dict, vec: dict, c) -> None:
+    for w, x in vec.items():
+        acc[w] = acc.get(w, 0) + c * x
+
+
+def _nonzero(acc: dict) -> dict:
+    return {w: x for w, x in acc.items() if x}
 
 
 @record
@@ -101,21 +91,24 @@ class GradedLieAlg:
     """A graded nilpotent Lie algebra concentrated in degrees -1..-order.
 
     Each basis element carries its (negative) degree and a vector-field
-    representative.  structure stores [e_u, e_v] for u < v as coordinate
-    vectors; pairs whose degree sum drops below -order are zero and not
-    stored.  unverified lists the pairs whose constants had no certificate
-    at the degree bound used to build the algebra (entries left zero).
-    candidate_classes[i - 1] holds the classes in the global basis of
-    filtration.generators(i), in order; they define the quotient map used
-    when pairing the algebra with other data.
+    representative.  An element of the algebra, a class or a structure
+    constant is a sparse map {basis index: Fraction} holding no zero
+    entry.  structure maps (u, v), u < v, to [e_u, e_v]; pairs whose
+    bracket is zero, or whose degree sum drops below -order, are not
+    stored.  unverified lists, in order, the pairs whose constants had no
+    certificate at the degree bound used to build the algebra (not
+    stored).  candidate_classes[i - 1] holds the classes in the global
+    basis of filtration.generators(i), in order; they define the quotient
+    map used when pairing the algebra with other data.  The methods that
+    take elements raise ValueError on a key outside range(dim).
     """
 
     order: int
     degrees: tuple[int, ...]
     representatives: tuple[VectorField, ...]
-    structure: tuple[tuple[int, int, Vector], ...]
+    structure: dict[tuple[int, int], dict[int, Fraction]]
     unverified: tuple[tuple[int, int], ...]
-    candidate_classes: tuple[tuple[Vector, ...], ...]
+    candidate_classes: tuple[tuple[dict[int, Fraction], ...], ...]
 
     @property
     def dim(self) -> int:
@@ -129,69 +122,66 @@ class GradedLieAlg:
     def level_indices(self, depth: int) -> tuple[int, ...]:
         return tuple(u for u, d in enumerate(self.degrees) if d == -depth)
 
-    def basis_vector(self, u: int) -> Vector:
-        return _unit_vector(self.dim, u)
+    def _check_keys(self, *elements: dict) -> None:
+        """Raise ValueError unless every key of the elements is a basis
+        index."""
+        basis = range(self.dim)
+        if any(u not in basis for x in elements for u in x):
+            raise ValueError("element key outside the algebra's basis")
 
-    def bracket_basis(self, u: int, v: int) -> Vector:
-        if u == v:
-            return _zero_vector(self.dim)
+    def basis_vector(self, u: int) -> dict[int, Fraction]:
+        vec = {u: Fraction(1)}
+        self._check_keys(vec)
+        return vec
+
+    def bracket_basis(self, u: int, v: int) -> dict[int, Fraction]:
+        """[e_u, e_v], read from structure; callers must not mutate it."""
         if u > v:
-            return tuple(-c for c in self.bracket_basis(v, u))
-        for a, b, vec in self.structure:
-            if (a, b) == (u, v):
-                return vec
-        return _zero_vector(self.dim)
+            return {w: -c for w, c in self.structure.get((v, u), {}).items()}
+        return self.structure.get((u, v), {})
 
-    def bracket_elements(
-        self, x: Sequence[Fraction], y: Sequence[Fraction]
-    ) -> Vector:
-        if len(x) != self.dim or len(y) != self.dim:
-            raise ValueError("element length does not match the algebra dimension")
-        acc = [Fraction(0)] * self.dim
-        for u, cu in enumerate(x):
+    def bracket_elements(self, x: dict, y: dict) -> dict[int, Fraction]:
+        self._check_keys(x, y)
+        acc: dict = {}
+        for u, cu in x.items():
             if not cu:
                 continue
-            for v, cv in enumerate(y):
-                if not cv or u == v:
-                    continue
-                _add_scaled(acc, self.bracket_basis(u, v), cu * cv)
-        return tuple(acc)
+            for v, cv in y.items():
+                if cv and u != v:
+                    _add_into(acc, self.bracket_basis(u, v), cu * cv)
+        return _nonzero(acc)
 
     def check_antisymmetry(self) -> bool:
         for u in range(self.dim):
             for v in range(self.dim):
-                left = self.bracket_basis(u, v)
                 right = self.bracket_basis(v, u)
-                if any(a + b for a, b in zip(left, right)):
+                if self.bracket_basis(u, v) != {w: -c for w, c in right.items()}:
                     return False
         return True
 
     def check_grading(self) -> bool:
         """Stored brackets land in the correct graded piece and vanish
         whenever the degree sum drops below -order."""
-        for u, v, vec in self.structure:
+        for (u, v), vec in self.structure.items():
             q = -(self.degrees[u] + self.degrees[v])
             if q > self.order:
-                if any(vec):
+                if any(vec.values()):
                     return False
                 continue
             block = set(self.level_indices(q))
-            if any(c for w, c in enumerate(vec) if w not in block):
+            if any(c for w, c in vec.items() if w not in block):
                 return False
         return True
 
     def check_jacobi(self) -> bool:
         for u in range(self.dim):
-            eu = self.basis_vector(u)
             for v in range(u + 1, self.dim):
-                ev = self.basis_vector(v)
                 for w in range(v + 1, self.dim):
-                    ew = self.basis_vector(w)
-                    total = [Fraction(0)] * self.dim
-                    _add_scaled(total, self.bracket_elements(eu, self.bracket_basis(v, w)), Fraction(1))
-                    _add_scaled(total, self.bracket_elements(ev, self.bracket_basis(w, u)), Fraction(1))
-                    _add_scaled(total, self.bracket_elements(ew, self.bracket_basis(u, v)), Fraction(1))
-                    if any(total):
+                    total: dict = {}
+                    for a, b, c in ((u, v, w), (v, w, u), (w, u, v)):
+                        inner = self.bracket_basis(b, c)
+                        _add_into(total, self.bracket_elements(self.basis_vector(a), inner), 1)
+                    if any(total.values()):
                         return False
         return True
 
@@ -226,7 +216,8 @@ def osculating_at(
     span in reduced form once.  Markers sort after every field key, so
     every pivot but a retired marker's is a field key, and a marker-only
     normal form, with every class and certificate, is the one a span of
-    the depth's own would give.  The packing base covers
+    the depth's own would give.  Marker number u is basis element u, so a
+    class is read in the global basis.  The packing base covers
     every exponent packed: the generators times the monomials up to the
     bound, and the brackets, of degree at most twice the generators' less
     one.
@@ -250,67 +241,58 @@ def osculating_at(
     degrees: list[int] = []
     representatives: list[VectorField] = []
     centred_reps: list[VectorField] = []
-    offsets: list[int] = []
-    level_classes: list[list[dict[int, Fraction]]] = []
-    # (u, v, depth of [e_u, e_v], its class or None)
-    brackets: list[tuple[int, int, int, dict[int, Fraction] | None]] = []
+    candidate_classes: list[tuple[dict[int, Fraction], ...]] = []
+    structure: dict[tuple[int, int], dict[int, Fraction]] = {}
+    unverified: list[tuple[int, int]] = []
     for depth in range(1, order + 1):
         new = range(counts[depth - 1], counts[depth])
         for col in module_columns([centred[j] for j in new], ideal_monos, keys):
             span.add(col)
-        offset = len(degrees)
-        offsets.append(offset)
+        first = len(degrees)
         classes: list[dict[int, Fraction]] = [{} for _ in range(counts[depth - 1])]
         for j in new:
             rest = span.reduce(field_entries(centred[j], keys))
-            cls = _class(rest, keys, offset)
+            cls = _class(rest, keys)
             if cls is None:
                 # a marker column sorts after every field key and records
                 # the new basis position in later reductions
-                cls = {len(degrees) - offset: Fraction(1)}
+                cls = {len(degrees): Fraction(1)}
                 span.add({**rest, keys.marker(len(degrees)): Fraction(1)})
                 degrees.append(-depth)
                 representatives.append(gens[j])
                 centred_reps.append(centred[j])
             classes.append(cls)
-        level_classes.append(classes)
-        for u in range(offset):
-            for v in range(u + 1, offset):
+        candidate_classes.append(tuple(classes))
+        for u in range(first):
+            for v in range(u + 1, first):
                 if degrees[u] + degrees[v] == -depth:
                     target = lie_bracket(centred_reps[u], centred_reps[v])
-                    rest = span.reduce(field_entries(target, keys))
-                    brackets.append((u, v, depth, _class(rest, keys, offset)))
+                    cls = _class(span.reduce(field_entries(target, keys)), keys)
+                    if cls is None:
+                        unverified.append((u, v))
+                    elif cls:
+                        structure[u, v] = cls
         # retire the depth's markers: H_{-depth} joins the span
-        for pos in range(offset, len(degrees)):
+        for pos in range(first, len(degrees)):
             span.add({keys.marker(pos): Fraction(1)})
-
-    total = len(degrees)
-    candidate_classes = tuple(
-        tuple(_embed(cls, offsets[depth - 1], total) for cls in level_classes[depth - 1])
-        for depth in range(1, order + 1)
-    )
-    brackets.sort(key=lambda b: b[:2])
-    structure = tuple(
-        (u, v, _embed(cls, offsets[q - 1], total)) for u, v, q, cls in brackets if cls
-    )
-    unverified = tuple((u, v) for u, v, _, cls in brackets if cls is None)
 
     return GradedLieAlg(
         order=order,
         degrees=tuple(degrees),
         representatives=tuple(representatives),
         structure=structure,
-        unverified=unverified,
-        candidate_classes=candidate_classes,
+        unverified=tuple(sorted(unverified)),
+        candidate_classes=tuple(candidate_classes),
     )
 
 
 @record
 class GradedSubalg:
-    """A graded subspace of a GradedLieAlg, one reduced span per depth."""
+    """A graded subspace of a GradedLieAlg, one reduced span per depth,
+    each a tuple of sparse rows {basis index: Fraction} in pivot order."""
 
     parent: GradedLieAlg
-    spans: tuple[tuple[Vector, ...], ...]
+    spans: tuple[tuple[dict[int, Fraction], ...], ...]
 
     @property
     def dim(self) -> int:
@@ -319,7 +301,8 @@ class GradedSubalg:
     def graded_dims(self) -> tuple[int, ...]:
         return tuple(len(s) for s in self.spans)
 
-    def contains(self, vec: Sequence[Fraction]) -> bool:
+    def contains(self, vec: dict) -> bool:
+        self.parent._check_keys(vec)
         return RowEchelon(row for span in self.spans for row in span).contains(vec)
 
     def closed_under_bracket(self) -> bool:
@@ -330,7 +313,7 @@ class GradedSubalg:
                 for va in self.spans[i - 1]:
                     for vb in self.spans[j - 1]:
                         got = self.parent.bracket_elements(va, vb)
-                        if not any(got):
+                        if not got:
                             continue
                         if i + j > order:
                             return False
@@ -364,74 +347,69 @@ def tangent_subalg(
         degree_bound,
         [len(filtration.generators(depth)) for depth in range(1, order + 1)],
     )
-    spans: list[tuple[Vector, ...]] = []
+    spans: list[tuple[dict[int, Fraction], ...]] = []
     for depth, combos in enumerate(every_depth, start=1):
-        vecs: list[Vector] = []
+        span = RowEchelon()
         for combo in combos:
-            acc = [Fraction(0)] * parent.dim
+            acc: dict = {}
             for j, u in enumerate(combo):
                 lam = u.eval(m)
                 if lam:
-                    _add_scaled(acc, parent.candidate_classes[depth - 1][j], lam)
-            vecs.append(tuple(acc))
-        spans.append(RowEchelon(vecs).reduced_rows(parent.dim))
+                    _add_into(acc, parent.candidate_classes[depth - 1][j], lam)
+            span.add(acc)
+        spans.append(span.reduced_rows())
     return GradedSubalg(parent=parent, spans=tuple(spans))
 
 
 @lru_cache(maxsize=None)
-def _dynkin_blocks(order: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Block sequences ((r1,s1),...,(rn,sn)), each block nonzero, total
-    letter count between 1 and order."""
-    out: list[tuple[tuple[int, int], ...]] = []
+def _dynkin_words(order: int) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
+    """The Dynkin series up to `order` letters, summed per bracket word:
+    (word, coefficient) pairs, letters 0 for x and 1 for y, zero sums
+    dropped.  Each block sequence ((r1,s1),...,(rn,sn)), every block
+    nonzero, spells the word x^r1 y^s1 ... x^rn y^sn and contributes
+    (-1)^(n-1) / (n * t * prod r_i! s_i!), t the word's length."""
+    words: dict[tuple[int, ...], Fraction] = {}
 
     def rec(blocks: list[tuple[int, int]], letters_left: int) -> None:
         if blocks:
-            out.append(tuple(blocks))
-        if letters_left == 0:
-            return
+            word: list[int] = []
+            fact = 1
+            for ri, si in blocks:
+                word += [0] * ri + [1] * si
+                fact *= math.factorial(ri) * math.factorial(si)
+            coeff = Fraction((-1) ** (len(blocks) - 1), len(blocks) * len(word) * fact)
+            key = tuple(word)
+            words[key] = words.get(key, 0) + coeff
         for ri in range(letters_left + 1):
             for si in range(letters_left - ri + 1):
-                if ri + si == 0:
-                    continue
-                blocks.append((ri, si))
-                rec(blocks, letters_left - ri - si)
-                blocks.pop()
+                if ri + si:
+                    blocks.append((ri, si))
+                    rec(blocks, letters_left - ri - si)
+                    blocks.pop()
 
     rec([], order)
-    return tuple(out)
+    return tuple((word, c) for word, c in words.items() if c)
 
 
-def bch(
-    algebra: GradedLieAlg, x: Sequence[Fraction], y: Sequence[Fraction]
-) -> Vector:
+def bch(algebra: GradedLieAlg, x: dict, y: dict) -> dict[int, Fraction]:
     """Group product on the algebra through the bracket series.
 
     Nilpotency truncates the series at bracket words of length `order`, so
     the sum below is the exact group law: right-nested bracket words over
-    the two arguments weighted by the alternating block coefficients.
+    the two arguments, each bracketed once and weighted by its summed
+    Dynkin coefficient.
     """
-    dim = algebra.dim
-    if len(x) != dim or len(y) != dim:
-        raise ValueError("element length does not match the algebra dimension")
-    args = (tuple(x), tuple(y))
-    acc = [Fraction(0)] * dim
-    for blocks in _dynkin_blocks(algebra.order):
-        letters: list[int] = []
-        fact = 1
-        for ri, si in blocks:
-            letters.extend([0] * ri)
-            letters.extend([1] * si)
-            fact *= math.factorial(ri) * math.factorial(si)
-        t = len(letters)
-        coeff = Fraction((-1) ** (len(blocks) - 1), len(blocks) * t * fact)
-        val = args[letters[-1]]
-        for letter in reversed(letters[:-1]):
+    algebra._check_keys(x, y)
+    args = (x, y)
+    acc: dict = {}
+    for word, coeff in _dynkin_words(algebra.order):
+        val = args[word[-1]]
+        for letter in reversed(word[:-1]):
             val = algebra.bracket_elements(args[letter], val)
-            if not any(val):
+            if not val:
                 break
-        if any(val):
-            _add_scaled(acc, val, coeff)
-    return tuple(acc)
+        _add_into(acc, val, coeff)
+    return _nonzero(acc)
 
 
 def fiber_class_pairs(
@@ -480,7 +458,7 @@ def weighted_fiber_class(
     weighting: WeightedChart,
     depth: int,
     pairs: Sequence[tuple[int, tuple[int, ...]]],
-) -> Vector | None:
+) -> tuple[Fraction, ...] | None:
     """Coordinates of the field's class in the ambient graded piece, along
     pairs, the fiber_class_pairs basis at that depth, which the caller
     builds once for all the classes it reads there.
@@ -586,9 +564,7 @@ def verify_hh(
         pairs = fiber_class_pairs(weighting, depth)
         for span_vec in span:
             rep = None
-            for u, value in enumerate(span_vec):
-                if not value:
-                    continue
+            for u, value in sorted(span_vec.items()):
                 term = algebra.representatives[u].scale(value)
                 rep = term if rep is None else rep + term
             if rep is None:

@@ -664,10 +664,6 @@ def _join_signed(parts: list[tuple[bool, str]]) -> str:
     if not parts:
         return "0"
     neg, body = parts[0]
-    # a leading unit coefficient before a power is spelled "-1*x^2": the
-    # grammar reads "-x^2" as -(x^2) too, but reports print this spelling
-    if neg and body[0].isalpha() and "^" in body.split("*", 1)[0]:
-        body = f"1*{body}"
     text = ("-" if neg else "") + body
     for neg, body in parts[1:]:
         text += (" - " if neg else " + ") + body

@@ -23,9 +23,20 @@ on each at default flags (48 more runs).  Most of their charts have the
 denominator t or 1 + t, so the printed coordinates include rational
 functions.
 
-Last, it writes the free nilpotent problems (2,3), (2,4) and (3,3) of
+Then it writes the free nilpotent problems (2,3), (2,4) and (3,3) of
 tests/corpus.py:free_nilpotent_problem to OUTDIR/free_nilpotent/ and
 runs check and report on each at default flags (6 more runs, 379 in all).
+
+Last, a library section covers what the command line never prints.  For
+heisenberg, example1, example2, engel4 and cartan235 of problems/, free
+nilpotent (2,4), (3,3) and (2,5) and filiform_problem(7), it builds the
+osculating algebra and its tangent subalgebra at bound 2 at the base
+point, and writes OUTDIR/library/<input>.txt, one output a line: graded_dims, the structure
+constants as sorted [u, v, k, str(c)], the candidate classes, the tangent
+spans, axioms_ok() and two bch products of seeded random elements.  Each
+element, class and span row is written as its sorted nonzero entries
+[k, str(c)], read from a dense tuple or a {index: value} map, so the
+section reads the same from either form of the algebra.
 
 Two checkouts give the same behaviour when `diff -r` finds no difference
 between their output directories:
@@ -48,14 +59,16 @@ import json
 import os
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
-from corpus import free_nilpotent_problem, pushed_forward_model  # noqa: E402
-from lieweights.cli import COMMAND_STAGES, main  # noqa: E402
+from corpus import filiform_problem, free_nilpotent_problem, pushed_forward_model  # noqa: E402
+from lieweights.cli import COMMAND_STAGES, load_problem, main  # noqa: E402
+from lieweights.osculating import bch, osculating_at, tangent_subalg  # noqa: E402
 from lieweights.vfield import format_vector_field  # noqa: E402
 
 PROBLEM_DIRS = ("problems", "bench/problems")
@@ -72,6 +85,16 @@ PUSHED_FORWARD_BASES = (1, 2)
 PUSHED_FORWARD_COMMANDS = ("coords", "report")
 FREE_NILPOTENT = ((2, 3), (2, 4), (3, 3))
 FREE_NILPOTENT_COMMANDS = ("check", "report")
+LIBRARY_PROBLEMS = ("heisenberg", "example1", "example2", "engel4", "cartan235")
+LIBRARY_DOCS = {
+    "free_2_4": free_nilpotent_problem(2, 4),
+    "free_3_3": free_nilpotent_problem(3, 3),
+    "free_2_5": free_nilpotent_problem(2, 5),
+    "filiform_7": filiform_problem(7),
+}
+LIBRARY_BOUND = 2
+LIBRARY_SEED = 2028
+LIBRARY_POOL = tuple(Fraction(n, d) for n in (-2, -1, 1, 2) for d in (1, 3))
 
 
 def problem_files() -> list[str]:
@@ -132,6 +155,59 @@ def run(command: str, problem: str, flags: list[str], base: Path) -> None:
     base.with_suffix(".exit").write_text(code + "\n", encoding="utf-8")
 
 
+def entries(vec) -> list[list]:
+    """The nonzero entries [k, str(c)] of a dense tuple or a map, sorted."""
+    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+    return [[k, str(c)] for k, c in sorted(items) if c]
+
+
+def library_outputs(path: Path) -> dict:
+    spec = load_problem(str(path))
+    filt, sub = spec.filtration, spec.submanifold
+    algebra = osculating_at(filt, sub.base_point, LIBRARY_BOUND)
+    tangent = tangent_subalg(filt, sub, LIBRARY_BOUND, parent=algebra)
+    sparse = isinstance(algebra.structure, dict)
+    pairs = sorted(algebra.structure.items()) if sparse else [
+        ((u, v), vec) for u, v, vec in algebra.structure
+    ]
+    rng = random.Random(LIBRARY_SEED)
+    products = []
+    for _ in range(2):
+        args = [
+            {w: rng.choice(LIBRARY_POOL) for w in range(algebra.dim) if rng.random() < 0.6}
+            for _ in range(2)
+        ]
+        if not sparse:
+            args = [tuple(x.get(w, Fraction(0)) for w in range(algebra.dim)) for x in args]
+        products.append([entries(x) for x in (*args, bch(algebra, *args))])
+    return {
+        "graded_dims": list(algebra.graded_dims()),
+        "structure_constants": [
+            [u, v, k, c] for (u, v), vec in pairs for k, c in entries(vec)
+        ],
+        "candidate_classes": [
+            [entries(cls) for cls in level] for level in algebra.candidate_classes
+        ],
+        "tangent_spans": [[entries(row) for row in span] for span in tangent.spans],
+        "axioms_ok": algebra.axioms_ok(),
+        "bch_x_y_product": products,
+    }
+
+
+def library_snapshot(outdir: Path) -> int:
+    """Write the library section under outdir/library; the inputs written."""
+    (outdir / "library").mkdir(exist_ok=True)
+    paths = {name: ROOT / "problems" / f"{name}.json" for name in LIBRARY_PROBLEMS}
+    for name, doc in LIBRARY_DOCS.items():
+        paths[name] = outdir / "library" / f"{name}.problem.json"
+        paths[name].write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    for name, path in paths.items():
+        outputs = library_outputs(path)
+        text = "".join(f"{key}: {json.dumps(value)}\n" for key, value in outputs.items())
+        (outdir / "library" / f"{name}.txt").write_text(text, encoding="utf-8")
+    return len(paths)
+
+
 def snapshot(outdir: Path) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     runs = 0
@@ -165,3 +241,4 @@ if __name__ == "__main__":
         sys.exit(__doc__)
     target = Path(sys.argv[1]).resolve()
     print(f"{snapshot(target)} runs written to {target}")
+    print(f"{library_snapshot(target)} library inputs written to {target / 'library'}")

@@ -176,9 +176,8 @@ def test_criterion_07_osculating_algebra_oracles():
     heis_filt, heis_sub = _heisenberg_carnot()
     heis = osculating_at(heis_filt, heis_sub.base_point, 2)
     assert heis.graded_dims() == (2, 1)
-    nonzero = [entry for entry in heis.structure if any(entry[2])]
-    assert len(nonzero) == 1
-    assert nonzero[0][:2] == (0, 1)
+    nonzero = [pair for pair, vec in heis.structure.items() if vec]
+    assert nonzero == [(0, 1)]
 
     spec = load_problem(EXAMPLE2)
     algebra = osculating_at(spec.filtration, spec.submanifold.base_point, 2)
@@ -251,8 +250,7 @@ def test_criterion_09_group_law_and_algebra_axioms():
     for algebra in (martinet, heis):
         for _ in range(50):
             a, b, c = (
-                tuple(rng.choice(VECTOR_POOL) for _ in range(algebra.dim))
-                for _ in range(3)
+                {w: rng.choice(VECTOR_POOL) for w in range(algebra.dim)} for _ in range(3)
             )
             left = bch(algebra, bch(algebra, a, b), c)
             right = bch(algebra, a, bch(algebra, b, c))

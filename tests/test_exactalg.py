@@ -745,8 +745,8 @@ def test_kernel_matches_sympy_rref(system):
     echelon = RowEchelon(rows)
     assert echelon.rank == len(pivots) == matrix_rank(rows)
     assert sorted(echelon.pivot_rows) == list(pivots)
-    assert echelon.reduced_rows(n) == tuple(
-        tuple(from_sympy(reduced[i, j]) for j in range(n))
+    assert echelon.reduced_rows() == tuple(
+        {j: from_sympy(reduced[i, j]) for j in range(n) if reduced[i, j] != 0}
         for i in range(len(pivots))
     )
     assert all(echelon.contains(r) for r in rows)
@@ -962,13 +962,14 @@ def test_integral_entries_match_dense_fraction_reference(system):
     echelon = RowEchelon(given_rows)
     reduced, pivots = gauss_jordan(rows, width)
     assert echelon.rank == len(pivots) == matrix_rank(rows)
-    got = echelon.reduced_rows(width)
-    assert got == tuple(reduced)
+    got = echelon.reduced_rows()
+    assert got == tuple({c: x for c, x in enumerate(row) if x} for row in reduced)
+    assert all(list(row) == sorted(row) for row in got)
     for rhs in range(ncols, width):
         expected = reference_solve(rows, ncols, rhs)
         particular = echelon.particular(ncols, rhs)
         assert particular == (expected[0] if expected else None)
-        read_out = [got, [particular or ()]]
+        read_out = [[row.values() for row in got], [particular or ()]]
         if rhs == ncols:
             solution = echelon.solve(ncols)
             if expected is None:
@@ -1022,9 +1023,9 @@ def test_integral_pivots_take_the_int_and_fraction_paths():
     held = [x for row in echelon.pivot_rows.values() for x in row.values()]
     assert all(type(x) in (int, Fraction) for x in held)
     assert any(type(x) is int for x in held)
-    assert echelon.reduced_rows(3) == (
-        (Fraction(1), Fraction(0), Fraction(-13, 4)),
-        (Fraction(0), Fraction(1), Fraction(1, 4)),
+    assert echelon.reduced_rows() == (
+        {0: Fraction(1), 2: Fraction(-13, 4)},
+        {1: Fraction(1), 2: Fraction(1, 4)},
     )
     assert echelon.particular(2, 2) == (Fraction(-13, 4), Fraction(1, 4))
     assert echelon.reduce([0, 0, Fraction(6, 3)]) == {2: 2}

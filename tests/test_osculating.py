@@ -1,5 +1,6 @@
 """Osculating algebra construction: frozen examples and algebra axioms."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -14,6 +15,8 @@ from corpus import (
     CHARTS,
     COEFFS,
     CountingRowEchelon,
+    filiform_problem,
+    free_nilpotent_problem,
     module_solve,
     pushed_forward_model,
     random_poly,
@@ -107,6 +110,13 @@ def hh_report(filtration, submanifold, algebra):
     return verify_hh(weighting, algebra, tangent)
 
 
+def random_element(rng, dim, lo, hi):
+    """An element with one rng.randint(lo, hi) draw per basis index, the
+    zero draws dropped."""
+    drawn = {w: Fraction(rng.randint(lo, hi)) for w in range(dim)}
+    return {w: c for w, c in drawn.items() if c}
+
+
 @pytest.fixture(scope="module")
 def heis_alg():
     return osculating_at(heisenberg(), (0, 0, 0), 2)
@@ -131,16 +141,12 @@ class TestHeisenberg:
         )
 
     def test_bracket(self, heis_alg):
-        assert heis_alg.bracket_basis(0, 1) == (0, 0, 1)
-        assert heis_alg.bracket_basis(1, 0) == (0, 0, -1)
+        assert heis_alg.bracket_basis(0, 1) == {2: 1}
+        assert heis_alg.bracket_basis(1, 0) == {2: -1}
 
     def test_candidate_classes(self, heis_alg):
         # level 2 candidates: the two level-1 fields die, dz survives
-        assert heis_alg.candidate_classes[1] == (
-            (0, 0, 0),
-            (0, 0, 0),
-            (0, 0, 1),
-        )
+        assert heis_alg.candidate_classes[1] == ({}, {}, {2: 1})
 
     def test_axioms(self, heis_alg):
         assert heis_alg.unverified == ()
@@ -150,16 +156,16 @@ class TestHeisenberg:
     def test_regular_dims_at_other_points(self, point):
         alg = osculating_at(heisenberg(), point, 2)
         assert alg.graded_dims() == (2, 1)
-        assert alg.bracket_basis(0, 1) == (0, 0, 1)
+        assert alg.bracket_basis(0, 1) == {2: 1}
 
 
 @pytest.mark.parametrize(
     "third, point, cls",
     [
         # constant relation dx + 2*dy - third = 0
-        ("dx + 2*dy", (0, 0), (1, 2)),
+        ("dx + 2*dy", (0, 0), {0: 1, 1: 2}),
         # dx + x*dy = dx + dy + (x - 1)*dy, the last term in the ideal at (1, 0)
-        ("dx + x*dy", (1, 0), (1, 1)),
+        ("dx + x*dy", (1, 0), {0: 1, 1: 1}),
     ],
 )
 def test_candidate_classes_through_relations(third, point, cls):
@@ -167,7 +173,7 @@ def test_candidate_classes_through_relations(third, point, cls):
     gens = tuple(parse_vector_field(t, chart) for t in ("dx", "dy", third))
     alg = osculating_at(Filtration(chart, 1, (gens,)), point, 2)
     assert alg.graded_dims() == (2,)
-    assert alg.candidate_classes[0] == ((1, 0), (0, 1), cls)
+    assert alg.candidate_classes[0] == ({0: 1}, {1: 1}, cls)
 
 
 class TestStepFourFlag:
@@ -175,21 +181,22 @@ class TestStepFourFlag:
         assert step4_alg.graded_dims() == (1, 1, 1, 1)
 
     def test_structure_constants(self, step4_alg):
-        assert step4_alg.bracket_basis(0, 1) == (0, 0, 1, 0)
-        assert step4_alg.bracket_basis(0, 2) == (0, 0, 0, 2)
+        assert step4_alg.bracket_basis(0, 1) == {2: 1}
+        assert step4_alg.bracket_basis(0, 2) == {3: 2}
+        assert step4_alg.bracket_basis(2, 0) == {3: -2}
         # beyond the grading everything vanishes
-        assert step4_alg.bracket_basis(1, 2) == (0, 0, 0, 0)
-        assert step4_alg.bracket_basis(2, 3) == (0, 0, 0, 0)
+        assert step4_alg.bracket_basis(1, 2) == {}
+        assert step4_alg.bracket_basis(2, 3) == {}
 
     def test_axioms(self, step4_alg):
         assert step4_alg.unverified == ()
         assert step4_alg.axioms_ok()
 
     def test_bracket_elements_bilinear(self, step4_alg):
-        x = (Fraction(2), Fraction(0), Fraction(-1), Fraction(3))
-        y = (Fraction(1), Fraction(4), Fraction(0), Fraction(0))
+        x = {0: Fraction(2), 2: Fraction(-1), 3: Fraction(3)}
+        y = {0: Fraction(1), 1: Fraction(4)}
         # [2e1 - e3 + 3e4, e1 + 4e2] = 8[e1,e2] - [e3,e1] = 8e3 + 2e4
-        assert step4_alg.bracket_elements(x, y) == (0, 0, 8, 2)
+        assert step4_alg.bracket_elements(x, y) == {2: 8, 3: 2}
 
     def test_low_degree_bound_inflates_top_level(self):
         # the relations dx ~ level-1 field need ideal coefficients of
@@ -200,7 +207,7 @@ class TestStepFourFlag:
     def test_tangent_subalgebra(self, step4_alg):
         sub = tangent_subalg(step4_flag(), ORIGIN3, 2, parent=step4_alg)
         assert sub.graded_dims() == (0, 0, 1, 0)
-        assert sub.spans[2] == ((Fraction(0), Fraction(0), Fraction(1), Fraction(0)),)
+        assert sub.spans[2] == ({2: Fraction(1)},)
         assert sub.closed_under_bracket()
 
     def test_hh_report(self, step4_alg):
@@ -216,7 +223,7 @@ class TestStepThreeFlag:
     def test_abelian(self):
         alg = osculating_at(step3_flag(), (0, 0, 0), 2)
         assert alg.graded_dims() == (1, 1, 1)
-        assert alg.structure == ()
+        assert alg.structure == {}
         assert alg.axioms_ok()
 
     def test_tangent_trivial_at_point(self):
@@ -243,16 +250,13 @@ class TestTangentSubalgebra:
         axis = Submanifold(CHART3, (0,), (0, 0, 0))
         sub = tangent_subalg(heisenberg(), axis, 2, parent=heis_alg)
         assert sub.graded_dims() == (1, 0)
-        assert sub.spans[0] == ((Fraction(1), Fraction(0), Fraction(0)),)
-        assert sub.contains((1, 0, 0))
-        assert not sub.contains((0, 1, 0))
+        assert sub.spans[0] == ({0: Fraction(1)},)
+        assert sub.contains({0: 1})
+        assert not sub.contains({1: 1})
 
     def test_not_closed_detected(self, heis_alg):
         # span both level-1 classes but drop their bracket
-        spans = (
-            ((Fraction(1), Fraction(0), Fraction(0)), (Fraction(0), Fraction(1), Fraction(0))),
-            (),
-        )
+        spans = (({0: Fraction(1)}, {1: Fraction(1)}), ())
         sub = GradedSubalg(parent=heis_alg, spans=spans)
         assert not sub.closed_under_bracket()
 
@@ -268,12 +272,7 @@ class TestTangentSubalgebra:
     def test_hh_detects_bad_tangent_span(self, step4_alg):
         # claim the top-level class is tangent: its bare-direction
         # component survives, so the class map check must fail
-        spans = (
-            (),
-            (),
-            ((Fraction(0), Fraction(0), Fraction(1), Fraction(0)),),
-            ((Fraction(0), Fraction(0), Fraction(0), Fraction(1)),),
-        )
+        spans = ((), (), ({2: Fraction(1)},), ({3: Fraction(1)},))
         bad = GradedSubalg(parent=step4_alg, spans=spans)
         weighting = weighted_coordinates(check_clean(step4_flag(), ORIGIN3))
         report = verify_hh(weighting, step4_alg, bad)
@@ -304,44 +303,153 @@ class TestUnverifiedBrackets:
     def test_higher_bound_certifies_zero(self):
         alg = osculating_at(self.cubic_flag(), (0, 0, 0), degree_bound=3)
         assert alg.unverified == ()
-        assert alg.bracket_basis(0, 1) == (0,) * alg.dim
+        assert alg.bracket_basis(0, 1) == {}
 
 
 class TestGroupLaw:
     def test_heisenberg_half_bracket(self, heis_alg):
         e1 = heis_alg.basis_vector(0)
         e2 = heis_alg.basis_vector(1)
-        assert bch(heis_alg, e1, e2) == (1, 1, Fraction(1, 2))
+        assert bch(heis_alg, e1, e2) == {0: 1, 1: 1, 2: Fraction(1, 2)}
 
     def test_step4_series(self, step4_alg):
         e1 = step4_alg.basis_vector(0)
         e2 = step4_alg.basis_vector(1)
-        assert bch(step4_alg, e1, e2) == (1, 1, Fraction(1, 2), Fraction(1, 6))
+        assert bch(step4_alg, e1, e2) == {0: 1, 1: 1, 2: Fraction(1, 2), 3: Fraction(1, 6)}
 
     def test_inverse_element(self, step4_alg):
         rng = random.Random(5)
         for _ in range(5):
-            x = tuple(Fraction(rng.randint(-3, 3)) for _ in range(step4_alg.dim))
-            neg = tuple(-c for c in x)
-            assert bch(step4_alg, x, neg) == (0,) * step4_alg.dim
-            assert bch(step4_alg, x, (Fraction(0),) * step4_alg.dim) == x
+            x = random_element(rng, step4_alg.dim, -3, 3)
+            neg = {w: -c for w, c in x.items()}
+            assert bch(step4_alg, x, neg) == {}
+            assert bch(step4_alg, x, {}) == x
 
     def test_abelian_is_addition(self):
         alg = osculating_at(step3_flag(), (0, 0, 0), 2)
-        x = (Fraction(1), Fraction(-2), Fraction(3))
-        y = (Fraction(4), Fraction(1, 2), Fraction(0))
-        assert bch(alg, x, y) == (5, Fraction(-3, 2), 3)
+        x = {0: Fraction(1), 1: Fraction(-2), 2: Fraction(3)}
+        y = {0: Fraction(4), 1: Fraction(1, 2)}
+        assert bch(alg, x, y) == {0: 5, 1: Fraction(-3, 2), 2: 3}
 
     def test_associativity(self, step4_alg):
         rng = random.Random(17)
         for _ in range(10):
-            x, y, z = (
-                tuple(Fraction(rng.randint(-2, 2)) for _ in range(step4_alg.dim))
-                for _ in range(3)
-            )
+            x, y, z = (random_element(rng, step4_alg.dim, -2, 2) for _ in range(3))
             left = bch(step4_alg, bch(step4_alg, x, y), z)
             right = bch(step4_alg, x, bch(step4_alg, y, z))
             assert left == right
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda alg: alg.bracket_elements({3: 1}, {0: 1}),
+        lambda alg: bch(alg, {0: 1}, {-1: 1}),
+        lambda alg: alg.basis_vector(3),
+        lambda alg: GradedSubalg(parent=alg, spans=((), ())).contains({5: 1}),
+    ],
+)
+def test_a_key_outside_the_basis_raises(heis_alg, call):
+    with pytest.raises(ValueError):
+        call(heis_alg)
+
+
+# -- the group law against the Dynkin series summed per block sequence ----------
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+
+
+@pytest.fixture(scope="module")
+def doc_algebras(tmp_path_factory):
+    """The algebras at bound 2 at each problem's base point."""
+    paths = {name: PROBLEMS / f"{name}.json" for name in ("heisenberg", "example2")}
+    docs = {
+        "free24": free_nilpotent_problem(2, 4),
+        "free33": free_nilpotent_problem(3, 3),
+        "free25": free_nilpotent_problem(2, 5),
+        "filiform8": filiform_problem(8),
+    }
+    base = tmp_path_factory.mktemp("docs")
+    for name, doc in docs.items():
+        paths[name] = base / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    algebras = {}
+    for name, path in paths.items():
+        spec = load_problem(str(path))
+        algebras[name] = osculating_at(spec.filtration, spec.submanifold.base_point, 2)
+    return algebras
+
+
+def reference_dynkin_blocks(order):
+    """Block sequences ((r1,s1),...,(rn,sn)), each block nonzero, total
+    letter count between 1 and order."""
+    out = []
+
+    def rec(blocks, letters_left):
+        if blocks:
+            out.append(tuple(blocks))
+        for ri in range(letters_left + 1):
+            for si in range(letters_left - ri + 1):
+                if ri + si:
+                    blocks.append((ri, si))
+                    rec(blocks, letters_left - ri - si)
+                    blocks.pop()
+
+    rec([], order)
+    return out
+
+
+def reference_bch(algebra, x, y):
+    """Oracle: the Dynkin series on dense vectors, one right-nested bracket
+    word per block sequence, with the bracket read off structure by
+    antisymmetry."""
+    dim = algebra.dim
+
+    def bracket(a, b):
+        out = [Fraction(0)] * dim
+        for (u, v), vec in algebra.structure.items():
+            c = a[u] * b[v] - a[v] * b[u]
+            for w, k in vec.items():
+                out[w] += c * k
+        return out
+
+    args = tuple([z.get(w, Fraction(0)) for w in range(dim)] for z in (x, y))
+    acc = [Fraction(0)] * dim
+    for blocks in reference_dynkin_blocks(algebra.order):
+        letters, fact = [], 1
+        for ri, si in blocks:
+            letters += [0] * ri + [1] * si
+            fact *= math.factorial(ri) * math.factorial(si)
+        coeff = Fraction((-1) ** (len(blocks) - 1), len(blocks) * len(letters) * fact)
+        val = args[letters[-1]]
+        for letter in reversed(letters[:-1]):
+            val = bracket(args[letter], val)
+        for w, c in enumerate(val):
+            acc[w] += coeff * c
+    return {w: c for w, c in enumerate(acc) if c}
+
+
+@given(st.sampled_from(["heisenberg", "example2", "free24", "free33"]), st.randoms())
+@settings(max_examples=40, deadline=None)
+def test_bch_matches_the_per_block_sum(doc_algebras, name, rng):
+    algebra = doc_algebras[name]
+    x, y = (
+        {w: rng.choice(COEFFS) for w in range(algebra.dim) if rng.random() < 0.6}
+        for _ in range(2)
+    )
+    assert bch(algebra, x, y) == reference_bch(algebra, x, y)
+
+
+@pytest.mark.parametrize("name", ["free25", "filiform8"])
+def test_group_law_at_steps_five_and_seven(doc_algebras, name):
+    algebra = doc_algebras[name]
+    assert algebra.order == {"free25": 5, "filiform8": 7}[name]
+    rng = random.Random(28)
+    for _ in range(3):
+        x, y, z = (random_element(rng, algebra.dim, -2, 2) for _ in range(3))
+        assert bch(algebra, bch(algebra, x, y), z) == bch(algebra, x, bch(algebra, y, z))
+        assert bch(algebra, x, {w: -c for w, c in x.items()}) == {}
+        assert bch(algebra, x, {}) == x
 
 
 @pytest.fixture(scope="module")
@@ -518,7 +626,7 @@ def _recentred_membership_solve(leading, lower, ideal_gens, point, degree_bound,
         return None
     k = len(leading)
     if target is None:
-        return RowEchelon(vec[:k] for vec in solution.nullspace).reduced_rows(k)
+        return RowEchelon(vec[:k] for vec in solution.nullspace).reduced_rows()
     for vec in solution.nullspace:
         assert not any(vec[:k]), "chosen basis is dependent at this degree bound"
     return tuple(solution.particular[:k])
@@ -595,14 +703,14 @@ def test_centred_chart_matches_recentred_columns(case):
         # each candidate minus its class is a relation
         span = RowEchelon(relations)
         for j, cls in enumerate(alg.candidate_classes[depth - 1]):
-            assert not any(c for u, c in enumerate(cls) if u not in block)
+            assert all(u in block for u in cls)
             rest = {j: Fraction(1)}
             for b, u in zip(basis, block):
-                rest[b] = rest.get(b, Fraction(0)) - cls[u]
+                rest[b] = rest.get(b, Fraction(0)) - cls.get(u, 0)
             assert span.contains(rest)
     assert alg.degrees == tuple(degrees)
 
-    structure = {(u, v): vec for u, v, vec in alg.structure}
+    structure = alg.structure
     unverified = []
     for u in range(alg.dim):
         for v in range(u + 1, alg.dim):
@@ -622,11 +730,9 @@ def test_centred_chart_matches_recentred_columns(case):
                 unverified.append((u, v))
                 assert (u, v) not in structure
                 continue
-            vec = [Fraction(0)] * alg.dim
-            for w, c in zip(block, coords):
-                vec[w] = c
-            assert structure.get((u, v), tuple(vec)) == tuple(vec)
-            assert ((u, v) in structure) == any(vec)
+            vec = {w: c for w, c in zip(block, coords) if c}
+            assert structure.get((u, v), vec) == vec
+            assert ((u, v) in structure) == bool(vec)
     assert alg.unverified == tuple(unverified)
 
     tangent = tangent_subalg(filt, sub, bound, parent=alg)
@@ -635,10 +741,10 @@ def test_centred_chart_matches_recentred_columns(case):
         for combo in _all_variable_tangency(filt.generators(depth), sub, bound):
             acc = [Fraction(0)] * alg.dim
             for u, cls in zip(combo, alg.candidate_classes[depth - 1]):
-                for w, c in enumerate(cls):
+                for w, c in cls.items():
                     acc[w] += u.eval(m) * c
             vecs.append(acc)
-        assert tangent.spans[depth - 1] == RowEchelon(vecs).reduced_rows(alg.dim)
+        assert tangent.spans[depth - 1] == RowEchelon(vecs).reduced_rows()
 
 
 # -- one span across depths against one span per depth -------------------------
@@ -695,12 +801,9 @@ def per_depth_osculating_at(filtration, point, degree_bound):
     total = len(degrees)
 
     def embed(cls, offset):
-        vec = [Fraction(0)] * total
-        for pos, c in cls.items():
-            vec[offset + pos] = c
-        return tuple(vec)
+        return {offset + pos: c for pos, c in cls.items()}
 
-    structure, unverified = [], []
+    structure, unverified = {}, []
     for u in range(total):
         for v in range(u + 1, total):
             q = -(degrees[u] + degrees[v])
@@ -711,12 +814,12 @@ def per_depth_osculating_at(filtration, point, degree_bound):
             if cls is None:
                 unverified.append((u, v))
             elif cls:
-                structure.append((u, v, embed(cls, offsets[q - 1])))
+                structure[u, v] = embed(cls, offsets[q - 1])
     return GradedLieAlg(
         order=order,
         degrees=tuple(degrees),
         representatives=tuple(reps),
-        structure=tuple(structure),
+        structure=structure,
         unverified=tuple(unverified),
         candidate_classes=tuple(
             tuple(embed(cls, offsets[d]) for cls in level_classes[d]) for d in range(order)
@@ -735,6 +838,9 @@ def test_one_span_matches_a_span_per_depth(case):
     assert alg.structure == expected.structure
     assert alg.unverified == expected.unverified
     assert alg.candidate_classes == expected.candidate_classes
+    # the sparse form: no stored map holds a zero entry
+    classes = [cls for level in alg.candidate_classes for cls in level]
+    assert all(all(vec.values()) for vec in [*alg.structure.values(), *classes])
 
 
 @pytest.mark.parametrize(

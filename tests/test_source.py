@@ -283,7 +283,7 @@ def test_only_exactalg_decides_whether_a_quotient_is_a_polynomial():
 # anything derived from a problem is shared within one run by the object
 # that owns it, never cached across runs
 MEMOIZED = {
-    "osculating._dynkin_blocks": "the block sequences depend on the order alone, not on a problem",
+    "osculating._dynkin_words": "the summed word coefficients depend on the order alone, not on a problem",
 }
 MEMO_DECORATORS = {"lru_cache", "cache"}
 

@@ -414,6 +414,13 @@ def test_leading_negative_power_round_trips():
     assert parse_polynomial(format_poly(p, CHART), CHART) == p
     q = -(X_**2) - Y_
     assert parse_polynomial(format_poly(q, CHART), CHART) == q
+    # "-x^2" reads as -(x^2), so a leading minus before a power prints bare
+    r = -(X_**2) + Y_**3
+    assert format_poly(r, CHART) == "-x^2 + y^3"
+    assert parse_polynomial("-x^2 + y^3", CHART) == r
+    v = VectorField(CHART, [0, -(X_**2), 0])
+    assert format_vector_field(v) == "-x^2*dy"
+    assert parse_vector_field("-x^2*dy", CHART) == v
 
 
 def test_ratfunc_print_round_trip():
