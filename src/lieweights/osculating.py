@@ -179,8 +179,8 @@ class GradedLieAlg:
                 for w in range(v + 1, self.dim):
                     total: dict = {}
                     for a, b, c in ((u, v, w), (v, w, u), (w, u, v)):
-                        inner = self.bracket_basis(b, c)
-                        _add_into(total, self.bracket_elements(self.basis_vector(a), inner), 1)
+                        ea = self.basis_vector(a)
+                        _add_into(total, self.bracket_elements(ea, self.bracket_basis(b, c)), 1)
                     if any(total.values()):
                         return False
         return True

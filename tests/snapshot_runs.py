@@ -31,12 +31,13 @@ Last, a library section covers what the command line never prints.  For
 heisenberg, example1, example2, engel4 and cartan235 of problems/, free
 nilpotent (2,4), (3,3) and (2,5) and filiform_problem(7), it builds the
 osculating algebra and its tangent subalgebra at bound 2 at the base
-point, and writes OUTDIR/library/<input>.txt, one output a line: graded_dims, the structure
-constants as sorted [u, v, k, str(c)], the candidate classes, the tangent
-spans, axioms_ok() and two bch products of seeded random elements.  Each
-element, class and span row is written as its sorted nonzero entries
-[k, str(c)], read from a dense tuple or a {index: value} map, so the
-section reads the same from either form of the algebra.
+point, and writes OUTDIR/library/<input>.txt, one output a line:
+graded_dims, the structure constants as sorted [u, v, k, str(c)], the
+candidate classes, the tangent spans, axioms_ok() and two bch products of
+seeded random elements.  Each element, class and span row is written as
+its sorted nonzero entries [k, str(c)], read from a dense tuple or a
+{index: value} map, so the section reads the same from either form of the
+algebra.
 
 Two checkouts give the same behaviour when `diff -r` finds no difference
 between their output directories:
