@@ -34,10 +34,10 @@ Representation notes:
     rational entry is held as a plain ``int``, since most entries of the
     bounded module systems are integers and ``int`` arithmetic is far
     cheaper than ``Fraction`` arithmetic; the values it reads out
-    (``particular_entries``, ``particular``, ``solve``, ``reduced_rows``,
-    ``matrix_inverse``) are ``Fraction`` again.  ``particular_entries``
-    and ``reduced_rows`` read out sparse ``{column: value}`` maps, the
-    others dense tuples.
+    (``particular``, ``nullspace``, ``reduced_rows``, ``matrix_inverse``)
+    are ``Fraction`` again.  Every read-out of a ``RowEchelon`` is a
+    sparse ``{column: value}`` map with no zero entries, or a tuple of
+    them; only ``matrix_inverse`` returns a matrix.
 """
 
 from __future__ import annotations
@@ -854,10 +854,11 @@ class RatFunc:
 
 @record
 class LinearSolution:
-    """A particular solution together with a basis of the homogeneous space."""
+    """A particular solution together with a basis of the homogeneous
+    space, each a sparse {column: value} map with no zero entries."""
 
-    particular: tuple[Fraction, ...]
-    nullspace: tuple[tuple[Fraction, ...], ...]
+    particular: dict[int, Fraction]
+    nullspace: tuple[dict[int, Fraction], ...]
 
 
 def held(x):
@@ -884,10 +885,10 @@ class RowEchelon:
     through by the lead, an int lead as a Fraction, so no float can appear;
     integral quotients go back to ints.  A Poly or RatFunc entry is never
     an int and takes the same path.  Values read out through
-    particular_entries, particular, solve and reduced_rows are Fractions
-    (or Polys and RatFuncs) again, reduced_rows as sparse rows;
-    reduce may return ints, which compare, hash and print like the equal
-    Fractions.
+    particular, nullspace and reduced_rows are Fractions (or Polys and
+    RatFuncs) again, each in a sparse {column: value} map with no zero
+    entries; reduce may return ints, which compare, hash and print like
+    the equal Fractions.
     An inserted row is cleared of the existing pivot columns, takes its
     first nonzero column as pivot, is scaled to a leading 1 and cleared
     from the other rows, so the held rows are in reduced form after every
@@ -971,7 +972,7 @@ class RowEchelon:
             for _, row in sorted(self.pivot_rows.items())
         )
 
-    def particular_entries(self, ncols: int, rhs: int) -> dict | None:
+    def particular(self, ncols: int, rhs: int) -> dict | None:
         """The nonzero entries {column: value} of the particular solution
         of A x = b for held rows [A | B]: A is columns < ncols, and b is
         column rhs >= ncols of B.
@@ -994,19 +995,11 @@ class RowEchelon:
             x[p] = _read_out(self.pivot_rows[p][rhs])
         return x
 
-    def particular(self, ncols: int, rhs: int) -> tuple | None:
-        """particular_entries as a dense tuple of ncols Fractions (or
-        functions), or None when b is not in the span of A's columns."""
-        entries = self.particular_entries(ncols, rhs)
-        if entries is None:
-            return None
-        zero = Fraction(0)
-        return tuple(entries.get(c, zero) for c in range(ncols))
-
-    def nullspace(self, ncols: int) -> tuple[tuple, ...]:
+    def nullspace(self, ncols: int) -> tuple[dict, ...]:
         """A basis of the nullspace of the leading columns A, the columns
-        < ncols: vector number k has a 1 at the k-th free column of A, and
-        minus that column's entries on the rows with their pivot in A.
+        < ncols, one sparse {column: value} map per free column of A, the
+        free columns in increasing order: a 1 at that column, and minus
+        its entries on the rows with their pivot in A.
 
         RREF has a prefix property: the rows with their pivot in A, cut to
         A, are the reduced form of A alone, and the other rows vanish on A.
@@ -1015,25 +1008,15 @@ class RowEchelon:
         has its pivot before that column, so the column index gives each
         vector's entries directly.
         """
-        zero, one = Fraction(0), Fraction(1)
         basis = []
         for c in range(ncols):
             if c in self.pivot_rows:
                 continue
-            vec = [zero] * ncols
-            vec[c] = one
+            vec = {c: Fraction(1)}
             for p in self._holders.get(c, ()):
                 vec[p] = _read_out(-self.pivot_rows[p][c])
-            basis.append(tuple(vec))
+            basis.append(vec)
         return tuple(basis)
-
-    def solve(self, ncols: int) -> LinearSolution | None:
-        """Solve A x = b, b in column ncols, as in particular(), with the
-        nullspace() basis of A."""
-        particular = self.particular(ncols, ncols)
-        if particular is None:
-            return None
-        return LinearSolution(particular=particular, nullspace=self.nullspace(ncols))
 
 
 def _subtract_multiple(target: dict, factor, row: Mapping) -> None:
@@ -1079,8 +1062,9 @@ def linear_solve_exact(
     """Solve A x = b exactly over the rationals.
 
     Returns a particular solution (free variables set to 0) plus a basis
-    of the nullspace, or None when the system is infeasible.  Output is
-    deterministic for a given input.
+    of the nullspace, as RowEchelon.particular and nullspace read them
+    out: sparse {column: value} maps.  None when the system is
+    infeasible.  Output is deterministic for a given input.
     """
     m = len(rows)
     if len(rhs) != m:
@@ -1095,4 +1079,7 @@ def linear_solve_exact(
         if b:
             entries[n] = b
         augmented.add(entries)
-    return augmented.solve(n)
+    particular = augmented.particular(n, n)
+    if particular is None:
+        return None
+    return LinearSolution(particular=particular, nullspace=augmented.nullspace(n))

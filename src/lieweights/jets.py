@@ -237,26 +237,16 @@ def lift_function(jc: JetChart, f: Poly, i: int) -> Poly:
     return lift_all(jc, f)[i]
 
 
-@record
-class LiftedVF:
-    """A vector field lifted to the jet chart at vertical depth `level`.
+def lift_vf(jc: JetChart, x: VectorField, j: int) -> VectorField:
+    """A vector field lifted to the jet chart at vertical depth j.
 
     Depth 0 is the tangent lift; depth j >= 1 shifts every target slot by
     j and is vertical (it kills all components of index below j).
     """
-
-    jet_chart: JetChart
-    base: VectorField
-    level: int
-    field: VectorField
-
-
-def lift_vf(jc: JetChart, x: VectorField, j: int) -> LiftedVF:
     if x.chart != jc.base:
         raise ValueError("field does not live on the jet chart's base")
     if not 0 <= j <= jc.order:
         raise ValueError("lift depth out of range")
-    n = jc.base.dim
     r = jc.order
     coeffs: list[Poly] = [Poly.zero(jc.dim) for _ in range(jc.dim)]
     for a, comp in enumerate(x.coeffs):
@@ -265,7 +255,7 @@ def lift_vf(jc: JetChart, x: VectorField, j: int) -> LiftedVF:
         pieces = lift_all(jc, comp)
         for i in range(r + 1 - j):
             coeffs[jc.index(a, i + j)] = coeffs[jc.index(a, i + j)] + pieces[i]
-    return LiftedVF(jc, x, j, VectorField(jc.chart, coeffs))
+    return VectorField(jc.chart, coeffs)
 
 
 @record
@@ -291,7 +281,7 @@ class LiftCombination:
             self.jet_chart.chart, [Fraction(0)] * self.jet_chart.dim
         )
         for g, x, j in self.terms:
-            total = total + lift_vf(self.jet_chart, x, j).field.scale(g)
+            total = total + lift_vf(self.jet_chart, x, j).scale(g)
         return total
 
 

@@ -16,7 +16,7 @@ import functools
 import itertools
 from fractions import Fraction
 from math import comb
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .exactalg import (
     Poly,
@@ -329,14 +329,16 @@ def transposed(columns: Sequence[dict[int, Fraction]]) -> list[dict[int, Fractio
 
 
 def unpack_coefficients(
-    vec: Sequence[Fraction], count: int, monos: Sequence[tuple[int, ...]], nvars: int
+    entries: Mapping[int, Fraction], count: int, monos: Sequence[tuple[int, ...]], nvars: int
 ) -> tuple[Poly, ...]:
-    """Per-generator polynomials from a vector laid out like module_columns."""
+    """The coefficient polynomials u_0, ..., u_{count-1} of a sparse
+    {column: value} map over the layout of module_columns: column p is
+    generator p // len(monos) times the monomial monos[p % len(monos)]."""
     size = len(monos)
-    chunks = (vec[j * size : (j + 1) * size] for j in range(count))
-    return tuple(
-        Poly(nvars, {alpha: x for alpha, x in zip(monos, chunk) if x}) for chunk in chunks
-    )
+    terms: list[dict] = [{} for _ in range(count)]
+    for p, x in sorted(entries.items()):
+        terms[p // size][monos[p % size]] = x
+    return tuple(Poly(nvars, t) for t in terms)
 
 
 def degree_schedule(nvars: int, cap: int) -> list[int]:
@@ -418,7 +420,8 @@ def module_membership_batch(
     s as ncols + s.  Generator j owns the block of columns j*len(monos_d)
     up to (j + 1)*len(monos_d), so the first k generators own the leading
     k*len(monos_d) columns, and field t is read against prefix k with
-    RowEchelon.particular_entries(k*len(monos_d), ncols + s).  That is
+    RowEchelon.particular(k*len(monos_d), ncols + s), a sparse map that
+    unpack_coefficients decodes into the certificate.  That is
     exact because RREF has a prefix property: restricted to the leading
     columns A_1..A_k and one column b of B, the reduced form of
     [A_1 | A_2 | ... | B] is row equivalent to [A_1..A_k | b]; its rows
@@ -481,12 +484,12 @@ def module_membership_batch(
     gens_degree, top_field_degree = fields_degree(gens), fields_degree(fields)
     zero = Poly.zero(n)
 
-    def decide(t: int, prefixes: list[int], terms: list[dict]) -> None:
-        # a pass against prefixes[0], with the coefficient terms per
-        # generator, answers every prefix after it too
-        certificate = {1: tuple(Poly(n, c) for c in terms)}
+    def decide(t: int, prefixes: list[int], coefficients: tuple[Poly, ...]) -> None:
+        # a pass against prefixes[0], with one coefficient per generator
+        # of that prefix, answers every prefix after it too
+        certificate = {1: coefficients}
         for k in prefixes:
-            padding = (zero,) * (k - len(terms))
+            padding = (zero,) * (k - len(coefficients))
             for r in asked[(t, k)]:
                 sign = reads[r][2]
                 if sign not in certificate:
@@ -505,16 +508,12 @@ def module_membership_batch(
         size = len(monos)
         for s, (t, prefixes) in enumerate(list(open_prefixes.items())):
             for pos, k in enumerate(prefixes):
-                solution = span.particular_entries(k * size, ncols + s)
+                solution = span.particular(k * size, ncols + s)
                 if solution is not None:
                     break
             else:
                 continue
-            # column p is generator p // size times monomial monos[p % size]
-            terms: list[dict] = [{} for _ in range(k)]
-            for p, x in sorted(solution.items()):
-                terms[p // size][monos[p % size]] = x
-            decide(t, prefixes[pos:], terms)
+            decide(t, prefixes[pos:], unpack_coefficients(solution, k, monos, n))
             if pos:
                 open_prefixes[t] = prefixes[:pos]
             else:
@@ -780,7 +779,8 @@ def tangency_solve(
     columns.  Generator j owns columns j*len(monos) up to
     (j + 1)*len(monos), so each prefix's system is a column prefix of the
     whole one: one elimination serves every prefix, each basis read with
-    RowEchelon.nullspace (the prefix property of RREF).  Each basis is
+    RowEchelon.nullspace (the prefix property of RREF), whose sparse maps
+    unpack_coefficients decodes into coefficient tuples.  Each basis is
     deterministic and equals that of a system of the prefix's own.  May
     miss higher-degree combinations (degree-bound caveat).  When N is a
     point the system is the constant nullspace of the generators' values

@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .exactalg import Poly, RowEchelon, record
+from .exactalg import Monomial, Poly, RowEchelon, record, weight_of
 from .lieflt import (
     Filtration,
     PackedKeys,
@@ -412,28 +412,6 @@ def bch(algebra: GradedLieAlg, x: dict, y: dict) -> dict[int, Fraction]:
     return _nonzero(acc)
 
 
-def fiber_class_pairs(
-    weighting: WeightedChart, depth: int
-) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """Basis labels for the ambient graded piece at the given depth.
-
-    A label (position, multi-index) stands for the class of x^s d/dx_p
-    where s runs over fiber-supported multi-indices of weighted degree
-    exactly (weight of p) - depth, in grlex order: the weighting's words of
-    that weight.  Labels with s = 0 span the complement of the tangent
-    part; there is one for each position of weight depth.
-    """
-    if depth < 1:
-        raise ValueError(f"depth {depth} is not a filtration level")
-    k0 = weighting.submanifold.dim
-    out: list[tuple[int, tuple[int, ...]]] = []
-    for p in range(weighting.dim):
-        target = weighting.weights[p] - depth
-        if target >= 0:
-            out.extend((p, (0,) * k0 + s) for s in weighting.words[target])
-    return tuple(out)
-
-
 def _frozen_fiber_part(coeff, weighting: WeightedChart) -> tuple[Poly, Fraction]:
     """Freeze the weight-0 variables at the base point and return the
     numerator and the denominator's constant term c0, which must not
@@ -454,48 +432,49 @@ def _frozen_fiber_part(coeff, weighting: WeightedChart) -> tuple[Poly, Fraction]
 
 
 def weighted_fiber_class(
-    field: VectorField,
-    weighting: WeightedChart,
-    depth: int,
-    pairs: Sequence[tuple[int, tuple[int, ...]]],
-) -> tuple[Fraction, ...] | None:
-    """Coordinates of the field's class in the ambient graded piece, along
-    pairs, the fiber_class_pairs basis at that depth, which the caller
-    builds once for all the classes it reads there.
+    field: VectorField, weighting: WeightedChart, depth: int
+) -> dict[tuple[int, Monomial], Fraction] | None:
+    """The field's class in the ambient graded piece at the given depth,
+    as a map {(position, multi-index): value} with no zero entries.
 
-    The field must live on the weighting's source chart.  Returns None
-    when its weighted degree is below -depth (it has no class at that
-    depth).  The component at (p, s) is the coefficient of x^s in the
-    direction-p coefficient after freezing the weight-0 variables at the
-    base point.  That coefficient has weighted degree at least the weight
-    of s, and a frozen denominator is its constant term c0 plus terms of
-    positive weight, so only c0 meets the numerator's x^s term: the
-    component is that term's coefficient divided by c0.
+    A label (p, s) stands for the class of x^s d/dx_p, s a multi-index of
+    weighted degree exactly (weight of p) - depth; s is supported on the
+    fiber variables, since the weight-0 variables are frozen.  The field
+    must live on the weighting's source chart.  Returns None when its
+    weighted degree is below -depth (it has no class at that depth).  The
+    value at (p, s) is the coefficient of x^s in the direction-p
+    coefficient after freezing the weight-0 variables at the base point.
+    That coefficient has weighted degree at least the weight of s, and a
+    frozen denominator is its constant term c0 plus terms of positive
+    weight, so only c0 meets the numerator's x^s term: the value is that
+    term's coefficient divided by c0.  ValueError when depth is not a
+    filtration level.
     """
+    if depth < 1:
+        raise ValueError(f"depth {depth} is not a filtration level")
     pushed = push_to_weighted(field, weighting)
     if vf_degree_in_chart(pushed, weighting) < -depth:
         return None
-    frozen: dict[int, tuple[Poly, Fraction]] = {}
-    comps: list[Fraction] = []
-    for p, phi in pairs:
-        if p not in frozen:
-            frozen[p] = _frozen_fiber_part(pushed[p], weighting)
-        num, c0 = frozen[p]
-        comps.append(num.terms.get(phi, Fraction(0)) / c0)
-    return tuple(comps)
+    weights = weighting.weights
+    cls: dict[tuple[int, Monomial], Fraction] = {}
+    for p, coeff in enumerate(pushed):
+        target = weights[p] - depth
+        if target < 0 or coeff.is_zero():
+            continue
+        num, c0 = _frozen_fiber_part(coeff, weighting)
+        for mono, value in num.terms.items():
+            if weight_of(mono, weights) == target:
+                cls[(p, mono)] = value / c0
+    return cls
 
 
-def class_in_tangent_part(
-    pairs: Sequence[tuple[int, tuple[int, ...]]], components: Sequence[Fraction]
-) -> bool:
+def class_in_tangent_part(cls: dict[tuple[int, Monomial], Fraction]) -> bool:
     """Whether a class lies in the span of the tangent-direction labels.
 
     Labels with a nonzero multi-index come from fields vanishing on the
-    submanifold, so membership means every bare-direction component is
-    zero."""
-    return all(
-        c == 0 for (p, phi), c in zip(pairs, components) if not any(phi)
-    )
+    submanifold, so membership means the class has no bare-direction
+    label (p, 0)."""
+    return all(any(s) for _, s in cls)
 
 
 @record
@@ -556,21 +535,15 @@ def verify_hh(
 
     maps_into_ok = True
     for depth in range(1, order + 1):
-        span = tangent.spans[depth - 1]
-        # the labels are needed only for a class to read; when N is a
-        # point most spans are empty
-        if not span:
-            continue
-        pairs = fiber_class_pairs(weighting, depth)
-        for span_vec in span:
+        for span_vec in tangent.spans[depth - 1]:
             rep = None
             for u, value in sorted(span_vec.items()):
                 term = algebra.representatives[u].scale(value)
                 rep = term if rep is None else rep + term
             if rep is None:
                 continue
-            cls = weighted_fiber_class(rep, weighting, depth, pairs)
-            if cls is None or not class_in_tangent_part(pairs, cls):
+            cls = weighted_fiber_class(rep, weighting, depth)
+            if cls is None or not class_in_tangent_part(cls):
                 maps_into_ok = False
 
     return HHReport(

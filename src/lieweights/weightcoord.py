@@ -159,8 +159,8 @@ class WeightedChart:
     An entry of forward or inverse is a RatFunc only when the inverse of
     the frame pairing has a true denominator.  words is
     frame_words of the fiber weights up to the largest weight less one,
-    enumerated once: the correction loop, filtration_degree and the
-    osculating stage's fiber_class_pairs read their multi-indices there.
+    enumerated once: the correction loop and filtration_degree read their
+    multi-indices there.
     """
 
     clean: CleanResult

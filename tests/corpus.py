@@ -9,7 +9,7 @@ from fractions import Fraction
 import math
 import random
 
-from lieweights.exactalg import Poly, RatFunc, RowEchelon, quotient
+from lieweights.exactalg import LinearSolution, Poly, RatFunc, RowEchelon, quotient
 from lieweights.lieflt import Filtration, monomials_up_to, transposed
 from lieweights.vfield import Chart, VectorField, format_vector_field, lie_bracket
 
@@ -26,7 +26,11 @@ def module_solve(columns, target=None):
     """Solve sum_k x_k columns[k] = target (None means 0) in one
     elimination of the transposed system, or None when infeasible: the
     reference the bounded-module oracles solve with."""
-    return RowEchelon(transposed([*columns, target or {}])).solve(len(columns))
+    span = RowEchelon(transposed([*columns, target or {}]))
+    particular = span.particular(len(columns), len(columns))
+    if particular is None:
+        return None
+    return LinearSolution(particular, span.nullspace(len(columns)))
 
 
 class CountingRowEchelon(RowEchelon):

@@ -37,7 +37,15 @@ candidate classes, the tangent spans, axioms_ok() and two bch products of
 seeded random elements.  Each element, class and span row is written as
 its sorted nonzero entries [k, str(c)], read from a dense tuple or a
 {index: value} map, so the section reads the same from either form of the
-algebra.
+algebra.  Then, at the same bound, it writes what bracket-compat and the
+tangent subalgebra decide on the way: the certificate of each passing
+check_bracket_compat pair, as [i, j, gi, gj, coefficients] with each
+coefficient printed by format_poly; each depth's tangency_solve basis,
+printed the same way; and, when the submanifold is clean, the ambient
+fiber class (weighted_fiber_class) of each tangent-span representative,
+as [depth, entries].  A class's entries are its sorted nonzero
+[[position, multi-index], str(value)], read from a {label: value} map or
+from a dense tuple along the fiber_class_pairs labels.
 
 Two checkouts give the same behaviour when `diff -r` finds no difference
 between their output directories:
@@ -68,9 +76,17 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
 from corpus import filiform_problem, free_nilpotent_problem, pushed_forward_model  # noqa: E402
+from lieweights import osculating  # noqa: E402
 from lieweights.cli import COMMAND_STAGES, load_problem, main  # noqa: E402
+from lieweights.lieflt import (  # noqa: E402
+    PASS,
+    check_bracket_compat,
+    check_clean,
+    tangency_solve,
+)
 from lieweights.osculating import bch, osculating_at, tangent_subalg  # noqa: E402
-from lieweights.vfield import format_vector_field  # noqa: E402
+from lieweights.vfield import format_poly, format_vector_field  # noqa: E402
+from lieweights.weightcoord import weighted_coordinates  # noqa: E402
 
 PROBLEM_DIRS = ("problems", "bench/problems")
 FLAG_SETS = {
@@ -162,9 +178,36 @@ def entries(vec) -> list[list]:
     return [[k, str(c)] for k, c in sorted(items) if c]
 
 
+def fiber_class(field, weighting, depth) -> list | None:
+    """The field's ambient fiber class as sorted [[position, multi-index],
+    str(value)] entries, read from a map or from a dense tuple along the
+    fiber_class_pairs labels."""
+    if hasattr(osculating, "fiber_class_pairs"):
+        pairs = osculating.fiber_class_pairs(weighting, depth)
+        dense = osculating.weighted_fiber_class(field, weighting, depth, pairs)
+        cls = None if dense is None else dict(zip(pairs, dense))
+    else:
+        cls = osculating.weighted_fiber_class(field, weighting, depth)
+    if cls is None:
+        return None
+    return [[[p, list(s)], str(c)] for (p, s), c in sorted(cls.items()) if c]
+
+
 def library_outputs(path: Path) -> dict:
     spec = load_problem(str(path))
     filt, sub = spec.filtration, spec.submanifold
+    chart = filt.chart
+    order = filt.order
+    bracket_compat = [
+        [c.i, c.j, c.gi, c.gj, [format_poly(u, chart) for u in c.result.certificate]]
+        for c in check_bracket_compat(filt, LIBRARY_BOUND).checks
+        if c.result.verdict == PASS
+    ]
+    prefixes = [len(filt.generators(depth)) for depth in range(1, order + 1)]
+    tangency = [
+        [[format_poly(u, chart) for u in combo] for combo in basis]
+        for basis in tangency_solve(filt.generators(order), sub, LIBRARY_BOUND, prefixes)
+    ]
     algebra = osculating_at(filt, sub.base_point, LIBRARY_BOUND)
     tangent = tangent_subalg(filt, sub, LIBRARY_BOUND, parent=algebra)
     sparse = isinstance(algebra.structure, dict)
@@ -181,6 +224,16 @@ def library_outputs(path: Path) -> dict:
         if not sparse:
             args = [tuple(x.get(w, Fraction(0)) for w in range(algebra.dim)) for x in args]
         products.append([entries(x) for x in (*args, bch(algebra, *args))])
+    clean = check_clean(filt, sub)
+    weighting = weighted_coordinates(clean) if clean.verdict == PASS else None
+    fiber_classes = []
+    for depth, span in enumerate(tangent.spans, start=1):
+        for row in span if weighting else ():
+            rep = None
+            for u, value in sorted(row.items()):
+                term = algebra.representatives[u].scale(value)
+                rep = term if rep is None else rep + term
+            fiber_classes.append([depth, fiber_class(rep, weighting, depth)])
     return {
         "graded_dims": list(algebra.graded_dims()),
         "structure_constants": [
@@ -192,6 +245,9 @@ def library_outputs(path: Path) -> dict:
         "tangent_spans": [[entries(row) for row in span] for span in tangent.spans],
         "axioms_ok": algebra.axioms_ok(),
         "bch_x_y_product": products,
+        "bracket_compat_certificates": bracket_compat,
+        "tangency_bases": tangency,
+        "tangent_fiber_classes": fiber_classes,
     }
 
 

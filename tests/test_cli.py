@@ -714,27 +714,6 @@ class TestSharedDerivations:
         assert len(set(calls)) == len(calls)
         assert ((), 3) in calls
 
-    @pytest.mark.parametrize("name,depths", [("cartan235", set()), ("heisenberg", {1})])
-    def test_fiber_class_labels_only_for_a_tangent_span(self, tmp_path, monkeypatch, name, depths):
-        # N is a point on cartan235, so its tangent spans are empty and no
-        # label is built; heisenberg's N is the x axis, a line, and only
-        # depth 1 has a tangent vector.  verify_hh builds each depth's
-        # labels once and hands them to every class it reads there
-        calls = []
-        real = osculating.fiber_class_pairs
-
-        def counting(weighting, depth):
-            calls.append(depth)
-            return real(weighting, depth)
-
-        monkeypatch.setattr(osculating, "fiber_class_pairs", counting)
-        code, report = run_report("report", str(PROBLEMS / f"{name}.json"), tmp_path)
-        assert code == EXIT_PASS
-        tangent_dims = stage(report, "osculating")["data"]["tangent_dims"]
-        assert set(calls) == {d for d, dim in enumerate(tangent_dims, start=1) if dim}
-        assert set(calls) == depths
-        assert len(calls) == len(set(calls))
-
 
 class TestFullToken:
     def test_full_adjoins_coordinate_frame(self, tmp_path):

@@ -308,16 +308,16 @@ class TestLiftVF:
             lifted = lift_vf(jc, coordinate_field(CHART2, 0), j)
             expected = [Fraction(0)] * jc.dim
             expected[jc.index(0, j)] = Fraction(1)
-            assert lifted.field == VectorField(jc.chart, expected)
+            assert lifted == VectorField(jc.chart, expected)
 
     def test_bracket_identity_corpus(self):
         for chart, r, x, y, f, i, j in lift_identity_cases(seed=11, count=30):
             jc = JetChart(chart, r)
             lx = lift_vf(jc, x, i)
             ly = lift_vf(jc, y, j)
-            got = lie_bracket(lx.field, ly.field)
+            got = lie_bracket(lx, ly)
             if i + j <= r:
-                assert got == lift_vf(jc, lie_bracket(x, y), i + j).field
+                assert got == lift_vf(jc, lie_bracket(x, y), i + j)
             else:
                 assert got.is_zero()
 
@@ -325,7 +325,7 @@ class TestLiftVF:
         for chart, r, x, _y, f, i, _j in lift_identity_cases(seed=23, count=30):
             jc = JetChart(chart, r)
             scaled = x.scale(f)
-            lhs = lift_vf(jc, scaled, i).field
+            lhs = lift_vf(jc, scaled, i)
             terms = tuple(
                 (lift_function(jc, f, k), x, i + k) for k in range(r - i + 1)
             )
@@ -340,7 +340,7 @@ class TestLiftVF:
             lifted = lift_vf(jc, x, j)
             for i in range(j):
                 piece = lift_function(jc, f, i)
-                assert lifted.field.apply(piece).is_zero()
+                assert lifted.apply(piece).is_zero()
 
 
 class TestKoszul:
@@ -349,7 +349,7 @@ class TestKoszul:
         x = parse_vector_field("dx + x*dz", CHART2)
         comb = LiftCombination(jc, ((Poly.one(jc.dim), x, 0),))
         shifted = koszul_shift(comb)
-        assert shifted.materialize() == lift_vf(jc, x, 1).field
+        assert shifted.materialize() == lift_vf(jc, x, 1)
 
     def test_r_plus_one_shifts_vanish(self):
         jc = JetChart(CHART2, 2)
@@ -367,17 +367,17 @@ class TestKoszul:
         comb = LiftCombination(jc, ((g, x, jc.order - 1),))
         shifted = koszul_shift(comb)
         assert shifted.terms == ((g, x, jc.order),)
-        assert shifted.materialize() == lift_vf(jc, x, jc.order).field.scale(g)
+        assert shifted.materialize() == lift_vf(jc, x, jc.order).scale(g)
 
     def test_commutes_with_lift_bracket(self):
         jc = JetChart(CHART2, 2)
         x = parse_vector_field("dx + x*dz", CHART2)
         y = parse_vector_field("z*dx", CHART2)
         bracket = lie_bracket(x, y)
-        level0 = lie_bracket(lift_vf(jc, x, 0).field, lift_vf(jc, y, 0).field)
-        assert level0 == lift_vf(jc, bracket, 0).field
+        level0 = lie_bracket(lift_vf(jc, x, 0), lift_vf(jc, y, 0))
+        assert level0 == lift_vf(jc, bracket, 0)
         comb = koszul_shift(LiftCombination(jc, ((Poly.one(jc.dim), bracket, 0),)))
-        assert comb.materialize() == lift_vf(jc, bracket, 1).field
+        assert comb.materialize() == lift_vf(jc, bracket, 1)
 
 
 class TestJetActions:
@@ -595,7 +595,7 @@ class TestFlowOut:
             for x in filt.levels[j - 1]:
                 lifted = lift_vf(jc, x, j)
                 for g in defining:
-                    moved = lifted.field.apply(g)
+                    moved = lifted.apply(g)
                     for u in points:
                         assert moved.eval(u.flat()) == 0
 

@@ -139,12 +139,12 @@ def test_module_solve_matches_dense_reference(system):
 def test_module_solve_edge_cases():
     key = (0, (0, 0))
     # no columns: only the zero target is reachable
-    assert module_solve([]) == LinearSolution((), ())
+    assert module_solve([]) == LinearSolution({}, ())
     assert module_solve([], {key: Fraction(1)}) is None
     # all columns empty, homogeneous: every column is free
     sol = module_solve([{}, {}, {}])
-    assert sol.particular == (0, 0, 0)
-    assert sol.nullspace == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert sol.particular == {}
+    assert sol.nullspace == ({0: 1}, {1: 1}, {2: 1})
     # infeasible target
     assert module_solve([{key: Fraction(2)}], {(1, (0, 0)): Fraction(1)}) is None
 
@@ -239,6 +239,36 @@ def test_a_shift_that_would_carry_raises():
         field_entries(VectorField(chart, [Poly.term(2, (0, 3), 1), Poly.zero(2)]), keys)
     with pytest.raises(ValueError):
         PackedKeys(2, 0)
+
+
+@st.composite
+def layout_cases(draw):
+    """Generators, distinct monomials and a sparse coefficient map over the
+    columns module_columns builds from them."""
+    gens = draw(st.lists(small_field(), min_size=1, max_size=3))
+    monos = draw(
+        st.lists(st.sampled_from(monomials_up_to(3, 2)), min_size=1, max_size=4, unique=True)
+    )
+    columns = st.integers(0, len(gens) * len(monos) - 1)
+    return gens, monos, draw(st.dictionaries(columns, NONZERO, max_size=6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(layout_cases())
+def test_unpack_coefficients_decodes_the_module_columns_layout(case):
+    # no elimination: the columns a map weights sum to the entries of the
+    # field that its decoded coefficients combine the generators to
+    gens, monos, weights = case
+    keys = PackedKeys.for_degree(3, fields_degree(gens) + 2)
+    columns = module_columns(gens, monos, keys)
+    summed: dict = {}
+    for p, x in weights.items():
+        for key, value in columns[p].items():
+            summed[key] = summed.get(key, 0) + x * value
+    coeffs = unpack_coefficients(weights, len(gens), monos, 3)
+    assert len(coeffs) == len(gens)
+    expected = field_entries(combination(coeffs, gens), keys)
+    assert {key: x for key, x in summed.items() if x} == expected
 
 
 # -- membership ---------------------------------------------------------------

@@ -61,7 +61,6 @@ from lieweights.osculating import (
     GradedSubalg,
     bch,
     class_in_tangent_part,
-    fiber_class_pairs,
     osculating_at,
     tangent_subalg,
     verify_hh,
@@ -463,34 +462,29 @@ def step4_weighting():
 
 
 class TestAmbientModule:
-    def test_class_pairs_step3(self, step3_weighting):
-        assert fiber_class_pairs(step3_weighting, 1) == (
-            (0, (0, 0, 0)),
-            (1, (1, 0, 0)),
-            (2, (0, 1, 0)),
-            (2, (2, 0, 0)),
-        )
-        assert fiber_class_pairs(step3_weighting, 3) == ((2, (0, 0, 0)),)
-
     def test_class_of_vertical_field(self, step3_weighting):
         z_fld = parse_vector_field("dz", CHART3)
-        pairs = fiber_class_pairs(step3_weighting, 3)
-        cls = weighted_fiber_class(z_fld, step3_weighting, 3, pairs)
-        assert cls == (1,)
-        assert not class_in_tangent_part(pairs, cls)
+        cls = weighted_fiber_class(z_fld, step3_weighting, 3)
+        assert cls == {(2, (0, 0, 0)): 1}
+        assert not class_in_tangent_part(cls)
+        # terms of weight above w_p - depth have no part in the class
+        higher = parse_vector_field("dz + x*dz + y*dz", CHART3)
+        assert weighted_fiber_class(higher, step3_weighting, 3) == cls
 
     def test_class_below_depth_is_none(self, step3_weighting):
         z_fld = parse_vector_field("dz", CHART3)
-        pairs = fiber_class_pairs(step3_weighting, 1)
-        assert weighted_fiber_class(z_fld, step3_weighting, 1, pairs) is None
+        assert weighted_fiber_class(z_fld, step3_weighting, 1) is None
+
+    def test_depth_zero_is_not_a_level(self, step3_weighting):
+        z_fld = parse_vector_field("dz", CHART3)
+        with pytest.raises(ValueError, match="not a filtration level"):
+            weighted_fiber_class(z_fld, step3_weighting, 0)
 
     def test_class_of_bracket_field(self, step4_weighting):
         b_fld = parse_vector_field("2*x*dz", CHART3)
-        pairs = fiber_class_pairs(step4_weighting, 3)
-        assert pairs == ((2, (1, 0, 0)),)
-        cls = weighted_fiber_class(b_fld, step4_weighting, 3, pairs)
-        assert cls == (2,)
-        assert class_in_tangent_part(pairs, cls)
+        cls = weighted_fiber_class(b_fld, step4_weighting, 3)
+        assert cls == {(2, (1, 0, 0)): 2}
+        assert class_in_tangent_part(cls)
 
     def test_rational_coefficient_class(self, step3_weighting):
         # a chart whose third coordinate is z/(c + x): pushing x^2*dz there
@@ -510,8 +504,8 @@ class TestAmbientModule:
             )
             assert push_to_weighted(field, rational)[2] == RatFunc(x**2, den)
             # x^2/(1+x) expands to x^2 - x^3 + ..., weight-2 part is x^2
-            cls = weighted_fiber_class(field, rational, 1, fiber_class_pairs(rational, 1))
-            assert cls == (0, 0, 0, expected)
+            cls = weighted_fiber_class(field, rational, 1)
+            assert cls == {(2, (2, 0, 0)): expected}
 
     def test_axis_class_lies_in_tangent_part(self):
         x_fld = parse_vector_field("dx", CHART3)
@@ -520,11 +514,9 @@ class TestAmbientModule:
         filt = Filtration(CHART3, 2, ((x_fld, y_fld), (x_fld, y_fld, z_fld)))
         axis = Submanifold(CHART3, (0,), (0, 0, 0))
         weighting = weighted_coordinates(check_clean(filt, axis))
-        pairs = fiber_class_pairs(weighting, 1)
-        assert pairs == ((1, (0, 0, 0)), (2, (0, 1, 0)))
-        cls = weighted_fiber_class(x_fld, weighting, 1, pairs)
-        assert cls == (0, -1)
-        assert class_in_tangent_part(pairs, cls)
+        cls = weighted_fiber_class(x_fld, weighting, 1)
+        assert cls == {(2, (0, 1, 0)): -1}
+        assert class_in_tangent_part(cls)
 
 
 # -- fiber classes against the weight-part reading ------------------------------
@@ -596,8 +588,9 @@ def test_fiber_classes_match_the_weight_part_reading(seed, t):
     for depth in range(1, filt.order + 1):
         for field in fields:
             pairs, expected = reference_fiber_class(field, weighting, depth)
-            assert fiber_class_pairs(weighting, depth) == pairs
-            assert weighted_fiber_class(field, weighting, depth, pairs) == expected
+            assert weighted_fiber_class(field, weighting, depth) == (
+                None if expected is None else {label: c for label, c in zip(pairs, expected) if c}
+            )
 
 
 # -- centred chart against recentred columns ------------------------------------
@@ -626,10 +619,12 @@ def _recentred_membership_solve(leading, lower, ideal_gens, point, degree_bound,
         return None
     k = len(leading)
     if target is None:
-        return RowEchelon(vec[:k] for vec in solution.nullspace).reduced_rows()
+        return RowEchelon(
+            {c: x for c, x in vec.items() if c < k} for vec in solution.nullspace
+        ).reduced_rows()
     for vec in solution.nullspace:
-        assert not any(vec[:k]), "chosen basis is dependent at this degree bound"
-    return tuple(solution.particular[:k])
+        assert all(c >= k for c in vec), "chosen basis is dependent at this degree bound"
+    return tuple(solution.particular.get(c, Fraction(0)) for c in range(k))
 
 
 def _tangency_columns(gens, submanifold, monos, degree_bound):
