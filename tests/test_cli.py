@@ -714,6 +714,27 @@ class TestSharedDerivations:
         assert len(set(calls)) == len(calls)
         assert ((), 3) in calls
 
+    @pytest.mark.parametrize("name,depths", [("cartan235", set()), ("heisenberg", {1})])
+    def test_fiber_class_labels_only_for_a_tangent_span(self, tmp_path, monkeypatch, name, depths):
+        # N is a point on cartan235, so its tangent spans are empty and no
+        # class is read; heisenberg's N is the x axis, a line, and only
+        # depth 1 has a tangent vector.  verify_hh reads one class per
+        # tangent span vector, at that vector's depth
+        calls = []
+        real = osculating.weighted_fiber_class
+
+        def counting(field, weighting, depth):
+            calls.append(depth)
+            return real(field, weighting, depth)
+
+        monkeypatch.setattr(osculating, "weighted_fiber_class", counting)
+        code, report = run_report("report", str(PROBLEMS / f"{name}.json"), tmp_path)
+        assert code == EXIT_PASS
+        tangent_dims = stage(report, "osculating")["data"]["tangent_dims"]
+        assert set(calls) == {d for d, dim in enumerate(tangent_dims, start=1) if dim}
+        assert set(calls) == depths
+        assert len(calls) == sum(tangent_dims)
+
 
 class TestFullToken:
     def test_full_adjoins_coordinate_frame(self, tmp_path):

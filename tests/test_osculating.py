@@ -462,6 +462,20 @@ def step4_weighting():
 
 
 class TestAmbientModule:
+    def test_class_pairs_step3(self, step3_weighting):
+        # weights (1, 2, 3), z shifted by -x^2/2: the labels (p, s) at
+        # depth 1 have weighted degree w_p - 1, and at depth 3 only dz
+        # survives
+        every = parse_vector_field("dx + x*dz + x*dy + y*dz + x^2*dz", CHART3)
+        assert set(weighted_fiber_class(every, step3_weighting, 1)) == {
+            (0, (0, 0, 0)),
+            (1, (1, 0, 0)),
+            (2, (0, 1, 0)),
+            (2, (2, 0, 0)),
+        }
+        every = parse_vector_field("dz + x*dz + y*dz", CHART3)
+        assert set(weighted_fiber_class(every, step3_weighting, 3)) == {(2, (0, 0, 0))}
+
     def test_class_of_vertical_field(self, step3_weighting):
         z_fld = parse_vector_field("dz", CHART3)
         cls = weighted_fiber_class(z_fld, step3_weighting, 3)
