@@ -106,12 +106,6 @@ class TruncSeries:
             self.order, tuple(a + b for a, b in zip(self.coefficients, other.coefficients))
         )
 
-    def __neg__(self) -> "TruncSeries":
-        return TruncSeries(self.order, tuple(-c for c in self.coefficients))
-
-    def __sub__(self, other: "TruncSeries") -> "TruncSeries":
-        return self + (-other)
-
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         if self.order != other.order:
             raise ValueError("series order mismatch")
@@ -176,13 +170,6 @@ class JetPoint:
     def from_rows(cls, chart: Chart, order: int, rows) -> "JetPoint":
         """The jet with the given components: anything Fraction accepts."""
         return cls(chart, order, tuple(tuple(Fraction(v) for v in row) for row in rows))
-
-    @classmethod
-    def zero(cls, chart: Chart, order: int) -> "JetPoint":
-        return cls(chart, order, tuple((Fraction(0),) * (order + 1) for _ in range(chart.dim)))
-
-    def base_point(self) -> tuple[Fraction, ...]:
-        return tuple(row[0] for row in self.comps)
 
     def flat(self) -> tuple[Fraction, ...]:
         """Components in jet-chart variable order."""

@@ -55,11 +55,17 @@ class TriState:
 
 @record
 class Submanifold:
-    """A coordinate submanifold {fiber variables = 0} with a base point on it."""
+    """A coordinate submanifold {fiber variables = 0} with a base point on it.
+
+    The fiber indices are worked out once, in the constructor, and restrict
+    is the package's one way to set them to zero.
+    """
 
     chart: Chart
     tangent_indices: tuple[int, ...]
     base_point: tuple[Fraction, ...]
+    # the chart indices off tangent_indices, in chart order
+    _fiber: tuple[int, ...]
 
     def __init__(
         self,
@@ -83,6 +89,9 @@ class Submanifold:
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "tangent_indices", tangent)
         object.__setattr__(self, "base_point", point)
+        object.__setattr__(
+            self, "_fiber", tuple(i for i in range(chart.dim) if i not in tangent_set)
+        )
 
     @property
     def dim(self) -> int:
@@ -90,8 +99,7 @@ class Submanifold:
 
     @property
     def fiber_indices(self) -> tuple[int, ...]:
-        tangent = set(self.tangent_indices)
-        return tuple(i for i in range(self.chart.dim) if i not in tangent)
+        return self._fiber
 
     @property
     def adapted_order(self) -> tuple[int, ...]:
@@ -101,7 +109,7 @@ class Submanifold:
 
     def restrict(self, value):
         """Set the fiber variables to zero (ambient variable count kept)."""
-        return restrict_zero(value, self.fiber_indices)
+        return restrict_zero(value, self._fiber)
 
 
 @record
@@ -109,7 +117,8 @@ class Filtration:
     """Generator lists for levels -1..-order on a common chart.
 
     Each distinct generator, by value, is kept once: generators(order)
-    lists them in order of first appearance, found through a dict, and
+    lists them in order of first appearance, found through one dict keyed
+    by the field, in which every listed occurrence is looked up, and
     generators(depth) is the prefix of those first listed at a level of
     depth at most depth.  A level lists them by position,
     level_indices(depth), and levels[depth - 1] holds those same objects,
@@ -131,22 +140,16 @@ class Filtration:
         if len(levels) != order:
             raise ValueError("expected one generator list per level -1..-order")
         position: dict[VectorField, int] = {}
-        # a list repeats mostly the same objects; those skip the hash.  The
-        # lists are held as tuples until the end, so no id is reused
-        placed: dict[int, int] = {}
-        listed = [tuple(gens) for gens in levels]
         distinct: list[VectorField] = []
         prefixes, indices = [], []
-        for gens in listed:
+        for gens in levels:
             level = []
             for g in gens:
-                p = placed.get(id(g))
-                if p is None:
-                    p = placed[id(g)] = position.setdefault(g, len(distinct))
-                    if p == len(distinct):
-                        if g.chart != chart:
-                            raise ValueError("generator lives on a different chart")
-                        distinct.append(g)
+                p = position.setdefault(g, len(distinct))
+                if p == len(distinct):
+                    if g.chart != chart:
+                        raise ValueError("generator lives on a different chart")
+                    distinct.append(g)
                 level.append(p)
             indices.append(tuple(level))
             prefixes.append(tuple(distinct))
@@ -203,27 +206,20 @@ SAMPLE_BUDGET = 60
 
 
 def sample_points(nvars: int):
-    """Deterministic witness-point sequence: origin, integer shells, rationals."""
-    count = 0
-
-    def emit(pt):
-        nonlocal count
-        count += 1
-        return tuple(Fraction(v) for v in pt)
-
-    yield emit((0,) * nvars)
-    for radius in (1, 2):
-        for pt in itertools.product(range(-radius, radius + 1), repeat=nvars):
-            if max(abs(c) for c in pt) == radius:
-                yield emit(pt)
-                if count >= SAMPLE_BUDGET:
-                    return
+    """Deterministic witness-point sequence, each point a tuple of
+    Fractions: the origin, the integer shells of radius 1 and 2, then the
+    rational cycle, the first SAMPLE_BUDGET of those in that order."""
+    shells = (
+        pt
+        for radius in (1, 2)
+        for pt in itertools.product(range(-radius, radius + 1), repeat=nvars)
+        if max(abs(c) for c in pt) == radius
+    )
     m = len(_RATIONAL_CYCLE)
-    for k in range(m):
-        pt = tuple(_RATIONAL_CYCLE[(k + i) % m] for i in range(nvars))
-        yield emit(pt)
-        if count >= SAMPLE_BUDGET:
-            return
+    cycle = (tuple(_RATIONAL_CYCLE[(k + i) % m] for i in range(nvars)) for k in range(m))
+    candidates = itertools.chain([(0,) * nvars], shells, cycle)
+    for pt in itertools.islice(candidates, SAMPLE_BUDGET):
+        yield tuple(Fraction(v) for v in pt)
 
 
 class PackedKeys:
@@ -483,19 +479,6 @@ def module_membership_batch(
     points = sample_points(n)
     gens_degree, top_field_degree = fields_degree(gens), fields_degree(fields)
     zero = Poly.zero(n)
-
-    def decide(t: int, prefixes: list[int], coefficients: tuple[Poly, ...]) -> None:
-        # a pass against prefixes[0], with one coefficient per generator
-        # of that prefix, answers every prefix after it too
-        certificate = {1: coefficients}
-        for k in prefixes:
-            padding = (zero,) * (k - len(coefficients))
-            for r in asked[(t, k)]:
-                sign = reads[r][2]
-                if sign not in certificate:
-                    certificate[sign] = tuple(-u for u in certificate[1])
-                results[r] = TriState.passed(certificate[sign] + padding)
-
     for d in degree_schedule(n, degree_bound):
         monos = monomials_up_to(n, d)
         keys = PackedKeys.for_degree(n, max(gens_degree + d, top_field_degree))
@@ -513,7 +496,16 @@ def module_membership_batch(
                     break
             else:
                 continue
-            decide(t, prefixes[pos:], unpack_coefficients(solution, k, monos, n))
+            # a pass against prefix k, with one coefficient per generator
+            # of that prefix, answers every prefix after it too
+            certificate = {1: unpack_coefficients(solution, k, monos, n)}
+            for larger in prefixes[pos:]:
+                padding = (zero,) * (larger - k)
+                for r in asked[(t, larger)]:
+                    sign = reads[r][2]
+                    if sign not in certificate:
+                        certificate[sign] = tuple(-u for u in certificate[1])
+                    results[r] = TriState.passed(certificate[sign] + padding)
             if pos:
                 open_prefixes[t] = prefixes[:pos]
             else:
@@ -717,7 +709,6 @@ def check_clean(filtration: Filtration, submanifold: Submanifold) -> CleanResult
     chart = filtration.chart
     if submanifold.chart != chart:
         raise ValueError("submanifold lives on a different chart")
-    fiber = submanifold.fiber_indices
     m = submanifold.base_point
     generic = RowEchelon({b: 1} for b in submanifold.tangent_indices)
     at_point = RowEchelon({b: Fraction(1)} for b in submanifold.tangent_indices)
@@ -729,7 +720,7 @@ def check_clean(filtration: Filtration, submanifold: Submanifold) -> CleanResult
     for depth in range(1, filtration.order + 1):
         gens = filtration.generators(depth)
         for g in gens[done:]:
-            generic.add([restrict_zero(c, fiber) for c in g.coeffs])
+            generic.add([submanifold.restrict(c) for c in g.coeffs])
             if at_point.add(g.value_at(m)):
                 frame.append(g)
                 frame_levels.append(depth)

@@ -152,12 +152,14 @@ class GradedLieAlg:
         return _nonzero(acc)
 
     def check_antisymmetry(self) -> bool:
-        for u in range(self.dim):
-            for v in range(self.dim):
-                right = self.bracket_basis(v, u)
-                if self.bracket_basis(u, v) != {w: -c for w, c in right.items()}:
-                    return False
-        return True
+        """structure has its documented form: each key (u, v) has
+        0 <= u < v < dim and each value is a nonempty map with no zero
+        entry.  bracket_basis reads (v, u) as the negated (u, v) and reads
+        no other key, so then [e_v, e_u] = -[e_u, e_v] for every u and v."""
+        return all(
+            0 <= u < v < self.dim and vec and all(vec.values())
+            for (u, v), vec in self.structure.items()
+        )
 
     def check_grading(self) -> bool:
         """Stored brackets land in the correct graded piece and vanish

@@ -34,7 +34,7 @@ import math
 import re
 from fractions import Fraction
 from itertools import chain
-from operator import add, sub
+from operator import add
 from typing import Iterable, Sequence
 
 from .exactalg import Poly, RatFunc, Scalar, derive_into, divide_exact, record
@@ -68,12 +68,6 @@ class Chart:
             return self.names.index(name)
         except ValueError:
             raise KeyError(f"no coordinate named {name!r}") from None
-
-    def zero(self) -> Poly:
-        return Poly.zero(self.dim)
-
-    def one(self) -> Poly:
-        return Poly.one(self.dim)
 
 
 def _as_poly(value: Scalar | Fraction | int, nvars: int) -> Poly:
@@ -161,7 +155,7 @@ class VectorField:
 
 def coordinate_field(chart: Chart, index: int) -> VectorField:
     """The coordinate frame field d/dx_index."""
-    one, zero = chart.one(), chart.zero()
+    one, zero = Poly.one(chart.dim), Poly.zero(chart.dim)
     return VectorField(chart, [one if i == index else zero for i in range(chart.dim)])
 
 
@@ -560,20 +554,15 @@ class _Parser:
 
 
 def _divided(num: dict, den: dict, nvars: int) -> Poly | None:
-    """num / den as a Poly, or None when den does not divide num."""
-    if len(den) != 1:
-        return divide_exact(_poly(num, nvars), _poly(den, nvars))
-    # a monomial divides term by term
-    ((m0, c0),) = den.items()
-    if not any(m0):
-        return Poly.from_sum(nvars, {m: Fraction(c, c0) for m, c in num.items()})
-    terms = {}
-    for m, c in num.items():
-        shifted = tuple(map(sub, m, m0))
-        if any(e < 0 for e in shifted):
-            return None
-        terms[shifted] = Fraction(c, c0)
-    return Poly.from_sum(nvars, terms)
+    """num / den as a Poly, or None when den does not divide num.
+
+    A constant denominator, as in a coefficient like 1/12, divides each
+    term; every other one goes to exactalg.divide_exact."""
+    if len(den) == 1:
+        ((m0, c0),) = den.items()
+        if not any(m0):
+            return Poly.from_sum(nvars, {m: Fraction(c, c0) for m, c in num.items()})
+    return divide_exact(_poly(num, nvars), _poly(den, nvars))
 
 
 def _poly(terms: dict, nvars: int) -> Poly:

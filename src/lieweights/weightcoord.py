@@ -232,12 +232,11 @@ def weighted_coordinates(clean: CleanResult) -> WeightedChart:
     ]
 
     records: list[CorrectionRecord] = []
-    # corrections only for weights >= 3; the fiber weights are the frame's
-    # depths, nondecreasing, so position order is weight order
+    # the fiber weights are the frame's depths, nondecreasing, so position
+    # order is weight order.  Only weights >= 3 get corrections: a word
+    # with |s| >= 2 has weight >= 2, so below weight 3 none is admissible
     for a in range(k0, n):
         w_a = weights[a]
-        if w_a < 3:
-            continue
         admissible = [s for tier in words[:w_a] for s in tier if sum(s) >= 2]
         admissible.sort(key=lambda s: (sum(s), s))
         # partial is current[a] + sum of chi_u * y^u over the finished
@@ -295,11 +294,12 @@ def weighted_coordinates(clean: CleanResult) -> WeightedChart:
     )
 
 
-def _monomial_of(current: Sequence[Scalar], k0: int, s: Sequence[int], n: int) -> Scalar:
+def _monomial_of(coords: Sequence[Scalar], k0: int, s: Sequence[int], n: int) -> Scalar:
+    """y^s: the product of coords[k0 + p] ** s[p] over the fiber positions p."""
     acc = Poly.one(n)
     for offset, e in enumerate(s):
         if e:
-            acc = acc * current[k0 + offset] ** e
+            acc = acc * coords[k0 + offset] ** e
     return acc
 
 
@@ -329,10 +329,7 @@ def _invert_weighting(
     for rec in records:
         if rec.coefficient.is_zero():
             continue
-        term = rec.coefficient.subst(on_n)
-        for offset, e in enumerate(rec.multi_index):
-            if e:
-                term = term * y[k0 + offset] ** e
+        term = rec.coefficient.subst(on_n) * _monomial_of(y, k0, rec.multi_index, n)
         linear[rec.position - k0] = linear[rec.position - k0] - term
     inverse: list[Scalar] = list(on_n)
     for ci, c in enumerate(submanifold.fiber_indices):

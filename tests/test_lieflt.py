@@ -573,11 +573,46 @@ def test_membership_rejects_foreign_chart_and_rational_coefficients():
         VectorField(CHART, [one_over, 0, 0])
 
 
+def reference_sample_points(nvars):
+    # the witness sequence as first written, counted by hand: the origin,
+    # the integer shells of radius 1 and 2, then the rational cycle
+    cycle = [Fraction(p, q) for p, q in ((1, 2), (-1, 2), (1, 3), (-1, 3))]
+    cycle += [Fraction(p, q) for p, q in ((2, 3), (-2, 3), (3, 2), (-3, 2))]
+    count = 0
+
+    def emit(pt):
+        nonlocal count
+        count += 1
+        return tuple(Fraction(v) for v in pt)
+
+    yield emit((0,) * nvars)
+    for radius in (1, 2):
+        for pt in itertools.product(range(-radius, radius + 1), repeat=nvars):
+            if max(abs(c) for c in pt) == radius:
+                yield emit(pt)
+                if count >= 60:
+                    return
+    m = len(cycle)
+    for k in range(m):
+        yield emit(tuple(cycle[(k + i) % m] for i in range(nvars)))
+        if count >= 60:
+            return
+
+
 def test_sample_points_deterministic():
-    a = list(itertools.islice(sample_points(3), 40))
-    b = list(itertools.islice(sample_points(3), 40))
-    assert a == b
-    assert a[0] == (0, 0, 0)
+    assert lieflt.SAMPLE_BUDGET == 60
+    for nvars in range(1, 6):
+        points = list(sample_points(nvars))
+        assert points == list(sample_points(nvars))
+        assert points == list(reference_sample_points(nvars))
+        assert points[0] == (0,) * nvars
+        assert len(points) <= lieflt.SAMPLE_BUDGET
+        for point in points:
+            assert type(point) is tuple and len(point) == nvars
+            assert all(type(c) is Fraction for c in point)
+    # one variable has fewer candidates than the budget; three have more
+    assert len(list(sample_points(1))) == 13
+    assert len(list(sample_points(3))) == 60
 
 
 # -- bracket compatibility ------------------------------------------------------

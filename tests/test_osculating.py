@@ -151,6 +151,29 @@ class TestHeisenberg:
         assert heis_alg.unverified == ()
         assert heis_alg.axioms_ok()
 
+    @pytest.mark.parametrize(
+        "structure",
+        [
+            # the bracket stored under the reversed key, which bracket_basis
+            # never reads
+            {(1, 0): {2: Fraction(1)}},
+            # a zero stored as a structure constant
+            {(0, 1): {2: Fraction(0)}},
+            {(0, 1): {}},
+            {(0, 1): {2: Fraction(1)}, (1, 1): {2: Fraction(1)}},
+            {(0, 1): {2: Fraction(1)}, (1, 3): {2: Fraction(1)}},
+        ],
+    )
+    def test_antisymmetry_refuses_a_malformed_structure(self, heis_alg, structure):
+        fields = {
+            f: getattr(heis_alg, f)
+            for f in ("order", "degrees", "representatives", "unverified", "candidate_classes")
+        }
+        alg = GradedLieAlg(structure=structure, **fields)
+        assert not alg.check_antisymmetry()
+        assert not alg.axioms_ok()
+        assert GradedLieAlg(structure=heis_alg.structure, **fields).axioms_ok()
+
     @pytest.mark.parametrize("point", [(1, 5, -2), (0, 0, 7), (-3, 2, 1)])
     def test_regular_dims_at_other_points(self, point):
         alg = osculating_at(heisenberg(), point, 2)

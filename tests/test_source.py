@@ -259,6 +259,44 @@ def test_only_exactalg_references_the_unchecked_poly_constructor():
     assert not found, f"Poly._canonical referenced outside exactalg: {found}"
 
 
+def test_no_module_keys_anything_by_object_identity():
+    # a table keyed by id(...) is a second path beside the by-value one,
+    # and an id can be reused once its object is gone
+    found = []
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "id"
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"id(...) called in the package: {found}"
+
+
+def test_only_submanifold_restrict_calls_restrict_zero():
+    # Submanifold.restrict is the one way to set the fiber variables to
+    # zero; it holds the fiber indices, worked out once
+    found = []
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owners = {}
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef):
+                    for node in ast.walk(fn):
+                        owners[node] = f"{cls.name}.{fn.name}"
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "restrict_zero" and owners.get(node) != "Submanifold.restrict":
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"restrict_zero called outside Submanifold.restrict: {found}"
+
+
 def test_only_exactalg_decides_whether_a_quotient_is_a_polynomial():
     # exactalg.quotient alone reduces num/den and picks Poly or RatFunc;
     # every other module divides, so a second RatFunc(...) call or a

@@ -8,7 +8,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from corpus import assert_canonical, partial
-from lieweights import exactalg
+from lieweights import exactalg, vfield
 from lieweights.exactalg import Poly, RatFunc
 from lieweights.vfield import (
     MAX_DEGREE,
@@ -579,6 +579,36 @@ def test_exact_quotient_loads_as_polynomial():
     assert got == parse_vector_field("(x + 1)*dx", CHART)
     # a quotient that is a polynomial is a Poly, so it is a coefficient
     assert VectorField(CHART, [(X_**2 - 1) / (X_ - 1), 0, 0]) == got
+
+
+@pytest.mark.parametrize(
+    "src, expected",
+    [
+        ("x^2*y/x*dx", "x*y*dx"),
+        ("(x*y)^2/(x*y)*dy", "x*y*dy"),
+        ("x/(2*x)*dz", "1/2*dz"),
+        ("x*y^3/(x*y)*dx + x^2*y*z/(x*y)*dz", "y^2*dx + x*z*dz"),
+    ],
+)
+def test_monomial_denominator_divides_through_divide_exact(monkeypatch, src, expected):
+    calls = []
+    real_divide = vfield.divide_exact
+
+    def counted(f, g):
+        calls.append(g)
+        return real_divide(f, g)
+
+    monkeypatch.setattr(vfield, "divide_exact", counted)
+    got = parse_vector_field(src, CHART)
+    # the one exact division, once per coefficient the field has
+    assert len(calls) == sum(1 for c in got.coeffs if c)
+    assert got == parse_vector_field(expected, CHART)
+
+
+@pytest.mark.parametrize("src", ["1/x*dx", "y/x*dx", "x/y^2*dz + dy"])
+def test_monomial_denominator_that_does_not_divide_is_refused(src):
+    with pytest.raises(ParseError, match="not a polynomial"):
+        parse_vector_field(src, CHART)
 
 
 def test_parser_takes_no_gcd(monkeypatch):
