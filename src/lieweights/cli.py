@@ -18,6 +18,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .exactalg import record
@@ -487,6 +488,10 @@ class _Parser(argparse.ArgumentParser):
         raise ProblemError(message)
 
 
+# built on the first call and kept: parsing leaves the parser as it was, and
+# it depends on no problem.  Not at import, where its gettext and formatter
+# set-up would add to every start-up
+@lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="lieweights",

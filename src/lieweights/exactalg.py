@@ -2,19 +2,30 @@
 rational functions, and deterministic exact linear algebra.
 
 Representation notes:
-  * Scalars are stdlib ``fractions.Fraction`` (lowest terms, positive
-    denominator by construction), except inside ``RowEchelon`` (below).
-  * A polynomial is a mapping {exponent tuple -> Fraction} with no zero
-    coefficients stored; two polynomials are equal iff the mappings are
-    equal.  The public ``Poly(nvars, terms)`` checks and canonicalizes its
-    input.  ``Poly``'s own arithmetic (``+``, unary ``-``, scalar and
-    polynomial ``*``, ``translate``) builds its results through
-    the private ``Poly._canonical``, which skips the checks: every key there
-    is already a tuple of ``nvars`` non-negative ints and every value a
-    nonzero ``Fraction``, by construction.
+  * Scalars are exact rationals in one held form, which ``Poly`` and
+    ``RowEchelon`` share: an integral value is a plain ``int`` and any
+    other a stdlib ``fractions.Fraction`` with denominator > 1 (``held``
+    gives it).  Nearly every coefficient of these problems is an integer,
+    and ``int`` arithmetic is far cheaper than ``Fraction`` arithmetic.
+    Since ``3 == Fraction(3)`` and the two hash and print alike, the
+    form changes no equality, hash or printed text.  Every true division
+    divides by a ``Fraction``, so two ints never give a float.  The
+    read-outs stay ``Fraction``: ``Poly.eval`` (so ``value_at``) and the
+    ``RowEchelon`` read-outs ``particular``, ``nullspace``,
+    ``reduced_rows`` and ``matrix_inverse``.
+  * A polynomial is a mapping {exponent tuple -> held rational} with no
+    zero coefficients stored; two polynomials are equal iff the mappings
+    are equal.  The public ``Poly(nvars, terms)`` checks and canonicalizes
+    its input.  ``Poly``'s own arithmetic (``+``, unary ``-``, scalar and
+    polynomial ``*``, ``translate``) and the constructors ``zero``,
+    ``const``, ``one`` and ``variable`` build their results through the
+    private ``Poly._canonical``, which skips the checks: every key there is
+    already a tuple of ``nvars`` non-negative ints and every value a
+    nonzero held rational, by construction.
   * Every derivation goes through one kernel, ``derive_into``: it adds
     factor * sum_a c_a * df/dx_a term by term into one dict, and
-    ``Poly.from_sum`` drops the zeros of that dict once and wraps it.
+    ``Poly.from_sum`` drops the zeros of that dict once, holds its
+    integral values as ints and wraps it.
   * The fixed monomial order is graded lexicographic: total degree first,
     then the exponent tuple compared left to right.
   * An exact function (a ``Scalar``) is a ``Poly`` exactly when it is a
@@ -30,12 +41,10 @@ Representation notes:
     sparse rows, pivot on the first column holding a nonzero entry.  Its
     outputs are fixed because the reduced row echelon form of a matrix is
     unique: ranks, solutions (free variables 0) and nullspace bases do not
-    depend on how the elimination is ordered.  Inside it an integral
-    rational entry is held as a plain ``int``, since most entries of the
-    bounded module systems are integers and ``int`` arithmetic is far
-    cheaper than ``Fraction`` arithmetic; the values it reads out
-    (``particular``, ``nullspace``, ``reduced_rows``, ``matrix_inverse``)
-    are ``Fraction`` again.  Every read-out of a ``RowEchelon`` is a
+    depend on how the elimination is ordered.  Its rational entries are
+    held in the form above on input (an elimination step may leave an
+    integral ``Fraction`` as it is); the values it reads out are
+    ``Fraction`` again.  Every read-out of a ``RowEchelon`` is a
     sparse ``{column: value}`` map with no zero entries, or a tuple of
     them; only ``matrix_inverse`` returns a matrix.
 """
@@ -168,26 +177,50 @@ def _as_fraction(value: ScalarLike) -> Fraction:
     raise TypeError(f"expected rational scalar, got {type(value).__name__}")
 
 
+def held(x):
+    """A rational in the held form: an integral Fraction as its int, any
+    other value as it is."""
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
+
+
+def _held_scalar(value: ScalarLike) -> ScalarLike:
+    """A rational scalar in the held form, checked: an int when it is
+    integral (a bool becomes its int), else a Fraction with denominator
+    > 1."""
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    if isinstance(value, int):
+        return int(value)
+    raise TypeError(f"expected rational scalar, got {type(value).__name__}")
+
+
+def _check_nvars(nvars: int) -> None:
+    if nvars < 0:
+        raise ValueError("nvars must be non-negative")
+
+
 class Poly:
     """Sparse multivariate polynomial over the rationals.
 
     Immutable by convention: the term mapping is canonicalized at
-    construction time and never mutated afterwards.
+    construction time and never mutated afterwards.  Each coefficient is
+    held as RowEchelon holds its entries: an int when it is integral (so
+    Fraction(6, 2) is held as 3), else a Fraction with denominator > 1.
+    eval reads a value out as a Fraction.
     """
 
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Mapping[Monomial, ScalarLike] | None = None):
-        if nvars < 0:
-            raise ValueError("nvars must be non-negative")
-        canon: dict[Monomial, Fraction] = {}
+        _check_nvars(nvars)
+        canon: dict[Monomial, ScalarLike] = {}
         for mono, coeff in (terms or {}).items():
             mono = tuple(mono)
             if len(mono) != nvars:
                 raise ValueError(f"exponent tuple {mono} does not match nvars={nvars}")
             if any(e < 0 for e in mono):
                 raise ValueError(f"negative exponent in {mono}")
-            c = _as_fraction(coeff)
+            c = _held_scalar(coeff)
             if c:
                 canon[mono] = c
         object.__setattr__(self, "nvars", nvars)
@@ -197,42 +230,47 @@ class Poly:
         raise AttributeError("Poly is immutable")
 
     @classmethod
-    def _canonical(cls, nvars: int, terms: dict[Monomial, Fraction]) -> "Poly":
+    def _canonical(cls, nvars: int, terms: dict[Monomial, ScalarLike]) -> "Poly":
         """Wrap a dict that is canonical already: tuple keys of length
-        nvars with non-negative entries, nonzero Fraction values.  Nothing
-        is checked; only Poly's own arithmetic calls this."""
+        nvars with non-negative entries, nonzero values in the held form.
+        Nothing is checked; only this module calls it."""
         p = object.__new__(cls)
         object.__setattr__(p, "nvars", nvars)
         object.__setattr__(p, "terms", terms)
         return p
 
     @classmethod
-    def from_sum(cls, nvars: int, sums: dict[Monomial, Fraction]) -> "Poly":
+    def from_sum(cls, nvars: int, sums: dict[Monomial, ScalarLike]) -> "Poly":
         """The polynomial of a dict that derive_into (or translate) summed
-        into, the zero values dropped once.  Its keys are monomials of
-        Polys in nvars variables, so nothing else is checked."""
-        return cls._canonical(nvars, {m: c for m, c in sums.items() if c})
+        into, the zero values dropped once and the integral ones held as
+        ints.  Its keys are monomials of Polys in nvars variables and its
+        values ints or Fractions, so nothing else is checked."""
+        return cls._canonical(nvars, {m: held(c) for m, c in sums.items() if c})
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(nvars: int) -> "Poly":
-        return Poly(nvars)
+        _check_nvars(nvars)
+        return Poly._canonical(nvars, {})
 
     @staticmethod
     def const(nvars: int, value: ScalarLike) -> "Poly":
-        return Poly(nvars, {(0,) * nvars: value})
+        _check_nvars(nvars)
+        c = _held_scalar(value)
+        return Poly._canonical(nvars, {(0,) * nvars: c} if c else {})
 
     @staticmethod
     def one(nvars: int) -> "Poly":
-        return Poly.const(nvars, 1)
+        _check_nvars(nvars)
+        return Poly._canonical(nvars, {(0,) * nvars: 1})
 
     @staticmethod
     def variable(nvars: int, index: int) -> "Poly":
         if not 0 <= index < nvars:
             raise ValueError(f"variable index {index} out of range for nvars={nvars}")
         mono = tuple(1 if i == index else 0 for i in range(nvars))
-        return Poly(nvars, {mono: 1})
+        return Poly._canonical(nvars, {mono: 1})
 
     @staticmethod
     def term(nvars: int, mono: Monomial, coeff: ScalarLike) -> "Poly":
@@ -308,7 +346,7 @@ class Poly:
             else:
                 s += c
                 if s:
-                    out[mono] = s
+                    out[mono] = held(s)
                 else:
                     del out[mono]
         return Poly._canonical(self.nvars, out)
@@ -332,20 +370,20 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            if not c:
+            if not other:
                 return Poly.zero(self.nvars)
-            return Poly._canonical(self.nvars, {m: k * c for m, k in self.terms.items()})
+            # 1/2 * 2 is the int 1
+            return Poly._canonical(self.nvars, {m: held(k * other) for m, k in self.terms.items()})
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, ScalarLike] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in o.terms.items():
                 mono = tuple(a + b for a, b in zip(m1, m2))
                 s = out.get(mono)
                 out[mono] = c1 * c2 if s is None else s + c1 * c2
-        return Poly._canonical(self.nvars, {m: c for m, c in out.items() if c})
+        return Poly.from_sum(self.nvars, out)
 
     __rmul__ = __mul__
 
@@ -378,7 +416,11 @@ class Poly:
         if isinstance(other, Poly):
             return self.nvars == other.nvars and self.terms == other.terms
         if isinstance(other, (int, Fraction)):
-            return self.terms == Poly.const(self.nvars, other).terms
+            # a constant's one term, or none for 0
+            terms = self.terms
+            if not other:
+                return not terms
+            return len(terms) == 1 and terms.get((0,) * self.nvars) == other
         return NotImplemented
 
     def __hash__(self):
@@ -400,12 +442,12 @@ class Poly:
         change."""
         if len(point) != self.nvars:
             raise ValueError("translation point has wrong dimension")
-        shifts = [(i, _as_fraction(p)) for i, p in enumerate(point) if p]
+        shifts = [(i, _held_scalar(p)) for i, p in enumerate(point) if p]
         if not shifts:
             return self
         # (x + p)^e = sum_k C(e, k) p^(e - k) x^k, one list per (i, e)
-        expansions: dict[tuple[int, int], list[Fraction]] = {}
-        out: dict[Monomial, Fraction] = {}
+        expansions: dict[tuple[int, int], list[ScalarLike]] = {}
+        out: dict[Monomial, ScalarLike] = {}
         for mono, c in self.terms.items():
             partial = [(mono, c)]
             for i, p in shifts:
@@ -502,9 +544,9 @@ class Poly:
 
 
 def derive_into(
-    out: dict[Monomial, Fraction],
+    out: dict[Monomial, ScalarLike],
     coeffs: Sequence[Poly],
-    terms: Mapping[Monomial, Fraction],
+    terms: Mapping[Monomial, ScalarLike],
     factor: ScalarLike,
 ) -> None:
     """Add factor * sum_a coeffs[a] * df/dx_a into out, f the polynomial
@@ -543,7 +585,8 @@ def divide_exact(f: Poly, g: Poly) -> Poly | None:
     if g.is_one():
         return f
     lm_g = g.leading_monomial()
-    lc_g = g.terms[lm_g]
+    # coefficients may be ints: divide by a Fraction, never int / int
+    lc_g = Fraction(g.terms[lm_g])
     if len(g.terms) == 1:
         # a monomial divides term by term
         shifted = {
@@ -552,7 +595,7 @@ def divide_exact(f: Poly, g: Poly) -> Poly | None:
         if any(e < 0 for mono in shifted for e in mono):
             return None
         return Poly(f.nvars, shifted)
-    quotient: dict[Monomial, Fraction] = {}
+    quotient: dict[Monomial, ScalarLike] = {}
     rem = f
     while not rem.is_zero():
         lm = rem.leading_monomial()
@@ -567,7 +610,7 @@ def divide_exact(f: Poly, g: Poly) -> Poly | None:
 
 def _coeffs_in(p: Poly, var: int) -> dict[int, Poly]:
     """View p as univariate in one variable with polynomial coefficients."""
-    out: dict[int, dict[Monomial, Fraction]] = {}
+    out: dict[int, dict[Monomial, ScalarLike]] = {}
     for mono, c in p.terms.items():
         k = mono[var]
         stripped = tuple(0 if i == var else e for i, e in enumerate(mono))
@@ -705,7 +748,7 @@ def _coprime_quotient(num: Poly, den: Poly) -> Scalar:
     if not num.terms:
         return num
     if den.total_degree() == 0:
-        return num * (1 / den.terms[(0,) * den.nvars])
+        return num * (1 / Fraction(den.terms[(0,) * den.nvars]))
     c = den.content()
     if den.leading_coefficient() < 0:
         c = -c
@@ -861,11 +904,6 @@ class LinearSolution:
     nullspace: tuple[dict[int, Fraction], ...]
 
 
-def held(x):
-    """An entry as RowEchelon holds it: an integral Fraction as its int."""
-    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
-
-
 def _read_out(x):
     """A held entry as RowEchelon returns it: an int as a Fraction."""
     return Fraction(x) if type(x) is int else x
@@ -877,10 +915,11 @@ class RowEchelon:
     Rows are sparse ``{column: entry}`` dicts; any other row is read as a
     dense sequence and converted.  Entries need +, -, *, / and truthiness
     for the zero test: int, Fraction, Poly and RatFunc entries all work,
-    and may be mixed, since Poly division goes through quotient.  Rational entries
-    are held as ints where they are integral: an integral Fraction becomes
-    its int on input, and int arithmetic stays int (a Fraction that an
-    elimination step makes integral is kept as it is).  A row is scaled to its
+    and may be mixed, since Poly division goes through quotient.  Rational
+    entries are held as ints where they are integral, as Poly holds its
+    coefficients: an integral Fraction becomes its int on input, and int
+    arithmetic stays int (a Fraction that an elimination step makes
+    integral is kept as it is).  A row is scaled to its
     leading 1 by negation when the lead is -1 and otherwise by dividing
     through by the lead, an int lead as a Fraction, so no float can appear;
     integral quotients go back to ints.  A Poly or RatFunc entry is never
@@ -1074,8 +1113,8 @@ def linear_solve_exact(
     for row, b in zip(rows, rhs):
         if len(row) != n:
             raise ValueError("ragged matrix")
-        entries = {c: x for c, x in enumerate(map(_as_fraction, row)) if x}
-        b = _as_fraction(b)
+        entries = {c: x for c, x in enumerate(map(_held_scalar, row)) if x}
+        b = _held_scalar(b)
         if b:
             entries[n] = b
         augmented.add(entries)

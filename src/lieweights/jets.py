@@ -132,9 +132,10 @@ class TruncSeries:
         return TruncSeries(self.order, coeffs)
 
     def inverse(self) -> "TruncSeries":
-        """Multiplicative inverse; the constant term must be a nonzero rational."""
+        """Multiplicative inverse; the constant term must be a nonzero
+        rational, an int or a Fraction."""
         c0 = self.coefficients[0]
-        if not isinstance(c0, Fraction) or c0 == 0:
+        if not isinstance(c0, (int, Fraction)) or c0 == 0:
             raise ZeroDivisionError("series has no invertible constant term")
         inv = [Fraction(1) / c0] + [Fraction(0)] * self.order
         for k in range(1, self.order + 1):

@@ -21,7 +21,6 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .exactalg import (
     Poly,
     RowEchelon,
-    held,
     record,
     weighted_multiindices,
 )
@@ -281,9 +280,9 @@ def fields_degree(fields: Iterable[VectorField]) -> int:
 
 def field_entries(field: VectorField, keys: PackedKeys) -> dict[int, Fraction]:
     """Nonzero coefficients of a field under packed (component, monomial)
-    keys, held as RowEchelon holds them."""
+    keys, held as Poly and RowEchelon hold them."""
     return {
-        keys.pack(a, mono): held(value)
+        keys.pack(a, mono): value
         for a, c in enumerate(field.coeffs)
         for mono, value in c.terms.items()
     }

@@ -466,7 +466,8 @@ def weighted_fiber_class(
         num, c0 = _frozen_fiber_part(coeff, weighting)
         for mono, value in num.terms.items():
             if weight_of(mono, weights) == target:
-                cls[(p, mono)] = value / c0
+                # value and c0 may both be ints: divide by a Fraction
+                cls[(p, mono)] = value / Fraction(c0)
     return cls
 
 

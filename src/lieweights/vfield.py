@@ -183,7 +183,7 @@ def restrict_zero(value: Scalar, fiber_indices: Iterable[int]) -> Scalar:
     fiber = set(fiber_indices)
 
     def chop(p: Poly) -> Poly:
-        return Poly(
+        return Poly.from_sum(
             p.nvars,
             {m: c for m, c in p.terms.items() if all(m[i] == 0 for i in fiber)},
         )
@@ -557,7 +557,8 @@ def _divided(num: dict, den: dict, nvars: int) -> Poly | None:
     """num / den as a Poly, or None when den does not divide num.
 
     A constant denominator, as in a coefficient like 1/12, divides each
-    term; every other one goes to exactalg.divide_exact."""
+    term, and from_sum holds the integral quotients as ints; every other
+    one goes to exactalg.divide_exact."""
     if len(den) == 1:
         ((m0, c0),) = den.items()
         if not any(m0):
@@ -566,7 +567,8 @@ def _divided(num: dict, den: dict, nvars: int) -> Poly | None:
 
 
 def _poly(terms: dict, nvars: int) -> Poly:
-    return Poly.from_sum(nvars, {m: Fraction(c) for m, c in terms.items()})
+    """A term dict's Poly: its int coefficients are already held."""
+    return Poly.from_sum(nvars, terms)
 
 
 def _parse_scalar_value(src: str, chart: Chart) -> _Value:

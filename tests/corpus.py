@@ -45,9 +45,11 @@ class CountingRowEchelon(RowEchelon):
 
 
 def assert_canonical(r: Poly) -> None:
-    """The invariant the arithmetic's unchecked constructor relies on."""
+    """The invariant the arithmetic's unchecked constructor relies on:
+    each coefficient held as a nonzero int, or as a Fraction that is not
+    integral."""
     for mono, c in r.terms.items():
-        assert type(c) is Fraction and c != 0
+        assert (type(c) is int and c != 0) or (type(c) is Fraction and c.denominator > 1)
         assert type(mono) is tuple and len(mono) == r.nvars
         assert all(type(e) is int and e >= 0 for e in mono)
     assert r == Poly(r.nvars, r.terms)

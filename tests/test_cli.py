@@ -4,6 +4,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
@@ -408,6 +410,39 @@ class TestFlags:
                 if verdict == "pass":
                     assert verdicts.get(name) != "fail", (bound, name)
             previous = verdicts
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [(["--quiet"], []), (["--degree-bound", "1"], [])],
+        ids=["quiet-then-text", "bound-then-default"],
+    )
+    def test_calls_in_one_process_each_run_as_a_fresh_process(self, tmp_path, first, second):
+        # the parser is built once per process, and no flag of one call
+        # may reach the next
+        out = tmp_path / "report.json"
+        argv = ["check", EXAMPLE2, "--json", str(out)]
+
+        def in_process(flags):
+            text = io.StringIO()
+            with redirect_stdout(text):
+                code = main(argv + flags)
+            return code, text.getvalue(), out.read_text()
+
+        def fresh(flags):
+            env = {**os.environ, "PYTHONPATH": str(PROBLEMS.parent / "src")}
+            done = subprocess.run(
+                [sys.executable, "-m", "lieweights.cli", *argv, *flags],
+                capture_output=True,
+                text=True,
+                env=env,
+                check=False,
+            )
+            return done.returncode, done.stdout, out.read_text()
+
+        runs = [in_process(first), in_process(second)]
+        assert runs == [fresh(first), fresh(second)]
+        assert runs[0] != runs[1]
+        assert cli._build_parser() is cli._build_parser()
 
     def test_file_values_feed_defaults(self, tmp_path):
         doc = basic_doc()

@@ -97,9 +97,11 @@ def test_public_constructor_validates():
         Poly(2, {(1, 0): 0.5})
     with pytest.raises(ValueError):
         Poly(-1)
-    # int coefficients become Fractions, zero ones are dropped
-    p = Poly(2, {(1, 0): 3, (0, 1): 0})
-    assert p.terms == {(1, 0): Fraction(3)} and type(p.terms[(1, 0)]) is Fraction
+    # integral coefficients are held as ints, others as Fractions, and zero
+    # ones are dropped
+    p = Poly(2, {(1, 0): Fraction(6, 2), (0, 1): 0, (0, 0): True, (1, 1): Fraction(1, 2)})
+    assert p.terms == {(1, 0): 3, (0, 0): 1, (1, 1): Fraction(1, 2)}
+    assert [type(c) for c in p.terms.values()] == [int, int, Fraction]
 
 
 @settings(max_examples=80)
@@ -121,6 +123,63 @@ def test_arithmetic_results_are_canonical(p, q, c, i):
     derive_into(out, unit, p.terms, 1)
     for r in (p + q, p - q, q - q, p + (-p), -p, Poly.from_sum(3, out)) + products:
         assert_canonical(r)
+    # Fraction values that land integral are held as ints: 1/2 + 1/2, and
+    # 1/2 * x times 2, as a scalar and as a polynomial
+    half = Fraction(1, 2)
+    half_p = p * half
+    landing = (
+        Poly.const(3, half) + half,
+        half_p + half_p,
+        half_p - (-half_p),
+        half_p * 2,
+        2 * half_p,
+        half_p * Poly.const(3, 2),
+        Poly.const(3, 2) * (half_p * Poly.variable(3, i)),
+        Poly.from_sum(3, {(0, 0, 0): half + half}),
+    )
+    for r in landing:
+        assert_canonical(r)
+    assert landing[0] == 1 and landing[1] == landing[3] == p
+
+
+def test_no_division_of_ints_gives_a_float():
+    # coefficients are held as ints, so each true division divides by a
+    # Fraction: 2*x / 4 is x/2 with the coefficient Fraction(1, 2)
+    x, y = Poly.variable(2, 0), Poly.variable(2, 1)
+    two_x, four = 2 * x, Poly.const(2, 4)
+    half_x = Poly(2, {(1, 0): Fraction(1, 2)})
+    cases = [
+        (divide_exact(two_x, four), half_x),
+        (divide_exact(2 * x * y, 4 * x), Poly(2, {(0, 1): Fraction(1, 2)})),
+        (divide_exact(2 * x * x + 2 * x, 4 * x + 4), half_x),
+        (two_x / 4, half_x),
+        (two_x / 2, x),
+        (quotient(two_x, four), half_x),
+        (quotient(3 * x, Poly.const(2, 3)), x),
+    ]
+    for got, expected in cases:
+        assert got == expected
+        assert_canonical(got)
+    assert type(half_x.terms[(1, 0)]) is Fraction
+
+
+def test_equality_with_a_rational_reads_the_constant_term():
+    x = Poly.variable(2, 0)
+    three = Poly.const(2, Fraction(6, 2))
+    assert three.terms == {(0, 0): 3} and type(three.terms[(0, 0)]) is int
+    assert three == 3 == Fraction(3) and three != 2 and three != 0
+    assert hash(three) == hash(3) == hash(Fraction(3))
+    assert Poly.zero(2) == 0 and Poly.zero(2) == Fraction(0) and Poly.zero(2) != 1
+    assert x != 1 and x + 3 != 3 and Poly.const(2, Fraction(1, 2)) == Fraction(1, 2)
+    assert Poly.one(2) == 1 and Poly.const(2, True) == 1
+    with pytest.raises(TypeError, match="rational"):
+        Poly.const(2, 0.5)
+    with pytest.raises(ValueError):
+        Poly.zero(-1)
+    with pytest.raises(ValueError):
+        Poly.one(-1)
+    with pytest.raises(ValueError):
+        Poly.const(-1, 1)
 
 
 def test_grlex_total_order_and_compatibility():

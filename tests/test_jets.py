@@ -406,6 +406,18 @@ class TestJetActions:
             Poly.variable(2, 0) ** 2 * Fraction(1, 2),
         )
 
+    def test_exp_apply_with_an_integer_time(self):
+        # t and the coefficients are ints, and each step k divides t by k:
+        # no float may reach the held coefficients
+        x = parse_vector_field("x^2*dx + 3*dz", CHART2)
+        f = Poly.variable(2, 0) + Poly.variable(2, 1) ** 2
+        elem = URElem(CHART2, 3, ((1, x),), 2)
+        series = u_exp_apply(elem, f)
+        for piece in series.coefficients:
+            assert_canonical(piece)
+        assert list(series.coefficients) == _reference_exp(elem, f)
+        assert series.coefficients[2] != 0
+
     def test_exp_act_top_level_matches_translation(self):
         x = parse_vector_field("x^2*dx + dz", CHART2)
         t = Fraction(3, 2)
@@ -858,6 +870,15 @@ class TestTruncSeries:
         a = TruncSeries(3, (Fraction(2), Fraction(1), Fraction(0), Fraction(-1)))
         prod = a * a.inverse()
         assert prod.coefficients == (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
+
+    def test_inverse_of_an_int_constant_term(self):
+        # 1/(2 + eps) = 1/2 - eps/4 + eps^2/8, read out as Fractions
+        inverse = TruncSeries(2, (2, 1, 0)).inverse()
+        assert inverse.coefficients == (Fraction(1, 2), Fraction(-1, 4), Fraction(1, 8))
+        assert all(type(c) is Fraction for c in inverse.coefficients)
+        assert TruncSeries(1, (-1, 3)).inverse().coefficients == (-1, -3)
+        with pytest.raises(ZeroDivisionError):
+            TruncSeries(1, (0, 1)).inverse()
 
     def test_shift(self):
         a = TruncSeries(2, (Fraction(1), Fraction(2), Fraction(3)))

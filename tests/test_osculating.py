@@ -543,6 +543,26 @@ class TestAmbientModule:
             # x^2/(1+x) expands to x^2 - x^3 + ..., weight-2 part is x^2
             cls = weighted_fiber_class(field, rational, 1)
             assert cls == {(2, (2, 0, 0)): expected}
+            # the frozen denominator's constant term c is an int, and so
+            # is the numerator's coefficient: their quotient is a Fraction
+            assert all(type(v) is Fraction for v in cls.values())
+
+    def test_class_values_on_the_singular_chart_are_fractions(self):
+        # singular_chart.json has the rational chart t, a/(1 + t), b; its
+        # classes read 1/3 and 3 off integer coefficients
+        weighting = weighted_coordinates(
+            check_clean(SINGULAR_CHART.filtration, SINGULAR_CHART.submanifold)
+        )
+        chart = SINGULAR_CHART.filtration.chart
+        values = {}
+        for text in ("dt", "(t + 1)*da", "da", "db", "a*db"):
+            for depth in (1, 2):
+                cls = weighted_fiber_class(parse_vector_field(text, chart), weighting, depth)
+                values[(text, depth)] = cls
+                assert cls is None or all(type(v) is Fraction for v in cls.values())
+        assert values[("da", 1)] == {(1, (0, 0, 0)): Fraction(1, 3)}
+        assert values[("a*db", 1)] == {(2, (0, 1, 0)): 3}
+        assert values[("db", 1)] is None and values[("db", 2)] == {(2, (0, 0, 0)): 1}
 
     def test_axis_class_lies_in_tangent_part(self):
         x_fld = parse_vector_field("dx", CHART3)
@@ -603,7 +623,7 @@ def reference_fiber_class(field, weighting, depth):
         else:
             num, c0 = frozen.num, frozen.den.terms[(0,) * n]
         part = poly_weight_part(num, weighting.weights, weighting.weights[p] - depth)
-        comps.append(part.terms.get(phi, Fraction(0)) * (1 / c0))
+        comps.append(part.terms.get(phi, Fraction(0)) * (1 / Fraction(c0)))
     return tuple(pairs), tuple(comps)
 
 

@@ -322,6 +322,7 @@ def test_only_exactalg_decides_whether_a_quotient_is_a_polynomial():
 # that owns it, never cached across runs
 MEMOIZED = {
     "osculating._dynkin_words": "the summed word coefficients depend on the order alone, not on a problem",
+    "cli._build_parser": "the argument parser depends on no problem, and parsing leaves it as it was",
 }
 MEMO_DECORATORS = {"lru_cache", "cache"}
 
