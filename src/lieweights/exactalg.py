@@ -47,6 +47,10 @@ Representation notes:
     ``Fraction`` again.  Every read-out of a ``RowEchelon`` is a
     sparse ``{column: value}`` map with no zero entries, or a tuple of
     them; only ``matrix_inverse`` returns a matrix.
+  * Every sparse accumulate, target += factor * row over such maps, goes
+    through ``add_scaled``, which stores no zero result: ``RowEchelon``
+    reduces a row with it, and the osculating algebra sums its brackets
+    and classes with it.
 """
 
 from __future__ import annotations
@@ -169,14 +173,6 @@ def weighted_multiindices(weights: Sequence[int], bound: int) -> list[Monomial]:
     return out
 
 
-def _as_fraction(value: ScalarLike) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected rational scalar, got {type(value).__name__}")
-
-
 def held(x):
     """A rational in the held form: an integral Fraction as its int, any
     other value as it is."""
@@ -192,6 +188,12 @@ def _held_scalar(value: ScalarLike) -> ScalarLike:
     if isinstance(value, int):
         return int(value)
     raise TypeError(f"expected rational scalar, got {type(value).__name__}")
+
+
+def _read_out(x):
+    """A held value as the read-outs give it (Poly.eval, the RowEchelon
+    read-outs, and a scalar divisor): an int as a Fraction."""
+    return Fraction(x) if isinstance(x, int) else x
 
 
 def _check_nvars(nvars: int) -> None:
@@ -402,7 +404,7 @@ class Poly:
 
     def __truediv__(self, other) -> Scalar:
         if isinstance(other, (int, Fraction)):
-            return self * (1 / _as_fraction(other))
+            return self * (1 / _read_out(other))
         if isinstance(other, Poly):
             return quotient(self, other)
         return NotImplemented
@@ -497,19 +499,19 @@ class Poly:
         return acc
 
     def eval(self, point: Sequence[ScalarLike]) -> Fraction:
+        """The value at a point of rationals, summed in the held form and
+        read out once as a Fraction."""
         if len(point) != self.nvars:
             raise ValueError("evaluation point has wrong dimension")
-        if not self.terms:
-            return Fraction(0)
-        pt = [_as_fraction(v) for v in point]
-        total = Fraction(0)
+        pt = [_held_scalar(v) for v in point]
+        total = 0
         for mono, c in self.terms.items():
             val = c
             for i, e in enumerate(mono):
                 if e:
                     val *= pt[i] ** e
             total += val
-        return total
+        return _read_out(total)
 
     # -- content helpers ------------------------------------------------------
 
@@ -855,7 +857,7 @@ class RatFunc:
             return quotient(self.num * other.den, self.den * other.num)
         if isinstance(other, Poly):
             return quotient(self.num, self.den * other)
-        return RatFunc._canonical(self.num * (1 / _as_fraction(other)), self.den)
+        return RatFunc._canonical(self.num * (1 / _read_out(other)), self.den)
 
     def __rtruediv__(self, other) -> Scalar:
         if not self._check(other):
@@ -902,11 +904,6 @@ class LinearSolution:
 
     particular: dict[int, Fraction]
     nullspace: tuple[dict[int, Fraction], ...]
-
-
-def _read_out(x):
-    """A held entry as RowEchelon returns it: an int as a Fraction."""
-    return Fraction(x) if type(x) is int else x
 
 
 class RowEchelon:
@@ -959,7 +956,7 @@ class RowEchelon:
         out = {c: held(x) for c, x in items if x}
         for p in [c for c in out if c in self.pivot_rows]:
             # pivot rows vanish on the other pivot columns: no new ones appear
-            _subtract_multiple(out, out[p], self.pivot_rows[p])
+            add_scaled(out, -out[p], self.pivot_rows[p])
         return out
 
     def contains(self, row) -> bool:
@@ -1058,17 +1055,17 @@ class RowEchelon:
         return tuple(basis)
 
 
-def _subtract_multiple(target: dict, factor, row: Mapping) -> None:
-    """target -= factor * row in place, dropping entries that cancel."""
+def add_scaled(target: dict, factor, row: Mapping) -> None:
+    """target += factor * row in place, for sparse maps: an entry whose
+    sum is zero is removed, and a zero product is never stored."""
     for c, x in row.items():
+        y = factor * x
         if c in target:
-            y = target[c] - factor * x
-            if y:
-                target[c] = y
-            else:
-                del target[c]
+            y = target[c] + y
+        if y:
+            target[c] = y
         else:
-            target[c] = -(factor * x)
+            target.pop(c, None)
 
 
 def matrix_rank(rows: Sequence[Sequence]) -> int:

@@ -444,15 +444,14 @@ def _random_element(rng: random.Random, filtration: Filtration) -> URElem | None
 def _flowout_certified(filtration: Filtration, weighting: WeightedChart) -> bool:
     """Whether every generator listed at level -j has filtration degree at
     least -j in the weighting.  A generator listed at several levels needs
-    the bound of the first: the filtration keeps it once, first among
-    generators(j) for that j."""
-    done = 0
-    for j in range(1, filtration.order + 1):
-        gens = filtration.generators(j)
-        if any(vf_filtration_degree(x, weighting) < -j for x in gens[done:]):
-            return False
-        done = len(gens)
-    return True
+    the bound of the first: the filtration keeps it once, in new_at(j) for
+    that j."""
+    gens = filtration.generators(filtration.order)
+    return all(
+        vf_filtration_degree(gens[p], weighting) >= -j
+        for j in range(1, filtration.order + 1)
+        for p in filtration.new_at(j)
+    )
 
 
 def flowout_sample(

@@ -115,22 +115,25 @@ class Submanifold:
 class Filtration:
     """Generator lists for levels -1..-order on a common chart.
 
-    Each distinct generator, by value, is kept once: generators(order)
-    lists them in order of first appearance, found through one dict keyed
-    by the field, in which every listed occurrence is looked up, and
-    generators(depth) is the prefix of those first listed at a level of
-    depth at most depth.  A level lists them by position,
-    level_indices(depth), and levels[depth - 1] holds those same objects,
-    so a field that the lists repeat is one object, and anything derived
-    from it can be computed once per generator.
+    Each distinct generator, by value, is kept once, in order of first
+    appearance, found through one dict keyed by the field, in which every
+    listed occurrence is looked up.  Those first listed at a level of
+    depth at most depth are a prefix of that order, so one prefix size per
+    depth lays the depths out: generators(depth) is that prefix, and
+    new_at(depth) the range of positions it adds to the one before.  A
+    level lists the generators by position, level_indices(depth), and
+    levels[depth - 1] holds those same objects, so a field that the lists
+    repeat is one object, and anything derived from it can be computed
+    once per generator.
     """
 
     chart: Chart
     order: int
     levels: tuple[tuple[VectorField, ...], ...]
-    # per depth: generators(depth), a prefix of the distinct generators,
-    # and the positions the level lists
-    _generators: tuple[tuple[VectorField, ...], ...]
+    # the distinct generators, the prefix size of each depth after a
+    # leading 0, and the positions each level lists
+    _distinct: tuple[VectorField, ...]
+    _sizes: tuple[int, ...]
     _indices: tuple[tuple[int, ...], ...]
 
     def __init__(self, chart: Chart, order: int, levels: Sequence[Sequence[VectorField]]):
@@ -140,7 +143,7 @@ class Filtration:
             raise ValueError("expected one generator list per level -1..-order")
         position: dict[VectorField, int] = {}
         distinct: list[VectorField] = []
-        prefixes, indices = [], []
+        sizes, indices = [0], []
         for gens in levels:
             level = []
             for g in gens:
@@ -151,13 +154,14 @@ class Filtration:
                     distinct.append(g)
                 level.append(p)
             indices.append(tuple(level))
-            prefixes.append(tuple(distinct))
+            sizes.append(len(distinct))
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "order", order)
         object.__setattr__(
             self, "levels", tuple(tuple(distinct[p] for p in level) for level in indices)
         )
-        object.__setattr__(self, "_generators", tuple(prefixes))
+        object.__setattr__(self, "_distinct", tuple(distinct))
+        object.__setattr__(self, "_sizes", tuple(sizes))
         object.__setattr__(self, "_indices", tuple(indices))
 
     def _check_depth(self, depth: int) -> None:
@@ -168,7 +172,14 @@ class Filtration:
         """Generators of H_{-depth}: every listed generator of levels 1..depth,
         each once, in order of first appearance."""
         self._check_depth(depth)
-        return self._generators[depth - 1]
+        return self._distinct[: self._sizes[depth]]
+
+    def new_at(self, depth: int) -> range:
+        """The positions in generators(self.order) of the generators first
+        listed at this depth: generators(depth) less generators(depth - 1),
+        empty when the level adds none."""
+        self._check_depth(depth)
+        return range(self._sizes[depth - 1], self._sizes[depth])
 
     def level_indices(self, depth: int) -> tuple[int, ...]:
         """The position in generators(self.order) of each generator the
@@ -212,7 +223,7 @@ def sample_points(nvars: int):
         pt
         for radius in (1, 2)
         for pt in itertools.product(range(-radius, radius + 1), repeat=nvars)
-        if max(abs(c) for c in pt) == radius
+        if max(map(abs, pt), default=0) == radius
     )
     m = len(_RATIONAL_CYCLE)
     cycle = (tuple(_RATIONAL_CYCLE[(k + i) % m] for i in range(nvars)) for k in range(m))
@@ -637,7 +648,6 @@ def check_bracket_compat(filtration: Filtration, degree_bound: int) -> BracketCo
     reads: list[tuple[int, int, int]] = []
     pairs = []
     listed = [filtration.level_indices(depth) for depth in range(1, r + 1)]
-    sizes = [len(filtration.generators(depth)) for depth in range(1, r + 1)]
     for i in range(1, r + 1):
         for j in range(i, r + 1):
             for gi, p in enumerate(listed[i - 1]):
@@ -653,7 +663,7 @@ def check_bracket_compat(filtration: Filtration, degree_bound: int) -> BracketCo
                     if t is None:
                         t = columns[key] = len(fields)
                         fields.append(table.bracket(*key))
-                    reads.append((t, sizes[i + j - 1], 1 if p <= q else -1))
+                    reads.append((t, filtration.new_at(i + j).stop, 1 if p <= q else -1))
     top = max((k for _, k, _ in reads), default=0)
     gens = filtration.generators(r)
     verdicts = iter(module_membership_batch(fields, gens[:top], reads, degree_bound))
@@ -715,15 +725,14 @@ def check_clean(filtration: Filtration, submanifold: Submanifold) -> CleanResult
     generic_ranks = [generic.rank]
     frame: list[VectorField] = []
     frame_levels: list[int] = []
-    done = 0
+    gens = filtration.generators(filtration.order)
     for depth in range(1, filtration.order + 1):
-        gens = filtration.generators(depth)
-        for g in gens[done:]:
+        for j in filtration.new_at(depth):
+            g = gens[j]
             generic.add([submanifold.restrict(c) for c in g.coeffs])
             if at_point.add(g.value_at(m)):
                 frame.append(g)
                 frame_levels.append(depth)
-        done = len(gens)
         ranks.append(at_point.rank)
         generic_ranks.append(generic.rank)
     first_bad = next(

@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .exactalg import Monomial, Poly, RowEchelon, record, weight_of
+from .exactalg import Monomial, Poly, RowEchelon, add_scaled, record, weight_of
 from .lieflt import (
     Filtration,
     PackedKeys,
@@ -75,15 +75,6 @@ def _class(rest: dict, keys: PackedKeys) -> dict[int, Fraction] | None:
     if any(key < first for key in rest):
         return None
     return {keys.unpack(key)[0] - keys.nvars: Fraction(-x) for key, x in rest.items()}
-
-
-def _add_into(acc: dict, vec: dict, c) -> None:
-    for w, x in vec.items():
-        acc[w] = acc.get(w, 0) + c * x
-
-
-def _nonzero(acc: dict) -> dict:
-    return {w: x for w, x in acc.items() if x}
 
 
 @record
@@ -148,8 +139,8 @@ class GradedLieAlg:
                 continue
             for v, cv in y.items():
                 if cv and u != v:
-                    _add_into(acc, self.bracket_basis(u, v), cu * cv)
-        return _nonzero(acc)
+                    add_scaled(acc, cu * cv, self.bracket_basis(u, v))
+        return acc
 
     def check_antisymmetry(self) -> bool:
         """structure has its documented form: each key (u, v) has
@@ -182,8 +173,8 @@ class GradedLieAlg:
                     total: dict = {}
                     for a, b, c in ((u, v, w), (v, w, u), (w, u, v)):
                         ea = self.basis_vector(a)
-                        _add_into(total, self.bracket_elements(ea, self.bracket_basis(b, c)), 1)
-                    if any(total.values()):
+                        add_scaled(total, 1, self.bracket_elements(ea, self.bracket_basis(b, c)))
+                    if total:
                         return False
         return True
 
@@ -231,10 +222,8 @@ def osculating_at(
         raise ValueError("point has wrong dimension")
     order = filtration.order
 
-    # generator lists are cumulative: each level's list extends the last
     gens = filtration.generators(order)
     centred = _centred(gens, point)
-    counts = [0] + [len(filtration.generators(depth)) for depth in range(1, order + 1)]
     top = fields_degree(centred)
     keys = PackedKeys.for_degree(n, max(top + degree_bound, 2 * top - 1))
     ideal_monos = monomials_up_to(n, degree_bound)[1:]
@@ -247,11 +236,11 @@ def osculating_at(
     structure: dict[tuple[int, int], dict[int, Fraction]] = {}
     unverified: list[tuple[int, int]] = []
     for depth in range(1, order + 1):
-        new = range(counts[depth - 1], counts[depth])
+        new = filtration.new_at(depth)
         for col in module_columns([centred[j] for j in new], ideal_monos, keys):
             span.add(col)
         first = len(degrees)
-        classes: list[dict[int, Fraction]] = [{} for _ in range(counts[depth - 1])]
+        classes: list[dict[int, Fraction]] = [{} for _ in range(new.start)]
         for j in new:
             rest = span.reduce(field_entries(centred[j], keys))
             cls = _class(rest, keys)
@@ -347,7 +336,7 @@ def tangent_subalg(
         filtration.generators(order),
         submanifold,
         degree_bound,
-        [len(filtration.generators(depth)) for depth in range(1, order + 1)],
+        [filtration.new_at(depth).stop for depth in range(1, order + 1)],
     )
     spans: list[tuple[dict[int, Fraction], ...]] = []
     for depth, combos in enumerate(every_depth, start=1):
@@ -357,7 +346,7 @@ def tangent_subalg(
             for j, u in enumerate(combo):
                 lam = u.eval(m)
                 if lam:
-                    _add_into(acc, parent.candidate_classes[depth - 1][j], lam)
+                    add_scaled(acc, lam, parent.candidate_classes[depth - 1][j])
             span.add(acc)
         spans.append(span.reduced_rows())
     return GradedSubalg(parent=parent, spans=tuple(spans))
@@ -410,8 +399,8 @@ def bch(algebra: GradedLieAlg, x: dict, y: dict) -> dict[int, Fraction]:
             val = algebra.bracket_elements(args[letter], val)
             if not val:
                 break
-        _add_into(acc, val, coeff)
-    return _nonzero(acc)
+        add_scaled(acc, coeff, val)
+    return acc
 
 
 def _frozen_fiber_part(coeff, weighting: WeightedChart) -> tuple[Poly, Fraction]:

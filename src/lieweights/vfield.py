@@ -209,9 +209,10 @@ class ParseError(ValueError):
 
 
 # one token after optional whitespace: a run of decimal digits, an
-# identifier, or an operator character.  \s matches what str.isspace
-# accepts, and every \d is a str.isdigit character
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9_]*)|([-+*/^()]))")
+# identifier, an operator character, or any other character, which the
+# lexer refuses.  \s matches what str.isspace accepts, and every \d
+# character is a digit int() reads
+_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9_]*)|([-+*/^()])|(\S))")
 
 NAT, IDENT, END = "nat", "ident", "end"
 
@@ -222,37 +223,19 @@ def _position(src: str, offset: int) -> tuple[int, int]:
 
 
 def _tokenize(src: str) -> list[tuple[str, str, int]]:
-    """(kind, text, offset) per token, then an end token.  An operator's
-    kind is its own character.  A number is a maximal run of str.isdigit
-    characters, which int() may still refuse (a superscript digit)."""
+    """(kind, text, offset) per token, then an end token, in one pass of
+    _TOKEN_RE.  An operator's kind is its own character, and a number is
+    a maximal run of decimal digits.  A character that begins no other
+    token, such as a superscript digit, raises ParseError at its own
+    position; whitespace after the last token matches nothing."""
     tokens = []
-    pos, end = 0, len(src)
-    match = _TOKEN_RE.match
-    while True:
-        m = match(src, pos)
-        if m is not None:
-            _, ident, op = m.groups()
-            if ident:
-                tokens.append((IDENT, ident, m.start(2)))
-                pos = m.end()
-                continue
-            if op:
-                tokens.append((op, op, m.start(3)))
-                pos = m.end()
-                continue
-            start, pos = m.start(1), m.end()
-        else:
-            while pos < end and src[pos].isspace():
-                pos += 1
-            if pos == end:
-                break
-            if not src[pos].isdigit():
-                raise ParseError(f"unexpected character {src[pos]!r}", *_position(src, pos))
-            start = pos
-        while pos < end and src[pos].isdigit():
-            pos += 1
-        tokens.append((NAT, src[start:pos], start))
-    tokens.append((END, "", end))
+    for m in _TOKEN_RE.finditer(src):
+        group = m.lastindex
+        text, start = m.group(group), m.start(group)
+        if group == 4:
+            raise ParseError(f"unexpected character {text!r}", *_position(src, start))
+        tokens.append(((NAT, IDENT, text)[group - 1], text, start))
+    tokens.append((END, "", len(src)))
     return tokens
 
 

@@ -157,10 +157,7 @@ class WeightedChart:
     weighted chart; the two substitutions compose to the identity.
     corrections are the steps that made the higher-weight coordinates.
     An entry of forward or inverse is a RatFunc only when the inverse of
-    the frame pairing has a true denominator.  words is
-    frame_words of the fiber weights up to the largest weight less one,
-    enumerated once: the correction loop and filtration_degree read their
-    multi-indices there.
+    the frame pairing has a true denominator.
     """
 
     clean: CleanResult
@@ -168,7 +165,6 @@ class WeightedChart:
     forward: tuple[Scalar, ...]
     inverse: tuple[Scalar, ...]
     corrections: tuple[CorrectionRecord, ...]
-    words: tuple[tuple[Monomial, ...], ...]
 
     @property
     def submanifold(self) -> Submanifold:
@@ -290,7 +286,6 @@ def weighted_coordinates(clean: CleanResult) -> WeightedChart:
         forward=tuple(current),
         inverse=inverse,
         corrections=tuple(records),
-        words=words,
     )
 
 

@@ -17,6 +17,7 @@ from lieweights.exactalg import (
     RowEchelon,
     _coeffs_in,
     _normalize_primitive,
+    add_scaled,
     derive_into,
     divide_exact,
     grlex_key,
@@ -319,6 +320,27 @@ def test_power_and_eval():
     p = (X + 2 * Y) ** 3
     assert p.eval([1, 1, 0]) == Fraction(27)
     assert p.eval([Fraction(1, 2), 0, 5]) == Fraction(1, 8)
+
+
+def test_eval_reads_out_a_fraction_and_checks_its_point():
+    # int coefficients at an int point sum as ints; the value reads out
+    # as a Fraction, for the zero polynomial too
+    p = 2 * X + 3 * Y**2
+    half = Poly(3, {(1, 0, 0): Fraction(1, 2)})
+    for poly, point, value in (
+        (p, (1, 2, 0), 14),
+        (Poly.zero(3), (1, 2, 3), 0),
+        (Poly.const(3, 5), (0, 0, 0), 5),
+        (half + half, (3, 0, 0), 3),
+        (p, (Fraction(1, 2), True, 0), 4),
+    ):
+        got = poly.eval(point)
+        assert got == value and type(got) is Fraction
+    for poly in (p, Poly.zero(3)):
+        with pytest.raises(TypeError, match="rational"):
+            poly.eval((1.0, 2, 0))
+        with pytest.raises(ValueError, match="wrong dimension"):
+            poly.eval((1, 2))
 
 
 @settings(max_examples=60)
@@ -872,6 +894,32 @@ def test_ratfunc_inverse_multiplies_back_to_identity():
             assert entry == Poly.const(2, 1 if i == j else 0)
     singular = [[one, y], [x, x * y]]
     assert matrix_inverse(singular) is None
+
+
+# -- one sparse accumulate ------------------------------------------------------
+
+
+# small values, so that sums cancel often, and explicit zero entries
+SMALL = st.one_of(st.integers(-2, 2), st.builds(Fraction, st.integers(-2, 2), st.integers(1, 2)))
+
+
+@settings(max_examples=200)
+@given(
+    st.dictionaries(st.integers(0, 6), SMALL, max_size=6),
+    SMALL,
+    st.dictionaries(st.integers(0, 6), SMALL, max_size=6),
+)
+def test_add_scaled_matches_a_dense_sum(target, factor, row):
+    # target keeps its zero entries only where row touches it, so every
+    # zero the result could hold comes from the accumulate itself
+    target = {c: x for c, x in target.items() if x or c in row}
+    keys = range(7)
+    dense = [target.get(c, 0) + factor * row.get(c, 0) for c in keys]
+    expected = {c: x for c, x in zip(keys, dense) if x}
+    frozen = dict(row)
+    add_scaled(target, factor, row)
+    assert target == expected and all(target.values())
+    assert row == frozen
 
 
 # -- the kernel's column index -------------------------------------------------

@@ -615,6 +615,18 @@ def test_sample_points_deterministic():
     assert len(list(sample_points(3))) == 60
 
 
+def test_zero_variables_sample_the_empty_point_and_pass():
+    # with no variable a point has no entry to take the max of: the shells
+    # are empty, and the origin and the rational cycle are all ()
+    assert list(sample_points(0)) == [()] * 9
+    chart = Chart(())
+    zero = VectorField(chart, [])
+    # the bracket at levels (1, 1) is read against level 2 and reaches
+    # the final pointwise scan
+    report = check_bracket_compat(Filtration(chart, 2, [[zero], [zero]]), degree_bound=2)
+    assert report.verdict == PASS
+
+
 # -- bracket compatibility ------------------------------------------------------
 
 
@@ -766,6 +778,30 @@ def small_filtrations(draw):
                 level.append(draw(small_field()))
         levels.append(level)
     return Filtration(CHART, order, levels), draw(st.integers(0, 2))
+
+
+@settings(max_examples=50, deadline=None)
+@given(small_filtrations())
+def test_new_at_tiles_the_generators_in_order(case):
+    filtration, _ = case
+    order = filtration.order
+    every = filtration.generators(order)
+    ranges = [filtration.new_at(depth) for depth in range(1, order + 1)]
+    assert [p for new in ranges for p in new] == list(range(len(every)))
+    for depth, new in enumerate(ranges, start=1):
+        assert new.step == 1 and new.stop == len(filtration.generators(depth))
+        assert filtration.generators(depth)[new.start :] == tuple(every[p] for p in new)
+
+
+def test_new_at_is_empty_where_a_level_adds_nothing():
+    gens = [vf("dx"), vf("dy + x*dz")]
+    flt = Filtration(CHART, 3, [gens, gens[::-1], [vf("dz"), vf("dx")]])
+    # compare the bounds: every empty range equals every other
+    bounds = [(new.start, new.stop) for new in map(flt.new_at, (1, 2, 3))]
+    assert bounds == [(0, 2), (2, 2), (2, 3)]
+    for depth in (0, 4, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            flt.new_at(depth)
 
 
 @settings(max_examples=100, deadline=None)

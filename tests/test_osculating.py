@@ -347,6 +347,17 @@ class TestGroupLaw:
             assert bch(step4_alg, x, neg) == {}
             assert bch(step4_alg, x, {}) == x
 
+    def test_explicit_zero_entries_leave_no_zero_entry(self, heis_alg):
+        # a zero entry of an argument scales to zero products, none stored
+        x = {0: Fraction(1), 1: Fraction(0)}
+        y = {1: Fraction(1), 2: Fraction(0)}
+        for got, expected in (
+            (bch(heis_alg, x, y), {0: 1, 1: 1, 2: Fraction(1, 2)}),
+            (bch(heis_alg, x, {}), {0: 1}),
+            (heis_alg.bracket_elements(x, y), {2: 1}),
+        ):
+            assert got == expected and all(got.values())
+
     def test_abelian_is_addition(self):
         alg = osculating_at(step3_flag(), (0, 0, 0), 2)
         x = {0: Fraction(1), 1: Fraction(-2), 2: Fraction(3)}
@@ -537,7 +548,6 @@ class TestAmbientModule:
                 forward=(x, y, RatFunc(z, den)),
                 inverse=(x, y, z * den),
                 corrections=(),
-                words=w.words,
             )
             assert push_to_weighted(field, rational)[2] == RatFunc(x**2, den)
             # x^2/(1+x) expands to x^2 - x^3 + ..., weight-2 part is x^2

@@ -163,7 +163,7 @@ def test_filtrations_from_the_same_levels_are_equal():
     a, b = Filtration(CHART, 2, _levels()), Filtration(CHART, 2, _levels())
     assert a is not b and a == b and hash(a) == hash(b)
     assert a.generators(2) == b.generators(2)
-    assert "_generators" not in repr(a)
+    assert "_distinct" not in repr(a) and "_sizes" not in repr(a)
 
 
 def test_tristate_certificate_defaults_to_none():

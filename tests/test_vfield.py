@@ -1,5 +1,7 @@
 """Vector fields, brackets, operator words, and the expression grammar."""
 
+import re
+import string
 from fractions import Fraction
 
 import pytest
@@ -363,6 +365,90 @@ def test_parse_terms_are_capped():
 def test_parse_rejects_overlong_number():
     with pytest.raises(ParseError, match="too many digits"):
         parse_scalar("9" * 5000 + "*x", CHART)
+
+
+@pytest.mark.parametrize(
+    "text, char, line, column",
+    [
+        ("2²*dx", "²", 1, 2),
+        ("²*dx", "²", 1, 1),
+        ("x + y³*dz", "³", 1, 6),
+        ("(x\n+ 1⁰)*dy", "⁰", 2, 4),
+    ],
+)
+def test_parse_refuses_a_superscript_digit_where_it_stands(text, char, line, column):
+    # str.isdigit accepts a superscript digit, but it is no decimal digit:
+    # the lexer refuses it as a character, not as an overlong number
+    with pytest.raises(ParseError) as err:
+        parse_vector_field(text, CHART)
+    assert str(err.value).startswith(f"unexpected character {char!r} ")
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+_REFERENCE_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9_]*)|([-+*/^()]))")
+
+
+def reference_tokenize(src):
+    # the lexer as first written: the regex, then a hand scanner for
+    # whitespace at the end, a refused character, or a str.isdigit run
+    tokens = []
+    pos, end = 0, len(src)
+    match = _REFERENCE_TOKEN_RE.match
+    while True:
+        m = match(src, pos)
+        if m is not None:
+            _, ident, op = m.groups()
+            if ident:
+                tokens.append((vfield.IDENT, ident, m.start(2)))
+                pos = m.end()
+                continue
+            if op:
+                tokens.append((op, op, m.start(3)))
+                pos = m.end()
+                continue
+            start, pos = m.start(1), m.end()
+        else:
+            while pos < end and src[pos].isspace():
+                pos += 1
+            if pos == end:
+                break
+            if not src[pos].isdigit():
+                raise ParseError(f"unexpected character {src[pos]!r}", *vfield._position(src, pos))
+            start = pos
+        while pos < end and src[pos].isdigit():
+            pos += 1
+        tokens.append((vfield.NAT, src[start:pos], start))
+    tokens.append((vfield.END, "", end))
+    return tokens
+
+
+BLANKS = ["", " ", "  ", "\t", "\n", "\u00a0", " \n\t"]
+
+
+@st.composite
+def expression_texts(draw):
+    """Expression-like ASCII text: tokens of the grammar and some refused
+    characters, separated and ended by blanks of several kinds."""
+    pieces = st.sampled_from(
+        ["x", "y", "dz", "ab_1", "0", "12", "007", "+", "-", "*", "/", "^", "(", ")", "$", ".", "é"]
+    )
+    text = ""
+    for piece in draw(st.lists(pieces, max_size=12)):
+        text += draw(st.sampled_from(BLANKS)) + piece
+    return text + draw(st.sampled_from(BLANKS))
+
+
+@settings(max_examples=300)
+@given(st.one_of(expression_texts(), st.text(alphabet=string.printable + "\u00a0", max_size=30)))
+def test_tokenize_matches_the_reference_lexer(text):
+    try:
+        expected = reference_tokenize(text)
+    except ParseError as refused:
+        with pytest.raises(ParseError) as err:
+            vfield._tokenize(text)
+        assert str(err.value) == str(refused)
+        return
+    assert vfield._tokenize(text) == expected
 
 
 def test_parse_rejects_mixed_and_scalar_only():
