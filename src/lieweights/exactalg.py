@@ -22,10 +22,15 @@ Representation notes:
     private ``Poly._canonical``, which skips the checks: every key there is
     already a tuple of ``nvars`` non-negative ints and every value a
     nonzero held rational, by construction.
-  * Every derivation goes through one kernel, ``derive_into``: it adds
-    factor * sum_a c_a * df/dx_a term by term into one dict, and
-    ``Poly.from_sum`` drops the zeros of that dict once, holds its
-    integral values as ints and wraps it.
+  * Each operation on term dicts {monomial: coefficient} has one
+    kernel, which ``Poly`` and the parser in ``vfield`` both call:
+    ``mul_terms`` is every polynomial product, ``pow_terms`` every power
+    (square and multiply through ``mul_terms``), ``add_scaled`` every
+    sum of the parser (below), and ``divide_exact`` every exact
+    division, by a constant too.  Every derivation goes through
+    ``derive_into``: it adds factor * sum_a c_a * df/dx_a term by term
+    into one dict.  ``Poly.from_sum`` drops the zeros of such a dict,
+    holds its integral values as ints and wraps it.
   * The fixed monomial order is graded lexicographic: total degree first,
     then the exponent tuple compared left to right.
   * An exact function (a ``Scalar``) is a ``Poly`` exactly when it is a
@@ -47,10 +52,12 @@ Representation notes:
     ``Fraction`` again.  Every read-out of a ``RowEchelon`` is a
     sparse ``{column: value}`` map with no zero entries, or a tuple of
     them; only ``matrix_inverse`` returns a matrix.
-  * Every sparse accumulate, target += factor * row over such maps, goes
-    through ``add_scaled``, which stores no zero result: ``RowEchelon``
-    reduces a row with it, and the osculating algebra sums its brackets
-    and classes with it.
+  * Every sparse accumulate, target += factor * row over such maps or
+    over term dicts, goes through ``add_scaled``, which stores no zero
+    result: ``RowEchelon`` reduces a row with it, the osculating algebra
+    sums its brackets and classes with it, and the parser adds and
+    subtracts its numerators with it.  ``Poly``'s own ``+`` is the one
+    sum that also holds its integral results as ints.
 """
 
 from __future__ import annotations
@@ -243,10 +250,11 @@ class Poly:
 
     @classmethod
     def from_sum(cls, nvars: int, sums: dict[Monomial, ScalarLike]) -> "Poly":
-        """The polynomial of a dict that derive_into (or translate) summed
-        into, the zero values dropped once and the integral ones held as
-        ints.  Its keys are monomials of Polys in nvars variables and its
-        values ints or Fractions, so nothing else is checked."""
+        """The polynomial of a term dict that a kernel built (mul_terms,
+        pow_terms, derive_into, translate) or the parser read, the zero
+        values dropped once and the integral ones held as ints.  Its keys
+        are monomials in nvars variables and its values ints or
+        Fractions, so nothing else is checked."""
         return cls._canonical(nvars, {m: held(c) for m, c in sums.items() if c})
 
     # -- constructors ------------------------------------------------------
@@ -371,6 +379,8 @@ class Poly:
         return o + (-self)
 
     def __mul__(self, other) -> "Poly":
+        """A rational scales each term; a Poly multiplies through
+        mul_terms, whose result from_sum holds."""
         if isinstance(other, (int, Fraction)):
             if not other:
                 return Poly.zero(self.nvars)
@@ -379,28 +389,15 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out: dict[Monomial, ScalarLike] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in o.terms.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                s = out.get(mono)
-                out[mono] = c1 * c2 if s is None else s + c1 * c2
-        return Poly.from_sum(self.nvars, out)
+        return Poly.from_sum(self.nvars, mul_terms(self.terms, o.terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Poly":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial exponent must be a non-negative integer")
-        result = Poly.one(self.nvars)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        one = {(0,) * self.nvars: 1}
+        return Poly.from_sum(self.nvars, pow_terms(self.terms, exponent, one))
 
     def __truediv__(self, other) -> Scalar:
         if isinstance(other, (int, Fraction)):
@@ -577,26 +574,30 @@ def derive_into(
 
 
 def divide_exact(f: Poly, g: Poly) -> Poly | None:
-    """Exact polynomial quotient f/g, or None when g does not divide f."""
-    if g.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    if f.is_zero():
-        return Poly.zero(f.nvars)
+    """Exact polynomial quotient f/g, or None when g does not divide f.
+
+    A constant g scales f by its inverse, and any other monomial divides
+    term by term, its quotient wrapped by Poly.from_sum; a longer g goes
+    through long division.  The variable counts are checked first, so a
+    zero f on another chart raises too."""
     if f.nvars != g.nvars:
         raise ValueError("polynomial dimension mismatch")
+    if g.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
     if g.is_one():
         return f
     lm_g = g.leading_monomial()
     # coefficients may be ints: divide by a Fraction, never int / int
     lc_g = Fraction(g.terms[lm_g])
     if len(g.terms) == 1:
-        # a monomial divides term by term
+        if not any(lm_g):
+            return f * (1 / lc_g)
         shifted = {
             tuple(a - b for a, b in zip(mono, lm_g)): c / lc_g for mono, c in f.terms.items()
         }
         if any(e < 0 for mono in shifted for e in mono):
             return None
-        return Poly(f.nvars, shifted)
+        return Poly.from_sum(f.nvars, shifted)
     quotient: dict[Monomial, ScalarLike] = {}
     rem = f
     while not rem.is_zero():
@@ -1053,6 +1054,44 @@ class RowEchelon:
                 vec[p] = _read_out(-self.pivot_rows[p][c])
             basis.append(vec)
         return tuple(basis)
+
+
+def mul_terms(p: Mapping[Monomial, ScalarLike], q: Mapping[Monomial, ScalarLike]) -> dict:
+    """The product of two term dicts {monomial: coefficient}, neither with
+    a zero value, as a new dict with none; the arguments are not changed.
+
+    Every polynomial product goes through here: Poly * Poly and the
+    parser's products.  A one-term factor maps distinct monomials to
+    distinct ones and nonzero coefficients to nonzero ones, so that
+    product is one pass with no zero filter, in the other factor's order.
+    """
+    if len(p) == 1:
+        p, q = q, p
+    if len(q) == 1:
+        ((mq, cq),) = q.items()
+        return {tuple(map(add, m, mq)): c * cq for m, c in p.items()}
+    out: dict = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m = tuple(map(add, m1, m2))
+            s = out.get(m)
+            out[m] = c1 * c2 if s is None else s + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def pow_terms(p: Mapping[Monomial, ScalarLike], exponent: int, one: dict) -> dict:
+    """p ** exponent for a term dict p and a natural exponent, by square
+    and multiply through mul_terms; one is the term dict of 1, returned
+    as it is for exponent 0.  Poly ** int and the parser's powers go
+    through here."""
+    result, base = one, p
+    while exponent:
+        if exponent & 1:
+            result = mul_terms(result, base)
+        exponent >>= 1
+        if exponent:
+            base = mul_terms(base, base)
+    return result
 
 
 def add_scaled(target: dict, factor, row: Mapping) -> None:

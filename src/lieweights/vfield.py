@@ -18,12 +18,14 @@ parentheses.
 "/" between arbitrary factors is a superset of the written grammar so that
 printed rational functions re-parse.  The parser carries numerators over
 one common denominator and takes no gcd; a vector field's coefficients are
-divided by it once, exactly, at the end, so "(x^2-1)/(x-1)*dx" loads as
-"(x + 1)*dx" and a coefficient that is not a polynomial is a parse error.
-Numerators and denominator are plain term dicts with integer coefficients
-(every literal is a natural number and every quotient goes to the
-denominator); a Poly is built only for the result.  Errors carry the line
-and column of the token they name, worked out from its offset when raised.
+divided by it once, exactly, at the end, through exactalg.divide_exact, so
+"(x^2-1)/(x-1)*dx" loads as "(x + 1)*dx" and a coefficient that is not a
+polynomial is a parse error.  Numerators and denominator are plain term
+dicts with integer coefficients (every literal is a natural number and
+every quotient goes to the denominator), multiplied, raised and summed by
+exactalg's term-dict kernels (mul_terms, pow_terms, add_scaled); a Poly is
+built only for the result.  Errors carry the line and column of the token
+they name, worked out from its offset when raised.
 An identifier that exactly matches a chart variable wins over the
 "d"-prefixed reading.
 """
@@ -34,10 +36,19 @@ import math
 import re
 from fractions import Fraction
 from itertools import chain
-from operator import add
 from typing import Iterable, Sequence
 
-from .exactalg import Poly, RatFunc, Scalar, derive_into, divide_exact, record
+from .exactalg import (
+    Poly,
+    RatFunc,
+    Scalar,
+    add_scaled,
+    derive_into,
+    divide_exact,
+    mul_terms,
+    pow_terms,
+    record,
+)
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
@@ -244,50 +255,6 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
 # denominators keep integer coefficients and no zero entries.
 
 
-def _times(p: dict, q: dict) -> dict:
-    """The product of two term dicts."""
-    if len(p) == 1 and len(q) == 1:
-        # the usual factor of a written term: monomial times monomial
-        ((m1, c1),) = p.items()
-        ((m2, c2),) = q.items()
-        return {tuple(map(add, m1, m2)): c1 * c2}
-    out: dict = {}
-    for m1, c1 in p.items():
-        for m2, c2 in q.items():
-            m = tuple(map(add, m1, m2))
-            s = out.get(m)
-            out[m] = c1 * c2 if s is None else s + c1 * c2
-    # a one-term factor maps distinct monomials to distinct ones
-    if len(p) > 1 and len(q) > 1:
-        return {m: c for m, c in out.items() if c}
-    return out
-
-
-def _plus(p: dict, q: dict, sign: int) -> dict:
-    """p + sign * q of term dicts, sign +1 or -1."""
-    out = dict(p)
-    for m, c in q.items():
-        s = out.get(m)
-        if s is None:
-            out[m] = sign * c
-        elif s + sign * c:
-            out[m] = s + sign * c
-        else:
-            del out[m]
-    return out
-
-
-def _power(p: dict, exponent: int, one: dict) -> dict:
-    result, base = one, p
-    while exponent:
-        if exponent & 1:
-            result = _times(result, base)
-        exponent >>= 1
-        if exponent:
-            base = _times(base, base)
-    return result
-
-
 class _Value:
     """Intermediate parse value: numerators over one shared denominator,
     each a term dict.  num maps part -1, the scalar part, and each a >= 0,
@@ -319,7 +286,7 @@ class _Value:
             return _Value(self.num, self.vector, den, self.ndeg, ddeg)
         if not factor or not self.num:
             return _Value({}, self.vector, den, -1, ddeg)
-        num = {a: _times(part, factor) for a, part in self.num.items()}
+        num = {a: mul_terms(part, factor) for a, part in self.num.items()}
         return _Value(num, self.vector, den, self.ndeg + fdeg, ddeg)
 
     def degree(self) -> int:
@@ -388,7 +355,7 @@ class _Parser:
             return q
         if q == self.one:
             return p
-        return _times(p, q)
+        return mul_terms(p, q)
 
     def check_degree(self, degree: int, tok):
         if degree > MAX_DEGREE:
@@ -419,11 +386,9 @@ class _Parser:
             sign = 1 if op[0] == "+" else -1
             num = dict(val.num)
             for a, part in rhs.num.items():
-                mine = num.get(a)
-                if mine is None:
-                    num[a] = part if sign == 1 else {m: -c for m, c in part.items()}
-                    continue
-                total = _plus(mine, part, sign)
+                # a fresh copy: a numerator may be the shared one dict
+                total = dict(num.get(a, {}))
+                add_scaled(total, sign, part)
                 if total:
                     num[a] = total
                 else:
@@ -489,8 +454,8 @@ class _Parser:
             self.check_degree(val.degree() * exponent, op)
             # (a_1 + ... + a_t)^e has at most comb(t + e - 1, e) terms
             self.check_terms(math.comb(val.terms() + exponent - 1, exponent), op)
-            scalar = _power(val.num.get(-1, {}), exponent, self.one)
-            den = _power(val.den, exponent, self.one)
+            scalar = pow_terms(val.num.get(-1, {}), exponent, self.one)
+            den = pow_terms(val.den, exponent, self.one)
             # a zero scalar part to the power 0 is 1, of degree -1 * 0
             ndeg = val.ndeg * exponent if scalar else -1
             val = _Value({-1: scalar} if scalar else {}, False, den, ndeg, val.ddeg * exponent)
@@ -536,24 +501,6 @@ class _Parser:
         self.error(f"unexpected {tok[1]!r}" if tok[1] else "unexpected end of input", tok)
 
 
-def _divided(num: dict, den: dict, nvars: int) -> Poly | None:
-    """num / den as a Poly, or None when den does not divide num.
-
-    A constant denominator, as in a coefficient like 1/12, divides each
-    term, and from_sum holds the integral quotients as ints; every other
-    one goes to exactalg.divide_exact."""
-    if len(den) == 1:
-        ((m0, c0),) = den.items()
-        if not any(m0):
-            return Poly.from_sum(nvars, {m: Fraction(c, c0) for m, c in num.items()})
-    return divide_exact(_poly(num, nvars), _poly(den, nvars))
-
-
-def _poly(terms: dict, nvars: int) -> Poly:
-    """A term dict's Poly: its int coefficients are already held."""
-    return Poly.from_sum(nvars, terms)
-
-
 def _parse_scalar_value(src: str, chart: Chart) -> _Value:
     val = _Parser(src, chart).parse()
     if val.vector:
@@ -565,13 +512,14 @@ def parse_scalar(src: str, chart: Chart) -> Scalar:
     """Parse a scalar (function) expression: a Poly when it is a
     polynomial, otherwise a RatFunc."""
     val = _parse_scalar_value(src, chart)
-    return _poly(val.num.get(-1, {}), chart.dim) / _poly(val.den, chart.dim)
+    return Poly.from_sum(chart.dim, val.num.get(-1, {})) / Poly.from_sum(chart.dim, val.den)
 
 
 def parse_polynomial(src: str, chart: Chart) -> Poly:
     """Parse a polynomial expression; rejects genuine denominators."""
     val = _parse_scalar_value(src, chart)
-    quotient = _divided(val.num.get(-1, {}), val.den, chart.dim)
+    n = chart.dim
+    quotient = divide_exact(Poly.from_sum(n, val.num.get(-1, {})), Poly.from_sum(n, val.den))
     if quotient is None:
         raise ParseError("expression is not polynomial", 1, 1)
     return quotient
@@ -580,20 +528,23 @@ def parse_polynomial(src: str, chart: Chart) -> Poly:
 def parse_vector_field(src: str, chart: Chart) -> VectorField:
     """Parse a vector field: a sum of terms, each with exactly one d-factor.
 
-    Each coefficient is divided by the common denominator once, exactly;
-    a coefficient that is not a polynomial is a parse error.
+    Each coefficient is divided by the common denominator once, exactly,
+    by exactalg.divide_exact; a coefficient that is not a polynomial is a
+    parse error.
     """
     val = _Parser(src, chart).parse()
     if not val.vector:
         raise ParseError("expression has no directional part", 1, 1)
     if -1 in val.num:
         raise ParseError("vector field expression has a scalar part", 1, 1)
+    n = chart.dim
+    den = Poly.from_sum(n, val.den)
     # most coefficients of a field are 0, and one Poly serves them all
-    zero = Poly.zero(chart.dim)
+    zero = Poly.zero(n)
     coeffs = []
     for a, name in enumerate(chart.names):
         part = val.num.get(a)
-        quotient = zero if part is None else _divided(part, val.den, chart.dim)
+        quotient = zero if part is None else divide_exact(Poly.from_sum(n, part), den)
         if quotient is None:
             raise ParseError(f"the coefficient of d{name} is not a polynomial", 1, 1)
         coeffs.append(quotient)

@@ -228,6 +228,10 @@ def weighted_coordinates(clean: CleanResult) -> WeightedChart:
     ]
 
     records: list[CorrectionRecord] = []
+    # word s -> (y^s, its normalization constant), built and checked once
+    # per word: a word of weight < w_a with |s| >= 2 uses only coordinates
+    # of weight <= w_a - 2, which are final before position a is corrected
+    powers: dict[Monomial, tuple[Scalar, Fraction]] = {}
     # the fiber weights are the frame's depths, nondecreasing, so position
     # order is weight order.  Only weights >= 3 get corrections: a word
     # with |s| >= 2 has weight >= 2, so below weight 3 none is admissible
@@ -243,17 +247,20 @@ def weighted_coordinates(clean: CleanResult) -> WeightedChart:
         for _, tier in itertools.groupby(admissible, key=sum):
             terms = []
             for s in tier:
-                power = _monomial_of(current, k0, s, n)
-                c_s = submanifold.restrict(_apply_word(clean.frame, s, power))
-                expected = Fraction(math.prod(math.factorial(e) for e in s))
-                if c_s.eval(submanifold.base_point) == 0:
-                    raise ValueError(
-                        f"normalization constant vanishes at the base point for {s}"
-                    )
-                if c_s != expected:
-                    raise ValueError(
-                        f"normalization constant for {s} is not the factorial product"
-                    )
+                if s not in powers:
+                    power = _monomial_of(current, k0, s, n)
+                    c_s = submanifold.restrict(_apply_word(clean.frame, s, power))
+                    expected = Fraction(math.prod(math.factorial(e) for e in s))
+                    if c_s.eval(submanifold.base_point) == 0:
+                        raise ValueError(
+                            f"normalization constant vanishes at the base point for {s}"
+                        )
+                    if c_s != expected:
+                        raise ValueError(
+                            f"normalization constant for {s} is not the factorial product"
+                        )
+                    powers[s] = power, expected
+                power, expected = powers[s]
                 total = submanifold.restrict(_apply_word(clean.frame, s, partial))
                 coeff = -(total * (1 / expected))
                 records.append(

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpus import assert_canonical, partial
@@ -24,7 +24,9 @@ from lieweights.exactalg import (
     linear_solve_exact,
     matrix_inverse,
     matrix_rank,
+    mul_terms,
     poly_gcd,
+    pow_terms,
     quotient,
     weight_of,
     weighted_multiindices,
@@ -394,6 +396,16 @@ def test_divide_exact_by_a_monomial():
     assert divide_exact(X**2 * Y + 3 * X * Z, 2 * X) == Fraction(1, 2) * X * Y + Fraction(3, 2) * Z
     assert divide_exact(X * Y + Z, X) is None
     assert divide_exact(6 * X, Poly.const(3, 3)) == 2 * X
+
+
+def test_divide_exact_checks_the_variable_count_first():
+    # a zero numerator on another chart is refused as a nonzero one is,
+    # for a constant, a monomial and a longer divisor alike
+    for f in (Poly.zero(2), Poly.variable(2, 0)):
+        for g in (Poly.const(3, 2), Poly.variable(3, 0), Poly.variable(3, 0) + 1):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                divide_exact(f, g)
+    assert divide_exact(Poly.zero(3), Poly.variable(3, 0)) == Poly.zero(3)
 
 
 def test_poly_gcd_shared_factor():
@@ -920,6 +932,59 @@ def test_add_scaled_matches_a_dense_sum(target, factor, row):
     add_scaled(target, factor, row)
     assert target == expected and all(target.values())
     assert row == frozen
+
+
+# -- term-dict kernels ----------------------------------------------------------
+
+
+def schoolbook_product(p: dict, q: dict) -> dict:
+    """Every pair of terms multiplied and summed, then the zeros dropped."""
+    out: dict = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+# term dicts in two variables with small nonzero coefficients, so that
+# products cancel often
+TERM_DICTS = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), SMALL.filter(bool), max_size=4
+)
+
+
+@settings(max_examples=300)
+@given(TERM_DICTS, TERM_DICTS)
+@example({}, {})
+@example({}, {(1, 0): 3})
+@example({(1, 0): 2}, {(0, 1): Fraction(1, 2)})
+@example({(1, 0): 2}, {(1, 0): 1, (0, 1): -1, (0, 0): Fraction(1, 2)})
+# (x + y)(x - y): the two x*y terms cancel
+@example({(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): -1})
+def test_mul_terms_matches_the_schoolbook_product(p, q):
+    frozen = dict(p), dict(q)
+    for a, b in ((p, q), (q, p)):
+        got = mul_terms(a, b)
+        assert got == schoolbook_product(a, b)
+        assert all(got.values())
+        assert got is not a and got is not b
+    assert (p, q) == frozen
+
+
+@settings(max_examples=100)
+@given(TERM_DICTS, st.integers(0, 5))
+@example({}, 0)
+@example({(1, 0): 1, (0, 1): -1}, 0)
+def test_pow_terms_matches_repeated_products(p, exponent):
+    one = {(0, 0): 1}
+    expected = one
+    for _ in range(exponent):
+        expected = mul_terms(expected, p)
+    frozen = dict(p)
+    got = pow_terms(p, exponent, one)
+    assert got == expected and all(got.values())
+    assert p == frozen and one == {(0, 0): 1}
 
 
 # -- the kernel's column index -------------------------------------------------

@@ -259,6 +259,28 @@ def test_only_exactalg_references_the_unchecked_poly_constructor():
     assert not found, f"Poly._canonical referenced outside exactalg: {found}"
 
 
+def test_only_exactalg_imports_operator_add():
+    # tuple(map(add, m1, m2)) is the monomial product, and exactalg's term
+    # kernels (mul_terms, derive_into) are the one place that forms it
+    found = []
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "exactalg.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "operator":
+                if any(alias.name == "add" for alias in node.names):
+                    found.append(f"{path.name}:{node.lineno}")
+            elif (
+                isinstance(node, ast.Attribute)
+                and node.attr == "add"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "operator"
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"operator.add used outside exactalg: {found}"
+
+
 def test_no_module_keys_anything_by_object_identity():
     # a table keyed by id(...) is a second path beside the by-value one,
     # and an id can be reused once its object is gone

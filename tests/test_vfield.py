@@ -691,6 +691,24 @@ def test_monomial_denominator_divides_through_divide_exact(monkeypatch, src, exp
     assert got == parse_vector_field(expected, CHART)
 
 
+@pytest.mark.parametrize(
+    "src, expected",
+    [
+        ("x/2*dx + x/2*dx", "x*dx"),
+        ("(x+y)*(x-y)*dy - x^2*dy", "-y^2*dy"),
+        # a d-factor's numerator is the parser's shared 1, which a sum
+        # must copy before it adds into it
+        ("dy - dy + dy + 2*dz", "dy + 2*dz"),
+    ],
+)
+def test_sums_cancel_across_a_common_denominator(src, expected):
+    got = parse_vector_field(src, CHART)
+    assert format_vector_field(got) == expected
+    assert got == parse_vector_field(expected, CHART)
+    for c in got.coeffs:
+        assert_canonical(c)
+
+
 @pytest.mark.parametrize("src", ["1/x*dx", "y/x*dx", "x/y^2*dz + dy"])
 def test_monomial_denominator_that_does_not_divide_is_refused(src):
     with pytest.raises(ParseError, match="not a polynomial"):
