@@ -379,13 +379,23 @@ class Poly:
         return o + (-self)
 
     def __mul__(self, other) -> "Poly":
-        """A rational scales each term; a Poly multiplies through
-        mul_terms, whose result from_sum holds."""
+        """A rational scales each term, an int term by a Fraction as one
+        Fraction built from the product's numerator and denominator; a
+        Poly multiplies through mul_terms, whose result from_sum holds."""
         if isinstance(other, (int, Fraction)):
             if not other:
                 return Poly.zero(self.nvars)
             # 1/2 * 2 is the int 1
-            return Poly._canonical(self.nvars, {m: held(k * other) for m, k in self.terms.items()})
+            if type(other) is Fraction:
+                # an int k times p/q is built as the one Fraction (k * p)/q
+                p, q = other.numerator, other.denominator
+                terms = {
+                    m: held(Fraction(k * p, q) if type(k) is int else k * other)
+                    for m, k in self.terms.items()
+                }
+            else:
+                terms = {m: held(k * other) for m, k in self.terms.items()}
+            return Poly._canonical(self.nvars, terms)
         o = self._coerce(other)
         if o is None:
             return NotImplemented

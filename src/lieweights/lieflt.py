@@ -299,30 +299,68 @@ def field_entries(field: VectorField, keys: PackedKeys) -> dict[int, Fraction]:
     }
 
 
+class ModuleRows:
+    """The multiples x^alpha * g of generators g by monomials alpha, as
+    packed rows: the one place that packs them, shifts them and checks
+    that a shift fits.
+
+    Each generator's entries are packed once, and the row of x^alpha * g
+    is its entries shifted by enc(alpha).  A shifted exponent reaches at
+    most the generator's top exponent in that variable plus the
+    monomials' top one; each generator's top exponents are read in one
+    pass over its monomials, and ValueError is raised when a sum is B or
+    more.  So a shift never carries into the next digit, and x^alpha * g
+    holds the key k exactly when k - e = enc(alpha) for an entry key e of
+    g, of the same component as k: holding() reads the multiples of a key
+    off the entries bucketed by component.
+    """
+
+    def __init__(
+        self, gens: Sequence[VectorField], monos: Sequence[tuple[int, ...]], keys: PackedKeys
+    ):
+        n = keys.nvars
+        mono_top = [max(column) for column in zip(*monos)] or [0] * n
+        self._entries: list[dict[int, Fraction]] = []
+        self._by_component: dict[int, list[tuple[int, int]]] = {}
+        for j, g in enumerate(gens):
+            exponents = [mono for c in g.coeffs for mono in c.terms]
+            top = [max(column) for column in zip(*exponents)] or [0] * n
+            if any(t + m >= keys.base for t, m in zip(top, mono_top)):
+                raise ValueError(f"a shifted exponent does not fit the packing base {keys.base}")
+            entries = field_entries(g, keys)
+            self._entries.append(entries)
+            for e in entries:
+                self._by_component.setdefault(e // keys.place, []).append((j, e))
+        self._shifts = [keys.enc(alpha) for alpha in monos]
+        self._shift_set = frozenset(self._shifts)
+        self._place = keys.place
+
+    def row(self, j: int, shift: int) -> dict[int, Fraction]:
+        """The entries of x^alpha * gens[j], shift = enc(alpha)."""
+        return {k + shift: value for k, value in self._entries[j].items()}
+
+    def columns(self) -> list[dict[int, Fraction]]:
+        """Every row, generator (outer loop) by monomial (inner loop), the
+        layout unpack_coefficients reads."""
+        return [self.row(j, s) for j in range(len(self._entries)) for s in self._shifts]
+
+    def holding(self, key: int, positions: range) -> list[tuple[int, int]]:
+        """The multiples (j, shift), j in positions, whose row has an entry
+        at key."""
+        return [
+            (j, key - e)
+            for j, e in self._by_component.get(key // self._place, ())
+            if j in positions and key - e in self._shift_set
+        ]
+
+
 def module_columns(
     gens: Sequence[VectorField], monos: Sequence[tuple[int, ...]], keys: PackedKeys
 ) -> list[dict[int, Fraction]]:
     """Entries of x^alpha * g for every generator g (outer loop) and
-    monomial alpha (inner loop), the layout unpack_coefficients reads.
-
-    Each generator's entries are packed once and shifted by enc(alpha).
-    A shifted exponent reaches at most the generator's top exponent in
-    that variable plus the monomials' top one; ValueError when that is B
-    or more, so a shift never carries into the next digit.
-    """
-    n = keys.nvars
-    shifts = [keys.enc(alpha) for alpha in monos]
-    mono_top = [max((alpha[i] for alpha in monos), default=0) for i in range(n)]
-    cols = []
-    for g in gens:
-        for i in range(n):
-            top = max((c.degree_in(i) for c in g.coeffs), default=0)
-            if top + mono_top[i] >= keys.base:
-                raise ValueError(f"a shifted exponent does not fit the packing base {keys.base}")
-        entries = field_entries(g, keys).items()
-        for s in shifts:
-            cols.append({k + s: value for k, value in entries})
-    return cols
+    monomial alpha (inner loop), the layout unpack_coefficients reads:
+    ModuleRows(gens, monos, keys).columns()."""
+    return ModuleRows(gens, monos, keys).columns()
 
 
 def transposed(columns: Sequence[dict[int, Fraction]]) -> list[dict[int, Fraction]]:
@@ -347,6 +385,13 @@ def unpack_coefficients(
     return tuple(Poly(nvars, t) for t in terms)
 
 
+def check_degree_bound(degree_bound: int) -> None:
+    """Raise ValueError on a negative degree bound, which no certificate
+    has: the library's entry points refuse it as the command line does."""
+    if degree_bound < 0:
+        raise ValueError(f"degree bound must be non-negative, got {degree_bound}")
+
+
 def degree_schedule(nvars: int, cap: int) -> list[int]:
     """The rungs 0 = d_0 < d_1 < ... < cap that bounded membership walks.
 
@@ -357,6 +402,7 @@ def degree_schedule(nvars: int, cap: int) -> list[int]:
     A middle rung decides a bracket whose certificate has low positive
     degree, such as -x1*dx4 in the full module, certified by -x1 on dx4.
     """
+    check_degree_bound(cap)
     top = comb(nvars + cap, nvars)
     rungs = [0]
     for d in range(1, cap):
@@ -464,6 +510,7 @@ def module_membership_batch(
     out every bound.  Only a pass certificate can differ, being read at the
     deciding rung.
     """
+    check_degree_bound(degree_bound)
     if any(not 0 <= t < len(fields) for t, _, _ in reads):
         raise ValueError("read of a field outside the batch")
     if any(not 0 <= k <= len(gens) for _, k, _ in reads):
@@ -785,6 +832,7 @@ def tangency_solve(
     point the system is the constant nullspace of the generators' values
     there, whatever the bound.
     """
+    check_degree_bound(degree_bound)
     chart = submanifold.chart
     n = chart.dim
     fiber = submanifold.fiber_indices

@@ -9,10 +9,18 @@ by the level's fields times the nonconstant monomials.  The denominators
 are nested, P_i <= H_{-i} <= P_{i+1}, so one span (exactalg.RowEchelon)
 serves every depth, grown depth by depth over packed integer keys
 (lieflt.PackedKeys), and each depth puts this span in reduced form once.
-At depth i it takes the nonconstant multiples of the generators new at
-that level; the level's new candidates are reduced in list order, and
-one whose field entries survive becomes a basis element and joins the
-span with a marker column of its own.  A field's class is the negated
+At depth i the nonconstant multiples of the generators new at that level
+go on offer, and the span takes only those its questions reach: a
+multiple joins when it shares a packed key with a candidate, a bracket
+or a row the span holds, and then reaches its own keys in turn.  Rows
+that share keys, directly or through other rows, form blocks; the RREF
+of a block-diagonal system is block-diagonal, and a normal form only
+meets the blocks of its own keys, so every class and structure constant
+is the one a span holding every multiple gives.  On the (2,3,5) Cartan
+filtration at bound 3 that is 6 of the 385 multiples.  The level's new
+candidates are reduced in list order, and one whose field entries
+survive becomes a basis element and joins the span with a marker column
+of its own.  A field's class is the negated
 marker part of its normal form, so the brackets landing at depth i are
 read off before the span moves on.  Then the depth's markers are retired
 by unit rows, which puts H_{-i} itself into the span.  A relation whose
@@ -43,11 +51,12 @@ from typing import Sequence
 from .exactalg import Monomial, Poly, RowEchelon, add_scaled, record, weight_of
 from .lieflt import (
     Filtration,
+    ModuleRows,
     PackedKeys,
     Submanifold,
+    check_degree_bound,
     field_entries,
     fields_degree,
-    module_columns,
     monomials_up_to,
     tangency_solve,
 )
@@ -75,6 +84,71 @@ def _class(rest: dict, keys: PackedKeys) -> dict[int, Fraction] | None:
     if any(key < first for key in rest):
         return None
     return {keys.unpack(key)[0] - keys.nvars: Fraction(-x) for key, x in rest.items()}
+
+
+class _ReachedSpan:
+    """The osculating span, holding only the module rows its questions
+    reach.
+
+    A key is reached when a normal form is asked of a row with an entry
+    there, or when a held row has one.  The multiples x^alpha * g of the
+    generators offered so far, rows of one ModuleRows, are the rows on
+    offer; one joins the span only when it holds a reached key, and a row
+    that joins reaches its own keys in turn, which may draw in further
+    multiples of any generator offered.  When a depth offers its new
+    generators, their multiples on keys reached before join first.  So
+    after every step no multiple left out shares a key with a held row or
+    with the row being reduced.  The rows, held or left out, then fall
+    into blocks of rows sharing keys, directly or through other rows, and
+    the RREF of the whole system is block-diagonal: its rows are the RREF
+    of each block.  A normal form only meets the pivot rows of its own
+    keys' blocks, which are all held, so reduce gives what a span holding
+    every multiple on offer would.  The other rows callers add,
+    candidates and unit rows, hold reached field keys and marker keys,
+    which no multiple holds.
+    """
+
+    def __init__(self, rows: ModuleRows):
+        self.span = RowEchelon()
+        self._rows = rows
+        self._offered = range(0)
+        self._reached: set[int] = set()
+        self._joined: set[tuple[int, int]] = set()
+
+    def offer(self, new: range) -> None:
+        """Put the multiples of the generators at positions new, which
+        follow those offered, on offer: those holding a reached key join
+        at once."""
+        self._offered = range(new.stop)
+        fresh: list[int] = []
+        for key in list(self._reached):
+            self._join(self._rows.holding(key, new), fresh)
+        self._close(fresh)
+
+    def reduce(self, row: dict) -> dict:
+        """The row's normal form, once the multiples its keys reach have
+        joined."""
+        fresh = [key for key in row if key not in self._reached]
+        self._reached.update(fresh)
+        self._close(fresh)
+        return self.span.reduce(row)
+
+    def _close(self, fresh: list[int]) -> None:
+        while fresh:
+            self._join(self._rows.holding(fresh.pop(), self._offered), fresh)
+
+    def _join(self, multiples: list[tuple[int, int]], fresh: list[int]) -> None:
+        """Add each multiple (j, shift) not added yet; the keys it reaches
+        first go onto fresh."""
+        for multiple in multiples:
+            if multiple in self._joined:
+                continue
+            self._joined.add(multiple)
+            row = self._rows.row(*multiple)
+            self.span.add(row)
+            new = [key for key in row if key not in self._reached]
+            self._reached.update(new)
+            fresh.extend(new)
 
 
 @record
@@ -206,7 +280,18 @@ def osculating_at(
     is read while that depth's markers are live.  Then the depth's
     markers are retired by unit rows {marker: 1}, which clear them from
     the basis rows and put H_{-i} into the span, so each depth puts this
-    span in reduced form once.  Markers sort after every field key, so
+    span in reduced form once.
+
+    The span takes only the multiples its questions reach (_ReachedSpan):
+    a multiple x^beta * g joins when it shares a packed key with a
+    candidate, a bracket it reduces or a row it holds, and each row that
+    joins reaches its own keys in turn; at each new depth the level's
+    multiples on keys reached already join first.  Rows sharing keys,
+    directly or through other rows, form blocks; the RREF is unique and,
+    for a block-diagonal system, block-diagonal, and a normal form only
+    touches the blocks of its own keys.  So every class, structure
+    constant, candidate class and unverified pair is the one a span
+    holding every multiple gives.  Markers sort after every field key, so
     every pivot but a retired marker's is a field key, and a marker-only
     normal form, with every class and certificate, is the one a span of
     the depth's own would give.  Marker number u is basis element u, so a
@@ -215,6 +300,7 @@ def osculating_at(
     bound, and the brackets, of degree at most twice the generators' less
     one.
     """
+    check_degree_bound(degree_bound)
     chart = filtration.chart
     n = chart.dim
     point = tuple(Fraction(v) for v in point)
@@ -228,7 +314,8 @@ def osculating_at(
     keys = PackedKeys.for_degree(n, max(top + degree_bound, 2 * top - 1))
     ideal_monos = monomials_up_to(n, degree_bound)[1:]
 
-    span = RowEchelon()
+    reach = _ReachedSpan(ModuleRows(centred, ideal_monos, keys))
+    span = reach.span
     degrees: list[int] = []
     representatives: list[VectorField] = []
     centred_reps: list[VectorField] = []
@@ -237,12 +324,11 @@ def osculating_at(
     unverified: list[tuple[int, int]] = []
     for depth in range(1, order + 1):
         new = filtration.new_at(depth)
-        for col in module_columns([centred[j] for j in new], ideal_monos, keys):
-            span.add(col)
+        reach.offer(new)
         first = len(degrees)
         classes: list[dict[int, Fraction]] = [{} for _ in range(new.start)]
         for j in new:
-            rest = span.reduce(field_entries(centred[j], keys))
+            rest = reach.reduce(field_entries(centred[j], keys))
             cls = _class(rest, keys)
             if cls is None:
                 # a marker column sorts after every field key and records
@@ -258,7 +344,7 @@ def osculating_at(
             for v in range(u + 1, first):
                 if degrees[u] + degrees[v] == -depth:
                     target = lie_bracket(centred_reps[u], centred_reps[v])
-                    cls = _class(span.reduce(field_entries(target, keys)), keys)
+                    cls = _class(reach.reduce(field_entries(target, keys)), keys)
                     if cls is None:
                         unverified.append((u, v))
                     elif cls:

@@ -43,7 +43,10 @@ check_bracket_compat pair, as [i, j, gi, gj, coefficients] with each
 coefficient printed by format_poly; each depth's tangency_solve basis,
 printed the same way; and, when the submanifold is clean, the ambient
 fiber class (weighted_fiber_class) of each tangent-span representative,
-as [depth, entries].  A class's entries are its sorted nonzero
+as [depth, entries].  Last, it writes graded_dims, the structure
+constants and the candidate classes of the osculating algebra at the
+base point at bounds 0, 1, 3 and 4 too, as bound<b>_graded_dims and so
+on, so a change to the osculating span shows at every bound.  A class's entries are its sorted nonzero
 [[position, multi-index], str(value)], read from a {label: value} map or
 from a dense tuple along the fiber_class_pairs labels.
 
@@ -110,6 +113,7 @@ LIBRARY_DOCS = {
     "filiform_7": filiform_problem(7),
 }
 LIBRARY_BOUND = 2
+LIBRARY_OTHER_BOUNDS = (0, 1, 3, 4)
 LIBRARY_SEED = 2028
 LIBRARY_POOL = tuple(Fraction(n, d) for n in (-2, -1, 1, 2) for d in (1, 3))
 
@@ -193,6 +197,25 @@ def fiber_class(field, weighting, depth) -> list | None:
     return [[[p, list(s)], str(c)] for (p, s), c in sorted(cls.items()) if c]
 
 
+def algebra_outputs(algebra, prefix: str) -> dict:
+    """graded_dims, the structure constants as sorted [u, v, k, str(c)] and
+    the candidate classes, each key with the prefix, read from a dense or
+    a sparse structure."""
+    if isinstance(algebra.structure, dict):
+        pairs = sorted(algebra.structure.items())
+    else:
+        pairs = [((u, v), vec) for u, v, vec in algebra.structure]
+    return {
+        f"{prefix}graded_dims": list(algebra.graded_dims()),
+        f"{prefix}structure_constants": [
+            [u, v, k, c] for (u, v), vec in pairs for k, c in entries(vec)
+        ],
+        f"{prefix}candidate_classes": [
+            [entries(cls) for cls in level] for level in algebra.candidate_classes
+        ],
+    }
+
+
 def library_outputs(path: Path) -> dict:
     spec = load_problem(str(path))
     filt, sub = spec.filtration, spec.submanifold
@@ -211,9 +234,6 @@ def library_outputs(path: Path) -> dict:
     algebra = osculating_at(filt, sub.base_point, LIBRARY_BOUND)
     tangent = tangent_subalg(filt, sub, LIBRARY_BOUND, parent=algebra)
     sparse = isinstance(algebra.structure, dict)
-    pairs = sorted(algebra.structure.items()) if sparse else [
-        ((u, v), vec) for u, v, vec in algebra.structure
-    ]
     rng = random.Random(LIBRARY_SEED)
     products = []
     for _ in range(2):
@@ -234,14 +254,8 @@ def library_outputs(path: Path) -> dict:
                 term = algebra.representatives[u].scale(value)
                 rep = term if rep is None else rep + term
             fiber_classes.append([depth, fiber_class(rep, weighting, depth)])
-    return {
-        "graded_dims": list(algebra.graded_dims()),
-        "structure_constants": [
-            [u, v, k, c] for (u, v), vec in pairs for k, c in entries(vec)
-        ],
-        "candidate_classes": [
-            [entries(cls) for cls in level] for level in algebra.candidate_classes
-        ],
+    outputs = {
+        **algebra_outputs(algebra, ""),
         "tangent_spans": [[entries(row) for row in span] for span in tangent.spans],
         "axioms_ok": algebra.axioms_ok(),
         "bch_x_y_product": products,
@@ -249,6 +263,10 @@ def library_outputs(path: Path) -> dict:
         "tangency_bases": tangency,
         "tangent_fiber_classes": fiber_classes,
     }
+    for bound in LIBRARY_OTHER_BOUNDS:
+        other = osculating_at(filt, sub.base_point, bound)
+        outputs.update(algebra_outputs(other, f"bound{bound}_"))
+    return outputs
 
 
 def library_snapshot(outdir: Path) -> int:

@@ -955,6 +955,20 @@ TERM_DICTS = st.dictionaries(
 
 
 @settings(max_examples=300)
+@given(
+    polys(max_terms=5, max_exp=3),
+    st.one_of(st.integers(-6, 6), st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))),
+)
+# int and Fraction coefficients, by a Fraction that makes both integral
+@example(Poly(3, {(1, 0, 0): 2, (0, 1, 0): Fraction(2, 3)}), Fraction(3, 2))
+def test_scalar_product_matches_the_plain_product_in_the_held_form(p, c):
+    expected = {m: Fraction(k) * c for m, k in p.terms.items() if c}
+    for r in (p * c, c * p):
+        assert r.terms == expected
+        assert_canonical(r)
+
+
+@settings(max_examples=300)
 @given(TERM_DICTS, TERM_DICTS)
 @example({}, {})
 @example({}, {(1, 0): 3})

@@ -496,6 +496,27 @@ def test_degree_schedule_builds_at_most_half_again_the_cap(nvars):
         cap += 1
 
 
+NEGATIVE_BOUND = "degree bound must be non-negative, got -1"
+
+
+def test_a_negative_degree_bound_is_refused():
+    # the command line refuses it with exit 3; the library raised nothing
+    # (bracket-compat passed with degree-0 certificates, degree_schedule
+    # gave [0, -1]) or an unrelated packing error (tangency)
+    with pytest.raises(ValueError, match=NEGATIVE_BOUND):
+        degree_schedule(3, -1)
+    with pytest.raises(ValueError, match=NEGATIVE_BOUND):
+        module_membership_batch([vf("dx")], [vf("dx")], [(0, 1, 1)], -1)
+    # refused before the batch is read, so an empty batch too
+    with pytest.raises(ValueError, match=NEGATIVE_BOUND):
+        module_membership_batch([], [], [], -1)
+    cartan = load_problem(str(BENCH_PROBLEMS / "cartan235.json"))
+    with pytest.raises(ValueError, match=NEGATIVE_BOUND):
+        check_bracket_compat(cartan.filtration, -1)
+    with pytest.raises(ValueError, match=NEGATIVE_BOUND):
+        tangency_solve([vf("dx")], Submanifold(CHART, (0,), (0, 0, 0)), -1, [1])
+
+
 def built_column_degrees(monkeypatch):
     """Patch lieflt.module_columns to record the degree bound of each
     system it builds; the list it appends to."""

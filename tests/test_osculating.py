@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpus import (
@@ -891,6 +891,19 @@ def per_depth_osculating_at(filtration, point, degree_bound):
 
 @given(filtrations_at_points())
 @settings(max_examples=100, deadline=None)
+# at (-2, 0) the level -2 candidate y*dx lies in m*H_{-1}: the level -1
+# multiple y*dx of -2*dx holds its key, and joins at depth 2
+@example(
+    (
+        Filtration(
+            CHARTS[2],
+            2,
+            [[parse_vector_field("-2*dx", CHARTS[2])], [parse_vector_field("-2*y*dx", CHARTS[2])]],
+        ),
+        Submanifold(CHARTS[2], (0,), (-2, 0)),
+        1,
+    )
+)
 def test_one_span_matches_a_span_per_depth(case):
     filt, sub, bound = case
     alg = osculating_at(filt, sub.base_point, bound)
@@ -912,6 +925,54 @@ def test_one_span_matches_a_span_per_depth(case):
 def test_the_oracle_agrees_on_the_frozen_examples(filt, point):
     for bound in range(4):
         assert osculating_at(filt, point, bound) == per_depth_osculating_at(filt, point, bound)
+
+
+@pytest.mark.parametrize("t", [1, 2])
+def test_the_oracle_agrees_on_pushed_forward_models(t):
+    # N = {a = b = c = 0}, at the base point and shifted along N: the
+    # multiples of a generator share keys with those of other levels
+    rng = random.Random(20261)
+    for filt in [pushed_forward_model(rng) for _ in range(12)]:
+        for point in ((t, 0, 0, 0), (t + Fraction(1, 2), 0, 0, 0)):
+            for bound in range(3):
+                expected = per_depth_osculating_at(filt, point, bound)
+                assert osculating_at(filt, point, bound) == expected
+
+
+def test_the_oracle_agrees_on_free_nilpotent_2_4(tmp_path):
+    path = tmp_path / "free_2_4.json"
+    path.write_text(json.dumps(free_nilpotent_problem(2, 4)))
+    spec = load_problem(str(path))
+    for bound in range(5):
+        expected = per_depth_osculating_at(spec.filtration, spec.submanifold.base_point, bound)
+        assert osculating_at(spec.filtration, spec.submanifold.base_point, bound) == expected
+
+
+class CountingAdds(RowEchelon):
+    """A RowEchelon that counts the rows offered to its add."""
+
+    adds = 0
+
+    def add(self, row):
+        type(self).adds += 1
+        return super().add(row)
+
+
+def test_the_span_takes_only_the_rows_its_questions_reach(monkeypatch):
+    # cartan235 at bound 3: 385 multiples x^alpha * g are on offer, and the
+    # candidates, brackets and unit rows reach 6 of them
+    monkeypatch.setattr(osculating, "RowEchelon", CountingAdds)
+    CountingAdds.adds = 0
+    spec = load_problem(str(PROBLEMS.parent / "bench" / "problems" / "cartan235.json"))
+    alg = osculating_at(spec.filtration, spec.submanifold.base_point, 3)
+    assert alg.graded_dims() == (2, 1, 2)
+    assert CountingAdds.adds <= 40
+
+
+def test_a_negative_degree_bound_is_refused():
+    # it used to give the algebra of bound 0
+    with pytest.raises(ValueError, match="degree bound must be non-negative, got -1"):
+        osculating_at(heisenberg(), (0, 0, 0), -1)
 
 
 def test_osculating_builds_one_span_and_tangency_one_system(monkeypatch):
