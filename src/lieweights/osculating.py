@@ -88,24 +88,16 @@ def _class(rest: dict, keys: PackedKeys) -> dict[int, Fraction] | None:
 
 class _ReachedSpan:
     """The osculating span, holding only the module rows its questions
-    reach.
+    reach (the block argument is in osculating_at).
 
     A key is reached when a normal form is asked of a row with an entry
     there, or when a held row has one.  The multiples x^alpha * g of the
-    generators offered so far, rows of one ModuleRows, are the rows on
-    offer; one joins the span only when it holds a reached key, and a row
-    that joins reaches its own keys in turn, which may draw in further
-    multiples of any generator offered.  When a depth offers its new
-    generators, their multiples on keys reached before join first.  So
-    after every step no multiple left out shares a key with a held row or
-    with the row being reduced.  The rows, held or left out, then fall
-    into blocks of rows sharing keys, directly or through other rows, and
-    the RREF of the whole system is block-diagonal: its rows are the RREF
-    of each block.  A normal form only meets the pivot rows of its own
-    keys' blocks, which are all held, so reduce gives what a span holding
-    every multiple on offer would.  The other rows callers add,
-    candidates and unit rows, hold reached field keys and marker keys,
-    which no multiple holds.
+    generators offered so far, rows of one ModuleRows, are on offer; one
+    joins the span once it holds a reached key, and then reaches its own
+    keys.  So after every step no multiple left out shares a key with a
+    held row or with the row being reduced.  The rows callers add to span
+    themselves, candidates and unit rows, hold reached field keys and
+    marker keys, which no multiple holds.
     """
 
     def __init__(self, rows: ModuleRows):
