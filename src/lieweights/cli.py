@@ -88,16 +88,37 @@ class ProblemSpec:
 
 
 def _as_fraction(value, where: str) -> Fraction:
+    """A base-point entry as a rational: an int, or a string Fraction reads.
+
+    A string's numerator and denominator may have at most
+    sys.get_int_max_str_digits() digits, the limit the expression parser
+    holds its numbers to.  A nonzero mantissa times 10**E has more than
+    that once |E| exceeds the limit plus the string's length, so such an
+    exponent is refused before anything is built; any other string is
+    built and its digits counted.
+    """
     if isinstance(value, bool):
         raise ProblemError(f"{where}: expected a rational, got a boolean")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ProblemError(f"{where}: bad rational {value!r}") from exc
-    raise ProblemError(f"{where}: expected a rational string, got {value!r}")
+    if not isinstance(value, str):
+        raise ProblemError(f"{where}: expected a rational string, got {value!r}")
+    limit = sys.get_int_max_str_digits()
+    # Fraction(str) expands the exponent of a decimal like "1e300" into a
+    # factor 10**|exponent|, with no digit limit
+    _, e, exponent = value.lower().partition("e")
+    try:
+        past = bool(limit and e) and abs(int(exponent)) > limit + len(value)
+        q = None if past else Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ProblemError(f"{where}: bad rational {value!r}") from exc
+    if limit and not past:
+        # 10**limit has more than 3 * limit bits: only a longer value is compared
+        top = max(abs(q.numerator), q.denominator)
+        past = top.bit_length() > 3 * limit and top >= 10**limit
+    if past:
+        raise ProblemError(f"{where}: rational {value!r} is past the limit of {limit} digits")
+    return q
 
 
 def _require(doc: dict, key: str, where: str = "problem"):

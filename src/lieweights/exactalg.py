@@ -10,18 +10,28 @@ Representation notes:
     Since ``3 == Fraction(3)`` and the two hash and print alike, the
     form changes no equality, hash or printed text.  Every true division
     divides by a ``Fraction``, so two ints never give a float.  The
-    read-outs stay ``Fraction``: ``Poly.eval`` (so ``value_at``) and the
-    ``RowEchelon`` read-outs ``particular``, ``nullspace``,
-    ``reduced_rows`` and ``matrix_inverse``.
+    read-outs stay ``Fraction``: ``evaluate`` (so ``Poly.eval`` and
+    ``value_at``) and the ``RowEchelon`` read-outs ``particular``,
+    ``nullspace``, ``reduced_rows`` and ``matrix_inverse``.
   * A polynomial is a mapping {exponent tuple -> held rational} with no
     zero coefficients stored; two polynomials are equal iff the mappings
     are equal.  The public ``Poly(nvars, terms)`` checks and canonicalizes
     its input.  ``Poly``'s own arithmetic (``+``, unary ``-``, scalar and
-    polynomial ``*``, ``translate``) and the constructors ``zero``,
-    ``const``, ``one`` and ``variable`` build their results through the
-    private ``Poly._canonical``, which skips the checks: every key there is
-    already a tuple of ``nvars`` non-negative ints and every value a
-    nonzero held rational, by construction.
+    polynomial ``*``, ``translate``, ``subst``), ``restrict_terms`` and
+    the constructors ``zero``, ``const``, ``one`` and ``variable`` build
+    their results through the private ``Poly._canonical``, which skips
+    the checks: every key there is already a tuple of ``nvars``
+    non-negative ints and every value a nonzero held rational, by
+    construction.  It sets the two slots
+    through their member descriptors, which skip ``__setattr__``; the
+    problems' kernel calls are small (3 to 5 variables, 1 to 3 terms),
+    so a wrap's fixed cost is a large part of each.
+  * Each job on a point or a fiber has one kernel: ``evaluate`` is every
+    point evaluation (``Poly.eval``, ``RatFunc.eval``,
+    ``VectorField.value_at``), which checks and holds the point once for
+    all its polynomials and skips a term with a positive exponent on a
+    zero coordinate, and ``restrict_terms`` every restriction to N, which
+    keeps the terms with no fiber exponent as they are held.
   * Each operation on term dicts {monomial: coefficient} has one
     kernel, which ``Poly`` and the parser in ``vfield`` both call:
     ``mul_terms`` is every polynomial product, ``pow_terms`` every power
@@ -30,7 +40,9 @@ Representation notes:
     division, by a constant too.  Every derivation goes through
     ``derive_into``: it adds factor * sum_a c_a * df/dx_a term by term
     into one dict.  ``Poly.from_sum`` drops the zeros of such a dict,
-    holds its integral values as ints and wraps it.
+    holds its integral values as ints and wraps it.  ``Poly.subst`` with
+    ``Poly`` images sums its terms' images into one dict through
+    ``pow_terms``, ``mul_terms`` and ``add_scaled``.
   * The fixed monomial order is graded lexicographic: total degree first,
     then the exponent tuple compared left to right.
   * An exact function (a ``Scalar``) is a ``Poly`` exactly when it is a
@@ -160,24 +172,36 @@ def weight_of(mono: Monomial, weights: Sequence[int]) -> int:
 
 def weighted_multiindices(weights: Sequence[int], bound: int) -> list[Monomial]:
     """Exponent tuples s with weight_of(s, weights) <= bound, for positive
-    weights, ordered by weighted degree, then grlex; none for bound < 0."""
+    weights, ordered by weighted degree, then grlex; none for bound < 0.
+
+    The recursion carries each prefix's weight and total degree and files
+    every tuple under its (weight, degree); it makes the tuples in
+    lexicographic order, so each bucket is in grlex order already and the
+    buckets, read in key order, are the whole list, with no sort of the
+    tuples."""
     if bound < 0:
         return []
-    out: list[Monomial] = []
+    if not weights:
+        return [()]
+    buckets: dict[tuple[int, int], list[Monomial]] = {}
+    last = len(weights) - 1
 
-    def rec(pos: int, remaining: int, cur: list[int]):
-        if pos == len(weights):
-            out.append(tuple(cur))
-            return
+    def rec(pos: int, prefix: Monomial, weight: int, degree: int):
         w = weights[pos]
-        for e in range(remaining // w + 1):
-            cur.append(e)
-            rec(pos + 1, remaining - e * w, cur)
-            cur.pop()
+        top = (bound - weight) // w
+        if pos == last:
+            for e in range(top + 1):
+                key = (weight + e * w, degree + e)
+                bucket = buckets.get(key)
+                if bucket is None:
+                    bucket = buckets[key] = []
+                bucket.append(prefix + (e,))
+            return
+        for e in range(top + 1):
+            rec(pos + 1, prefix + (e,), weight + e * w, degree + e)
 
-    rec(0, bound, [])
-    out.sort(key=lambda s: (weight_of(s, weights), grlex_key(s)))
-    return out
+    rec(0, (), 0, 0)
+    return [s for key in sorted(buckets) for s in buckets[key]]
 
 
 def held(x):
@@ -232,8 +256,8 @@ class Poly:
             c = _held_scalar(coeff)
             if c:
                 canon[mono] = c
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", canon)
+        _set_nvars(self, nvars)
+        _set_terms(self, canon)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -242,10 +266,11 @@ class Poly:
     def _canonical(cls, nvars: int, terms: dict[Monomial, ScalarLike]) -> "Poly":
         """Wrap a dict that is canonical already: tuple keys of length
         nvars with non-negative entries, nonzero values in the held form.
-        Nothing is checked; only this module calls it."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "nvars", nvars)
-        object.__setattr__(p, "terms", terms)
+        Nothing is checked; only this module calls it.  The slots are set
+        through their member descriptors, which skip __setattr__."""
+        p = _new(cls)
+        _set_nvars(p, nvars)
+        _set_terms(p, terms)
         return p
 
     @classmethod
@@ -481,7 +506,11 @@ class Poly:
 
         All images must share a common variable count, which becomes the
         variable count of the result.  Each image is raised to each power
-        once per call.
+        once per call.  With Poly images every term is summed into one
+        term dict: a term's image is the product (mul_terms) of its
+        variables' powers (pow_terms), added by add_scaled, which stores
+        no zero.  A RatFunc image takes the quotient path of RatFunc
+        arithmetic, term by term.
         """
         if len(images) != self.nvars:
             raise ValueError("substitution needs one image per variable")
@@ -491,9 +520,26 @@ class Poly:
         for img in images:
             if img.nvars != target:
                 raise ValueError("substitution images live in different variable counts")
+        # every value is canonical, so the order of the terms does not matter
+        if all(isinstance(img, Poly) for img in images):
+            one = {(0,) * target: 1}
+            out: dict[Monomial, ScalarLike] = {}
+            factors: dict[tuple[int, int], dict] = {}
+            for mono, c in self.terms.items():
+                product = one
+                for i, e in enumerate(mono):
+                    if e:
+                        factor = factors.get((i, e))
+                        if factor is None:
+                            factor = images[i].terms
+                            if e > 1:
+                                factor = pow_terms(factor, e, one)
+                            factors[(i, e)] = factor
+                        product = mul_terms(product, factor) if product is not one else factor
+                add_scaled(out, c, product)
+            return Poly._canonical(target, {m: held(c) for m, c in out.items()})
         acc = Poly.zero(target)
         powers: dict[tuple[int, int], Scalar] = {}
-        # every value is canonical, so the order of the terms does not matter
         for mono, c in self.terms.items():
             term = c
             for i, e in enumerate(mono):
@@ -506,19 +552,8 @@ class Poly:
         return acc
 
     def eval(self, point: Sequence[ScalarLike]) -> Fraction:
-        """The value at a point of rationals, summed in the held form and
-        read out once as a Fraction."""
-        if len(point) != self.nvars:
-            raise ValueError("evaluation point has wrong dimension")
-        pt = [_held_scalar(v) for v in point]
-        total = 0
-        for mono, c in self.terms.items():
-            val = c
-            for i, e in enumerate(mono):
-                if e:
-                    val *= pt[i] ** e
-            total += val
-        return _read_out(total)
+        """The value at a point of rationals, as evaluate gives it."""
+        return evaluate((self,), point)[0]
 
     # -- content helpers ------------------------------------------------------
 
@@ -550,6 +585,55 @@ class Poly:
                     factors.append(f"v{i}" + (f"^{e}" if e > 1 else ""))
             bits.append("*".join(factors))
         return "Poly(" + " + ".join(bits) + ")"
+
+
+_new = object.__new__
+_set_nvars = Poly.nvars.__set__
+_set_terms = Poly.terms.__set__
+
+
+def evaluate(polys: Sequence[Poly], point: Sequence[ScalarLike]) -> tuple[Fraction, ...]:
+    """The values of polynomials at one point of rationals, each summed in
+    the held form and read out once as a Fraction.
+
+    The point is checked and held once for all of them: each entry is an
+    int or a Fraction (a float is a TypeError), and every polynomial must
+    have one variable per entry.  A term with a positive exponent on a
+    zero coordinate is zero and is skipped.
+    """
+    pt = [_held_scalar(v) for v in point]
+    n = len(pt)
+    values = []
+    for p in polys:
+        if p.nvars != n:
+            raise ValueError("evaluation point has wrong dimension")
+        total = 0
+        for mono, c in p.terms.items():
+            for v, e in zip(pt, mono):
+                if e:
+                    if not v:
+                        break
+                    c *= v**e
+            else:
+                total += c
+        values.append(_read_out(total))
+    return tuple(values)
+
+
+def restrict_terms(p: Poly, fiber: Sequence[int]) -> Poly:
+    """p with the variables fiber set to 0: the terms with no exponent on
+    them, kept as they are held, so nothing is re-held or checked; p itself
+    when every term is kept."""
+    kept = {}
+    for m, c in p.terms.items():
+        for i in fiber:
+            if m[i]:
+                break
+        else:
+            kept[m] = c
+    if len(kept) == len(p.terms):
+        return p
+    return Poly._canonical(p.nvars, kept)
 
 
 def derive_into(
@@ -789,8 +873,8 @@ class RatFunc:
         q = quotient(num, den)
         if not isinstance(q, RatFunc):
             raise ValueError("the quotient is a polynomial: build it as a Poly")
-        object.__setattr__(self, "num", q.num)
-        object.__setattr__(self, "den", q.den)
+        _set_num(self, q.num)
+        _set_den(self, q.den)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc is immutable")
@@ -799,9 +883,9 @@ class RatFunc:
     def _canonical(cls, num: Poly, den: Poly) -> "RatFunc":
         """Wrap a pair already in the form above.  Nothing is checked; only
         this module calls it."""
-        r = object.__new__(cls)
-        object.__setattr__(r, "num", num)
-        object.__setattr__(r, "den", den)
+        r = _new(cls)
+        _set_num(r, num)
+        _set_den(r, den)
         return r
 
     @property
@@ -899,13 +983,17 @@ class RatFunc:
         return self.num.subst(images) / self.den.subst(images)
 
     def eval(self, point: Sequence[ScalarLike]) -> Fraction:
-        d = self.den.eval(point)
+        n, d = evaluate((self.num, self.den), point)
         if not d:
             raise ZeroDivisionError("denominator vanishes at evaluation point")
-        return self.num.eval(point) / d
+        return n / d
 
     def __repr__(self):
         return f"RatFunc({self.num!r} / {self.den!r})"
+
+
+_set_num = RatFunc.num.__set__
+_set_den = RatFunc.den.__set__
 
 
 @record
@@ -930,8 +1018,10 @@ class RowEchelon:
     integral is kept as it is).  A row is scaled to its
     leading 1 by negation when the lead is -1 and otherwise by dividing
     through by the lead, an int lead as a Fraction, so no float can appear;
-    integral quotients go back to ints.  A Poly or RatFunc entry is never
-    an int and takes the same path.  Values read out through
+    integral quotients go back to ints.  The pivot entry itself is set to
+    1, not divided by itself, which for a Poly lead would take a gcd.  A
+    Poly or RatFunc entry takes the same path (its pivot entry may then be
+    the int 1).  Values read out through
     particular, nullspace and reduced_rows are Fractions (or Polys and
     RatFuncs) again, each in a sparse {column: value} map with no zero
     entries; reduce may return ints, which compare, hash and print like
@@ -983,8 +1073,10 @@ class RowEchelon:
         if lead == -1:
             rest = {c: -x for c, x in rest.items()}
         elif lead != 1:
+            # the pivot entry is set to 1, not divided by itself, which
+            # for a Poly lead would take a gcd
             lead = Fraction(lead) if type(lead) is int else lead
-            rest = {c: held(x / lead) for c, x in rest.items()}
+            rest = {c: 1 if c == pivot else held(x / lead) for c, x in rest.items()}
         tail = [(c, x) for c, x in rest.items() if c != pivot]
         holders = self._holders
         # the pivot column leaves the index; rest vanishes on the other

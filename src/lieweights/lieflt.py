@@ -41,15 +41,15 @@ class TriState:
 
     @staticmethod
     def passed(certificate) -> "TriState":
-        return TriState(PASS, certificate=certificate)
+        return TriState(PASS, certificate, "")
 
     @staticmethod
     def failed(certificate) -> "TriState":
-        return TriState(FAIL, certificate=certificate)
+        return TriState(FAIL, certificate, "")
 
     @staticmethod
     def undecided(reason: str) -> "TriState":
-        return TriState(INCONCLUSIVE, reason=reason)
+        return TriState(INCONCLUSIVE, None, reason)
 
 
 @record

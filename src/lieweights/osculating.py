@@ -48,7 +48,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .exactalg import Monomial, Poly, RowEchelon, add_scaled, record, weight_of
+from .exactalg import Monomial, Poly, RowEchelon, add_scaled, evaluate, record, weight_of
 from .lieflt import (
     Filtration,
     ModuleRows,
@@ -69,7 +69,10 @@ def _centred(
     """The fields rewritten under x -> x + point, so that the point sits at
     the origin.  A translation has identity Jacobian: only the
     coefficients move, each by Poly.translate, and brackets commute with
-    it."""
+    it.  At the origin the fields are returned as they are, with no
+    coefficient translated."""
+    if not any(point):
+        return tuple(fields)
     return tuple(
         VectorField(g.chart, [c.translate(point) for c in g.coeffs]) for g in fields
     )
@@ -421,8 +424,7 @@ def tangent_subalg(
         span = RowEchelon()
         for combo in combos:
             acc: dict = {}
-            for j, u in enumerate(combo):
-                lam = u.eval(m)
+            for j, lam in enumerate(evaluate(combo, m)):
                 if lam:
                     add_scaled(acc, lam, parent.candidate_classes[depth - 1][j])
             span.add(acc)

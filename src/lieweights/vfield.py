@@ -45,9 +45,11 @@ from .exactalg import (
     add_scaled,
     derive_into,
     divide_exact,
+    evaluate,
     mul_terms,
     pow_terms,
     record,
+    restrict_terms,
 )
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
@@ -150,7 +152,9 @@ class VectorField:
         return VectorField(self.chart, [c * factor for c in self.coeffs])
 
     def value_at(self, point: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        return tuple(c.eval(point) for c in self.coeffs)
+        """The coefficients' values at a point, which exactalg.evaluate
+        checks and holds once for all of them."""
+        return evaluate(self.coeffs, point)
 
     def __eq__(self, other):
         if not isinstance(other, VectorField):
@@ -185,26 +189,19 @@ def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
     return VectorField(x.chart, coeffs)
 
 
-def restrict_zero(value: Scalar, fiber_indices: Iterable[int]) -> Scalar:
+def restrict_zero(value: Scalar, fiber_indices: Sequence[int]) -> Scalar:
     """Substitute 0 for the listed variables.
 
-    The result keeps the ambient variable count.  Raises when a rational
-    function's denominator vanishes identically under the substitution.
+    The result keeps the ambient variable count; each polynomial is cut by
+    exactalg.restrict_terms.  Raises when a rational function's
+    denominator vanishes identically under the substitution.
     """
-    fiber = set(fiber_indices)
-
-    def chop(p: Poly) -> Poly:
-        return Poly.from_sum(
-            p.nvars,
-            {m: c for m, c in p.terms.items() if all(m[i] == 0 for i in fiber)},
-        )
-
     if isinstance(value, Poly):
-        return chop(value)
-    den = chop(value.den)
+        return restrict_terms(value, fiber_indices)
+    den = restrict_terms(value.den, fiber_indices)
     if den.is_zero():
         raise ZeroDivisionError("denominator vanishes identically on the submanifold")
-    return chop(value.num) / den
+    return restrict_terms(value.num, fiber_indices) / den
 
 
 # -- parsing -----------------------------------------------------------------

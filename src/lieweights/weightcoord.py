@@ -30,6 +30,7 @@ from .exactalg import (
     Monomial,
     Poly,
     Scalar,
+    evaluate,
     matrix_inverse,
     matrix_rank,
     record,
@@ -75,19 +76,30 @@ def normalize_chart(
         tuple(submanifold.restrict(field.coeffs[c]) for c in fiber)
         for field in clean.frame
     )
-    point_matrix = [
-        [entry.eval(submanifold.base_point) for entry in row] for row in pairing
-    ]
+    # the base point is held once for every entry of the pairing
+    values = evaluate([entry for row in pairing for entry in row], submanifold.base_point)
+    point_matrix = [values[a * k : (a + 1) * k] for a in range(k)]
     if k and matrix_rank(point_matrix) < k:
         raise ValueError("frame-coordinate pairing is singular at the base point")
     inverse = matrix_inverse(pairing)
     assert inverse is not None
+    # coordinate b is sum_c inverse[c][b] * x_{fiber c}: a Poly entry is
+    # shifted by one in exponent fiber[c], its terms summed into one dict;
+    # a RatFunc entry is multiplied out
     coords = []
     for b in range(k):
-        acc = Poly.zero(n)
-        for c in range(k):
-            acc = acc + inverse[c][b] * Poly.variable(n, fiber[c])
-        coords.append(acc)
+        terms: dict = {}
+        rational = []
+        for c, i in enumerate(fiber):
+            entry = inverse[c][b]
+            if not isinstance(entry, Poly):
+                rational.append(entry * Poly.variable(n, i))
+                continue
+            for m, v in entry.terms.items():
+                key = m[:i] + (m[i] + 1,) + m[i + 1 :]
+                s = terms.get(key)
+                terms[key] = v if s is None else s + v
+        coords.append(sum(rational, Poly.from_sum(n, terms)))
     for a, field in enumerate(clean.frame):
         for b in range(k):
             val = submanifold.restrict(field.apply(coords[b]))
@@ -263,11 +275,7 @@ def weighted_coordinates(clean: CleanResult) -> WeightedChart:
                 power, expected = powers[s]
                 total = submanifold.restrict(_apply_word(clean.frame, s, partial))
                 coeff = -(total * (1 / expected))
-                records.append(
-                    CorrectionRecord(
-                        position=a, multi_index=s, constant=expected, coefficient=coeff
-                    )
-                )
+                records.append(CorrectionRecord(a, s, expected, coeff))
                 if coeff:
                     terms.append(coeff * power)
             partial = sum(terms, partial)

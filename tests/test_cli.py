@@ -7,8 +7,10 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -22,6 +24,7 @@ from lieweights.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_INPUT,
     EXIT_PASS,
+    ProblemError,
     load_problem,
     main,
     render_json,
@@ -650,6 +653,54 @@ class TestInputErrors:
         doc["submanifold"]["base_point"] = [2, "0", "0"]
         spec = load_problem(write_problem(tmp_path, doc))
         assert spec.submanifold.base_point[0] == 2
+
+    def test_base_point_exponent_past_the_digit_limit_is_refused_at_once(self, tmp_path, capsys):
+        # Fraction("1e3000000") would expand the exponent into a
+        # 3,000,001-digit numerator before anything checked it
+        doc = json.loads(Path(HEISENBERG).read_text())
+        doc["submanifold"]["base_point"] = ["1e3000000", "0", "0"]
+        path = write_problem(tmp_path, doc)
+        start = time.perf_counter()
+        assert main(["check", path]) == EXIT_INPUT
+        assert time.perf_counter() - start < 1
+        assert "past the limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "entry, value",
+        [
+            ("1e300", 10**300),
+            ("1e-300", Fraction(1, 10**300)),
+            ("0.5", Fraction(1, 2)),
+            ("1/2", Fraction(1, 2)),
+            (-3, -3),
+            (4, 4),
+        ],
+    )
+    def test_base_point_rationals_under_the_digit_limit_load(self, tmp_path, entry, value):
+        doc = json.loads(Path(HEISENBERG).read_text())
+        doc["submanifold"]["base_point"] = [entry, "0", "0"]
+        spec = load_problem(write_problem(tmp_path, doc))
+        assert spec.submanifold.base_point == (value, 0, 0)
+
+    def test_base_point_digits_are_bounded_by_the_int_limit(self, tmp_path):
+        # a numerator or denominator of exactly `limit` digits loads; one
+        # more digit is refused, and 5e-limit reduces to 1/(2*10^(limit-1))
+        limit = sys.get_int_max_str_digits()
+        doc = json.loads(Path(HEISENBERG).read_text())
+        for entry, ok in (
+            (f"1e{limit - 1}", True),
+            (f"1e{limit}", False),
+            (f"5e-{limit}", True),
+            (f"1e-{limit}", False),
+            (f"{'9' * (limit - 1)}.{'9' * (limit - 1)}", False),
+        ):
+            doc["submanifold"]["base_point"] = [entry, "0", "0"]
+            path = write_problem(tmp_path, doc)
+            if ok:
+                load_problem(path)
+            else:
+                with pytest.raises(ProblemError, match="past the limit"):
+                    load_problem(path)
 
 
 class TestChainedFiliform:

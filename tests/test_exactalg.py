@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpus import assert_canonical, partial
+from lieweights import exactalg
 from lieweights.exactalg import (
     LinearSolution,
     Poly,
@@ -204,8 +205,12 @@ def test_weighted_multiindices_of_a_negative_bound_are_empty():
     assert weighted_multiindices((), 0) == [()]
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(1, 4), max_size=4), st.integers(-1, 7))
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 5), max_size=5), st.integers(-1, 8))
+@example([], -1)
+@example([], 3)
+@example([1, 1, 1, 1, 1], 3)
+@example([3, 1, 2], 6)
 def test_weighted_multiindices_match_the_filtered_product(weights, bound):
     # the definition: every tuple of weighted degree <= bound, ordered by
     # weighted degree, then grlex; so one weight's tuples come in grlex order
@@ -266,25 +271,25 @@ def test_translate_leaves_unshifted_coordinates_alone():
         f.translate([1, 2])
 
 
-class CountingPoly(Poly):
-    """A Poly that counts how often it is raised to a power."""
+def test_subst_raises_each_image_to_each_power_once(monkeypatch):
+    # Poly images: each (variable, exponent > 1) is one pow_terms call, and
+    # an exponent 1 takes the image's terms as they are
+    calls = []
 
-    __slots__ = ()
-    powers = 0
+    def counting_pow_terms(p, exponent, one):
+        calls.append((tuple(sorted(p.items())), exponent))
+        return pow_terms(p, exponent, one)
 
-    def __pow__(self, exponent):
-        type(self).powers += 1
-        return super().__pow__(exponent)
-
-
-def test_subst_raises_each_image_to_each_power_once():
-    image = CountingPoly(3, {(1, 0, 0): 1, (0, 1, 0): 2})
-    f = X**2 + X**2 * Y + X**2 * Z + X**3 + Y**2
-    CountingPoly.powers = 0
-    expected = (X + 2 * Y) ** 2 * (1 + Y + Z) + (X + 2 * Y) ** 3 + Y**2
-    assert f.subst([image, Y, Z]) == expected
-    # x^2 appears three times and x^3 once: two powers in all
-    assert CountingPoly.powers == 2
+    image = X + 2 * Y
+    f = X**2 + X**2 * Y + X**2 * Z + X**3 + Y**2 + Y * Z
+    expected = (X + 2 * Y) ** 2 * (1 + Y + Z) + (X + 2 * Y) ** 3 + Y**2 + Y * Z
+    monkeypatch.setattr(exactalg, "pow_terms", counting_pow_terms)
+    got = f.subst([image, Y, Z])
+    monkeypatch.undo()
+    assert got == expected
+    # x^2 appears three times, x^3 and y^2 once each: three powers in all
+    assert sorted(e for _, e in calls) == [2, 2, 3]
+    assert len(set(calls)) == 3
 
 
 @settings(max_examples=80, deadline=None)

@@ -21,7 +21,7 @@ from corpus import (
     module_solve,
     pushed_forward_model,
 )
-from lieweights import lieflt
+from lieweights import exactalg, lieflt
 from lieweights.cli import load_problem, main
 from lieweights.exactalg import (
     LinearSolution,
@@ -1099,3 +1099,19 @@ def test_monomial_enumeration_matches_filtered_product(nvars):
         cube = itertools.product(range(degree + 1), repeat=nvars)
         expected = sorted((m for m in cube if sum(m) <= degree), key=grlex_key)
         assert monomials_up_to(nvars, degree) == expected
+
+
+def test_check_clean_on_heisenberg_takes_no_gcd(monkeypatch):
+    # the generic span's pivot entries are set to 1, not divided by
+    # themselves: (-x)/(-x) used to take gcds through quotient
+    calls = []
+    poly_gcd = exactalg.poly_gcd
+
+    def counting_gcd(f, g):
+        calls.append((f, g))
+        return poly_gcd(f, g)
+
+    monkeypatch.setattr(exactalg, "poly_gcd", counting_gcd)
+    spec = load_problem(str(PROBLEMS / "heisenberg.json"))
+    assert check_clean(spec.filtration, spec.submanifold).verdict == PASS
+    assert calls == []

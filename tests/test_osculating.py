@@ -969,6 +969,27 @@ def test_the_span_takes_only_the_rows_its_questions_reach(monkeypatch):
     assert CountingAdds.adds <= 40
 
 
+def test_osculating_at_the_origin_translates_nothing(monkeypatch):
+    # the generators are centred at the point; at the origin they are
+    # already, so no coefficient goes through Poly.translate
+    calls = []
+    translate = Poly.translate
+
+    def counting_translate(self, point):
+        calls.append(tuple(point))
+        return translate(self, point)
+
+    monkeypatch.setattr(Poly, "translate", counting_translate)
+    spec = load_problem(str(PROBLEMS.parent / "bench" / "problems" / "cartan235.json"))
+    assert not any(spec.submanifold.base_point)
+    alg = osculating_at(spec.filtration, spec.submanifold.base_point, 3)
+    assert alg.graded_dims() == (2, 1, 2)
+    assert calls == []
+    # a shifted point still translates each coefficient
+    osculating_at(heisenberg(), (1, 0, 0), 1)
+    assert calls and all(point == (1, 0, 0) for point in calls)
+
+
 def test_a_negative_degree_bound_is_refused():
     # it used to give the algebra of bound 0
     with pytest.raises(ValueError, match="degree bound must be non-negative, got -1"):
