@@ -17,7 +17,7 @@ Representation notes:
     zero coefficients stored; two polynomials are equal iff the mappings
     are equal.  The public ``Poly(nvars, terms)`` checks and canonicalizes
     its input.  ``Poly``'s own arithmetic (``+``, unary ``-``, scalar and
-    polynomial ``*``, ``translate``, ``subst``), ``restrict_terms`` and
+    polynomial ``*``, ``translate``), ``substitute``, ``restrict_terms`` and
     the constructors ``zero``, ``const``, ``one`` and ``variable`` build
     their results through the private ``Poly._canonical``, which skips
     the checks: every key there is already a tuple of ``nvars``
@@ -31,7 +31,9 @@ Representation notes:
     ``VectorField.value_at``), which checks and holds the point once for
     all its polynomials and skips a term with a positive exponent on a
     zero coordinate, and ``restrict_terms`` every restriction to N, which
-    keeps the terms with no fiber exponent as they are held.
+    keeps the terms with no fiber exponent as they are held.  A point that
+    is kept, a ``Submanifold``'s base point or ``osculating_at``'s, goes
+    through ``rational_point``: the same check, read out as Fractions.
   * Each operation on term dicts {monomial: coefficient} has one
     kernel, which ``Poly`` and the parser in ``vfield`` both call:
     ``mul_terms`` is every polynomial product, ``pow_terms`` every power
@@ -40,9 +42,14 @@ Representation notes:
     division, by a constant too.  Every derivation goes through
     ``derive_into``: it adds factor * sum_a c_a * df/dx_a term by term
     into one dict.  ``Poly.from_sum`` drops the zeros of such a dict,
-    holds its integral values as ints and wraps it.  ``Poly.subst`` with
-    ``Poly`` images sums its terms' images into one dict through
-    ``pow_terms``, ``mul_terms`` and ``add_scaled``.
+    holds its integral values as ints and wraps it.
+  * ``substitute`` is every substitution, as ``evaluate`` is every point
+    evaluation: it checks the images and makes each image's powers once
+    for a whole batch of polynomials, and ``Poly.subst`` and
+    ``RatFunc.subst`` are its one-function case.  With ``Poly`` images it
+    sums each polynomial's terms' images into one dict through
+    ``pow_terms``, ``mul_terms`` and ``add_scaled``; ``RatFunc`` images
+    take the quotient path.
   * The fixed monomial order is graded lexicographic: total degree first,
     then the exponent tuple compared left to right.
   * An exact function (a ``Scalar``) is a ``Poly`` exactly when it is a
@@ -502,54 +509,9 @@ class Poly:
         return Poly.from_sum(self.nvars, out)
 
     def subst(self, images: Sequence[Scalar]) -> Scalar:
-        """Substitute one expression per variable.
-
-        All images must share a common variable count, which becomes the
-        variable count of the result.  Each image is raised to each power
-        once per call.  With Poly images every term is summed into one
-        term dict: a term's image is the product (mul_terms) of its
-        variables' powers (pow_terms), added by add_scaled, which stores
-        no zero.  A RatFunc image takes the quotient path of RatFunc
-        arithmetic, term by term.
-        """
-        if len(images) != self.nvars:
-            raise ValueError("substitution needs one image per variable")
-        if not images:
-            raise ValueError("cannot infer target dimension for 0-variable substitution")
-        target = images[0].nvars
-        for img in images:
-            if img.nvars != target:
-                raise ValueError("substitution images live in different variable counts")
-        # every value is canonical, so the order of the terms does not matter
-        if all(isinstance(img, Poly) for img in images):
-            one = {(0,) * target: 1}
-            out: dict[Monomial, ScalarLike] = {}
-            factors: dict[tuple[int, int], dict] = {}
-            for mono, c in self.terms.items():
-                product = one
-                for i, e in enumerate(mono):
-                    if e:
-                        factor = factors.get((i, e))
-                        if factor is None:
-                            factor = images[i].terms
-                            if e > 1:
-                                factor = pow_terms(factor, e, one)
-                            factors[(i, e)] = factor
-                        product = mul_terms(product, factor) if product is not one else factor
-                add_scaled(out, c, product)
-            return Poly._canonical(target, {m: held(c) for m, c in out.items()})
-        acc = Poly.zero(target)
-        powers: dict[tuple[int, int], Scalar] = {}
-        for mono, c in self.terms.items():
-            term = c
-            for i, e in enumerate(mono):
-                if e:
-                    power = powers.get((i, e))
-                    if power is None:
-                        power = powers[(i, e)] = images[i] ** e
-                    term = term * power
-            acc = acc + term
-        return acc
+        """Substitute one expression per variable: substitute's case of
+        one polynomial."""
+        return substitute((self,), images)[0]
 
     def eval(self, point: Sequence[ScalarLike]) -> Fraction:
         """The value at a point of rationals, as evaluate gives it."""
@@ -592,6 +554,13 @@ _set_nvars = Poly.nvars.__set__
 _set_terms = Poly.terms.__set__
 
 
+def rational_point(point: Sequence[ScalarLike]) -> tuple[Fraction, ...]:
+    """A point of rationals, each entry checked as evaluate checks it (an
+    int or a Fraction; a float is a TypeError) and read out as a
+    Fraction."""
+    return tuple(_read_out(_held_scalar(v)) for v in point)
+
+
 def evaluate(polys: Sequence[Poly], point: Sequence[ScalarLike]) -> tuple[Fraction, ...]:
     """The values of polynomials at one point of rationals, each summed in
     the held form and read out once as a Fraction.
@@ -618,6 +587,70 @@ def evaluate(polys: Sequence[Poly], point: Sequence[ScalarLike]) -> tuple[Fracti
                 total += c
         values.append(_read_out(total))
     return tuple(values)
+
+
+def substitute(polys: Sequence[Scalar], images: Sequence[Scalar]) -> tuple[Scalar, ...]:
+    """Substitute one expression per variable into each of polys, the
+    images shared by all of them.
+
+    The images are checked once for all of them: each of polys must have
+    one variable per image, and the images one common variable count,
+    which becomes the variable count of the results.  Each image is raised
+    to each power once per call, for all of polys.  With Poly images each
+    polynomial's terms are summed into one term dict: a term's image is
+    the product (mul_terms) of its variables' powers (pow_terms), added by
+    add_scaled, which stores no zero.  A RatFunc image takes the quotient
+    path of RatFunc arithmetic, term by term.  A RatFunc among polys is
+    its numerator's image over its denominator's, both substituted here.
+    """
+    for p in polys:
+        if p.nvars != len(images):
+            raise ValueError("substitution needs one image per variable")
+    if not images:
+        raise ValueError("cannot infer target dimension for 0-variable substitution")
+    target = images[0].nvars
+    for img in images:
+        if img.nvars != target:
+            raise ValueError("substitution images live in different variable counts")
+    flat = [q for p in polys for q in ((p.num, p.den) if isinstance(p, RatFunc) else (p,))]
+    moved: list[Scalar] = []
+    # every value is canonical, so the order of the terms does not matter
+    if all(isinstance(img, Poly) for img in images):
+        one = {(0,) * target: 1}
+        factors: dict[tuple[int, int], dict] = {}
+        for p in flat:
+            out: dict[Monomial, ScalarLike] = {}
+            for mono, c in p.terms.items():
+                product = one
+                for i, e in enumerate(mono):
+                    if e:
+                        factor = factors.get((i, e))
+                        if factor is None:
+                            factor = images[i].terms
+                            if e > 1:
+                                factor = pow_terms(factor, e, one)
+                            factors[(i, e)] = factor
+                        product = mul_terms(product, factor) if product is not one else factor
+                add_scaled(out, c, product)
+            moved.append(Poly._canonical(target, {m: held(c) for m, c in out.items()}))
+    else:
+        powers: dict[tuple[int, int], Scalar] = {}
+        for p in flat:
+            acc = Poly.zero(target)
+            for mono, c in p.terms.items():
+                term = c
+                for i, e in enumerate(mono):
+                    if e:
+                        power = powers.get((i, e))
+                        if power is None:
+                            power = powers[(i, e)] = images[i] ** e
+                        term = term * power
+                acc = acc + term
+            moved.append(acc)
+    parts = iter(moved)
+    return tuple(
+        next(parts) / next(parts) if isinstance(p, RatFunc) else next(parts) for p in polys
+    )
 
 
 def restrict_terms(p: Poly, fiber: Sequence[int]) -> Poly:
@@ -980,7 +1013,9 @@ class RatFunc:
         return hash((self.num, self.den))
 
     def subst(self, images: Sequence[Scalar]) -> Scalar:
-        return self.num.subst(images) / self.den.subst(images)
+        """The numerator's image over the denominator's, both substituted
+        in one substitute call."""
+        return substitute((self,), images)[0]
 
     def eval(self, point: Sequence[ScalarLike]) -> Fraction:
         n, d = evaluate((self.num, self.den), point)

@@ -21,6 +21,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .exactalg import (
     Poly,
     RowEchelon,
+    rational_point,
     record,
     weighted_multiindices,
 )
@@ -56,7 +57,9 @@ class TriState:
 class Submanifold:
     """A coordinate submanifold {fiber variables = 0} with a base point on it.
 
-    The fiber indices are worked out once, in the constructor, and restrict
+    The base point's entries are ints or Fractions, checked as evaluate
+    checks a point (a float is a TypeError) and held as Fractions.  The
+    fiber indices are worked out once, in the constructor, and restrict
     is the package's one way to set them to zero.
     """
 
@@ -76,7 +79,7 @@ class Submanifold:
         for idx in tangent:
             if not 0 <= idx < chart.dim:
                 raise ValueError(f"tangent index {idx} out of range")
-        point = tuple(Fraction(v) for v in base_point)
+        point = rational_point(base_point)
         if len(point) != chart.dim:
             raise ValueError("base point has wrong dimension")
         tangent_set = set(tangent)

@@ -48,7 +48,16 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .exactalg import Monomial, Poly, RowEchelon, add_scaled, evaluate, record, weight_of
+from .exactalg import (
+    Monomial,
+    Poly,
+    RowEchelon,
+    add_scaled,
+    evaluate,
+    rational_point,
+    record,
+    weight_of,
+)
 from .lieflt import (
     Filtration,
     ModuleRows,
@@ -261,9 +270,10 @@ def osculating_at(
 ) -> GradedLieAlg:
     """The graded nilpotent algebra of the filtration at the point.
 
-    degree_bound caps the coefficient degree of relation and bracket
-    certificates; raise it when a bracket comes back unverified or when a
-    dimension looks too large.
+    The point's entries are ints or Fractions (a float is a TypeError),
+    checked as a Submanifold's base point is.  degree_bound caps the
+    coefficient degree of relation and bracket certificates; raise it when
+    a bracket comes back unverified or when a dimension looks too large.
 
     One span serves every depth.  Before depth i it holds H_{-(i-1)} and
     the retired markers of the lower depths, which no field reaches, so a
@@ -298,7 +308,7 @@ def osculating_at(
     check_degree_bound(degree_bound)
     chart = filtration.chart
     n = chart.dim
-    point = tuple(Fraction(v) for v in point)
+    point = rational_point(point)
     if len(point) != n:
         raise ValueError("point has wrong dimension")
     order = filtration.order

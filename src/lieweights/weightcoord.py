@@ -9,6 +9,16 @@ word of weighted order below the target weight kills them along N.  Each
 correction divides by a normalization constant that must equal the product
 of factorials of the multi-index; this is asserted, not assumed.
 
+Every word value V^s f is read from one WordValues table per coordinate
+function: V^s f = V_p(V^(s - e_p) f), p the first nonzero index of s, so a
+word costs one application of a frame field once its prefix is known.
+normalize_chart's identity check reads each table's one-letter words, the
+corrections read the words of each tier, and the filtration-degree recheck
+reads every word below the coordinate's weight, all from the same table.
+A tier that adds a nonzero correction changes the coordinate, so the
+coordinate gets a new table; each table is dropped once its position is
+done.
+
 Coordinate functions of the weighted chart are kept as exact expressions
 in the original chart (``forward``) together with the inverse substitution
 (``inverse``), so rewriting in weighted coordinates is a substitution, not
@@ -16,7 +26,10 @@ a numerical change of basis.  The inverse is written in closed form: each
 correction multiplies a monomial in already final lower-weight coordinates,
 so the correction records give the linear coordinates in the weighted
 chart, and the pairing matrix of the linear stage gives the original fiber
-variables from those.
+variables from those.  Each batch of functions rewritten by one
+substitution (the inverse check, a field's pushed coefficients) goes
+through one exactalg.substitute call, which makes each image's powers once
+for the whole batch.
 """
 
 from __future__ import annotations
@@ -30,10 +43,13 @@ from .exactalg import (
     Monomial,
     Poly,
     Scalar,
+    add_scaled,
     evaluate,
     matrix_inverse,
     matrix_rank,
+    mul_terms,
     record,
+    substitute,
     weight_of,
     weighted_multiindices,
 )
@@ -45,16 +61,20 @@ INFINITE = math.inf
 
 def normalize_chart(
     clean: CleanResult,
-) -> tuple[tuple[Scalar, ...], tuple[tuple[Poly, ...], ...]]:
+) -> tuple[list[WordValues], tuple[tuple[Poly, ...], ...]]:
     """Linear fiber coordinate change making (V_a x_c)|_N the identity,
     V the frame of the clean result.
 
-    Returns the new fiber coordinate functions, expressed in the original
-    chart, and the pairing matrix pairing[a][c] = (V_a x_{fiber_c})|_N,
-    V_a's coefficient fiber_c restricted to N, whose transpose maps them
-    back to the fiber variables.  The pairing's Poly entries are inverted
-    as they are; every denominator of the inverse divides det P, so with
-    a constant determinant every coordinate is a Poly.
+    Returns the word tables of the new fiber coordinate functions, each
+    function expressed in the original chart (its table's function), and
+    the pairing matrix pairing[a][c] = (V_a x_{fiber_c})|_N, V_a's
+    coefficient fiber_c restricted to N, whose transpose maps them back to
+    the fiber variables.  The identity is asserted on the tables'
+    one-letter words, so the corrections and the filtration-degree recheck
+    read those values again rather than apply the frame once more.  The
+    pairing's Poly entries are inverted as they are; every denominator of
+    the inverse divides det P, so with a constant determinant every
+    coordinate is a Poly.
     Raises when the frame size differs from the fiber dimension, or when
     the pairing matrix is singular at the base point.
 
@@ -86,7 +106,7 @@ def normalize_chart(
     # coordinate b is sum_c inverse[c][b] * x_{fiber c}: a Poly entry is
     # shifted by one in exponent fiber[c], its terms summed into one dict;
     # a RatFunc entry is multiplied out
-    coords = []
+    tables = []
     for b in range(k):
         terms: dict = {}
         rational = []
@@ -99,21 +119,43 @@ def normalize_chart(
                 key = m[:i] + (m[i] + 1,) + m[i + 1 :]
                 s = terms.get(key)
                 terms[key] = v if s is None else s + v
-        coords.append(sum(rational, Poly.from_sum(n, terms)))
-    for a, field in enumerate(clean.frame):
-        for b in range(k):
-            val = submanifold.restrict(field.apply(coords[b]))
+        tables.append(WordValues(clean.frame, sum(rational, Poly.from_sum(n, terms))))
+    for a in range(k):
+        letter = tuple(1 if p == a else 0 for p in range(k))
+        for b, table in enumerate(tables):
+            val = submanifold.restrict(table.value(letter))
             expected = Fraction(1 if a == b else 0)
             assert val == expected, "normalized pairing failed to be the identity"
-    return tuple(coords), pairing
+    return tables, pairing
 
 
-def _apply_word(frame: Sequence[VectorField], s: Sequence[int], f: Scalar) -> Scalar:
-    """V^s f: frame field p applied s[p] times, the last field first."""
-    for field, mult in reversed(list(zip(frame, s))):
-        for _ in range(mult):
-            f = field.apply(f)
-    return f
+class WordValues:
+    """The values V^s f of one function f under the words s of a frame V,
+    each made once.
+
+    V^s applies frame field p s[p] times, the last field first, so the
+    field it applies last is V_p, p the first nonzero index of s, and
+    V^s f = V_p(V^(s - e_p) f): a word whose prefix s - e_p is in the
+    table costs one application.  The table is keyed by word and belongs
+    to the one function it was made for; a function that changes gets a
+    new table.
+    """
+
+    __slots__ = ("frame", "function", "_values")
+
+    def __init__(self, frame: Sequence[VectorField], function: Scalar):
+        self.frame = frame
+        self.function = function
+        self._values: dict[Monomial, Scalar] = {(0,) * len(frame): function}
+
+    def value(self, s: Monomial) -> Scalar:
+        """V^s f, made from its prefix's value the first time it is read."""
+        got = self._values.get(s)
+        if got is None:
+            p = next(i for i, e in enumerate(s) if e)
+            prefix = s[:p] + (s[p] - 1,) + s[p + 1 :]
+            got = self._values[s] = self.frame[p].apply(self.value(prefix))
+        return got
 
 
 def frame_words(levels: Sequence[int], top: int) -> tuple[tuple[Monomial, ...], ...]:
@@ -132,17 +174,22 @@ def frame_words(levels: Sequence[int], top: int) -> tuple[tuple[Monomial, ...], 
 
 
 def filtration_degree(
-    f: Scalar, clean: CleanResult, words: Sequence[Sequence[Monomial]], cap: int
+    values: WordValues,
+    submanifold: Submanifold,
+    words: Sequence[Sequence[Monomial]],
+    cap: int,
 ) -> int:
     """Largest i <= cap with (V^s f)|_N = 0 for every word in the frame V
-    of weighted order below i; equals the smallest weighted order of a
-    word that sees f along N, capped.  words is frame_words of the frame's
-    levels, up to cap - 1 at least."""
+    of weighted order below i, f the function of the word table values;
+    equals the smallest weighted order of a word that sees f along N,
+    capped.  words is frame_words of the frame's levels, up to cap - 1 at
+    least.  The word values come from the table, so a word read there
+    before costs no application."""
     if cap > len(words):
         raise ValueError(f"frame words up to weight {len(words) - 1} cannot reach {cap - 1}")
     for weight in range(cap):
         for s in words[weight]:
-            if not clean.submanifold.restrict(_apply_word(clean.frame, s, f)).is_zero():
+            if not submanifold.restrict(values.value(s)).is_zero():
                 return weight
     return cap
 
@@ -208,7 +255,7 @@ class WeightedChart:
 
     def to_weighted(self, value: Scalar) -> Scalar:
         """Rewrite a function on the original chart in weighted coordinates."""
-        return value.subst(list(self.inverse))
+        return value.subst(self.inverse)
 
 
 def weighted_coordinates(clean: CleanResult) -> WeightedChart:
@@ -226,7 +273,7 @@ def weighted_coordinates(clean: CleanResult) -> WeightedChart:
             f"submanifold is not clean for this filtration (level {clean.first_bad_level})"
         )
     weights = weight_sequence(clean)
-    fiber_coords, pairing = normalize_chart(clean)
+    tables, pairing = normalize_chart(clean)
 
     submanifold = clean.submanifold
     n = submanifold.chart.dim
@@ -236,7 +283,7 @@ def weighted_coordinates(clean: CleanResult) -> WeightedChart:
 
     current: list[Scalar] = [
         *(Poly.variable(n, positions[p]) for p in range(k0)),
-        *fiber_coords,
+        *(table.function for table in tables),
     ]
 
     records: list[CorrectionRecord] = []
@@ -244,6 +291,9 @@ def weighted_coordinates(clean: CleanResult) -> WeightedChart:
     # per word: a word of weight < w_a with |s| >= 2 uses only coordinates
     # of weight <= w_a - 2, which are final before position a is corrected
     powers: dict[Monomial, tuple[Scalar, Fraction]] = {}
+    # each position's filtration degree, checked once every position is
+    # corrected, so a normalization constant is refused first as before
+    degrees: list[int] = []
     # the fiber weights are the frame's depths, nondecreasing, so position
     # order is weight order.  Only weights >= 3 get corrections: a word
     # with |s| >= 2 has weight >= 2, so below weight 3 none is admissible
@@ -252,16 +302,18 @@ def weighted_coordinates(clean: CleanResult) -> WeightedChart:
         admissible = [s for tier in words[:w_a] for s in tier if sum(s) >= 2]
         admissible.sort(key=lambda s: (sum(s), s))
         # partial is current[a] + sum of chi_u * y^u over the finished
-        # tiers, the u with |u| < |s|.  The word and the restriction to N
-        # are linear, so each word is applied once, to partial, not to
-        # each term.
-        partial = current[a]
+        # tiers, the u with |u| < |s|, and table holds its word values.
+        # The word and the restriction to N are linear, so each word is
+        # applied once, to partial, not to each term.  The table is taken
+        # out of the list, so it is dropped once position a is done
+        table = tables.pop(0)
+        partial = table.function
         for _, tier in itertools.groupby(admissible, key=sum):
             terms = []
             for s in tier:
                 if s not in powers:
                     power = _monomial_of(current, k0, s, n)
-                    c_s = submanifold.restrict(_apply_word(clean.frame, s, power))
+                    c_s = submanifold.restrict(WordValues(clean.frame, power).value(s))
                     expected = Fraction(math.prod(math.factorial(e) for e in s))
                     if c_s.eval(submanifold.base_point) == 0:
                         raise ValueError(
@@ -273,16 +325,18 @@ def weighted_coordinates(clean: CleanResult) -> WeightedChart:
                         )
                     powers[s] = power, expected
                 power, expected = powers[s]
-                total = submanifold.restrict(_apply_word(clean.frame, s, partial))
+                total = submanifold.restrict(table.value(s))
                 coeff = -(total * (1 / expected))
                 records.append(CorrectionRecord(a, s, expected, coeff))
                 if coeff:
                     terms.append(coeff * power)
-            partial = sum(terms, partial)
+            if terms:
+                partial = sum(terms, partial)
+                table = WordValues(clean.frame, partial)
         current[a] = partial
+        degrees.append(filtration_degree(table, submanifold, words, cap=w_a))
 
-    for p in range(k0, n):
-        got = filtration_degree(current[p], clean, words, cap=weights[p])
+    for p, got in zip(range(k0, n), degrees):
         if got != weights[p]:
             raise ValueError(
                 f"weighted coordinate at position {p} has filtration degree {got}, "
@@ -290,9 +344,9 @@ def weighted_coordinates(clean: CleanResult) -> WeightedChart:
             )
 
     inverse = _invert_weighting(submanifold, pairing, records)
+    composed = substitute(current, inverse)
     for p in range(n):
-        composed = current[p].subst(list(inverse))
-        assert composed == Poly.variable(n, p), (
+        assert composed[p] == Poly.variable(n, p), (
             "forward and inverse substitutions do not compose to the identity"
         )
     return WeightedChart(
@@ -324,29 +378,40 @@ def _invert_weighting(
     coordinates of weight at most w_p - 2, which are final when it is made.
     So the normalized linear coordinate at p is y_p - sum_s chi_s * y^s,
     read off the records, and the pairing matrix gives the original fiber
-    variables: x_{fiber_c} = sum_p pairing[p][c] * linear_p.  Functions on N
-    enter through their tangent variables; base variables are weighted
-    variables verbatim.
+    variables: x_{fiber_c} = sum_p pairing[p][c] * linear_p, over the
+    nonzero entries only.  Functions on N enter through their tangent
+    variables, the nonzero coefficients and pairing entries in one
+    substitute call; base variables are weighted variables verbatim.  Each
+    fiber variable's Poly products are summed into one term dict, and a
+    RatFunc product is added to it after.
     """
     positions = submanifold.adapted_order
     n = len(positions)
     k0 = submanifold.dim
+    fiber = submanifold.fiber_indices
     y = [Poly.variable(n, p) for p in range(n)]
     on_n = [Poly.zero(n)] * n
     for p in range(k0):
         on_n[positions[p]] = y[p]
+    corrections = [rec for rec in records if not rec.coefficient.is_zero()]
+    entries = [(p, ci) for p, row in enumerate(pairing) for ci, entry in enumerate(row) if entry]
+    moved = substitute(
+        [rec.coefficient for rec in corrections] + [pairing[p][ci] for p, ci in entries], on_n
+    )
     linear: list[Scalar] = y[k0:]
-    for rec in records:
-        if rec.coefficient.is_zero():
-            continue
-        term = rec.coefficient.subst(on_n) * _monomial_of(y, k0, rec.multi_index, n)
+    for rec, coefficient in zip(corrections, moved):
+        term = coefficient * _monomial_of(y, k0, rec.multi_index, n)
         linear[rec.position - k0] = linear[rec.position - k0] - term
+    sums: list[dict] = [{} for _ in fiber]
+    rational: list[list[Scalar]] = [[] for _ in fiber]
+    for (p, ci), entry in zip(entries, moved[len(corrections) :]):
+        if isinstance(linear[p], Poly):
+            add_scaled(sums[ci], 1, mul_terms(entry.terms, linear[p].terms))
+        else:
+            rational[ci].append(entry * linear[p])
     inverse: list[Scalar] = list(on_n)
-    for ci, c in enumerate(submanifold.fiber_indices):
-        acc = Poly.zero(n)
-        for p, row in enumerate(pairing):
-            acc = acc + row[ci].subst(on_n) * linear[p]
-        inverse[c] = acc
+    for ci, c in enumerate(fiber):
+        inverse[c] = sum(rational[ci], Poly.from_sum(n, sums[ci]))
     return tuple(inverse)
 
 
@@ -367,16 +432,15 @@ def push_to_weighted(
     """The coefficients of a vector field rewritten in the weighted chart.
 
     Coefficient p is the field applied to weighted coordinate p, written in
-    the weighted variables.  A weighted chart may have rational
-    coordinates, so a coefficient may be a RatFunc, and they are returned
-    as a tuple, not a VectorField.
+    the weighted variables: the n applied values are substituted in one
+    substitute call, so each power of an inverse entry is made once per
+    field.  A weighted chart may have rational coordinates, so a
+    coefficient may be a RatFunc, and they are returned as a tuple, not a
+    VectorField.
     """
     if field.chart != weighting.source_chart:
         raise ValueError("field does not live on the weighting's source chart")
-    return tuple(
-        weighting.to_weighted(field.apply(weighting.forward[p]))
-        for p in range(weighting.dim)
-    )
+    return substitute([field.apply(f) for f in weighting.forward], weighting.inverse)
 
 
 def vf_filtration_degree(field: VectorField, weighting: WeightedChart) -> int | float:

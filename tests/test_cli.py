@@ -917,3 +917,33 @@ def test_fuzzed_problems_exit_cleanly(doc, command):
         assert text.endswith("\n")
     else:
         assert text == ""
+
+
+def test_scale_rows_times_every_stage_of_a_row():
+    # the scale-table harness on its smallest row: one JSON line with the
+    # process time of load, each report stage and render
+    script = Path(__file__).resolve().parent / "scale_rows.py"
+    out = subprocess.run(
+        [sys.executable, str(script), "free_2_5"],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    (line,) = out.stdout.splitlines()
+    row = json.loads(line)
+    stages = list(cli.STAGE_ORDER)
+    assert set(row) == {
+        "input", "n", "load", *stages, "render", "total",
+        "verdicts", "osculating_bound", "report_bytes",
+    }
+    assert (row["input"], row["n"], row["osculating_bound"]) == ("free_2_5", 14, 2)
+    assert row["verdicts"] == {stage: "pass" for stage in stages}
+    assert row["total"] == pytest.approx(sum(row[k] for k in ("load", *stages, "render")))
+    assert row["total"] < 1.0
+    assert row["report_bytes"] > 0
+    # an unknown row is refused before any row runs
+    refused = subprocess.run(
+        [sys.executable, str(script), "free_9_9"], capture_output=True, text=True, timeout=60
+    )
+    assert refused.returncode == 2 and refused.stdout == ""

@@ -29,9 +29,12 @@ from lieweights.exactalg import (
     poly_gcd,
     pow_terms,
     quotient,
+    rational_point,
+    substitute,
     weight_of,
     weighted_multiindices,
 )
+from lieweights.lieflt import Submanifold
 from lieweights.vfield import (
     Chart,
     VectorField,
@@ -292,6 +295,25 @@ def test_subst_raises_each_image_to_each_power_once(monkeypatch):
     assert len(set(calls)) == 3
 
 
+def test_substitute_raises_each_image_to_each_power_once_for_all(monkeypatch):
+    # the powers are held for the whole batch: x^2 in three polynomials
+    # and y^2 in two are still one pow_terms call each
+    calls = []
+
+    def counting_pow_terms(p, exponent, one):
+        calls.append((tuple(sorted(p.items())), exponent))
+        return pow_terms(p, exponent, one)
+
+    images = [X + 2 * Y, Y - Z, Z]
+    batch = [X**2 + Y**2, X**2 * Z, Y**2 * Z - X, Poly.zero(3)]
+    monkeypatch.setattr(exactalg, "pow_terms", counting_pow_terms)
+    got = substitute(batch, images)
+    monkeypatch.undo()
+    assert got == tuple(f.subst(images) for f in batch)
+    assert sorted(e for _, e in calls) == [2, 2]
+    assert len(set(calls)) == 2
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.lists(polys(max_terms=3, max_exp=2), min_size=3, max_size=3),
@@ -490,6 +512,38 @@ def test_gcd_of_a_quotient_derivative_is_fast():
     start = time.perf_counter()
     assert poly_gcd(top, d * d) == Poly.one(3)
     assert time.perf_counter() - start < 1.0
+
+
+def test_a_ratfunc_derivative_can_cancel_its_whole_denominator():
+    # for coprime n/d, X(n)*d - n*X(d) and d^2 may share all of d^2, not
+    # only a factor of d: x^2*dx on 1/x is (0*x - 1*x^2)/x^2 = -1, and
+    # x^3*dx on 1/x^2 is (0*x^2 - 1*2*x^4)/x^4 = -2.  A gcd taken against d
+    # alone would leave a denominator here
+    chart = Chart(("x",))
+    x = Poly.variable(1, 0)
+    one = Poly.one(1)
+    got = parse_vector_field("x^2*dx", chart).apply(RatFunc(one, x))
+    assert isinstance(got, Poly) and got == Poly.const(1, -1)
+    got = parse_vector_field("x^3*dx", chart).apply(RatFunc(one, x**2))
+    assert isinstance(got, Poly) and got == Poly.const(1, -2)
+
+
+def test_a_float_point_is_refused_where_a_point_is_taken():
+    # every entry point that takes a point checks it as evaluate does
+    chart = Chart(("x", "y"))
+    with pytest.raises(TypeError, match="got float"):
+        Submanifold(chart, [0], [0.1, 0])
+    with pytest.raises(TypeError, match="got float"):
+        rational_point([Fraction(1, 2), 0.0])
+    with pytest.raises(TypeError, match="got float"):
+        Poly.variable(2, 0).eval([0.1, 0])
+    # ints, bools and Fractions are read out as Fractions
+    point = rational_point([3, True, Fraction(4, 2), Fraction(1, 3)])
+    assert point == (3, 1, 2, Fraction(1, 3))
+    assert all(type(v) is Fraction for v in point)
+    sub = Submanifold(chart, [0], [Fraction(1, 10), 0])
+    assert sub.base_point == (Fraction(1, 10), 0)
+    assert all(type(v) is Fraction for v in sub.base_point)
 
 
 # -- rational functions -------------------------------------------------------

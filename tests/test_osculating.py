@@ -996,6 +996,14 @@ def test_a_negative_degree_bound_is_refused():
         osculating_at(heisenberg(), (0, 0, 0), -1)
 
 
+def test_a_float_point_is_refused():
+    # it used to run on the float's binary expansion as a Fraction
+    with pytest.raises(TypeError, match="got float"):
+        osculating_at(heisenberg(), (0.1, 0.0, 0.0), 1)
+    exact = osculating_at(heisenberg(), (Fraction(1, 10), 0, 0), 1)
+    assert exact.graded_dims() == osculating_at(heisenberg(), (0, 0, 0), 1).graded_dims()
+
+
 def test_osculating_builds_one_span_and_tangency_one_system(monkeypatch):
     # four depths on step4_flag: one span in place of one per depth, and
     # one tangency elimination in place of one per depth

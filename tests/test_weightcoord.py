@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import CHART_TABC, pushed_forward_model
+from corpus import CHART_TABC, CHARTS, pushed_forward_model, random_field, random_poly
 from lieweights.cli import load_problem
 from lieweights.exactalg import (
     Poly,
@@ -36,6 +36,7 @@ from lieweights.vfield import (
 )
 from lieweights.weightcoord import (
     INFINITE,
+    WordValues,
     filtration_degree,
     frame_words,
     normalize_chart,
@@ -46,6 +47,7 @@ from lieweights.weightcoord import (
 )
 
 CHART3 = Chart(("x", "y", "z"))
+BENCH_PROBLEMS = Path(__file__).resolve().parents[1] / "bench" / "problems"
 ORIGIN3 = Submanifold(CHART3, (), (Fraction(0), Fraction(0), Fraction(0)))
 
 
@@ -73,9 +75,10 @@ def martinet():
 
 
 def degree_up_to(f, clean, cap):
-    """filtration_degree read off the frame words up to weight 3, a prefix
-    of them for every cap up to 4."""
-    return filtration_degree(f, clean, frame_words(clean.frame_levels, 3), cap)
+    """filtration_degree of f's word table, read off the frame words up to
+    weight 3, a prefix of them for every cap up to 4."""
+    values = WordValues(clean.frame, f)
+    return filtration_degree(values, clean.submanifold, frame_words(clean.frame_levels, 3), cap)
 
 
 @pytest.mark.parametrize("levels", [(), (1,), (1, 1, 2), (2, 3), (1, 2, 2, 4)])
@@ -91,9 +94,10 @@ def test_frame_words_split_the_enumeration_by_weight(levels):
 def test_filtration_degree_refuses_words_that_stop_short():
     clean = check_clean(heis_plus_vertical(), ORIGIN3)
     words = frame_words(clean.frame_levels, 2)
-    assert filtration_degree(Poly.variable(3, 2), clean, words, cap=3) == 2
+    values = WordValues(clean.frame, Poly.variable(3, 2))
+    assert filtration_degree(values, clean.submanifold, words, cap=3) == 2
     with pytest.raises(ValueError, match="cannot reach"):
-        filtration_degree(Poly.variable(3, 2), clean, words, cap=4)
+        filtration_degree(values, clean.submanifold, words, cap=4)
 
 
 def test_weighted_multiindices_order():
@@ -112,6 +116,99 @@ def test_word_applies_the_last_frame_field_first():
     clean = check_clean(Filtration(CHART3, 3, ((a, b), (a, b), (a, b, c))), ORIGIN3)
     assert (clean.frame, clean.frame_levels) == ((a, b, c), (1, 1, 3))
     assert degree_up_to(Poly.variable(3, 2), clean, cap=4) == 2
+
+
+def apply_word(frame, s, f):
+    """V^s f letter by letter: frame field p applied s[p] times, the last
+    field first.  The reference the word tables are checked against."""
+    for field, mult in reversed(list(zip(frame, s))):
+        for _ in range(mult):
+            f = field.apply(f)
+    return f
+
+
+WORDS3 = st.lists(st.tuples(*[st.integers(0, 2)] * 3), min_size=1, max_size=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), WORDS3)
+def test_word_table_matches_letter_by_letter_application(seed, words):
+    # three random quadratic fields on x, y, z, which do not commute, and a
+    # random cubic; the words are read in any order, so a word's prefix may
+    # or may not be in the table already
+    rng = random.Random(seed)
+    frame = tuple(random_field(rng, CHARTS[3], 2) for _ in range(3))
+    f = random_poly(rng, 3, 3)
+    table = WordValues(frame, f)
+    for s in words:
+        assert table.value(s) == apply_word(frame, s, f), s
+    assert table.value((0, 0, 0)) is f
+
+
+def test_word_table_applies_the_field_of_the_first_letter_last():
+    # dx and dy + x*dz do not commute: dx(dy + x*dz)(z) = 1, while
+    # (dy + x*dz)(dx(z)) = 0
+    a = coordinate_field(CHART3, 0)
+    b = parse_vector_field("dy + x*dz", CHART3)
+    z = Poly.variable(3, 2)
+    table = WordValues((a, b), z)
+    assert table.value((1, 1)) == Poly.one(3)
+    assert table.value((0, 1)) == Poly.variable(3, 0)
+    assert WordValues((b, a), z).value((1, 1)).is_zero()
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from([1, 2]),
+    st.lists(st.tuples(*[st.integers(0, 1)] * 3), min_size=1, max_size=5),
+)
+def test_word_table_matches_letter_by_letter_application_on_rational_charts(seed, t, words):
+    # the normalized fiber coordinates of a pushed-forward model at t = 1
+    # or 2, a RatFunc where the pairing has a denominator t or 1 + t, under
+    # the model's frame
+    sub = Submanifold(CHART_TABC, (0,), (t, 0, 0, 0))
+    clean = check_clean(pushed_forward_model(random.Random(seed)), sub)
+    for table in normalize_chart(clean)[0]:
+        for s in words:
+            assert table.value(s) == apply_word(clean.frame, s, table.function), s
+
+
+def test_word_tables_see_ratfunc_coordinates():
+    # the rational-chart property above draws its models from this stream,
+    # in which the normalized coordinates are RatFuncs
+    sub = Submanifold(CHART_TABC, (0,), (1, 0, 0, 0))
+    rng = random.Random(20261)
+    rational = 0
+    for _ in range(10):
+        clean = check_clean(pushed_forward_model(rng), sub)
+        tables = normalize_chart(clean)[0]
+        rational += sum(isinstance(table.function, RatFunc) for table in tables)
+        for table in tables:
+            for s in [(1, 1, 0), (0, 1, 1), (2, 0, 0), (1, 0, 1)]:
+                assert table.value(s) == apply_word(clean.frame, s, table.function)
+    assert rational
+
+
+def test_weighted_coordinates_apply_each_word_once_per_coordinate(monkeypatch):
+    # cartan235: 25 applications for the identity check's one-letter words,
+    # 6 for the normalization constants and one per (position, word) for
+    # the corrections' three words on the two weight-3 positions; the
+    # filtration-degree recheck reads the tables.  Letter by letter it took
+    # 63
+    spec = load_problem(str(BENCH_PROBLEMS / "cartan235.json"))
+    clean = check_clean(spec.filtration, spec.submanifold)
+    calls = []
+    apply = VectorField.apply
+
+    def counting_apply(self, f):
+        calls.append(1)
+        return apply(self, f)
+
+    monkeypatch.setattr(VectorField, "apply", counting_apply)
+    w = weighted_coordinates(clean)
+    assert w.weights == (1, 1, 2, 3, 3)
+    assert len(calls) <= 40
 
 
 @pytest.fixture(scope="module")
