@@ -296,8 +296,8 @@ def test_subst_raises_each_image_to_each_power_once(monkeypatch):
 
 
 def test_substitute_raises_each_image_to_each_power_once_for_all(monkeypatch):
-    # the powers are held for the whole batch: x^2 in three polynomials
-    # and y^2 in two are still one pow_terms call each
+    # the powers are held for the whole batch: x^2 and y^2, each in two
+    # polynomials of the batch, are one pow_terms call each
     calls = []
 
     def counting_pow_terms(p, exponent, one):

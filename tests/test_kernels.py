@@ -265,18 +265,38 @@ def one_subst_or_raise(p, images):
         return ZeroDivisionError
 
 
+BATCH_POLYS = st.one_of(polys(max_terms=4, max_exp=2), st.just(Poly.zero(3)))
+
+
 @settings(max_examples=80, deadline=None)
 @given(
-    st.lists(
-        st.one_of(polys(max_terms=4, max_exp=2), st.just(Poly.zero(3)), ratfuncs()),
-        max_size=4,
-    ),
     st.one_of(
-        st.lists(polys(max_terms=3, max_exp=2), min_size=3, max_size=3),
-        st.lists(st.one_of(polys(max_terms=2, max_exp=1), ratfuncs()), min_size=3, max_size=3),
-    ),
+        # Poly images, into polynomials and rational functions
+        st.tuples(
+            st.lists(st.one_of(BATCH_POLYS, ratfuncs()), max_size=4),
+            st.lists(polys(max_terms=3, max_exp=2), min_size=3, max_size=3),
+        ),
+        # RatFunc images, into polynomials: a RatFunc over RatFunc images
+        # takes a gcd of products, which the explicit example below keeps
+        # small
+        st.tuples(
+            st.lists(BATCH_POLYS, max_size=4),
+            st.lists(st.one_of(polys(max_terms=2, max_exp=1), ratfuncs()), min_size=3, max_size=3),
+        ),
+    )
 )
-def test_substitute_matches_a_loop_of_the_one_polynomial_form(batch, images):
+@example(
+    (
+        [RatFunc(Poly.variable(3, 0), Poly.variable(3, 1) + 1), Poly.variable(3, 2) ** 2],
+        [
+            RatFunc(Poly.one(3), Poly.variable(3, 2) + 2),
+            Poly.variable(3, 0),
+            RatFunc(Poly.variable(3, 1), Poly.variable(3, 0) + 1),
+        ],
+    )
+)
+def test_substitute_matches_a_loop_of_the_one_polynomial_form(case):
+    batch, images = case
     expected = [one_subst_or_raise(p, images) for p in batch]
     if ZeroDivisionError in expected:
         # a RatFunc whose denominator's image is 0
