@@ -17,7 +17,7 @@ Representation notes:
     zero coefficients stored; two polynomials are equal iff the mappings
     are equal.  The public ``Poly(nvars, terms)`` checks and canonicalizes
     its input.  ``Poly``'s own arithmetic (``+``, unary ``-``, scalar and
-    polynomial ``*``, ``translate``), ``substitute``, ``restrict_terms`` and
+    polynomial ``*``), ``substitute``, ``restrict_terms`` and
     the constructors ``zero``, ``const``, ``one`` and ``variable`` build
     their results through the private ``Poly._canonical``, which skips
     the checks: every key there is already a tuple of ``nvars``
@@ -44,12 +44,16 @@ Representation notes:
     into one dict.  ``Poly.from_sum`` drops the zeros of such a dict,
     holds its integral values as ints and wraps it.
   * ``substitute`` is every substitution, as ``evaluate`` is every point
-    evaluation: it checks the images and makes each image's powers once
-    for a whole batch of polynomials, and ``Poly.subst`` and
-    ``RatFunc.subst`` are its one-function case.  With ``Poly`` images it
-    sums each polynomial's terms' images into one dict through
-    ``pow_terms``, ``mul_terms`` and ``add_scaled``; ``RatFunc`` images
-    take the quotient path.
+    evaluation: the weighted chart, the osculating stage's base-point
+    shift and its freeze of the weight-0 coordinates all go through it.
+    It checks the images and makes each power of an image's numerator or
+    denominator once for a whole batch of polynomials, and ``Poly.subst``
+    and ``RatFunc.subst`` are its one-function case.  Image i is
+    num_i / den_i (den_i = 1 for a ``Poly``); each polynomial's terms'
+    images are summed into one dict over the common denominator
+    prod den_i^top_i, through ``pow_terms``, ``mul_terms`` and
+    ``add_scaled``, and each result goes through at most one
+    ``quotient`` (none when every image is a ``Poly``).
   * The fixed monomial order is graded lexicographic: total degree first,
     then the exponent tuple compared left to right.
   * An exact function (a ``Scalar``) is a ``Poly`` exactly when it is a
@@ -82,7 +86,7 @@ Representation notes:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from operator import add, attrgetter
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -283,7 +287,7 @@ class Poly:
     @classmethod
     def from_sum(cls, nvars: int, sums: dict[Monomial, ScalarLike]) -> "Poly":
         """The polynomial of a term dict that a kernel built (mul_terms,
-        pow_terms, derive_into, translate) or the parser read, the zero
+        pow_terms, derive_into) or the parser read, the zero
         values dropped once and the integral ones held as ints.  Its keys
         are monomials in nvars variables and its values ints or
         Fractions, so nothing else is checked."""
@@ -476,38 +480,6 @@ class Poly:
 
     # -- calculus and evaluation ---------------------------------------------
 
-    def translate(self, point: Sequence[ScalarLike]) -> "Poly":
-        """self(x + point), the same as subst([x_i + p_i]): each monomial
-        is expanded binomially in the coordinates with p_i != 0, and the
-        others are left as they are, so at the origin the terms do not
-        change."""
-        if len(point) != self.nvars:
-            raise ValueError("translation point has wrong dimension")
-        shifts = [(i, _held_scalar(p)) for i, p in enumerate(point) if p]
-        if not shifts:
-            return self
-        # (x + p)^e = sum_k C(e, k) p^(e - k) x^k, one list per (i, e)
-        expansions: dict[tuple[int, int], list[ScalarLike]] = {}
-        out: dict[Monomial, ScalarLike] = {}
-        for mono, c in self.terms.items():
-            partial = [(mono, c)]
-            for i, p in shifts:
-                e = mono[i]
-                if not e:
-                    continue
-                scales = expansions.get((i, e))
-                if scales is None:
-                    scales = expansions[(i, e)] = [comb(e, k) * p ** (e - k) for k in range(e + 1)]
-                partial = [
-                    (m[:i] + (k,) + m[i + 1 :], q * scale)
-                    for m, q in partial
-                    for k, scale in enumerate(scales)
-                ]
-            for m, q in partial:
-                s = out.get(m)
-                out[m] = q if s is None else s + q
-        return Poly.from_sum(self.nvars, out)
-
     def subst(self, images: Sequence[Scalar]) -> Scalar:
         """Substitute one expression per variable: substitute's case of
         one polynomial."""
@@ -595,13 +567,20 @@ def substitute(polys: Sequence[Scalar], images: Sequence[Scalar]) -> tuple[Scala
 
     The images are checked once for all of them: each of polys must have
     one variable per image, and the images one common variable count,
-    which becomes the variable count of the results.  Each image is raised
-    to each power once per call, for all of polys.  With Poly images each
-    polynomial's terms are summed into one term dict: a term's image is
-    the product (mul_terms) of its variables' powers (pow_terms), added by
-    add_scaled, which stores no zero.  A RatFunc image takes the quotient
-    path of RatFunc arithmetic, term by term.  A RatFunc among polys is
-    its numerator's image over its denominator's, both substituted here.
+    which becomes the variable count of the results.  Image i is
+    num_i / den_i, with den_i = 1 for a Poly.  Each polynomial's terms are
+    summed into one term dict over the common denominator
+    prod den_i^top_i, top_i its largest exponent of variable i: the image
+    of c x^s is c prod num_i^s_i den_i^(top_i - s_i), a product
+    (mul_terms) of powers (pow_terms), added by add_scaled, which stores
+    no zero.  Each power of a numerator or denominator is made once per
+    call, for all of polys.  A RatFunc among polys takes its tops over
+    its numerator and denominator together, so the common denominator
+    cancels and the result is the numerator's sum over the denominator's;
+    a Poly with a rational image has the common denominator, the sum for
+    the monomial 1, as its denominator.  Each result goes through at most
+    one quotient, and none when it has no denominator: with Poly images
+    a Poly's image is its sum.
     """
     for p in polys:
         if p.nvars != len(images):
@@ -612,45 +591,52 @@ def substitute(polys: Sequence[Scalar], images: Sequence[Scalar]) -> tuple[Scala
     for img in images:
         if img.nvars != target:
             raise ValueError("substitution images live in different variable counts")
-    flat = [q for p in polys for q in ((p.num, p.den) if isinstance(p, RatFunc) else (p,))]
-    moved: list[Scalar] = []
+    one = {(0,) * target: 1}
+    # bases[i] is num_i, and bases[len(images) + j] is den_i of the j-th
+    # RatFunc image, i = rational[j]
+    bases = []
+    rational = []
+    for i, img in enumerate(images):
+        if isinstance(img, RatFunc):
+            rational.append(i)
+            img = img.num
+        bases.append(img.terms)
+    if rational:
+        bases += [images[i].den.terms for i in rational]
+        unit = {(0,) * len(images): 1}
+    powers: dict[tuple[int, int], dict] = {}
+    results: list[Scalar] = []
     # every value is canonical, so the order of the terms does not matter
-    if all(isinstance(img, Poly) for img in images):
-        one = {(0,) * target: 1}
-        factors: dict[tuple[int, int], dict] = {}
-        for p in flat:
+    for p in polys:
+        parts = (p.num.terms, p.den.terms) if isinstance(p, RatFunc) else (p.terms,)
+        tops = rational and [
+            max((m[i] for terms in parts for m in terms), default=0) for i in rational
+        ]
+        if any(tops) and len(parts) == 1:
+            # a Poly's denominator is the image of 1: prod den_i^top_i
+            parts = (p.terms, unit)
+        for terms in parts:
             out: dict[Monomial, ScalarLike] = {}
-            for mono, c in p.terms.items():
+            for mono, c in terms.items():
+                if tops:
+                    # the denominators' exponents follow the numerators'
+                    mono += tuple([top - mono[i] for i, top in zip(rational, tops)])
                 product = one
                 for i, e in enumerate(mono):
                     if e:
-                        factor = factors.get((i, e))
+                        factor = powers.get((i, e))
                         if factor is None:
-                            factor = images[i].terms
+                            factor = bases[i]
                             if e > 1:
                                 factor = pow_terms(factor, e, one)
-                            factors[(i, e)] = factor
+                            powers[(i, e)] = factor
                         product = mul_terms(product, factor) if product is not one else factor
                 add_scaled(out, c, product)
-            moved.append(Poly._canonical(target, {m: held(c) for m, c in out.items()}))
-    else:
-        powers: dict[tuple[int, int], Scalar] = {}
-        for p in flat:
-            acc = Poly.zero(target)
-            for mono, c in p.terms.items():
-                term = c
-                for i, e in enumerate(mono):
-                    if e:
-                        power = powers.get((i, e))
-                        if power is None:
-                            power = powers[(i, e)] = images[i] ** e
-                        term = term * power
-                acc = acc + term
-            moved.append(acc)
-    parts = iter(moved)
-    return tuple(
-        next(parts) / next(parts) if isinstance(p, RatFunc) else next(parts) for p in polys
-    )
+            results.append(Poly._canonical(target, {m: held(c) for m, c in out.items()}))
+        if len(parts) == 2:
+            den = results.pop()
+            results.append(quotient(results.pop(), den))
+    return tuple(results)
 
 
 def restrict_terms(p: Poly, fiber: Sequence[int]) -> Poly:

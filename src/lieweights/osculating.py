@@ -2,13 +2,15 @@
 
 The graded piece at depth i is gr_i = H_{-i} / P_i, where
 P_i = H_{-(i-1)} + m H_{-i} and m is the ideal of functions vanishing at
-the point.  Each call translates the chart once so that the point becomes
-the origin; there m is spanned by the monomials x^beta with beta != 0.
-So P_i, truncated at the degree bound, is spanned by the lower fields and
-by the level's fields times the nonconstant monomials.  The denominators
-are nested, P_i <= H_{-i} <= P_{i+1}, so one span (exactalg.RowEchelon)
-serves every depth, grown depth by depth over packed integer keys
-(lieflt.PackedKeys), and each depth puts this span in reduced form once.
+the point.  Each call centres the chart at the point, substituting
+x -> x + point into every generator coefficient in one call, so that the
+point becomes the origin; there m is spanned by the monomials x^beta with
+beta != 0.  So P_i, truncated at the degree bound, is spanned by the
+lower fields and by the level's fields times the nonconstant monomials.
+The denominators are nested, P_i <= H_{-i} <= P_{i+1}, so one span
+(exactalg.RowEchelon) serves every depth, grown depth by depth over
+packed integer keys (lieflt.PackedKeys), and each depth puts this span
+in reduced form once.
 At depth i the nonconstant multiples of the generators new at that level
 go on offer, and the span takes only those its questions reach: a
 multiple joins when it shares a packed key with a candidate, a bracket
@@ -56,6 +58,7 @@ from .exactalg import (
     evaluate,
     rational_point,
     record,
+    substitute,
     weight_of,
 )
 from .lieflt import (
@@ -77,14 +80,15 @@ def _centred(
 ) -> tuple[VectorField, ...]:
     """The fields rewritten under x -> x + point, so that the point sits at
     the origin.  A translation has identity Jacobian: only the
-    coefficients move, each by Poly.translate, and brackets commute with
-    it.  At the origin the fields are returned as they are, with no
-    coefficient translated."""
+    coefficients move, every coefficient of every field in one substitute
+    call with the images x_i + p_i, and brackets commute with it.  At the
+    origin the fields are returned as they are, with no substitute call."""
     if not any(point):
         return tuple(fields)
-    return tuple(
-        VectorField(g.chart, [c.translate(point) for c in g.coeffs]) for g in fields
-    )
+    n = len(point)
+    images = [Poly.variable(n, i) + Poly.const(n, p) for i, p in enumerate(point)]
+    moved = iter(substitute([c for g in fields for c in g.coeffs], images))
+    return tuple(VectorField(g.chart, [next(moved) for _ in g.coeffs]) for g in fields)
 
 
 def _class(rest: dict, keys: PackedKeys) -> dict[int, Fraction] | None:
@@ -493,25 +497,6 @@ def bch(algebra: GradedLieAlg, x: dict, y: dict) -> dict[int, Fraction]:
     return acc
 
 
-def _frozen_fiber_part(coeff, weighting: WeightedChart) -> tuple[Poly, Fraction]:
-    """Freeze the weight-0 variables at the base point and return the
-    numerator and the denominator's constant term c0, which must not
-    vanish."""
-    n = weighting.dim
-    base = weighting.base_point_weighted()
-    images = [
-        Poly.const(n, base[p]) if weighting.weights[p] == 0 else Poly.variable(n, p)
-        for p in range(n)
-    ]
-    frozen = coeff.subst(images)
-    if isinstance(frozen, Poly):
-        return frozen, Fraction(1)
-    c0 = frozen.den.terms.get((0,) * n, Fraction(0))
-    if c0 == 0:
-        raise ZeroDivisionError("denominator vanishes at the base point")
-    return frozen.num, c0
-
-
 def weighted_fiber_class(
     field: VectorField, weighting: WeightedChart, depth: int
 ) -> dict[tuple[int, Monomial], Fraction] | None:
@@ -528,8 +513,10 @@ def weighted_fiber_class(
     That coefficient has weighted degree at least the weight of s, and a
     frozen denominator is its constant term c0 plus terms of positive
     weight, so only c0 meets the numerator's x^s term: the value is that
-    term's coefficient divided by c0.  ValueError when depth is not a
-    filtration level.
+    term's coefficient divided by c0.  The freezing images are built once,
+    and every coefficient with a class at the depth is frozen in one
+    substitute call.  ValueError when depth is not a filtration level;
+    ZeroDivisionError when a frozen denominator has c0 = 0.
     """
     if depth < 1:
         raise ValueError(f"depth {depth} is not a filtration level")
@@ -537,12 +524,19 @@ def weighted_fiber_class(
     if vf_degree_in_chart(pushed, weighting) < -depth:
         return None
     weights = weighting.weights
+    n = weighting.dim
+    base = weighting.base_point_weighted()
+    images = [
+        Poly.const(n, base[p]) if w == 0 else Poly.variable(n, p) for p, w in enumerate(weights)
+    ]
+    positions = [p for p, c in enumerate(pushed) if weights[p] >= depth and not c.is_zero()]
+    frozen = substitute([pushed[p] for p in positions], images)
     cls: dict[tuple[int, Monomial], Fraction] = {}
-    for p, coeff in enumerate(pushed):
+    for p, f in zip(positions, frozen):
+        num, c0 = (f, 1) if isinstance(f, Poly) else (f.num, f.den.terms.get((0,) * n, 0))
+        if not c0:
+            raise ZeroDivisionError("denominator vanishes at the base point")
         target = weights[p] - depth
-        if target < 0 or coeff.is_zero():
-            continue
-        num, c0 = _frozen_fiber_part(coeff, weighting)
         for mono, value in num.terms.items():
             if weight_of(mono, weights) == target:
                 # value and c0 may both be ints: divide by a Fraction

@@ -71,6 +71,29 @@ def partial(f, i: int):
     return Poly(f.nvars, terms)
 
 
+def translate_reference(f: Poly, point) -> Poly:
+    """Oracle for the shift x -> x + point: f(x + point), each monomial
+    expanded binomially in the coordinates with p_i != 0 and the others
+    left as they are, so at the origin the terms do not change."""
+    if len(point) != f.nvars:
+        raise ValueError("translation point has wrong dimension")
+    shifts = [(i, Fraction(p)) for i, p in enumerate(point) if p]
+    out: dict = {}
+    for mono, c in f.terms.items():
+        partial_terms = [(mono, c)]
+        for i, p in shifts:
+            e = mono[i]
+            scales = [math.comb(e, k) * p ** (e - k) for k in range(e + 1)]
+            partial_terms = [
+                (m[:i] + (k,) + m[i + 1 :], q * scale)
+                for m, q in partial_terms
+                for k, scale in enumerate(scales)
+            ]
+        for m, q in partial_terms:
+            out[m] = out.get(m, 0) + q
+    return Poly(f.nvars, out)
+
+
 def random_poly(rng: random.Random, nvars: int, degree: int, max_terms: int = 3) -> Poly:
     monos = monomials_up_to(nvars, degree)
     terms = {}
@@ -171,6 +194,32 @@ def filiform_problem(n: int) -> dict:
         "order": n - 1,
         "filtration": {str(-d): ["dx1", *ys[:d]] for d in range(1, n)},
         "submanifold": {"tangent": [], "base_point": ["0"] * n},
+    }
+
+
+def grushin_problem(k: int, base: Fraction | None) -> dict:
+    """The Grushin-type filtration on (x, y), as a problem document.
+
+    X = dx and Y = x^k dy at level -1, and level -(j+1) adds
+    ad_X^j Y = k!/(k-j)! x^(k-j) dy; the order is k + 1.  base None makes
+    N the origin; otherwise N is the x-axis, with base point (base, 0).
+    """
+
+    def ad_x(j: int) -> str:
+        coeff, e = math.factorial(k) // math.factorial(k - j), k - j
+        factors = ([str(coeff)] if coeff != 1 else []) + ([f"x^{e}"] if e > 1 else ["x"] * e)
+        return "*".join([*factors, "dy"])
+
+    fields = ["dx", *(ad_x(j) for j in range(k + 1))]
+    if base is None:
+        submanifold = {"tangent": [], "base_point": ["0", "0"]}
+    else:
+        submanifold = {"tangent": ["x"], "base_point": [str(base), "0"]}
+    return {
+        "variables": ["x", "y"],
+        "order": k + 1,
+        "filtration": {str(-d): fields[: d + 1] for d in range(1, k + 2)},
+        "submanifold": submanifold,
     }
 
 

@@ -25,19 +25,24 @@ functions.
 
 Then it writes the free nilpotent problems (2,3), (2,4) and (3,3) of
 tests/corpus.py:free_nilpotent_problem to OUTDIR/free_nilpotent/ and
-runs check and report on each at default flags (6 more runs, 379 in all).
+runs check and report on each at default flags (6 more runs), and the
+Grushin-type problems of tests/corpus.py:grushin_problem for k = 1..4,
+with N the origin and with N the x-axis at x = 1, to OUTDIR/grushin/,
+and runs report on each at default flags (8 more runs, 387 in all).
 
 Last, a library section covers what the command line never prints.  For
 heisenberg, example1, example2, engel4 and cartan235 of problems/, free
-nilpotent (2,4), (3,3) and (2,5) and filiform_problem(7), it builds the
-osculating algebra and its tangent subalgebra at bound 2 at the base
-point, and writes OUTDIR/library/<input>.txt, one output a line:
+nilpotent (2,4), (3,3) and (2,5), filiform_problem(7) and the Grushin-type
+problems k = 2 and 3 at the origin and along the x-axis at x = 1 (13
+inputs; the two on the x-axis build an osculating algebra at a point off
+the origin), it builds the osculating algebra and its tangent subalgebra
+at bound 2 at the base point, and writes OUTDIR/library/<input>.txt, one
+output a line:
 graded_dims, the structure constants as sorted [u, v, k, str(c)], the
 candidate classes, the tangent spans, axioms_ok() and two bch products of
 seeded random elements.  Each element, class and span row is written as
-its sorted nonzero entries [k, str(c)], read from a dense tuple or a
-{index: value} map, so the section reads the same from either form of the
-algebra.  Then, at the same bound, it writes what bracket-compat and the
+its sorted nonzero entries [k, str(c)], read from its {index: value}
+map.  Then, at the same bound, it writes what bracket-compat and the
 tangent subalgebra decide on the way: the certificate of each passing
 check_bracket_compat pair, as [i, j, gi, gj, coefficients] with each
 coefficient printed by format_poly; each depth's tangency_solve basis,
@@ -46,9 +51,9 @@ fiber class (weighted_fiber_class) of each tangent-span representative,
 as [depth, entries].  Last, it writes graded_dims, the structure
 constants and the candidate classes of the osculating algebra at the
 base point at bounds 0, 1, 3 and 4 too, as bound<b>_graded_dims and so
-on, so a change to the osculating span shows at every bound.  A class's entries are its sorted nonzero
-[[position, multi-index], str(value)], read from a {label: value} map or
-from a dense tuple along the fiber_class_pairs labels.
+on, so a change to the osculating span shows at every bound.  A class's
+entries are its sorted nonzero [[position, multi-index], str(value)], read
+from its {label: value} map.
 
 Two checkouts give the same behaviour when `diff -r` finds no difference
 between their output directories:
@@ -78,8 +83,12 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
-from corpus import filiform_problem, free_nilpotent_problem, pushed_forward_model  # noqa: E402
-from lieweights import osculating  # noqa: E402
+from corpus import (  # noqa: E402
+    filiform_problem,
+    free_nilpotent_problem,
+    grushin_problem,
+    pushed_forward_model,
+)
 from lieweights.cli import COMMAND_STAGES, load_problem, main  # noqa: E402
 from lieweights.lieflt import (  # noqa: E402
     PASS,
@@ -87,7 +96,12 @@ from lieweights.lieflt import (  # noqa: E402
     check_clean,
     tangency_solve,
 )
-from lieweights.osculating import bch, osculating_at, tangent_subalg  # noqa: E402
+from lieweights.osculating import (  # noqa: E402
+    bch,
+    osculating_at,
+    tangent_subalg,
+    weighted_fiber_class,
+)
 from lieweights.vfield import format_poly, format_vector_field  # noqa: E402
 from lieweights.weightcoord import weighted_coordinates  # noqa: E402
 
@@ -105,12 +119,18 @@ PUSHED_FORWARD_BASES = (1, 2)
 PUSHED_FORWARD_COMMANDS = ("coords", "report")
 FREE_NILPOTENT = ((2, 3), (2, 4), (3, 3))
 FREE_NILPOTENT_COMMANDS = ("check", "report")
+GRUSHIN = tuple((k, base) for k in (1, 2, 3, 4) for base in (None, 1))
+GRUSHIN_COMMANDS = ("report",)
 LIBRARY_PROBLEMS = ("heisenberg", "example1", "example2", "engel4", "cartan235")
 LIBRARY_DOCS = {
     "free_2_4": free_nilpotent_problem(2, 4),
     "free_3_3": free_nilpotent_problem(3, 3),
     "free_2_5": free_nilpotent_problem(2, 5),
     "filiform_7": filiform_problem(7),
+    "grushin_2_origin": grushin_problem(2, None),
+    "grushin_2_x1": grushin_problem(2, 1),
+    "grushin_3_origin": grushin_problem(3, None),
+    "grushin_3_x1": grushin_problem(3, 1),
 }
 LIBRARY_BOUND = 2
 LIBRARY_OTHER_BOUNDS = (0, 1, 3, 4)
@@ -163,6 +183,19 @@ def free_nilpotent_files(outdir: Path) -> list[str]:
     return paths
 
 
+def grushin_files(outdir: Path) -> list[str]:
+    """Write the Grushin-type problems under outdir; their paths relative
+    to outdir."""
+    (outdir / "grushin").mkdir(exist_ok=True)
+    paths = []
+    for k, base in GRUSHIN:
+        path = f"grushin/grushin_{k}_{'origin' if base is None else f'x{base}'}.json"
+        doc = grushin_problem(k, base)
+        (outdir / path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        paths.append(path)
+    return paths
+
+
 def run(command: str, problem: str, flags: list[str], base: Path) -> None:
     json_path = base.with_suffix(".json")
     out, err = io.StringIO(), io.StringIO()
@@ -176,22 +209,15 @@ def run(command: str, problem: str, flags: list[str], base: Path) -> None:
     base.with_suffix(".exit").write_text(code + "\n", encoding="utf-8")
 
 
-def entries(vec) -> list[list]:
-    """The nonzero entries [k, str(c)] of a dense tuple or a map, sorted."""
-    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
-    return [[k, str(c)] for k, c in sorted(items) if c]
+def entries(vec: dict) -> list[list]:
+    """The nonzero entries [k, str(c)] of a map, sorted."""
+    return [[k, str(c)] for k, c in sorted(vec.items()) if c]
 
 
 def fiber_class(field, weighting, depth) -> list | None:
     """The field's ambient fiber class as sorted [[position, multi-index],
-    str(value)] entries, read from a map or from a dense tuple along the
-    fiber_class_pairs labels."""
-    if hasattr(osculating, "fiber_class_pairs"):
-        pairs = osculating.fiber_class_pairs(weighting, depth)
-        dense = osculating.weighted_fiber_class(field, weighting, depth, pairs)
-        cls = None if dense is None else dict(zip(pairs, dense))
-    else:
-        cls = osculating.weighted_fiber_class(field, weighting, depth)
+    str(value)] entries."""
+    cls = weighted_fiber_class(field, weighting, depth)
     if cls is None:
         return None
     return [[[p, list(s)], str(c)] for (p, s), c in sorted(cls.items()) if c]
@@ -199,12 +225,8 @@ def fiber_class(field, weighting, depth) -> list | None:
 
 def algebra_outputs(algebra, prefix: str) -> dict:
     """graded_dims, the structure constants as sorted [u, v, k, str(c)] and
-    the candidate classes, each key with the prefix, read from a dense or
-    a sparse structure."""
-    if isinstance(algebra.structure, dict):
-        pairs = sorted(algebra.structure.items())
-    else:
-        pairs = [((u, v), vec) for u, v, vec in algebra.structure]
+    the candidate classes, each key with the prefix."""
+    pairs = sorted(algebra.structure.items())
     return {
         f"{prefix}graded_dims": list(algebra.graded_dims()),
         f"{prefix}structure_constants": [
@@ -233,7 +255,6 @@ def library_outputs(path: Path) -> dict:
     ]
     algebra = osculating_at(filt, sub.base_point, LIBRARY_BOUND)
     tangent = tangent_subalg(filt, sub, LIBRARY_BOUND, parent=algebra)
-    sparse = isinstance(algebra.structure, dict)
     rng = random.Random(LIBRARY_SEED)
     products = []
     for _ in range(2):
@@ -241,8 +262,6 @@ def library_outputs(path: Path) -> dict:
             {w: rng.choice(LIBRARY_POOL) for w in range(algebra.dim) if rng.random() < 0.6}
             for _ in range(2)
         ]
-        if not sparse:
-            args = [tuple(x.get(w, Fraction(0)) for w in range(algebra.dim)) for x in args]
         products.append([entries(x) for x in (*args, bch(algebra, *args))])
     clean = check_clean(filt, sub)
     weighting = weighted_coordinates(clean) if clean.verdict == PASS else None
@@ -301,6 +320,7 @@ def snapshot(outdir: Path) -> int:
     generated = [
         (PUSHED_FORWARD_COMMANDS, pushed_forward_files(outdir)),
         (FREE_NILPOTENT_COMMANDS, free_nilpotent_files(outdir)),
+        (GRUSHIN_COMMANDS, grushin_files(outdir)),
     ]
     for commands, problems in generated:
         for command in commands:

@@ -17,7 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import filiform_problem, free_nilpotent_problem, lyndon_words, witt_dimension
+from corpus import (
+    filiform_problem,
+    free_nilpotent_problem,
+    grushin_problem,
+    lyndon_words,
+    witt_dimension,
+)
 from lieweights import cli, exactalg, lieflt, osculating, weightcoord
 from lieweights.cli import (
     EXIT_FAIL,
@@ -743,6 +749,30 @@ class TestFreeNilpotent:
         assert osc["graded_dims"] == witt
         assert sum(witt) == len(words)
         assert osc["unverified"] == []
+
+
+class TestGrushin:
+    """The Grushin-type family X = dx, Y = x^k dy (ROADMAP item 14): closed
+    forms at the origin, and along the x-axis, where the osculating stage
+    runs in the chart centred at a point off the origin."""
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    @pytest.mark.parametrize("base", [None, 1, Fraction(-1, 2)], ids=["origin", "x=1", "x=-1/2"])
+    @pytest.mark.parametrize("bound", ["2", "k+2"])
+    def test_report_gives_the_closed_forms(self, tmp_path, k, base, bound):
+        path = write_problem(tmp_path, grushin_problem(k, base))
+        flags = ["--degree-bound", str(2 if bound == "2" else k + 2)]
+        code, report = run_report("report", path, tmp_path, *flags)
+        assert code == EXIT_PASS
+        assert all(entry["verdict"] == "pass" for entry in report["stages"])
+        osc = stage(report, "osculating")["data"]
+        if base is None:
+            weights, graded, tangent = [1, k + 1], [2] + [1] * k, [1] * k + [0]
+        else:
+            weights, graded, tangent = [0, 1], [2] + [0] * k, [1] + [0] * k
+        assert stage(report, "weights")["data"]["weights"] == weights
+        assert osc["graded_dims"] == graded
+        assert osc["tangent_dims"] == tangent
 
 
 class TestLoadProblem:

@@ -1,6 +1,7 @@
 """Exact arithmetic layer: canonical forms, ring ops, gcd, linear solving."""
 
 import itertools
+import signal
 import time
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from corpus import assert_canonical, partial
+from corpus import assert_canonical, partial, translate_reference
 from lieweights import exactalg
 from lieweights.exactalg import (
     LinearSolution,
@@ -253,25 +254,69 @@ def shifted_images(point):
         max_size=3,
     ),
 )
-def test_translate_matches_substituting_shifted_variables(f, point):
-    moved = f.translate(point)
+def test_shift_substitution_matches_the_binomial_expansion(f, point):
+    moved = f.subst(shifted_images(point))
     assert_canonical(moved)
-    assert moved == f.subst(shifted_images(point))
-    assert moved.translate([-p for p in point]) == f
+    assert moved == translate_reference(f, point)
+    assert moved.subst(shifted_images([-p for p in point])) == f
 
 
-def test_translate_leaves_unshifted_coordinates_alone():
+def test_shift_substitution_leaves_unshifted_coordinates_alone():
     f = X**2 * Y + Fraction(1, 2) * Z**3 - Y
-    assert f.translate([0, 0, 0]).terms == f.terms
+    assert f.subst(shifted_images([0, 0, 0])).terms == f.terms
     # only the x exponents are expanded; y and z keep theirs
-    moved = f.translate([2, 0, 0])
-    assert moved == (X + 2) ** 2 * Y + Fraction(1, 2) * Z**3 - Y
+    moved = f.subst(shifted_images([2, 0, 0]))
+    assert moved == (X + 2) ** 2 * Y + Fraction(1, 2) * Z**3 - Y == translate_reference(f, [2, 0, 0])
     assert {m[1:] for m in moved.terms} == {m[1:] for m in f.terms}
     # x^2 - 4x + 4 = (x - 2)^2 moves to x^2 at x -> x + 2, every cancelled
     # term dropped
-    assert (X**2 - 4 * X + 4).translate([2, 0, 0]).terms == {(2, 0, 0): Fraction(1)}
+    assert (X**2 - 4 * X + 4).subst(shifted_images([2, 0, 0])).terms == {(2, 0, 0): 1}
     with pytest.raises(ValueError):
-        f.translate([1, 2])
+        f.subst(shifted_images([1, 2]))
+
+
+def test_substituting_rational_images_takes_one_quotient_per_result(monkeypatch):
+    # each result is one sum over the common denominator, reduced once;
+    # summing term by term through RatFunc arithmetic took 4 quotients for
+    # f alone, and 14 for the batch below
+    x, y = Poly.variable(2, 0), Poly.variable(2, 1)
+    images = [RatFunc(x, y + 1), RatFunc(x + y, x - 2)]
+    f = x**2 + 3 * x * y - y**2 + 5 * x - 7
+    g = x**3 * y + x - 1
+    calls = []
+
+    def counting_quotient(num, den):
+        calls.append((num, den))
+        return quotient(num, den)
+
+    monkeypatch.setattr(exactalg, "quotient", counting_quotient)
+    got_f = f.subst(images)
+    assert len(calls) == 1
+    calls.clear()
+    batch = (f, g, f / g)
+    got = substitute(batch, images)
+    # one builds f / g, and one per result
+    assert len(calls) == 4
+    calls.clear()
+    # Poly images give a Poly its image with no quotient
+    assert f.subst([x + y, x * y]) == (x + y) ** 2 + 3 * (x + y) * x * y - (x * y) ** 2 + 5 * (x + y) - 7
+    assert calls == []
+    monkeypatch.undo()
+    mapping = dict(zip(sympy_symbols(2), map(sympy_value, images)))
+    for value, result in zip((f, *batch), (got_f, *got)):
+        assert_normal_form(result, sympy_value(value).subs(mapping, simultaneous=True))
+
+
+def test_a_ratfunc_takes_its_tops_over_numerator_and_denominator_together():
+    # x / (y^2 + 1): the numerator has no y and the denominator no x, so
+    # each part's own tops would give common denominators that do not cancel
+    x, y = Poly.variable(2, 0), Poly.variable(2, 1)
+    h = RatFunc(x, y**2 + 1)
+    images = [RatFunc(x, y + 1), RatFunc(x + y, x - 2)]
+    expected = (x / (y + 1)) / ((x + y) / (x - 2) * ((x + y) / (x - 2)) + 1)
+    assert h.subst(images) == expected
+    mapping = dict(zip(sympy_symbols(2), map(sympy_value, images)))
+    assert_normal_form(h.subst(images), sympy_value(h).subs(mapping, simultaneous=True))
 
 
 def test_subst_raises_each_image_to_each_power_once(monkeypatch):
@@ -767,6 +812,39 @@ def test_subst_keeps_the_type_rule(case):
         assert sympy.cancel(to_sympy(f.den).subs(mapping, simultaneous=True)) == 0
         return
     assert_normal_form(got, expected)
+
+
+def _expire(signum, frame):
+    raise TimeoutError("poly_gcd ran past its 3-s budget")
+
+
+@pytest.mark.xfail(strict=True, raises=TimeoutError, reason="ROADMAP item 13")
+def test_poly_gcd_of_a_swelling_pair_finishes_within_a_budget():
+    # test_subst_keeps_the_type_rule's example at --hypothesis-seed=6: the
+    # images of f's numerator and denominator are a and b, and f's image
+    # needs the gcd of a.num * b.den (63 terms, degree 28) and
+    # a.den * b.num (54 terms, degree 26).  sympy finds it in a fraction of
+    # a second; the subresultant sequence swells and does not finish.
+    v0, v1, v2 = (Poly.variable(3, i) for i in range(3))
+    d = -2 * v0 * v1 * v2**2 + 3 * v0**2 * v2**2 + 2 * v0**2 * v1**2 * v2
+    f = RatFunc(Fraction(-8, 3) * v2**2 - 2 * v0**2, d)
+    images = [
+        RatFunc(-2 * v0**2 + 2 * v1**2 * v2**2, d),
+        Poly.zero(3),
+        Fraction(4, 3) * v0 * v2 + 4 * v0**2 * v1**2 * v2**2,
+    ]
+    a, b = f.num.subst(images), f.den.subst(images)
+    left, right = a.num * b.den, a.den * b.num
+    assert (len(left.terms), left.total_degree()) == (63, 28)
+    assert (len(right.terms), right.total_degree()) == (54, 26)
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.setitimer(signal.ITIMER_REAL, 3)
+    try:
+        got = poly_gcd(left, right)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert got == _normalize_primitive((2 * v0 * v1**2 + 3 * v0 * v2 - 2 * v1 * v2) ** 2)
 
 
 @settings(max_examples=60, deadline=None)

@@ -20,6 +20,7 @@ from corpus import (
     module_solve,
     pushed_forward_model,
     random_poly,
+    translate_reference,
 )
 from lieweights import lieflt, osculating
 from lieweights.cli import load_problem
@@ -660,6 +661,76 @@ def test_fiber_classes_match_the_weight_part_reading(seed, t):
             )
 
 
+def frozen_fiber_class(field, weighting, depth):
+    """Oracle: each coefficient with a class at the depth frozen on its
+    own, by its own subst call with freezing images rebuilt for it, and
+    the weight part of the numerator divided by the frozen denominator's
+    constant term."""
+    if depth < 1:
+        raise ValueError(f"depth {depth} is not a filtration level")
+    pushed = push_to_weighted(field, weighting)
+    if vf_degree_in_chart(pushed, weighting) < -depth:
+        return None
+    n = weighting.dim
+    weights = weighting.weights
+    cls = {}
+    for p, coeff in enumerate(pushed):
+        target = weights[p] - depth
+        if target < 0 or coeff.is_zero():
+            continue
+        base = weighting.base_point_weighted()
+        images = [
+            Poly.const(n, base[q]) if weights[q] == 0 else Poly.variable(n, q) for q in range(n)
+        ]
+        frozen = coeff.subst(images)
+        if isinstance(frozen, Poly):
+            num, c0 = frozen, Fraction(1)
+        else:
+            num, c0 = frozen.num, frozen.den.terms.get((0,) * n, Fraction(0))
+            if c0 == 0:
+                raise ZeroDivisionError("denominator vanishes at the base point")
+        for mono, value in num.terms.items():
+            if weight_of(mono, weights) == target:
+                cls[(p, mono)] = value / Fraction(c0)
+    return cls
+
+
+def _clean_inputs():
+    """(name, filtration, submanifold) of each problems/ file whose
+    submanifold is clean, and of the first 12 pushed-forward models of
+    seed 20261 at t = 1 and t = 2."""
+    for path in sorted(PROBLEMS.glob("*.json")):
+        spec = load_problem(str(path))
+        yield path.name, spec.filtration, spec.submanifold
+    rng = random.Random(20261)
+    for k in range(12):
+        filt = pushed_forward_model(rng)
+        for t in (1, 2):
+            yield f"model{k:02d}_t{t}", filt, Submanifold(CHART_TABC, (0,), (t, 0, 0, 0))
+
+
+def test_fiber_classes_match_the_per_coefficient_freeze():
+    # every generator at every depth: the batched freeze reads the same
+    # class, and refuses the same vanishing denominator
+    compared = 0
+    for name, filt, sub in _clean_inputs():
+        clean = check_clean(filt, sub)
+        if clean.verdict != "pass":
+            continue
+        weighting = weighted_coordinates(clean)
+        for depth in range(1, filt.order + 1):
+            for field in filt.generators(filt.order):
+                try:
+                    expected = frozen_fiber_class(field, weighting, depth)
+                except ZeroDivisionError:
+                    with pytest.raises(ZeroDivisionError):
+                        weighted_fiber_class(field, weighting, depth)
+                    continue
+                assert weighted_fiber_class(field, weighting, depth) == expected, name
+                compared += 1
+    assert compared >= 100
+
+
 # -- centred chart against recentred columns ------------------------------------
 
 
@@ -971,23 +1042,40 @@ def test_the_span_takes_only_the_rows_its_questions_reach(monkeypatch):
 
 def test_osculating_at_the_origin_translates_nothing(monkeypatch):
     # the generators are centred at the point; at the origin they are
-    # already, so no coefficient goes through Poly.translate
+    # already, so _centred makes no substitute call, and at a shifted point
+    # it makes one for every coefficient of every generator
     calls = []
-    translate = Poly.translate
+    substitute = osculating.substitute
 
-    def counting_translate(self, point):
-        calls.append(tuple(point))
-        return translate(self, point)
+    def counting_substitute(polys, images):
+        calls.append(len(polys))
+        return substitute(polys, images)
 
-    monkeypatch.setattr(Poly, "translate", counting_translate)
+    monkeypatch.setattr(osculating, "substitute", counting_substitute)
     spec = load_problem(str(PROBLEMS.parent / "bench" / "problems" / "cartan235.json"))
     assert not any(spec.submanifold.base_point)
     alg = osculating_at(spec.filtration, spec.submanifold.base_point, 3)
     assert alg.graded_dims() == (2, 1, 2)
     assert calls == []
-    # a shifted point still translates each coefficient
-    osculating_at(heisenberg(), (1, 0, 0), 1)
-    assert calls and all(point == (1, 0, 0) for point in calls)
+    for filt, point in ((heisenberg(), (1, 0, 0)), (step4_flag(), (1, Fraction(-1, 2), 2))):
+        calls.clear()
+        osculating_at(filt, point, 1)
+        assert calls == [3 * len(filt.generators(filt.order))]
+
+
+@given(filtrations_at_points())
+@settings(max_examples=30, deadline=None)
+def test_centred_fields_are_the_binomially_shifted_fields(case):
+    filt, sub, _ = case
+    gens = filt.generators(filt.order)
+    point = sub.base_point
+    centred = osculating._centred(gens, point)
+    assert [g.chart for g in centred] == [g.chart for g in gens]
+    assert [list(g.coeffs) for g in centred] == [
+        [translate_reference(c, point) for c in g.coeffs] for g in gens
+    ]
+    back = osculating._centred(centred, [-p for p in point])
+    assert back == tuple(gens)
 
 
 def test_a_negative_degree_bound_is_refused():
