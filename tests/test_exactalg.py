@@ -266,7 +266,8 @@ def test_shift_substitution_leaves_unshifted_coordinates_alone():
     assert f.subst(shifted_images([0, 0, 0])).terms == f.terms
     # only the x exponents are expanded; y and z keep theirs
     moved = f.subst(shifted_images([2, 0, 0]))
-    assert moved == (X + 2) ** 2 * Y + Fraction(1, 2) * Z**3 - Y == translate_reference(f, [2, 0, 0])
+    assert moved == (X + 2) ** 2 * Y + Fraction(1, 2) * Z**3 - Y
+    assert moved == translate_reference(f, [2, 0, 0])
     assert {m[1:] for m in moved.terms} == {m[1:] for m in f.terms}
     # x^2 - 4x + 4 = (x - 2)^2 moves to x^2 at x -> x + 2, every cancelled
     # term dropped
@@ -277,8 +278,8 @@ def test_shift_substitution_leaves_unshifted_coordinates_alone():
 
 def test_substituting_rational_images_takes_one_quotient_per_result(monkeypatch):
     # each result is one sum over the common denominator, reduced once;
-    # summing term by term through RatFunc arithmetic took 4 quotients for
-    # f alone, and 14 for the batch below
+    # a sum term by term through RatFunc arithmetic takes a quotient for
+    # nearly every term (4 for f alone, 14 for the batch below)
     x, y = Poly.variable(2, 0), Poly.variable(2, 1)
     images = [RatFunc(x, y + 1), RatFunc(x + y, x - 2)]
     f = x**2 + 3 * x * y - y**2 + 5 * x - 7
@@ -299,7 +300,8 @@ def test_substituting_rational_images_takes_one_quotient_per_result(monkeypatch)
     assert len(calls) == 4
     calls.clear()
     # Poly images give a Poly its image with no quotient
-    assert f.subst([x + y, x * y]) == (x + y) ** 2 + 3 * (x + y) * x * y - (x * y) ** 2 + 5 * (x + y) - 7
+    u, v = x + y, x * y
+    assert f.subst([u, v]) == u**2 + 3 * u * v - v**2 + 5 * u - 7
     assert calls == []
     monkeypatch.undo()
     mapping = dict(zip(sympy_symbols(2), map(sympy_value, images)))

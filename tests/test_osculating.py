@@ -661,72 +661,32 @@ def test_fiber_classes_match_the_weight_part_reading(seed, t):
             )
 
 
-def frozen_fiber_class(field, weighting, depth):
-    """Oracle: each coefficient with a class at the depth frozen on its
-    own, by its own subst call with freezing images rebuilt for it, and
-    the weight part of the numerator divided by the frozen denominator's
-    constant term."""
-    if depth < 1:
-        raise ValueError(f"depth {depth} is not a filtration level")
-    pushed = push_to_weighted(field, weighting)
-    if vf_degree_in_chart(pushed, weighting) < -depth:
-        return None
-    n = weighting.dim
-    weights = weighting.weights
-    cls = {}
-    for p, coeff in enumerate(pushed):
-        target = weights[p] - depth
-        if target < 0 or coeff.is_zero():
-            continue
-        base = weighting.base_point_weighted()
-        images = [
-            Poly.const(n, base[q]) if weights[q] == 0 else Poly.variable(n, q) for q in range(n)
-        ]
-        frozen = coeff.subst(images)
-        if isinstance(frozen, Poly):
-            num, c0 = frozen, Fraction(1)
-        else:
-            num, c0 = frozen.num, frozen.den.terms.get((0,) * n, Fraction(0))
-            if c0 == 0:
-                raise ZeroDivisionError("denominator vanishes at the base point")
-        for mono, value in num.terms.items():
-            if weight_of(mono, weights) == target:
-                cls[(p, mono)] = value / Fraction(c0)
-    return cls
-
-
-def _clean_inputs():
-    """(name, filtration, submanifold) of each problems/ file whose
-    submanifold is clean, and of the first 12 pushed-forward models of
-    seed 20261 at t = 1 and t = 2."""
+def test_fiber_classes_match_the_weight_part_reading_on_every_generator():
+    # every generator at every depth, on each problem file under problems/
+    # and on the first 12 pushed-forward models of seed 20261 at t = 1 and 2
+    inputs = []
     for path in sorted(PROBLEMS.glob("*.json")):
         spec = load_problem(str(path))
-        yield path.name, spec.filtration, spec.submanifold
+        inputs.append((path.name, spec.filtration, spec.submanifold))
     rng = random.Random(20261)
     for k in range(12):
         filt = pushed_forward_model(rng)
         for t in (1, 2):
-            yield f"model{k:02d}_t{t}", filt, Submanifold(CHART_TABC, (0,), (t, 0, 0, 0))
-
-
-def test_fiber_classes_match_the_per_coefficient_freeze():
-    # every generator at every depth: the batched freeze reads the same
-    # class, and refuses the same vanishing denominator
+            inputs.append((f"model{k}_t{t}", filt, Submanifold(CHART_TABC, (0,), (t, 0, 0, 0))))
     compared = 0
-    for name, filt, sub in _clean_inputs():
+    for name, filt, sub in inputs:
         clean = check_clean(filt, sub)
         if clean.verdict != "pass":
             continue
         weighting = weighted_coordinates(clean)
         for depth in range(1, filt.order + 1):
             for field in filt.generators(filt.order):
-                try:
-                    expected = frozen_fiber_class(field, weighting, depth)
-                except ZeroDivisionError:
-                    with pytest.raises(ZeroDivisionError):
-                        weighted_fiber_class(field, weighting, depth)
-                    continue
-                assert weighted_fiber_class(field, weighting, depth) == expected, name
+                pairs, expected = reference_fiber_class(field, weighting, depth)
+                assert weighted_fiber_class(field, weighting, depth) == (
+                    None
+                    if expected is None
+                    else {label: c for label, c in zip(pairs, expected) if c}
+                ), name
                 compared += 1
     assert compared >= 100
 
