@@ -19,6 +19,7 @@ from math import comb
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .exactalg import (
+    Monomial,
     Poly,
     RowEchelon,
     rational_point,
@@ -247,7 +248,8 @@ class PackedKeys:
     every field key.  Multiplying by x^beta adds enc(beta) to a key, as
     long as the shifted exponents stay below B (Monagan and Pearce 2007,
     packed exponent vectors).  enc and pack raise ValueError on an exponent
-    of B or more, so two entries never share a key silently.
+    of B or more, so two entries never share a key silently.  ModuleRows
+    picks the base.
     """
 
     def __init__(self, nvars: int, base: int):
@@ -256,11 +258,6 @@ class PackedKeys:
         self.nvars = nvars
         self.base = base
         self.place = base**nvars
-
-    @classmethod
-    def for_degree(cls, nvars: int, degree: int) -> "PackedKeys":
-        """Keys for monomials of total degree at most degree: B = degree + 1."""
-        return cls(nvars, degree + 1)
 
     def enc(self, mono: Sequence[int]) -> int:
         base = self.base
@@ -292,100 +289,96 @@ def fields_degree(fields: Iterable[VectorField]) -> int:
     return max([0, *(c.total_degree() for f in fields for c in f.coeffs)])
 
 
-def field_entries(field: VectorField, keys: PackedKeys) -> dict[int, Fraction]:
-    """Nonzero coefficients of a field under packed (component, monomial)
-    keys, held as Poly and RowEchelon hold them."""
-    return {
-        keys.pack(a, mono): value
-        for a, c in enumerate(field.coeffs)
-        for mono, value in c.terms.items()
-    }
-
-
 class ModuleRows:
-    """The multiples x^alpha * g of generators g by monomials alpha, as
-    packed rows: the one place that packs them, shifts them and checks
-    that a shift fits.
+    """The bounded module system of the multiples x^alpha * g of generators
+    g by monomials alpha: the one place that packs them, shifts them, lays
+    them out as a system and decodes its solutions.
+
+    Keys: the packing base B is one more than the larger of the
+    generators' total degree plus the monomials' top total degree, and
+    reach, the largest total degree of any other field packed beside the
+    rows (the right-hand sides of a membership, the brackets an osculating
+    span reduces; 0 when there are none).  An exponent of a row is at most
+    a total degree of its generator plus one of its monomial, so below B,
+    and a shift never carries into the next digit; entries(field) packs
+    any field of total degree at most reach, and PackedKeys.pack raises
+    ValueError on any exponent of B or more.
 
     Each generator's entries are packed once, and the row of x^alpha * g
-    is its entries shifted by enc(alpha).  A shifted exponent reaches at
-    most the generator's top exponent in that variable plus the
-    monomials' top one; each generator's top exponents are read in one
-    pass over its monomials, and ValueError is raised when a sum is B or
-    more.  So a shift never carries into the next digit, and x^alpha * g
-    holds the key k exactly when k - e = enc(alpha) for an entry key e of
-    g, of the same component as k: holding() reads the multiples of a key
-    off the entries bucketed by component.
+    is its entries shifted by enc(alpha).  So x^alpha * g holds the key k
+    exactly when k - e = enc(alpha) for an entry key e of g, of the same
+    component as k: holding() reads the multiples of a key off the entries
+    bucketed by component.
+
+    Layout: the columns of system() are the rows, generator (outer loop)
+    by monomial (inner loop), so column p is generator p // len(monos)
+    times monos[p % len(monos)], the first k generators own the leading
+    width(k) columns, and right-hand column s follows them all, at
+    width(len(gens)) + s.  coefficients() reads a solution map back as one
+    coefficient polynomial per generator.
     """
 
     def __init__(
-        self, gens: Sequence[VectorField], monos: Sequence[tuple[int, ...]], keys: PackedKeys
+        self, gens: Sequence[VectorField], monos: Sequence[Monomial], nvars: int, reach: int
     ):
-        n = keys.nvars
-        mono_top = [max(column) for column in zip(*monos)] or [0] * n
-        self._entries: list[dict[int, Fraction]] = []
+        top = max((sum(alpha) for alpha in monos), default=0)
+        self.keys = keys = PackedKeys(nvars, max(fields_degree(gens) + top, reach) + 1)
+        self._monos = monos
+        self._entries = [self.entries(g) for g in gens]
         self._by_component: dict[int, list[tuple[int, int]]] = {}
-        for j, g in enumerate(gens):
-            exponents = [mono for c in g.coeffs for mono in c.terms]
-            top = [max(column) for column in zip(*exponents)] or [0] * n
-            if any(t + m >= keys.base for t, m in zip(top, mono_top)):
-                raise ValueError(f"a shifted exponent does not fit the packing base {keys.base}")
-            entries = field_entries(g, keys)
-            self._entries.append(entries)
+        for j, entries in enumerate(self._entries):
             for e in entries:
                 self._by_component.setdefault(e // keys.place, []).append((j, e))
         self._shifts = [keys.enc(alpha) for alpha in monos]
         self._shift_set = frozenset(self._shifts)
-        self._place = keys.place
+
+    def entries(self, field: VectorField) -> dict[int, Fraction]:
+        """Nonzero coefficients of a field under packed (component,
+        monomial) keys, held as Poly and RowEchelon hold them."""
+        return {
+            self.keys.pack(a, mono): value
+            for a, c in enumerate(field.coeffs)
+            for mono, value in c.terms.items()
+        }
 
     def row(self, j: int, shift: int) -> dict[int, Fraction]:
         """The entries of x^alpha * gens[j], shift = enc(alpha)."""
         return {k + shift: value for k, value in self._entries[j].items()}
-
-    def columns(self) -> list[dict[int, Fraction]]:
-        """Every row, generator (outer loop) by monomial (inner loop), the
-        layout unpack_coefficients reads."""
-        return [self.row(j, s) for j in range(len(self._entries)) for s in self._shifts]
 
     def holding(self, key: int, positions: range) -> list[tuple[int, int]]:
         """The multiples (j, shift), j in positions, whose row has an entry
         at key."""
         return [
             (j, key - e)
-            for j, e in self._by_component.get(key // self._place, ())
+            for j, e in self._by_component.get(key // self.keys.place, ())
             if j in positions and key - e in self._shift_set
         ]
 
+    def width(self, k: int) -> int:
+        """The number of columns the first k generators own."""
+        return k * len(self._monos)
 
-def module_columns(
-    gens: Sequence[VectorField], monos: Sequence[tuple[int, ...]], keys: PackedKeys
-) -> list[dict[int, Fraction]]:
-    """Entries of x^alpha * g for every generator g (outer loop) and
-    monomial alpha (inner loop), the layout unpack_coefficients reads:
-    ModuleRows(gens, monos, keys).columns()."""
-    return ModuleRows(gens, monos, keys).columns()
+    def system(self, fields: Sequence[VectorField]) -> RowEchelon:
+        """The transposed system, one sparse row per packed key: entry p of
+        a row is column p's, the rows in the layout order and then one
+        right-hand column per field."""
+        rows: dict[int, dict[int, Fraction]] = {}
+        columns = [self.row(j, s) for j in range(len(self._entries)) for s in self._shifts]
+        columns.extend(self.entries(f) for f in fields)
+        for p, column in enumerate(columns):
+            for key, value in column.items():
+                rows.setdefault(key, {})[p] = value
+        return RowEchelon(rows.values())
 
-
-def transposed(columns: Sequence[dict[int, Fraction]]) -> list[dict[int, Fraction]]:
-    """One sparse row per packed key: entry k is column k's."""
-    rows: dict[int, dict[int, Fraction]] = {}
-    for k, col in enumerate(columns):
-        for key, value in col.items():
-            rows.setdefault(key, {})[k] = value
-    return list(rows.values())
-
-
-def unpack_coefficients(
-    entries: Mapping[int, Fraction], count: int, monos: Sequence[tuple[int, ...]], nvars: int
-) -> tuple[Poly, ...]:
-    """The coefficient polynomials u_0, ..., u_{count-1} of a sparse
-    {column: value} map over the layout of module_columns: column p is
-    generator p // len(monos) times the monomial monos[p % len(monos)]."""
-    size = len(monos)
-    terms: list[dict] = [{} for _ in range(count)]
-    for p, x in sorted(entries.items()):
-        terms[p // size][monos[p % size]] = x
-    return tuple(Poly(nvars, t) for t in terms)
+    def coefficients(self, solution: Mapping[int, Fraction], k: int) -> tuple[Poly, ...]:
+        """The coefficient polynomials u_0, ..., u_{k-1} of a sparse
+        {column: value} map on the first width(k) columns."""
+        monos = self._monos
+        size = len(monos)
+        terms: list[dict] = [{} for _ in range(k)]
+        for p, x in sorted(solution.items()):
+            terms[p // size][monos[p % size]] = x
+        return tuple(Poly(self.keys.nvars, t) for t in terms)
 
 
 def check_degree_bound(degree_bound: int) -> None:
@@ -469,14 +462,13 @@ def module_membership_batch(
     it has.
 
     The bound is walked up degree_schedule(n, degree_bound), and each rung
-    d is one elimination: the transposed system of module_columns over
-    monos_d and the generators up to the largest open prefix, with the
-    fields that have an open read as right-hand columns, open field number
-    s as ncols + s.  Generator j owns the block of columns j*len(monos_d)
-    up to (j + 1)*len(monos_d), so the first k generators own the leading
-    k*len(monos_d) columns, and field t is read against prefix k with
-    RowEchelon.particular(k*len(monos_d), ncols + s), a sparse map that
-    unpack_coefficients decodes into the certificate.  That is
+    d is one elimination: the ModuleRows system of the generators up to
+    the largest open prefix over monos_d, with the fields that have an
+    open read as right-hand columns, reaching their degree.  The first k
+    generators own the leading width(k) columns, so field t, open field
+    number s, is read against prefix k with
+    RowEchelon.particular(width(k), width(used) + s), a sparse map that
+    ModuleRows.coefficients decodes into the certificate.  That is
     exact because RREF has a prefix property: restricted to the leading
     columns A_1..A_k and one column b of B, the reduced form of
     [A_1 | A_2 | ... | B] is row equivalent to [A_1..A_k | b]; its rows
@@ -537,28 +529,24 @@ def module_membership_batch(
         open_prefixes.setdefault(t, []).append(k)
     failed: dict[tuple[int, int], tuple[Fraction, ...]] = {}
     points = sample_points(n)
-    gens_degree, top_field_degree = fields_degree(gens), fields_degree(fields)
+    reach = fields_degree(fields)
     zero = Poly.zero(n)
     for d in degree_schedule(n, degree_bound):
-        monos = monomials_up_to(n, d)
-        keys = PackedKeys.for_degree(n, max(gens_degree + d, top_field_degree))
         # generators past every open prefix own trailing columns no read needs
         used = max(ks[-1] for ks in open_prefixes.values())
-        columns = module_columns(gens[:used], monos, keys)
-        ncols = len(columns)
-        rhs = [field_entries(fields[t], keys) for t in open_prefixes]
-        span = RowEchelon(transposed(columns + rhs))
-        size = len(monos)
+        rows = ModuleRows(gens[:used], monomials_up_to(n, d), n, reach)
+        span = rows.system([fields[t] for t in open_prefixes])
+        ncols = rows.width(used)
         for s, (t, prefixes) in enumerate(list(open_prefixes.items())):
             for pos, k in enumerate(prefixes):
-                solution = span.particular(k * size, ncols + s)
+                solution = span.particular(rows.width(k), ncols + s)
                 if solution is not None:
                     break
             else:
                 continue
             # a pass against prefix k, with one coefficient per generator
             # of that prefix, answers every prefix after it too
-            certificate = {1: unpack_coefficients(solution, k, monos, n)}
+            certificate = {1: rows.coefficients(solution, k)}
             for larger in prefixes[pos:]:
                 padding = (zero,) * (larger - k)
                 for r in asked[(t, larger)]:
@@ -823,13 +811,14 @@ def tangency_solve(
     in the tangent variables, enumerated in those variables alone and
     embedded with zero fiber exponents.  Graded lexicographic order
     compares the fiber exponents, all 0, as equal, so the embedding keeps
-    the order the tangent monomials have among all of the chart's.  The system is "fiber components vanish on
-    N", homogeneous, with the generators' fiber parts restricted to N as
-    columns.  Generator j owns columns j*len(monos) up to
-    (j + 1)*len(monos), so each prefix's system is a column prefix of the
+    the order the tangent monomials have among all of the chart's.  The
+    system is "fiber components vanish on N", homogeneous: the ModuleRows
+    system of the generators' fiber parts restricted to N, with no other
+    field beside its rows.  The first k generators own its leading
+    width(k) columns, so each prefix's system is a column prefix of the
     whole one: one elimination serves every prefix, each basis read with
     RowEchelon.nullspace (the prefix property of RREF), whose sparse maps
-    unpack_coefficients decodes into coefficient tuples.  Each basis is
+    ModuleRows.coefficients decodes into coefficient tuples.  Each basis is
     deterministic and equals that of a system of the prefix's own.  May
     miss higher-degree combinations (degree-bound caveat).  When N is a
     point the system is the constant nullspace of the generators' values
@@ -861,10 +850,8 @@ def tangency_solve(
         )
         for g in gens
     ]
-    keys = PackedKeys.for_degree(n, fields_degree(parts) + degree_bound)
-    span = RowEchelon(transposed(module_columns(parts, monos, keys)))
-    size = len(monos)
+    rows = ModuleRows(parts, monos, n, 0)
+    span = rows.system([])
     return tuple(
-        [unpack_coefficients(vec, k, monos, n) for vec in span.nullspace(k * size)]
-        for k in prefixes
+        [rows.coefficients(vec, k) for vec in span.nullspace(rows.width(k))] for k in prefixes
     )

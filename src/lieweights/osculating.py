@@ -9,8 +9,8 @@ beta != 0.  So P_i, truncated at the degree bound, is spanned by the
 lower fields and by the level's fields times the nonconstant monomials.
 The denominators are nested, P_i <= H_{-i} <= P_{i+1}, so one span
 (exactalg.RowEchelon) serves every depth, grown depth by depth over
-packed integer keys (lieflt.PackedKeys), and each depth puts this span
-in reduced form once.
+the packed integer keys of one lieflt.ModuleRows, and each depth puts
+this span in reduced form once.
 At depth i the nonconstant multiples of the generators new at that level
 go on offer, and the span takes only those its questions reach: a
 multiple joins when it shares a packed key with a candidate, a bracket
@@ -67,7 +67,6 @@ from .lieflt import (
     PackedKeys,
     Submanifold,
     check_degree_bound,
-    field_entries,
     fields_degree,
     monomials_up_to,
     tangency_solve,
@@ -304,10 +303,10 @@ def osculating_at(
     every pivot but a retired marker's is a field key, and a marker-only
     normal form, with every class and certificate, is the one a span of
     the depth's own would give.  Marker number u is basis element u, so a
-    class is read in the global basis.  The packing base covers
-    every exponent packed: the generators times the monomials up to the
-    bound, and the brackets, of degree at most twice the generators' less
-    one.
+    class is read in the global basis.  The span's rows, candidates and
+    brackets are packed by one ModuleRows, the nonconstant multiples of
+    the centred generators up to the bound, whose reach is the brackets'
+    degree, at most twice the generators' less one.
     """
     check_degree_bound(degree_bound)
     chart = filtration.chart
@@ -319,11 +318,12 @@ def osculating_at(
 
     gens = filtration.generators(order)
     centred = _centred(gens, point)
+    # a bracket of two centred generators has degree at most 2*top - 1
     top = fields_degree(centred)
-    keys = PackedKeys.for_degree(n, max(top + degree_bound, 2 * top - 1))
-    ideal_monos = monomials_up_to(n, degree_bound)[1:]
+    rows = ModuleRows(centred, monomials_up_to(n, degree_bound)[1:], n, 2 * top - 1)
+    keys = rows.keys
 
-    reach = _ReachedSpan(ModuleRows(centred, ideal_monos, keys))
+    reach = _ReachedSpan(rows)
     span = reach.span
     degrees: list[int] = []
     representatives: list[VectorField] = []
@@ -337,7 +337,7 @@ def osculating_at(
         first = len(degrees)
         classes: list[dict[int, Fraction]] = [{} for _ in range(new.start)]
         for j in new:
-            rest = reach.reduce(field_entries(centred[j], keys))
+            rest = reach.reduce(rows.entries(centred[j]))
             cls = _class(rest, keys)
             if cls is None:
                 # a marker column sorts after every field key and records
@@ -353,7 +353,7 @@ def osculating_at(
             for v in range(u + 1, first):
                 if degrees[u] + degrees[v] == -depth:
                     target = lie_bracket(centred_reps[u], centred_reps[v])
-                    cls = _class(reach.reduce(field_entries(target, keys)), keys)
+                    cls = _class(reach.reduce(rows.entries(target)), keys)
                     if cls is None:
                         unverified.append((u, v))
                     elif cls:

@@ -10,7 +10,7 @@ import math
 import random
 
 from lieweights.exactalg import LinearSolution, Poly, RatFunc, RowEchelon, quotient
-from lieweights.lieflt import Filtration, monomials_up_to, transposed
+from lieweights.lieflt import Filtration, monomials_up_to
 from lieweights.vfield import Chart, VectorField, format_vector_field, lie_bracket
 
 COEFFS = tuple(Fraction(n, d) for n in (-2, -1, 1, 2) for d in (1, 2))
@@ -20,6 +20,35 @@ CHARTS = {
     2: Chart(("x", "y")),
     3: Chart(("x", "y", "z")),
 }
+
+
+def transposed(columns):
+    """One sparse row per key: entry k is column k's."""
+    rows: dict = {}
+    for k, col in enumerate(columns):
+        for key, value in col.items():
+            rows.setdefault(key, {})[k] = value
+    return list(rows.values())
+
+
+def multiple_columns(rows, gens, monos):
+    """The packed entries of each product field x^beta * g, generator
+    (outer loop) by monomial (inner loop), each packed by rows.entries:
+    the reference for the layout of a ModuleRows system."""
+    return [
+        rows.entries(g.scale(Poly.term(g.chart.dim, beta, 1))) for g in gens for beta in monos
+    ]
+
+
+def unpack_reference(entries, count, monos, nvars):
+    """The coefficient polynomials u_0, ..., u_{count-1} of a sparse
+    {column: value} map over the layout of multiple_columns: column p is
+    generator p // len(monos) times the monomial monos[p % len(monos)]."""
+    size = len(monos)
+    terms: list[dict] = [{} for _ in range(count)]
+    for p, x in entries.items():
+        terms[p // size][monos[p % size]] = x
+    return tuple(Poly(nvars, t) for t in terms)
 
 
 def module_solve(columns, target=None):
@@ -220,6 +249,31 @@ def grushin_problem(k: int, base: Fraction | None) -> dict:
         "order": k + 1,
         "filtration": {str(-d): fields[: d + 1] for d in range(1, k + 2)},
         "submanifold": submanifold,
+    }
+
+
+def times_space(doc: dict, k: int, base) -> dict:
+    """The model document times R^k, as a problem document.
+
+    The variables t1..tk go first, every level lists dt1..dtk ahead of the
+    model's fields, and N is the t-space, with base point (base, 0, ..., 0):
+    base is the point's k t-coordinates, and every model coordinate is 0
+    (the model's own submanifold is dropped).  The dt's commute with the
+    model's fields, so the product is Lie exactly when the model is.
+    """
+    if len(base) != k:
+        raise ValueError("the base point has one t-coordinate per factor")
+    ts = [f"t{i}" for i in range(1, k + 1)]
+    return {
+        "variables": [*ts, *doc["variables"]],
+        "order": doc["order"],
+        "filtration": {
+            level: [*(f"d{t}" for t in ts), *fields] for level, fields in doc["filtration"].items()
+        },
+        "submanifold": {
+            "tangent": ts,
+            "base_point": [*(str(Fraction(c)) for c in base), *["0"] * len(doc["variables"])],
+        },
     }
 
 

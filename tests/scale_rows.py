@@ -8,8 +8,10 @@ Usage, from any directory:
 
 Each row is a problem document of tests/corpus.py: the free nilpotent
 models (free_nilpotent_problem) free_2_5, free_3_4, free_2_7, free_4_4,
-free_3_5 and free_3_6, and filiform_10 (filiform_problem).  free_3_6 runs
-only when it is named.  For each row, in one process, it times
+free_3_5 and free_3_6, filiform_10 (filiform_problem), and free_3_4_x2,
+free (3,4) times R^2 (times_space) with N the t-plane at t = (1, -1/2),
+the one row whose N has positive dimension.  free_3_6 runs only when it
+is named.  For each row, in one process, it times
 lieweights.cli.load_problem, then each stage method of cli._Pipeline in
 report order at default flags, then cli.render_json, and prints one JSON
 line: the row's name, its chart dimension n, the process time of each step
@@ -29,13 +31,14 @@ import json
 import sys
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
-from corpus import filiform_problem, free_nilpotent_problem  # noqa: E402
+from corpus import filiform_problem, free_nilpotent_problem, times_space  # noqa: E402
 from lieweights.cli import STAGE_ORDER, _Pipeline, load_problem, render_json  # noqa: E402
 
 ROWS = {
@@ -46,6 +49,7 @@ ROWS = {
     "free_4_4": lambda: free_nilpotent_problem(4, 4),
     "free_3_5": lambda: free_nilpotent_problem(3, 5),
     "free_3_6": lambda: free_nilpotent_problem(3, 6),
+    "free_3_4_x2": lambda: times_space(free_nilpotent_problem(3, 4), 2, (1, Fraction(-1, 2))),
 }
 # run only when named on the command line
 NAMED_ONLY = {"free_3_6"}

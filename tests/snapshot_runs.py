@@ -28,7 +28,11 @@ tests/corpus.py:free_nilpotent_problem to OUTDIR/free_nilpotent/ and
 runs check and report on each at default flags (6 more runs), and the
 Grushin-type problems of tests/corpus.py:grushin_problem for k = 1..4,
 with N the origin and with N the x-axis at x = 1, to OUTDIR/grushin/,
-and runs report on each at default flags (8 more runs, 387 in all).
+and runs report on each at default flags (8 more runs).  Then it writes
+free nilpotent (2,3) times R^2 and filiform_problem(5) times R^1 of
+tests/corpus.py:times_space, N the t-space at t = 0 and at
+t = (1, -1/2)[:k], to OUTDIR/times_space/, and runs report on each at
+default flags (4 more runs, 391 in all): N has positive dimension there.
 
 Last, a library section covers what the command line never prints.  For
 heisenberg, example1, example2, engel4 and cartan235 of problems/, free
@@ -88,6 +92,7 @@ from corpus import (  # noqa: E402
     free_nilpotent_problem,
     grushin_problem,
     pushed_forward_model,
+    times_space,
 )
 from lieweights.cli import COMMAND_STAGES, load_problem, main  # noqa: E402
 from lieweights.lieflt import (  # noqa: E402
@@ -121,6 +126,16 @@ FREE_NILPOTENT = ((2, 3), (2, 4), (3, 3))
 FREE_NILPOTENT_COMMANDS = ("check", "report")
 GRUSHIN = tuple((k, base) for k in (1, 2, 3, 4) for base in (None, 1))
 GRUSHIN_COMMANDS = ("report",)
+T_POINT = (1, Fraction(-1, 2))
+TIMES_SPACE = {
+    f"{name}_x{k}_{label}": (doc, k, base)
+    for name, doc, k in (
+        ("free_2_3", free_nilpotent_problem(2, 3), 2),
+        ("filiform_5", filiform_problem(5), 1),
+    )
+    for label, base in (("t0", (0,) * k), ("t1", T_POINT[:k]))
+}
+TIMES_SPACE_COMMANDS = ("report",)
 LIBRARY_PROBLEMS = ("heisenberg", "example1", "example2", "engel4", "cartan235")
 LIBRARY_DOCS = {
     "free_2_4": free_nilpotent_problem(2, 4),
@@ -192,6 +207,19 @@ def grushin_files(outdir: Path) -> list[str]:
         path = f"grushin/grushin_{k}_{'origin' if base is None else f'x{base}'}.json"
         doc = grushin_problem(k, base)
         (outdir / path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        paths.append(path)
+    return paths
+
+
+def times_space_files(outdir: Path) -> list[str]:
+    """Write the model x R^k problems under outdir; their paths relative
+    to outdir."""
+    (outdir / "times_space").mkdir(exist_ok=True)
+    paths = []
+    for stem, (doc, k, base) in TIMES_SPACE.items():
+        path = f"times_space/{stem}.json"
+        text = json.dumps(times_space(doc, k, base), indent=2) + "\n"
+        (outdir / path).write_text(text, encoding="utf-8")
         paths.append(path)
     return paths
 
@@ -321,6 +349,7 @@ def snapshot(outdir: Path) -> int:
         (PUSHED_FORWARD_COMMANDS, pushed_forward_files(outdir)),
         (FREE_NILPOTENT_COMMANDS, free_nilpotent_files(outdir)),
         (GRUSHIN_COMMANDS, grushin_files(outdir)),
+        (TIMES_SPACE_COMMANDS, times_space_files(outdir)),
     ]
     for commands, problems in generated:
         for command in commands:

@@ -22,6 +22,7 @@ from corpus import (
     free_nilpotent_problem,
     grushin_problem,
     lyndon_words,
+    times_space,
     witt_dimension,
 )
 from lieweights import cli, exactalg, lieflt, osculating, weightcoord
@@ -773,6 +774,56 @@ class TestGrushin:
         assert stage(report, "weights")["data"]["weights"] == weights
         assert osc["graded_dims"] == graded
         assert osc["tangent_dims"] == tangent
+
+
+# the model x R^k rows: (name, k, base) for free (2,3), (2,4) and (3,3) at
+# k = 1..3, at t = 0 and t = (1, -1/2, 2)[:k], and filiform 5 and 6 at
+# k = 1, 2, at t = (1, -1/2)[:k]
+T_POINT = (1, Fraction(-1, 2), 2)
+TIMES_SPACE_ROWS = [
+    (name, k, base)
+    for name in ("free_2_3", "free_2_4", "free_3_3")
+    for k in (1, 2, 3)
+    for base in ((0,) * k, T_POINT[:k])
+] + [(name, k, T_POINT[:k]) for name in ("filiform_5", "filiform_6") for k in (1, 2)]
+
+
+def model_closed_forms(name: str) -> tuple[dict, list[int], list[int]]:
+    """A model document with N its origin, its weights and its graded dims:
+    Witt's formula for a free nilpotent model, [2, 1, ..., 1] for the
+    filiform model on n variables."""
+    kind, *sizes = name.split("_")
+    if kind == "free":
+        letters, step = map(int, sizes)
+        weights = [len(w) for w in lyndon_words(letters, step)]
+        dims = [witt_dimension(letters, d) for d in range(1, step + 1)]
+        return free_nilpotent_problem(letters, step), weights, dims
+    (n,) = map(int, sizes)
+    return filiform_problem(n), [1, *range(1, n)], [2] + [1] * (n - 2)
+
+
+class TestTimesSpace:
+    """A model times R^k with N the R^k factor (ROADMAP item 14): a
+    positive-dimensional N at scale, whose tangency system has k tangent
+    variables; the dt's add k to the first graded piece, all of it
+    tangent, and the quotient is the model's."""
+
+    @pytest.mark.parametrize(
+        "name,k,base",
+        TIMES_SPACE_ROWS,
+        ids=[f"{n}_x{k}_t{','.join(map(str, b))}" for n, k, b in TIMES_SPACE_ROWS],
+    )
+    def test_report_gives_the_closed_forms(self, tmp_path, name, k, base):
+        model, weights, dims = model_closed_forms(name)
+        path = write_problem(tmp_path, times_space(model, k, base))
+        code, report = run_report("report", path, tmp_path)
+        assert code == EXIT_PASS
+        assert all(entry["verdict"] == "pass" for entry in report["stages"])
+        osc = stage(report, "osculating")["data"]
+        assert stage(report, "weights")["data"]["weights"] == [0] * k + weights
+        assert osc["graded_dims"] == [dims[0] + k, *dims[1:]]
+        assert osc["tangent_dims"] == [k] + [0] * (len(dims) - 1)
+        assert osc["quotient_dims"] == dims
 
 
 class TestLoadProblem:

@@ -19,7 +19,9 @@ from corpus import (
     CountingRowEchelon,
     filiform_problem,
     module_solve,
+    multiple_columns,
     pushed_forward_model,
+    unpack_reference,
 )
 from lieweights import exactalg, lieflt
 from lieweights.cli import load_problem, main
@@ -38,21 +40,19 @@ from lieweights.lieflt import (
     INCONCLUSIVE,
     PASS,
     Filtration,
+    ModuleRows,
     PackedKeys,
     Submanifold,
     check_bracket_compat,
     TriState,
     check_clean,
     degree_schedule,
-    field_entries,
     fields_degree,
-    module_columns,
     module_membership,
     module_membership_batch,
     monomials_up_to,
     sample_points,
     tangency_solve,
-    unpack_coefficients,
     weight_sequence,
 )
 from lieweights.vfield import (
@@ -164,7 +164,10 @@ def fields_and_bounds(draw):
 
 
 def keys_for(field, bound):
-    return PackedKeys.for_degree(field.chart.dim, fields_degree([field]) + bound)
+    """The keys of the field's multiples by the monomials up to the bound:
+    base fields_degree([field]) + bound + 1."""
+    n = field.chart.dim
+    return ModuleRows([field], monomials_up_to(n, bound), n, 0).keys
 
 
 @settings(max_examples=100, deadline=None)
@@ -193,17 +196,19 @@ def test_packed_keys_order_like_tuple_keys_and_round_trip(case):
 def test_a_monomial_shift_adds_its_code(case):
     field, bound = case
     n = field.chart.dim
-    keys = keys_for(field, bound)
-    entries = field_entries(field, keys)
+    monos = monomials_up_to(n, bound)
+    rows = ModuleRows([field], monos, n, 0)
+    keys = rows.keys
+    entries = rows.entries(field)
     assert entries == {
         keys.pack(a, mono): x for a, c in enumerate(field.coeffs) for mono, x in c.terms.items()
     }
     # held as RowEchelon holds them: integral values as ints
     assert all(type(x) is int or x.denominator != 1 for x in entries.values())
-    monos = monomials_up_to(n, bound)
-    for beta, column in zip(monos, module_columns([field], monos, keys)):
-        shifted = field_entries(field.scale(Poly.term(n, beta, 1)), keys)
-        assert column == shifted == {k + keys.enc(beta): x for k, x in entries.items()}
+    for beta in monos:
+        shifted = rows.entries(field.scale(Poly.term(n, beta, 1)))
+        row = rows.row(0, keys.enc(beta))
+        assert row == shifted == {k + keys.enc(beta): x for k, x in entries.items()}
 
 
 @settings(max_examples=100, deadline=None)
@@ -226,25 +231,76 @@ def test_packing_raises_exactly_on_an_exponent_at_or_past_the_base(case):
         assert keys.unpack(keys.pack(1, mono)) == (1, tuple(mono))
 
 
-def test_a_shift_that_would_carry_raises():
-    keys = PackedKeys(2, 3)
+def test_module_rows_pick_their_packing_base():
+    # B = max(generators' degree + the monomials' top degree, reach) + 1
     chart = Chart(("x", "y"))
     g = VectorField(chart, [Poly.term(2, (2, 0), 1), Poly.zero(2)])
-    # (2, 0) + (0, 2) stays below the base, (2, 0) + (1, 0) would carry
-    # x^2*dx packs to 2*3 + 0, times y^2 to 2*3 + 2
-    assert module_columns([g], [(0, 0), (0, 2)], keys) == [{6: 1}, {8: 1}]
+    assert ModuleRows([g], monomials_up_to(2, 1), 2, 0).keys.base == 4
+    assert ModuleRows([g], monomials_up_to(2, 1), 2, 5).keys.base == 6
+    assert ModuleRows([g], [], 2, -1).keys.base == 3
+    assert ModuleRows([], [], 2, -1).keys.base == 1
+    # base 5: x^2*dx packs to 0*5^2 + 2*5 + 0 = 10, times y^2 to 12
+    rows = ModuleRows([g], [(0, 0), (0, 2)], 2, 0)
+    assert [rows.row(0, rows.keys.enc(beta)) for beta in [(0, 0), (0, 2)]] == [{10: 1}, {12: 1}]
+    # a field above the reach may not fit: pack still refuses it
     with pytest.raises(ValueError):
-        module_columns([g], monomials_up_to(2, 1), keys)
-    with pytest.raises(ValueError):
-        field_entries(VectorField(chart, [Poly.term(2, (0, 3), 1), Poly.zero(2)]), keys)
+        rows.entries(VectorField(chart, [Poly.term(2, (0, 5), 1), Poly.zero(2)]))
     with pytest.raises(ValueError):
         PackedKeys(2, 0)
 
 
 @st.composite
+def module_rows_cases(draw):
+    """Generators of degree <= 3 on 1-4 variables, distinct monomials of
+    degree <= 3, a reach -1..6 and two other fields of degree 0..6."""
+    n = draw(st.integers(1, 4))
+    chart = Chart(tuple("xyzw"[:n]))
+
+    def field(degree):
+        coeff = st.dictionaries(st.sampled_from(monomials_up_to(n, degree)), NONZERO, max_size=3)
+        return VectorField(chart, [Poly(n, draw(coeff)) for _ in range(n)])
+
+    gens = [field(3) for _ in range(draw(st.integers(0, 3)))]
+    monos = draw(st.lists(st.sampled_from(monomials_up_to(n, 3)), max_size=5, unique=True))
+    others = [field(draw(st.integers(0, 6))) for _ in range(2)]
+    return gens, monos, n, draw(st.integers(-1, 6)), others
+
+
+def tuple_entries(field, beta):
+    """The (component, monomial) entries of x^beta * field."""
+    return {
+        (a, tuple(e + b for e, b in zip(mono, beta))): x
+        for a, c in enumerate(field.coeffs)
+        for mono, x in c.terms.items()
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(module_rows_cases())
+def test_no_shift_carries(case):
+    # every row key, and every key of a field within the reach, unpacks
+    # back to its (component, monomial) pair, and holding() finds each
+    # multiple on each of its keys
+    gens, monos, n, reach, others = case
+    rows = ModuleRows(gens, monos, n, reach)
+    keys = rows.keys
+    everyone = range(len(gens))
+    for j, g in enumerate(gens):
+        for beta in monos:
+            shift = keys.enc(beta)
+            row = rows.row(j, shift)
+            assert {keys.unpack(k): x for k, x in row.items()} == tuple_entries(g, beta)
+            assert all((j, shift) in rows.holding(k, everyone) for k in row)
+    for f in others:
+        if fields_degree([f]) <= reach:
+            unpacked = {keys.unpack(k): x for k, x in rows.entries(f).items()}
+            assert unpacked == tuple_entries(f, (0,) * n)
+
+
+@st.composite
 def layout_cases(draw):
     """Generators, distinct monomials and a sparse coefficient map over the
-    columns module_columns builds from them."""
+    columns of their ModuleRows system."""
     gens = draw(st.lists(small_field(), min_size=1, max_size=3))
     monos = draw(
         st.lists(st.sampled_from(monomials_up_to(3, 2)), min_size=1, max_size=4, unique=True)
@@ -255,20 +311,33 @@ def layout_cases(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(layout_cases())
-def test_unpack_coefficients_decodes_the_module_columns_layout(case):
-    # no elimination: the columns a map weights sum to the entries of the
-    # field that its decoded coefficients combine the generators to
+def test_coefficients_decode_the_module_rows_layout(case):
+    # column p is generator p // len(monos) times monos[p % len(monos)]:
+    # the product columns a map weights sum to the entries of the field
+    # that its decoded coefficients combine the generators to
     gens, monos, weights = case
-    keys = PackedKeys.for_degree(3, fields_degree(gens) + 2)
-    columns = module_columns(gens, monos, keys)
+    rows = ModuleRows(gens, monos, 3, 0)
+    columns = multiple_columns(rows, gens, monos)
+    assert rows.width(len(gens)) == len(columns)
     summed: dict = {}
     for p, x in weights.items():
         for key, value in columns[p].items():
             summed[key] = summed.get(key, 0) + x * value
-    coeffs = unpack_coefficients(weights, len(gens), monos, 3)
-    assert len(coeffs) == len(gens)
-    expected = field_entries(combination(coeffs, gens), keys)
-    assert {key: x for key, x in summed.items() if x} == expected
+    coeffs = rows.coefficients(weights, len(gens))
+    assert coeffs == unpack_reference(weights, len(gens), monos, 3)
+    target = combination(coeffs, gens)
+    assert {key: x for key, x in summed.items() if x} == rows.entries(target)
+    # system() is the transposed product columns with the target last, and
+    # each prefix of generators owns the leading width(k) columns
+    solution = module_solve(columns, rows.entries(target))
+    span = rows.system([target])
+    every = rows.width(len(gens))
+    assert span.particular(every, every) == solution.particular
+    for k in range(len(gens) + 1):
+        head = combination(coeffs[:k], gens[:k])
+        found = rows.system([head]).particular(rows.width(k), every)
+        assert found is not None
+        assert combination(rows.coefficients(found, k), gens[:k]) == head
 
 
 # -- membership ---------------------------------------------------------------
@@ -348,14 +417,10 @@ def per_field_membership(v, gens, degree_bound):
             raise ValueError("generators live on a different chart")
     n = chart.dim
     monos = monomials_up_to(n, degree_bound)
-    keys = PackedKeys.for_degree(
-        n, max(fields_degree(gens) + degree_bound, fields_degree([v]))
-    )
-    solution = module_solve(module_columns(gens, monos, keys), field_entries(v, keys))
+    rows = ModuleRows(gens, monos, n, fields_degree([v]))
+    solution = module_solve(multiple_columns(rows, gens, monos), rows.entries(v))
     if solution is not None:
-        return TriState.passed(
-            unpack_coefficients(solution.particular, len(gens), monos, n)
-        )
+        return TriState.passed(unpack_reference(solution.particular, len(gens), monos, n))
     for point in sample_points(n):
         span = RowEchelon(g.value_at(point) for g in gens)
         if not span.contains(v.value_at(point)):
@@ -517,21 +582,22 @@ def test_a_negative_degree_bound_is_refused():
         tangency_solve([vf("dx")], Submanifold(CHART, (0,), (0, 0, 0)), -1, [1])
 
 
-def built_column_degrees(monkeypatch):
-    """Patch lieflt.module_columns to record the degree bound of each
-    system it builds; the list it appends to."""
+def built_system_degrees(monkeypatch):
+    """Patch lieflt.ModuleRows to record the degree bound of each system
+    it builds; the list it appends to."""
     degrees = []
 
-    def recording(gens, monos, keys):
-        degrees.append(max(sum(alpha) for alpha in monos))
-        return module_columns(gens, monos, keys)
+    class Recording(ModuleRows):
+        def __init__(self, gens, monos, nvars, reach):
+            degrees.append(max(sum(alpha) for alpha in monos))
+            super().__init__(gens, monos, nvars, reach)
 
-    monkeypatch.setattr(lieflt, "module_columns", recording)
+    monkeypatch.setattr(lieflt, "ModuleRows", Recording)
     return degrees
 
 
 def test_cartan_at_bound_seven_decides_every_bracket_at_rung_zero(monkeypatch):
-    degrees = built_column_degrees(monkeypatch)
+    degrees = built_system_degrees(monkeypatch)
     path = str(BENCH_PROBLEMS / "cartan235.json")
     assert main(["check", path, "--degree-bound", "7"]) == 0
     assert degree_schedule(5, 7) == [0, 1, 3, 7]
@@ -543,7 +609,7 @@ def test_engel4_broken_decides_its_last_bracket_at_the_middle_rung(monkeypatch):
     # Rung 0 passes every bracket but two, and the origin fails
     # [X1, X2] = dx3 at level -2.  [X2, x1*dx3] = -x1*dx4 at level -3 has a
     # coefficient of degree 1: rung 1 passes it, so the cap is never built.
-    degrees = built_column_degrees(monkeypatch)
+    degrees = built_system_degrees(monkeypatch)
     path = str(BENCH_PROBLEMS / "engel4_broken.json")
     flt = load_problem(path).filtration
     cap = flt.default_degree_bound()

@@ -18,9 +18,11 @@ from corpus import (
     filiform_problem,
     free_nilpotent_problem,
     module_solve,
+    multiple_columns,
     pushed_forward_model,
     random_poly,
     translate_reference,
+    unpack_reference,
 )
 from lieweights import lieflt, osculating
 from lieweights.cli import load_problem
@@ -34,15 +36,12 @@ from lieweights.exactalg import (
 )
 from lieweights.lieflt import (
     Filtration,
-    PackedKeys,
+    ModuleRows,
     Submanifold,
     check_clean,
-    field_entries,
     fields_degree,
-    module_columns,
     monomials_up_to,
     tangency_solve,
-    unpack_coefficients,
 )
 from lieweights.vfield import (
     Chart,
@@ -699,20 +698,18 @@ def _recentred_membership_solve(leading, lower, ideal_gens, point, degree_bound,
     multiples of the lower fields and ideal columns (x^beta - m^beta) * g."""
     n = len(point)
     monos = monomials_up_to(n, degree_bound)
-    packed = fields_degree([*leading, *lower, *ideal_gens]) + degree_bound
-    if target is not None:
-        packed = max(packed, fields_degree([target]))
-    keys = PackedKeys.for_degree(n, packed)
-    cols = [field_entries(g, keys) for g in leading]
-    cols.extend(module_columns(lower, monos, keys))
+    reach = fields_degree([target]) if target is not None else 0
+    rows = ModuleRows([*leading, *lower, *ideal_gens], monos, n, reach)
+    cols = [rows.entries(g) for g in leading]
+    cols.extend(multiple_columns(rows, lower, monos))
     for g in ideal_gens:
         for beta in monos:
             if sum(beta) == 0:
                 continue
             m_beta = math.prod((p**e for p, e in zip(point, beta)), start=Fraction(1))
             factor = Poly.term(n, beta, 1) - Poly.const(n, m_beta)
-            cols.append(field_entries(g.scale(factor), keys))
-    solution = module_solve(cols, field_entries(target, keys) if target is not None else None)
+            cols.append(rows.entries(g.scale(factor)))
+    solution = module_solve(cols, rows.entries(target) if target is not None else None)
     if solution is None:
         return None
     k = len(leading)
@@ -730,15 +727,15 @@ def _tangency_columns(gens, submanifold, monos, degree_bound):
     components' entries on N."""
     n = submanifold.chart.dim
     fiber = submanifold.fiber_indices
-    keys = PackedKeys.for_degree(n, fields_degree(gens) + degree_bound)
+    rows = ModuleRows(gens, monos, n, 0)
 
     def on_fiber_of_n(key):
-        a, mono = keys.unpack(key)
+        a, mono = rows.keys.unpack(key)
         return a in fiber and not any(mono[f] for f in fiber)
 
     return [
         {key: value for key, value in col.items() if on_fiber_of_n(key)}
-        for col in module_columns(gens, monos, keys)
+        for col in multiple_columns(rows, gens, monos)
     ]
 
 
@@ -749,7 +746,7 @@ def _all_variable_tangency(gens, submanifold, degree_bound):
     monos = monomials_up_to(n, degree_bound)
     cols = _tangency_columns(gens, submanifold, monos, degree_bound)
     return [
-        unpack_coefficients(vec, len(gens), monos, n)
+        unpack_reference(vec, len(gens), monos, n)
         for vec in module_solve(cols).nullspace
     ]
 
@@ -856,8 +853,9 @@ def per_depth_osculating_at(filtration, point, degree_bound):
     ]
     levels = [centred[: len(filtration.generators(d))] for d in range(1, order + 1)]
     top = fields_degree(centred)
-    keys = PackedKeys.for_degree(n, max(top + degree_bound, 2 * top - 1))
     ideal_monos = monomials_up_to(n, degree_bound)[1:]
+    rows = ModuleRows(centred, ideal_monos, n, 2 * top - 1)
+    keys = rows.keys
 
     def class_of(rest):
         if any(key < keys.marker(0) for key in rest):
@@ -868,12 +866,12 @@ def per_depth_osculating_at(filtration, point, degree_bound):
     for depth in range(1, order + 1):
         cands = levels[depth - 1]
         lower = levels[depth - 2] if depth > 1 else ()
-        span = RowEchelon(field_entries(g, keys) for g in lower)
-        for col in module_columns(cands, ideal_monos, keys):
+        span = RowEchelon(rows.entries(g) for g in lower)
+        for col in multiple_columns(rows, cands, ideal_monos):
             span.add(col)
         basis, classes = [], []
         for j, g in enumerate(cands):
-            rest = span.reduce(field_entries(g, keys))
+            rest = span.reduce(rows.entries(g))
             cls = class_of(rest)
             if cls is None:
                 cls = {len(basis): Fraction(1)}
@@ -903,7 +901,7 @@ def per_depth_osculating_at(filtration, point, degree_bound):
             if q > order:
                 continue
             target = lie_bracket(centred_reps[u], centred_reps[v])
-            cls = class_of(spans[q - 1].reduce(field_entries(target, keys)))
+            cls = class_of(spans[q - 1].reduce(rows.entries(target)))
             if cls is None:
                 unverified.append((u, v))
             elif cls:
@@ -1085,5 +1083,5 @@ def test_one_tangency_solve_matches_one_per_depth(case):
         ]
         cols = _tangency_columns(gens, sub, monos, bound)
         assert batched[depth - 1] == [
-            unpack_coefficients(vec, k, monos, n) for vec in module_solve(cols).nullspace
+            unpack_reference(vec, k, monos, n) for vec in module_solve(cols).nullspace
         ]

@@ -319,6 +319,28 @@ def test_only_submanifold_restrict_calls_restrict_zero():
     assert not found, f"restrict_zero called outside Submanifold.restrict: {found}"
 
 
+def test_only_module_rows_constructs_packed_keys():
+    # ModuleRows picks the packing base from its generators, its monomials
+    # and its reach; a caller sizing keys itself would be a second rule
+    found = []
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owners = {}
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for node in ast.walk(cls):
+                owners[node] = cls.name
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            # PackedKeys(...) or a constructor such as PackedKeys.for_degree(...)
+            if isinstance(func, ast.Attribute):
+                func = func.value
+            if getattr(func, "id", None) == "PackedKeys" and owners.get(node) != "ModuleRows":
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"PackedKeys constructed outside ModuleRows: {found}"
+
+
 def test_only_exactalg_decides_whether_a_quotient_is_a_polynomial():
     # exactalg.quotient alone reduces num/den and picks Poly or RatFunc;
     # every other module divides, so a second RatFunc(...) call or a
