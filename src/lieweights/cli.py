@@ -121,18 +121,18 @@ def _as_fraction(value, where: str) -> Fraction:
     return q
 
 
-def _require(doc: dict, key: str, where: str = "problem"):
+def _require(doc: dict, key: str, where: str):
     if key not in doc:
         raise ProblemError(f"{where}: missing required key {key!r}")
     return doc[key]
 
 
-def _opt_int(doc: dict, key: str) -> int | None:
+def _opt_int(doc: dict, key: str, where: str) -> int | None:
     if key not in doc:
         return None
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ProblemError(f"problem: {key} must be an integer")
+        raise ProblemError(f"{where}: {key} must be an integer")
     return value
 
 
@@ -250,9 +250,9 @@ def load_problem(
     except ValueError as exc:
         raise ProblemError(f"{path}: {exc}") from exc
 
-    file_bound = _opt_int(doc, "degree_bound")
-    file_samples = _opt_int(doc, "samples")
-    file_seed = _opt_int(doc, "seed")
+    file_bound = _opt_int(doc, "degree_bound", path)
+    file_samples = _opt_int(doc, "samples", path)
+    file_seed = _opt_int(doc, "seed", path)
     bound = degree_bound if degree_bound is not None else file_bound
     count = samples if samples is not None else (
         file_samples if file_samples is not None else 100

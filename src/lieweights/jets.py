@@ -9,6 +9,14 @@ depth-graded families act on jets unipotently; the flow-out of the jets of
 a submanifold under such exponentials built from a filtration is cut out
 by weighted-coordinate equations, which is what flowout_sample verifies.
 
+Every value on a jet is one exactalg.substitute call.  Each coordinate's
+series sum_i u[a][i] eps^i is a Poly whose last variable is eps (after the
+components' variables, of which a rational jet has none); eval_jet
+substitutes them into a function, lift_all into a function on the base of
+the symbolic jet, and u_exp_act into every row exp(-t Y) x_a of a move,
+written as one Poly in x and eps, with eps itself as eps's image.  The
+terms past eps^r are dropped after the expansion.
+
 flowout_sample first tries a certificate: every generator listed at level
 -j has weighted filtration degree at least -j.  Then each lifted letter is
 tangent to the flow-out locus Q, every exponential the sampler could draw
@@ -39,7 +47,7 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .exactalg import Poly, RatFunc, Scalar, derive_into, record
+from .exactalg import Poly, RatFunc, Scalar, derive_into, record, substitute
 from .lieflt import Filtration, Submanifold
 from .vfield import Chart, VectorField
 from .weightcoord import WeightedChart, vf_filtration_degree
@@ -83,72 +91,6 @@ class JetChart:
 
 
 @record
-class TruncSeries:
-    """Polynomial in epsilon truncated by epsilon^(order+1) = 0.
-
-    Coefficients live in any common exact ring (Fraction, Poly, RatFunc).
-    """
-
-    order: int
-    coefficients: tuple
-
-    def __post_init__(self):
-        if len(self.coefficients) != self.order + 1:
-            raise ValueError("series needs exactly order + 1 coefficients")
-
-    def is_zero(self) -> bool:
-        return not any(self.coefficients)
-
-    def __add__(self, other: "TruncSeries") -> "TruncSeries":
-        if self.order != other.order:
-            raise ValueError("series order mismatch")
-        return TruncSeries(
-            self.order, tuple(a + b for a, b in zip(self.coefficients, other.coefficients))
-        )
-
-    def __mul__(self, other: "TruncSeries") -> "TruncSeries":
-        if self.order != other.order:
-            raise ValueError("series order mismatch")
-        out: list = [None] * (self.order + 1)
-        for i, a in enumerate(self.coefficients):
-            if not a:
-                continue
-            for j, b in enumerate(other.coefficients):
-                if i + j > self.order:
-                    break
-                if not b:
-                    continue
-                term = a * b
-                out[i + j] = term if out[i + j] is None else out[i + j] + term
-        zero = self.coefficients[0] * 0
-        return TruncSeries(self.order, tuple(zero if c is None else c for c in out))
-
-    def shift(self, j: int) -> "TruncSeries":
-        """Multiply by epsilon^j."""
-        if j < 0:
-            raise ValueError("shift must be non-negative")
-        zero = self.coefficients[0] * 0
-        coeffs = (zero,) * min(j, self.order + 1) + self.coefficients[: max(0, self.order + 1 - j)]
-        return TruncSeries(self.order, coeffs)
-
-    def inverse(self) -> "TruncSeries":
-        """Multiplicative inverse; the constant term must be a nonzero
-        rational, an int or a Fraction."""
-        c0 = self.coefficients[0]
-        if not isinstance(c0, (int, Fraction)) or c0 == 0:
-            raise ZeroDivisionError("series has no invertible constant term")
-        inv = [Fraction(1) / c0] + [Fraction(0)] * self.order
-        for k in range(1, self.order + 1):
-            acc = Fraction(0)
-            for i in range(1, k + 1):
-                ci = self.coefficients[i]
-                if ci:
-                    acc += ci * inv[k - i]
-            inv[k] = -acc / c0
-        return TruncSeries(self.order, tuple(inv))
-
-
-@record
 class JetPoint:
     """Order-r jet: comps[a][i] is the epsilon^i component of coordinate a.
 
@@ -177,37 +119,69 @@ class JetPoint:
         return tuple(c for row in self.comps for c in row)
 
 
-def eval_jet(u: JetPoint, f: Scalar) -> TruncSeries:
-    """Value of a function on the jet: substitute each coordinate's
-    truncated series and expand.  The result is a unital algebra morphism
-    in f.  The components may be any exact ring element, and every
-    coefficient of f is taken into their ring, as a multiple of its unit.
-    Rational functions require the denominator to be a unit at the
-    jet's base point."""
-    if isinstance(f, RatFunc):
-        return eval_jet(u, f.num) * eval_jet(u, f.den).inverse()
+def _series_images(u: JetPoint) -> tuple[list[Poly], int]:
+    """Each coordinate's series sum_i u[a][i] * eps^i as a Poly whose last
+    variable is eps, and the number m of variables before it: the
+    components' variables, none for a rational jet."""
+    m = next((c.nvars for row in u.comps for c in row if isinstance(c, Poly)), 0)
+    images = []
+    for row in u.comps:
+        terms = {}
+        for i, c in enumerate(row):
+            for mono, v in (c if isinstance(c, Poly) else Poly.const(m, c)).terms.items():
+                terms[mono + (i,)] = v
+        images.append(Poly.from_sum(m + 1, terms))
+    return images, m
+
+
+def _truncated(p: Poly, order: int, m: int) -> tuple:
+    """The coefficients of eps^0..eps^order in p, eps its last variable:
+    Fractions when m is 0, else Polys in the m variables before eps."""
+    parts: list[dict] = [{} for _ in range(order + 1)]
+    for mono, c in p.terms.items():
+        if mono[-1] <= order:
+            parts[mono[-1]][mono[:-1]] = c
+    if m:
+        return tuple(Poly.from_sum(m, part) for part in parts)
+    return tuple(Fraction(part.get((), 0)) for part in parts)
+
+
+def eval_jet(u: JetPoint, f: Scalar) -> tuple:
+    """Value of a function on the jet: the coefficients of eps^0..eps^r of
+    f evaluated on the coordinates' series, r the jet's order.
+
+    Each series is a Poly in the components' variables (none for a
+    rational jet) and eps, and one substitute call expands f, or the
+    numerator and denominator of a RatFunc together, into them; the terms
+    past eps^r are dropped.  The result is a unital algebra morphism in f,
+    with Fraction values on a rational jet and Poly values on a symbolic
+    one.  A RatFunc's value is the series quotient of the two, which needs
+    a nonzero rational constant term in the denominator's series, a unit
+    at the jet's base point; otherwise ZeroDivisionError."""
     if f.nvars != u.chart.dim:
         raise ValueError("function does not live on the jet's base chart")
-    r = u.order
-    rows = [TruncSeries(r, row) for row in u.comps]
-    one = u.comps[0][0] ** 0 if u.comps else Fraction(1)
-    zeros = (one * 0,) * r
-    total = TruncSeries(r, (one * 0,) + zeros)
-    for mono, c in f.terms.items():
-        term = TruncSeries(r, (one * c,) + zeros)
-        for row, e in zip(rows, mono):
-            for _ in range(e):
-                term = term * row
-        total = total + term
-    return total
+    images, m = _series_images(u)
+    parts = (f.num, f.den) if isinstance(f, RatFunc) else (f,)
+    series = [_truncated(p, u.order, m) for p in substitute(parts, images)]
+    if len(series) == 1:
+        return series[0]
+    num, den = series
+    if not isinstance(den[0], (int, Fraction)) or not den[0]:
+        raise ZeroDivisionError("series has no invertible constant term")
+    quotient: list = []
+    for k, c in enumerate(num):
+        quotient.append((c - sum(den[i] * quotient[k - i] for i in range(1, k + 1))) / den[0])
+    return tuple(quotient)
 
 
 def lift_all(jc: JetChart, f: Poly) -> tuple[Poly, ...]:
-    """All graded components of a function on the jet chart at once.
+    """All graded components of a function on the jet chart at once, as a
+    tuple of jet-chart Polys.
 
     Component i is the coefficient of epsilon^i in f evaluated on the
     symbolic jet, whose component (a, i) is the jet-chart variable of that
-    slot.  Component 0 is the pullback of f through the base projection.
+    slot: eval_jet on that jet, so one substitute call.  Component 0 is the
+    pullback of f through the base projection.
     """
     if f.nvars != jc.base.dim:
         raise ValueError("function does not live on the jet chart's base")
@@ -215,7 +189,7 @@ def lift_all(jc: JetChart, f: Poly) -> tuple[Poly, ...]:
         tuple(Poly.variable(jc.dim, jc.index(a, i)) for i in range(jc.order + 1))
         for a in range(jc.base.dim)
     )
-    return eval_jet(JetPoint(jc.base, jc.order, comps), f).coefficients
+    return eval_jet(JetPoint(jc.base, jc.order, comps), f)
 
 
 def lift_function(jc: JetChart, f: Poly, i: int) -> Poly:
@@ -284,7 +258,8 @@ def koszul_shift(comb: LiftCombination) -> LiftCombination:
 @record
 class URElem:
     """exp(t * sum_j X_j eps^j) with every depth j >= 1: a unipotent
-    automorphism of functions valued in the truncated series ring."""
+    automorphism of functions valued in the polynomials in eps modulo
+    eps^(order+1), whose eps-coefficients u_exp_apply gives."""
 
     chart: Chart
     order: int
@@ -303,9 +278,10 @@ class URElem:
         return URElem(self.chart, self.order, self.terms, -self.t)
 
 
-def u_exp_apply(elem: URElem, f: Poly) -> TruncSeries:
+def u_exp_apply(elem: URElem, f: Poly) -> tuple[Poly, ...]:
     """The exponential as a finite operator sum applied to a function: the
-    eps-coefficients of sum_k (t Y)^k / k! f, Y = sum_j eps^j X_j.  Every
+    tuple of eps-coefficients of sum_k (t Y)^k / k! f, eps^0 to eps^order,
+    Y = sum_j eps^j X_j.  Every
     depth j is at least 1, so (t Y)^k f starts at eps^k and the sum stops
     after k = order.  Step k adds (t / k) X_j of every eps-power of step
     k - 1 into one dict per eps-power, through exactalg.derive_into."""
@@ -326,30 +302,40 @@ def u_exp_apply(elem: URElem, f: Poly) -> TruncSeries:
                     derive_into(moved[i + j], x.coeffs, current[i].terms, factor)
         current = [Poly.from_sum(n, out) for out in moved]
         total = [a + b for a, b in zip(total, current)]
-    return TruncSeries(r, tuple(total))
+    return tuple(total)
 
 
 def u_exp_act(elem: URElem, u: JetPoint) -> JetPoint:
     """Group action on jets: row a of the moved jet is exp(-t Y) x_a
-    evaluated on u."""
+    evaluated on u.
+
+    Each exp(-t Y) x_a is written as one Poly in x and eps, the sum of its
+    eps^k coefficients (u_exp_apply) times eps^k, and one substitute call
+    evaluates every row on u: x_b goes to the series of row b of u, as
+    eval_jet builds it, and eps to eps itself.  The terms past eps^order
+    are dropped."""
     if u.chart != elem.chart or u.order != elem.order:
         raise ValueError("jet and group element are incompatible")
     inverse = elem.inverse()
     n = u.chart.dim
     rows = []
     for a in range(n):
-        row = TruncSeries(u.order, (Fraction(0),) * (u.order + 1))
-        for k, p in enumerate(u_exp_apply(inverse, Poly.variable(n, a)).coefficients):
-            if p:
-                row = row + eval_jet(u, p).shift(k)
-        rows.append(row.coefficients)
-    return JetPoint(u.chart, u.order, tuple(rows))
+        terms = {}
+        for k, p in enumerate(u_exp_apply(inverse, Poly.variable(n, a))):
+            for mono, c in p.terms.items():
+                terms[mono + (k,)] = c
+        rows.append(Poly.from_sum(n + 1, terms))
+    images, m = _series_images(u)
+    moved = substitute(rows, [*images, Poly.variable(m + 1, m)])
+    return JetPoint(u.chart, u.order, tuple(_truncated(p, u.order, m) for p in moved))
 
 
 def q_membership(u: JetPoint, weighting: WeightedChart) -> bool:
     """Whether the jet lies in the flow-out locus: every weighted
     coordinate of weight w must have vanishing components below index w.
-    A rational coordinate needs a unit denominator on the jet, else
+    Each coordinate is evaluated by its own eval_jet call, in position
+    order, and the first one with a nonzero low component decides.  A
+    rational coordinate needs a unit denominator on the jet, else
     ZeroDivisionError."""
     if u.chart != weighting.source_chart:
         raise ValueError("jet does not live on the weighting's source chart")
@@ -358,7 +344,7 @@ def q_membership(u: JetPoint, weighting: WeightedChart) -> bool:
         if w == 0:
             continue
         series = eval_jet(u, weighting.forward[p])
-        if any(series.coefficients[: min(w, u.order + 1)]):
+        if any(series[: min(w, u.order + 1)]):
             return False
     return True
 

@@ -27,9 +27,11 @@ correction multiplies a monomial in already final lower-weight coordinates,
 so the correction records give the linear coordinates in the weighted
 chart, and the pairing matrix of the linear stage gives the original fiber
 variables from those.  Each batch of functions rewritten by one
-substitution (the inverse check, a field's pushed coefficients) goes
-through one exactalg.substitute call, which makes each image's powers once
-for the whole batch.
+substitution (the monomials y^s a corrected position has not built yet,
+substituted into the coordinates; the inverse check; a field's pushed
+coefficients) goes through one exactalg.substitute call, which makes each
+image's powers once for the whole batch and raises no image that the
+batch does not read.
 """
 
 from __future__ import annotations
@@ -288,8 +290,7 @@ def weighted_coordinates(clean: CleanResult) -> WeightedChart:
 
     records: list[CorrectionRecord] = []
     # word s -> (y^s, its normalization constant), built and checked once
-    # per word: a word of weight < w_a with |s| >= 2 uses only coordinates
-    # of weight <= w_a - 2, which are final before position a is corrected
+    # per word
     powers: dict[Monomial, tuple[Scalar, Fraction]] = {}
     # each position's filtration degree, checked once every position is
     # corrected, so a normalization constant is refused first as before
@@ -308,22 +309,29 @@ def weighted_coordinates(clean: CleanResult) -> WeightedChart:
         # out of the list, so it is dropped once position a is done
         table = tables.pop(0)
         partial = table.function
+        if admissible:
+            # the y^s of every word not built yet, in one substitute call
+            # into the fiber coordinates: a word of weight < w_a with
+            # |s| >= 2 reads only coordinates of weight <= w_a - 2, which
+            # are final before position a is corrected, and an image that
+            # no word reads is never raised to a power
+            new = [s for s in admissible if s not in powers]
+            built = substitute([Poly.term(n - k0, s, 1) for s in new], current[k0:])
+            for s, power in zip(new, built):
+                c_s = submanifold.restrict(WordValues(clean.frame, power).value(s))
+                expected = Fraction(math.prod(math.factorial(e) for e in s))
+                if c_s.eval(submanifold.base_point) == 0:
+                    raise ValueError(
+                        f"normalization constant vanishes at the base point for {s}"
+                    )
+                if c_s != expected:
+                    raise ValueError(
+                        f"normalization constant for {s} is not the factorial product"
+                    )
+                powers[s] = power, expected
         for _, tier in itertools.groupby(admissible, key=sum):
             terms = []
             for s in tier:
-                if s not in powers:
-                    power = _monomial_of(current, k0, s, n)
-                    c_s = submanifold.restrict(WordValues(clean.frame, power).value(s))
-                    expected = Fraction(math.prod(math.factorial(e) for e in s))
-                    if c_s.eval(submanifold.base_point) == 0:
-                        raise ValueError(
-                            f"normalization constant vanishes at the base point for {s}"
-                        )
-                    if c_s != expected:
-                        raise ValueError(
-                            f"normalization constant for {s} is not the factorial product"
-                        )
-                    powers[s] = power, expected
                 power, expected = powers[s]
                 total = submanifold.restrict(table.value(s))
                 coeff = -(total * (1 / expected))
@@ -358,15 +366,6 @@ def weighted_coordinates(clean: CleanResult) -> WeightedChart:
     )
 
 
-def _monomial_of(coords: Sequence[Scalar], k0: int, s: Sequence[int], n: int) -> Scalar:
-    """y^s: the product of coords[k0 + p] ** s[p] over the fiber positions p."""
-    acc = Poly.one(n)
-    for offset, e in enumerate(s):
-        if e:
-            acc = acc * coords[k0 + offset] ** e
-    return acc
-
-
 def _invert_weighting(
     submanifold: Submanifold,
     pairing: Sequence[Sequence[Poly]],
@@ -377,7 +376,8 @@ def _invert_weighting(
     A correction at position p multiplies a function on N by a monomial in
     coordinates of weight at most w_p - 2, which are final when it is made.
     So the normalized linear coordinate at p is y_p - sum_s chi_s * y^s,
-    read off the records, and the pairing matrix gives the original fiber
+    read off the records, each y^s a monomial of the weighted chart built
+    as one term, and the pairing matrix gives the original fiber
     variables: x_{fiber_c} = sum_p pairing[p][c] * linear_p, over the
     nonzero entries only.  Functions on N enter through their tangent
     variables, the nonzero coefficients and pairing entries in one
@@ -400,7 +400,7 @@ def _invert_weighting(
     )
     linear: list[Scalar] = y[k0:]
     for rec, coefficient in zip(corrections, moved):
-        term = coefficient * _monomial_of(y, k0, rec.multi_index, n)
+        term = coefficient * Poly.term(n, (0,) * k0 + rec.multi_index, 1)
         linear[rec.position - k0] = linear[rec.position - k0] - term
     sums: list[dict] = [{} for _ in fiber]
     rational: list[list[Scalar]] = [[] for _ in fiber]

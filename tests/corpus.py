@@ -9,7 +9,7 @@ from fractions import Fraction
 import math
 import random
 
-from lieweights.exactalg import LinearSolution, Poly, RatFunc, RowEchelon, quotient
+from lieweights.exactalg import LinearSolution, Poly, RatFunc, RowEchelon, quotient, record
 from lieweights.lieflt import Filtration, monomials_up_to
 from lieweights.vfield import Chart, VectorField, format_vector_field, lie_bracket
 
@@ -121,6 +121,94 @@ def translate_reference(f: Poly, point) -> Poly:
         for m, q in partial_terms:
             out[m] = out.get(m, 0) + q
     return Poly(f.nvars, out)
+
+
+@record
+class TruncSeries:
+    """Oracle for the jet values: a polynomial in epsilon truncated by
+    epsilon^(order+1) = 0, with its own sum, product, shift and inverse.
+
+    Coefficients live in any common exact ring (Fraction, Poly, RatFunc).
+    """
+
+    order: int
+    coefficients: tuple
+
+    def __post_init__(self):
+        if len(self.coefficients) != self.order + 1:
+            raise ValueError("series needs exactly order + 1 coefficients")
+
+    def __add__(self, other: "TruncSeries") -> "TruncSeries":
+        if self.order != other.order:
+            raise ValueError("series order mismatch")
+        return TruncSeries(
+            self.order, tuple(a + b for a, b in zip(self.coefficients, other.coefficients))
+        )
+
+    def __mul__(self, other: "TruncSeries") -> "TruncSeries":
+        if self.order != other.order:
+            raise ValueError("series order mismatch")
+        out: list = [None] * (self.order + 1)
+        for i, a in enumerate(self.coefficients):
+            if not a:
+                continue
+            for j, b in enumerate(other.coefficients):
+                if i + j > self.order:
+                    break
+                if not b:
+                    continue
+                term = a * b
+                out[i + j] = term if out[i + j] is None else out[i + j] + term
+        zero = self.coefficients[0] * 0
+        return TruncSeries(self.order, tuple(zero if c is None else c for c in out))
+
+    def shift(self, j: int) -> "TruncSeries":
+        """Multiply by epsilon^j."""
+        if j < 0:
+            raise ValueError("shift must be non-negative")
+        zero = self.coefficients[0] * 0
+        coeffs = (zero,) * min(j, self.order + 1) + self.coefficients[: max(0, self.order + 1 - j)]
+        return TruncSeries(self.order, coeffs)
+
+    def inverse(self) -> "TruncSeries":
+        """Multiplicative inverse; the constant term must be a nonzero
+        rational, an int or a Fraction."""
+        c0 = self.coefficients[0]
+        if not isinstance(c0, (int, Fraction)) or c0 == 0:
+            raise ZeroDivisionError("series has no invertible constant term")
+        inv = [Fraction(1) / c0] + [Fraction(0)] * self.order
+        for k in range(1, self.order + 1):
+            acc = Fraction(0)
+            for i in range(1, k + 1):
+                ci = self.coefficients[i]
+                if ci:
+                    acc += ci * inv[k - i]
+            inv[k] = -acc / c0
+        return TruncSeries(self.order, tuple(inv))
+
+
+def eval_jet_reference(u, f) -> TruncSeries:
+    """Oracle for jets.eval_jet: each term of f expanded by repeated
+    products of the coordinates' truncated series, a RatFunc as its
+    numerator's series times the inverse of its denominator's.  The
+    components may be any exact ring element, and every coefficient of f
+    is taken into their ring, as a multiple of its unit."""
+    if isinstance(f, RatFunc):
+        return eval_jet_reference(u, f.num) * eval_jet_reference(u, f.den).inverse()
+    if f.nvars != u.chart.dim:
+        raise ValueError("function does not live on the jet's base chart")
+    r = u.order
+    rows = [TruncSeries(r, row) for row in u.comps]
+    one = u.comps[0][0] ** 0 if u.comps else Fraction(1)
+    zeros = (one * 0,) * r
+    total = TruncSeries(r, (one * 0,) + zeros)
+    for mono, c in f.terms.items():
+        term = TruncSeries(r, (one * c,) + zeros)
+        for row, e in zip(rows, mono):
+            for _ in range(e):
+                term = term * row
+        total = total + term
+    return total
 
 
 def random_poly(rng: random.Random, nvars: int, degree: int, max_terms: int = 3) -> Poly:

@@ -10,8 +10,10 @@ Each row is a problem document of tests/corpus.py: the free nilpotent
 models (free_nilpotent_problem) free_2_5, free_3_4, free_2_7, free_4_4,
 free_3_5 and free_3_6, filiform_10 (filiform_problem), and free_3_4_x2,
 free (3,4) times R^2 (times_space) with N the t-plane at t = (1, -1/2),
-the one row whose N has positive dimension.  free_3_6 runs only when it
-is named.  For each row, in one process, it times
+the one row whose N has positive dimension, and uncertified_500,
+problems/uncertified.json with samples 500: its flow-out certificate
+fails, so its jets stage is the one that moves and tests jets
+(jets._sample_by_moving).  free_3_6 runs only when it is named.  For each row, in one process, it times
 lieweights.cli.load_problem, then each stage method of cli._Pipeline in
 report order at default flags, then cli.render_json, and prints one JSON
 line: the row's name, its chart dimension n, the process time of each step
@@ -50,6 +52,10 @@ ROWS = {
     "free_3_5": lambda: free_nilpotent_problem(3, 5),
     "free_3_6": lambda: free_nilpotent_problem(3, 6),
     "free_3_4_x2": lambda: times_space(free_nilpotent_problem(3, 4), 2, (1, Fraction(-1, 2))),
+    "uncertified_500": lambda: {
+        **json.loads((ROOT / "problems" / "uncertified.json").read_text()),
+        "samples": 500,
+    },
 }
 # run only when named on the command line
 NAMED_ONLY = {"free_3_6"}

@@ -59,6 +59,14 @@ on, so a change to the osculating span shows at every bound.  A class's
 entries are its sorted nonzero [[position, multi-index], str(value)], read
 from its {label: value} map.
 
+Then a jets section moves jets on rational weighted charts, which no run
+above does: for the first 6 models of the pushed-forward section, at t = 1
+and at t = 2 (12 charts), it draws 5 jets from random.Random(2029) as
+jets._sample_by_moving draws them, moves each by its group elements with
+u_exp_act, and writes OUTDIR/jets/model<k>_t<t>.txt, one moved jet a
+line: its components and eval_jet of every weighted coordinate on it, as
+strings (60 moved jets).
+
 Two checkouts give the same behaviour when `diff -r` finds no difference
 between their output directories:
 
@@ -95,8 +103,15 @@ from corpus import (  # noqa: E402
     times_space,
 )
 from lieweights.cli import COMMAND_STAGES, load_problem, main  # noqa: E402
+from lieweights.jets import (  # noqa: E402
+    _random_element,
+    _random_tangent_jet,
+    eval_jet,
+    u_exp_act,
+)
 from lieweights.lieflt import (  # noqa: E402
     PASS,
+    Submanifold,
     check_bracket_compat,
     check_clean,
     tangency_solve,
@@ -147,6 +162,9 @@ LIBRARY_DOCS = {
     "grushin_3_origin": grushin_problem(3, None),
     "grushin_3_x1": grushin_problem(3, 1),
 }
+JETS_MODELS = 6
+JETS_SAMPLES = 5
+JETS_SEED = 2029
 LIBRARY_BOUND = 2
 LIBRARY_OTHER_BOUNDS = (0, 1, 3, 4)
 LIBRARY_SEED = 2028
@@ -330,6 +348,38 @@ def library_snapshot(outdir: Path) -> int:
     return len(paths)
 
 
+def jets_snapshot(outdir: Path) -> int:
+    """Write the jets section under outdir/jets; the jets moved."""
+    (outdir / "jets").mkdir(exist_ok=True)
+    rng = random.Random(PUSHED_FORWARD_SEED)
+    models = [pushed_forward_model(rng) for _ in range(JETS_MODELS)]
+    moved = 0
+    for k, filt in enumerate(models):
+        for t in PUSHED_FORWARD_BASES:
+            sub = Submanifold(filt.chart, (0,), (t, 0, 0, 0))
+            weighting = weighted_coordinates(check_clean(filt, sub))
+            draw = random.Random(JETS_SEED)
+            lines = []
+            for _ in range(JETS_SAMPLES):
+                # drawn and moved as jets._sample_by_moving does it
+                u = _random_tangent_jet(draw, sub, filt.order)
+                for _ in range(draw.randrange(1, 4)):
+                    elem = _random_element(draw, filt)
+                    if elem is not None:
+                        u = u_exp_act(elem, u)
+                # an older eval_jet returns a series with .coefficients
+                values = [eval_jet(u, f) for f in weighting.forward]
+                values = [getattr(v, "coefficients", v) for v in values]
+                outputs = {
+                    "components": [[str(c) for c in row] for row in u.comps],
+                    "values": [[str(c) for c in value] for value in values],
+                }
+                lines.append(json.dumps(outputs) + "\n")
+                moved += 1
+            (outdir / "jets" / f"model{k:02d}_t{t}.txt").write_text("".join(lines))
+    return moved
+
+
 def snapshot(outdir: Path) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     runs = 0
@@ -366,3 +416,4 @@ if __name__ == "__main__":
     target = Path(sys.argv[1]).resolve()
     print(f"{snapshot(target)} runs written to {target}")
     print(f"{library_snapshot(target)} library inputs written to {target / 'library'}")
+    print(f"{jets_snapshot(target)} moved jets written to {target / 'jets'}")

@@ -591,6 +591,18 @@ class TestInputErrors:
         assert main(["report", write_problem(tmp_path, doc)]) == EXIT_INPUT
         assert "degree bound must be non-negative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value", [("degree_bound", 1.5), ("samples", True), ("seed", "3")]
+    )
+    def test_integer_keys_name_the_file(self, tmp_path, capsys, key, value):
+        doc = basic_doc()
+        doc[key] = value
+        path = write_problem(tmp_path, doc)
+        assert main(["report", path]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"{path}: {key} must be an integer" in err
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("bound", ["17", "30"])
     def test_degree_bound_flag_past_the_monomial_cap(self, capsys, bound):
         # heisenberg has 3 variables: bound 16 gives 969 monomials, 17 gives 1140

@@ -6,13 +6,21 @@ from functools import cache
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from corpus import CHART_TABC, assert_canonical, lift_identity_cases, partial, pushed_forward_model
+from corpus import (
+    CHART_TABC,
+    TruncSeries,
+    assert_canonical,
+    eval_jet_reference,
+    lift_identity_cases,
+    partial,
+    pushed_forward_model,
+)
 from lieweights import jets
 from lieweights.cli import load_problem
-from lieweights.exactalg import Poly, RatFunc
+from lieweights.exactalg import Poly, RatFunc, quotient
 from lieweights.lieflt import Filtration, Submanifold, check_clean
 from lieweights.vfield import Chart, VectorField, coordinate_field, lie_bracket, parse_vector_field
 from lieweights.weightcoord import weighted_coordinates
@@ -21,7 +29,6 @@ from lieweights.jets import (
     JetPoint,
     LiftCombination,
     SampleReport,
-    TruncSeries,
     URElem,
     eval_jet,
     flowout_sample,
@@ -64,23 +71,23 @@ class TestEvalJet:
     def test_square_first_order(self):
         u = jet(CHART1, [(3, 5)])
         series = eval_jet(u, Poly.variable(1, 0) ** 2)
-        assert series.coefficients == (Fraction(9), Fraction(30))
+        assert series == (Fraction(9), Fraction(30))
 
     def test_constant(self):
         u = jet(CHART2, [(1, 2), (3, 4)])
         series = eval_jet(u, Poly.const(2, Fraction(7, 2)))
-        assert series.coefficients == (Fraction(7, 2), Fraction(0))
+        assert series == (Fraction(7, 2), Fraction(0))
 
     def test_coordinate_row(self):
         u = jet(CHART2, [(1, 2), (3, 4)])
-        assert eval_jet(u, Poly.variable(2, 1)).coefficients == (Fraction(3), Fraction(4))
+        assert eval_jet(u, Poly.variable(2, 1)) == (Fraction(3), Fraction(4))
 
     def test_rational_function(self):
         # 1/(1+x) at the jet x = 1 + eps: series 1/(2 + eps) = 1/2 - eps/4
         u = jet(CHART1, [(1, 1)])
         f = RatFunc(Poly.one(1), Poly.one(1) + Poly.variable(1, 0))
         series = eval_jet(u, f)
-        assert series.coefficients == (Fraction(1, 2), Fraction(-1, 4))
+        assert series == (Fraction(1, 2), Fraction(-1, 4))
 
     def test_rational_needs_unit_denominator(self):
         u = jet(CHART1, [(-1, 1)])
@@ -110,9 +117,11 @@ def jets_and_polys(draw):
 @given(jets_and_polys())
 @settings(max_examples=60, deadline=None)
 def test_eval_jet_is_algebra_morphism(data):
+    # the product and sum of the values are taken in the reference series
     u, f, g = data
-    assert eval_jet(u, f * g).coefficients == (eval_jet(u, f) * eval_jet(u, g)).coefficients
-    assert eval_jet(u, f + g).coefficients == (eval_jet(u, f) + eval_jet(u, g)).coefficients
+    value_f, value_g = (TruncSeries(u.order, eval_jet(u, h)) for h in (f, g))
+    assert eval_jet(u, f * g) == (value_f * value_g).coefficients
+    assert eval_jet(u, f + g) == (value_f + value_g).coefficients
 
 
 @st.composite
@@ -134,14 +143,45 @@ def jets_and_high_powers(draw):
 @given(jets_and_high_powers())
 @settings(max_examples=40, deadline=None)
 def test_eval_jet_matches_lifted_components(data):
-    # lift_all expands by substitution in the jet chart, independently of
-    # eval_jet's products of truncated series
+    # eval_jet and lift_all share one substitution, so both are checked
+    # against the reference's products of truncated series
     u, f = data
     jc = JetChart(CHART2, u.order)
-    series = eval_jet(u, f)
+    expected = eval_jet_reference(u, f).coefficients
+    assert eval_jet(u, f) == expected
     flat = u.flat()
-    for i, piece in enumerate(lift_all(jc, f)):
-        assert series.coefficients[i] == piece.eval(flat)
+    assert tuple(piece.eval(flat) for piece in lift_all(jc, f)) == expected
+
+
+@st.composite
+def jets_and_rational_functions(draw):
+    order = draw(st.integers(1, 4))
+    coeff = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2))
+    base = draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+    rows = [
+        [b] + draw(st.lists(coeff, min_size=order, max_size=order)) for b in base
+    ]
+    nonzero = coeff.filter(bool)
+    monos = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    num = Poly(2, draw(st.dictionaries(monos, nonzero, min_size=1, max_size=3)))
+    # a nonconstant denominator, which vanishes at the jet's base point
+    # about half of the time
+    den = Poly(2, draw(st.dictionaries(monos.filter(any), nonzero, min_size=1, max_size=3)))
+    den = den - den.eval(base) if draw(st.booleans()) else den + draw(coeff)
+    return JetPoint.from_rows(CHART2, order, rows), quotient(num, den)
+
+
+@given(jets_and_rational_functions())
+@settings(max_examples=80, deadline=None)
+def test_eval_jet_of_a_ratfunc_matches_the_series_quotient(data):
+    # a unit denominator at the base point gives the reference's value, and
+    # any other raises ZeroDivisionError in both
+    u, f = data
+    assume(isinstance(f, RatFunc))
+    expected = _outcome(lambda u, f: eval_jet_reference(u, f).coefficients, u, f)
+    assert _outcome(eval_jet, u, f) == expected
+    base = tuple(row[0] for row in u.comps)
+    assert (expected == "no unit denominator") == (f.den.eval(base) == 0)
 
 
 def _per_term_apply(x, f):
@@ -195,18 +235,15 @@ def unipotent_elements(draw):
 
 def _reference_move(elem, u):
     """The rows of u moved by elem: each coordinate evaluated through
-    exp(-t Y), with values of the image from lift_all, independently of
-    the jet evaluator."""
-    jc = JetChart(u.chart, u.order)
+    exp(-t Y), the value of each eps^k coefficient of the image a
+    reference series shifted by k, independently of the substitution."""
     rows = []
     for a in range(u.chart.dim):
         image = _reference_exp(elem.inverse(), Poly.variable(u.chart.dim, a))
-        row = [Fraction(0)] * (u.order + 1)
+        row = TruncSeries(u.order, (Fraction(0),) * (u.order + 1))
         for k, coeff in enumerate(image):
-            for i, piece in enumerate(lift_all(jc, coeff)):
-                if i + k <= u.order:
-                    row[i + k] += piece.eval(u.flat())
-        rows.append(tuple(row))
+            row = row + eval_jet_reference(u, coeff).shift(k)
+        rows.append(row.coefficients)
     return tuple(rows)
 
 
@@ -214,11 +251,39 @@ def _reference_move(elem, u):
 @settings(max_examples=40, deadline=None)
 def test_exponentials_match_reference_series(data):
     elem, u, f = data
-    series = u_exp_apply(elem, f).coefficients
+    series = u_exp_apply(elem, f)
     assert series == tuple(_reference_exp(elem, f))
     for coeff in series:
         assert_canonical(coeff)
     assert u_exp_act(elem, u).comps == _reference_move(elem, u)
+
+
+def test_jet_values_and_moves_take_one_substitute_call_each(monkeypatch):
+    # eval_jet of a Poly or a RatFunc, lift_all and u_exp_act each reach
+    # their values through one substitute call: the numerator and
+    # denominator together, and every row of a move together
+    calls = []
+    substitute = jets.substitute
+
+    def counting_substitute(polys, images):
+        calls.append(len(polys))
+        return substitute(polys, images)
+
+    monkeypatch.setattr(jets, "substitute", counting_substitute)
+    u = jet(CHART2, [(1, -2, 3), (2, 1, -1)])
+    f = Poly(2, {(3, 1): Fraction(2), (0, 2): Fraction(1), (0, 0): Fraction(-5)})
+    assert eval_jet(u, f) == eval_jet_reference(u, f).coefficients
+    assert calls == [1]
+    g = RatFunc(f, Poly.one(2) + Poly.variable(2, 1))
+    assert eval_jet(u, g) == eval_jet_reference(u, g).coefficients
+    assert calls == [1, 2]
+    lift_all(JetChart(CHART2, 2), f)
+    assert calls == [1, 2, 1]
+    x = parse_vector_field("x^2*dx + 1/2*x*z*dz", CHART2)
+    elem = URElem(CHART2, 2, ((1, x), (2, x)), Fraction(3, 2))
+    for _ in range(3):
+        u = u_exp_act(elem, u)
+    assert calls == [1, 2, 1, 2, 2, 2]
 
 
 # generators with non-integral polynomial coefficients and monomials of
@@ -300,7 +365,7 @@ class TestLiftFunction:
         series = eval_jet(u, f)
         flat = u.flat()
         for i, piece in enumerate(lift_all(jc, f)):
-            assert piece.eval(flat) == series.coefficients[i]
+            assert piece.eval(flat) == series[i]
 
 
 class TestLiftVF:
@@ -400,7 +465,7 @@ class TestJetActions:
         x = parse_vector_field("x^2*dx + dz", CHART2)
         elem = URElem(CHART2, 2, ((2, x),), Fraction(1, 2))
         series = u_exp_apply(elem, Poly.variable(2, 0))
-        assert series.coefficients == (
+        assert series == (
             Poly.variable(2, 0),
             Poly.zero(2),
             Poly.variable(2, 0) ** 2 * Fraction(1, 2),
@@ -413,10 +478,10 @@ class TestJetActions:
         f = Poly.variable(2, 0) + Poly.variable(2, 1) ** 2
         elem = URElem(CHART2, 3, ((1, x),), 2)
         series = u_exp_apply(elem, f)
-        for piece in series.coefficients:
+        for piece in series:
             assert_canonical(piece)
-        assert list(series.coefficients) == _reference_exp(elem, f)
-        assert series.coefficients[2] != 0
+        assert list(series) == _reference_exp(elem, f)
+        assert series[2] != 0
 
     def test_exp_act_top_level_matches_translation(self):
         x = parse_vector_field("x^2*dx + dz", CHART2)
@@ -628,6 +693,7 @@ def _rational_models():
 
 
 def _series_by_substitution(u, f):
+    """The reference series of f on u, with values from lift_all."""
     jc = JetChart(u.chart, u.order)
     return TruncSeries(u.order, tuple(piece.eval(u.flat()) for piece in lift_all(jc, f)))
 
@@ -857,30 +923,3 @@ class TestQDimension:
     def test_trivial_weighting(self):
         d = q_dimension((2, 5))
         assert d.total == 7 and d.base == 2 and d.graded == (5,)
-
-
-class TestTruncSeries:
-    def test_truncation(self):
-        a = TruncSeries(2, (Fraction(0), Fraction(1), Fraction(0)))
-        sq = a * a
-        assert sq.coefficients == (Fraction(0), Fraction(0), Fraction(1))
-        assert (sq * a).is_zero()
-
-    def test_inverse(self):
-        a = TruncSeries(3, (Fraction(2), Fraction(1), Fraction(0), Fraction(-1)))
-        prod = a * a.inverse()
-        assert prod.coefficients == (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
-
-    def test_inverse_of_an_int_constant_term(self):
-        # 1/(2 + eps) = 1/2 - eps/4 + eps^2/8, read out as Fractions
-        inverse = TruncSeries(2, (2, 1, 0)).inverse()
-        assert inverse.coefficients == (Fraction(1, 2), Fraction(-1, 4), Fraction(1, 8))
-        assert all(type(c) is Fraction for c in inverse.coefficients)
-        assert TruncSeries(1, (-1, 3)).inverse().coefficients == (-1, -3)
-        with pytest.raises(ZeroDivisionError):
-            TruncSeries(1, (0, 1)).inverse()
-
-    def test_shift(self):
-        a = TruncSeries(2, (Fraction(1), Fraction(2), Fraction(3)))
-        assert a.shift(1).coefficients == (Fraction(0), Fraction(1), Fraction(2))
-        assert a.shift(5).is_zero()

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import CHART_TABC, CHARTS, pushed_forward_model, random_field, random_poly
+from lieweights import weightcoord
 from lieweights.cli import load_problem
 from lieweights.exactalg import (
     Poly,
@@ -209,6 +210,33 @@ def test_weighted_coordinates_apply_each_word_once_per_coordinate(monkeypatch):
     w = weighted_coordinates(clean)
     assert w.weights == (1, 1, 2, 3, 3)
     assert len(calls) <= 40
+
+
+def test_weighted_coordinates_build_the_powers_in_one_call_per_corrected_position(monkeypatch):
+    # cartan235 corrects its two weight-3 positions.  The first builds the
+    # y^s of its three words in one substitute call into the coordinates,
+    # and the second finds them built, so its call has nothing to build;
+    # the inverse's coefficients and the compose check make the last two
+    # calls.  No y^s is multiplied out power by power
+    spec = load_problem(str(BENCH_PROBLEMS / "cartan235.json"))
+    clean = check_clean(spec.filtration, spec.submanifold)
+    calls = []
+    substitute = weightcoord.substitute
+
+    def counting_substitute(polys, images):
+        calls.append((list(polys), images))
+        return substitute(polys, images)
+
+    monkeypatch.setattr(weightcoord, "substitute", counting_substitute)
+    w = weighted_coordinates(clean)
+    assert w.weights == (1, 1, 2, 3, 3)
+    assert len(calls) == 4
+    words = ((0, 2, 0, 0, 0), (1, 1, 0, 0, 0), (2, 0, 0, 0, 0))
+    built = [[tuple(p.terms.items()) for p in polys] for polys, _ in calls[:2]]
+    assert built == [[((s, 1),) for s in words], []]
+    # the images are the fiber coordinates, the words' letters final
+    assert calls[0][1][:2] == list(w.forward[:2])
+    assert {rec.multi_index for rec in w.corrections} == set(words)
 
 
 @pytest.fixture(scope="module")
