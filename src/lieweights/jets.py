@@ -281,10 +281,10 @@ class URElem:
 def u_exp_apply(elem: URElem, f: Poly) -> tuple[Poly, ...]:
     """The exponential as a finite operator sum applied to a function: the
     tuple of eps-coefficients of sum_k (t Y)^k / k! f, eps^0 to eps^order,
-    Y = sum_j eps^j X_j.  Every
-    depth j is at least 1, so (t Y)^k f starts at eps^k and the sum stops
-    after k = order.  Step k adds (t / k) X_j of every eps-power of step
-    k - 1 into one dict per eps-power, through exactalg.derive_into."""
+    Y = sum_j eps^j X_j.  Every depth j is at least 1, so (t Y)^k f starts
+    at eps^k and the sum stops after k = order.  Step k adds (t / k) X_j of
+    every eps-power of step k - 1 into one dict per eps-power, through
+    exactalg.derive_into."""
     n = f.nvars
     if n != elem.chart.dim:
         raise ValueError("function does not live on the element's chart")

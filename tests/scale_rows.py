@@ -6,14 +6,15 @@ Usage, from any directory:
     python3 tests/scale_rows.py free_2_7 free_3_5
     python3 tests/scale_rows.py free_3_6         # about 30 s and 0.5 GB
 
-Each row is a problem document of tests/corpus.py: the free nilpotent
-models (free_nilpotent_problem) free_2_5, free_3_4, free_2_7, free_4_4,
-free_3_5 and free_3_6, filiform_10 (filiform_problem), and free_3_4_x2,
-free (3,4) times R^2 (times_space) with N the t-plane at t = (1, -1/2),
-the one row whose N has positive dimension, and uncertified_500,
-problems/uncertified.json with samples 500: its flow-out certificate
-fails, so its jets stage is the one that moves and tests jets
-(jets._sample_by_moving).  free_3_6 runs only when it is named.  For each row, in one process, it times
+Each row is a problem document.  Those of tests/corpus.py are the free
+nilpotent models (free_nilpotent_problem) free_2_5, free_3_4, free_2_7,
+free_4_4, free_3_5 and free_3_6, filiform_10 (filiform_problem), and
+free_3_4_x2, free (3,4) times R^2 (times_space) with N the t-plane at
+t = (1, -1/2), the one row whose N has positive dimension.  The row
+uncertified_500 is problems/uncertified.json with samples 500: its
+flow-out certificate fails, so its jets stage is the one that moves and
+tests jets (jets._sample_by_moving).  free_3_6 runs only when it is
+named.  For each row, in one process, it times
 lieweights.cli.load_problem, then each stage method of cli._Pipeline in
 report order at default flags, then cli.render_json, and prints one JSON
 line: the row's name, its chart dimension n, the process time of each step
