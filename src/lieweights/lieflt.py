@@ -236,53 +236,6 @@ def sample_points(nvars: int):
         yield tuple(Fraction(v) for v in pt)
 
 
-class PackedKeys:
-    """One int key per (component, monomial) entry of a field on nvars
-    variables, and one per marker column.
-
-    The entry (a, alpha) packs to a*B^n + sum alpha_i*B^(n-1-i), the digits
-    of (a, alpha_0, ..., alpha_{n-1}) in base B, and the marker number pos
-    to (n + pos)*B^n, the packing of (n + pos, 0).  With every exponent
-    below B the map is injective and orders keys as the tuples
-    (component, monomial) order, lexicographically; a marker sorts after
-    every field key.  Multiplying by x^beta adds enc(beta) to a key, as
-    long as the shifted exponents stay below B (Monagan and Pearce 2007,
-    packed exponent vectors).  enc and pack raise ValueError on an exponent
-    of B or more, so two entries never share a key silently.  ModuleRows
-    picks the base.
-    """
-
-    def __init__(self, nvars: int, base: int):
-        if base < 1:
-            raise ValueError("the packing base must be positive")
-        self.nvars = nvars
-        self.base = base
-        self.place = base**nvars
-
-    def enc(self, mono: Sequence[int]) -> int:
-        base = self.base
-        key = 0
-        for e in mono:
-            if e >= base:
-                raise ValueError(f"exponent {e} does not fit the packing base {base}")
-            key = key * base + e
-        return key
-
-    def pack(self, a: int, mono: Sequence[int]) -> int:
-        return a * self.place + self.enc(mono)
-
-    def unpack(self, key: int) -> tuple[int, tuple[int, ...]]:
-        a, rest = divmod(key, self.place)
-        digits = []
-        for _ in range(self.nvars):
-            rest, e = divmod(rest, self.base)
-            digits.append(e)
-        return a, tuple(reversed(digits))
-
-    def marker(self, pos: int) -> int:
-        return (self.nvars + pos) * self.place
-
-
 def fields_degree(fields: Iterable[VectorField]) -> int:
     """Largest total degree of a term of the fields' coefficients; 0 for
     none."""
@@ -294,15 +247,26 @@ class ModuleRows:
     g by monomials alpha: the one place that packs them, shifts them, lays
     them out as a system and decodes its solutions.
 
-    Keys: the packing base B is one more than the larger of the
-    generators' total degree plus the monomials' top total degree, and
-    reach, the largest total degree of any other field packed beside the
-    rows (the right-hand sides of a membership, the brackets an osculating
-    span reduces; 0 when there are none).  An exponent of a row is at most
-    a total degree of its generator plus one of its monomial, so below B,
+    Keys: one int per (component, monomial) entry of a field on nvars
+    variables, and one per marker column.  The entry (a, alpha) packs to
+    a*B^n + enc(alpha), enc(alpha) = sum alpha_i*B^(n-1-i), the digits of
+    (a, alpha_0, ..., alpha_{n-1}) in base B, and the marker number pos to
+    marker(pos) = (n + pos)*B^n, the packing of (n + pos, 0); place is B^n.
+    With every exponent below B the map is injective and orders keys as the
+    tuples (component, monomial) order, lexicographically; a marker sorts
+    after every field key.  Multiplying by x^beta adds enc(beta) to a key,
+    as long as the shifted exponents stay below B (Monagan and Pearce 2007,
+    packed exponent vectors).  enc raises ValueError on an exponent of B or
+    more, so two entries never share a key silently.
+
+    The packing base B is one more than the larger of the generators'
+    total degree plus the monomials' top total degree, and reach, the
+    largest total degree of any other field packed beside the rows (the
+    right-hand sides of a membership, the brackets an osculating span
+    reduces; 0 when there are none).  An exponent of a row is at most a
+    total degree of its generator plus one of its monomial, so below B,
     and a shift never carries into the next digit; entries(field) packs
-    any field of total degree at most reach, and PackedKeys.pack raises
-    ValueError on any exponent of B or more.
+    any field of total degree at most reach.
 
     Each generator's entries are packed once, and the row of x^alpha * g
     is its entries shifted by enc(alpha).  So x^alpha * g holds the key k
@@ -322,21 +286,43 @@ class ModuleRows:
         self, gens: Sequence[VectorField], monos: Sequence[Monomial], nvars: int, reach: int
     ):
         top = max((sum(alpha) for alpha in monos), default=0)
-        self.keys = keys = PackedKeys(nvars, max(fields_degree(gens) + top, reach) + 1)
+        self.nvars = nvars
+        self.base = max(fields_degree(gens) + top, reach) + 1
+        self.place = self.base**nvars
         self._monos = monos
         self._entries = [self.entries(g) for g in gens]
         self._by_component: dict[int, list[tuple[int, int]]] = {}
         for j, entries in enumerate(self._entries):
             for e in entries:
-                self._by_component.setdefault(e // keys.place, []).append((j, e))
-        self._shifts = [keys.enc(alpha) for alpha in monos]
+                self._by_component.setdefault(e // self.place, []).append((j, e))
+        self._shifts = [self.enc(alpha) for alpha in monos]
         self._shift_set = frozenset(self._shifts)
+
+    def enc(self, mono: Sequence[int]) -> int:
+        base = self.base
+        key = 0
+        for e in mono:
+            if e >= base:
+                raise ValueError(f"exponent {e} does not fit the packing base {base}")
+            key = key * base + e
+        return key
+
+    def marker(self, pos: int) -> int:
+        return (self.nvars + pos) * self.place
+
+    def markers(self, rest: Mapping[int, Fraction]) -> dict[int, Fraction] | None:
+        """The negated marker part of a normal form, {marker number: value},
+        or None when a field key survives in it."""
+        first = self.marker(0)
+        if any(key < first for key in rest):
+            return None
+        return {key // self.place - self.nvars: Fraction(-x) for key, x in rest.items()}
 
     def entries(self, field: VectorField) -> dict[int, Fraction]:
         """Nonzero coefficients of a field under packed (component,
         monomial) keys, held as Poly and RowEchelon hold them."""
         return {
-            self.keys.pack(a, mono): value
+            a * self.place + self.enc(mono): value
             for a, c in enumerate(field.coeffs)
             for mono, value in c.terms.items()
         }
@@ -350,7 +336,7 @@ class ModuleRows:
         at key."""
         return [
             (j, key - e)
-            for j, e in self._by_component.get(key // self.keys.place, ())
+            for j, e in self._by_component.get(key // self.place, ())
             if j in positions and key - e in self._shift_set
         ]
 
@@ -378,7 +364,7 @@ class ModuleRows:
         terms: list[dict] = [{} for _ in range(k)]
         for p, x in sorted(solution.items()):
             terms[p // size][monos[p % size]] = x
-        return tuple(Poly(self.keys.nvars, t) for t in terms)
+        return tuple(Poly(self.nvars, t) for t in terms)
 
 
 def check_degree_bound(degree_bound: int) -> None:
@@ -452,14 +438,13 @@ def _pointwise_scan(fields, gens, open_prefixes: dict, points, failed: dict) -> 
 def module_membership_batch(
     fields: Sequence[VectorField],
     gens: Sequence[VectorField],
-    reads: Sequence[tuple[int, int, int]],
+    reads: Sequence[tuple[int, int]],
     degree_bound: int,
 ) -> tuple[TriState, ...]:
-    """Decide sign * v = sum u_j g_j over the first k generators, with
-    polynomial u_j of degree <= degree_bound and v = fields[t], for every
-    read (t, k, sign) of the batch, sign +1 or -1; one verdict per read,
-    in order.  Each field is one right-hand column, however many reads
-    it has.
+    """Decide v = sum u_j g_j over the first k generators, with polynomial
+    u_j of degree <= degree_bound and v = fields[t], for every read (t, k)
+    of the batch; one verdict per read, in order.  Each field is one
+    right-hand column, however many reads it has.
 
     The bound is walked up degree_schedule(n, degree_bound), and each rung
     d is one elimination: the ModuleRows system of the generators up to
@@ -481,15 +466,13 @@ def module_membership_batch(
     verdict and certificate equal those of solving the field on its own
     against its prefix at that rung's bound, in a system of its own.
 
-    Three readings follow, which let one column answer every read of its
-    field.  The particular solution is linear in b, so -b reads the
-    negated certificate, at the same rung, and a pointwise witness is one
-    for -b too.  A row with its pivot at or past a prefix k vanishes on
-    the first k columns, so when b lies in their span it has no entry
-    there: b passes against every larger prefix, with the prefix-k
-    certificate padded by zero coefficients.  So a field's open prefixes
-    are read in increasing order, up to the first that passes.  And a
-    smaller prefix spans less: it never passes where a larger one fails.
+    Two readings follow, which let one column answer every read of its
+    field.  A row with its pivot at or past a prefix k vanishes on the
+    first k columns, so when b lies in their span it has no entry there:
+    b passes against every larger prefix, with the prefix-k certificate
+    padded by zero coefficients.  So a field's open prefixes are read in
+    increasing order, up to the first that passes.  And a smaller prefix
+    spans less: it never passes where a larger one fails.
 
     A pass certificate is the tuple of coefficient polynomials, one per
     generator of the prefix, read at the first rung that solves the read;
@@ -506,12 +489,10 @@ def module_membership_batch(
     deciding rung.
     """
     check_degree_bound(degree_bound)
-    if any(not 0 <= t < len(fields) for t, _, _ in reads):
+    if any(not 0 <= t < len(fields) for t, _ in reads):
         raise ValueError("read of a field outside the batch")
-    if any(not 0 <= k <= len(gens) for _, k, _ in reads):
+    if any(not 0 <= k <= len(gens) for _, k in reads):
         raise ValueError("generator-prefix length out of range")
-    if any(sign not in (1, -1) for _, _, sign in reads):
-        raise ValueError("a read's sign is +1 or -1")
     if not reads:
         return ()
     chart = fields[0].chart
@@ -521,7 +502,7 @@ def module_membership_batch(
     results: list[TriState] = [TriState.undecided("degree_bound")] * len(reads)
     # each question (t, k) once, with the reads that ask it
     asked: dict[tuple[int, int], list[int]] = {}
-    for r, (t, k, _) in enumerate(reads):
+    for r, (t, k) in enumerate(reads):
         asked.setdefault((t, k), []).append(r)
     # per field, its open prefixes in increasing order
     open_prefixes: dict[int, list[int]] = {}
@@ -546,14 +527,11 @@ def module_membership_batch(
                 continue
             # a pass against prefix k, with one coefficient per generator
             # of that prefix, answers every prefix after it too
-            certificate = {1: rows.coefficients(solution, k)}
+            certificate = rows.coefficients(solution, k)
             for larger in prefixes[pos:]:
-                padding = (zero,) * (larger - k)
+                passed = TriState.passed(certificate + (zero,) * (larger - k))
                 for r in asked[(t, larger)]:
-                    sign = reads[r][2]
-                    if sign not in certificate:
-                        certificate[sign] = tuple(-u for u in certificate[1])
-                    results[r] = TriState.passed(certificate[sign] + padding)
+                    results[r] = passed
             if pos:
                 open_prefixes[t] = prefixes[:pos]
             else:
@@ -574,7 +552,7 @@ def module_membership(
 ) -> TriState:
     """Decide v = sum u_j g_j with polynomial u_j of degree <= degree_bound:
     module_membership_batch on the one field v, against every generator."""
-    return module_membership_batch([v], gens, [(0, len(gens), 1)], degree_bound)[0]
+    return module_membership_batch([v], gens, [(0, len(gens))], degree_bound)[0]
 
 
 @record
@@ -608,28 +586,6 @@ class BracketCompatReport:
         return None
 
 
-class _BracketTable:
-    """Brackets [g_p, g_q] of the generators of one filtration, by
-    position: each unordered pair of distinct generators is bracketed once,
-    when first asked for, as [g_p, g_q] with p < q; the reversed pair reads
-    its negation, and [g_p, g_p] is the zero field.  One table serves one
-    check_bracket_compat call."""
-
-    def __init__(self, gens: Sequence[VectorField], zero: VectorField):
-        self.gens = gens
-        self.zero = zero
-        self.built: dict[tuple[int, int], VectorField] = {}
-
-    def bracket(self, p: int, q: int) -> VectorField:
-        if p == q:
-            return self.zero
-        key = (min(p, q), max(p, q))
-        field = self.built.get(key)
-        if field is None:
-            field = self.built[key] = lie_bracket(self.gens[key[0]], self.gens[key[1]])
-        return field if p < q else -field
-
-
 class _TautologicalPass(TriState):
     """Pass of a bracket [g, h] in the full module of vector fields.
 
@@ -654,36 +610,47 @@ def check_bracket_compat(filtration: Filtration, degree_bound: int) -> BracketCo
     """Verify [H_{-i}, H_{-j}] <= H_{-(i+j)} on all generator pairs.
 
     A pair is named by levels and list positions, (i, j, gi, gj), but its
-    bracket depends only on the two generators: the filtration keeps each
-    distinct generator once, so every unordered pair of distinct generators
-    is bracketed once, in a _BracketTable, and a pair (g, g) is the zero
-    field.  The target modules are nested: generators(k) is a prefix of
-    generators(top) for every target level k <= top.  So all brackets go
-    into one module_membership_batch call against the top target level's
-    generators, each distinct bracket one right-hand column, read against
-    the prefix generators(i + j) of each pair that asks it, with sign -1
-    for a pair in the reversed order: one elimination per rung for every
-    level, whose verdicts and certificates equal those of one call per
-    level and per pair (the prefix property of RREF and the linearity of
-    the particular solution; see module_membership_batch).  That call
-    walks the degree bound up from 0, with the still-open reads only, and
-    tests what rung 0 leaves open at the origin first: nearly every
-    bracket is decided there.  Each verdict and witness is that of one
-    elimination at the cap; a pass certificate is read at the least rung
-    that solves its bracket.  Pairs with i + j beyond the filtration order
-    land in the full module of vector fields and pass with the tautological
-    coordinate-field certificate, whose bracket is taken from the table
-    only when the certificate is read.
+    bracket depends only on the two generators, at positions p and q of
+    generators(order): the filtration keeps each distinct generator once,
+    so every unordered pair of distinct generators is bracketed once, as
+    [g_p, g_q] with p < q, the reversed pair reading its negation, and a
+    pair (g, g) is the zero field.  The target modules are nested:
+    generators(k) is a prefix of generators(top) for every target level
+    k <= top.  So all brackets go into one module_membership_batch call
+    against the top target level's generators, each ordered pair (p, q)
+    one right-hand column (every pair (g, g) the one zero column), read
+    against the prefix generators(i + j) of each pair that asks it: one
+    elimination per rung for every level, whose verdicts and certificates
+    equal those of one call per level and per pair (the prefix property of
+    RREF; see module_membership_batch).  A pair asked in both orders costs
+    one column more, and its certificates are negations of each other, as
+    the particular solution is linear in its column.  That call walks the
+    degree bound up from 0, with the still-open reads only, and tests what
+    rung 0 leaves open at the origin first: nearly every bracket is decided
+    there.  Each verdict and witness is that of one elimination at the
+    cap; a pass certificate is read at the least rung that solves its
+    bracket.  Pairs with i + j beyond the filtration order land in the full
+    module of vector fields and pass with the tautological coordinate-field
+    certificate, whose bracket is taken only when the certificate is read.
     """
     r = filtration.order
     n = filtration.chart.dim
-    table = _BracketTable(
-        filtration.generators(r), VectorField(filtration.chart, [0] * n)
-    )
-    padding = (Poly.zero(n),) * len(filtration.generators(r))
+    gens = filtration.generators(r)
+    zero = VectorField(filtration.chart, [0] * n)
+    built: dict[tuple[int, int], VectorField] = {}
+
+    def bracket(p: int, q: int) -> VectorField:
+        if p == q:
+            return zero
+        if p > q:
+            return -bracket(q, p)
+        if (p, q) not in built:
+            built[p, q] = lie_bracket(gens[p], gens[q])
+        return built[p, q]
+
+    padding = (Poly.zero(n),) * len(gens)
     columns: dict[tuple[int, int], int] = {}
-    fields: list[VectorField] = []
-    reads: list[tuple[int, int, int]] = []
+    reads: list[tuple[int, int]] = []
     pairs = []
     listed = [filtration.level_indices(depth) for depth in range(1, r + 1)]
     for i in range(1, r + 1):
@@ -696,14 +663,10 @@ def check_bracket_compat(filtration: Filtration, degree_bound: int) -> BracketCo
                     if i + j > r:
                         continue
                     # every pair (g, g) reads the one zero field
-                    key = (min(p, q), max(p, q)) if p != q else (0, 0)
-                    t = columns.get(key)
-                    if t is None:
-                        t = columns[key] = len(fields)
-                        fields.append(table.bracket(*key))
-                    reads.append((t, filtration.new_at(i + j).stop, 1 if p <= q else -1))
-    top = max((k for _, k, _ in reads), default=0)
-    gens = filtration.generators(r)
+                    t = columns.setdefault((p, q) if p != q else (0, 0), len(columns))
+                    reads.append((t, filtration.new_at(i + j).stop))
+    fields = [bracket(p, q) for p, q in columns]
+    top = max((k for _, k in reads), default=0)
     verdicts = iter(module_membership_batch(fields, gens[:top], reads, degree_bound))
     # the pairs past the order that name the same generators, in the same
     # order, share one tautological pass
@@ -716,7 +679,7 @@ def check_bracket_compat(filtration: Filtration, degree_bound: int) -> BracketCo
             result = tautological.get((p, q))
             if result is None:
                 result = tautological[(p, q)] = _TautologicalPass(
-                    functools.partial(table.bracket, p, q), padding
+                    functools.partial(bracket, p, q), padding
                 )
         checks.append(BracketCheck(i, j, gi, gj, result))
     return BracketCompatReport(tuple(checks))

@@ -22,9 +22,10 @@ is the one a span holding every multiple gives.  On the (2,3,5) Cartan
 filtration at bound 3 that is 6 of the 385 multiples.  The level's new
 candidates are reduced in list order, and one whose field entries
 survive becomes a basis element and joins the span with a marker column
-of its own.  A field's class is the negated
-marker part of its normal form, so the brackets landing at depth i are
-read off before the span moves on.  Then the depth's markers are retired
+of its own (ModuleRows.marker).  A field's class is the negated marker
+part of its normal form (ModuleRows.markers; this module does no key
+arithmetic), so the brackets landing at depth i are read off before the
+span moves on.  Then the depth's markers are retired
 by unit rows, which puts H_{-i} itself into the span.  A relation whose
 certificate needs coefficient degree above the bound is missed, so
 reported dimensions are upper bounds that settle once the bound is
@@ -62,9 +63,11 @@ from .exactalg import (
     weight_of,
 )
 from .lieflt import (
+    FAIL,
+    INCONCLUSIVE,
+    PASS,
     Filtration,
     ModuleRows,
-    PackedKeys,
     Submanifold,
     check_degree_bound,
     fields_degree,
@@ -88,17 +91,6 @@ def _centred(
     images = [Poly.variable(n, i) + Poly.const(n, p) for i, p in enumerate(point)]
     moved = iter(substitute([c for g in fields for c in g.coeffs], images))
     return tuple(VectorField(g.chart, [next(moved) for _ in g.coeffs]) for g in fields)
-
-
-def _class(rest: dict, keys: PackedKeys) -> dict[int, Fraction] | None:
-    """Coordinates in the global basis read off a normal form against the
-    span: the negated marker part, or None when a field entry survives (no
-    certificate at the degree bound).  Retired markers are pivots of unit
-    rows, so a normal form holds only the live ones, the current level's."""
-    first = keys.marker(0)
-    if any(key < first for key in rest):
-        return None
-    return {keys.unpack(key)[0] - keys.nvars: Fraction(-x) for key, x in rest.items()}
 
 
 class _ReachedSpan:
@@ -302,8 +294,11 @@ def osculating_at(
     holding every multiple gives.  Markers sort after every field key, so
     every pivot but a retired marker's is a field key, and a marker-only
     normal form, with every class and certificate, is the one a span of
-    the depth's own would give.  Marker number u is basis element u, so a
-    class is read in the global basis.  The span's rows, candidates and
+    the depth's own would give.  rows.markers reads a class off a normal
+    form, None when a field entry survives (no certificate at the degree
+    bound); retired markers are pivots of unit rows, so a normal form
+    holds only the live ones, the current depth's.  Marker number u is
+    basis element u, so a class is read in the global basis.  The span's rows, candidates and
     brackets are packed by one ModuleRows, the nonconstant multiples of
     the centred generators up to the bound, whose reach is the brackets'
     degree, at most twice the generators' less one.
@@ -321,7 +316,6 @@ def osculating_at(
     # a bracket of two centred generators has degree at most 2*top - 1
     top = fields_degree(centred)
     rows = ModuleRows(centred, monomials_up_to(n, degree_bound)[1:], n, 2 * top - 1)
-    keys = rows.keys
 
     reach = _ReachedSpan(rows)
     span = reach.span
@@ -338,12 +332,12 @@ def osculating_at(
         classes: list[dict[int, Fraction]] = [{} for _ in range(new.start)]
         for j in new:
             rest = reach.reduce(rows.entries(centred[j]))
-            cls = _class(rest, keys)
+            cls = rows.markers(rest)
             if cls is None:
                 # a marker column sorts after every field key and records
                 # the new basis position in later reductions
                 cls = {len(degrees): Fraction(1)}
-                span.add({**rest, keys.marker(len(degrees)): Fraction(1)})
+                span.add({**rest, rows.marker(len(degrees)): Fraction(1)})
                 degrees.append(-depth)
                 representatives.append(gens[j])
                 centred_reps.append(centred[j])
@@ -353,14 +347,14 @@ def osculating_at(
             for v in range(u + 1, first):
                 if degrees[u] + degrees[v] == -depth:
                     target = lie_bracket(centred_reps[u], centred_reps[v])
-                    cls = _class(reach.reduce(rows.entries(target)), keys)
+                    cls = rows.markers(reach.reduce(rows.entries(target)))
                     if cls is None:
                         unverified.append((u, v))
                     elif cls:
                         structure[u, v] = cls
         # retire the depth's markers: H_{-depth} joins the span
         for pos in range(first, len(degrees)):
-            span.add({keys.marker(pos): Fraction(1)})
+            span.add({rows.marker(pos): Fraction(1)})
 
     return GradedLieAlg(
         order=order,
@@ -580,10 +574,10 @@ class HHReport:
     @property
     def verdict(self) -> str:
         if not self.maps_into_ok:
-            return "fail"
+            return FAIL
         if not (self.fiber_total_ok and self.per_degree_ok) or self.algebra.unverified:
-            return "inconclusive"
-        return "pass"
+            return INCONCLUSIVE
+        return PASS
 
 
 def verify_hh(

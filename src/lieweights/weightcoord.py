@@ -55,7 +55,7 @@ from .exactalg import (
     weight_of,
     weighted_multiindices,
 )
-from .lieflt import CleanResult, Submanifold, weight_sequence
+from .lieflt import PASS, CleanResult, Submanifold, weight_sequence
 from .vfield import Chart, VectorField
 
 INFINITE = math.inf
@@ -270,7 +270,7 @@ def weighted_coordinates(clean: CleanResult) -> WeightedChart:
     not the expected one.  That the normalized pairing is the identity and
     that forward after inverse is the identity are asserted.
     """
-    if clean.verdict != "pass":
+    if clean.verdict != PASS:
         raise ValueError(
             f"submanifold is not clean for this filtration (level {clean.first_bad_level})"
         )

@@ -40,6 +40,23 @@ def multiple_columns(rows, gens, monos):
     ]
 
 
+def unpack_key(rows, key):
+    """The (component, monomial) pair a ModuleRows key packs: its digits in
+    base rows.base, the component above the last rows.nvars of them."""
+    a, rest = divmod(key, rows.base**rows.nvars)
+    digits = []
+    for _ in range(rows.nvars):
+        rest, e = divmod(rest, rows.base)
+        digits.append(e)
+    return a, tuple(reversed(digits))
+
+
+def pack_key(rows, a, mono):
+    """The ModuleRows key of the entry (a, mono): a above the digits of
+    rows.enc(mono)."""
+    return a * rows.base**rows.nvars + rows.enc(mono)
+
+
 def unpack_reference(entries, count, monos, nvars):
     """The coefficient polynomials u_0, ..., u_{count-1} of a sparse
     {column: value} map over the layout of multiple_columns: column p is

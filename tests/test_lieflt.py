@@ -20,7 +20,9 @@ from corpus import (
     filiform_problem,
     module_solve,
     multiple_columns,
+    pack_key,
     pushed_forward_model,
+    unpack_key,
     unpack_reference,
 )
 from lieweights import exactalg, lieflt
@@ -41,7 +43,6 @@ from lieweights.lieflt import (
     PASS,
     Filtration,
     ModuleRows,
-    PackedKeys,
     Submanifold,
     check_bracket_compat,
     TriState,
@@ -163,11 +164,11 @@ def fields_and_bounds(draw):
     return field, draw(st.integers(0, 4))
 
 
-def keys_for(field, bound):
-    """The keys of the field's multiples by the monomials up to the bound:
-    base fields_degree([field]) + bound + 1."""
+def rows_for(field, bound):
+    """The module rows of the field's multiples by the monomials up to the
+    bound: base fields_degree([field]) + bound + 1."""
     n = field.chart.dim
-    return ModuleRows([field], monomials_up_to(n, bound), n, 0).keys
+    return ModuleRows([field], monomials_up_to(n, bound), n, 0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -175,7 +176,7 @@ def keys_for(field, bound):
 def test_packed_keys_order_like_tuple_keys_and_round_trip(case):
     field, bound = case
     n = field.chart.dim
-    keys = keys_for(field, bound)
+    rows = rows_for(field, bound)
     entries = {
         (a, tuple(x + y for x, y in zip(mono, beta)))
         for a, c in enumerate(field.coeffs)
@@ -185,10 +186,10 @@ def test_packed_keys_order_like_tuple_keys_and_round_trip(case):
     # a marker is the packing of (n + pos, 0): after every field key
     markers = {(n + pos, (0,) * n) for pos in range(3)}
     ordered = sorted(entries | markers)
-    packed = [keys.pack(a, mono) for a, mono in ordered]
+    packed = [pack_key(rows, a, mono) for a, mono in ordered]
     assert all(k < k_next for k, k_next in zip(packed, packed[1:]))
-    assert [keys.unpack(k) for k in packed] == ordered
-    assert packed[-3:] == [keys.marker(pos) for pos in range(3)]
+    assert [unpack_key(rows, k) for k in packed] == ordered
+    assert packed[-3:] == [rows.marker(pos) for pos in range(3)]
 
 
 @settings(max_examples=100, deadline=None)
@@ -198,17 +199,18 @@ def test_a_monomial_shift_adds_its_code(case):
     n = field.chart.dim
     monos = monomials_up_to(n, bound)
     rows = ModuleRows([field], monos, n, 0)
-    keys = rows.keys
     entries = rows.entries(field)
     assert entries == {
-        keys.pack(a, mono): x for a, c in enumerate(field.coeffs) for mono, x in c.terms.items()
+        pack_key(rows, a, mono): x
+        for a, c in enumerate(field.coeffs)
+        for mono, x in c.terms.items()
     }
     # held as RowEchelon holds them: integral values as ints
     assert all(type(x) is int or x.denominator != 1 for x in entries.values())
     for beta in monos:
         shifted = rows.entries(field.scale(Poly.term(n, beta, 1)))
-        row = rows.row(0, keys.enc(beta))
-        assert row == shifted == {k + keys.enc(beta): x for k, x in entries.items()}
+        row = rows.row(0, rows.enc(beta))
+        assert row == shifted == {k + rows.enc(beta): x for k, x in entries.items()}
 
 
 @settings(max_examples=100, deadline=None)
@@ -221,32 +223,35 @@ def test_a_monomial_shift_adds_its_code(case):
 )
 def test_packing_raises_exactly_on_an_exponent_at_or_past_the_base(case):
     n, base, mono = case
-    keys = PackedKeys(n, base)
+    # no generator and no monomial: the reach alone sets the base
+    rows = ModuleRows([], [], n, base - 1)
+    assert (rows.base, rows.place) == (base, base**n)
     if max(mono) >= base:
         with pytest.raises(ValueError):
-            keys.enc(mono)
+            rows.enc(mono)
         with pytest.raises(ValueError):
-            keys.pack(1, mono)
+            chart = Chart(tuple("xyzw"[:n]))
+            rows.entries(VectorField(chart, [Poly.term(n, tuple(mono), 1)] * n))
     else:
-        assert keys.unpack(keys.pack(1, mono)) == (1, tuple(mono))
+        assert unpack_key(rows, pack_key(rows, 1, mono)) == (1, tuple(mono))
 
 
 def test_module_rows_pick_their_packing_base():
     # B = max(generators' degree + the monomials' top degree, reach) + 1
     chart = Chart(("x", "y"))
     g = VectorField(chart, [Poly.term(2, (2, 0), 1), Poly.zero(2)])
-    assert ModuleRows([g], monomials_up_to(2, 1), 2, 0).keys.base == 4
-    assert ModuleRows([g], monomials_up_to(2, 1), 2, 5).keys.base == 6
-    assert ModuleRows([g], [], 2, -1).keys.base == 3
-    assert ModuleRows([], [], 2, -1).keys.base == 1
-    # base 5: x^2*dx packs to 0*5^2 + 2*5 + 0 = 10, times y^2 to 12
+    assert ModuleRows([g], monomials_up_to(2, 1), 2, 0).base == 4
+    assert ModuleRows([g], monomials_up_to(2, 1), 2, 5).base == 6
+    assert ModuleRows([g], [], 2, -1).base == 3
+    assert ModuleRows([], [], 2, -1).base == 1
+    # base 5: x^2*dx packs to 0*5^2 + 2*5 + 0 = 10, times y^2 to 12, and
+    # marker 1 to (2 + 1)*5^2
     rows = ModuleRows([g], [(0, 0), (0, 2)], 2, 0)
-    assert [rows.row(0, rows.keys.enc(beta)) for beta in [(0, 0), (0, 2)]] == [{10: 1}, {12: 1}]
-    # a field above the reach may not fit: pack still refuses it
+    assert [rows.row(0, rows.enc(beta)) for beta in [(0, 0), (0, 2)]] == [{10: 1}, {12: 1}]
+    assert rows.marker(1) == 75
+    # a field above the reach may not fit: packing still refuses it
     with pytest.raises(ValueError):
         rows.entries(VectorField(chart, [Poly.term(2, (0, 5), 1), Poly.zero(2)]))
-    with pytest.raises(ValueError):
-        PackedKeys(2, 0)
 
 
 @st.composite
@@ -283,18 +288,37 @@ def test_no_shift_carries(case):
     # multiple on each of its keys
     gens, monos, n, reach, others = case
     rows = ModuleRows(gens, monos, n, reach)
-    keys = rows.keys
     everyone = range(len(gens))
     for j, g in enumerate(gens):
         for beta in monos:
-            shift = keys.enc(beta)
+            shift = rows.enc(beta)
             row = rows.row(j, shift)
-            assert {keys.unpack(k): x for k, x in row.items()} == tuple_entries(g, beta)
+            assert {unpack_key(rows, k): x for k, x in row.items()} == tuple_entries(g, beta)
             assert all((j, shift) in rows.holding(k, everyone) for k in row)
     for f in others:
         if fields_degree([f]) <= reach:
-            unpacked = {keys.unpack(k): x for k, x in rows.entries(f).items()}
+            unpacked = {unpack_key(rows, k): x for k, x in rows.entries(f).items()}
             assert unpacked == tuple_entries(f, (0,) * n)
+
+
+MARKER_VALUES = st.one_of(NONZERO, st.integers(-3, 3).filter(bool))
+
+
+@settings(max_examples=100, deadline=None)
+@given(module_rows_cases(), st.dictionaries(st.integers(0, 5), MARKER_VALUES, max_size=4), st.data())
+def test_markers_read_back_every_marker_and_refuse_a_field_key(case, part, data):
+    # a normal form holding marker keys alone reads back as its negated
+    # marker part, by marker number; any key below the first marker is a
+    # field key, and then there is no class to read
+    gens, monos, n, reach, _ = case
+    rows = ModuleRows(gens, monos, n, reach)
+    rest = {rows.marker(pos): x for pos, x in part.items()}
+    assert all(unpack_key(rows, k) == (n + pos, (0,) * n) for pos, k in zip(part, rest))
+    read = rows.markers(rest)
+    assert read == {pos: -x for pos, x in part.items()}
+    assert all(type(x) is Fraction for x in read.values())
+    field_key = data.draw(st.integers(0, rows.marker(0) - 1))
+    assert rows.markers({**rest, field_key: data.draw(MARKER_VALUES)}) is None
 
 
 @st.composite
@@ -471,12 +495,12 @@ def membership_batches(draw):
     """(fields, gens, bound, reads): combinations of the generators with
     coefficients of degree <= 2, so some need more than the bound, and
     random fields, often infeasible; plus the zero field, and a repeat of
-    the first field the oracle does not pass.  Sometimes a generator is a
-    monomial multiple of an earlier one, so that a field passes at a low
-    rung with a certificate other than the cap's.  Each field has one to
-    three reads (t, k, sign), in shuffled order: the prefixes are all
-    full, or drawn per read, so one column is often read against several
-    prefixes, and each sign is drawn, so a field is also read negated."""
+    the first field the oracle does not pass, and negated copies of up to
+    two fields.  Sometimes a generator is a monomial multiple of an
+    earlier one, so that a field passes at a low rung with a certificate
+    other than the cap's.  Each field has one to three reads (t, k), in
+    shuffled order: the prefixes are all full, or drawn per read, so one
+    column is often read against several prefixes."""
     gens = draw(st.lists(small_field(), min_size=1, max_size=3))
     if draw(st.booleans()):
         mono = draw(st.sampled_from(monomials_up_to(3, 2)[1:]))
@@ -496,9 +520,11 @@ def membership_batches(draw):
         if per_field_membership(v, gens, bound).verdict != PASS:
             fields.append(v)
             break
+    negated = draw(st.lists(st.integers(0, len(fields) - 1), max_size=2, unique=True))
+    fields.extend(-fields[t] for t in negated)
     full = draw(st.booleans())
     reads = [
-        (t, len(gens) if full else draw(st.integers(0, len(gens))), draw(st.sampled_from([1, -1])))
+        (t, len(gens) if full else draw(st.integers(0, len(gens))))
         for t in range(len(fields))
         for _ in range(draw(st.integers(1, 3)))
     ]
@@ -508,15 +534,15 @@ def membership_batches(draw):
 @settings(max_examples=150, deadline=None)
 @given(membership_batches())
 def test_batch_membership_matches_per_field_oracle(batch):
-    # per read of sign * fields[t] against gens[:k]: the verdict and any
-    # fail witness are the oracle's at the cap, and a pass certificate is
-    # the oracle's at the deciding rung, which re-substitutes to the
-    # signed field exactly
+    # per read of fields[t] against gens[:k]: the verdict and any fail
+    # witness are the oracle's at the cap, and a pass certificate is the
+    # oracle's at the deciding rung, which re-substitutes to the field
+    # exactly
     fields, gens, bound, reads = batch
     results = module_membership_batch(fields, gens, reads, bound)
     assert len(results) == len(reads)
-    for (t, k, sign), result in zip(reads, results):
-        v = fields[t] if sign == 1 else -fields[t]
+    for (t, k), result in zip(reads, results):
+        v = fields[t]
         at_cap = per_field_membership(v, gens[:k], bound)
         assert result.verdict == at_cap.verdict
         if result.verdict != PASS:
@@ -571,7 +597,7 @@ def test_a_negative_degree_bound_is_refused():
     with pytest.raises(ValueError, match=NEGATIVE_BOUND):
         degree_schedule(3, -1)
     with pytest.raises(ValueError, match=NEGATIVE_BOUND):
-        module_membership_batch([vf("dx")], [vf("dx")], [(0, 1, 1)], -1)
+        module_membership_batch([vf("dx")], [vf("dx")], [(0, 1)], -1)
     # refused before the batch is read, so an empty batch too
     with pytest.raises(ValueError, match=NEGATIVE_BOUND):
         module_membership_batch([], [], [], -1)
@@ -634,7 +660,7 @@ def test_batch_repeats_an_infeasible_field():
     dz, inside = vf("dz"), vf("y*dx + dy + x*dz")
     zero = VectorField(CHART, [0, 0, 0])
     results = module_membership_batch(
-        [dz, inside, dz, zero], gens, [(t, 2, 1) for t in range(4)], 1
+        [dz, inside, dz, zero], gens, [(t, 2) for t in range(4)], 1
     )
     assert [r.verdict for r in results] == [FAIL, PASS, FAIL, PASS]
     assert results[0] == results[2] == per_field_membership(dz, gens, 1)
@@ -650,7 +676,7 @@ def test_membership_rejects_foreign_chart_and_rational_coefficients():
     with pytest.raises(ValueError):
         module_membership(vf("dx"), [other], 1)
     with pytest.raises(ValueError):
-        module_membership_batch([vf("dx"), other], [vf("dx")], [(0, 1, 1), (1, 1, 1)], 1)
+        module_membership_batch([vf("dx"), other], [vf("dx")], [(0, 1), (1, 1)], 1)
     # a rational coefficient never reaches membership: the parser and the
     # VectorField constructor both refuse it
     with pytest.raises(ParseError, match="not a polynomial"):
@@ -843,7 +869,7 @@ def per_level_bracket_compat(filtration, degree_bound):
     for k, entries in by_level.items():
         gens = filtration.generators(k)
         brackets = [b for _, b in entries]
-        reads = [(t, len(gens), 1) for t in range(len(brackets))]
+        reads = [(t, len(gens)) for t in range(len(brackets))]
         verdicts = module_membership_batch(brackets, gens, reads, degree_bound)
         results.update(zip((key for key, _ in entries), verdicts))
     return results
@@ -941,18 +967,16 @@ def test_bracket_compat_builds_one_bounded_system(monkeypatch):
 def test_batch_reads_each_field_against_its_prefix():
     gens = [vf("dx"), vf("dy"), vf("dz")]
     dz = vf("dz")
-    reads = [(0, 3, 1), (0, 2, 1), (0, 0, 1), (0, 3, -1)]
-    results = module_membership_batch([dz], gens, reads, 0)
+    reads = [(0, 3), (0, 2), (0, 0), (1, 3)]
+    results = module_membership_batch([dz, -dz], gens, reads, 0)
     zero, one = Poly.zero(3), Poly.one(3)
     assert results[0] == TriState.passed((zero, zero, one))
     assert results[1] == results[2] == TriState.failed((0, 0, 0))
     assert results[3] == TriState.passed((zero, zero, -one))
     with pytest.raises(ValueError):
-        module_membership_batch([dz], gens, [(0, 4, 1)], 0)
+        module_membership_batch([dz], gens, [(0, 4)], 0)
     with pytest.raises(ValueError):
-        module_membership_batch([dz], gens, [(1, 3, 1)], 0)
-    with pytest.raises(ValueError):
-        module_membership_batch([dz], gens, [(0, 3, 0)], 0)
+        module_membership_batch([dz], gens, [(1, 3)], 0)
 
 
 def test_a_pass_at_a_prefix_answers_the_larger_ones_padded():
@@ -962,13 +986,15 @@ def test_a_pass_at_a_prefix_answers_the_larger_ones_padded():
     # rung, and prefix 3 is prefix 2's certificate padded with a zero.
     gens = [vf("dz"), vf("x*dz"), vf("dx")]
     v = vf("x*dz")
+    fields = [v, -v]
     zero, one = Poly.zero(3), Poly.one(3)
-    results = module_membership_batch([v], gens, [(0, 1, 1), (0, 2, -1), (0, 3, 1)], 1)
+    reads = [(0, 1), (1, 2), (0, 3)]
+    results = module_membership_batch(fields, gens, reads, 1)
     assert results[0] == TriState.passed((Poly.variable(3, 0),))
     assert results[1] == TriState.passed((zero, -one))
     assert results[2] == TriState.passed((zero, one, zero))
-    for (k, sign), result in zip([(1, 1), (2, -1), (3, 1)], results):
-        assert result == walk_membership(v if sign == 1 else -v, gens[:k], 1)
+    for (t, k), result in zip(reads, results):
+        assert result == walk_membership(fields[t], gens[:k], 1)
 
 
 # -- cleanness and weights -------------------------------------------------------

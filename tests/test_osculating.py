@@ -22,6 +22,7 @@ from corpus import (
     pushed_forward_model,
     random_poly,
     translate_reference,
+    unpack_key,
     unpack_reference,
 )
 from lieweights import lieflt, osculating
@@ -730,7 +731,7 @@ def _tangency_columns(gens, submanifold, monos, degree_bound):
     rows = ModuleRows(gens, monos, n, 0)
 
     def on_fiber_of_n(key):
-        a, mono = rows.keys.unpack(key)
+        a, mono = unpack_key(rows, key)
         return a in fiber and not any(mono[f] for f in fiber)
 
     return [
@@ -855,12 +856,11 @@ def per_depth_osculating_at(filtration, point, degree_bound):
     top = fields_degree(centred)
     ideal_monos = monomials_up_to(n, degree_bound)[1:]
     rows = ModuleRows(centred, ideal_monos, n, 2 * top - 1)
-    keys = rows.keys
 
     def class_of(rest):
-        if any(key < keys.marker(0) for key in rest):
+        if any(key < rows.marker(0) for key in rest):
             return None
-        return {keys.unpack(key)[0] - n: -x for key, x in rest.items()}
+        return {unpack_key(rows, key)[0] - n: -x for key, x in rest.items()}
 
     spans, level_basis, level_classes = [], [], []
     for depth in range(1, order + 1):
@@ -875,7 +875,7 @@ def per_depth_osculating_at(filtration, point, degree_bound):
             cls = class_of(rest)
             if cls is None:
                 cls = {len(basis): Fraction(1)}
-                span.add({**rest, keys.marker(len(basis)): Fraction(1)})
+                span.add({**rest, rows.marker(len(basis)): Fraction(1)})
                 basis.append(j)
             classes.append(cls)
         spans.append(span)

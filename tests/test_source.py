@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from code_lines import code_lines
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lieweights"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
@@ -319,26 +321,50 @@ def test_only_submanifold_restrict_calls_restrict_zero():
     assert not found, f"restrict_zero called outside Submanifold.restrict: {found}"
 
 
-def test_only_module_rows_constructs_packed_keys():
-    # ModuleRows picks the packing base from its generators, its monomials
-    # and its reach; a caller sizing keys itself would be a second rule
+def test_only_lieflt_does_packed_key_arithmetic():
+    # ModuleRows owns the packed-key format: it picks the base, packs and
+    # shifts entries and reads markers back; a module reading the place
+    # value or encoding or decoding digits itself would be a second owner
     found = []
     for path in PACKAGE.glob("*.py"):
+        if path.name == "lieflt.py":
+            continue
         tree = ast.parse(path.read_text(), filename=str(path))
-        owners = {}
-        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
-            for node in ast.walk(cls):
-                owners[node] = cls.name
         for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            # PackedKeys(...) or a constructor such as PackedKeys.for_degree(...)
-            if isinstance(func, ast.Attribute):
-                func = func.value
-            if getattr(func, "id", None) == "PackedKeys" and owners.get(node) != "ModuleRows":
-                found.append(f"{path.name}:{node.lineno}")
-    assert not found, f"PackedKeys constructed outside ModuleRows: {found}"
+            if isinstance(node, ast.Attribute) and node.attr in ("place", "enc", "unpack"):
+                found.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert not found, f"packed-key arithmetic outside lieflt: {found}"
+
+
+def docstring_nodes(tree: ast.Module) -> set[ast.AST]:
+    """The string constants that are docstrings: the first statement of
+    the module and of each class and function body."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, *FUNCTIONS)) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                found.add(first.value)
+    return found
+
+
+def test_only_lieflt_spells_the_verdicts():
+    # lieflt's PASS, FAIL and INCONCLUSIVE are the one verdict vocabulary;
+    # a literal elsewhere would be a second spelling that could drift
+    found = []
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "lieflt.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        docstrings = docstring_nodes(tree)
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Constant)
+                and node.value in ("pass", "fail", "inconclusive")
+                and node not in docstrings
+            ):
+                found.append(f"{path.name}:{node.lineno} {node.value!r}")
+    assert not found, f"verdicts spelled outside lieflt: {found}"
 
 
 def test_only_exactalg_decides_whether_a_quotient_is_a_polynomial():
@@ -440,3 +466,32 @@ def test_memo_guard_sees_every_spelling():
         "def f(): pass\n"
     )
     assert set(memo_uses(ast.parse(source), "m")) == {"m.a", "m.b", "m.C.c", "m.d", "m:12"}
+
+
+CODE_LINES_FIXTURE = '''"""A module docstring
+over two lines."""
+
+import os  # a comment
+
+# a comment line
+
+
+def f(x):
+    """A docstring."""
+    y = """a string
+that is not a docstring"""
+    return (x +
+            1)
+
+
+class C:
+    "a one-line docstring"
+    z = os.sep
+'''
+
+
+def test_code_lines_counts_no_docstring_comment_or_blank_line():
+    # import, def, the two lines of y's string, the two of the return,
+    # class and z: 8 of the fixture's 19 lines
+    assert code_lines(CODE_LINES_FIXTURE) == 8
+    assert code_lines("") == 0
