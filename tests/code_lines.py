@@ -19,7 +19,14 @@ import tokenize
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lieweights"
-SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT}
+SKIPPED = {
+    tokenize.COMMENT,
+    tokenize.NL,
+    tokenize.NEWLINE,
+    tokenize.INDENT,
+    tokenize.DEDENT,
+    tokenize.ENDMARKER,
+}
 
 
 def docstring_lines(tree: ast.Module) -> set[int]:
@@ -42,7 +49,7 @@ def code_lines(source: str) -> int:
     """The number of code lines of one module's source."""
     lines = set()
     for token in tokenize.generate_tokens(io.StringIO(source).readline):
-        if token.type not in SKIPPED and token.type != tokenize.ENDMARKER:
+        if token.type not in SKIPPED:
             lines.update(range(token.start[0], token.end[0] + 1))
     return len(lines - docstring_lines(ast.parse(source)))
 

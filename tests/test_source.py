@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from code_lines import code_lines
+from code_lines import code_lines, docstring_lines
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lieweights"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -336,18 +336,6 @@ def test_only_lieflt_does_packed_key_arithmetic():
     assert not found, f"packed-key arithmetic outside lieflt: {found}"
 
 
-def docstring_nodes(tree: ast.Module) -> set[ast.AST]:
-    """The string constants that are docstrings: the first statement of
-    the module and of each class and function body."""
-    found = set()
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Module, ast.ClassDef, *FUNCTIONS)) and node.body:
-            first = node.body[0]
-            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
-                found.add(first.value)
-    return found
-
-
 def test_only_lieflt_spells_the_verdicts():
     # lieflt's PASS, FAIL and INCONCLUSIVE are the one verdict vocabulary;
     # a literal elsewhere would be a second spelling that could drift
@@ -356,12 +344,12 @@ def test_only_lieflt_spells_the_verdicts():
         if path.name == "lieflt.py":
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
-        docstrings = docstring_nodes(tree)
+        docstrings = docstring_lines(tree)
         for node in ast.walk(tree):
             if (
                 isinstance(node, ast.Constant)
                 and node.value in ("pass", "fail", "inconclusive")
-                and node not in docstrings
+                and node.lineno not in docstrings
             ):
                 found.append(f"{path.name}:{node.lineno} {node.value!r}")
     assert not found, f"verdicts spelled outside lieflt: {found}"
