@@ -26,16 +26,18 @@ from .jets import flowout_sample, q_dimension
 from .lieflt import (
     FAIL,
     INCONCLUSIVE,
+    MAX_MONOMIALS,
     PASS,
     Filtration,
     Submanifold,
+    capped_bound,
     check_bracket_compat,
     check_clean,
     weight_sequence,
+    worst_verdict,
 )
 from .osculating import osculating_at, tangent_subalg, verify_hh
 from .vfield import (
-    MAX_MONOMIALS,
     Chart,
     ParseError,
     coordinate_field,
@@ -49,6 +51,8 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INPUT = 3
+
+EXIT_CODES = {PASS: EXIT_PASS, FAIL: EXIT_FAIL, INCONCLUSIVE: EXIT_INCONCLUSIVE}
 
 # bound for the osculating quotient solves when the caller does not pin
 # one; the membership default grows too fast for pure-rational elimination
@@ -287,28 +291,17 @@ class _Pipeline:
         self.clean = None
         self.weighting = None
 
-    def membership_bound(self) -> int:
+    def bound(self, default: int) -> int:
+        """The explicit degree bound if one was given, else the default
+        lowered by lieflt.capped_bound to fit MAX_MONOMIALS.  An explicit
+        bound past the cap is an input error; a defaulted one is only too
+        small, so the stages that need more give inconclusive."""
         if self.spec.degree_bound is not None:
             return self.spec.degree_bound
-        return self.capped(self.spec.filtration.default_degree_bound())
-
-    def osculate_bound(self) -> int:
-        if self.spec.degree_bound is not None:
-            return self.spec.degree_bound
-        return self.capped(DEFAULT_OSCULATE_BOUND)
-
-    def capped(self, bound: int) -> int:
-        """A default bound, lowered to the largest d with at most
-        MAX_MONOMIALS monomials of degree <= d in the chart variables.  An
-        explicit bound past that is an input error; a defaulted one is only
-        too small, so the stages that need more give inconclusive."""
-        n = self.spec.chart.dim
-        while math.comb(n + bound, n) > MAX_MONOMIALS:
-            bound -= 1
-        return bound
+        return capped_bound(self.spec.chart.dim, default)
 
     def stage_bracket_compat(self):
-        bound = self.membership_bound()
+        bound = self.bound(self.spec.filtration.default_degree_bound())
         report = check_bracket_compat(self.spec.filtration, bound)
         data = {"degree_bound": bound, "pairs_checked": len(report.checks)}
         if report.verdict == FAIL:
@@ -400,7 +393,7 @@ class _Pipeline:
         return PASS, data
 
     def stage_osculating(self):
-        bound = self.osculate_bound()
+        bound = self.bound(DEFAULT_OSCULATE_BOUND)
         algebra = osculating_at(
             self.spec.filtration, self.spec.submanifold.base_point, bound
         )
@@ -450,12 +443,7 @@ class _Pipeline:
 
 
 def overall_exit(results: Sequence[dict]) -> int:
-    verdicts = [r["verdict"] for r in results]
-    if FAIL in verdicts:
-        return EXIT_FAIL
-    if INCONCLUSIVE in verdicts:
-        return EXIT_INCONCLUSIVE
-    return EXIT_PASS
+    return EXIT_CODES[worst_verdict(r["verdict"] for r in results)]
 
 
 def render_json(results: Sequence[dict]) -> str:
@@ -497,10 +485,7 @@ def render_text(results: Sequence[dict]) -> str:
         if summary:
             line += "  " + summary
         lines.append(line)
-    verdict = {EXIT_PASS: PASS, EXIT_FAIL: FAIL, EXIT_INCONCLUSIVE: INCONCLUSIVE}[
-        overall_exit(results)
-    ]
-    lines.append(f"overall: {verdict}")
+    lines.append(f"overall: {worst_verdict(r['verdict'] for r in results)}")
     return "\n".join(lines) + "\n"
 
 

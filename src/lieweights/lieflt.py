@@ -22,15 +22,28 @@ from .exactalg import (
     Monomial,
     Poly,
     RowEchelon,
+    Scalar,
     rational_point,
     record,
+    restrict_terms,
     weighted_multiindices,
 )
-from .vfield import Chart, VectorField, lie_bracket, restrict_zero
+from .vfield import Chart, VectorField, lie_bracket
 
 PASS = "pass"
 FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
+
+
+def worst_verdict(verdicts: Iterable[str]) -> str:
+    """The fold of several verdicts: fail over inconclusive over pass, and
+    pass for none."""
+    verdicts = set(verdicts)
+    if FAIL in verdicts:
+        return FAIL
+    if INCONCLUSIVE in verdicts:
+        return INCONCLUSIVE
+    return PASS
 
 
 @record
@@ -110,9 +123,17 @@ class Submanifold:
         chart order."""
         return self.tangent_indices + self.fiber_indices
 
-    def restrict(self, value):
-        """Set the fiber variables to zero (ambient variable count kept)."""
-        return restrict_zero(value, self._fiber)
+    def restrict(self, value: Scalar) -> Scalar:
+        """Set the fiber variables to zero, keeping the ambient variable
+        count: a Poly is cut by exactalg.restrict_terms, and a RatFunc has
+        its numerator and denominator cut.  Raises ZeroDivisionError when
+        the denominator vanishes identically on N."""
+        if isinstance(value, Poly):
+            return restrict_terms(value, self._fiber)
+        den = restrict_terms(value.den, self._fiber)
+        if den.is_zero():
+            raise ZeroDivisionError("denominator vanishes identically on the submanifold")
+        return restrict_terms(value.num, self._fiber) / den
 
 
 @record
@@ -191,11 +212,25 @@ class Filtration:
         self._check_depth(depth)
         return self._indices[depth - 1]
 
-    def max_generator_degree(self) -> int:
-        return fields_degree(self.generators(self.order))
-
     def default_degree_bound(self) -> int:
-        return 2 * self.max_generator_degree() + self.order
+        return 2 * fields_degree(self.generators(self.order)) + self.order
+
+
+# largest number of monomials of degree <= the degree bound in the chart
+# variables, C(n + bound, n); every bounded module system has one unknown
+# per generator and monomial, so a larger explicit bound is refused at
+# load time instead of eliminated for minutes, and a defaulted one is
+# lowered to fit (the (2,3,5) Cartan default bound 7 on five variables
+# gives 792)
+MAX_MONOMIALS = 1000
+
+
+def capped_bound(nvars: int, bound: int) -> int:
+    """The bound, lowered to the largest d with at most MAX_MONOMIALS
+    monomials of degree <= d in nvars variables when it has more."""
+    while comb(nvars + bound, nvars) > MAX_MONOMIALS:
+        bound -= 1
+    return bound
 
 
 def monomials_up_to(nvars: int, degree: int) -> list[tuple[int, ...]]:
@@ -568,16 +603,14 @@ class BracketCheck:
 
 @record
 class BracketCompatReport:
+    """The checks of one bracket-compat run; its verdict is their
+    worst_verdict, pass when there are none."""
+
     checks: tuple[BracketCheck, ...]
 
     @property
     def verdict(self) -> str:
-        verdicts = [c.result.verdict for c in self.checks]
-        if FAIL in verdicts:
-            return FAIL
-        if INCONCLUSIVE in verdicts:
-            return INCONCLUSIVE
-        return PASS
+        return worst_verdict(c.result.verdict for c in self.checks)
 
     def first_failure(self) -> BracketCheck | None:
         for c in self.checks:

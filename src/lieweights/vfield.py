@@ -1,4 +1,4 @@
-"""Polynomial charts, vector fields, and the ASCII expression grammar.
+"""Polynomial charts, vector fields, the ASCII expression grammar and printing.
 
 Grammar accepted by the parser (whitespace insignificant, errors carry
 line/column):
@@ -49,7 +49,6 @@ from .exactalg import (
     mul_terms,
     pow_terms,
     record,
-    restrict_terms,
 )
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
@@ -189,21 +188,6 @@ def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
     return VectorField(x.chart, coeffs)
 
 
-def restrict_zero(value: Scalar, fiber_indices: Sequence[int]) -> Scalar:
-    """Substitute 0 for the listed variables.
-
-    The result keeps the ambient variable count; each polynomial is cut by
-    exactalg.restrict_terms.  Raises when a rational function's
-    denominator vanishes identically under the substitution.
-    """
-    if isinstance(value, Poly):
-        return restrict_terms(value, fiber_indices)
-    den = restrict_terms(value.den, fiber_indices)
-    if den.is_zero():
-        raise ZeroDivisionError("denominator vanishes identically on the submanifold")
-    return restrict_terms(value.num, fiber_indices) / den
-
-
 # -- parsing -----------------------------------------------------------------
 
 
@@ -312,13 +296,6 @@ MAX_DEGREE = 12
 # terms, so products and powers are bounded before they are computed
 MAX_TERMS = 500
 
-# largest number of monomials of degree <= the degree bound in the chart
-# variables, C(n + bound, n); every bounded module system has one unknown
-# per generator and monomial, so a larger explicit bound is refused at
-# load time instead of eliminated for minutes, and a defaulted one is
-# lowered to fit (the (2,3,5) Cartan default bound 7 on five variables
-# gives 792)
-MAX_MONOMIALS = 1000
 
 
 class _Parser:

@@ -255,10 +255,6 @@ class WeightedChart:
             m[p] if w == 0 else Fraction(0) for p, w in zip(self.positions, self.weights)
         )
 
-    def to_weighted(self, value: Scalar) -> Scalar:
-        """Rewrite a function on the original chart in weighted coordinates."""
-        return value.subst(self.inverse)
-
 
 def weighted_coordinates(clean: CleanResult) -> WeightedChart:
     """Build the weighted chart induced by a clean filtration, from the
@@ -292,9 +288,6 @@ def weighted_coordinates(clean: CleanResult) -> WeightedChart:
     # word s -> (y^s, its normalization constant), built and checked once
     # per word
     powers: dict[Monomial, tuple[Scalar, Fraction]] = {}
-    # each position's filtration degree, checked once every position is
-    # corrected, so a normalization constant is refused first as before
-    degrees: list[int] = []
     # the fiber weights are the frame's depths, nondecreasing, so position
     # order is weight order.  Only weights >= 3 get corrections: a word
     # with |s| >= 2 has weight >= 2, so below weight 3 none is admissible
@@ -342,13 +335,11 @@ def weighted_coordinates(clean: CleanResult) -> WeightedChart:
                 partial = sum(terms, partial)
                 table = WordValues(clean.frame, partial)
         current[a] = partial
-        degrees.append(filtration_degree(table, submanifold, words, cap=w_a))
-
-    for p, got in zip(range(k0, n), degrees):
-        if got != weights[p]:
+        got = filtration_degree(table, submanifold, words, cap=w_a)
+        if got != w_a:
             raise ValueError(
-                f"weighted coordinate at position {p} has filtration degree {got}, "
-                f"expected {weights[p]}"
+                f"weighted coordinate at position {a} has filtration degree {got}, "
+                f"expected {w_a}"
             )
 
     inverse = _invert_weighting(submanifold, pairing, records)
@@ -423,7 +414,7 @@ def weighted_degree(f: Scalar, weighting: WeightedChart) -> int | float:
     at least i.  Base (weight-0) variables contribute nothing.  The zero
     function has degree +inf.
     """
-    return weighted_degree_in_chart(weighting.to_weighted(f), weighting.weights)
+    return weighted_degree_in_chart(f.subst(weighting.inverse), weighting.weights)
 
 
 def push_to_weighted(

@@ -10,7 +10,7 @@ import math
 import random
 
 from lieweights.exactalg import LinearSolution, Poly, RatFunc, RowEchelon, quotient, record
-from lieweights.lieflt import Filtration, monomials_up_to
+from lieweights.lieflt import Filtration, Submanifold, monomials_up_to
 from lieweights.vfield import Chart, VectorField, format_vector_field, lie_bracket
 
 COEFFS = tuple(Fraction(n, d) for n in (-2, -1, 1, 2) for d in (1, 2))
@@ -55,6 +55,16 @@ def pack_key(rows, a, mono):
     """The ModuleRows key of the entry (a, mono): a above the digits of
     rows.enc(mono)."""
     return a * rows.base**rows.nvars + rows.enc(mono)
+
+
+def restrict_to(value, fiber):
+    """value with the listed variables set to zero: Submanifold.restrict on
+    the submanifold {fiber = 0} through the origin of a chart of as many
+    variables as value has."""
+    n = getattr(value, "num", value).nvars
+    chart = Chart(tuple(f"x{i}" for i in range(n)))
+    tangent = [i for i in range(n) if i not in fiber]
+    return Submanifold(chart, tangent, (0,) * n).restrict(value)
 
 
 def unpack_reference(entries, count, monos, nvars):

@@ -42,7 +42,13 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
 from corpus import filiform_problem, free_nilpotent_problem, times_space  # noqa: E402
-from lieweights.cli import STAGE_ORDER, _Pipeline, load_problem, render_json  # noqa: E402
+from lieweights.cli import (  # noqa: E402
+    DEFAULT_OSCULATE_BOUND,
+    STAGE_ORDER,
+    _Pipeline,
+    load_problem,
+    render_json,
+)
 
 ROWS = {
     "free_2_5": lambda: free_nilpotent_problem(2, 5),
@@ -87,7 +93,7 @@ def scale_row(name: str) -> dict:
     row["render"] = clock() - start
     row["total"] = sum(row[key] for key in ("load", *STAGE_ORDER, "render"))
     row["verdicts"] = verdicts
-    row["osculating_bound"] = pipeline.osculate_bound()
+    row["osculating_bound"] = pipeline.bound(DEFAULT_OSCULATE_BOUND)
     row["report_bytes"] = len(report)
     return row
 

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line front end."""
 
 import io
+import itertools
 import json
 import math
 import os
@@ -34,11 +35,23 @@ from lieweights.cli import (
     ProblemError,
     load_problem,
     main,
+    overall_exit,
     render_json,
+    render_text,
 )
 from lieweights.jets import SampleReport
-from lieweights.lieflt import check_clean
-from lieweights.vfield import MAX_MONOMIALS, Chart, coordinate_field, parse_scalar
+from lieweights.lieflt import (
+    FAIL,
+    INCONCLUSIVE,
+    MAX_MONOMIALS,
+    PASS,
+    BracketCheck,
+    BracketCompatReport,
+    TriState,
+    check_clean,
+    worst_verdict,
+)
+from lieweights.vfield import Chart, coordinate_field, parse_scalar
 from lieweights.weightcoord import weighted_coordinates
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -385,6 +398,75 @@ class TestReport:
             assert code == EXIT_INCONCLUSIVE
             assert stage(report, "jets")["verdict"] == "inconclusive"
             assert data["reason"] == "uncertified"
+
+
+# x*dy vanishes at the origin and nowhere else on N, the x-axis, so the rank
+# of TN + H_{-1} along N drops at the base point
+NOT_CLEAN_DOC = {
+    "variables": ["x", "y"],
+    "order": 2,
+    "filtration": {"-1": ["x*dy"], "-2": "full"},
+    "submanifold": {"tangent": ["x"], "base_point": ["0", "0"]},
+}
+
+# the top level, dx alone, misses dy at the base point
+NO_SPAN_DOC = {
+    "variables": ["x", "y"],
+    "order": 1,
+    "filtration": {"-1": ["dx"]},
+    "submanifold": {"tangent": [], "base_point": ["0", "0"]},
+}
+
+
+class TestStageFailures:
+    def test_a_submanifold_that_is_not_clean_fails_the_clean_stage(self, tmp_path, capsys):
+        path = write_problem(tmp_path, NOT_CLEAN_DOC)
+        code, report = run_report("report", path, tmp_path)
+        assert code == EXIT_FAIL
+        verdicts = [(entry["name"], entry["verdict"]) for entry in report["stages"]]
+        assert verdicts == [("bracket-compat", "pass"), ("clean", "fail")]
+        assert stage(report, "clean")["data"] == {
+            "first_bad_level": 1,
+            "ranks": [1, 1, 2],
+            "generic_ranks": [1, 2, 2],
+        }
+        assert main(["report", path]) == EXIT_FAIL
+        assert "clean          fail  ranks=[1, 1, 2]" in capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize("command", ["report", "weights"])
+    def test_a_top_level_that_does_not_span_fails_the_weights_stage(self, tmp_path, command):
+        path = write_problem(tmp_path, NO_SPAN_DOC)
+        code, report = run_report(command, path, tmp_path)
+        assert code == EXIT_FAIL
+        assert report["stages"][-1] == {
+            "name": "weights",
+            "verdict": "fail",
+            "data": {"error": "top filtration level does not span the tangent space"},
+        }
+
+    def test_check_stops_before_the_span_is_read(self, tmp_path):
+        path = write_problem(tmp_path, NO_SPAN_DOC)
+        code, report = run_report("check", path, tmp_path)
+        assert code == EXIT_PASS
+        assert [entry["name"] for entry in report["stages"]] == ["bracket-compat", "clean"]
+
+
+VERDICT_RANK = {PASS: 0, INCONCLUSIVE: 1, FAIL: 2}
+
+
+@pytest.mark.parametrize(
+    "verdicts",
+    [m for k in range(4) for m in itertools.combinations_with_replacement(VERDICT_RANK, k)],
+)
+def test_every_verdict_fold_agrees(verdicts):
+    expected = max(verdicts, key=VERDICT_RANK.__getitem__, default=PASS)
+    assert worst_verdict(verdicts) == expected
+    results = [{"name": "clean", "verdict": v, "data": {}} for v in verdicts]
+    exits = {PASS: EXIT_PASS, FAIL: EXIT_FAIL, INCONCLUSIVE: EXIT_INCONCLUSIVE}
+    assert overall_exit(results) == exits[expected]
+    assert render_text(results).splitlines()[-1] == f"overall: {expected}"
+    checks = tuple(BracketCheck(1, 1, 0, 0, TriState(v)) for v in verdicts)
+    assert BracketCompatReport(checks).verdict == expected
 
 
 class TestFlags:

@@ -10,7 +10,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from corpus import assert_canonical, partial, translate_reference
+from corpus import assert_canonical, partial, restrict_to, translate_reference
 from lieweights import exactalg
 from lieweights.exactalg import (
     LinearSolution,
@@ -42,7 +42,6 @@ from lieweights.vfield import (
     coordinate_field,
     parse_polynomial,
     parse_vector_field,
-    restrict_zero,
 )
 
 X = Poly.variable(3, 0)
@@ -661,7 +660,7 @@ def test_ratfunc_is_in_lowest_terms_at_high_degree():
     assert hash(polynomial) == hash(y)
     # a polynomial in lowest terms restricts, evaluates and is a coefficient
     # where x vanishes
-    assert restrict_zero(polynomial, [0]) == y
+    assert restrict_to(polynomial, [0]) == y
     assert polynomial.eval([0, 3]) == 3
     field = VectorField(Chart(("x", "y")), [polynomial, 1])
     assert field.coeffs == (y, one)

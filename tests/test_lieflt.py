@@ -40,12 +40,14 @@ from lieweights.exactalg import (
 from lieweights.lieflt import (
     FAIL,
     INCONCLUSIVE,
+    MAX_MONOMIALS,
     PASS,
     Filtration,
     ModuleRows,
     Submanifold,
     check_bracket_compat,
     TriState,
+    capped_bound,
     check_clean,
     degree_schedule,
     fields_degree,
@@ -57,7 +59,6 @@ from lieweights.lieflt import (
     weight_sequence,
 )
 from lieweights.vfield import (
-    MAX_MONOMIALS,
     Chart,
     ParseError,
     VectorField,
@@ -585,6 +586,27 @@ def test_degree_schedule_builds_at_most_half_again_the_cap(nvars):
         if nvars >= 2:
             assert 3 * total <= 4 * top
         cap += 1
+
+
+@pytest.mark.parametrize("nvars", range(1, 9))
+def test_capped_bound_keeps_a_bound_that_fits_and_lowers_one_that_does_not(nvars):
+    for bound in range(21):
+        got = capped_bound(nvars, bound)
+        if math.comb(nvars + bound, nvars) <= MAX_MONOMIALS:
+            assert got == bound
+        else:
+            fits = math.comb(nvars + got, nvars) <= MAX_MONOMIALS
+            assert fits and MAX_MONOMIALS < math.comb(nvars + got + 1, nvars)
+
+
+@pytest.mark.parametrize(
+    "nvars, bound, capped", [(1, 999, 999), (1, 1000, 999), (999, 1, 1), (999, 2, 1)]
+)
+def test_capped_bound_keeps_a_bound_with_exactly_the_cap(nvars, bound, capped):
+    # C(1000, 1) = C(1000, 999) = MAX_MONOMIALS: no smaller chart or bound
+    # reaches the cap exactly, so only these tell <= from <
+    assert math.comb(nvars + capped, nvars) == MAX_MONOMIALS
+    assert capped_bound(nvars, bound) == capped
 
 
 NEGATIVE_BOUND = "degree bound must be non-negative, got -1"

@@ -299,7 +299,7 @@ def test_no_module_keys_anything_by_object_identity():
     assert not found, f"id(...) called in the package: {found}"
 
 
-def test_only_submanifold_restrict_calls_restrict_zero():
+def test_only_submanifold_restrict_calls_restrict_terms():
     # Submanifold.restrict is the one way to set the fiber variables to
     # zero; it holds the fiber indices, worked out once
     found = []
@@ -316,9 +316,9 @@ def test_only_submanifold_restrict_calls_restrict_zero():
                 continue
             func = node.func
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if name == "restrict_zero" and owners.get(node) != "Submanifold.restrict":
+            if name == "restrict_terms" and owners.get(node) != "Submanifold.restrict":
                 found.append(f"{path.name}:{node.lineno}")
-    assert not found, f"restrict_zero called outside Submanifold.restrict: {found}"
+    assert not found, f"restrict_terms called outside Submanifold.restrict: {found}"
 
 
 def test_only_lieflt_does_packed_key_arithmetic():
